@@ -1,7 +1,7 @@
 GO ?= go
 BWALINT := bin/bwalint
 
-.PHONY: build test vet lint lint-fix lint-fix-dry bwalint bwalint-path race serve demo bench bench-record soak soak-gateway soak-record clean
+.PHONY: build test vet lint lint-fix lint-fix-dry bwalint bwalint-path race serve demo bench soak soak-gateway soak-record clean
 
 SOAK_DURATION ?= 30s
 
@@ -38,11 +38,8 @@ serve: ## run the alignment server on a synthetic genome
 demo: ## in-process client/server round trip
 	$(GO) run ./examples/serverdemo
 
-bench:
-	$(GO) test -bench . -benchtime 1x ./...
-
-bench-record: ## regenerate the committed kernel benchmark record
-	$(GO) run ./cmd/kernelbench -json > BENCH_kernels.json
+bench: ## the repository's benchmark on tiny inputs (see internal/bench/README.md for the full run)
+	$(GO) run ./cmd/bwabench -quick -seconds 1
 
 soak: ## sustained mixed-load run against an in-process server; fails on any violated invariant
 	$(GO) run ./cmd/bwasoak -duration $(SOAK_DURATION) -seed 1 > /dev/null

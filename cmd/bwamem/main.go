@@ -35,7 +35,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  bwamem index [-format v2|v1] [-o out.bwago] <ref.fa>
+  bwamem index [-o out.bwago] <ref.fa>
   bwamem mem [-t N] [-mode baseline|optimized] [-a] [-T score] <ref.fa[.bwago]> <reads.fq> [mates.fq]
 `)
 	os.Exit(2)
@@ -49,13 +49,9 @@ func die(err error) {
 func cmdIndex(args []string) {
 	fs := flag.NewFlagSet("index", flag.ExitOnError)
 	out := fs.String("o", "", "output index path (default <ref>.bwago)")
-	format := fs.String("format", "v2", "index format: v2 (page-aligned, mmap-able) or v1 (legacy)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		usage()
-	}
-	if *format != "v1" && *format != "v2" {
-		die(fmt.Errorf("unknown index format %q (want v1 or v2)", *format))
 	}
 	refPath := fs.Arg(0)
 	fmt.Fprintf(os.Stderr, "[index] building BWT and suffix array for %s...\n", refPath)
@@ -71,20 +67,15 @@ func cmdIndex(args []string) {
 	if err != nil {
 		die(err)
 	}
-	if *format == "v1" {
-		err = idx.WriteLegacy(w)
-	} else {
-		err = idx.Write(w)
-	}
-	if err != nil {
+	if err := idx.Write(w); err != nil {
 		w.Close()
 		die(err)
 	}
 	if err := w.Close(); err != nil {
 		die(err)
 	}
-	fmt.Fprintf(os.Stderr, "[index] wrote %s: %d contigs, %d bp (format %s)\n",
-		path, len(idx.Contigs()), idx.ReferenceLength(), *format)
+	fmt.Fprintf(os.Stderr, "[index] wrote %s: %d contigs, %d bp\n",
+		path, len(idx.Contigs()), idx.ReferenceLength())
 }
 
 func cmdMem(args []string) {

@@ -14,17 +14,15 @@ import (
 
 func main() {
 	var (
-		genome   = flag.Int("genome", 2_000_000, "synthetic reference length (bp)")
-		scale    = flag.Float64("scale", 1.0, "read-count scale over the D1-D5 profiles")
-		t4       = flag.Bool("table4", false, "run Table 4 (SMEM kernel counters)")
-		t5       = flag.Bool("table5", false, "run Table 5 (SAL kernel counters)")
-		t6       = flag.Bool("table6", false, "run Table 6 (BSW engine comparison)")
-		t7       = flag.Bool("table7", false, "run Table 7 (BSW instruction analysis)")
-		t8       = flag.Bool("table8", false, "run Table 8 (BSW time breakdown)")
-		abl      = flag.Bool("ablations", false, "run design-choice ablations")
-		all      = flag.Bool("all", false, "run everything")
-		jsonOut  = flag.Bool("json", false, "emit a machine-readable pipeline benchmark record (JSON) instead of tables")
-		nthreads = flag.Int("threads", 0, "worker threads for -json (0 = NumCPU)")
+		genome = flag.Int("genome", 2_000_000, "synthetic reference length (bp)")
+		scale  = flag.Float64("scale", 1.0, "read-count scale over the D1-D5 profiles")
+		t4     = flag.Bool("table4", false, "run Table 4 (SMEM kernel counters)")
+		t5     = flag.Bool("table5", false, "run Table 5 (SAL kernel counters)")
+		t6     = flag.Bool("table6", false, "run Table 6 (BSW engine comparison)")
+		t7     = flag.Bool("table7", false, "run Table 7 (BSW instruction analysis)")
+		t8     = flag.Bool("table8", false, "run Table 8 (BSW time breakdown)")
+		abl    = flag.Bool("ablations", false, "run design-choice ablations")
+		all    = flag.Bool("all", false, "run everything")
 	)
 	flag.Parse()
 	if !(*t4 || *t5 || *t6 || *t7 || *t8 || *abl || *all) {
@@ -38,14 +36,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kernelbench:", err)
 		os.Exit(1)
-	}
-	if *jsonOut {
-		// The JSON record is the whole output: stdout stays parseable.
-		if err := experiments.WriteBenchJSON(os.Stdout, env, *nthreads); err != nil {
-			fmt.Fprintln(os.Stderr, "kernelbench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	run := func(enabled bool, fn func() error) {
 		if !enabled && !*all {

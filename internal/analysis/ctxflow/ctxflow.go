@@ -14,7 +14,7 @@ import (
 )
 
 // scope holds the package-path fragments that mark request-path code.
-var scope = []string{"internal/server", "internal/pipeline", "internal/rescache", "internal/gateway", "cmd/bwagate", "/pkg/"}
+var scope = []string{"internal/server", "internal/pipeline", "internal/rescache", "internal/gateway", "internal/ordered", "cmd/bwagate", "/pkg/"}
 
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",

@@ -64,7 +64,7 @@ var Analyzer = &analysis.Analyzer{
 
 func flags() *flag.FlagSet {
 	fs := flag.NewFlagSet("goroleak", flag.ExitOnError)
-	fs.StringVar(&scope, "scope", "internal/server,internal/pipeline,internal/rescache,internal/gateway",
+	fs.StringVar(&scope, "scope", "internal/server,internal/pipeline,internal/rescache,internal/gateway,internal/ordered",
 		"comma-separated package-path suffixes treated as request-path (diagnostics are confined to them)")
 	return fs
 }

@@ -20,7 +20,7 @@ import (
 // the SAM/FASTA/FASTQ writers, the server and pipeline that drive them,
 // the CLI, and the public facades. Report generators (internal/experiments)
 // and best-effort diagnostics stay out by default.
-var scope = []string{"internal/server", "internal/pipeline", "internal/seq", "internal/gateway", "cmd/bwamem", "cmd/bwagate", "/pkg/"}
+var scope = []string{"internal/server", "internal/pipeline", "internal/seq", "internal/gateway", "internal/ordered", "cmd/bwamem", "cmd/bwagate", "/pkg/"}
 
 var Analyzer = &analysis.Analyzer{
 	Name: "streamerr",

@@ -48,7 +48,9 @@ func DefaultBatchConfig() BatchConfig {
 // RunBatch executes all jobs through the batched engines and returns results
 // in job order. Jobs whose score range exceeds the forced precision fall
 // back to the scalar engine (matching BWA-MEM, which keeps a scalar path for
-// outliers).
+// outliers). It is the subject of Tables 6-8 and the width/sort ablations
+// (internal/experiments), not an engine of the aligner: without SIMD the
+// lanes run serially and lose to ExtendScalar.
 func RunBatch(p *Params, jobs []Job, cfg BatchConfig) []ExtResult {
 	if cfg.Width8 <= 0 {
 		cfg.Width8 = 64

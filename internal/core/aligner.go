@@ -24,11 +24,6 @@ type Aligner struct {
 
 	par5, par3 bsw.Params
 	chOpts     chain.Opts
-	batchCfg   bsw.BatchConfig
-
-	// BatchStats, when non-nil, accumulates batched-BSW accounting for the
-	// experiments. Not safe with concurrent AlignBatch calls.
-	BatchStats *bsw.BatchStats
 }
 
 // Workspace holds all per-worker scratch, allocated once and reused across
@@ -44,41 +39,16 @@ type Workspace struct {
 }
 
 // NewAligner indexes the reference and assembles the pipeline for the given
-// mode. ModeBaseline uses the η=128 occurrence table and a compressed
-// suffix array; ModeOptimized uses the η=32 table and a flat suffix array.
+// mode: BuildPrebuilt followed by NewAlignerFrom.
 func NewAligner(ref *seq.Reference, mode Mode, opts Options) (*Aligner, error) {
 	if ref.Lpac() == 0 {
 		return nil, fmt.Errorf("core: empty reference")
 	}
-	flavor := fmindex.Baseline
-	if mode == ModeOptimized {
-		flavor = fmindex.Optimized
-	}
-	idx, fullSA, err := fmindex.Build(ref.Doubled(), flavor)
+	pi, err := BuildPrebuilt(ref)
 	if err != nil {
 		return nil, err
 	}
-	var lookup sal.Lookuper
-	if mode == ModeOptimized || opts.SACompression <= 1 {
-		lookup = sal.NewFlat(fullSA)
-	} else {
-		lookup, err = sal.NewCompressed(fullSA, opts.SACompression, idx)
-		if err != nil {
-			return nil, err
-		}
-	}
-	a := &Aligner{
-		Ref: ref, Idx: idx, SA: lookup, Opts: opts, Mode: mode,
-		par5:   opts.bswParams(opts.PenClip5),
-		par3:   opts.bswParams(opts.PenClip3),
-		chOpts: opts.chainOpts(),
-	}
-	a.batchCfg = bsw.BatchConfig{
-		Width8:  opts.BatchWidth8,
-		Width16: opts.BatchWidth16,
-		Sort:    !opts.DisableBSWSort,
-	}
-	return a, nil
+	return NewAlignerFrom(pi, mode, opts)
 }
 
 // IndexFootprint returns the bytes of index data the aligner addresses:
@@ -191,68 +161,19 @@ func (a *Aligner) AlignRead(q []byte, ws *Workspace) []Region {
 	return regs
 }
 
-// pendingSeed tracks one seed extension through the two batched phases.
-type pendingSeed struct {
-	readIdx  int
-	c        *chain.Chain
-	seedIdx  int
-	rmax0    int
-	rseq     []byte
-	reg      Region
-	aw0, aw1 int
-	leftJob  int // index into the left job list, or -1
-	rightJob int // index into the right job list, or -1
-	sc0      int
-}
-
-// runBatchWithRetry executes jobs through the batched engines at band W,
-// retrying per-job at 2W under mem_chain2aln's rule. prev0[i] seeds the
-// convergence test of job i. It returns results and per-job band used.
-func (a *Aligner) runBatchWithRetry(par *bsw.Params, jobs []bsw.Job, prev0 []int) ([]bsw.ExtResult, []int) {
-	w0 := a.Opts.W
-	for i := range jobs {
-		jobs[i].W = w0
-	}
-	cfg := a.batchCfg
-	cfg.Stats = a.BatchStats
-	res := bsw.RunBatch(par, jobs, cfg)
-	aw := make([]int, len(jobs))
-	var retry []int
-	for i := range res {
-		aw[i] = w0
-		if res[i].Score == prev0[i] || res[i].MaxOff < (w0>>1)+(w0>>2) {
-			continue
-		}
-		retry = append(retry, i)
-	}
-	if len(retry) > 0 {
-		rjobs := make([]bsw.Job, len(retry))
-		for j, i := range retry {
-			rjobs[j] = jobs[i]
-			rjobs[j].W = w0 << 1
-		}
-		rres := bsw.RunBatch(par, rjobs, cfg)
-		for j, i := range retry {
-			res[i] = rres[j]
-			aw[i] = w0 << 1
-		}
-	}
-	return res, aw
-}
-
 // CollectBSWJobs reproduces the paper's kernel-benchmark methodology for
 // BSW (§2.5, §6.2.3): it runs the pipeline up to the extension stage and
-// returns the sequence pairs that stage would process (left extensions
-// first, then right extensions, whose seed scores depend on the left
-// results). The returned jobs carry band width W and initial score H0.
+// returns the sequence pairs that stage would process if every seed were
+// extended (left extensions first, then right extensions, whose seed scores
+// depend on the left results). The returned jobs carry band width W and
+// initial score H0.
 func (a *Aligner) CollectBSWJobs(reads [][]byte, ws *Workspace) []bsw.Job {
 	if ws == nil {
 		ws = &Workspace{}
 	}
-	var pend []pendingSeed
-	var leftJobs []bsw.Job
-	var leftPrev []int
-	for ri, q := range reads {
+	ext := a.scalarExtend(&ws.scalar, nil)
+	var left, right []bsw.Job
+	for _, q := range reads {
 		for _, c := range a.chainRead(q, ws) {
 			if len(c.Seeds) == 0 {
 				continue
@@ -260,46 +181,33 @@ func (a *Aligner) CollectBSWJobs(reads [][]byte, ws *Workspace) []bsw.Job {
 			rmax0, _, rseq := a.chainWindow(len(q), c)
 			for si := range c.Seeds {
 				s := &c.Seeds[si]
-				p := pendingSeed{readIdx: ri, c: c, seedIdx: si, rmax0: rmax0,
-					rseq: rseq, reg: a.newRegion(c), leftJob: -1, rightJob: -1}
+				reg := a.newRegion(c)
 				if s.QBeg > 0 {
-					qs := reverseBytes(nil, q[:s.QBeg])
-					ts := reverseBytes(nil, rseq[:s.RBeg-rmax0])
-					leftJobs = append(leftJobs, bsw.Job{Query: qs, Target: ts,
-						W: a.Opts.W, H0: s.Len * a.Opts.MatchScore})
-					leftPrev = append(leftPrev, -1)
-					p.leftJob = len(leftJobs) - 1
+					job := bsw.Job{Query: reverseBytes(nil, q[:s.QBeg]),
+						Target: reverseBytes(nil, rseq[:s.RBeg-rmax0]),
+						W:      a.Opts.W, H0: s.Len * a.Opts.MatchScore}
+					left = append(left, job)
+					res, _ := ext(&a.par5, job.Query, job.Target, job.H0, -1)
+					a.applyLeft(&reg, s, res)
+				} else {
+					a.applyNoLeft(&reg, s)
 				}
-				pend = append(pend, p)
+				if qe := s.QBeg + s.Len; qe != len(q) {
+					re := s.RBeg + s.Len - rmax0
+					right = append(right, bsw.Job{Query: q[qe:], Target: rseq[re:],
+						W: a.Opts.W, H0: reg.Score})
+				}
 			}
 		}
 	}
-	leftRes, _ := a.runBatchWithRetry(&a.par5, leftJobs, leftPrev)
-	all := append([]bsw.Job(nil), leftJobs...)
-	for pi := range pend {
-		p := &pend[pi]
-		q := reads[p.readIdx]
-		s := &p.c.Seeds[p.seedIdx]
-		if p.leftJob >= 0 {
-			a.applyLeft(&p.reg, s, leftRes[p.leftJob])
-		} else {
-			a.applyNoLeft(&p.reg, s)
-		}
-		if s.QBeg+s.Len != len(q) {
-			qe := s.QBeg + s.Len
-			re := s.RBeg + s.Len - p.rmax0
-			all = append(all, bsw.Job{Query: q[qe:], Target: p.rseq[re:],
-				W: a.Opts.W, H0: p.reg.Score})
-		}
-	}
-	return all
+	return append(left, right...)
 }
 
 // AlignBatch maps a batch of reads with the paper's reorganized workflow
 // (Fig. 2 / §5.3.2): every pipeline stage runs over the whole batch before
-// the next starts, and seed extension is batched through the inter-task
-// kernels — all seeds are extended, then the contained-seed skip heuristic
-// is replayed so the output is identical to the sequential path.
+// the next starts. Extension uses the scalar engine with the online
+// contained-seed skip — the fastest engine on a SIMD-less target — so the
+// output is identical to the sequential path.
 func (a *Aligner) AlignBatch(reads [][]byte, ws *Workspace) [][]Region {
 	if ws == nil {
 		ws = &Workspace{}
@@ -309,149 +217,22 @@ func (a *Aligner) AlignBatch(reads [][]byte, ws *Workspace) [][]Region {
 	for i, q := range reads {
 		chainsPerRead[i] = a.chainRead(q, ws)
 	}
-
-	if !a.Opts.LaneBSW {
-		// Production extension on a SIMD-less target: scalar cells with the
-		// online contained-seed skip, still inside the batch-staged
-		// workflow. Identical output to the lane path below.
-		out := make([][]Region, len(reads))
-		t0 := time.Now()
-		ext := a.scalarExtend(&ws.scalar, nil)
-		for ri, q := range reads {
-			var regs []Region
-			for _, c := range chainsPerRead[ri] {
-				regs = a.extendChain(q, c, regs, ext, ws)
-			}
-			out[ri] = regs
-		}
-		ws.Clock.Add(counters.StageBSW, time.Since(t0))
-		t1 := time.Now()
-		for ri := range out {
-			out[ri] = a.dedupRegions(out[ri])
-			a.markPrimary(out[ri])
-		}
-		ws.Clock.Add(counters.StageMisc, time.Since(t1))
-		return out
-	}
-
-	// Stage 4a: gather every seed of every kept chain and its left job.
-	tPre := time.Now()
-	var pend []pendingSeed
-	var leftJobs []bsw.Job
-	var leftPrev []int
-	srtPerChain := make(map[*chain.Chain][]uint64)
-	for ri, q := range reads {
-		for _, c := range chainsPerRead[ri] {
-			if len(c.Seeds) == 0 {
-				continue
-			}
-			rmax0, _, rseq := a.chainWindow(len(q), c)
-			srtPerChain[c] = seedOrder(c)
-			for si := range c.Seeds {
-				s := &c.Seeds[si]
-				p := pendingSeed{readIdx: ri, c: c, seedIdx: si, rmax0: rmax0,
-					rseq: rseq, reg: a.newRegion(c), aw0: a.Opts.W, aw1: a.Opts.W,
-					leftJob: -1, rightJob: -1}
-				if s.QBeg > 0 {
-					qs := reverseBytes(nil, q[:s.QBeg])
-					ts := reverseBytes(nil, rseq[:s.RBeg-rmax0])
-					leftJobs = append(leftJobs, bsw.Job{Query: qs, Target: ts,
-						H0: s.Len * a.Opts.MatchScore})
-					leftPrev = append(leftPrev, -1)
-					p.leftJob = len(leftJobs) - 1
-				}
-				pend = append(pend, p)
-			}
-		}
-	}
-
-	// Run all left extensions, fold them in, and build the right jobs.
-	ws.Clock.Add(counters.StageBSWPre, time.Since(tPre))
-	tBSW := time.Now()
-	leftRes, leftAw := a.runBatchWithRetry(&a.par5, leftJobs, leftPrev)
-	ws.Clock.Add(counters.StageBSW, time.Since(tBSW))
-	tPre = time.Now()
-	var rightJobs []bsw.Job
-	var rightPrev []int
-	for pi := range pend {
-		p := &pend[pi]
-		q := reads[p.readIdx]
-		s := &p.c.Seeds[p.seedIdx]
-		if p.leftJob >= 0 {
-			p.aw0 = leftAw[p.leftJob]
-			a.applyLeft(&p.reg, s, leftRes[p.leftJob])
-		} else {
-			a.applyNoLeft(&p.reg, s)
-		}
-		if s.QBeg+s.Len != len(q) {
-			p.sc0 = p.reg.Score
-			qe := s.QBeg + s.Len
-			re := s.RBeg + s.Len - p.rmax0
-			rightJobs = append(rightJobs, bsw.Job{Query: q[qe:], Target: p.rseq[re:], H0: p.sc0})
-			rightPrev = append(rightPrev, p.sc0)
-			p.rightJob = len(rightJobs) - 1
-		}
-	}
-
-	// Run all right extensions and finish the regions.
-	ws.Clock.Add(counters.StageBSWPre, time.Since(tPre))
-	tBSW = time.Now()
-	rightRes, rightAw := a.runBatchWithRetry(&a.par3, rightJobs, rightPrev)
-	ws.Clock.Add(counters.StageBSW, time.Since(tBSW))
-	tPre = time.Now()
-	for pi := range pend {
-		p := &pend[pi]
-		q := reads[p.readIdx]
-		s := &p.c.Seeds[p.seedIdx]
-		if p.rightJob >= 0 {
-			p.aw1 = rightAw[p.rightJob]
-			a.applyRight(&p.reg, s, len(q), p.rmax0, p.sc0, rightRes[p.rightJob])
-		} else {
-			a.applyNoRight(&p.reg, s, len(q))
-		}
-		finishRegion(&p.reg, s, p.c, p.aw0, p.aw1)
-	}
-
-	// Index precomputed regions by (chain, seed index).
-	regOf := make(map[*chain.Chain][]*Region)
-	for pi := range pend {
-		p := &pend[pi]
-		lst := regOf[p.c]
-		if lst == nil {
-			lst = make([]*Region, len(p.c.Seeds))
-			regOf[p.c] = lst
-		}
-		lst[p.seedIdx] = &p.reg
-	}
-
-	ws.Clock.Add(counters.StageBSWPre, time.Since(tPre))
-	tMisc := time.Now()
-	// Replay the sequential decision procedure per read (§5.3.2 "post
-	// process them to filter out the ones that should not have been
-	// extended"): identical skip decisions, hence identical output.
 	out := make([][]Region, len(reads))
+	t0 := time.Now()
+	ext := a.scalarExtend(&ws.scalar, nil)
 	for ri, q := range reads {
 		var regs []Region
 		for _, c := range chainsPerRead[ri] {
-			if len(c.Seeds) == 0 {
-				continue
-			}
-			srt := srtPerChain[c]
-			for k := len(srt) - 1; k >= 0; k-- {
-				s := &c.Seeds[uint32(srt[k])]
-				if a.seedContainedIn(regs, s, len(q)) >= 0 {
-					if !hasOverlappingSeed(c, srt, k, s) {
-						srt[k] = 0
-						continue
-					}
-				}
-				regs = append(regs, *regOf[c][uint32(srt[k])])
-			}
+			regs = a.extendChain(q, c, regs, ext, ws)
 		}
-		regs = a.dedupRegions(regs)
-		a.markPrimary(regs)
 		out[ri] = regs
 	}
-	ws.Clock.Add(counters.StageMisc, time.Since(tMisc))
+	ws.Clock.Add(counters.StageBSW, time.Since(t0))
+	t1 := time.Now()
+	for ri := range out {
+		out[ri] = a.dedupRegions(out[ri])
+		a.markPrimary(out[ri])
+	}
+	ws.Clock.Add(counters.StageMisc, time.Since(t1))
 	return out
 }

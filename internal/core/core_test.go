@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -104,36 +105,52 @@ func TestModesProduceIdenticalSAM(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequential verifies the §5.3.2 reorganization: batched
-// extension plus replayed filtering equals the per-read sequential path.
+// sampleBatch draws n 101 bp reads with up to four substitutions each,
+// alternating strands.
+func sampleBatch(rng *rand.Rand, ref *seq.Reference, n int) (rds []seq.Read, codes [][]byte) {
+	for i := 0; i < n; i++ {
+		rd, _ := sampleRead(rng, ref, 101, rng.Intn(5), i%2 == 0)
+		rds = append(rds, rd)
+		codes = append(codes, seq.Encode(rd.Seq))
+	}
+	return rds, codes
+}
+
+// TestBatchMatchesSequential verifies the §5.3.2 reorganization: the
+// batch-staged workflow equals the per-read sequential path.
 func TestBatchMatchesSequential(t *testing.T) {
 	ref := testRef(t, 30000, 85)
 	rng := rand.New(rand.NewSource(86))
 	for _, mode := range []Mode{ModeBaseline, ModeOptimized} {
-		for _, lane := range []bool{false, true} {
-			opts := DefaultOptions()
-			opts.LaneBSW = lane
-			a, err := NewAligner(ref, mode, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var reads [][]byte
-			var rds []seq.Read
-			for i := 0; i < 40; i++ {
-				rd, _ := sampleRead(rng, ref, 101, rng.Intn(5), i%2 == 0)
-				rds = append(rds, rd)
-				reads = append(reads, seq.Encode(rd.Seq))
-			}
-			ws := &Workspace{}
-			batch := a.AlignBatch(reads, ws)
-			for i, q := range reads {
-				seqr := a.AlignRead(q, ws)
-				if !reflect.DeepEqual(batch[i], seqr) {
-					t.Fatalf("%v lane=%v read %d (%s): batch/sequential regions differ:\nbatch %+v\nseq   %+v",
-						mode, lane, i, rds[i].Name, batch[i], seqr)
-				}
+		a := newTestAligner(t, ref, mode)
+		rds, reads := sampleBatch(rng, ref, 40)
+		ws := &Workspace{}
+		batch := a.AlignBatch(reads, ws)
+		for i, q := range reads {
+			seqr := a.AlignRead(q, ws)
+			if !reflect.DeepEqual(batch[i], seqr) {
+				t.Fatalf("%v read %d (%s): batch/sequential regions differ:\nbatch %+v\nseq   %+v",
+					mode, i, rds[i].Name, batch[i], seqr)
 			}
 		}
+	}
+}
+
+// TestCollectBSWJobsGolden pins the kernel-benchmark job list (count and
+// hash recorded at PR 11): the jobs feed Tables 6-8 and bwabench's
+// replayable dumps, so the list must not move with the engine that computes
+// the left scores the right jobs start from.
+func TestCollectBSWJobsGolden(t *testing.T) {
+	ref := testRef(t, 30000, 85)
+	a := newTestAligner(t, ref, ModeOptimized)
+	_, reads := sampleBatch(rand.New(rand.NewSource(86)), ref, 40)
+	jobs := a.CollectBSWJobs(reads, nil)
+	h := fnv.New64a()
+	for _, j := range jobs {
+		fmt.Fprintf(h, "%x|%x|%d|%d\n", j.Query, j.Target, j.W, j.H0)
+	}
+	if got := h.Sum64(); len(jobs) != 92 || got != 0xc60d6247eff22698 {
+		t.Fatalf("CollectBSWJobs: %d jobs, hash %#x; want 92 jobs, hash 0xc60d6247eff22698", len(jobs), got)
 	}
 }
 

@@ -1,15 +1,14 @@
 package core
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 // BenchmarkIndexLoad measures the path from an on-disk .bwago to a ready
-// aligner — the cost every bwaserve restart pays — for the three load
-// strategies. The files are written (and read once) up front, so all
+// aligner — the cost every bwaserve restart pays — for the two load
+// strategies. The file is written (and read once) up front, so both
 // sub-benchmarks run against a warm page cache: the v2-mmap number is the
 // "warm start" the format was designed for, where open cost is header
 // parsing instead of copying and rebuilding tables.
@@ -20,31 +19,24 @@ func BenchmarkIndexLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()
-	v1Path := filepath.Join(dir, "ref.v1.bwago")
 	v2Path := filepath.Join(dir, "ref.bwago")
-	writeWith := func(path string, write func(io.Writer) error) {
-		f, err := os.Create(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := write(f); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
+	f, err := os.Create(v2Path)
+	if err != nil {
+		b.Fatal(err)
 	}
-	writeWith(v1Path, pi.WriteIndex)
-	writeWith(v2Path, pi.WriteIndexV2)
-	for _, p := range []string{v1Path, v2Path} {
-		if _, err := os.ReadFile(p); err != nil { // prime the page cache
-			b.Fatal(err)
-		}
+	if err := pi.WriteIndexV2(f); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := os.ReadFile(v2Path); err != nil { // prime the page cache
+		b.Fatal(err)
 	}
 
-	heapLoad := func(b *testing.B, path string) {
+	b.Run("v2-heap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			f, err := os.Open(path)
+			f, err := os.Open(v2Path)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -57,9 +49,7 @@ func BenchmarkIndexLoad(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("v1-heap", func(b *testing.B) { heapLoad(b, v1Path) })
-	b.Run("v2-heap", func(b *testing.B) { heapLoad(b, v2Path) })
+	})
 	b.Run("v2-mmap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m, err := OpenIndexMmap(v2Path)

@@ -1,19 +1,10 @@
-// On-disk index I/O. Two formats share the 8-byte magic and a version
-// field:
-//
-//   - v1 — the legacy compact stream: 32-bit length fields, sections packed
-//     back to back, no checksums. Still readable (heap load only) so
-//     existing .bwago files keep working; the writer refuses references
-//     whose lengths do not fit 32 bits instead of silently truncating.
-//
-//   - v2 — the page-aligned layout in index_v2.go: 64-bit lengths,
-//     per-section offsets and CRCs, persisted occurrence tables, and
-//     mmap-ability (OpenIndexMmap in index_mmap.go).
-//
-// Both readers run the same consistency pass (Prebuilt.validate) before
-// returning, and both bound every allocation by the claimed remaining input
-// so a truncated or adversarial file yields a "corrupt index" error rather
-// than an OOM.
+// On-disk index I/O: the Prebuilt bundle, its consistency pass, and the
+// stream reader's front door. The one format is the page-aligned v2 layout
+// in index_v2.go (64-bit lengths, per-section offsets and CRCs, persisted
+// occurrence tables, mmap-able via OpenIndexMmap in index_mmap.go). The
+// reader runs Prebuilt.validate before returning and bounds every
+// allocation by the claimed remaining input, so a truncated or adversarial
+// file yields a "corrupt index" error rather than an OOM.
 package core
 
 import (
@@ -59,6 +50,9 @@ func BuildPrebuilt(ref *seq.Reference) (*Prebuilt, error) {
 }
 
 // NewAlignerFrom assembles an aligner from prebuilt index data.
+// ModeBaseline uses the η=128 occurrence table and a compressed suffix
+// array (sal.DefaultCompression); ModeOptimized uses the η=32 table and a
+// flat suffix array.
 func NewAlignerFrom(pi *Prebuilt, mode Mode, opts Options) (*Aligner, error) {
 	flavor := fmindex.Baseline
 	if mode == ModeOptimized {
@@ -66,25 +60,21 @@ func NewAlignerFrom(pi *Prebuilt, mode Mode, opts Options) (*Aligner, error) {
 	}
 	idx := fmindex.NewFromParts(pi.BWT, flavor, pi.Occ128, pi.Occ32)
 	var lookup sal.Lookuper
-	if mode == ModeOptimized || opts.SACompression <= 1 {
+	if mode == ModeOptimized {
 		lookup = sal.NewFlat(pi.FullSA)
 	} else {
 		var err error
-		lookup, err = sal.NewCompressed(pi.FullSA, opts.SACompression, idx)
+		lookup, err = sal.NewCompressed(pi.FullSA, sal.DefaultCompression, idx)
 		if err != nil {
 			return nil, err
 		}
 	}
-	a := &Aligner{
+	return &Aligner{
 		Ref: pi.Ref, Idx: idx, SA: lookup, Opts: opts, Mode: mode,
 		par5:   opts.bswParams(opts.PenClip5),
 		par3:   opts.bswParams(opts.PenClip3),
 		chOpts: opts.chainOpts(),
-	}
-	a.batchCfg.Width8 = opts.BatchWidth8
-	a.batchCfg.Width16 = opts.BatchWidth16
-	a.batchCfg.Sort = !opts.DisableBSWSort
-	return a, nil
+	}, nil
 }
 
 // MemFootprint returns the resident bytes of the loaded index data: packed
@@ -102,7 +92,6 @@ func (pi *Prebuilt) MemFootprint() int64 {
 
 const (
 	indexMagic     = "BWAGOIDX"
-	indexVersionV1 = uint32(1)
 	indexVersionV2 = uint32(2)
 )
 
@@ -110,8 +99,8 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("core: corrupt index: "+format, args...)
 }
 
-// validate is the consistency pass shared by the v1 and v2 readers (and,
-// defensively, the writers): every structural invariant checkable without
+// validate is the consistency pass shared by the heap and mmap readers (and,
+// defensively, the writer): every structural invariant checkable without
 // scanning the large arrays. Violations that would otherwise surface as
 // panics deep inside SAM rendering — contigs outside the packed reference,
 // overlapping contigs, a primary row out of range — are reported here as
@@ -234,121 +223,10 @@ func readFullAlloc(r io.Reader, n uint64, remaining int64) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteIndex serializes prebuilt index data in the legacy v1 format. The
-// format's length fields are 32-bit: a reference too large for them is
-// rejected with a clear error (write the v2 format instead of truncating).
-// New indexes should use WriteIndexV2.
-func (pi *Prebuilt) WriteIndex(w io.Writer) error {
-	if err := pi.v1RangeCheck(); err != nil {
-		return err
-	}
-	if err := pi.validate(); err != nil {
-		return fmt.Errorf("core: refusing to write inconsistent index: %w", err)
-	}
-	return writeIndexV1(w, pi)
-}
-
-// v1RangeCheck guards the legacy format's 32-bit length fields: any value
-// that does not fit must fail fast, never truncate into a corrupt file.
-func (pi *Prebuilt) v1RangeCheck() error {
-	check := func(what string, v int) error {
-		if v < 0 || uint64(v) > math.MaxUint32 {
-			return fmt.Errorf("core: %s (%d) exceeds the v1 index format's 32-bit fields; write format v2 instead", what, v)
-		}
-		return nil
-	}
-	if err := check("contig count", len(pi.Ref.Contigs)); err != nil {
-		return err
-	}
-	for _, c := range pi.Ref.Contigs {
-		if err := check(fmt.Sprintf("contig %q name length", c.Name), len(c.Name)); err != nil {
-			return err
-		}
-		if err := check(fmt.Sprintf("contig %q offset", c.Name), c.Offset); err != nil {
-			return err
-		}
-		if err := check(fmt.Sprintf("contig %q length", c.Name), c.Len); err != nil {
-			return err
-		}
-	}
-	if err := check("ambiguous-base count", pi.Ref.NumAmb); err != nil {
-		return err
-	}
-	if err := check("packed reference length", len(pi.Ref.Pac)); err != nil {
-		return err
-	}
-	if err := check("BWT length", pi.BWT.N); err != nil {
-		return err
-	}
-	if err := check("BWT primary row", pi.BWT.Primary); err != nil {
-		return err
-	}
-	return check("suffix array length", len(pi.FullSA))
-}
-
-// writeIndexV1 emits the v1 stream without validation (split out so tests
-// can craft deliberately inconsistent files for the reader).
-func writeIndexV1(w io.Writer, pi *Prebuilt) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(indexMagic); err != nil {
-		return err
-	}
-	le := binary.LittleEndian
-	writeU32 := func(v uint32) error { return binary.Write(bw, le, v) }
-	if err := writeU32(indexVersionV1); err != nil {
-		return err
-	}
-	// Contigs.
-	if err := writeU32(uint32(len(pi.Ref.Contigs))); err != nil {
-		return err
-	}
-	for _, c := range pi.Ref.Contigs {
-		if err := writeU32(uint32(len(c.Name))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(c.Name); err != nil {
-			return err
-		}
-		if err := writeU32(uint32(c.Offset)); err != nil {
-			return err
-		}
-		if err := writeU32(uint32(c.Len)); err != nil {
-			return err
-		}
-	}
-	if err := writeU32(uint32(pi.Ref.NumAmb)); err != nil {
-		return err
-	}
-	// Packed forward strand.
-	if err := writeU32(uint32(len(pi.Ref.Pac))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(pi.Ref.Pac); err != nil {
-		return err
-	}
-	// BWT.
-	if err := writeU32(uint32(pi.BWT.N)); err != nil {
-		return err
-	}
-	if err := writeU32(uint32(pi.BWT.Primary)); err != nil {
-		return err
-	}
-	if _, err := bw.Write(pi.BWT.B0); err != nil {
-		return err
-	}
-	// Suffix array.
-	if err := writeU32(uint32(len(pi.FullSA))); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, le, pi.FullSA); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadIndex deserializes index data written by WriteIndex (v1) or
-// WriteIndexV2, auto-detecting the version. Both paths load onto the heap;
-// use OpenIndexMmap to map a v2 file zero-copy instead.
+// ReadIndex deserializes index data written by WriteIndexV2 onto the heap;
+// use OpenIndexMmap to map the file zero-copy instead. Version 1 files (the
+// retired 32-bit stream format) are recognised and refused with a rebuild
+// hint rather than reported as corrupt.
 func ReadIndex(r io.Reader) (*Prebuilt, error) {
 	remaining := sizeHint(r)
 	br := bufio.NewReaderSize(r, 1<<20)
@@ -363,120 +241,17 @@ func ReadIndex(r io.Reader) (*Prebuilt, error) {
 	if err := binary.Read(br, binary.LittleEndian, &ver); err != nil {
 		return nil, fmt.Errorf("core: reading index version: %w", err)
 	}
+	if ver != indexVersionV2 {
+		return nil, errUnsupportedVersion(ver)
+	}
 	if remaining >= 0 {
 		remaining -= int64(len(indexMagic)) + 4
 	}
-	switch ver {
-	case indexVersionV1:
-		return readIndexV1(br, remaining)
-	case indexVersionV2:
-		return readIndexV2(br, remaining)
-	default:
-		return nil, fmt.Errorf("core: unsupported index version %d (this build reads v1 and v2)", ver)
-	}
+	return readIndexV2(br, remaining)
 }
 
-// readIndexV1 parses the legacy stream after the magic and version. Every
-// length field is bounded by the remaining input before allocation.
-func readIndexV1(br *bufio.Reader, remaining int64) (*Prebuilt, error) {
-	le := binary.LittleEndian
-	readU32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(br, le, &v)
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		if remaining >= 0 && err == nil {
-			remaining -= 4
-		}
-		return v, err
-	}
-	nc, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	// Each contig record is at least 12 bytes, so the count itself is
-	// bounded by the input size.
-	if remaining >= 0 && int64(nc) > remaining/12 {
-		return nil, corruptf("contig count %d exceeds the remaining input (%d bytes)", nc, remaining)
-	}
-	ref := &seq.Reference{}
-	for i := uint32(0); i < nc; i++ {
-		nl, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		name, err := readFullAlloc(br, uint64(nl), remaining)
-		if err != nil {
-			return nil, err
-		}
-		if remaining >= 0 {
-			remaining -= int64(nl)
-		}
-		off, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		ln, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		ref.Contigs = append(ref.Contigs, seq.Contig{Name: string(name), Offset: int(off), Len: int(ln)})
-	}
-	numAmb, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	ref.NumAmb = int(numAmb)
-	pacLen, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	if ref.Pac, err = readFullAlloc(br, uint64(pacLen), remaining); err != nil {
-		return nil, err
-	}
-	if remaining >= 0 {
-		remaining -= int64(pacLen)
-	}
-	n, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	primary, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(n) != 2*uint64(pacLen) {
-		return nil, corruptf("BWT covers %d symbols, want %d (doubled reference of %d bp)", n, 2*uint64(pacLen), pacLen)
-	}
-	b0, err := readFullAlloc(br, uint64(n), remaining)
-	if err != nil {
-		return nil, err
-	}
-	if remaining >= 0 {
-		remaining -= int64(n)
-	}
-	b, err := bwt.FromStored(b0, int(primary))
-	if err != nil {
-		return nil, fmt.Errorf("core: corrupt index: %w", err)
-	}
-	saLen, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	if int64(saLen) != int64(n)+1 {
-		return nil, corruptf("SA length %d for text length %d", saLen, n)
-	}
-	saRaw, err := readFullAlloc(br, 4*uint64(saLen), remaining)
-	if err != nil {
-		return nil, err
-	}
-	pi := &Prebuilt{Ref: ref, BWT: b, FullSA: int32sFromRaw(saRaw)}
-	if err := pi.validate(); err != nil {
-		return nil, err
-	}
-	if err := pi.validateSA(); err != nil {
-		return nil, err
-	}
-	return pi, nil
+// errUnsupportedVersion is the answer to any index version but v2, shared
+// by the heap and mmap front doors.
+func errUnsupportedVersion(ver uint32) error {
+	return fmt.Errorf("core: unsupported index version %d, rebuild with `bwamem index`", ver)
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"io"
-	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,32 +16,6 @@ type nonSeekReader struct{ r io.Reader }
 
 func (n nonSeekReader) Read(p []byte) (int, error) { return n.r.Read(p) }
 
-func TestIndexRoundTrip(t *testing.T) {
-	ref := testRef(t, 12000, 201)
-	pi, err := BuildPrebuilt(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := pi.WriteIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	pi2, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pi.Ref.Pac, pi2.Ref.Pac) || !reflect.DeepEqual(pi.Ref.Contigs, pi2.Ref.Contigs) {
-		t.Fatal("reference mismatch after round trip")
-	}
-	if pi.BWT.Primary != pi2.BWT.Primary || !bytes.Equal(pi.BWT.B0, pi2.BWT.B0) ||
-		pi.BWT.C != pi2.BWT.C || pi.BWT.Counts != pi2.BWT.Counts {
-		t.Fatal("BWT mismatch after round trip")
-	}
-	if !reflect.DeepEqual(pi.FullSA, pi2.FullSA) {
-		t.Fatal("suffix array mismatch after round trip")
-	}
-}
-
 func TestAlignerFromPrebuiltMatchesDirect(t *testing.T) {
 	ref := testRef(t, 15000, 202)
 	pi, err := BuildPrebuilt(ref)
@@ -51,7 +23,7 @@ func TestAlignerFromPrebuiltMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := pi.WriteIndex(&buf); err != nil {
+	if err := pi.WriteIndexV2(&buf); err != nil {
 		t.Fatal(err)
 	}
 	pi2, err := ReadIndex(&buf)
@@ -90,94 +62,12 @@ func TestReadIndexRejectsGarbage(t *testing.T) {
 	ref := testRef(t, 2000, 204)
 	pi, _ := BuildPrebuilt(ref)
 	var buf bytes.Buffer
-	pi.WriteIndex(&buf)
+	pi.WriteIndexV2(&buf)
 	if _, err := ReadIndex(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("truncated index should not parse")
 	}
 	if _, err := ReadIndex(nonSeekReader{bytes.NewReader(buf.Bytes()[:buf.Len()/2])}); err == nil {
 		t.Fatal("truncated index should not parse from an unseekable stream either")
-	}
-}
-
-func TestWriteIndexV1FailsFastOnOverflow(t *testing.T) {
-	if bits.UintSize < 64 {
-		t.Skip("needs 64-bit int to express out-of-range lengths")
-	}
-	ref := testRef(t, 1000, 301)
-	pi, err := BuildPrebuilt(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shift := uint(33)
-	huge := 1 << shift // value needing 34 bits; must not truncate to a u32
-
-	mutations := []struct {
-		name   string
-		mutate func(p *Prebuilt)
-	}{
-		{"contig length", func(p *Prebuilt) { p.Ref.Contigs[0].Len = huge }},
-		{"contig offset", func(p *Prebuilt) { p.Ref.Contigs[0].Offset = huge }},
-		{"BWT length", func(p *Prebuilt) { p.BWT.N = huge }},
-		{"ambiguous-base count", func(p *Prebuilt) { p.Ref.NumAmb = huge }},
-	}
-	for _, m := range mutations {
-		bad := *pi
-		badRef := *pi.Ref
-		badRef.Contigs = append([]seq.Contig(nil), pi.Ref.Contigs...)
-		badBWT := *pi.BWT
-		bad.Ref, bad.BWT = &badRef, &badBWT
-		m.mutate(&bad)
-		var buf bytes.Buffer
-		err := bad.WriteIndex(&buf)
-		if err == nil {
-			t.Fatalf("%s of %d silently wrote a v1 index", m.name, huge)
-		}
-		if !strings.Contains(err.Error(), "32-bit") {
-			t.Fatalf("%s: error %q does not explain the 32-bit limit", m.name, err)
-		}
-	}
-	// The unmutated index still writes.
-	if err := pi.WriteIndex(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// v1Stream assembles a v1 header claiming the given section sizes, followed
-// by only a few real bytes — the reader must reject the claim instead of
-// allocating it.
-func v1Stream(nContigs, pacLen uint32) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(indexMagic)
-	le := binary.LittleEndian
-	u32 := func(v uint32) { binary.Write(&buf, le, v) }
-	u32(indexVersionV1)
-	u32(nContigs)
-	if nContigs == 0 {
-		u32(0) // numAmb
-		u32(pacLen)
-	}
-	buf.Write([]byte{0, 1, 2, 3})
-	return buf.Bytes()
-}
-
-func TestReadIndexBoundsSectionLengths(t *testing.T) {
-	huge := v1Stream(0, 1<<30)
-	if _, err := ReadIndex(bytes.NewReader(huge)); err == nil ||
-		!strings.Contains(err.Error(), "exceeds the remaining input") {
-		t.Fatalf("1 GiB pac claim on a %d-byte file: err = %v", len(huge), err)
-	}
-	// Without a known input size the reader allocates incrementally and
-	// fails on the missing bytes rather than OOMing up front.
-	if _, err := ReadIndex(nonSeekReader{bytes.NewReader(huge)}); err == nil {
-		t.Fatal("1 GiB pac claim should not parse from an unseekable stream")
-	}
-	manyContigs := v1Stream(0xffffffff, 0)
-	if _, err := ReadIndex(bytes.NewReader(manyContigs)); err == nil ||
-		!strings.Contains(err.Error(), "contig count") {
-		t.Fatalf("4 billion contig claim: err = %v", err)
-	}
-	if _, err := ReadIndex(nonSeekReader{bytes.NewReader(manyContigs)}); err == nil {
-		t.Fatal("4 billion contig claim should not parse from an unseekable stream")
 	}
 }
 
@@ -204,13 +94,7 @@ func TestReadIndexRejectsBadContigs(t *testing.T) {
 		badRef := *pi.Ref
 		badRef.Contigs = m.contigs
 		bad.Ref = &badRef
-		var v1, v2 bytes.Buffer
-		if err := writeIndexV1(&v1, &bad); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadIndex(&v1); err == nil || !strings.Contains(err.Error(), "corrupt index") {
-			t.Fatalf("v1 with contigs %s: err = %v", m.name, err)
-		}
+		var v2 bytes.Buffer
 		if err := writeIndexV2(&v2, &bad); err != nil {
 			t.Fatal(err)
 		}

@@ -34,10 +34,7 @@ type MappedIndex struct {
 }
 
 // OpenIndexMmap maps a v2 index file read-only and assembles a Prebuilt
-// whose big arrays alias the mapping — zero copy. v1 files cannot be
-// mapped (their sections are neither aligned nor self-describing); the
-// error says to rebuild with `bwamem index`, and ReadIndex still heap-loads
-// them.
+// whose big arrays alias the mapping — zero copy.
 //
 // Verification at open: header checksum, full section-table geometry, the
 // meta (contig) section checksum, and the consistency pass shared with the
@@ -66,7 +63,7 @@ func OpenIndexMmap(path string) (*MappedIndex, error) {
 		return nil, fmt.Errorf("core: %s is not a bwamem-go index (magic %q)", path, probe[:len(indexMagic)])
 	}
 	if ver := binary.LittleEndian.Uint32(probe[len(indexMagic):]); ver != indexVersionV2 {
-		return nil, fmt.Errorf("core: %s is index format v%d, which cannot be memory-mapped; rebuild it with `bwamem index` (writes v2) or heap-load it with ReadIndex", path, ver)
+		return nil, fmt.Errorf("%w (%s)", errUnsupportedVersion(ver), path)
 	}
 	if size < v2HeaderBytes {
 		return nil, corruptf("%s is %d bytes, smaller than a v2 header", path, size)

@@ -2,11 +2,7 @@
 
 package core
 
-import (
-	"encoding/binary"
-	"fmt"
-	"os"
-)
+import "os"
 
 // MappedIndex on platforms without wired-up mmap support: OpenIndexMmap
 // falls back to a heap load of the same file so callers keep working, Close
@@ -19,27 +15,14 @@ type MappedIndex struct {
 	path string
 }
 
-// OpenIndexMmap heap-loads a v2 index (mmap fallback for this platform).
-// v1 files are rejected exactly like on mmap-capable platforms, so tooling
-// behaves the same everywhere.
+// OpenIndexMmap heap-loads the index (mmap fallback for this platform);
+// ReadIndex rejects what the mmap-capable platforms reject.
 func OpenIndexMmap(path string) (*MappedIndex, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	probe := make([]byte, len(indexMagic)+4)
-	if _, err := f.ReadAt(probe, 0); err != nil {
-		return nil, corruptf("%s is smaller than any index", path)
-	}
-	if string(probe[:len(indexMagic)]) == indexMagic {
-		if ver := binary.LittleEndian.Uint32(probe[len(indexMagic):]); ver != indexVersionV2 {
-			return nil, fmt.Errorf("core: %s is index format v%d, which cannot be memory-mapped; rebuild it with `bwamem index` (writes v2) or heap-load it with ReadIndex", path, ver)
-		}
-	}
-	if _, err := f.Seek(0, 0); err != nil {
-		return nil, err
-	}
 	pi, err := ReadIndex(f)
 	if err != nil {
 		return nil, err

@@ -1,10 +1,11 @@
-// Format v2 of the .bwago index: a page-aligned, little-endian layout
-// designed so the file can be memory-mapped read-only and the big arrays
-// used in place (OpenIndexMmap in index_mmap.go), while staying loadable
-// from a plain stream (ReadIndex).
+// The .bwago index format (version 2; version 1 is retired and refused by
+// ReadIndex): a page-aligned, little-endian layout designed so the file can
+// be memory-mapped read-only and the big arrays used in place
+// (OpenIndexMmap in index_mmap.go), while staying loadable from a plain
+// stream (ReadIndex).
 //
 //	offset  size  field
-//	0       8     magic "BWAGOIDX" (shared with v1)
+//	0       8     magic "BWAGOIDX"
 //	8       4     u32 version = 2
 //	12      4     u32 page size = 4096 (section alignment)
 //	16      8     u64 file size (end of the last section)

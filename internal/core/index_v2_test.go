@@ -88,10 +88,6 @@ func TestIndexMmapMatchesHeapLoads(t *testing.T) {
 	if err := os.WriteFile(v2Path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var v1Buf bytes.Buffer
-	if err := pi.WriteIndex(&v1Buf); err != nil {
-		t.Fatal(err)
-	}
 
 	mi, err := OpenIndexMmap(v2Path)
 	if err != nil {
@@ -109,12 +105,12 @@ func TestIndexMmapMatchesHeapLoads(t *testing.T) {
 		t.Fatal("mapped BWT metadata disagrees with the built index")
 	}
 
-	v1pi, err := ReadIndex(bytes.NewReader(v1Buf.Bytes()))
+	heapPi, err := ReadIndex(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []Mode{ModeBaseline, ModeOptimized} {
-		heap, err := NewAlignerFrom(v1pi, mode, DefaultOptions())
+		heap, err := NewAlignerFrom(heapPi, mode, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +118,7 @@ func TestIndexMmapMatchesHeapLoads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		samEqual(t, heap, mapped, "mmap vs v1-heap "+mode.String(), 404)
+		samEqual(t, heap, mapped, "mmap vs heap "+mode.String(), 404)
 	}
 
 	if err := mi.Close(); err != nil {
@@ -153,7 +149,11 @@ func TestIndexV2CorruptionMatrix(t *testing.T) {
 		{"future version", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[8:], 9)
 			return b
-		}, "unsupported index version"},
+		}, "unsupported index version 9"},
+		{"retired version 1", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[8:], 1)
+			return b
+		}, "unsupported index version 1, rebuild with `bwamem index`"},
 		{"header bit flip", func(b []byte) []byte { b[24] ^= 1; return b }, "header checksum"},
 		{"primary row zero", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[32:], 0)
@@ -190,27 +190,33 @@ func TestIndexV2CorruptionMatrix(t *testing.T) {
 		}
 		// Unseekable streams must reject the same corruption (possibly with
 		// a less specific error).
-		if _, err := ReadIndex(nonSeekReader{bytes.NewReader(b)}); err == nil {
+		_, uerr := ReadIndex(nonSeekReader{bytes.NewReader(b)})
+		if uerr == nil {
 			t.Fatalf("%s: corrupt index loaded from an unseekable stream", tc.name)
+		}
+		// A version this build does not read is a rebuild hint, never
+		// "corrupt", whichever way the bytes arrive.
+		if strings.Contains(tc.wantErr, "unsupported") {
+			if uerr.Error() != err.Error() || strings.Contains(err.Error(), "corrupt") {
+				t.Fatalf("%s: seekable %q, unseekable %q; want the same non-corrupt answer", tc.name, err, uerr)
+			}
 		}
 	}
 }
 
 func TestOpenIndexMmapRejectsUnusable(t *testing.T) {
 	dir := t.TempDir()
-	pi, data := buildV2Bytes(t, 4000, 406)
+	_, data := buildV2Bytes(t, 4000, 406)
 
+	v1 := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(v1[8:], 1)
 	v1Path := filepath.Join(dir, "v1.bwago")
-	var v1Buf bytes.Buffer
-	if err := pi.WriteIndex(&v1Buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(v1Path, v1Buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(v1Path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenIndexMmap(v1Path); err == nil ||
-		!strings.Contains(err.Error(), "v1") {
-		t.Fatalf("mmap of a v1 index: err = %v", err)
+		!strings.Contains(err.Error(), "unsupported index version 1") {
+		t.Fatalf("mmap of a version-1 index: err = %v", err)
 	}
 
 	garbage := filepath.Join(dir, "garbage.bwago")

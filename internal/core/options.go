@@ -8,9 +8,11 @@
 //     table, compressed suffix array (factor 128), and sequential scalar
 //     seed extension with the contained-seed skip heuristic applied online.
 //   - ModeOptimized reproduces the paper's design (bwa-mem2): η=32
-//     occurrence table with software prefetching, flat suffix array, and
-//     batched inter-task extension that extends all seeds and replays the
-//     skip heuristic afterwards (§5.3.2).
+//     occurrence table with software prefetching, flat suffix array, and the
+//     batch-staged workflow (Fig. 2), extending with the same scalar engine
+//     and online skip heuristic: the paper's inter-task lane kernels lose to
+//     scalar cells without SIMD, so they live in internal/bsw as the subject
+//     of Tables 6-8 only.
 //
 // Both modes produce identical alignments; this is the paper's central
 // requirement and is enforced by tests.
@@ -74,24 +76,6 @@ type Options struct {
 
 	// Output.
 	OutputAll bool // emit secondary alignments (bwa mem -a)
-
-	// LaneBSW selects the paper-faithful inter-task lane kernels for the
-	// batched pipeline's extension stage. The lane schedule is the paper's
-	// exact SIMD algorithm, but pure Go executes the lanes serially, so it
-	// pays the wasteful-cell overhead without the vector payoff; it also
-	// extends every seed and replays the skip heuristic afterwards
-	// (§5.3.2), which costs extra extensions. With LaneBSW false (the
-	// default), the batched pipeline keeps the Figure-2 stage organization
-	// but extends with the scalar engine and the online skip heuristic —
-	// the configuration that actually wins on a SIMD-less target. Output
-	// is identical either way.
-	LaneBSW bool
-
-	// Ablation knobs (0 = mode default).
-	SACompression  int // suffix-array compression factor for ModeBaseline
-	BatchWidth8    int // lane width of the 8-bit batch kernel
-	BatchWidth16   int // lane width of the 16-bit batch kernel
-	DisableBSWSort bool
 }
 
 // DefaultOptions returns BWA-MEM's default parameters.
@@ -106,7 +90,6 @@ func DefaultOptions() Options {
 		MaxChainGap: 10000, MaskLevel: 0.50, DropRatio: 0.50, MinChainWeight: 0,
 		MaskLevelRedun: 0.95,
 		MapQCoefLen:    50, MapQCoefFac: math.Log(50),
-		SACompression: 128,
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // factor 128 is original BWA-MEM.
 func AblationSACompression(w io.Writer, e *Env) error {
 	header(w, "Ablation: suffix-array compression factor (lookup cost vs memory)")
-	full := fullSAOf(e)
+	full := e.fullSA
 	rows := make([]int, 0, 200000)
 	for r := 0; r < len(full) && len(rows) < 200000; r += 7 {
 		rows = append(rows, (r*2654435761)%len(full))

@@ -47,15 +47,12 @@ type Env struct {
 	Ref  *seq.Reference
 	Base *core.Aligner // ModeBaseline: η=128 index, compressed SA, per-read scalar BSW
 	Opt  *core.Aligner // ModeOptimized: η=32 index, flat SA, batch-staged pipeline
-	// OptLane is ModeOptimized with the paper-faithful inter-task lane BSW
-	// kernels in the pipeline (extend-all + replay). Serial lanes make it
-	// slower in pure Go; Figure 5 reports it alongside the production
-	// configuration.
-	OptLane *core.Aligner
+
+	fullSA []int32 // the shared full suffix array, for the SAL table and ablation
 }
 
-// NewEnv builds the reference and the aligner variants from one prebuilt
-// index per mode.
+// NewEnv builds the reference and both aligner variants from one prebuilt
+// index.
 func NewEnv(cfg Config) (*Env, error) {
 	if cfg.GenomeLen <= 0 {
 		cfg = Default()
@@ -70,26 +67,19 @@ func NewEnv(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := core.DefaultOptions()
-	base, err := core.NewAligner(ref, core.ModeBaseline, opts)
-	if err != nil {
-		return nil, err
-	}
 	pi, err := core.BuildPrebuilt(ref)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := core.NewAlignerFrom(pi, core.ModeOptimized, opts)
+	base, err := core.NewAlignerFrom(pi, core.ModeBaseline, core.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
-	laneOpts := opts
-	laneOpts.LaneBSW = true
-	optLane, err := core.NewAlignerFrom(pi, core.ModeOptimized, laneOpts)
+	opt, err := core.NewAlignerFrom(pi, core.ModeOptimized, core.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
-	return &Env{Cfg: cfg, Ref: ref, Base: base, Opt: opt, OptLane: optLane}, nil
+	return &Env{Cfg: cfg, Ref: ref, Base: base, Opt: opt, fullSA: pi.FullSA}, nil
 }
 
 // reads simulates a profile against the environment's reference.

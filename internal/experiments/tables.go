@@ -39,8 +39,6 @@ func Table1(w io.Writer, e *Env) error {
 				100*res.Clock.Fraction(s), paper[p.Name][i])
 		}
 		row(w, "Misc", "measured %5.1f%%", 100*res.Clock.Fraction(counters.StageMisc))
-		kern := 100 * float64(res.Clock.Kernels()+res.Clock.T[counters.StageSAL]) / float64(res.Clock.Total())
-		_ = kern
 		row(w, "SMEM+SAL+BSW share", "measured %5.1f%%   paper ~86%%",
 			100*float64(res.Clock.Kernels())/float64(res.Clock.Total()))
 	}
@@ -174,7 +172,7 @@ func Table5(w io.Writer, e *Env) error {
 		row(w, "wall time", "%.2f ms", ms(wall))
 	}
 
-	comp, err := sal.NewCompressed(fullSAOf(e), sal.DefaultCompression, e.Base.Idx)
+	comp, err := sal.NewCompressed(e.fullSA, sal.DefaultCompression, e.Base.Idx)
 	if err != nil {
 		return err
 	}
@@ -182,31 +180,11 @@ func Table5(w io.Writer, e *Env) error {
 		comp.SetTracer(tr)
 		e.Base.Idx.SetTracer(tr)
 	})
-	flat := sal.NewFlat(fullSAOf(e))
+	flat := sal.NewFlat(e.fullSA)
 	run("optimized (flat suffix array)", flat, func(tr *trace.Tracer) {
 		flat.SetTracer(tr)
 	})
 	fmt.Fprintln(w, " paper shape: ~200x fewer instructions per lookup, ~100x fewer LLC")
 	fmt.Fprintln(w, " misses, two orders of magnitude faster despite a 128x larger table.")
 	return nil
-}
-
-// fullSAOf rebuilds the full suffix array of the environment's doubled
-// reference (cached after the first call).
-var cachedSA struct {
-	ref  *Env
-	full []int32
-}
-
-func fullSAOf(e *Env) []int32 {
-	if cachedSA.ref == e {
-		return cachedSA.full
-	}
-	_, full, err := fmindex.Build(e.Ref.Doubled(), fmindex.Baseline)
-	if err != nil {
-		panic(err)
-	}
-	cachedSA.ref = e
-	cachedSA.full = full
-	return full
 }

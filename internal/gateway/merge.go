@@ -3,245 +3,10 @@ package gateway
 import (
 	"bytes"
 	"fmt"
-	"net/http"
 	"strconv"
-	"sync"
 
 	"repro/pkg/bwaclient"
 )
-
-// orderedMerger re-interleaves per-replica SAM sub-streams into one
-// response byte-identical to a single server's: slot i holds the complete
-// record group of input read (or pair) i, a request-owned writer goroutine
-// drains the longest contiguous completed prefix, and the SAM header —
-// harvested from whichever upstream stream was asked to produce it — is
-// written before slot 0. The shape deliberately mirrors the server's
-// samStreamer (internal/server/stream.go): Complete is O(1) bookkeeping
-// under a mutex, the socket write happens only on the writer goroutine,
-// the first write error is sticky, and a client that stops reading blocks
-// only its own request.
-type orderedMerger struct {
-	w          http.ResponseWriter
-	flusher    http.Flusher  // nil when w cannot flush
-	wantHeader bool          // response must start with the SAM header
-	notify     chan struct{} // capacity 1: progress wake-up
-	wg         sync.WaitGroup
-
-	mu        sync.Mutex
-	header    []byte // harvested upstream header (nil until SetHeader)
-	headerSet bool
-	started   bool // some bytes written; the HTTP status is committed
-	slots     [][]byte
-	ready     []bool
-	completed int
-	next      int // first slot not yet handed to the writer
-	closed    bool
-	written   int64
-	err       error  // first write error; sticky
-	onFirst   func() // runs once, just before the first body write
-}
-
-// newMerger builds a merger for n record groups to w and starts its
-// writer goroutine. CloseAndWait must be called before the handler
-// returns. When wantHeader is set, nothing is written until SetHeader
-// delivers the upstream header.
-func newMerger(w http.ResponseWriter, n int, wantHeader bool) *orderedMerger {
-	m := &orderedMerger{w: w, wantHeader: wantHeader,
-		notify: make(chan struct{}, 1),
-		slots:  make([][]byte, n), ready: make([]bool, n)}
-	if f, ok := w.(http.Flusher); ok {
-		m.flusher = f
-	}
-	m.wg.Add(1)
-	go m.writeLoop()
-	return m
-}
-
-// OnFirstWrite registers fn to run exactly once, immediately before the
-// first response byte goes out — the last moment response headers are
-// still mutable. Register before any Complete call.
-func (m *orderedMerger) OnFirstWrite(fn func()) {
-	m.mu.Lock()
-	m.onFirst = fn
-	m.mu.Unlock()
-}
-
-// SetHeader delivers the harvested SAM header. Only the first call takes
-// effect (a retried partition must not deliver it twice). No-op when the
-// response wants no header.
-func (m *orderedMerger) SetHeader(hdr []byte) {
-	m.mu.Lock()
-	if m.headerSet || !m.wantHeader {
-		m.mu.Unlock()
-		return
-	}
-	m.header = hdr
-	m.headerSet = true
-	m.mu.Unlock()
-	m.signal()
-}
-
-// HeaderSet reports whether the upstream header has been delivered — a
-// retry uses it to decide whether to re-request the header.
-func (m *orderedMerger) HeaderSet() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.headerSet
-}
-
-// Complete delivers the record group of input index i. Safe for
-// concurrent use from the partition readers; each index at most once.
-func (m *orderedMerger) Complete(i int, group []byte) {
-	m.mu.Lock()
-	m.slots[i] = group
-	m.ready[i] = true
-	m.completed++
-	wake := i == m.next
-	m.mu.Unlock()
-	if wake {
-		m.signal()
-	}
-}
-
-func (m *orderedMerger) signal() {
-	select {
-	case m.notify <- struct{}{}:
-	default:
-	}
-}
-
-// writeLoop drains contiguous completed runs — gated on the header when
-// one is wanted — and writes them as one chunk each, flushing between
-// chunks.
-func (m *orderedMerger) writeLoop() {
-	defer m.wg.Done()
-	for {
-		m.mu.Lock()
-		var chunk [][]byte
-		if m.headerSet || !m.wantHeader {
-			for m.next < len(m.ready) && m.ready[m.next] {
-				chunk = append(chunk, m.slots[m.next])
-				m.slots[m.next] = nil
-				m.next++
-			}
-		}
-		finished := m.next == len(m.ready) && (m.headerSet || !m.wantHeader)
-		closed := m.closed
-		failed := m.err != nil
-		m.mu.Unlock()
-
-		if len(chunk) > 0 && !failed {
-			failed = !m.writeChunk(chunk)
-		}
-		switch {
-		case finished || failed || (closed && len(chunk) == 0):
-			return
-		case len(chunk) > 0:
-			continue // more may have completed while writing
-		}
-		<-m.notify
-	}
-}
-
-// writeChunk writes one contiguous run (header first when it is the very
-// first write), updating the byte count and sticky error.
-func (m *orderedMerger) writeChunk(chunk [][]byte) bool {
-	m.mu.Lock()
-	first := !m.started
-	m.started = true
-	onFirst := m.onFirst
-	hdr := m.header
-	m.mu.Unlock()
-	if first && onFirst != nil {
-		onFirst()
-	}
-
-	var n int64
-	var err error
-	if first && len(hdr) > 0 {
-		var hn int
-		hn, err = m.w.Write(hdr)
-		n += int64(hn)
-	}
-	if err == nil {
-		for _, rec := range chunk {
-			var rn int
-			rn, err = m.w.Write(rec)
-			n += int64(rn)
-			if err != nil {
-				break
-			}
-		}
-	}
-	if err == nil && m.flusher != nil {
-		m.flusher.Flush()
-	}
-
-	m.mu.Lock()
-	m.written += n
-	if err != nil && m.err == nil {
-		m.err = err
-	}
-	ok := m.err == nil
-	m.mu.Unlock()
-	return ok
-}
-
-// CloseAndWait stops the writer once it runs out of contiguous work and
-// waits for it to exit. Must be called before the handler returns.
-func (m *orderedMerger) CloseAndWait() error {
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
-	m.signal()
-	m.wg.Wait()
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
-}
-
-// EnsureHeader writes the bare header when no record write did (an
-// all-groups-empty response cannot happen — every read yields a record —
-// but the path mirrors samStreamer's defensiveness). Call after
-// CloseAndWait only.
-func (m *orderedMerger) EnsureHeader() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.started && m.err == nil && m.headerSet && len(m.header) > 0 {
-		m.started = true
-		if m.onFirst != nil {
-			m.onFirst()
-		}
-		n, err := m.w.Write(m.header)
-		m.written += int64(n)
-		m.err = err
-		if m.err == nil && m.flusher != nil {
-			m.flusher.Flush()
-		}
-	}
-}
-
-// Written returns the bytes written so far, header included.
-func (m *orderedMerger) Written() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.written
-}
-
-// Started reports whether any byte (and so the HTTP status) went out.
-func (m *orderedMerger) Started() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.started
-}
-
-// Missing returns how many record groups were never delivered.
-func (m *orderedMerger) Missing() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.slots) - m.completed
-}
 
 // Sub-stream group splitting: one upstream response carries the ordered
 // record groups of a partition's reads. A group is the complete record

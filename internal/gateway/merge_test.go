@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/pkg/bwaclient"
 )
@@ -152,101 +151,5 @@ func TestSplitGroupsErrors(t *testing.T) {
 	// Garbage where the flag field should be is an error, not a group.
 	if _, _, _, err := collectGroups(t, "notasamrecord\tnope\n", 1); err == nil {
 		t.Fatal("no error for unparseable flag field")
-	}
-}
-
-func TestMergerReordersCompletions(t *testing.T) {
-	w := httptest.NewRecorder()
-	m := newMerger(w, 4, false)
-	// Complete out of order; output must be input order.
-	m.Complete(2, []byte("two\n"))
-	m.Complete(0, []byte("zero\n"))
-	m.Complete(3, []byte("three\n"))
-	m.Complete(1, []byte("one\n"))
-	if err := m.CloseAndWait(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := w.Body.String(), "zero\none\ntwo\nthree\n"; got != want {
-		t.Fatalf("merged %q, want %q", got, want)
-	}
-	if m.Missing() != 0 || m.Written() != int64(len(w.Body.String())) {
-		t.Fatalf("bookkeeping: missing=%d written=%d", m.Missing(), m.Written())
-	}
-}
-
-func TestMergerHeaderGate(t *testing.T) {
-	w := httptest.NewRecorder()
-	m := newMerger(w, 2, true)
-	fired := false
-	m.OnFirstWrite(func() { fired = true })
-	m.Complete(0, []byte("zero\n"))
-	m.Complete(1, []byte("one\n"))
-	// All groups are complete but the header has not arrived: nothing may
-	// be written yet.
-	time.Sleep(20 * time.Millisecond)
-	if w.Body.Len() != 0 {
-		t.Fatalf("wrote %q before the header arrived", w.Body.String())
-	}
-	if fired {
-		t.Fatal("OnFirstWrite fired before any byte went out")
-	}
-	m.SetHeader([]byte("@HDR\n"))
-	m.SetHeader([]byte("@WRONG\n")) // second delivery (a retry) must be ignored
-	if err := m.CloseAndWait(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := w.Body.String(), "@HDR\nzero\none\n"; got != want {
-		t.Fatalf("merged %q, want %q", got, want)
-	}
-	if !fired {
-		t.Fatal("OnFirstWrite never fired")
-	}
-}
-
-func TestMergerHeaderOnlyResponse(t *testing.T) {
-	w := httptest.NewRecorder()
-	m := newMerger(w, 0, true)
-	m.SetHeader([]byte("@HDR\n"))
-	if err := m.CloseAndWait(); err != nil {
-		t.Fatal(err)
-	}
-	m.EnsureHeader()
-	if got := w.Body.String(); got != "@HDR\n" {
-		t.Fatalf("header-only response %q, want %q", got, "@HDR\n")
-	}
-}
-
-// failAfterWriter fails every write after the first n bytes, standing in
-// for a client that went away mid-response.
-type failAfterWriter struct {
-	httptest.ResponseRecorder
-	n int
-}
-
-func (f *failAfterWriter) Write(p []byte) (int, error) {
-	if f.n <= 0 {
-		return 0, fmt.Errorf("client gone")
-	}
-	if len(p) > f.n {
-		n := f.n
-		f.n = 0
-		return n, fmt.Errorf("client gone")
-	}
-	f.n -= len(p)
-	return f.ResponseRecorder.Write(p)
-}
-
-func TestMergerStickyWriteError(t *testing.T) {
-	w := &failAfterWriter{ResponseRecorder: *httptest.NewRecorder(), n: 5}
-	m := newMerger(w, 3, false)
-	m.Complete(0, []byte("0123456789\n"))
-	m.Complete(1, []byte("x\n"))
-	m.Complete(2, []byte("y\n"))
-	err := m.CloseAndWait()
-	if err == nil {
-		t.Fatal("write error not surfaced by CloseAndWait")
-	}
-	if !m.Started() {
-		t.Fatal("Started() false after a partial write")
 	}
 }

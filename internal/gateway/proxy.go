@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/ordered"
 	"repro/internal/seq"
 	"repro/internal/server"
 	"repro/pkg/bwaclient"
@@ -113,7 +114,7 @@ func (g *Gateway) handleAlign(w http.ResponseWriter, r *http.Request) {
 
 	wantHdr := server.WantHeader(r)
 	w.Header().Set("Content-Type", "text/x-sam")
-	m := newMerger(w, len(reads), wantHdr)
+	m := ordered.New(w, len(reads), wantHdr)
 	g.armServerTiming(w, m, span)
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
@@ -184,7 +185,7 @@ func (g *Gateway) handleAlignPaired(w http.ResponseWriter, r *http.Request) {
 
 	wantHdr := server.WantHeader(r)
 	w.Header().Set("Content-Type", "text/x-sam")
-	m := newMerger(w, len(r1), wantHdr)
+	m := ordered.New(w, len(r1), wantHdr)
 	g.armServerTiming(w, m, span)
 	perr := g.runPaired(r.Context(), p, reads2, m, wantHdr)
 	g.finishMerge(w, r, m, []*partition{p}, []error{perr})
@@ -272,7 +273,7 @@ func (g *Gateway) partitionSingle(reads []seq.Read) ([]*partition, error) {
 // Re-sending only the undelivered reads is sound because single-end output
 // is a pure function of (option fingerprint, encoded sequence) per read —
 // the same invariant the replicas' result cache relies on.
-func (g *Gateway) runSinglePartition(ctx context.Context, p *partition, m *orderedMerger, wantHdr bool) error {
+func (g *Gateway) runSinglePartition(ctx context.Context, p *partition, m *ordered.Writer, wantHdr bool) error {
 	delivered := 0
 	exclude := make(map[*replica]bool)
 	node := p.node
@@ -326,7 +327,7 @@ func (g *Gateway) noteUpstreamError(ctx context.Context, node *replica, err erro
 // streamSingle runs one upstream attempt for a single-end partition,
 // merging record groups as they arrive and advancing *delivered past each
 // one, so a retry resumes exactly where the stream died.
-func (g *Gateway) streamSingle(ctx context.Context, node *replica, p *partition, m *orderedMerger, delivered *int, harvest bool) error {
+func (g *Gateway) streamSingle(ctx context.Context, node *replica, p *partition, m *ordered.Writer, delivered *int, harvest bool) error {
 	todo := p.reads[*delivered:]
 	node.inflight.Add(int64(len(todo)))
 	defer node.inflight.Add(-int64(len(todo)))
@@ -361,7 +362,7 @@ func (g *Gateway) streamSingle(ctx context.Context, node *replica, p *partition,
 // runPaired streams a whole paired request to one replica, replaying the
 // full request on another node after a failure and skipping the pair
 // groups already merged.
-func (g *Gateway) runPaired(ctx context.Context, p *partition, reads2 []bwaclient.Read, m *orderedMerger, wantHdr bool) error {
+func (g *Gateway) runPaired(ctx context.Context, p *partition, reads2 []bwaclient.Read, m *ordered.Writer, wantHdr bool) error {
 	delivered := 0
 	exclude := make(map[*replica]bool)
 	node := p.node
@@ -391,7 +392,7 @@ func (g *Gateway) runPaired(ctx context.Context, p *partition, reads2 []bwaclien
 // streamPaired runs one upstream attempt for a paired request: the full
 // pair set every time (insert-size statistics are request-scoped), with
 // the first *delivered groups skipped on replay.
-func (g *Gateway) streamPaired(ctx context.Context, node *replica, r1, r2 []bwaclient.Read, m *orderedMerger, delivered *int, wantHdr bool) error {
+func (g *Gateway) streamPaired(ctx context.Context, node *replica, r1, r2 []bwaclient.Read, m *ordered.Writer, delivered *int, wantHdr bool) error {
 	node.inflight.Add(int64(2 * len(r1)))
 	defer node.inflight.Add(int64(-2 * len(r1)))
 	node.assigned.Add(1)
@@ -426,11 +427,11 @@ func (g *Gateway) streamPaired(ctx context.Context, node *replica, r1, r2 []bwac
 	return nil
 }
 
-// armServerTiming hooks the merger's first body write to commit the
+// armServerTiming hooks the ordered writer's first body write to commit the
 // Server-Timing header — the gateway-side phases (parse, route) plus the
 // time-to-first-byte mark — at the last moment response headers are still
 // mutable, exactly as a replica does.
-func (g *Gateway) armServerTiming(w http.ResponseWriter, m *orderedMerger, span *obs.Span) {
+func (g *Gateway) armServerTiming(w http.ResponseWriter, m *ordered.Writer, span *obs.Span) {
 	hdr := w.Header()
 	m.OnFirstWrite(func() {
 		span.Mark("ttfb")
@@ -439,7 +440,7 @@ func (g *Gateway) armServerTiming(w http.ResponseWriter, m *orderedMerger, span 
 	})
 }
 
-// finishMerge closes out a scattered request: retire the merger, then map
+// finishMerge closes out a scattered request: retire the writer, then map
 // any partition failure to the wire. When nothing was written yet, the
 // failure of the earliest input position becomes the response envelope —
 // an upstream *APIError passes through with the gateway's request ID, and
@@ -447,7 +448,7 @@ func (g *Gateway) armServerTiming(w http.ResponseWriter, m *orderedMerger, span 
 // are out the stream cannot be repaired, so the connection is aborted
 // (ErrAbortHandler) and the client observes a reset instead of a clean
 // EOF on an incomplete record set.
-func (g *Gateway) finishMerge(w http.ResponseWriter, r *http.Request, m *orderedMerger, parts []*partition, errs []error) {
+func (g *Gateway) finishMerge(w http.ResponseWriter, r *http.Request, m *ordered.Writer, parts []*partition, errs []error) {
 	writeErr := m.CloseAndWait()
 	defer g.met.samBytes.Add(m.Written())
 	var ferr error

@@ -193,7 +193,7 @@ func newRequestID() string {
 
 // apiError writes the typed JSON error envelope. It must only be called
 // before any response byte has gone out (handlers that stream guard on
-// samStreamer.Started).
+// ordered.Writer.Started).
 func (s *Server) apiError(w http.ResponseWriter, r *http.Request, status int, code, message string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/ordered"
 	"repro/internal/rescache"
 	"repro/internal/seq"
 )
@@ -40,7 +41,7 @@ import (
 // alignCached routes one single-end request through the result cache. It
 // blocks until every read has completed (hit, fulfilled join, or aligned
 // leader) or ctx ends, mirroring coalescer.Align's contract.
-func (s *Server) alignCached(ctx context.Context, reads []seq.Read, st *samStreamer, span *obs.Span) error {
+func (s *Server) alignCached(ctx context.Context, reads []seq.Read, st *ordered.Writer, span *obs.Span) error {
 	a := s.sched.Aligner()
 	rst := &reqState{}
 	var wg sync.WaitGroup
@@ -115,7 +116,7 @@ func (s *Server) alignCached(ctx context.Context, reads []seq.Read, st *samStrea
 // regions resident), and a drop — cancellation before its batch ran —
 // aborts fl so duplicates can retry.
 func (s *Server) leaderItem(rd *seq.Read, idx int, code []byte, fl *rescache.Flight,
-	st *samStreamer, rst *reqState, wg *sync.WaitGroup) pendRead {
+	st *ordered.Writer, rst *reqState, wg *sync.WaitGroup) pendRead {
 	return pendRead{
 		rd: rd, code: code, idx: idx,
 		emit:   st.Complete,
@@ -136,7 +137,7 @@ func (s *Server) leaderItem(rd *seq.Read, idx int, code []byte, fl *rescache.Fli
 // an abort moves to a fresh goroutine — re-entering the coalescer from a
 // worker could block the pool on its own backpressure.
 func (s *Server) waiterDone(rd *seq.Read, idx int, code []byte, regs []core.Region, ok bool,
-	st *samStreamer, rst *reqState, wg *sync.WaitGroup) {
+	st *ordered.Writer, rst *reqState, wg *sync.WaitGroup) {
 	if ok {
 		// Render even if this request was cancelled meanwhile: the regions
 		// exist, emitting is cheap, and the streamer is valid until the
@@ -174,7 +175,7 @@ func (s *Server) waiterDone(rd *seq.Read, idx int, code []byte, regs []core.Regi
 // fulfilled first), joins a newer flight, or makes this read the new
 // leader and enqueues it.
 func (s *Server) retryRead(rd *seq.Read, idx int, code []byte,
-	st *samStreamer, rst *reqState, wg *sync.WaitGroup) {
+	st *ordered.Writer, rst *reqState, wg *sync.WaitGroup) {
 	key := rescache.AppendKey(nil, s.optFP, code)
 	regs, fl, status := s.cache.Lookup(key, func(regs []core.Region, ok bool) {
 		s.waiterDone(rd, idx, code, regs, ok, st, rst, wg)

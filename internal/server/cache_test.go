@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ordered"
 	"repro/internal/pipeline"
 	"repro/internal/seq"
 	"repro/internal/testutil"
@@ -162,7 +163,7 @@ func TestCacheLeaderAbortRetries(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
 	aErr := make(chan error, 1)
-	stA := newSAMStreamer(httptest.NewRecorder(), "", 1)
+	stA := ordered.New(httptest.NewRecorder(), 1, false)
 	go func() { aErr <- s.alignCached(ctxA, one, stA, nil) }()
 
 	waitFor := func(what string, cond func() bool) {
@@ -174,7 +175,7 @@ func TestCacheLeaderAbortRetries(t *testing.T) {
 	// B: same sequence, different name, its own (live) context.
 	two := []seq.Read{{Name: "survivor", Seq: reads[0].Seq, Qual: reads[0].Qual}}
 	recB := httptest.NewRecorder()
-	stB := newSAMStreamer(recB, "", 1)
+	stB := ordered.New(recB, 1, false)
 	bErr := make(chan error, 1)
 	go func() { bErr <- s.alignCached(context.Background(), two, stB, nil) }()
 	waitFor("B to join A's flight", func() bool { return s.cache.Stats().Coalesced == 1 })

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/ordered"
 	"repro/internal/pipeline"
 	"repro/internal/seq"
 )
@@ -147,12 +148,13 @@ func wantHeader(r *http.Request) bool {
 	return v != "0" && v != "false"
 }
 
-// responseHeader resolves the SAM header this response should carry.
-func (s *Server) responseHeader(r *http.Request) string {
-	if wantHeader(r) {
-		return s.samHeader
-	}
-	return ""
+// newStream starts the in-order response writer for n records (reads or
+// pairs), handing it the SAM header up front when the request wants one.
+// finishStream must retire it before the handler returns.
+func (s *Server) newStream(w http.ResponseWriter, r *http.Request, n int) *ordered.Writer {
+	st := ordered.New(w, n, wantHeader(r))
+	st.SetHeader(s.samHeader)
+	return st
 }
 
 // capErr is the rejection for the read that would exceed the request cap.
@@ -250,7 +252,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) bool {
 // streamer's record count to reads (1 single-end, 2 paired) so dropped
 // work is metered in the same unit admission charges. The streamed bytes
 // (header included) are counted into samBytes either way.
-func (s *Server) finishStream(w http.ResponseWriter, r *http.Request, st *samStreamer, readsPerRecord int, err error) {
+func (s *Server) finishStream(w http.ResponseWriter, r *http.Request, st *ordered.Writer, readsPerRecord int, err error) {
 	st.CloseAndWait()
 	defer s.met.samBytes.Add(st.Written())
 	switch {
@@ -327,7 +329,7 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	w.Header().Set("Content-Type", "text/x-sam")
-	st := newSAMStreamer(w, s.responseHeader(r), len(reads))
+	st := s.newStream(w, r, len(reads))
 	s.armServerTiming(w, st, span)
 	tAlign := time.Now()
 	if s.cache != nil {
@@ -351,7 +353,7 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 // request-owned writer goroutine; the handler goroutine is blocked in the
 // align call and does not touch headers until the streamer is retired, so
 // the header map is never written concurrently.
-func (s *Server) armServerTiming(w http.ResponseWriter, st *samStreamer, span *obs.Span) {
+func (s *Server) armServerTiming(w http.ResponseWriter, st *ordered.Writer, span *obs.Span) {
 	if span == nil {
 		return
 	}
@@ -404,7 +406,7 @@ func (s *Server) handleAlignPaired(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	w.Header().Set("Content-Type", "text/x-sam")
-	st := newSAMStreamer(w, s.responseHeader(r), len(r1))
+	st := s.newStream(w, r, len(r1))
 	s.armServerTiming(w, st, span)
 	tAlign := time.Now()
 	_, err = pipeline.RunPairedStreamOn(ctx, s.sched, r1, r2,

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -11,8 +12,8 @@ import (
 
 // TestMmapIndexByteIdenticalSAM is the correctness gate for mmap-backed
 // index loading at the service level: a server over an mmap'd v2 index must
-// produce byte-identical SAM to a server over the same reference loaded
-// through the legacy v1 heap path.
+// produce byte-identical SAM to a server over the same file loaded onto the
+// heap.
 func TestMmapIndexByteIdenticalSAM(t *testing.T) {
 	aln, reads, _, _ := setup(t)
 	pi, err := core.BuildPrebuilt(aln.Ref)
@@ -20,30 +21,22 @@ func TestMmapIndexByteIdenticalSAM(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	v1Path := filepath.Join(dir, "ref.v1.bwago")
 	v2Path := filepath.Join(dir, "ref.bwago")
-	writeIndex := func(path string, write func(f *os.File) error) {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := write(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeIndex(v1Path, func(f *os.File) error { return pi.WriteIndex(f) })
-	writeIndex(v2Path, func(f *os.File) error { return pi.WriteIndexV2(f) })
-
-	f, err := os.Open(v1Path)
+	f, err := os.Create(v2Path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := pi.WriteIndexV2(f); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
 	heapPI, err := core.ReadIndex(f)
-	f.Close()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	heapAln, err := core.NewAlignerFrom(heapPI, core.ModeOptimized, core.DefaultOptions())
@@ -73,7 +66,7 @@ func TestMmapIndexByteIdenticalSAM(t *testing.T) {
 		t.Cleanup(func() { s.Close() })
 		return s
 	}
-	heapSrv := newServer(heapAln, IndexInfo{Source: "v1-heap"})
+	heapSrv := newServer(heapAln, IndexInfo{Source: "v2-heap"})
 	mmapSrv := newServer(mmapAln, IndexInfo{Source: "v2-mmap", Mmap: true, ResidentBytes: mi.MappedBytes()})
 
 	wantResp := post(heapSrv, "/align", "", fastqBody(reads[:150]))
@@ -88,7 +81,7 @@ func TestMmapIndexByteIdenticalSAM(t *testing.T) {
 			t.Fatalf("mmap server round %d: status %d: %s", round, got.Code, got.Body.String())
 		}
 		if got.Body.String() != wantResp.Body.String() {
-			t.Fatalf("round %d: mmap-served SAM differs from v1-heap-served SAM (%d vs %d bytes)",
+			t.Fatalf("round %d: mmap-served SAM differs from heap-served SAM (%d vs %d bytes)",
 				round, got.Body.Len(), wantResp.Body.Len())
 		}
 	}

@@ -42,7 +42,7 @@
 // from one goroutine per request. Internally each layer has a narrower
 // contract, stated on its type: admission is a mutex-guarded semaphore;
 // the coalescer may be fed from any number of request goroutines while
-// batch workers drain it; samStreamer.Complete may be called from many
+// batch workers drain it; ordered.Writer.Complete may be called from many
 // workers but all socket writes happen on the request-owned writer
 // goroutine; rescache is fully concurrent with per-shard locking. Emit
 // and completion callbacks handed to the coalescer and cache run on
@@ -70,7 +70,7 @@ import (
 type Server struct {
 	cfg         core.ServerConfig
 	bodyLimit   int64
-	samHeader   string // constant for the server's lifetime; built once
+	samHeader   []byte // constant for the server's lifetime; built once
 	sched       *pipeline.Scheduler
 	coal        *coalescer
 	adm         *admission
@@ -106,7 +106,7 @@ func New(aln *core.Aligner, cfg core.ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		bodyLimit: requestBodyLimit(cfg.MaxReadsPerRequest, cfg.MaxReadLen),
-		samHeader: aln.SAMHeader(),
+		samHeader: []byte(aln.SAMHeader()),
 		sched:     sched,
 		coal:      newCoalescer(sched, cfg.BatchSize, cfg.CoalesceLinger),
 		adm:       newAdmission(cfg.MaxInFlightReads),
@@ -139,8 +139,8 @@ func New(aln *core.Aligner, cfg core.ServerConfig) (*Server, error) {
 // page-cached index versus pay a private heap copy, and what start-up cost
 // the load added.
 type IndexInfo struct {
-	// Source labels the load path: "v2-mmap", "v2-heap", "v1-heap",
-	// "fasta-build", "synthetic-build", ...
+	// Source labels the load path: "v2-mmap", "v2-heap", "fasta-build",
+	// "synthetic-build", ...
 	Source string
 	// Mmap is true when the index aliases a shared read-only file mapping.
 	Mmap bool

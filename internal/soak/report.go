@@ -10,7 +10,7 @@ import (
 // Schema identifies the JSON layout of a Report; bump it when a field
 // changes meaning so recorded soak trajectories stay comparable. The repo
 // keeps the latest record at BENCH_soak.json (regenerated by `make
-// soak-record`), the serving-path series next to BENCH_kernels.json.
+// soak-record`).
 const Schema = "bwago-soak/v1"
 
 // Report is the machine-readable outcome of one soak run: throughput and

@@ -30,8 +30,8 @@ type Index struct {
 // IndexInfo describes how an Index came to be, for operational visibility
 // (the server exports it on /v1/metrics).
 type IndexInfo struct {
-	// Source labels the load path: "v2-mmap", "v2-heap", "v1-heap",
-	// "fasta-build", "synthetic-build".
+	// Source labels the load path: "v2-mmap", "v2-heap", "fasta-build",
+	// "synthetic-build".
 	Source string
 	// Mmap is true when the index aliases a shared read-only file mapping.
 	Mmap bool
@@ -89,8 +89,7 @@ func buildFromRef(ref *seq.Reference, source string, start time.Time) (*Index, e
 	return &Index{pi: pi, info: IndexInfo{Source: source, LoadTime: time.Since(start)}}, nil
 }
 
-// Open loads a prebuilt .bwago index file (either format version) onto
-// the heap.
+// Open loads a prebuilt .bwago index file onto the heap.
 func Open(path string) (*Index, error) {
 	start := time.Now()
 	f, err := os.Open(path)
@@ -102,11 +101,7 @@ func Open(path string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	source := "v1-heap"
-	if pi.Occ32 != nil {
-		source = "v2-heap"
-	}
-	return &Index{pi: pi, info: IndexInfo{Source: source, LoadTime: time.Since(start)}}, nil
+	return &Index{pi: pi, info: IndexInfo{Source: "v2-heap", LoadTime: time.Since(start)}}, nil
 }
 
 // OpenMmap maps a format-v2 .bwago index read-only instead of copying it
@@ -154,10 +149,6 @@ func OpenOrBuild(refPath string) (*Index, error) {
 // page-aligned, checksummed, with the occurrence tables persisted so Open
 // skips their rebuild and OpenMmap can alias them directly.
 func (x *Index) Write(w io.Writer) error { return x.pi.WriteIndexV2(w) }
-
-// WriteLegacy serializes the index in the legacy v1 format, for
-// interoperating with tools that predate v2. v1 files cannot be mmap'd.
-func (x *Index) WriteLegacy(w io.Writer) error { return x.pi.WriteIndex(w) }
 
 // Info reports how the index was loaded.
 func (x *Index) Info() IndexInfo { return x.info }
