@@ -1,7 +1,7 @@
 GO ?= go
 BWALINT := bin/bwalint
 
-.PHONY: build test vet lint lint-fix lint-fix-dry bwalint bwalint-path race serve demo bench soak soak-gateway soak-record clean
+.PHONY: build test vet lint lint-fix lint-fix-dry bwalint bwalint-path race fuzz serve demo bench soak soak-gateway soak-record clean
 
 SOAK_DURATION ?= 30s
 
@@ -31,6 +31,9 @@ lint-fix-dry: bwalint ## print bwalint's mechanical SuggestedFixes as a diff wit
 
 race:
 	$(GO) test -race ./...
+
+fuzz: ## bounded fuzzing: every occurrence table against a naive count
+	$(GO) test ./internal/fmindex -run '^$$' -fuzz FuzzOccCount4 -fuzztime 15s
 
 serve: ## run the alignment server on a synthetic genome
 	$(GO) run ./cmd/bwaserve -addr :8080 -synthetic 200000

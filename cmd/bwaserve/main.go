@@ -7,10 +7,10 @@
 //
 //	bwaserve -addr :8080 ref.fa                        serve a FASTA reference
 //	bwaserve -addr :8080 ref.fa.bwago                  serve a prebuilt index
-//	bwaserve -addr :8080 -index-mmap ref.fa.bwago      mmap a v2 index (shared page cache)
+//	bwaserve -addr :8080 -index-mmap ref.fa.bwago      mmap the index (shared page cache)
 //	bwaserve -addr :8080 -synthetic 200000             serve a synthetic genome (demo)
 //
-// With -index-mmap the (v2) index is mapped read-only instead of copied to
+// With -index-mmap the index is mapped read-only instead of copied to
 // the heap: start-up is near-instant regardless of index size and N
 // bwaserve processes serving the same reference share one page-cached copy.
 // The mapping is unmapped only after the graceful drain completes.
@@ -68,7 +68,7 @@ func main() {
 	logFormat := fs.String("log-format", "json", "structured request-log format: json or text")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (empty disables)")
 	debugRequests := fs.Int("debug-requests", 0, "trace-ring size for GET /v1/debug/requests (0 disables the endpoint)")
-	indexMmap := fs.Bool("index-mmap", false, "mmap the v2 .bwago index read-only instead of heap-loading it (many server processes share one page-cached copy)")
+	indexMmap := fs.Bool("index-mmap", false, "mmap the .bwago index read-only instead of heap-loading it (many server processes share one page-cached copy)")
 	synthetic := fs.Int("synthetic", 0, "serve a synthetic genome of this many bp instead of a reference file")
 	seed := fs.Int64("seed", 42, "seed for -synthetic")
 	fs.Usage = func() {

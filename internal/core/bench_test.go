@@ -37,7 +37,7 @@ func BenchmarkAlignReadBaseline(b *testing.B) {
 }
 
 // BenchmarkAlignReadOptimized measures one read through the optimized
-// configuration (η=32 + flat SA).
+// configuration (bit-plane occurrence table + flat SA).
 func BenchmarkAlignReadOptimized(b *testing.B) {
 	a, codes, _ := benchAligner(b, ModeOptimized)
 	ws := &Workspace{}

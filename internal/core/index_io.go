@@ -1,6 +1,6 @@
 // On-disk index I/O: the Prebuilt bundle, its consistency pass, and the
-// stream reader's front door. The one format is the page-aligned v2 layout
-// in index_v2.go (64-bit lengths, per-section offsets and CRCs, persisted
+// stream reader's front door. The one format is the page-aligned layout
+// (version 3) in index_v2.go (64-bit lengths, per-section offsets and CRCs, persisted
 // occurrence tables, mmap-able via OpenIndexMmap in index_mmap.go). The
 // reader runs Prebuilt.validate before returning and bounds every
 // allocation by the claimed remaining input, so a truncated or adversarial
@@ -22,8 +22,8 @@ import (
 )
 
 // Prebuilt bundles everything expensive about an index — the packed
-// reference, the BWT, the full suffix array, and (when loaded from a v2
-// index) the prebuilt occurrence tables — so it can be written to disk once
+// reference, the BWT, the full suffix array, and (when loaded from an index
+// file) the prebuilt occurrence tables — so it can be written to disk once
 // ("bwamem index") and reused by any aligner mode. Without preloaded
 // tables, the occurrence table is rebuilt on load (a linear scan,
 // negligible next to suffix-array construction but not next to an mmap
@@ -33,11 +33,12 @@ type Prebuilt struct {
 	BWT    *bwt.BWT
 	FullSA []int32
 
-	// Occ128/Occ32, when non-nil, are occurrence tables loaded from a v2
-	// index (possibly aliasing a memory-mapped file); NewAlignerFrom uses
-	// them instead of rebuilding from the BWT column.
+	// Occ128/OccBP, when non-nil, are the baseline and bit-plane
+	// occurrence tables loaded from an index file (possibly aliasing a
+	// memory-mapped file); NewAlignerFrom uses them instead of rebuilding
+	// from the BWT column.
 	Occ128 *fmindex.Occ128
-	Occ32  *fmindex.Occ32
+	OccBP  *fmindex.OccBP
 }
 
 // BuildPrebuilt constructs the index data from a reference.
@@ -51,14 +52,14 @@ func BuildPrebuilt(ref *seq.Reference) (*Prebuilt, error) {
 
 // NewAlignerFrom assembles an aligner from prebuilt index data.
 // ModeBaseline uses the η=128 occurrence table and a compressed suffix
-// array (sal.DefaultCompression); ModeOptimized uses the η=32 table and a
-// flat suffix array.
+// array (sal.DefaultCompression); ModeOptimized uses the bit-plane table
+// and a flat suffix array.
 func NewAlignerFrom(pi *Prebuilt, mode Mode, opts Options) (*Aligner, error) {
 	flavor := fmindex.Baseline
 	if mode == ModeOptimized {
 		flavor = fmindex.Optimized
 	}
-	idx := fmindex.NewFromParts(pi.BWT, flavor, pi.Occ128, pi.Occ32)
+	idx := fmindex.NewFromParts(pi.BWT, flavor, pi.Occ128, pi.OccBP)
 	var lookup sal.Lookuper
 	if mode == ModeOptimized {
 		lookup = sal.NewFlat(pi.FullSA)
@@ -84,15 +85,15 @@ func (pi *Prebuilt) MemFootprint() int64 {
 	if pi.Occ128 != nil {
 		n += int64(pi.Occ128.MemFootprint())
 	}
-	if pi.Occ32 != nil {
-		n += int64(pi.Occ32.MemFootprint())
+	if pi.OccBP != nil {
+		n += int64(pi.OccBP.MemFootprint())
 	}
 	return n
 }
 
 const (
-	indexMagic     = "BWAGOIDX"
-	indexVersionV2 = uint32(2)
+	indexMagic   = "BWAGOIDX"
+	indexVersion = uint32(3)
 )
 
 func corruptf(format string, args ...any) error {
@@ -224,9 +225,10 @@ func readFullAlloc(r io.Reader, n uint64, remaining int64) ([]byte, error) {
 }
 
 // ReadIndex deserializes index data written by WriteIndexV2 onto the heap;
-// use OpenIndexMmap to map the file zero-copy instead. Version 1 files (the
-// retired 32-bit stream format) are recognised and refused with a rebuild
-// hint rather than reported as corrupt.
+// use OpenIndexMmap to map the file zero-copy instead. Files of a retired
+// version — 1 (the 32-bit stream format) and 2 (which persisted the η=32
+// table in place of the bit-plane one) — are recognised and refused with a
+// rebuild hint rather than reported as corrupt.
 func ReadIndex(r io.Reader) (*Prebuilt, error) {
 	remaining := sizeHint(r)
 	br := bufio.NewReaderSize(r, 1<<20)
@@ -241,7 +243,7 @@ func ReadIndex(r io.Reader) (*Prebuilt, error) {
 	if err := binary.Read(br, binary.LittleEndian, &ver); err != nil {
 		return nil, fmt.Errorf("core: reading index version: %w", err)
 	}
-	if ver != indexVersionV2 {
+	if ver != indexVersion {
 		return nil, errUnsupportedVersion(ver)
 	}
 	if remaining >= 0 {
@@ -250,8 +252,8 @@ func ReadIndex(r io.Reader) (*Prebuilt, error) {
 	return readIndexV2(br, remaining)
 }
 
-// errUnsupportedVersion is the answer to any index version but v2, shared
-// by the heap and mmap front doors.
+// errUnsupportedVersion is the answer to any index version but the current
+// one, shared by the heap and mmap front doors.
 func errUnsupportedVersion(ver uint32) error {
 	return fmt.Errorf("core: unsupported index version %d, rebuild with `bwamem index`", ver)
 }

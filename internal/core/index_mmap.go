@@ -14,7 +14,7 @@ import (
 
 // MappedIndex is prebuilt index data whose large sections — packed
 // reference, BWT column, suffix array, both occurrence tables — alias a
-// read-only memory mapping of a v2 .bwago file instead of living on the Go
+// read-only memory mapping of a .bwago file instead of living on the Go
 // heap. Opening one costs header parsing and metadata validation regardless
 // of index size; the kernel pages data in on first touch, and every process
 // that maps the same file shares one page-cached copy.
@@ -33,7 +33,7 @@ type MappedIndex struct {
 	closed  atomic.Bool
 }
 
-// OpenIndexMmap maps a v2 index file read-only and assembles a Prebuilt
+// OpenIndexMmap maps an index file read-only and assembles a Prebuilt
 // whose big arrays alias the mapping — zero copy.
 //
 // Verification at open: header checksum, full section-table geometry, the
@@ -62,7 +62,7 @@ func OpenIndexMmap(path string) (*MappedIndex, error) {
 	if string(probe[:len(indexMagic)]) != indexMagic {
 		return nil, fmt.Errorf("core: %s is not a bwamem-go index (magic %q)", path, probe[:len(indexMagic)])
 	}
-	if ver := binary.LittleEndian.Uint32(probe[len(indexMagic):]); ver != indexVersionV2 {
+	if ver := binary.LittleEndian.Uint32(probe[len(indexMagic):]); ver != indexVersion {
 		return nil, fmt.Errorf("%w (%s)", errUnsupportedVersion(ver), path)
 	}
 	if size < v2HeaderBytes {

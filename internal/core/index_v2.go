@@ -1,12 +1,14 @@
-// The .bwago index format (version 2; version 1 is retired and refused by
-// ReadIndex): a page-aligned, little-endian layout designed so the file can
-// be memory-mapped read-only and the big arrays used in place
+// The .bwago index format (version 3; versions 1 and 2 are retired and
+// refused with a rebuild hint): a page-aligned, little-endian layout —
+// introduced by version 2, hence the v2 names below — designed so the file
+// can be memory-mapped read-only and the big arrays used in place
 // (OpenIndexMmap in index_mmap.go), while staying loadable from a plain
-// stream (ReadIndex).
+// stream (ReadIndex). Version 3 changed one section: the bit-plane table
+// (occbp, 0.5 B/base) replaced the η=32 table (occ32, 2 B/base).
 //
 //	offset  size  field
 //	0       8     magic "BWAGOIDX"
-//	8       4     u32 version = 2
+//	8       4     u32 version = 3
 //	12      4     u32 page size = 4096 (section alignment)
 //	16      8     u64 file size (end of the last section)
 //	24      8     u64 BWT text length N (= 2 x packed reference length)
@@ -28,10 +30,10 @@
 //	bwt     stored BWT column B0, one code byte per symbol
 //	sa      full-matrix suffix array, little-endian int32 per row
 //	occ128  baseline occurrence table, 64-byte blocks (fmindex raw layout)
-//	occ32   optimized occurrence table, 64-byte entries
+//	occbp   optimized (bit-plane) occurrence table, 64-byte lines
 //
-// Persisting both occurrence tables means loading skips the linear rebuild
-// over the BWT column in either aligner mode; page alignment means pac,
+// Persisting both served occurrence tables means loading skips the linear
+// rebuild over the BWT column in either aligner mode; page alignment means pac,
 // bwt, sa and the occ tables can alias an mmap'd file directly on
 // little-endian hosts. The per-section CRCs are verified by heap loads and
 // at write time; the mmap path verifies the header and meta CRCs only (see
@@ -67,10 +69,10 @@ const (
 	secBWT
 	secSA
 	secOcc128
-	secOcc32
+	secOccBP
 )
 
-var secNames = [v2NumSections]string{"meta", "pac", "bwt", "sa", "occ128", "occ32"}
+var secNames = [v2NumSections]string{"meta", "pac", "bwt", "sa", "occ128", "occbp"}
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
@@ -120,9 +122,10 @@ func int32sFromRaw(raw []byte) []int32 {
 	return out
 }
 
-// WriteIndexV2 serializes the index in format v2. Both occurrence tables
-// are built if not already present, so any later load — heap or mmap,
-// either mode — skips the linear rebuild over the BWT column.
+// WriteIndexV2 serializes the index in the current format (version 3; the
+// name dates from the page-aligned layout's introduction). Both served
+// occurrence tables are built if not already present, so any later load —
+// heap or mmap, either mode — skips the linear rebuild over the BWT column.
 func (pi *Prebuilt) WriteIndexV2(w io.Writer) error {
 	if err := pi.validate(); err != nil {
 		return fmt.Errorf("core: refusing to write inconsistent index: %w", err)
@@ -137,9 +140,9 @@ func writeIndexV2(w io.Writer, pi *Prebuilt) error {
 	if o128 == nil {
 		o128 = fmindex.NewOcc128(pi.BWT.B0)
 	}
-	o32 := pi.Occ32
-	if o32 == nil {
-		o32 = fmindex.NewOcc32(pi.BWT.B0)
+	obp := pi.OccBP
+	if obp == nil {
+		obp = fmindex.NewOccBP(pi.BWT.B0)
 	}
 	data := [v2NumSections][]byte{
 		secMeta:   appendMetaV2(nil, pi.Ref.Contigs),
@@ -147,7 +150,7 @@ func writeIndexV2(w io.Writer, pi *Prebuilt) error {
 		secBWT:    pi.BWT.B0,
 		secSA:     int32sRaw(pi.FullSA),
 		secOcc128: o128.Raw(),
-		secOcc32:  o32.Raw(),
+		secOccBP:  obp.Raw(),
 	}
 	var h v2Header
 	h.bwtN = uint64(pi.BWT.N)
@@ -194,7 +197,7 @@ func (h *v2Header) encode() []byte {
 	buf := make([]byte, v2HeaderBytes)
 	le := binary.LittleEndian
 	copy(buf, indexMagic)
-	le.PutUint32(buf[8:], indexVersionV2)
+	le.PutUint32(buf[8:], indexVersion)
 	le.PutUint32(buf[12:], v2PageSize)
 	le.PutUint64(buf[16:], h.fileSize)
 	le.PutUint64(buf[24:], h.bwtN)
@@ -228,8 +231,8 @@ func parseV2Header(buf []byte, actualSize int64) (*v2Header, error) {
 	if string(buf[:len(indexMagic)]) != indexMagic {
 		return nil, fmt.Errorf("core: not a bwamem-go index (magic %q)", buf[:len(indexMagic)])
 	}
-	if ver := le.Uint32(buf[8:]); ver != indexVersionV2 {
-		return nil, fmt.Errorf("core: index version %d where v2 was expected", ver)
+	if ver := le.Uint32(buf[8:]); ver != indexVersion {
+		return nil, fmt.Errorf("core: index version %d where v%d was expected", ver, indexVersion)
 	}
 	if got, want := le.Uint64(buf[v2HeaderCRCOff:]), crc64.Checksum(buf[:v2HeaderCRCOff], crcTable); got != want {
 		return nil, corruptf("header checksum mismatch")
@@ -376,11 +379,11 @@ func buildFromV2(h *v2Header, sec [v2NumSections][]byte, trustCounts bool) (*Pre
 	if err != nil {
 		return nil, corruptf("%v", err)
 	}
-	o32, err := fmindex.Occ32FromRaw(sec[secOcc32], b.N)
+	obp, err := fmindex.OccBPFromRaw(sec[secOccBP], b.N)
 	if err != nil {
 		return nil, corruptf("%v", err)
 	}
-	pi := &Prebuilt{Ref: ref, BWT: b, FullSA: int32sFromRaw(sec[secSA]), Occ128: o128, Occ32: o32}
+	pi := &Prebuilt{Ref: ref, BWT: b, FullSA: int32sFromRaw(sec[secSA]), Occ128: o128, OccBP: obp}
 	if err := pi.validate(); err != nil {
 		return nil, err
 	}
@@ -404,7 +407,7 @@ func buildFromV2(h *v2Header, sec [v2NumSections][]byte, trustCounts bool) (*Pre
 func readIndexV2(br *bufio.Reader, remaining int64) (*Prebuilt, error) {
 	hb := make([]byte, v2HeaderBytes)
 	copy(hb, indexMagic)
-	binary.LittleEndian.PutUint32(hb[8:], indexVersionV2)
+	binary.LittleEndian.PutUint32(hb[8:], indexVersion)
 	if _, err := io.ReadFull(br, hb[12:]); err != nil {
 		return nil, corruptf("truncated header: %v", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc64"
 	"os"
 	"path/filepath"
@@ -60,7 +61,7 @@ func TestIndexV2RoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(pi.FullSA, pi2.FullSA) {
 		t.Fatal("suffix array mismatch after v2 round trip")
 	}
-	if pi2.Occ128 == nil || pi2.Occ32 == nil {
+	if pi2.Occ128 == nil || pi2.OccBP == nil {
 		t.Fatal("v2 load did not surface the persisted occurrence tables")
 	}
 	// An unseekable stream must load identically (no file-size hint).
@@ -135,6 +136,20 @@ func patchHeaderCRC(b []byte) {
 	binary.LittleEndian.PutUint64(b[v2HeaderCRCOff:], crc64.Checksum(b[:v2HeaderCRCOff], crcTable))
 }
 
+// dropLastOccBPLine cuts the last 64-byte line off the final (occbp)
+// section and fixes the file size, section length and both checksums, so
+// only the table-length check can reject the result.
+func dropLastOccBPLine(b []byte) []byte {
+	p := b[v2SectionTab+24*secOccBP:]
+	off, length := binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:])-64
+	b = b[:off+length]
+	binary.LittleEndian.PutUint64(p[8:], length)
+	binary.LittleEndian.PutUint64(p[16:], crc64.Checksum(b[off:], crcTable))
+	binary.LittleEndian.PutUint64(b[16:], off+length)
+	patchHeaderCRC(b)
+	return b
+}
+
 func TestIndexV2CorruptionMatrix(t *testing.T) {
 	_, data := buildV2Bytes(t, 8000, 405)
 	if _, err := ReadIndex(bytes.NewReader(data)); err != nil {
@@ -154,6 +169,12 @@ func TestIndexV2CorruptionMatrix(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[8:], 1)
 			return b
 		}, "unsupported index version 1, rebuild with `bwamem index`"},
+		{"retired version 2", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[8:], 2)
+			return b
+		}, "unsupported index version 2, rebuild with `bwamem index`"},
+		{"occbp section one line short", dropLastOccBPLine, "occbp section is"},
+		{"occbp bit flip", func(b []byte) []byte { b[len(b)-5] ^= 1; return b }, "occbp section checksum mismatch"},
 		{"header bit flip", func(b []byte) []byte { b[24] ^= 1; return b }, "header checksum"},
 		{"primary row zero", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[32:], 0)
@@ -208,15 +229,26 @@ func TestOpenIndexMmapRejectsUnusable(t *testing.T) {
 	dir := t.TempDir()
 	_, data := buildV2Bytes(t, 4000, 406)
 
-	v1 := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(v1[8:], 1)
-	v1Path := filepath.Join(dir, "v1.bwago")
-	if err := os.WriteFile(v1Path, v1, 0o644); err != nil {
+	for _, ver := range []uint32{1, 2} { // retired formats
+		old := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(old[8:], ver)
+		oldPath := filepath.Join(dir, fmt.Sprintf("v%d.bwago", ver))
+		if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("unsupported index version %d, rebuild with `bwamem index`", ver)
+		if _, err := OpenIndexMmap(oldPath); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("mmap of a version-%d index: err = %v", ver, err)
+		}
+	}
+
+	shortPath := filepath.Join(dir, "short.bwago")
+	if err := os.WriteFile(shortPath, dropLastOccBPLine(append([]byte(nil), data...)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenIndexMmap(v1Path); err == nil ||
-		!strings.Contains(err.Error(), "unsupported index version 1") {
-		t.Fatalf("mmap of a version-1 index: err = %v", err)
+	if _, err := OpenIndexMmap(shortPath); err == nil ||
+		!strings.Contains(err.Error(), "occbp section is") {
+		t.Fatalf("mmap with a short occbp section: err = %v", err)
 	}
 
 	garbage := filepath.Join(dir, "garbage.bwago")

@@ -7,12 +7,15 @@
 //   - ModeBaseline reproduces original BWA-MEM's design: η=128 occurrence
 //     table, compressed suffix array (factor 128), and sequential scalar
 //     seed extension with the contained-seed skip heuristic applied online.
-//   - ModeOptimized reproduces the paper's design (bwa-mem2): η=32
-//     occurrence table with software prefetching, flat suffix array, and the
-//     batch-staged workflow (Fig. 2), extending with the same scalar engine
-//     and online skip heuristic: the paper's inter-task lane kernels lose to
-//     scalar cells without SIMD, so they live in internal/bsw as the subject
-//     of Tables 6-8 only.
+//   - ModeOptimized is the paper's design (bwa-mem2) carried out for a
+//     SIMD-less Go target: the bit-plane occurrence table (fmindex.OccBP,
+//     η=128, four counts from popcounts over one 64-byte line), the flat
+//     suffix array, and the batch-staged workflow (Fig. 2), extending with
+//     the same scalar engine and online skip heuristic. Where the paper's
+//     layouts lose without SIMD they are kept only as the subjects of their
+//     tables: the η=32 byte-per-base occurrence table (Table 4) in
+//     internal/fmindex, the inter-task lane kernels (Tables 6-8) in
+//     internal/bsw.
 //
 // Both modes produce identical alignments; this is the paper's central
 // requirement and is enforced by tests.

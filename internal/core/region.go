@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/bsw"
@@ -72,13 +73,15 @@ func (a *Aligner) chainWindow(qlen int, c *chain.Chain) (rmax0, rmax1 int, rseq 
 }
 
 // seedOrder returns BWA's srt array: seed indices keyed by score, to be
-// processed from best to worst (ties resolved toward the later seed).
+// processed from best to worst (ties resolved toward the later seed). The
+// index in the low 32 bits makes every key unique, so the unstable sort is
+// deterministic.
 func seedOrder(c *chain.Chain) []uint64 {
 	srt := make([]uint64, len(c.Seeds))
 	for i := range c.Seeds {
 		srt[i] = uint64(c.Seeds[i].Score)<<32 | uint64(i)
 	}
-	sort.Slice(srt, func(x, y int) bool { return srt[x] < srt[y] })
+	slices.Sort(srt)
 	return srt
 }
 

@@ -93,9 +93,11 @@ func TestTable5ShapeHolds(t *testing.T) {
 	}
 }
 
-// TestTable4ShapeHolds asserts the SMEM memory-behaviour shape: the
-// optimized table without prefetch misses more than the original; prefetch
-// brings misses well below both.
+// TestTable4ShapeHolds asserts the SMEM memory-behaviour shape: the η=32
+// table without prefetch misses more than the original; prefetch brings
+// misses well below both; the bit-plane table (config D) shares the
+// original's line geometry, so its simulated misses are exactly config A's,
+// and it scans at most two words per bucket visit.
 func TestTable4ShapeHolds(t *testing.T) {
 	e := tinyEnv(t)
 	var buf bytes.Buffer
@@ -104,12 +106,19 @@ func TestTable4ShapeHolds(t *testing.T) {
 	}
 	out := buf.String()
 	secs := strings.Split(out, "config ")
-	if len(secs) != 4 {
+	if len(secs) != 5 {
 		t.Fatalf("unexpected sections:\n%s", out)
 	}
 	missOrig := extract(t, secs[1], "LLC misses (simulated)")
 	missNoPf := extract(t, secs[2], "LLC misses (simulated)")
 	missPf := extract(t, secs[3], "LLC misses (simulated)")
+	if missBP := extract(t, secs[4], "LLC misses (simulated)"); missBP != missOrig {
+		t.Fatalf("bit-plane table should miss exactly like eta=128: %v vs %v", missBP, missOrig)
+	}
+	visits := extract(t, secs[4], "occ bucket visits")
+	if words := extract(t, secs[4], "bucket words scanned"); visits == 0 || words > 2*visits {
+		t.Fatalf("bit-plane table scanned %v words in %v visits, want at most 2 per visit", words, visits)
+	}
 	if !(missPf < missNoPf) {
 		t.Fatalf("prefetch did not cut misses: %v -> %v", missNoPf, missPf)
 	}

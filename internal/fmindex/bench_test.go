@@ -38,7 +38,8 @@ func BenchmarkSMEMBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkSMEMOptimized measures the same seeding on the η=32 table.
+// BenchmarkSMEMOptimized measures the same seeding on the bit-plane table
+// that ModeOptimized serves.
 func BenchmarkSMEMOptimized(b *testing.B) {
 	x, reads := benchIndex(b, Optimized)
 	var buf SMEMBuf

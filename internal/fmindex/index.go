@@ -3,16 +3,20 @@
 // forward extension and SMEM search algorithms of BWA-MEM (paper §2.2-§2.3,
 // §4, Algorithms 1-4).
 //
-// The package provides both occurrence-table designs the paper compares —
-// the Baseline flavor is original BWA-MEM's η=128 2-bit layout, the
-// Optimized flavor is the paper's η=32 byte-per-base layout with modeled
-// software prefetching — behind one Index type, so every algorithm above
-// this layer is shared and output is identical by construction.
+// Three occurrence-table layouts (occ.go) sit behind one Index type, so
+// every algorithm above this layer is shared and output is identical by
+// construction: the Baseline flavor is original BWA-MEM's η=128 2-bit
+// layout; the Optimized flavor — the one that ships, behind
+// core.ModeOptimized — is the bit-plane layout built around Go's wide
+// primitive, bits.OnesCount64; the experiments-only Eta32 flavor is the
+// paper's η=32 byte-per-base layout, kept as the subject of Table 4.
+// Non-baseline flavors issue modeled software-prefetch hints when traced.
 package fmindex
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bwt"
 	"repro/internal/trace"
@@ -25,14 +29,21 @@ const (
 	// Baseline is original BWA-MEM: η=128, 2-bit packed BWT, no software
 	// prefetching.
 	Baseline Flavor = iota
-	// Optimized is the paper's design: η=32, byte-per-base BWT in one cache
-	// line per bucket, with software prefetching of future buckets.
+	// Optimized is the serving design: the η=128 bit-plane table (OccBP),
+	// one cache line per bucket, with modeled software prefetching.
 	Optimized
+	// Eta32 is the paper's §4.4 table: η=32, byte-per-base BWT in one cache
+	// line per bucket, with modeled software prefetching. Only
+	// internal/experiments (Table 4) and this package's tests select it.
+	Eta32
 )
 
 func (f Flavor) String() string {
-	if f == Optimized {
+	switch f {
+	case Optimized:
 		return "optimized"
+	case Eta32:
+		return "eta32"
 	}
 	return "baseline"
 }
@@ -53,10 +64,12 @@ func (b BiInterval) String() string {
 	return fmt.Sprintf("[k=%d l=%d s=%d q=%d:%d]", b.K, b.L, b.S, b.QBeg, b.QEnd)
 }
 
-// Index is the FM-index: the BWT plus one occurrence table.
+// Index is the FM-index: the BWT plus one occurrence table (exactly one of
+// occBP, occ128, occ32 is set; rank queries test the serving occBP first).
 type Index struct {
 	B      *bwt.BWT
 	flavor Flavor
+	occBP  *OccBP
 	occ128 *Occ128
 	occ32  *Occ32
 	tr     *trace.Tracer
@@ -80,18 +93,22 @@ func New(b *bwt.BWT, flavor Flavor) *Index {
 
 // NewFromParts wraps an existing BWT and, when non-nil, a preloaded
 // occurrence table of the requested flavor — e.g. one aliased out of a
-// memory-mapped v2 index, which skips the linear rebuild over B0. A nil (or
+// memory-mapped index, which skips the linear rebuild over B0. A nil (or
 // wrong-flavor) table is built from B0 exactly as New does. A provided
-// table must cover a text of length b.N.
-func NewFromParts(b *bwt.BWT, flavor Flavor, o128 *Occ128, o32 *Occ32) *Index {
+// table must cover a text of length b.N. The Eta32 table is never
+// persisted, so it is always built.
+func NewFromParts(b *bwt.BWT, flavor Flavor, o128 *Occ128, obp *OccBP) *Index {
 	x := &Index{B: b, flavor: flavor}
-	if flavor == Optimized {
-		if o32 != nil && o32.n == b.N {
-			x.occ32 = o32
+	switch flavor {
+	case Optimized:
+		if obp != nil && obp.n == b.N {
+			x.occBP = obp
 		} else {
-			x.occ32 = NewOcc32(b.B0)
+			x.occBP = NewOccBP(b.B0)
 		}
-	} else {
+	case Eta32:
+		x.occ32 = NewOcc32(b.B0)
+	default:
 		if o128 != nil && o128.n == b.N {
 			x.occ128 = o128
 		} else {
@@ -110,10 +127,13 @@ func (x *Index) SetTracer(tr *trace.Tracer) { x.tr = tr }
 
 // MemFootprint returns the occurrence-table size in bytes.
 func (x *Index) MemFootprint() int {
-	if x.occ32 != nil {
-		return x.occ32.MemFootprint()
+	if x.occBP != nil {
+		return x.occBP.MemFootprint()
 	}
-	return x.occ128.MemFootprint()
+	if x.occ128 != nil {
+		return x.occ128.MemFootprint()
+	}
+	return x.occ32.MemFootprint()
 }
 
 // entryIndex returns the occurrence-table bucket for a stored-BWT position.
@@ -121,7 +141,7 @@ func (x *Index) entryIndex(k int) int {
 	if x.occ32 != nil {
 		return x.occ32.EntryIndex(k)
 	}
-	return x.occ128.EntryIndex(k)
+	return k >> 7 // OccBP and Occ128 share the η=128 geometry
 }
 
 // traceOcc records one bucket visit covering stored position k.
@@ -129,30 +149,41 @@ func (x *Index) traceOcc(k int) {
 	tr := x.tr
 	tr.OccCalls++
 	var words, bpw int
-	if x.occ32 != nil {
-		words, bpw = x.occ32.wordsFor(k), x.occ32.basesPerWord()
-	} else {
+	switch {
+	case x.occBP != nil:
+		words, bpw = x.occBP.wordsFor(k), x.occBP.basesPerWord()
+	case x.occ128 != nil:
 		words, bpw = x.occ128.wordsFor(k), x.occ128.basesPerWord()
+	default:
+		words, bpw = x.occ32.wordsFor(k), x.occ32.basesPerWord()
 	}
 	tr.OccWords += int64(words)
 	tr.OccBases += int64(words * bpw)
 	tr.Load(trace.OccBase+uint64(x.entryIndex(k))*occEntryBytes, occEntryBytes)
 }
 
-// occ4 returns occurrences of each base in the full transform column
-// B'[0..row]; row must be in [-1, N].
-func (x *Index) occ4(row int) [4]int {
-	k := x.B.RankShift(row)
+// count4 returns occurrences of each base in B0[0..k]; k must be in
+// [-1, N-1].
+func (x *Index) count4(k int) [4]int {
 	if k < 0 {
 		return [4]int{}
 	}
 	if x.tr != nil {
 		x.traceOcc(k)
 	}
-	if x.occ32 != nil {
-		return x.occ32.Count4(k)
+	if x.occBP != nil {
+		return x.occBP.Count4(k)
 	}
-	return x.occ128.Count4(k)
+	if x.occ128 != nil {
+		return x.occ128.Count4(k)
+	}
+	return x.occ32.Count4(k)
+}
+
+// occ4 returns occurrences of each base in the full transform column
+// B'[0..row]; row must be in [-1, N].
+func (x *Index) occ4(row int) [4]int {
+	return x.count4(x.B.RankShift(row))
 }
 
 // occ4Pair computes occ4 at two rows at once (BWA's bwt_2occ4): when both
@@ -163,15 +194,18 @@ func (x *Index) occ4Pair(rowK, rowL int) (ck, cl [4]int) {
 	k := x.B.RankShift(rowK)
 	l := x.B.RankShift(rowL)
 	if k < 0 || l < 0 || x.entryIndex(k) != x.entryIndex(l) {
-		return x.occ4(rowK), x.occ4(rowL)
+		return x.count4(k), x.count4(l)
 	}
 	if x.tr != nil {
 		x.traceOcc(l) // one bucket visit covers both rank bounds
 	}
-	if x.occ32 != nil {
-		return x.occ32.Count4(k), x.occ32.Count4(l)
+	if x.occBP != nil {
+		return x.occBP.count4Pair(k, l)
 	}
-	return x.occ128.Count4(k), x.occ128.Count4(l)
+	if x.occ128 != nil {
+		return x.occ128.Count4(k), x.occ128.Count4(l)
+	}
+	return x.occ32.Count4(k), x.occ32.Count4(l)
 }
 
 // Occ returns occurrences of base c in B'[0..row]; row must be in [-1, N].
@@ -183,10 +217,13 @@ func (x *Index) Occ(c byte, row int) int {
 	if x.tr != nil {
 		x.traceOcc(k)
 	}
-	if x.occ32 != nil {
-		return x.occ32.Count(c, k)
+	if x.occBP != nil {
+		return x.occBP.Count(c, k)
 	}
-	return x.occ128.Count(c, k)
+	if x.occ128 != nil {
+		return x.occ128.Count(c, k)
+	}
+	return x.occ32.Count(c, k)
 }
 
 // SetIntv returns the bi-interval of the single base c (BWA's bwt_set_intv).
@@ -195,10 +232,12 @@ func (x *Index) SetIntv(c byte) BiInterval {
 }
 
 // Extend computes the bi-intervals of ik extended by every base at once
-// (BWA's bwt_extend, the paper's Algorithms 2-3). With isBack true the
-// result for prepending base b is ok[b]; with isBack false the result for
-// appending base b is ok[3-b] (the complement trick of Algorithm 3).
-func (x *Index) Extend(ik BiInterval, isBack bool) (ok [4]BiInterval) {
+// (BWA's bwt_extend, the paper's Algorithms 2-3) into ok. With isBack true
+// the result for prepending base b is ok[b]; with isBack false the result
+// for appending base b is ok[3-b] (the complement trick of Algorithm 3).
+// Writing into the caller's array saves the search loops copying a
+// 128-byte result per extension.
+func (x *Index) Extend(ik BiInterval, isBack bool, ok *[4]BiInterval) {
 	if x.tr != nil {
 		x.tr.Extends++
 	}
@@ -231,17 +270,23 @@ func (x *Index) Extend(ik BiInterval, isBack bool) (ok [4]BiInterval) {
 		}
 		cum += ok[c].S
 	}
-	return ok
 }
 
 // prefetchOcc issues a modeled software-prefetch hint for the occurrence
 // bucket of a full-column row (paper Algorithm 4, lines 11-12 and 26-27).
-// Only the optimized flavor prefetches, and only when tracing with prefetch
-// enabled — pure-Go execution has no prefetch instruction, so the hint only
-// affects the cache model.
+// The baseline flavor never prefetches, and the others only when tracing
+// with prefetch enabled — pure-Go execution has no prefetch instruction, so
+// the hint only affects the cache model. The untraced check is split out so
+// it inlines into the search loops.
 func (x *Index) prefetchOcc(row int) {
+	if x.tr != nil {
+		x.tracePrefetch(row)
+	}
+}
+
+func (x *Index) tracePrefetch(row int) {
 	tr := x.tr
-	if tr == nil || !tr.EnablePrefetch || x.flavor != Optimized {
+	if !tr.EnablePrefetch || x.flavor == Baseline {
 		return
 	}
 	k := x.B.RankShift(row)
@@ -262,12 +307,15 @@ func (x *Index) LF(k int) int {
 	return x.B.C[c] + x.Occ(c, k) - 1
 }
 
-// sortIntervals orders seeds by (QBeg, QEnd), BWA's mem_intv order.
+// sortIntervals orders seeds by (QBeg, QEnd), BWA's mem_intv order,
+// without allocating. The sort is unstable, which cannot change the output:
+// tied intervals cover the same query span, hence the same substring, hence
+// carry the same BiInterval.
 func sortIntervals(a []BiInterval) {
-	sort.Slice(a, func(i, j int) bool {
-		if a[i].QBeg != a[j].QBeg {
-			return a[i].QBeg < a[j].QBeg
+	slices.SortFunc(a, func(x, y BiInterval) int {
+		if c := cmp.Compare(x.QBeg, y.QBeg); c != 0 {
+			return c
 		}
-		return a[i].QEnd < a[j].QEnd
+		return cmp.Compare(x.QEnd, y.QEnd)
 	})
 }

@@ -71,8 +71,9 @@ func countOcc(text, pat []byte) int {
 // backwardSearch builds the interval of pat via Extend(isBack=true).
 func backwardSearch(x *Index, pat []byte) (BiInterval, bool) {
 	ik := x.SetIntv(pat[len(pat)-1])
+	var ok [4]BiInterval
 	for i := len(pat) - 2; i >= 0; i-- {
-		ok := x.Extend(ik, true)
+		x.Extend(ik, true, &ok)
 		ik = ok[pat[i]]
 		if ik.S <= 0 {
 			return ik, false
@@ -84,8 +85,9 @@ func backwardSearch(x *Index, pat []byte) (BiInterval, bool) {
 // forwardSearch builds the interval of pat via Extend(isBack=false).
 func forwardSearch(x *Index, pat []byte) (BiInterval, bool) {
 	ik := x.SetIntv(pat[0])
+	var ok [4]BiInterval
 	for i := 1; i < len(pat); i++ {
-		ok := x.Extend(ik, false)
+		x.Extend(ik, false, &ok)
 		ik = ok[3-pat[i]]
 		if ik.S <= 0 {
 			return ik, false
@@ -96,7 +98,7 @@ func forwardSearch(x *Index, pat []byte) (BiInterval, bool) {
 
 func TestBackwardSearchCountsOccurrences(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, flavor := range []Flavor{Baseline, Optimized} {
+	for _, flavor := range []Flavor{Baseline, Optimized, Eta32} {
 		for trial := 0; trial < 30; trial++ {
 			text := doubledText(randText(rng, 50+rng.Intn(200)))
 			x, fullSA, err := Build(text, flavor)
@@ -174,7 +176,7 @@ func TestForwardEqualsBackward(t *testing.T) {
 func TestLFWalksTextBackwards(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	text := doubledText(randText(rng, 200))
-	for _, flavor := range []Flavor{Baseline, Optimized} {
+	for _, flavor := range []Flavor{Baseline, Optimized, Eta32} {
 		x, fullSA, err := Build(text, flavor)
 		if err != nil {
 			t.Fatal(err)
@@ -195,10 +197,11 @@ func TestFlavorsAgreeOnOcc(t *testing.T) {
 	text := doubledText(randText(rng, 500))
 	xb, _, _ := Build(text, Baseline)
 	xo, _, _ := Build(text, Optimized)
+	x32, _, _ := Build(text, Eta32)
 	for k := -1; k <= len(text); k++ {
-		ob, oo := xb.occ4(k), xo.occ4(k)
-		if ob != oo {
-			t.Fatalf("occ4(%d): baseline %v optimized %v", k, ob, oo)
+		ob, oo, o32 := xb.occ4(k), xo.occ4(k), x32.occ4(k)
+		if ob != oo || ob != o32 {
+			t.Fatalf("occ4(%d): baseline %v optimized %v eta32 %v", k, ob, oo, o32)
 		}
 	}
 }
@@ -228,12 +231,15 @@ func TestTracerCountsAndCache(t *testing.T) {
 func TestOcc4PairMatchesSeparate(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	text := doubledText(randText(rng, 800))
-	for _, flavor := range []Flavor{Baseline, Optimized} {
+	for _, flavor := range []Flavor{Baseline, Optimized, Eta32} {
 		x, _, _ := Build(text, flavor)
 		n := len(text)
 		for trial := 0; trial < 2000; trial++ {
 			a := rng.Intn(n+2) - 1
 			b := rng.Intn(n+2) - 1
+			if trial&1 == 1 { // a nearby bound, usually in a's bucket
+				b = min(a+rng.Intn(64), n)
+			}
 			ck, cl := x.occ4Pair(a, b)
 			if ck != x.occ4(a) || cl != x.occ4(b) {
 				t.Fatalf("%v: occ4Pair(%d,%d) = %v,%v; separate %v,%v",
@@ -246,21 +252,22 @@ func TestOcc4PairMatchesSeparate(t *testing.T) {
 func TestOcc4PairSharedBucketTracesOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	text := doubledText(randText(rng, 800))
-	x, _, _ := Build(text, Optimized)
-	tr := &trace.Tracer{}
-	x.SetTracer(tr)
-	defer x.SetTracer(nil)
-	// Rows whose shifted positions share one η=32 bucket: pick two rows in
-	// the same bucket well away from the primary row.
-	base := ((x.B.Primary + 64) / 32) * 32
-	x.occ4Pair(base+1, base+20)
-	if tr.OccCalls != 1 {
-		t.Fatalf("shared-bucket pair should cost one visit, got %d", tr.OccCalls)
-	}
-	tr.ResetCounters()
-	x.occ4Pair(base+1, base+200)
-	if tr.OccCalls != 2 {
-		t.Fatalf("split pair should cost two visits, got %d", tr.OccCalls)
+	for _, flavor := range []Flavor{Optimized, Eta32} {
+		x, _, _ := Build(text, flavor)
+		tr := &trace.Tracer{}
+		x.SetTracer(tr)
+		// Rows whose shifted positions share one bucket (η=32 or 128): pick
+		// two rows in the same bucket well away from the primary row.
+		base := ((x.B.Primary + 64) / 32) * 32
+		x.occ4Pair(base+1, base+20)
+		if tr.OccCalls != 1 {
+			t.Fatalf("%v: shared-bucket pair should cost one visit, got %d", flavor, tr.OccCalls)
+		}
+		tr.ResetCounters()
+		x.occ4Pair(base+1, base+200)
+		if tr.OccCalls != 2 {
+			t.Fatalf("%v: split pair should cost two visits, got %d", flavor, tr.OccCalls)
+		}
 	}
 }
 

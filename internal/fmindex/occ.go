@@ -1,26 +1,134 @@
-// Occurrence (rank) tables over the stored BWT column B0. Two layouts are
-// implemented, matching the two designs the paper compares:
+// Occurrence (rank) tables over the stored BWT column B0. Three layouts are
+// implemented, each one 64-byte cache line per bucket:
 //
-//   - Occ128 — the original BWA-MEM layout (§4.1): bucket size η = 128 with
-//     the BWT substring packed 2 bits per base. A bucket is 64 bytes: four
-//     8-byte cumulative counts plus 32 bytes (four words) of packed bases.
-//     Counting a base inside a bucket scans up to four 32-base words with
-//     2-bit SWAR matching — "a large number of instructions" (§4.4).
+//   - OccBP — the bit-plane layout, which ships behind the Optimized flavor
+//     (ModeOptimized) and is the table the .bwago index persists next to
+//     Occ128. Bucket size η = 128: four 4-byte counts, then two 64-base
+//     words, each stored as a hi and a lo bit plane of the 2-bit codes.
+//     All four in-bucket counts come from three popcounts per word
+//     (hi&lo, hi&^lo, lo&^hi; the fourth by subtraction) with no per-base
+//     matching: on a SIMD-less target bits.OnesCount64 is the wide
+//     primitive, so this is the §4.4 redesign carried out for Go.
 //
-//   - Occ32 — the paper's optimized layout (§4.4): bucket size η = 32 with
-//     one byte per base so the in-bucket count vectorizes to a byte-compare
-//     mask plus popcount (AVX2 in the paper; 8-byte SWAR words here). A
-//     bucket is also one 64-byte cache line: four 4-byte counts (16 B), 32
-//     base bytes, and 16 B of padding for cache-line alignment.
+//   - Occ128 — the original BWA-MEM layout (§4.1), behind the Baseline
+//     flavor: bucket size η = 128 with the BWT substring packed 2 bits per
+//     base. A bucket is four 8-byte cumulative counts plus 32 bytes (four
+//     words) of packed bases. Counting a base inside a bucket scans up to
+//     four 32-base words with 2-bit SWAR matching — "a large number of
+//     instructions" (§4.4).
 //
-// Both tables answer rank queries over B0 (the sentinel-free stored BWT);
+//   - Occ32 — the paper's optimized layout (§4.4), the subject of Table 4
+//     only (the experiments-only Eta32 flavor; never persisted or served):
+//     bucket size η = 32 with one byte per base so the in-bucket count
+//     vectorizes to a byte-compare mask plus popcount (AVX2 in the paper;
+//     8-byte SWAR words here, which makes it the slower table in Go). A
+//     bucket is four 4-byte counts (16 B), 32 base bytes, and 16 B of
+//     padding for cache-line alignment.
+//
+// All tables answer rank queries over B0 (the sentinel-free stored BWT);
 // the Index layer shifts full-column row numbers around the primary row.
 package fmindex
 
 import "math/bits"
 
-// occEntryBytes is the size of one bucket of either layout: one cache line.
+// occEntryBytes is the size of one bucket of any layout: one cache line.
 const occEntryBytes = 64
+
+// ---------------------------------------------------------------------------
+// OccBP: bit-plane layout (the serving table).
+
+type occBPLine struct {
+	counts [4]uint32 // occurrences of each base strictly before this line
+	planes [4]uint64 // hi0, lo0, hi1, lo1: bit i of word w's hi (lo) plane is the high (low) code bit of base 64w+i
+	pad    [2]uint64 // padding to a full 64-byte cache line
+}
+
+// OccBP is the bit-plane occurrence table (η = 128, 0.5 B per base).
+type OccBP struct {
+	lines []occBPLine
+	n     int
+}
+
+// NewOccBP builds the bit-plane table over the stored BWT column, one
+// 64-base word at a time. It panics if the text exceeds the 4-byte count
+// range.
+func NewOccBP(b0 []byte) *OccBP {
+	n := len(b0)
+	if uint64(n) > 1<<32-1 {
+		panic("fmindex: text too long for 32-bit occurrence counts")
+	}
+	o := &OccBP{lines: make([]occBPLine, OccBPLines(n)), n: n}
+	var run [4]uint32
+	for w, start := 0, 0; start < n; w, start = w+1, start+64 {
+		ln := &o.lines[w>>1]
+		if w&1 == 0 {
+			ln.counts = run
+		}
+		word := b0[start:min(start+64, n)]
+		var hi, lo uint64
+		for i, c := range word {
+			hi |= uint64(c>>1) << uint(i)
+			lo |= uint64(c&1) << uint(i)
+		}
+		ln.planes[2*(w&1)], ln.planes[2*(w&1)+1] = hi, lo
+		c3 := uint32(bits.OnesCount64(hi & lo))
+		c2 := uint32(bits.OnesCount64(hi &^ lo))
+		c1 := uint32(bits.OnesCount64(lo &^ hi))
+		run[0] += uint32(len(word)) - c1 - c2 - c3
+		run[1] += c1
+		run[2] += c2
+		run[3] += c3
+	}
+	return o
+}
+
+// count4 returns occurrences of all four bases in B0[line start..k] plus
+// the line's counts. Both words are masked without a branch: r0 = min(r,
+// 64) and r1 = r - r0 turn into all-ones / zero masks because a uint64
+// shift by 64 is 0 in Go.
+func (ln *occBPLine) count4(k int) [4]int {
+	r := k&127 + 1
+	r0 := min(r, 64)
+	m0 := uint64(1)<<uint(r0) - 1
+	m1 := uint64(1)<<uint(r-r0) - 1
+	h0, l0 := ln.planes[0]&m0, ln.planes[1]&m0
+	h1, l1 := ln.planes[2]&m1, ln.planes[3]&m1
+	c3 := bits.OnesCount64(h0&l0) + bits.OnesCount64(h1&l1)
+	c2 := bits.OnesCount64(h0&^l0) + bits.OnesCount64(h1&^l1)
+	c1 := bits.OnesCount64(l0&^h0) + bits.OnesCount64(l1&^h1)
+	return [4]int{int(ln.counts[0]) + r - c1 - c2 - c3, int(ln.counts[1]) + c1, int(ln.counts[2]) + c2, int(ln.counts[3]) + c3}
+}
+
+// Count returns occurrences of c in B0[0..k]; k must be in [-1, n-1]. Only
+// LF (compressed-SA lookups) asks for one base, and ModeOptimized pairs
+// this table with the flat SA, so it reuses Count4.
+func (o *OccBP) Count(c byte, k int) int { return o.Count4(k)[c] }
+
+// Count4 returns occurrences of all four bases in B0[0..k].
+//
+//bwalint:hot
+func (o *OccBP) Count4(k int) [4]int {
+	if k < 0 {
+		return [4]int{}
+	}
+	return o.lines[k>>7].count4(k)
+}
+
+// count4Pair is Count4 at two positions in the same line (k>>7 == l>>7,
+// both >= 0), reading the line once.
+func (o *OccBP) count4Pair(k, l int) (ck, cl [4]int) {
+	ln := &o.lines[l>>7]
+	return ln.count4(k), ln.count4(l)
+}
+
+// wordsFor reports how many 64-base words hold B0[line start..k].
+func (o *OccBP) wordsFor(k int) int { return (k&127)>>6 + 1 }
+
+// basesPerWord is the number of symbol slots per scanned word.
+func (o *OccBP) basesPerWord() int { return 64 }
+
+// MemFootprint returns the table size in bytes.
+func (o *OccBP) MemFootprint() int { return len(o.lines) * occEntryBytes }
 
 // ---------------------------------------------------------------------------
 // Occ128: baseline layout.
@@ -128,9 +236,6 @@ func (o *Occ128) Count4(k int) (cnt [4]int) {
 // Eta returns the bucket size.
 func (o *Occ128) Eta() int { return 128 }
 
-// EntryIndex returns the bucket number holding position k (k >= 0).
-func (o *Occ128) EntryIndex(k int) int { return k >> 7 }
-
 // wordsFor reports how many packed words an in-bucket scan up to k touches.
 func (o *Occ128) wordsFor(k int) int { return (k&127)>>5 + 1 }
 
@@ -141,7 +246,7 @@ func (o *Occ128) basesPerWord() int { return 32 }
 func (o *Occ128) MemFootprint() int { return len(o.blocks) * occEntryBytes }
 
 // ---------------------------------------------------------------------------
-// Occ32: the paper's optimized layout.
+// Occ32: the paper's optimized layout (Table 4's subject, experiments only).
 
 type occ32Entry struct {
 	counts [4]uint32 // occurrences of each base strictly before this bucket

@@ -1,20 +1,10 @@
 package fmindex
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
-
-// naiveCount counts c in b0[0..k] inclusive.
-func naiveCount(b0 []byte, c byte, k int) int {
-	n := 0
-	for i := 0; i <= k; i++ {
-		if b0[i] == c {
-			n++
-		}
-	}
-	return n
-}
 
 func randB0(rng *rand.Rand, n int) []byte {
 	b := make([]byte, n)
@@ -24,80 +14,121 @@ func randB0(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-func TestOcc128MatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 31, 32, 33, 127, 128, 129, 300, 1000} {
-		b0 := randB0(rng, n)
-		o := NewOcc128(b0)
-		for k := -1; k < n; k++ {
-			got4 := o.Count4(k)
+// occLayouts names every occurrence-table layout with its constructor.
+var occLayouts = []struct {
+	name  string
+	build func([]byte) occSource
+}{
+	{"Occ128", func(b0 []byte) occSource { return NewOcc128(b0) }},
+	{"Occ32", func(b0 []byte) occSource { return NewOcc32(b0) }},
+	{"OccBP", func(b0 []byte) occSource { return NewOccBP(b0) }},
+}
+
+// checkMatchesNaive compares Count and Count4 of every layout built over b0
+// with a naive running tally, at every k in [-1, n-1].
+func checkMatchesNaive(t *testing.T, layout string, b0 []byte) {
+	t.Helper()
+	for _, l := range occLayouts {
+		if layout != "" && l.name != layout {
+			continue
+		}
+		o := l.build(b0)
+		var want [4]int
+		for k := -1; k < len(b0); k++ {
+			if k >= 0 {
+				want[b0[k]]++
+			}
+			if got := o.Count4(k); got != want {
+				t.Fatalf("n=%d %s.Count4(%d) = %v, want %v", len(b0), l.name, k, got, want)
+			}
 			for c := byte(0); c < 4; c++ {
-				want := 0
-				if k >= 0 {
-					want = naiveCount(b0, c, k)
-				}
-				if got := o.Count(c, k); got != want {
-					t.Fatalf("n=%d Occ128.Count(%d,%d) = %d, want %d", n, c, k, got, want)
-				}
-				if got4[c] != want {
-					t.Fatalf("n=%d Occ128.Count4(%d)[%d] = %d, want %d", n, k, c, got4[c], want)
+				if got := o.Count(c, k); got != want[c] {
+					t.Fatalf("n=%d %s.Count(%d,%d) = %d, want %d", len(b0), l.name, c, k, got, want[c])
 				}
 			}
 		}
 	}
 }
 
-func TestOcc32MatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, n := range []int{1, 7, 8, 9, 31, 32, 33, 64, 300, 1000} {
-		b0 := randB0(rng, n)
-		o := NewOcc32(b0)
-		for k := -1; k < n; k++ {
-			got4 := o.Count4(k)
-			for c := byte(0); c < 4; c++ {
-				want := 0
-				if k >= 0 {
-					want = naiveCount(b0, c, k)
-				}
-				if got := o.Count(c, k); got != want {
-					t.Fatalf("n=%d Occ32.Count(%d,%d) = %d, want %d", n, c, k, got, want)
-				}
-				if got4[c] != want {
-					t.Fatalf("n=%d Occ32.Count4(%d)[%d] = %d, want %d", n, k, c, got4[c], want)
-				}
+// testMatchesNaive runs one layout ("" = all) over random columns whose
+// lengths straddle every bucket and word boundary of the three layouts
+// (8/32 bases for Occ32, 32/128 for Occ128, 64/128 for OccBP).
+func testMatchesNaive(t *testing.T, layout string, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 4097} {
+		checkMatchesNaive(t, layout, randB0(rng, n))
+	}
+}
+
+func TestOcc128MatchesNaive(t *testing.T) { testMatchesNaive(t, "Occ128", 11) }
+func TestOcc32MatchesNaive(t *testing.T)  { testMatchesNaive(t, "Occ32", 12) }
+func TestOccBPMatchesNaive(t *testing.T)  { testMatchesNaive(t, "OccBP", 13) }
+
+// TestOccMatchesNaiveSkewed repeats the differential check on columns of a
+// single base and of two alternating bases, where one miscounted plane
+// shows up as a whole word of error.
+func TestOccMatchesNaiveSkewed(t *testing.T) {
+	for _, n := range []int{64, 129, 300} {
+		for _, pattern := range [][]byte{{0}, {1}, {2}, {3}, {1, 2}, {0, 3}} {
+			b0 := make([]byte, n)
+			for i := range b0 {
+				b0[i] = pattern[i%len(pattern)]
 			}
+			checkMatchesNaive(t, "", b0)
 		}
 	}
+}
+
+// FuzzOccCount4 checks every layout against the naive count at every
+// position of a fuzzed column.
+func FuzzOccCount4(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3})
+	f.Add(make([]byte, 200))
+	f.Add(bytes.Repeat([]byte{3, 2, 1}, 70))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		b0 := make([]byte, len(raw))
+		for i, b := range raw {
+			b0[i] = b & 3
+		}
+		checkMatchesNaive(t, "", b0)
+	})
 }
 
 func TestOccLayoutGeometry(t *testing.T) {
 	b0 := randB0(rand.New(rand.NewSource(1)), 1000)
-	o128, o32 := NewOcc128(b0), NewOcc32(b0)
+	o128, o32, obp := NewOcc128(b0), NewOcc32(b0), NewOccBP(b0)
 	if o128.Eta() != 128 || o32.Eta() != 32 {
 		t.Fatal("eta")
 	}
-	// 1000 bases: ceil(1000/128)=8 blocks, ceil(1000/32)=32 entries; 64 B each.
+	// 1000 bases: ceil(1000/128)=8 blocks or lines, ceil(1000/32)=32
+	// entries; 64 B each.
 	if o128.MemFootprint() != 8*64 {
 		t.Errorf("Occ128 footprint = %d", o128.MemFootprint())
 	}
 	if o32.MemFootprint() != 32*64 {
 		t.Errorf("Occ32 footprint = %d", o32.MemFootprint())
 	}
-	// The optimized table trades 4x memory for fewer scanned bases — the
-	// §4.4 trade-off.
+	// The paper's table trades 4x memory for fewer scanned bases — the §4.4
+	// trade-off; the bit-plane table keeps Occ128's 0.5 B/base.
 	if o32.MemFootprint() != 4*o128.MemFootprint() {
 		t.Errorf("footprint ratio: %d vs %d", o32.MemFootprint(), o128.MemFootprint())
 	}
-	if o128.EntryIndex(129) != 1 || o32.EntryIndex(129) != 4 {
+	if obp.MemFootprint() != o128.MemFootprint() {
+		t.Errorf("OccBP footprint = %d, want Occ128's %d", obp.MemFootprint(), o128.MemFootprint())
+	}
+	if o32.EntryIndex(129) != 4 {
 		t.Error("entry index")
 	}
 	// Words scanned for a mid-bucket query: Occ128 touches 32-base words,
-	// Occ32 touches 8-base words.
+	// Occ32 8-base words, OccBP at most two 64-base words.
 	if o128.wordsFor(64) != 3 || o128.basesPerWord() != 32 {
 		t.Errorf("Occ128 words for k=64: %d", o128.wordsFor(64))
 	}
 	if o32.wordsFor(64) != 1 || o32.basesPerWord() != 8 {
 		t.Errorf("Occ32 words for k=64: %d", o32.wordsFor(64))
+	}
+	if obp.wordsFor(63) != 1 || obp.wordsFor(64) != 2 || obp.wordsFor(127) != 2 || obp.basesPerWord() != 64 {
+		t.Errorf("OccBP words for k=63/64/127: %d/%d/%d", obp.wordsFor(63), obp.wordsFor(64), obp.wordsFor(127))
 	}
 }
 
@@ -147,14 +178,22 @@ func TestCountByteEqEdge(t *testing.T) {
 	}
 }
 
-func BenchmarkOcc128Count4(b *testing.B) {
+// benchColumn returns a 1 Mbp column and 4096 random positions in it. The
+// benchmarks below call Count4 directly (not through occSource) so each
+// table's inlining is what is measured.
+func benchColumn() ([]byte, []int) {
 	b0 := randB0(rand.New(rand.NewSource(5)), 1<<20)
-	o := NewOcc128(b0)
 	rng := rand.New(rand.NewSource(6))
 	ks := make([]int, 4096)
 	for i := range ks {
 		ks[i] = rng.Intn(len(b0))
 	}
+	return b0, ks
+}
+
+func BenchmarkOcc128Count4(b *testing.B) {
+	b0, ks := benchColumn()
+	o := NewOcc128(b0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.Count4(ks[i&4095])
@@ -162,13 +201,17 @@ func BenchmarkOcc128Count4(b *testing.B) {
 }
 
 func BenchmarkOcc32Count4(b *testing.B) {
-	b0 := randB0(rand.New(rand.NewSource(5)), 1<<20)
+	b0, ks := benchColumn()
 	o := NewOcc32(b0)
-	rng := rand.New(rand.NewSource(6))
-	ks := make([]int, 4096)
-	for i := range ks {
-		ks[i] = rng.Intn(len(b0))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.Count4(ks[i&4095])
 	}
+}
+
+func BenchmarkOccBPCount4(b *testing.B) {
+	b0, ks := benchColumn()
+	o := NewOccBP(b0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.Count4(ks[i&4095])

@@ -1,7 +1,9 @@
-// Raw (on-disk) form of the occurrence tables. A .bwago v2 index persists
-// both table layouts so loading an index skips the linear rebuild over the
-// BWT column: each table is stored as its blocks in memory order, 64 bytes
-// per block, every field little-endian. On little-endian hosts that is
+// Raw (on-disk) form of the served occurrence tables. A .bwago index
+// persists the Occ128 and OccBP layouts (one per aligner mode) so loading an
+// index skips the linear rebuild over the BWT column: each table is stored
+// as its blocks in memory order, 64 bytes per block, every field
+// little-endian. Occ32 is built by the experiments that study it and has no
+// raw form. On little-endian hosts that is
 // exactly the in-memory layout, so Raw is a zero-copy view and the FromRaw
 // constructors alias the section (straight out of an mmap'd file) instead
 // of decoding it; big-endian hosts fall back to an explicit field-by-field
@@ -15,14 +17,16 @@ import (
 )
 
 // Compile-time guarantees that the structs are exactly one 64-byte cache
-// line with no padding — the raw codec and the alias path both rely on it.
+// line with no padding — the raw codecs and alias paths rely on it, and so
+// does the cache model's one-line-per-visit accounting (traceOcc).
 var (
 	_ = [1]struct{}{}[unsafe.Sizeof(occ128Block{})-occEntryBytes]
+	_ = [1]struct{}{}[unsafe.Sizeof(occBPLine{})-occEntryBytes]
 	_ = [1]struct{}{}[unsafe.Sizeof(occ32Entry{})-occEntryBytes]
 )
 
 // HostLittleEndian reports whether the host stores integers little-endian,
-// the byte order of the .bwago v2 format: on such hosts the raw codecs
+// the byte order of the .bwago format: on such hosts the raw codecs
 // alias memory instead of copying. internal/core shares this probe for its
 // suffix-array section codec.
 var HostLittleEndian = func() bool {
@@ -40,14 +44,10 @@ func Occ128Blocks(n int) int {
 	return nb
 }
 
-// Occ32Entries returns how many 64-byte entries an Occ32 over a text of
-// length n has (NewOcc32's sizing rule).
-func Occ32Entries(n int) int {
-	ne := (n + 31) / 32
-	if ne == 0 {
-		ne = 1
-	}
-	return ne
+// OccBPLines returns how many 64-byte lines an OccBP over a text of length
+// n has (NewOccBP's sizing rule).
+func OccBPLines(n int) int {
+	return max((n+127)/128, 1)
 }
 
 // aligned8 reports whether the slice's backing array starts on an 8-byte
@@ -56,7 +56,7 @@ func aligned8(b []byte) bool {
 	return len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))%8 == 0
 }
 
-// Raw returns the table in the v2 section byte layout. On little-endian
+// Raw returns the table in the section byte layout. On little-endian
 // hosts the returned slice aliases the table's memory — the caller must
 // treat it as read-only.
 func (o *Occ128) Raw() []byte {
@@ -76,30 +76,30 @@ func (o *Occ128) Raw() []byte {
 	return out
 }
 
-// Raw returns the table in the v2 section byte layout. On little-endian
-// hosts the returned slice aliases the table's memory — the caller must
-// treat it as read-only.
-func (o *Occ32) Raw() []byte {
+// Raw returns the table in the section byte layout. On little-endian hosts
+// the returned slice aliases the table's memory — the caller must treat it
+// as read-only.
+func (o *OccBP) Raw() []byte {
 	if HostLittleEndian {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&o.entries[0])), len(o.entries)*occEntryBytes)
+		return unsafe.Slice((*byte)(unsafe.Pointer(&o.lines[0])), len(o.lines)*occEntryBytes)
 	}
-	out := make([]byte, 0, len(o.entries)*occEntryBytes)
-	for i := range o.entries {
-		ent := &o.entries[i]
-		for _, v := range ent.counts {
+	out := make([]byte, 0, len(o.lines)*occEntryBytes)
+	for i := range o.lines {
+		ln := &o.lines[i]
+		for _, v := range ln.counts {
 			out = binary.LittleEndian.AppendUint32(out, v)
 		}
-		for _, v := range ent.bases {
+		for _, v := range ln.planes {
 			out = binary.LittleEndian.AppendUint64(out, v)
 		}
-		for _, v := range ent.pad {
+		for _, v := range ln.pad {
 			out = binary.LittleEndian.AppendUint64(out, v)
 		}
 	}
 	return out
 }
 
-// Occ128FromRaw wraps a v2 occ128 section as a table over a text of length
+// Occ128FromRaw wraps an occ128 section as a table over a text of length
 // n. On little-endian hosts with an 8-byte-aligned section the table
 // aliases raw zero-copy — raw must then stay immutable (and, for an mmap'd
 // section, mapped) for the table's lifetime; otherwise the section is
@@ -128,27 +128,27 @@ func Occ128FromRaw(raw []byte, n int) (*Occ128, error) {
 	return o, nil
 }
 
-// Occ32FromRaw wraps a v2 occ32 section as a table over a text of length n,
+// OccBPFromRaw wraps an occbp section as a table over a text of length n,
 // with the same aliasing contract as Occ128FromRaw.
-func Occ32FromRaw(raw []byte, n int) (*Occ32, error) {
-	ne := Occ32Entries(n)
-	if len(raw) != ne*occEntryBytes {
-		return nil, fmt.Errorf("fmindex: occ32 section is %d bytes, want %d for text length %d", len(raw), ne*occEntryBytes, n)
+func OccBPFromRaw(raw []byte, n int) (*OccBP, error) {
+	nl := OccBPLines(n)
+	if len(raw) != nl*occEntryBytes {
+		return nil, fmt.Errorf("fmindex: occbp section is %d bytes, want %d for text length %d", len(raw), nl*occEntryBytes, n)
 	}
-	o := &Occ32{n: n}
+	o := &OccBP{n: n}
 	if HostLittleEndian && aligned8(raw) {
-		o.entries = unsafe.Slice((*occ32Entry)(unsafe.Pointer(&raw[0])), ne)
+		o.lines = unsafe.Slice((*occBPLine)(unsafe.Pointer(&raw[0])), nl)
 		return o, nil
 	}
-	o.entries = make([]occ32Entry, ne)
-	for i := range o.entries {
-		ent := &o.entries[i]
+	o.lines = make([]occBPLine, nl)
+	for i := range o.lines {
+		ln := &o.lines[i]
 		p := raw[i*occEntryBytes:]
-		for j := range ent.counts {
-			ent.counts[j] = binary.LittleEndian.Uint32(p[j*4:])
+		for j := range ln.counts {
+			ln.counts[j] = binary.LittleEndian.Uint32(p[j*4:])
 		}
-		for j := range ent.bases {
-			ent.bases[j] = binary.LittleEndian.Uint64(p[16+j*8:])
+		for j := range ln.planes {
+			ln.planes[j] = binary.LittleEndian.Uint64(p[16+j*8:])
 		}
 	}
 	return o, nil

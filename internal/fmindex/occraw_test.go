@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// occSource abstracts the two tables for the shared raw-codec checks.
+// occSource abstracts the tables for the shared differential checks.
 type occSource interface {
 	Count(c byte, k int) int
 	Count4(k int) [4]int
@@ -31,19 +31,19 @@ func checkOccEqual(t *testing.T, want, got occSource, n int, label string) {
 
 func TestOccRawRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 31, 32, 33, 127, 128, 129, 1000, 4097} {
+	for _, n := range []int{1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1000, 4097} {
 		b0 := make([]byte, n)
 		for i := range b0 {
 			b0[i] = byte(rng.Intn(4))
 		}
-		o128, o32 := NewOcc128(b0), NewOcc32(b0)
+		o128, obp := NewOcc128(b0), NewOccBP(b0)
 
-		raw128, raw32 := o128.Raw(), o32.Raw()
+		raw128, rawBP := o128.Raw(), obp.Raw()
 		if len(raw128) != Occ128Blocks(n)*occEntryBytes {
 			t.Fatalf("n=%d: occ128 raw is %d bytes", n, len(raw128))
 		}
-		if len(raw32) != Occ32Entries(n)*occEntryBytes {
-			t.Fatalf("n=%d: occ32 raw is %d bytes", n, len(raw32))
+		if len(rawBP) != OccBPLines(n)*occEntryBytes {
+			t.Fatalf("n=%d: occbp raw is %d bytes", n, len(rawBP))
 		}
 
 		// Aligned path (aliases on little-endian hosts).
@@ -52,11 +52,11 @@ func TestOccRawRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkOccEqual(t, o128, r128, n, "occ128 aligned")
-		r32, err := Occ32FromRaw(raw32, n)
+		rbp, err := OccBPFromRaw(rawBP, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkOccEqual(t, o32, r32, n, "occ32 aligned")
+		checkOccEqual(t, obp, rbp, n, "occbp aligned")
 
 		// Misaligned copies force the explicit decode path even on
 		// little-endian hosts.
@@ -70,11 +70,11 @@ func TestOccRawRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkOccEqual(t, o128, m128, n, "occ128 misaligned")
-		m32, err := Occ32FromRaw(mis(raw32), n)
+		mbp, err := OccBPFromRaw(mis(rawBP), n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkOccEqual(t, o32, m32, n, "occ32 misaligned")
+		checkOccEqual(t, obp, mbp, n, "occbp misaligned")
 	}
 }
 
@@ -87,9 +87,15 @@ func TestOccFromRawRejectsBadLength(t *testing.T) {
 	if _, err := Occ128FromRaw(raw, len(b0)+200); err == nil {
 		t.Fatal("occ128 section for the wrong text length should not parse")
 	}
-	raw32 := NewOcc32(b0).Raw()
-	if _, err := Occ32FromRaw(raw32[:0], len(b0)); err == nil {
-		t.Fatal("empty occ32 section should not parse")
+	rawBP := NewOccBP(b0).Raw()
+	if _, err := OccBPFromRaw(rawBP[:0], len(b0)); err == nil {
+		t.Fatal("empty occbp section should not parse")
+	}
+	if _, err := OccBPFromRaw(rawBP[:len(rawBP)-1], len(b0)); err == nil {
+		t.Fatal("short occbp section should not parse")
+	}
+	if _, err := OccBPFromRaw(rawBP, len(b0)+200); err == nil {
+		t.Fatal("occbp section for the wrong text length should not parse")
 	}
 }
 
@@ -105,16 +111,20 @@ func TestNewFromPartsUsesProvidedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := NewOcc32(idx.B.B0)
+	pre := NewOccBP(idx.B.B0)
 	x := NewFromParts(idx.B, Optimized, nil, pre)
-	if x.occ32 != pre {
-		t.Fatal("NewFromParts did not adopt the provided occ32 table")
+	if x.occBP != pre {
+		t.Fatal("NewFromParts did not adopt the provided bit-plane table")
 	}
 	// Wrong-size table is ignored, not adopted.
-	wrong := NewOcc32(b0[:100])
+	wrong := NewOccBP(b0[:100])
 	x = NewFromParts(idx.B, Optimized, nil, wrong)
-	if x.occ32 == wrong {
+	if x.occBP == wrong {
 		t.Fatal("NewFromParts adopted a table of the wrong length")
 	}
-	checkOccEqual(t, NewOcc32(idx.B.B0), x.occ32, idx.B.N, "rebuilt occ32")
+	checkOccEqual(t, NewOccBP(idx.B.B0), x.occBP, idx.B.N, "rebuilt occbp")
+	// The baseline flavor ignores a bit-plane table and builds its own.
+	if x = NewFromParts(idx.B, Baseline, nil, pre); x.occBP != nil || x.occ128 == nil {
+		t.Fatal("baseline index adopted the bit-plane table")
+	}
 }

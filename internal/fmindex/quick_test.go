@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 )
 
-// TestQuickOccTablesAgree drives both occurrence-table layouts with
+// TestQuickOccTablesAgree drives every occurrence-table layout with
 // testing/quick: on any BWT column they must report identical ranks at
 // every position — the foundation of the modes-identical guarantee.
 func TestQuickOccTablesAgree(t *testing.T) {
@@ -17,14 +17,16 @@ func TestQuickOccTablesAgree(t *testing.T) {
 		for i, b := range raw {
 			b0[i] = b & 3
 		}
-		o128, o32 := NewOcc128(b0), NewOcc32(b0)
+		o128 := NewOcc128(b0)
 		k := int(at)%(len(b0)+1) - 1 // in [-1, len-1]
-		if o128.Count4(k) != o32.Count4(k) {
-			return false
-		}
-		for c := byte(0); c < 4; c++ {
-			if o128.Count(c, k) != o32.Count(c, k) {
+		for _, o := range []occSource{NewOcc32(b0), NewOccBP(b0)} {
+			if o128.Count4(k) != o.Count4(k) {
 				return false
+			}
+			for c := byte(0); c < 4; c++ {
+				if o128.Count(c, k) != o.Count(c, k) {
+					return false
+				}
 			}
 		}
 		return true
@@ -46,7 +48,7 @@ func TestQuickRankSumsToPosition(t *testing.T) {
 			b0[i] = b & 3
 		}
 		k := int(at) % len(b0)
-		for _, counts := range [][4]int{NewOcc128(b0).Count4(k), NewOcc32(b0).Count4(k)} {
+		for _, counts := range [][4]int{NewOcc128(b0).Count4(k), NewOcc32(b0).Count4(k), NewOccBP(b0).Count4(k)} {
 			if counts[0]+counts[1]+counts[2]+counts[3] != k+1 {
 				return false
 			}

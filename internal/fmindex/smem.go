@@ -36,6 +36,7 @@ func (x *Index) SMEM1(q []byte, x0, minIntv int, buf *SMEMBuf, out []BiInterval)
 
 	// Forward pass: extend right from x0, recording the interval each time
 	// its size shrinks — those are the distinct right-maximal candidates.
+	var ok [4]BiInterval // extension results, reused by both passes
 	ik := x.SetIntv(q[x0])
 	ik.QBeg, ik.QEnd = int32(x0), int32(x0+1)
 	i := x0 + 1
@@ -45,7 +46,7 @@ func (x *Index) SMEM1(q []byte, x0, minIntv int, buf *SMEMBuf, out []BiInterval)
 			break
 		}
 		c := 3 - q[i] // forward extension appends via the complement
-		ok := x.Extend(ik, false)
+		x.Extend(ik, false, &ok)
 		if ok[c].S != ik.S {
 			curr = append(curr, ik)
 			if ok[c].S < minIntv {
@@ -80,9 +81,8 @@ func (x *Index) SMEM1(q []byte, x0, minIntv int, buf *SMEMBuf, out []BiInterval)
 		curr = curr[:0]
 		for j := range prev {
 			p := &prev[j]
-			var ok [4]BiInterval
 			if c >= 0 {
-				ok = x.Extend(*p, true)
+				x.Extend(*p, true, &ok)
 			}
 			if c < 0 || ok[c].S < minIntv {
 				if len(curr) == 0 { // no longer candidate is alive
@@ -122,12 +122,13 @@ func (x *Index) SeedStrategy1(q []byte, x0, minLen, maxIntv int) (m BiInterval, 
 		return BiInterval{}, x0 + 1, false
 	}
 	ik := x.SetIntv(q[x0])
+	var ok [4]BiInterval
 	for i := x0 + 1; i < n; i++ {
 		if q[i] > 3 {
 			return BiInterval{}, i + 1, false
 		}
 		c := 3 - q[i]
-		ok := x.Extend(ik, false)
+		x.Extend(ik, false, &ok)
 		if ok[c].S < maxIntv && i-x0 >= minLen {
 			m = ok[c]
 			m.QBeg, m.QEnd = int32(x0), int32(i+1)
@@ -154,6 +155,8 @@ func DefaultSeedOpts() SeedOpts {
 // CollectIntervals runs the full three-pass seeding of BWA-MEM
 // (mem_collect_intv) over one read and returns the seed intervals sorted by
 // query start. out is reused if it has capacity.
+//
+//bwalint:hot
 func (x *Index) CollectIntervals(q []byte, opt SeedOpts, buf *SMEMBuf, out []BiInterval) []BiInterval {
 	out = out[:0]
 	splitLen := int(float64(opt.MinSeedLen)*opt.SplitFactor + .499)

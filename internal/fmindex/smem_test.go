@@ -45,7 +45,7 @@ func TestSMEM1MatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
 		text := doubledText(randText(rng, 30+rng.Intn(150)))
-		for _, flavor := range []Flavor{Baseline, Optimized} {
+		for _, flavor := range []Flavor{Baseline, Optimized, Eta32} {
 			x, _, err := Build(text, flavor)
 			if err != nil {
 				t.Fatal(err)
@@ -137,7 +137,7 @@ func TestCollectIntervalsInvariants(t *testing.T) {
 	fwd := randText(rng, 2000)
 	text := doubledText(fwd)
 	opt := DefaultSeedOpts()
-	for _, flavor := range []Flavor{Baseline, Optimized} {
+	for _, flavor := range []Flavor{Baseline, Optimized, Eta32} {
 		x, _, _ := Build(text, flavor)
 		var buf SMEMBuf
 		for rep := 0; rep < 20; rep++ {
@@ -181,8 +181,9 @@ func TestCollectIntervalsFlavorsIdentical(t *testing.T) {
 	text := doubledText(fwd)
 	xb, _, _ := Build(text, Baseline)
 	xo, _, _ := Build(text, Optimized)
+	x32, _, _ := Build(text, Eta32)
 	opt := DefaultSeedOpts()
-	var bb, bo SMEMBuf
+	var bb, bo, b32 SMEMBuf
 	for rep := 0; rep < 50; rep++ {
 		pos := rng.Intn(len(fwd) - 160)
 		q := append([]byte(nil), fwd[pos:pos+151]...)
@@ -191,9 +192,27 @@ func TestCollectIntervalsFlavorsIdentical(t *testing.T) {
 		}
 		sb := xb.CollectIntervals(q, opt, &bb, nil)
 		so := xo.CollectIntervals(q, opt, &bo, nil)
-		if !reflect.DeepEqual(sb, so) {
-			t.Fatalf("rep %d: flavors disagree:\nbaseline  %v\noptimized %v", rep, sb, so)
+		s32 := x32.CollectIntervals(q, opt, &b32, nil)
+		if !reflect.DeepEqual(sb, so) || !reflect.DeepEqual(sb, s32) {
+			t.Fatalf("rep %d: flavors disagree:\nbaseline  %v\noptimized %v\neta32     %v", rep, sb, so, s32)
 		}
+	}
+}
+
+// TestCollectIntervalsDoesNotAllocate pins the seeding path at zero
+// allocations once the caller's scratch has grown.
+func TestCollectIntervalsDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	fwd := randText(rng, 3000)
+	x, _, _ := Build(doubledText(fwd), Optimized)
+	q := append([]byte(nil), fwd[500:651]...)
+	q[40], q[90] = (q[40]+1)&3, (q[90]+2)&3
+	var buf SMEMBuf
+	out := x.CollectIntervals(q, DefaultSeedOpts(), &buf, nil)
+	if allocs := testing.AllocsPerRun(20, func() {
+		out = x.CollectIntervals(q, DefaultSeedOpts(), &buf, out)
+	}); allocs != 0 {
+		t.Fatalf("CollectIntervals allocated %.1f times per read", allocs)
 	}
 }
 

@@ -37,8 +37,8 @@ type Mode int
 
 const (
 	// ModeOptimized is the paper's architecture-aware design (the
-	// default): η=32 occurrence table with software prefetching, flat
-	// suffix array, batch-staged pipeline.
+	// default): bit-plane occurrence table, flat suffix array,
+	// batch-staged pipeline.
 	ModeOptimized Mode = iota
 	// ModeBaseline reproduces original BWA-MEM's design, for comparison.
 	ModeBaseline

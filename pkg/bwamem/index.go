@@ -104,7 +104,7 @@ func Open(path string) (*Index, error) {
 	return &Index{pi: pi, info: IndexInfo{Source: "v2-heap", LoadTime: time.Since(start)}}, nil
 }
 
-// OpenMmap maps a format-v2 .bwago index read-only instead of copying it
+// OpenMmap maps a .bwago index read-only instead of copying it
 // to the heap: start-up is near-instant regardless of index size, and all
 // processes mapping the same file share one page-cached copy. The caller
 // must keep the Index (and so the mapping) alive until no Aligner built
