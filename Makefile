@@ -32,8 +32,10 @@ lint-fix-dry: bwalint ## print bwalint's mechanical SuggestedFixes as a diff wit
 race:
 	$(GO) test -race ./...
 
-fuzz: ## bounded fuzzing: every occurrence table against a naive count
-	$(GO) test ./internal/fmindex -run '^$$' -fuzz FuzzOccCount4 -fuzztime 15s
+fuzz: ## bounded fuzzing, 15 s per target: occurrence tables vs a naive count, the FASTQ and JSON request decoders
+	set -e; for t in fmindex:FuzzOccCount4 seq:FuzzFastqScanner seq:FuzzDecodeJSONReads; do \
+		$(GO) test ./internal/$${t%%:*} -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 15s; \
+	done
 
 serve: ## run the alignment server on a synthetic genome
 	$(GO) run ./cmd/bwaserve -addr :8080 -synthetic 200000

@@ -1,8 +1,8 @@
 // Command bwaserve is the long-running alignment server: it loads (or
 // builds) the reference and FM-index once at startup, keeps them resident,
 // and serves single-end and paired-end alignment requests over the
-// versioned /v1 HTTP API, multiplexing concurrent callers onto the paper's
-// batch-staged pipeline. It is built entirely on the public SDK
+// versioned /v1 HTTP API, multiplexing concurrent callers onto one shared
+// worker pool. It is built entirely on the public SDK
 // (pkg/bwamem); pkg/bwaclient is the matching client.
 //
 //	bwaserve -addr :8080 ref.fa                        serve a FASTA reference
@@ -18,7 +18,7 @@
 // Endpoints: POST /v1/align, POST /v1/align/paired, GET /v1/healthz,
 // GET /v1/metrics (the unversioned originals remain as aliases). Request
 // bodies are decoded incrementally and SAM responses are streamed back
-// chunk by chunk as batches complete; a disconnected client's (or a
+// chunk by chunk as reads complete; a disconnected client's (or a
 // -request-timeout expired request's) unstarted work is dropped from the
 // queue and logged with its X-Request-Id. Duplicate single-end read
 // sequences (PCR/optical duplicates) are served from a sharded result
@@ -55,11 +55,10 @@ func main() {
 	addr := fs.String("addr", ":8080", "listen address")
 	modeStr := fs.String("mode", "optimized", "implementation: baseline or optimized")
 	threads := fs.Int("t", 0, "worker threads (0 = NumCPU)")
-	batch := fs.Int("batch", 0, "reads per batch / coalescing target (0 = 512)")
+	batch := fs.Int("batch", 0, "reads per worker task, the unit of dispatch (0 = 512)")
 	maxInflight := fs.Int("max-inflight", 0, "max reads admitted at once, 429 beyond (0 = 65536)")
 	maxRequest := fs.Int("max-request-reads", 0, "max reads per request (0 = max-inflight)")
 	maxReadLen := fs.Int("max-read-len", 0, "max bases per read, 413 beyond (0 = 65536)")
-	linger := fs.Duration("linger", 0, "partial-batch coalescing window (0 = 500µs, negative disables)")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request alignment deadline (0 = none)")
 	cache := fs.Bool("cache", true, "cache single-end results by read sequence (duplicate-heavy traffic)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "result-cache capacity in bytes (0 = 256 MiB)")
@@ -97,7 +96,6 @@ func main() {
 	cfg.MaxInFlightReads = *maxInflight
 	cfg.MaxReadsPerRequest = *maxRequest
 	cfg.MaxReadLen = *maxReadLen
-	cfg.CoalesceLinger = *linger
 	cfg.RequestTimeout = *reqTimeout
 	cfg.DrainTimeout = *drain
 	cfg.CacheEnabled = *cache

@@ -14,14 +14,14 @@
 //
 // Beyond the one-shot CLI (cmd/bwamem), the repository serves the same
 // pipeline as a long-lived HTTP service (internal/server, cmd/bwaserve)
-// that keeps the FM-index resident, coalesces concurrent requests into
-// the batch-staged workflow, and serves duplicate read sequences from a
-// sharded result cache (internal/rescache).
+// that keeps the FM-index resident, runs concurrent requests on one shared
+// worker pool, and serves duplicate read sequences from a sharded result
+// cache (internal/rescache).
 //
 // The public surface is pkg/bwamem (Go SDK: indexes, aligners, options,
 // embedded server) and pkg/bwaclient (client for the versioned /v1 wire
 // API); cmd/ and examples/ are built on them. See README.md for the
 // quickstart and wire contract, and ARCHITECTURE.md for a top-to-bottom
-// tour of the request path (admission → rescache → coalescer → scheduler
-// → pipeline stages → streamed SAM) plus the API versioning policy.
+// tour of the request path (admission → rescache → scheduler → pipeline
+// stages → streamed SAM) plus the API versioning policy.
 package repro

@@ -70,8 +70,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Concurrent single-end requests. The server coalesces their reads
-	//    into shared batches; each caller gets exactly its own records.
+	// 2. Concurrent single-end requests. They share the server's worker
+	//    pool; each caller gets exactly its own records.
 	reads, err := idx.SimulateReads(200, 101, 104)
 	if err != nil {
 		log.Fatal(err)

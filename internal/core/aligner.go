@@ -203,36 +203,16 @@ func (a *Aligner) CollectBSWJobs(reads [][]byte, ws *Workspace) []bsw.Job {
 	return append(left, right...)
 }
 
-// AlignBatch maps a batch of reads with the paper's reorganized workflow
-// (Fig. 2 / §5.3.2): every pipeline stage runs over the whole batch before
-// the next starts. Extension uses the scalar engine with the online
-// contained-seed skip — the fastest engine on a SIMD-less target — so the
-// output is identical to the sequential path.
+// AlignBatch maps each read with AlignRead. A read's regions never depend
+// on the other reads of the batch; this is a convenience for callers that
+// hold reads in slices.
 func (a *Aligner) AlignBatch(reads [][]byte, ws *Workspace) [][]Region {
 	if ws == nil {
 		ws = &Workspace{}
 	}
-	// Stages 1-3 (SMEM, SAL, CHAIN) per read, over the whole batch.
-	chainsPerRead := make([][]*chain.Chain, len(reads))
-	for i, q := range reads {
-		chainsPerRead[i] = a.chainRead(q, ws)
-	}
 	out := make([][]Region, len(reads))
-	t0 := time.Now()
-	ext := a.scalarExtend(&ws.scalar, nil)
-	for ri, q := range reads {
-		var regs []Region
-		for _, c := range chainsPerRead[ri] {
-			regs = a.extendChain(q, c, regs, ext, ws)
-		}
-		out[ri] = regs
+	for i, q := range reads {
+		out[i] = a.AlignRead(q, ws)
 	}
-	ws.Clock.Add(counters.StageBSW, time.Since(t0))
-	t1 := time.Now()
-	for ri := range out {
-		out[ri] = a.dedupRegions(out[ri])
-		a.markPrimary(out[ri])
-	}
-	ws.Clock.Add(counters.StageMisc, time.Since(t1))
 	return out
 }

@@ -116,8 +116,8 @@ func sampleBatch(rng *rand.Rand, ref *seq.Reference, n int) (rds []seq.Read, cod
 	return rds, codes
 }
 
-// TestBatchMatchesSequential verifies the §5.3.2 reorganization: the
-// batch-staged workflow equals the per-read sequential path.
+// TestBatchMatchesSequential: a read's regions do not depend on the reads
+// aligned before it on the same workspace (scratch reuse leaks no state).
 func TestBatchMatchesSequential(t *testing.T) {
 	ref := testRef(t, 30000, 85)
 	rng := rand.New(rand.NewSource(86))

@@ -9,13 +9,15 @@
 //     seed extension with the contained-seed skip heuristic applied online.
 //   - ModeOptimized is the paper's design (bwa-mem2) carried out for a
 //     SIMD-less Go target: the bit-plane occurrence table (fmindex.OccBP,
-//     η=128, four counts from popcounts over one 64-byte line), the flat
-//     suffix array, and the batch-staged workflow (Fig. 2), extending with
-//     the same scalar engine and online skip heuristic. Where the paper's
-//     layouts lose without SIMD they are kept only as the subjects of their
-//     tables: the η=32 byte-per-base occurrence table (Table 4) in
-//     internal/fmindex, the inter-task lane kernels (Tables 6-8) in
-//     internal/bsw.
+//     η=128, four counts from popcounts over one 64-byte line) and the flat
+//     suffix array, extending with the same scalar engine and online skip
+//     heuristic. Where the paper's layouts lose without SIMD they are kept
+//     only as the subjects of their tables: the η=32 byte-per-base
+//     occurrence table (Table 4) in internal/fmindex, the inter-task lane
+//     kernels (Tables 6-8) in internal/bsw. Without a batched kernel the
+//     batch-staged workflow (Fig. 2) has nothing to feed, so both modes push
+//     each read through every stage in turn (AlignRead), as original
+//     BWA-MEM does.
 //
 // Both modes produce identical alignments; this is the paper's central
 // requirement and is enforced by tests.
@@ -103,8 +105,8 @@ type ServerConfig struct {
 	// Threads is the worker-pool size the server schedules batches over.
 	// <= 0 means runtime.NumCPU (resolved by the server).
 	Threads int
-	// BatchSize is the reads-per-batch target of the batch-staged pipeline
-	// and of cross-request coalescing. <= 0 means 512.
+	// BatchSize is the number of reads handed to one scheduler task (the
+	// unit of dispatch; it does not affect output). <= 0 means 512.
 	BatchSize int
 	// Mode selects the aligner implementation (baseline or optimized).
 	Mode Mode
@@ -121,11 +123,6 @@ type ServerConfig struct {
 	// occupy a worker far beyond its budgeted share. <= 0 means
 	// DefaultMaxReadLen.
 	MaxReadLen int
-
-	// CoalesceLinger is how long a partial batch waits for reads from other
-	// requests before being flushed to the pool. 0 means 500µs; negative
-	// disables lingering (every partial batch flushes immediately).
-	CoalesceLinger time.Duration
 
 	// RequestTimeout bounds one request's alignment work. When it (or the
 	// client's own disconnect) ends the request context, batches not yet
@@ -165,7 +162,6 @@ const (
 	DefaultBatchSize        = 512
 	DefaultMaxInFlightReads = 1 << 16
 	DefaultMaxReadLen       = 1 << 16
-	DefaultCoalesceLinger   = 500 * time.Microsecond
 	DefaultDrainTimeout     = 30 * time.Second
 	DefaultCacheBytes       = 256 << 20
 	DefaultCacheShards      = 64
@@ -178,7 +174,6 @@ func DefaultServerConfig() ServerConfig {
 		BatchSize:        DefaultBatchSize,
 		Mode:             ModeOptimized,
 		MaxInFlightReads: DefaultMaxInFlightReads,
-		CoalesceLinger:   DefaultCoalesceLinger,
 		DrainTimeout:     DefaultDrainTimeout,
 		CacheEnabled:     true,
 		CacheBytes:       DefaultCacheBytes,
@@ -205,9 +200,6 @@ func (c *ServerConfig) Normalize(numCPU int) error {
 	}
 	if c.MaxReadLen <= 0 {
 		c.MaxReadLen = DefaultMaxReadLen
-	}
-	if c.CoalesceLinger == 0 {
-		c.CoalesceLinger = DefaultCoalesceLinger
 	}
 	if c.RequestTimeout < 0 {
 		c.RequestTimeout = 0

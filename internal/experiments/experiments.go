@@ -46,7 +46,7 @@ type Env struct {
 	Cfg  Config
 	Ref  *seq.Reference
 	Base *core.Aligner // ModeBaseline: η=128 index, compressed SA, per-read scalar BSW
-	Opt  *core.Aligner // ModeOptimized: bit-plane index, flat SA, batch-staged pipeline
+	Opt  *core.Aligner // ModeOptimized: bit-plane index, flat SA
 
 	fullSA []int32 // the shared full suffix array, for the SAL table and ablation
 }

@@ -11,8 +11,7 @@ import (
 	"repro/internal/seq"
 )
 
-// runOnce executes the pipeline of one aligner with the layout matching its
-// mode.
+// runOnce executes the pipeline of one aligner.
 func runOnce(a *core.Aligner, reads []seq.Read, threads int) *pipeline.Result {
 	return pipeline.Run(a, reads, pipeline.Config{Threads: threads})
 }

@@ -30,7 +30,7 @@ func Table1(w io.Writer, e *Env) error {
 		if err != nil {
 			return err
 		}
-		res := pipeline.Run(e.Base, reads, pipeline.Config{Threads: 1, Layout: pipeline.LayoutPerRead})
+		res := pipeline.Run(e.Base, reads, pipeline.Config{Threads: 1})
 		fmt.Fprintf(w, " dataset %s (%d reads x %dbp), total %.1f ms\n",
 			p.Name, len(reads), p.ReadLen, ms(res.Clock.Total()))
 		for i, s := range stages {

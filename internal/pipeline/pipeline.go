@@ -1,32 +1,27 @@
-// Package pipeline implements the two whole-program workflow organizations
-// the paper compares (Figure 2):
-//
-//   - The baseline layout is original BWA-MEM's: worker threads dynamically
-//     pull individual reads from the chunk and push each read through every
-//     stage (seed, lookup, chain, extend, format) before taking the next —
-//     pthread-style dynamic read distribution.
-//
-//   - The optimized layout is the paper's reorganization: the chunk is cut
-//     into batches, worker threads dynamically pull whole batches, and each
-//     stage runs over all reads of the batch before the next stage starts.
-//     This exposes the inter-read parallelism the batched BSW kernels need
-//     and lets scratch memory be reused across stages (§3.1-3.2).
-//
-// Both layouts produce byte-identical SAM output in read order.
+// Package pipeline schedules alignment over a worker pool. Reads are cut
+// into batches of Config.BatchSize; a batch is one scheduler task — the
+// unit of dispatch, nothing more — and a worker pushes each read of its
+// batch through every stage (seed, lookup, chain, extend, format) before
+// taking the next, as original BWA-MEM does. The paper's batch-staged
+// workflow (Figure 2) reorders stages across a batch to feed inter-task
+// SIMD kernels; with the scalar extension engine a read's output and its
+// cost do not depend on its batch, so only the dispatch granularity
+// remains, and output is byte-identical for every batch size and thread
+// count.
 //
 // # Concurrency contract
 //
 // Run, RunPaired, and their streaming variants are safe to call
 // concurrently with distinct ephemeral configurations; each call owns its
 // inputs until it returns. A shared Scheduler is the long-lived form: Each,
-// EachCtx, Go, Clock, and Drain may be called from any goroutine, and
-// tasks from concurrent submitters interleave at task granularity on the
-// fixed worker pool. Two rules bind task functions: they run on worker
-// goroutines with that worker's private core.Workspace (never share a
-// workspace across tasks), and they must not call Each or Go themselves —
-// a worker blocking on the bounded task queue it is supposed to drain can
-// deadlock the pool. Close must not race with new submissions; the
-// RunPairedStreamOn emit callback runs on worker goroutines and must not
+// EachCtx, Go and Clock may be called from any goroutine, and tasks from
+// concurrent submitters interleave at task granularity on the fixed worker
+// pool. Two rules bind task functions: they run on worker goroutines with
+// that worker's private core.Workspace (never share a workspace across
+// tasks), and they must not call Each or Go themselves — a worker blocking
+// on the bounded task queue it is supposed to drain can deadlock the pool.
+// Close must not race with new submissions; the RunStreamOn and
+// RunPairedStreamOn emit callbacks run on worker goroutines and must not
 // block indefinitely.
 package pipeline
 
@@ -43,24 +38,8 @@ import (
 // Config controls one pipeline run.
 type Config struct {
 	Threads   int // worker goroutines; <=0 means 1
-	BatchSize int // reads per batch (optimized layout); <=0 means 512
-	// Layout selects the workflow organization; by default it follows the
-	// aligner's mode.
-	Layout Layout
+	BatchSize int // reads per scheduler task; <=0 means 512
 }
-
-// Layout is the workflow organization of Figure 2.
-type Layout int
-
-const (
-	// LayoutAuto picks PerRead for baseline-mode aligners and Batched for
-	// optimized-mode aligners.
-	LayoutAuto Layout = iota
-	// LayoutPerRead processes one read through all stages at a time.
-	LayoutPerRead
-	// LayoutBatched processes each stage over a whole batch of reads.
-	LayoutBatched
-)
 
 // Result is the outcome of a pipeline run.
 type Result struct {
@@ -100,22 +79,14 @@ func RunOn(s *Scheduler, reads []seq.Read, cfg Config) *Result {
 // worker goroutines in completion (not index) order, as soon as the read
 // is formatted. emit must be safe for concurrent use. When ctx is
 // cancelled, batches not yet started are dropped from the scheduler
-// queue, emit stops being called, and the return is (nil, ctx.Err()); the
-// Result's SAM field is always nil (the records went through emit).
+// queue, running batches stop at their next read, emit stops being
+// called, and the return is (nil, ctx.Err()); the Result's SAM field is
+// always nil (the records went through emit).
 func RunStreamOn(ctx context.Context, s *Scheduler, reads []seq.Read, cfg Config, emit func(i int, rec []byte)) (*Result, error) {
 	a := s.Aligner()
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = core.DefaultBatchSize
 	}
-	layout := cfg.Layout
-	if layout == LayoutAuto {
-		if a.Mode == core.ModeOptimized {
-			layout = LayoutBatched
-		} else {
-			layout = LayoutPerRead
-		}
-	}
-
 	start := time.Now()
 	clock0 := s.Clock()
 	// Encode all reads up front (IO/encoding is excluded from the paper's
@@ -125,43 +96,18 @@ func RunStreamOn(ctx context.Context, s *Scheduler, reads []seq.Read, cfg Config
 		codes[i] = seq.Encode(reads[i].Seq)
 	}
 
-	var err error
-	switch layout {
-	case LayoutPerRead:
-		// One task per worker, each pulling read indices from a shared
-		// atomic counter: per-read channel dispatch would cost an
-		// allocation and a contended send per read, which is measurable
-		// noise in the baseline layout this path exists to measure.
-		var next int64 = -1
-		err = s.EachCtx(ctx, s.Threads(), func(ws *core.Workspace, _ int) {
-			for ctx.Err() == nil {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(reads) {
-					return
-				}
-				regs := a.AlignRead(codes[i], ws)
-				t0 := time.Now()
-				rec := a.AppendSAM(nil, &reads[i], codes[i], regs)
-				ws.Clock.Add(counters.StageSAMForm, time.Since(t0))
-				emit(i, rec)
-			}
-		})
-	default: // LayoutBatched
-		nBatches := (len(reads) + cfg.BatchSize - 1) / cfg.BatchSize
-		err = s.EachCtx(ctx, nBatches, func(ws *core.Workspace, b int) {
-			lo := b * cfg.BatchSize
-			hi := lo + cfg.BatchSize
-			if hi > len(reads) {
-				hi = len(reads)
-			}
-			regs := a.AlignBatch(codes[lo:hi], ws)
+	nBatches := (len(reads) + cfg.BatchSize - 1) / cfg.BatchSize
+	err := s.EachCtx(ctx, nBatches, func(ws *core.Workspace, b int) {
+		lo := b * cfg.BatchSize
+		hi := min(lo+cfg.BatchSize, len(reads))
+		for i := lo; i < hi && ctx.Err() == nil; i++ {
+			regs := a.AlignRead(codes[i], ws)
 			t0 := time.Now()
-			for i := lo; i < hi; i++ {
-				emit(i, a.AppendSAM(nil, &reads[i], codes[i], regs[i-lo]))
-			}
+			rec := a.AppendSAM(nil, &reads[i], codes[i], regs)
 			ws.Clock.Add(counters.StageSAMForm, time.Since(t0))
-		})
-	}
+			emit(i, rec)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -186,9 +132,9 @@ func concatRecords(perRead [][]byte) []byte {
 }
 
 // RunPaired maps read pairs (reads1[i] pairs with reads2[i]): both ends are
-// aligned through the batch-staged pipeline, the FR insert-size
-// distribution is inferred from confident pairs (mem_pestat), and each pair
-// is emitted with pairing applied (mem_sam_pe, without mate rescue).
+// aligned, the FR insert-size distribution is inferred from confident
+// pairs (mem_pestat), and each pair is emitted with pairing applied
+// (mem_sam_pe, without mate rescue).
 func RunPaired(a *core.Aligner, reads1, reads2 []seq.Read, cfg Config) *Result {
 	s := NewScheduler(a, cfg.Threads)
 	defer s.Close()
@@ -237,21 +183,18 @@ func RunPairedStreamOn(ctx context.Context, s *Scheduler, reads1, reads2 []seq.R
 	regs1 := make([][]core.Region, len(reads1))
 	regs2 := make([][]core.Region, len(reads2))
 
-	// Phase 1: align all ends (batched, dynamic distribution).
+	// Phase 1: align all ends, BatchSize reads per task.
 	nBatches := (len(reads1) + cfg.BatchSize - 1) / cfg.BatchSize
 	err := s.EachCtx(ctx, 2*nBatches, func(ws *core.Workspace, b int) {
 		end, bi := b/nBatches, b%nBatches
-		lo := bi * cfg.BatchSize
-		hi := lo + cfg.BatchSize
 		codes, regs := codes1, regs1
 		if end == 1 {
 			codes, regs = codes2, regs2
 		}
-		if hi > len(codes) {
-			hi = len(codes)
+		lo := bi * cfg.BatchSize
+		for i := lo; i < min(lo+cfg.BatchSize, len(codes)); i++ {
+			regs[i] = a.AlignRead(codes[i], ws)
 		}
-		out := a.AlignBatch(codes[lo:hi], ws)
-		copy(regs[lo:hi], out)
 	})
 	if err != nil {
 		return nil, err
@@ -261,7 +204,7 @@ func RunPairedStreamOn(ctx context.Context, s *Scheduler, reads1, reads2 []seq.R
 	ps := a.InferPairStats(regs1, regs2)
 
 	// Phase 3: pair and emit (per-pair dynamic distribution via a shared
-	// counter, as in RunOn's per-read layout).
+	// counter: pairing is cheap, so one task per worker).
 	var next int64 = -1
 	err = s.EachCtx(ctx, s.Threads(), func(ws *core.Workspace, _ int) {
 		for ctx.Err() == nil {

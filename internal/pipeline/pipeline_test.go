@@ -28,22 +28,35 @@ func testSetup(t testing.TB, mode core.Mode) (*core.Aligner, []seq.Read) {
 	return a, reads
 }
 
+// TestPipelineLayoutsIdenticalOutput: a batch is only a dispatch unit, so
+// aligning read by read (batch size 1) and in batches of any size gives
+// byte-identical SAM, in both modes.
 func TestPipelineLayoutsIdenticalOutput(t *testing.T) {
-	a, reads := testSetup(t, core.ModeOptimized)
-	perRead := Run(a, reads, Config{Threads: 1, Layout: LayoutPerRead})
-	batched := Run(a, reads, Config{Threads: 1, Layout: LayoutBatched, BatchSize: 64})
-	if !bytes.Equal(perRead.SAM, batched.SAM) {
-		t.Fatal("per-read and batched layouts produced different SAM")
+	for _, mode := range []core.Mode{core.ModeBaseline, core.ModeOptimized} {
+		a, reads := testSetup(t, mode)
+		perRead := Run(a, reads, Config{Threads: 1, BatchSize: 1})
+		for _, batch := range []int{7, 64, 512, len(reads)} {
+			got := Run(a, reads, Config{Threads: 1, BatchSize: batch})
+			if !bytes.Equal(perRead.SAM, got.SAM) {
+				t.Fatalf("%v: per-read and batch size %d produced different SAM", mode, batch)
+			}
+		}
 	}
 }
 
+// TestPipelineThreadCountInvariant: SAM is byte-identical for every thread
+// count, in both modes and for small and large batches.
 func TestPipelineThreadCountInvariant(t *testing.T) {
-	a, reads := testSetup(t, core.ModeOptimized)
-	ref := Run(a, reads, Config{Threads: 1})
-	for _, threads := range []int{2, 4, 7} {
-		got := Run(a, reads, Config{Threads: threads})
-		if !bytes.Equal(ref.SAM, got.SAM) {
-			t.Fatalf("output changed with %d threads", threads)
+	for _, mode := range []core.Mode{core.ModeBaseline, core.ModeOptimized} {
+		a, reads := testSetup(t, mode)
+		for _, batch := range []int{7, 64} {
+			ref := Run(a, reads, Config{Threads: 1, BatchSize: batch})
+			for _, threads := range []int{2, 3, 4, 7} {
+				got := Run(a, reads, Config{Threads: threads, BatchSize: batch})
+				if !bytes.Equal(ref.SAM, got.SAM) {
+					t.Fatalf("%v: output changed with %d threads at batch size %d", mode, threads, batch)
+				}
+			}
 		}
 	}
 }

@@ -16,7 +16,12 @@ import (
 // they run on the hot worker loop.
 type StageObserver func(s counters.Stage, d time.Duration)
 
-// Scheduler is the batch-staged work engine shared by the one-shot CLI
+// QueueWaitObserver receives, for each task a worker starts, how long the
+// task waited between submission and that start. Same rules as
+// StageObserver.
+type QueueWaitObserver func(d time.Duration)
+
+// Scheduler is the work engine shared by the one-shot CLI
 // (Run/RunPaired build an ephemeral one per call) and the long-lived
 // alignment server (which keeps a single Scheduler for the process
 // lifetime). It owns a fixed pool of worker goroutines, each with its own
@@ -30,9 +35,9 @@ type Scheduler struct {
 	threads int
 	tasks   chan task
 	workers sync.WaitGroup
-	async   sync.WaitGroup // outstanding Go tasks, for Drain
 	clock   counters.AtomicClock
 	stageOb atomic.Pointer[StageObserver]
+	waitOb  atomic.Pointer[QueueWaitObserver]
 }
 
 type task struct {
@@ -43,7 +48,8 @@ type task struct {
 	// nobody will read.
 	ctx  context.Context
 	run  func(ws *core.Workspace)
-	done *sync.WaitGroup
+	done *sync.WaitGroup // nil for Go tasks
+	enq  time.Time       // submission time, for the queue-wait observer
 }
 
 // NewScheduler starts a pool of threads workers over the aligner.
@@ -70,10 +76,13 @@ func (s *Scheduler) worker() {
 	ws := &core.Workspace{Clock: &clock}
 	for t := range s.tasks {
 		if t.ctx == nil || t.ctx.Err() == nil {
+			if ob := s.waitOb.Load(); ob != nil {
+				(*ob)(time.Since(t.enq))
+			}
 			t.run(ws)
 		}
 		// Publish stage time before signalling completion so a caller that
-		// returns from Each/Drain observes its own work in Clock(). The
+		// returns from Each observes its own work in Clock(). The
 		// observer sees the same per-task deltas, and must run before
 		// AddDelta copies clock over flushed.
 		if ob := s.stageOb.Load(); ob != nil {
@@ -111,6 +120,17 @@ func (s *Scheduler) SetStageObserver(ob StageObserver) {
 	s.stageOb.Store(&ob)
 }
 
+// SetQueueWaitObserver installs (or, with nil, removes) the observer of
+// each started task's queue wait. Safe to call concurrently with running
+// work.
+func (s *Scheduler) SetQueueWaitObserver(ob QueueWaitObserver) {
+	if ob == nil {
+		s.waitOb.Store(nil)
+		return
+	}
+	s.waitOb.Store(&ob)
+}
+
 // Each runs fn(ws, i) for every i in [0,n), distributed dynamically across
 // the worker pool, and blocks until all n calls complete. Multiple Each
 // calls may be in flight concurrently; their tasks interleave. fn must not
@@ -121,7 +141,7 @@ func (s *Scheduler) Each(n int, fn func(ws *core.Workspace, i int)) {
 	wg.Add(n)
 	for i := 0; i < n; i++ {
 		i := i
-		s.tasks <- task{run: func(ws *core.Workspace) { fn(ws, i) }, done: &wg}
+		s.tasks <- task{run: func(ws *core.Workspace) { fn(ws, i) }, done: &wg, enq: time.Now()}
 	}
 	wg.Wait()
 }
@@ -142,7 +162,7 @@ func (s *Scheduler) EachCtx(ctx context.Context, n int, fn func(ws *core.Workspa
 submit:
 	for i := 0; i < n; i++ {
 		i := i
-		t := task{ctx: ctx, run: func(ws *core.Workspace) { fn(ws, i) }, done: &wg}
+		t := task{ctx: ctx, run: func(ws *core.Workspace) { fn(ws, i) }, done: &wg, enq: time.Now()}
 		select {
 		case s.tasks <- t:
 			queued++
@@ -158,14 +178,11 @@ submit:
 }
 
 // Go submits one task without waiting for it. It may block briefly when the
-// task queue is full (backpressure). Use Drain to wait for all Go tasks.
+// task queue is full (backpressure). The task always runs, even after its
+// submitter's context ends: completion and cancellation are fn's business.
 func (s *Scheduler) Go(fn func(ws *core.Workspace)) {
-	s.async.Add(1)
-	s.tasks <- task{run: fn, done: &s.async}
+	s.tasks <- task{run: fn, enq: time.Now()}
 }
-
-// Drain blocks until every task submitted with Go has completed.
-func (s *Scheduler) Drain() { s.async.Wait() }
 
 // Close waits for queued tasks to finish and stops the workers. No Each or
 // Go may be started after (or concurrently with) Close.

@@ -55,7 +55,6 @@ func TestEachCtxDropsUnstartedTasksOnCancel(t *testing.T) {
 	if err := <-errCh; err != context.Canceled {
 		t.Fatalf("EachCtx err = %v", err)
 	}
-	s.Drain()
 	if n := ran.Load(); n != 0 {
 		t.Fatalf("%d tasks ran despite cancellation before any started", n)
 	}

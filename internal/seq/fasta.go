@@ -61,8 +61,11 @@ func ReadFasta(r io.Reader) ([]FastaRecord, error) {
 	return recs, nil
 }
 
+// splitHeader splits a header line (marker stripped) into the name — up to
+// the first ASCII whitespace byte, as kseq reads it — and the trimmed
+// description.
 func splitHeader(h []byte) (name, desc string) {
-	if i := bytes.IndexAny(h, " \t"); i >= 0 {
+	if i := bytes.IndexAny(h, " \t\r\v\f"); i >= 0 {
 		return string(h[:i]), string(bytes.TrimSpace(h[i+1:]))
 	}
 	return string(h), ""

@@ -5,7 +5,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/datasets"
 	"repro/internal/seq"
@@ -49,6 +53,55 @@ func BenchmarkAlignDuplication(b *testing.B) {
 				b.ReportMetric(float64(perRequest*b.N)/b.Elapsed().Seconds(), "reads/s")
 			})
 		}
+	}
+}
+
+// BenchmarkAlignSmallRequests measures the small-request traffic that
+// cross-request batching would target: 8 concurrent in-process clients
+// send requests of 1, 4 or 16 reads each, cache off, so every read is
+// aligned. It reports served reads/s and the median request latency.
+//
+//	go test ./internal/server/ -run '^$' -bench=SmallRequests -benchtime=3s
+func BenchmarkAlignSmallRequests(b *testing.B) {
+	_, reads, _, _ := setup(b)
+	const clients = 8
+	for _, perRequest := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("reads=%d", perRequest), func(b *testing.B) {
+			cfg := testConfig()
+			cfg.CacheEnabled = false
+			s := newTestServer(b, cfg)
+			bodies := make([][]byte, len(reads)/perRequest)
+			for i := range bodies {
+				bodies[i] = fastqBody(reads[i*perRequest : (i+1)*perRequest]).Bytes()
+			}
+			lat := make([]time.Duration, b.N)
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := int(next.Add(1)) - 1; i < b.N; i = int(next.Add(1)) - 1 {
+						req := httptest.NewRequest(http.MethodPost, "/align?header=0",
+							bytes.NewReader(bodies[i%len(bodies)]))
+						w := httptest.NewRecorder()
+						t0 := time.Now()
+						s.ServeHTTP(w, req)
+						lat[i] = time.Since(t0)
+						if w.Code != http.StatusOK {
+							b.Errorf("status %d: %s", w.Code, w.Body.String())
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			slices.Sort(lat)
+			b.ReportMetric(float64(perRequest*b.N)/b.Elapsed().Seconds(), "reads/s")
+			b.ReportMetric(float64(lat[len(lat)/2].Microseconds())/1e3, "p50_ms")
+		})
 	}
 }
 

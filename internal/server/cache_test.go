@@ -119,16 +119,13 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-// TestCacheSingleFlightWithinRequest pins the single-flight path: with a
-// long coalescing window and a request smaller than a batch, the first
-// copy of each sequence is still parked in the coalescer when its
-// duplicates are dispatched, so they must join its flight (coalesced)
-// rather than lead or hit.
+// TestCacheSingleFlightWithinRequest pins the single-flight path: a
+// request's reads are all classified before any leader is submitted, so
+// later copies of a sequence must join the first copy's flight (coalesced)
+// rather than lead or hit — whatever the timing.
 func TestCacheSingleFlightWithinRequest(t *testing.T) {
 	aln, reads, _, _ := setup(t)
-	cfg := testConfig()
-	cfg.CoalesceLinger = 50 * time.Millisecond // leaders linger while dups dispatch
-	s := newTestServer(t, cfg)
+	s := newTestServer(t, testConfig())
 
 	sub := dupReads(reads[300:310], 4, "sf")
 	want := pipeline.Run(aln, sub, pipeline.Config{Threads: 1})
@@ -152,12 +149,14 @@ func TestCacheSingleFlightWithinRequest(t *testing.T) {
 // TestCacheLeaderAbortRetries cancels a leader request while a second
 // request's duplicate is parked on its flight: the waiter must retry,
 // become the new leader, and complete correctly — one caller's disconnect
-// must never lose another caller's read.
+// must never lose another caller's read. The leader's task is held behind
+// a busy worker until its request is cancelled.
 func TestCacheLeaderAbortRetries(t *testing.T) {
 	aln, reads, _, _ := setup(t)
 	cfg := testConfig()
-	cfg.CoalesceLinger = time.Hour // nothing flushes on its own
+	cfg.Threads = 1
 	s := newTestServer(t, cfg)
+	release := occupyWorkers(t, s)
 
 	one := []seq.Read{{Name: "victim", Seq: reads[0].Seq, Qual: reads[0].Qual}}
 	ctxA, cancelA := context.WithCancel(context.Background())
@@ -180,17 +179,16 @@ func TestCacheLeaderAbortRetries(t *testing.T) {
 	go func() { bErr <- s.alignCached(context.Background(), two, stB, nil) }()
 	waitFor("B to join A's flight", func() bool { return s.cache.Stats().Coalesced == 1 })
 
-	// Cancel A: its pending leader is evicted, aborting the flight; B must
-	// retry and become the new leader (a second miss).
+	// Cancel A, then free the worker: A's task finds its request cancelled
+	// and drops the leader unaligned, aborting the flight; B must retry and
+	// become the new leader (a second miss), and its task then runs.
 	cancelA()
+	release()
 	if err := <-aErr; err != context.Canceled {
 		t.Fatalf("A returned %v, want context.Canceled", err)
 	}
 	stA.CloseAndWait()
 	waitFor("B to lead after abort", func() bool { return s.cache.Stats().Misses == 2 })
-
-	// Flush the coalescer so B's retried read actually runs.
-	s.coal.flushPartial()
 	if err := <-bErr; err != nil {
 		t.Fatalf("B returned %v", err)
 	}

@@ -248,56 +248,53 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) bool {
 
 // finishStream closes out a streamed alignment: it retires the writer
 // goroutine (mandatory before the handler returns), then handles the
-// draining/cancellation bookkeeping. readsPerRecord converts the
-// streamer's record count to reads (1 single-end, 2 paired) so dropped
-// work is metered in the same unit admission charges. The streamed bytes
-// (header included) are counted into samBytes either way.
+// cancellation bookkeeping. readsPerRecord converts the streamer's record
+// count to reads (1 single-end, 2 paired) so dropped work is metered in
+// the same unit admission charges. The streamed bytes (header included)
+// are counted into samBytes either way.
 func (s *Server) finishStream(w http.ResponseWriter, r *http.Request, st *ordered.Writer, readsPerRecord int, err error) {
 	st.CloseAndWait()
 	defer s.met.samBytes.Add(st.Written())
-	switch {
-	case err == nil:
+	if err == nil {
 		st.EnsureHeader()
-	case errors.Is(err, errDraining):
-		s.met.rejectedDrain.Add(1)
-		s.apiError(w, r, http.StatusServiceUnavailable, codeDraining, "server is shutting down")
-	default:
-		// The request's context ended: client disconnect or deadline. Any
-		// not-yet-started work was dropped; if nothing was written yet a
-		// deadline can still be reported (the envelope), otherwise the
-		// response is truncated and the connection must be aborted — a
-		// chunked response that just ends would look like a complete SAM
-		// document to the client.
-		dropped := int64(readsPerRecord) * int64(st.Missing())
-		s.met.requestsCancelled.Add(1)
-		s.met.readsDropped.Add(dropped)
-		s.logf("request %s cancelled (%v): %d reads dropped, %d bytes streamed",
-			requestID(r.Context()), err, dropped, st.Written())
-		if l := s.logger.Load(); l != nil {
-			l.Warn("request cancelled",
-				"request_id", requestID(r.Context()), "error", err.Error(),
-				"reads_dropped", dropped, "bytes_streamed", st.Written())
+		return
+	}
+	// The request's context ended: client disconnect or deadline. Any
+	// not-yet-started work was dropped; if nothing was written yet a
+	// deadline can still be reported (the envelope), otherwise the
+	// response is truncated and the connection must be aborted — a
+	// chunked response that just ends would look like a complete SAM
+	// document to the client.
+	dropped := int64(readsPerRecord) * int64(st.Missing())
+	s.met.requestsCancelled.Add(1)
+	s.met.readsDropped.Add(dropped)
+	s.logf("request %s cancelled (%v): %d reads dropped, %d bytes streamed",
+		requestID(r.Context()), err, dropped, st.Written())
+	if l := s.logger.Load(); l != nil {
+		l.Warn("request cancelled",
+			"request_id", requestID(r.Context()), "error", err.Error(),
+			"reads_dropped", dropped, "bytes_streamed", st.Written())
+	}
+	if !st.Started() {
+		if errors.Is(err, context.DeadlineExceeded) {
+			s.apiError(w, r, http.StatusGatewayTimeout, codeDeadlineExceeded,
+				"request deadline exceeded before alignment completed")
 		}
-		if !st.Started() {
-			if errors.Is(err, context.DeadlineExceeded) {
-				s.apiError(w, r, http.StatusGatewayTimeout, codeDeadlineExceeded,
-					"request deadline exceeded before alignment completed")
-			}
-		} else if st.Missing() > 0 {
-			// Status already committed mid-stream: abort the connection so
-			// the client observes an error instead of a clean EOF on an
-			// incomplete record set. net/http recovers this sentinel and
-			// resets the connection without logging a stack.
-			panic(http.ErrAbortHandler)
-		}
+	} else if st.Missing() > 0 {
+		// Status already committed mid-stream: abort the connection so
+		// the client observes an error instead of a clean EOF on an
+		// incomplete record set. net/http recovers this sentinel and
+		// resets the connection without logging a stack.
+		panic(http.ErrAbortHandler)
 	}
 }
 
 // handleAlign serves POST /v1/align (alias /align): single-end reads in
-// (FASTQ or JSON), SAM out, streamed — response chunks leave as coalesced
-// batches complete, in input order, while later reads are still being
-// aligned. Concurrent requests are coalesced into shared batches. The
-// method check happens in the route wrapper (api.go).
+// (FASTQ or JSON), SAM out, streamed — records leave in input order as
+// reads are formatted, while later reads are still being aligned. The
+// request's reads are cut into scheduler tasks of at most BatchSize reads
+// that share the worker pool with every other request. The method check
+// happens in the route wrapper (api.go).
 func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	span := reqInfoFrom(r).Span()
 	asJSON, err := alignBodyKind(r)
@@ -333,13 +330,15 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	s.armServerTiming(w, st, span)
 	tAlign := time.Now()
 	if s.cache != nil {
-		// Result cache between admission and the coalescer: duplicate
-		// sequences are served from cached regions (re-rendered with this
-		// read's name, so output is byte-identical) or single-flighted
-		// behind an identical in-flight read. See cache.go.
+		// Result cache between admission and the pool: duplicate sequences
+		// are served from cached regions (re-rendered with this read's
+		// name, so output is byte-identical) or single-flighted behind an
+		// identical in-flight read. See cache.go.
 		err = s.alignCached(ctx, reads, st, span)
 	} else {
-		err = s.coal.Align(ctx, reads, st.Complete)
+		s.met.batches.Add(int64((len(reads) + s.cfg.BatchSize - 1) / s.cfg.BatchSize))
+		_, err = pipeline.RunStreamOn(ctx, s.sched, reads,
+			pipeline.Config{BatchSize: s.cfg.BatchSize}, st.Complete)
 	}
 	span.Observe("align", tAlign)
 	s.finishStream(w, r, st, 1, err)

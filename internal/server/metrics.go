@@ -26,6 +26,7 @@ type metrics struct {
 	badRequests    atomic.Int64 // 400/405: malformed input
 	readsTotal     atomic.Int64 // reads accepted for alignment (pairs count 2)
 	samBytes       atomic.Int64 // SAM bytes actually written to clients (headers included)
+	batches        atomic.Int64 // scheduler tasks submitted for single-end reads
 
 	requestsCancelled atomic.Int64 // admitted requests whose context ended first
 	readsDropped      atomic.Int64 // reads of cancelled requests that never produced SAM output
@@ -62,8 +63,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&buf, "bwaserve_reads_total %d\n", m.readsTotal.Load())
 	fmt.Fprintf(&buf, "bwaserve_reads_inflight %d\n", s.adm.InFlight())
 	fmt.Fprintf(&buf, "bwaserve_sam_bytes_total %d\n", m.samBytes.Load())
-	fmt.Fprintf(&buf, "bwaserve_batches_total %d\n", s.coal.batches.Load())
-	fmt.Fprintf(&buf, "bwaserve_partial_batches_total %d\n", s.coal.partialFlushes.Load())
+	fmt.Fprintf(&buf, "bwaserve_batches_total %d\n", m.batches.Load())
 	fmt.Fprintf(&buf, "bwaserve_cache_enabled %d\n", boolGauge(s.cache != nil))
 	if s.cache != nil {
 		cs := s.cache.Stats()

@@ -28,7 +28,7 @@ type serverHists struct {
 
 	admissionWait obs.Histogram // time inside the admission gate (lock contention)
 	cacheLookup   obs.Histogram // per-request result-cache classify pass
-	queueWait     obs.Histogram // per-read coalescer wait: enqueue -> batch runs
+	queueWait     obs.Histogram // per-task scheduler wait: submission -> task start
 	ttfb          obs.Histogram // request start -> first response byte
 
 	stage [counters.NumStages]obs.Histogram // per-task kernel stage time

@@ -1,27 +1,26 @@
 // Package server is the long-lived alignment service layer: it loads the
 // reference and FM-index once, keeps them resident, and serves alignment
-// requests over HTTP by multiplexing them onto the paper's batch-staged
-// pipeline (internal/pipeline.Scheduler).
+// requests over HTTP by multiplexing them onto one shared worker pool
+// (internal/pipeline.Scheduler).
 //
 // The request path is: HTTP handler → incremental body decode (per-read
 // validation and the request read cap apply while the body streams in) →
 // admission control (bounded in-flight reads, immediate 429 under
 // overload) → result cache (single-end duplicates served from cached
 // regions, concurrent duplicates single-flighted; internal/rescache) →
-// cross-request batch coalescer → shared worker pool with per-worker
-// reusable scratch → per-read SAM records streamed back to each caller in
-// input order, chunk by chunk as batches complete and immediately for
-// cache hits. Responses are byte-identical to a one-shot pipeline.Run /
-// RunPaired over the same reads, which is the subsystem's correctness
-// contract and is enforced by tests. ARCHITECTURE.md (repo root) walks the
+// the request's reads cut into scheduler tasks of at most BatchSize reads
+// on the shared worker pool with per-worker reusable scratch → per-read
+// SAM records streamed back to each caller in input order, as each read is
+// formatted and immediately for cache hits. Responses are byte-identical
+// to a one-shot pipeline.Run / RunPaired over the same reads, which is the
+// subsystem's correctness contract and is enforced by tests. ARCHITECTURE.md (repo root) walks the
 // whole path with a data-flow diagram.
 //
 // Every request's alignment work runs under its own context — the client's
 // connection context bounded by ServerConfig.RequestTimeout. When it ends
-// (disconnect or deadline), batches not yet started are dropped from the
-// queue, reads still waiting in the coalescer are evicted unaligned, and
-// the request's admission budget is released as soon as its already-running
-// batches finish.
+// (disconnect or deadline), the request's tasks drop the reads they have
+// not started, and the request's admission budget is released once its
+// tasks have left the queue.
 //
 // Endpoints (canonical /v1 paths; the unversioned originals are permanent
 // aliases — see api.go for the wire contract):
@@ -41,13 +40,11 @@
 // Close) is safe for concurrent use; the HTTP library calls the handlers
 // from one goroutine per request. Internally each layer has a narrower
 // contract, stated on its type: admission is a mutex-guarded semaphore;
-// the coalescer may be fed from any number of request goroutines while
-// batch workers drain it; ordered.Writer.Complete may be called from many
-// workers but all socket writes happen on the request-owned writer
-// goroutine; rescache is fully concurrent with per-shard locking. Emit
-// and completion callbacks handed to the coalescer and cache run on
-// pipeline-worker goroutines (or the resolving goroutine, for flight
-// aborts) and must not block on the client — that is the streamer's job.
+// ordered.Writer.Complete may be called from many workers but all socket
+// writes happen on the request-owned writer goroutine; rescache is fully
+// concurrent with per-shard locking. Emit callbacks and flight callbacks
+// run on pipeline-worker goroutines and must not block on the client —
+// that is the streamer's job.
 package server
 
 import (
@@ -72,7 +69,6 @@ type Server struct {
 	bodyLimit   int64
 	samHeader   []byte // constant for the server's lifetime; built once
 	sched       *pipeline.Scheduler
-	coal        *coalescer
 	adm         *admission
 	met         *metrics
 	cache       *rescache.Cache // single-end result cache; nil when disabled
@@ -108,20 +104,18 @@ func New(aln *core.Aligner, cfg core.ServerConfig) (*Server, error) {
 		bodyLimit: requestBodyLimit(cfg.MaxReadsPerRequest, cfg.MaxReadLen),
 		samHeader: []byte(aln.SAMHeader()),
 		sched:     sched,
-		coal:      newCoalescer(sched, cfg.BatchSize, cfg.CoalesceLinger),
 		adm:       newAdmission(cfg.MaxInFlightReads),
 		met:       newMetrics(),
 		mux:       http.NewServeMux(),
 		hists:     &serverHists{},
 	}
-	// Per-task kernel stage time flows from the worker loop into the stage
-	// histograms; the scheduler's cumulative AtomicClock keeps feeding the
-	// existing bwaserve_stage_seconds counters independently.
+	// Per-task kernel stage time and queue wait flow from the worker loop
+	// into the histograms; the scheduler's cumulative AtomicClock keeps
+	// feeding the bwaserve_stage_seconds counters independently.
 	sched.SetStageObserver(func(st counters.Stage, d time.Duration) {
 		s.hists.stage[st].Observe(d)
 	})
-	// Per-read coalescer queue wait (enqueue to batch start).
-	s.coal.onQueueWait = s.hists.queueWait.Observe
+	sched.SetQueueWaitObserver(s.hists.queueWait.Observe)
 	if cfg.DebugRequestTraces > 0 {
 		s.ring = obs.NewTraceRing(cfg.DebugRequestTraces)
 	}
@@ -181,18 +175,13 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 func (s *Server) draining() bool { return s.drainFlag.Load() }
 
 // Shutdown drains gracefully: new work is rejected with 503 while admitted
-// requests run to completion, then the coalescer flushes and the worker
-// pool stops. It returns an error if in-flight work outlives the context
-// deadline (or cfg.DrainTimeout when the context has none); the pool is
-// left running in that case so stragglers stay safe, and Shutdown may be
-// called again.
+// requests run to completion, then the worker pool stops. It returns an
+// error if in-flight work outlives the context deadline (or
+// cfg.DrainTimeout when the context has none); the pool is left running in
+// that case so stragglers stay safe, and Shutdown may be called again.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainFlag.Store(true)
 	s.adm.SetDraining()
-	// Flush the coalescer's lingering partial batch now: admitted requests
-	// may be waiting on it, and the coalescing window can legitimately be
-	// configured longer than the drain timeout.
-	s.coal.SetDraining()
 	start := time.Now()
 	deadline, ok := ctx.Deadline()
 	if !ok {
@@ -203,7 +192,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			s.adm.InFlight(), time.Since(start).Round(time.Millisecond))
 	}
 	if s.closed.CompareAndSwap(false, true) {
-		s.coal.Close()
 		s.sched.Close()
 	}
 	return nil

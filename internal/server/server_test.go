@@ -180,9 +180,9 @@ func TestConcurrentRequestsCoalesced(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	// 8 concurrent small requests (25 reads each, batch size 64): correct
-	// routing means every caller gets exactly its own records back even
-	// though batches interleave reads from different requests.
+	// 8 concurrent small requests (50 reads each, batch size 64): every
+	// caller gets exactly its own records back even though the requests'
+	// tasks interleave on the shared pool.
 	const parts = 8
 	chunk := len(reads) / parts
 	var wg sync.WaitGroup
@@ -216,23 +216,10 @@ func TestConcurrentRequestsCoalesced(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if s.coal.batches.Load() == 0 {
-		t.Fatal("no batches recorded by the coalescer")
-	}
-}
-
-func TestImmediateFlushMode(t *testing.T) {
-	aln, reads, _, _ := setup(t)
-	cfg := testConfig()
-	cfg.CoalesceLinger = -1 // flush partial batches immediately
-	s := newTestServer(t, cfg)
-	want := pipeline.Run(aln, reads[:10], pipeline.Config{Threads: 1})
-	w := post(s, "/align?header=0", "", fastqBody(reads[:10]))
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d", w.Code)
-	}
-	if !bytes.Equal(w.Body.Bytes(), want.SAM) {
-		t.Fatal("immediate-flush SAM differs")
+	// Every request has misses, and each request's misses go out as their
+	// own task(s): no request shares a task with another.
+	if got := s.met.batches.Load(); got < parts {
+		t.Fatalf("bwaserve_batches_total = %d after %d requests, want >= %d", got, parts, parts)
 	}
 }
 
@@ -418,36 +405,77 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Shutdown tore down the scheduler workers and coalescer: nothing this
-	// server started may outlive it.
+	// Shutdown tore down the scheduler workers: nothing this server started
+	// may outlive it.
 	testutil.CheckGoroutines(t, goroutines, 2)
 }
 
-func TestShutdownFlushesLingeringPartialBatch(t *testing.T) {
+// TestShutdownCompletesQueuedRequest: Shutdown completes an admitted
+// request that is queued behind busy workers — new work is refused while
+// it waits, and the queued request still gets its full, correct SAM.
+func TestShutdownCompletesQueuedRequest(t *testing.T) {
 	aln, reads, _, _ := setup(t)
-	cfg := testConfig()
-	cfg.CoalesceLinger = time.Hour // would outlive any drain timeout
-	s, err := New(aln, cfg)
+	goroutines := testutil.Goroutines()
+	s, err := New(aln, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := pipeline.Run(aln, reads[:10], pipeline.Config{Threads: 1})
 
-	// A sub-batch request parks in the coalescer waiting out the linger
-	// window; Shutdown must flush it rather than waiting the hour.
+	release := occupyWorkers(t, s)
 	resCh := make(chan *httptest.ResponseRecorder, 1)
 	go func() { resCh <- post(s, "/align?header=0", "", fastqBody(reads[:10])) }()
-	testutil.Eventually(10*time.Second, func() bool { return s.adm.InFlight() > 0 })
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	testutil.WaitUntil(t, 10*time.Second, func() bool { return s.adm.InFlight() == 10 },
+		"request never admitted")
+
+	shutErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		shutErr <- s.Shutdown(ctx)
+	}()
+	testutil.WaitUntil(t, 10*time.Second, s.draining, "Shutdown never started draining")
+	if w := post(s, "/align", "", fastqBody(reads[:1])); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("request during drain: status %d", w.Code)
+	}
+	select {
+	case err := <-shutErr:
+		t.Fatalf("Shutdown returned %v while an admitted request was still queued", err)
+	default:
+	}
+
+	release()
+	if err := <-shutErr; err != nil {
 		t.Fatal(err)
 	}
 	w := <-resCh
 	if w.Code != http.StatusOK {
-		t.Fatalf("parked request: status %d", w.Code)
+		t.Fatalf("queued request: status %d", w.Code)
 	}
 	if !bytes.Equal(w.Body.Bytes(), want.SAM) {
-		t.Fatal("flushed request returned wrong SAM")
+		t.Fatal("queued request returned wrong SAM")
 	}
+	testutil.CheckGoroutines(t, goroutines, 2)
+}
+
+// occupyWorkers parks every worker of s on a task that blocks until the
+// returned release is called, so work submitted meanwhile queues behind
+// them. Release is idempotent and also runs at test cleanup (before the
+// server's own Close cleanup, which would otherwise wait on the workers).
+func occupyWorkers(t testing.TB, s *Server) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var started sync.WaitGroup
+	started.Add(s.sched.Threads())
+	for i := 0; i < s.sched.Threads(); i++ {
+		s.sched.Go(func(*core.Workspace) {
+			started.Done()
+			<-gate
+		})
+	}
+	started.Wait()
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return release
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/counters"
 	"repro/internal/pipeline"
 	"repro/internal/seq"
 	"repro/internal/testutil"
@@ -82,19 +83,26 @@ func scrapeMetric(t *testing.T, base, name string) int64 {
 }
 
 // TestCancelledRequestReleasesBudget covers the cancellation path end to
-// end: a request parked in the coalescer (long linger, undersized batch)
-// is cancelled by its client; its reads must be evicted without ever
-// running a batch and its admission budget must free — observed via
-// /metrics, as a real operator would.
+// end: a request whose tasks are queued behind a busy worker is cancelled
+// by its client; its reads must be dropped without ever being aligned and
+// its admission budget must free — observed via /metrics, as a real
+// operator would.
 func TestCancelledRequestReleasesBudget(t *testing.T) {
 	cfg := testConfig()
-	cfg.CoalesceLinger = time.Hour // park: nothing flushes on its own
-	cfg.BatchSize = 1024           // request stays below one batch
+	cfg.Threads = 1
 	s := newTestServer(t, cfg)
-	ts := httptest.NewServer(s)
+	reqCtx := make(chan context.Context, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			reqCtx <- r.Context()
+		}
+		s.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 	_, reads, _, _ := setup(t)
 	n := 40
+	release := occupyWorkers(t, s)
+	smem0 := s.sched.Clock().T[counters.StageSMEM]
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -112,13 +120,20 @@ func TestCancelledRequestReleasesBudget(t *testing.T) {
 		errCh <- err
 	}()
 
-	// Wait until the request is admitted and parked.
+	// Wait until the request is admitted and its tasks are queued.
 	testutil.WaitUntil(t, 10*time.Second, func() bool { return s.adm.InFlight() == n },
 		"request never admitted")
 	cancel()
 	if err := <-errCh; err == nil {
 		t.Fatal("client Do returned nil error after cancellation")
 	}
+	// Free the worker only once the server has seen the disconnect.
+	select {
+	case <-(<-reqCtx).Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never observed the client disconnect")
+	}
+	release()
 
 	// The admission budget must free promptly — this is what lets the next
 	// request in instead of leaking capacity to a dead client.
@@ -130,10 +145,9 @@ func TestCancelledRequestReleasesBudget(t *testing.T) {
 	if got := scrapeMetric(t, ts.URL, "bwaserve_requests_cancelled_total"); got != 1 {
 		t.Fatalf("requests_cancelled_total = %d, want 1", got)
 	}
-	// The parked reads never became a batch: the queue dropped them before
-	// any alignment ran.
-	if got := s.coal.batches.Load(); got != 0 {
-		t.Fatalf("%d batches ran for a request that was cancelled while parked", got)
+	// The queued reads were dropped before any alignment ran.
+	if got := s.sched.Clock().T[counters.StageSMEM]; got != smem0 {
+		t.Fatalf("SMEM clock moved by %v for a request cancelled while queued", got-smem0)
 	}
 }
 
@@ -177,17 +191,25 @@ func TestMidStreamDeadlineAbortsConnection(t *testing.T) {
 }
 
 // TestRequestTimeoutCancelsAlignment exercises the server-imposed deadline:
-// a request parked in the coalescer past RequestTimeout is abandoned and
-// reported as 504 (nothing had been written yet).
+// a request queued behind a busy worker past RequestTimeout is abandoned
+// and reported as 504 (nothing had been written yet).
 func TestRequestTimeoutCancelsAlignment(t *testing.T) {
 	cfg := testConfig()
-	cfg.CoalesceLinger = time.Hour
-	cfg.BatchSize = 1024
-	cfg.RequestTimeout = 50 * time.Millisecond
+	cfg.Threads = 1
+	cfg.RequestTimeout = 20 * time.Millisecond
 	s := newTestServer(t, cfg)
 	_, reads, _, _ := setup(t)
+	release := occupyWorkers(t, s)
 
-	w := post(s, "/align?header=0", "", fastqBody(reads[:5]))
+	resCh := make(chan *httptest.ResponseRecorder, 1)
+	go func() { resCh <- post(s, "/align?header=0", "", fastqBody(reads[:5])) }()
+	testutil.WaitUntil(t, 10*time.Second, func() bool { return s.adm.InFlight() == 5 },
+		"request never admitted")
+	// Hold the worker well past the deadline, which is armed right after
+	// admission.
+	time.Sleep(10 * cfg.RequestTimeout)
+	release()
+	w := <-resCh
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504; body %s", w.Code, w.Body.String())
 	}
@@ -201,7 +223,7 @@ func TestRequestTimeoutCancelsAlignment(t *testing.T) {
 
 // TestRequestTimeoutPairedCountsDroppedReads: paired-end cancellation must
 // meter its abandoned work in reads_dropped too (pairs count 2), even
-// though paired requests bypass the coalescer.
+// though paired requests bypass the result cache.
 func TestRequestTimeoutPairedCountsDroppedReads(t *testing.T) {
 	cfg := testConfig()
 	cfg.Threads = 1 // phase 1 takes far longer than the deadline
@@ -234,7 +256,7 @@ func TestRequestTimeoutPairedCountsDroppedReads(t *testing.T) {
 // TestCancelledRequestReleasesBudget: a client that disconnects while its
 // pairs are mid-alignment must have its admission budget released and its
 // abandonment metered, and the capacity it held must be immediately
-// usable by the next request. Paired requests bypass the coalescer, so
+// usable by the next request. Paired requests bypass the result cache, so
 // the release path under test is the handler's own deferred Release — a
 // leak here would not show up in any single-end test.
 func TestPairedClientDisconnectReleasesBudget(t *testing.T) {

@@ -37,8 +37,7 @@ type Mode int
 
 const (
 	// ModeOptimized is the paper's architecture-aware design (the
-	// default): bit-plane occurrence table, flat suffix array,
-	// batch-staged pipeline.
+	// default): bit-plane occurrence table, flat suffix array.
 	ModeOptimized Mode = iota
 	// ModeBaseline reproduces original BWA-MEM's design, for comparison.
 	ModeBaseline
@@ -94,8 +93,8 @@ func WithThreads(n int) Option {
 	}
 }
 
-// WithBatchSize sets the reads-per-batch target of the batch-staged
-// pipeline. 0 (the default) means 512.
+// WithBatchSize sets how many reads one worker task aligns (the unit of
+// dispatch; output does not depend on it). 0 (the default) means 512.
 func WithBatchSize(n int) Option {
 	return func(c *config) error {
 		if n < 0 {

@@ -19,8 +19,8 @@
 //     not-yet-started batches.
 //
 //   - Servers. NewServer wraps an Aligner's index in the long-lived
-//     alignment service (resident index, admission control, cross-request
-//     batch coalescing, result cache, streamed SAM responses) serving the
+//     alignment service (resident index, admission control, a shared
+//     worker pool, result cache, streamed SAM responses) serving the
 //     versioned /v1 HTTP API. pkg/bwaclient is the matching client.
 //
 // Output is byte-identical across every path — baseline and optimized

@@ -19,8 +19,8 @@ type ServerConfig struct {
 	// Threads is the worker-pool size the server schedules batches over.
 	// 0 means runtime.NumCPU.
 	Threads int
-	// BatchSize is the reads-per-batch target of the batch-staged pipeline
-	// and of cross-request coalescing. 0 means 512.
+	// BatchSize is the number of reads handed to one worker task (the unit
+	// of dispatch; it does not affect output). 0 means 512.
 	BatchSize int
 
 	// MaxInFlightReads caps the reads admitted (queued or executing)
@@ -34,10 +34,6 @@ type ServerConfig struct {
 	// 0 means 65536.
 	MaxReadLen int
 
-	// CoalesceLinger is how long a partial batch waits for reads from
-	// other requests before being flushed to the pool. 0 means 500µs;
-	// negative disables lingering.
-	CoalesceLinger time.Duration
 	// RequestTimeout bounds one request's alignment work; when it (or the
 	// client's disconnect) ends the request context, unstarted batches are
 	// dropped. 0 means no server-imposed deadline.
@@ -77,7 +73,6 @@ func (c ServerConfig) toCore(mode core.Mode) core.ServerConfig {
 		MaxInFlightReads:   c.MaxInFlightReads,
 		MaxReadsPerRequest: c.MaxReadsPerRequest,
 		MaxReadLen:         c.MaxReadLen,
-		CoalesceLinger:     c.CoalesceLinger,
 		RequestTimeout:     c.RequestTimeout,
 		DrainTimeout:       c.DrainTimeout,
 		CacheEnabled:       c.CacheEnabled,
@@ -94,7 +89,6 @@ func fromCoreServerConfig(c core.ServerConfig) ServerConfig {
 		MaxInFlightReads:   c.MaxInFlightReads,
 		MaxReadsPerRequest: c.MaxReadsPerRequest,
 		MaxReadLen:         c.MaxReadLen,
-		CoalesceLinger:     c.CoalesceLinger,
 		RequestTimeout:     c.RequestTimeout,
 		DrainTimeout:       c.DrainTimeout,
 		CacheEnabled:       c.CacheEnabled,
