@@ -32,8 +32,8 @@ lint-fix-dry: bwalint ## print bwalint's mechanical SuggestedFixes as a diff wit
 race:
 	$(GO) test -race ./...
 
-fuzz: ## bounded fuzzing, 15 s per target: occurrence tables vs a naive count, the FASTQ and JSON request decoders
-	set -e; for t in fmindex:FuzzOccCount4 seq:FuzzFastqScanner seq:FuzzDecodeJSONReads; do \
+fuzz: ## bounded fuzzing, 15 s per target: occurrence tables vs a naive count, Extend vs a brute-force text scan, the FASTQ and JSON request decoders
+	set -e; for t in fmindex:FuzzOccCount4 fmindex:FuzzExtend seq:FuzzFastqScanner seq:FuzzDecodeJSONReads; do \
 		$(GO) test ./internal/$${t%%:*} -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 15s; \
 	done
 

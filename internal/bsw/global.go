@@ -47,17 +47,19 @@ func (c Cigar) Lens() (qlen, tlen int) {
 }
 
 // String renders the CIGAR in SAM text form.
-func (c Cigar) String() string {
+func (c Cigar) String() string { return string(c.AppendTo(make([]byte, 0, len(c)*4))) }
+
+// AppendTo appends the CIGAR in SAM text form ("*" when empty) to buf.
+func (c Cigar) AppendTo(buf []byte) []byte {
 	if len(c) == 0 {
-		return "*"
+		return append(buf, '*')
 	}
 	const ops = "MIDNSHP=X"
-	buf := make([]byte, 0, len(c)*4)
 	for _, e := range c {
 		buf = appendUint(buf, e>>4)
 		buf = append(buf, ops[e&0xf])
 	}
-	return string(buf)
+	return buf
 }
 
 func appendUint(b []byte, v uint32) []byte {

@@ -264,8 +264,8 @@ func (a *Aligner) AppendSAMPair(buf []byte, ps *PairStats,
 	decorate(&aln1, &aln2, FlagFirst)
 	decorate(&aln2, &aln1, FlagLast)
 
-	buf = a.appendPairRecord(buf, rd1, aln1, aln2)
-	buf = a.appendPairRecord(buf, rd2, aln2, aln1)
+	buf = a.appendRecord(buf, rd1, aln1, &aln2)
+	buf = a.appendRecord(buf, rd2, aln2, &aln1)
 	return buf
 }
 
@@ -290,36 +290,10 @@ func (a *Aligner) bestAln(q []byte, regs []Region) Alignment {
 	return Alignment{Rid: -1, Sub: -1, Flag: FlagUnmapped}
 }
 
-// appendPairRecord writes one end's record with mate fields (RNEXT, PNEXT,
-// TLEN) filled in.
-func (a *Aligner) appendPairRecord(buf []byte, rd *seq.Read, aln, mate Alignment) []byte {
-	// Render the core record, then patch RNEXT/PNEXT/TLEN, which
-	// appendRecord leaves as "*\t0\t0".
-	rec := a.appendRecord(nil, rd, aln)
-	// Find the 7th..9th columns to replace.
-	cols := 0
-	start := -1
-	for i := 0; i < len(rec); i++ {
-		if rec[i] == '\t' {
-			cols++
-			if cols == 6 {
-				start = i + 1
-			}
-			if cols == 9 {
-				head := append([]byte{}, rec[:start]...)
-				tail := append([]byte{}, rec[i:]...) // includes the tab before SEQ
-				buf = append(buf, head...)
-				buf = appendMateFields(buf, a, aln, mate)
-				buf = append(buf, tail...)
-				return buf
-			}
-		}
-	}
-	return append(buf, rec...) // malformed record; emit as-is (unreachable)
-}
-
-func appendMateFields(buf []byte, a *Aligner, aln, mate Alignment) []byte {
-	if mate.Rid < 0 {
+// appendMateFields writes one end's RNEXT, PNEXT and TLEN columns; a nil
+// or unmapped mate writes "*\t0\t0".
+func appendMateFields(buf []byte, a *Aligner, aln, mate *Alignment) []byte {
+	if mate == nil || mate.Rid < 0 {
 		return append(buf, "*\t0\t0"...)
 	}
 	if mate.Rid == aln.Rid {

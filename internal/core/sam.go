@@ -287,7 +287,7 @@ func (a *Aligner) buildXA(qcodes []byte, regs []Region, pri int) string {
 		}
 		b = strconv.AppendInt(b, int64(alt.Pos+1), 10)
 		b = append(b, ',')
-		b = append(b, alt.Cigar.String()...)
+		b = alt.Cigar.AppendTo(b)
 		b = append(b, ',')
 		b = strconv.AppendInt(b, int64(alt.NM), 10)
 		b = append(b, ';')
@@ -301,15 +301,17 @@ func (a *Aligner) buildXA(qcodes []byte, regs []Region, pri int) string {
 func (a *Aligner) AppendSAM(buf []byte, read *seq.Read, qcodes []byte, regs []Region) []byte {
 	alns := a.selectAlignments(qcodes, regs)
 	if len(alns) == 0 {
-		return a.appendRecord(buf, read, Alignment{Rid: -1, Sub: -1, Flag: FlagUnmapped})
+		return a.appendRecord(buf, read, Alignment{Rid: -1, Sub: -1, Flag: FlagUnmapped}, nil)
 	}
 	for i := range alns {
-		buf = a.appendRecord(buf, read, alns[i])
+		buf = a.appendRecord(buf, read, alns[i], nil)
 	}
 	return buf
 }
 
-func (a *Aligner) appendRecord(buf []byte, read *seq.Read, aln Alignment) []byte {
+// appendRecord renders one SAM record straight into buf, with RNEXT, PNEXT
+// and TLEN describing mate (nil for a single-end read).
+func (a *Aligner) appendRecord(buf []byte, read *seq.Read, aln Alignment, mate *Alignment) []byte {
 	buf = append(buf, read.Name...)
 	buf = append(buf, '\t')
 	buf = strconv.AppendInt(buf, int64(aln.Flag), 10)
@@ -323,15 +325,19 @@ func (a *Aligner) appendRecord(buf []byte, read *seq.Read, aln Alignment) []byte
 		buf = append(buf, '\t')
 		buf = strconv.AppendInt(buf, int64(aln.Mapq), 10)
 		buf = append(buf, '\t')
-		buf = append(buf, aln.Cigar.String()...)
+		buf = aln.Cigar.AppendTo(buf)
 	}
-	buf = append(buf, "\t*\t0\t0\t"...)
+	buf = appendMateFields(append(buf, '\t'), a, &aln, mate)
+	buf = append(buf, '\t')
 	if aln.IsRev {
-		rc := seq.RevComp(seq.Encode(read.Seq))
-		buf = append(buf, seq.Decode(rc)...)
+		for i := len(read.Seq) - 1; i >= 0; i-- {
+			buf = append(buf, seq.Base(seq.Comp(seq.Code(read.Seq[i]))))
+		}
 		buf = append(buf, '\t')
 		if len(read.Qual) > 0 {
-			buf = append(buf, reverseBytes(nil, read.Qual)...)
+			for i := len(read.Qual) - 1; i >= 0; i-- {
+				buf = append(buf, read.Qual[i])
+			}
 		} else {
 			buf = append(buf, '*')
 		}

@@ -65,7 +65,7 @@ func (b BiInterval) String() string {
 }
 
 // Index is the FM-index: the BWT plus one occurrence table (exactly one of
-// occBP, occ128, occ32 is set; rank queries test the serving occBP first).
+// occBP, occ128, occ32 is set).
 type Index struct {
 	B      *bwt.BWT
 	flavor Flavor
@@ -162,50 +162,22 @@ func (x *Index) traceOcc(k int) {
 	tr.Load(trace.OccBase+uint64(x.entryIndex(k))*occEntryBytes, occEntryBytes)
 }
 
-// count4 returns occurrences of each base in B0[0..k]; k must be in
-// [-1, N-1].
-func (x *Index) count4(k int) [4]int {
-	if k < 0 {
-		return [4]int{}
+// traceExtend accounts for one extension whose stored rank bounds are k <=
+// l. When both fall into the same occurrence bucket — increasingly likely
+// as matches lengthen and intervals shrink (§4.2) — the bucket is visited
+// once (BWA's bwt_2occ4); otherwise each non-negative bound costs a visit.
+func (x *Index) traceExtend(k, l int) {
+	x.tr.Extends++
+	if k >= 0 && x.entryIndex(k) == x.entryIndex(l) {
+		x.traceOcc(l)
+		return
 	}
-	if x.tr != nil {
+	if k >= 0 {
 		x.traceOcc(k)
 	}
-	if x.occBP != nil {
-		return x.occBP.Count4(k)
+	if l >= 0 {
+		x.traceOcc(l)
 	}
-	if x.occ128 != nil {
-		return x.occ128.Count4(k)
-	}
-	return x.occ32.Count4(k)
-}
-
-// occ4 returns occurrences of each base in the full transform column
-// B'[0..row]; row must be in [-1, N].
-func (x *Index) occ4(row int) [4]int {
-	return x.count4(x.B.RankShift(row))
-}
-
-// occ4Pair computes occ4 at two rows at once (BWA's bwt_2occ4): when both
-// rows fall into the same occurrence bucket — increasingly likely as
-// matches lengthen and intervals shrink (§4.2) — the bucket is visited
-// once, halving the memory traffic of an extension.
-func (x *Index) occ4Pair(rowK, rowL int) (ck, cl [4]int) {
-	k := x.B.RankShift(rowK)
-	l := x.B.RankShift(rowL)
-	if k < 0 || l < 0 || x.entryIndex(k) != x.entryIndex(l) {
-		return x.count4(k), x.count4(l)
-	}
-	if x.tr != nil {
-		x.traceOcc(l) // one bucket visit covers both rank bounds
-	}
-	if x.occBP != nil {
-		return x.occBP.count4Pair(k, l)
-	}
-	if x.occ128 != nil {
-		return x.occ128.Count4(k), x.occ128.Count4(l)
-	}
-	return x.occ32.Count4(k), x.occ32.Count4(l)
 }
 
 // Occ returns occurrences of base c in B'[0..row]; row must be in [-1, N].
@@ -235,25 +207,28 @@ func (x *Index) SetIntv(c byte) BiInterval {
 // (BWA's bwt_extend, the paper's Algorithms 2-3) into ok. With isBack true
 // the result for prepending base b is ok[b]; with isBack false the result
 // for appending base b is ok[3-b] (the complement trick of Algorithm 3).
-// Writing into the caller's array saves the search loops copying a
-// 128-byte result per extension.
+// It writes K, L and S of all four entries; QBeg and QEnd belong to the
+// caller and keep whatever it last stored there. Writing into the caller's
+// array saves the search loops copying a 128-byte result per extension.
+//
+//bwalint:hot
 func (x *Index) Extend(ik BiInterval, isBack bool, ok *[4]BiInterval) {
-	if x.tr != nil {
-		x.tr.Extends++
-	}
 	a, b := ik.K, ik.L
 	if !isBack {
 		a, b = b, a
 	}
-	tk, tl := x.occ4Pair(a-1, a+ik.S-1)
-	for c := 0; c < 4; c++ {
-		na := x.B.C[c] + tk[c]
-		if isBack {
-			ok[c].K = na
-		} else {
-			ok[c].L = na
-		}
-		ok[c].S = tl[c] - tk[c]
+	k, l := x.B.RankShift(a-1), x.B.RankShift(a+ik.S-1)
+	if x.tr != nil {
+		x.traceExtend(k, l)
+	}
+	var tk, tl [4]int
+	switch {
+	case x.occBP != nil:
+		x.occBP.countPair(k, l, &tk, &tl)
+	case x.occ128 != nil:
+		tk, tl = x.occ128.Count4(k), x.occ128.Count4(l)
+	default:
+		tk, tl = x.occ32.Count4(k), x.occ32.Count4(l)
 	}
 	// Rows whose suffix is exactly the current match followed by the
 	// sentinel partition ahead of all base extensions; there is at most one
@@ -262,13 +237,18 @@ func (x *Index) Extend(ik BiInterval, isBack bool, ok *[4]BiInterval) {
 	if a <= x.B.Primary && x.B.Primary <= a+ik.S-1 {
 		cum++
 	}
-	for c := 3; c >= 0; c-- {
-		if isBack {
-			ok[c].L = cum
-		} else {
-			ok[c].K = cum
+	if isBack {
+		for c := 3; c >= 0; c-- {
+			s := tl[c] - tk[c]
+			ok[c].K, ok[c].L, ok[c].S = x.B.C[c]+tk[c], cum, s
+			cum += s
 		}
-		cum += ok[c].S
+		return
+	}
+	for c := 3; c >= 0; c-- {
+		s := tl[c] - tk[c]
+		ok[c].K, ok[c].L, ok[c].S = cum, x.B.C[c]+tk[c], s
+		cum += s
 	}
 }
 

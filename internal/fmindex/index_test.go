@@ -1,6 +1,7 @@
 package fmindex
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -199,11 +200,155 @@ func TestFlavorsAgreeOnOcc(t *testing.T) {
 	xo, _, _ := Build(text, Optimized)
 	x32, _, _ := Build(text, Eta32)
 	for k := -1; k <= len(text); k++ {
-		ob, oo, o32 := xb.occ4(k), xo.occ4(k), x32.occ4(k)
-		if ob != oo || ob != o32 {
-			t.Fatalf("occ4(%d): baseline %v optimized %v eta32 %v", k, ob, oo, o32)
+		for c := byte(0); c < 4; c++ {
+			ob, oo, o32 := xb.Occ(c, k), xo.Occ(c, k), x32.Occ(c, k)
+			if ob != oo || ob != o32 {
+				t.Fatalf("Occ(%d,%d): baseline %d optimized %d eta32 %d", c, k, ob, oo, o32)
+			}
 		}
 	}
+}
+
+// bruteRank is the full-matrix row at which pat's interval starts, found by
+// scanning the text: one for the sentinel row plus every suffix of text$
+// that sorts before all suffixes starting with pat. pat must be non-empty.
+func bruteRank(text, pat []byte) int {
+	r := 1
+	for i := range text {
+		s := text[i:]
+		j := 0
+		for j < len(s) && j < len(pat) && s[j] == pat[j] {
+			j++
+		}
+		if j < len(pat) && (j == len(s) || s[j] < pat[j]) {
+			r++
+		}
+	}
+	return r
+}
+
+// bruteBi is the bi-interval of pat computed without the index. The empty
+// pattern's interval is the whole matrix, rows 0..N.
+func bruteBi(text, pat []byte) BiInterval {
+	if len(pat) == 0 {
+		return BiInterval{K: 0, L: 0, S: len(text) + 1}
+	}
+	return BiInterval{K: bruteRank(text, pat), L: bruteRank(text, seq.RevComp(pat)), S: countOcc(text, pat)}
+}
+
+// checkExtend extends the brute-force interval of pat in both directions
+// and checks every entry against the brute-force interval of base+pat
+// (backward) or pat+base (forward). QBeg/QEnd are the caller's and must
+// come back untouched.
+func checkExtend(t *testing.T, x *Index, text, pat []byte) {
+	t.Helper()
+	ik := bruteBi(text, pat)
+	for _, isBack := range []bool{true, false} {
+		var ok [4]BiInterval
+		for c := range ok {
+			ok[c].QBeg, ok[c].QEnd = int32(c), -int32(c)
+		}
+		x.Extend(ik, isBack, &ok)
+		for b := byte(0); b < 4; b++ {
+			ext, got := append([]byte{b}, pat...), ok[b]
+			if !isBack {
+				ext, got = append(append([]byte(nil), pat...), b), ok[3-b]
+			}
+			want := bruteBi(text, ext)
+			if got.K != want.K || got.L != want.L || got.S != want.S {
+				t.Fatalf("%v: Extend(%v, back=%v) for %v = %v, brute %v", x.Flavor(), ik, isBack, ext, got, want)
+			}
+		}
+		for c := range ok {
+			if ok[c].QBeg != int32(c) || ok[c].QEnd != -int32(c) {
+				t.Fatalf("%v: Extend overwrote the caller's QBeg/QEnd: %v", x.Flavor(), ok[c])
+			}
+		}
+	}
+}
+
+// TestExtendMatchesBruteForce checks Extend against occurrence counts and
+// ranks taken straight from the doubled text, for every flavor, traced and
+// untraced. The pattern set covers the empty pattern (bounds at rows -1 and
+// N), text prefixes (intervals holding the primary row), text suffixes,
+// text substrings and random patterns (mostly empty intervals).
+func TestExtendMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	texts := [][]byte{doubledText(bytes.Repeat([]byte{0}, 70)), doubledText(bytes.Repeat([]byte{1, 2}, 90))}
+	for i := 0; i < 4; i++ {
+		texts = append(texts, doubledText(randText(rng, 40+rng.Intn(260))))
+	}
+	for _, text := range texts {
+		n := len(text)
+		pats := [][]byte{nil}
+		for m := 1; m <= 12; m++ {
+			pats = append(pats, text[:m], text[n-m:])
+		}
+		for p := 0; p < 40; p++ {
+			m := 1 + rng.Intn(10)
+			if p&1 == 0 {
+				pats = append(pats, randText(rng, m))
+			} else {
+				off := rng.Intn(n - m + 1)
+				pats = append(pats, text[off:off+m])
+			}
+		}
+		for _, flavor := range []Flavor{Baseline, Optimized, Eta32} {
+			x, _, err := Build(text, flavor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, traced := range []bool{false, true} {
+				tr := &trace.Tracer{}
+				if traced {
+					x.SetTracer(tr)
+				}
+				for _, pat := range pats {
+					checkExtend(t, x, text, pat)
+				}
+				x.SetTracer(nil)
+				if traced && tr.Extends != int64(2*len(pats)) {
+					t.Fatalf("%v: traced %d extensions, want %d", flavor, tr.Extends, 2*len(pats))
+				}
+			}
+		}
+	}
+}
+
+// FuzzExtend runs the brute-force Extend check over a fuzzed text, a
+// fuzzed pattern and the text substring of the same length at an offset
+// taken from the pattern.
+func FuzzExtend(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 3, 1}, []byte{1, 2})
+	f.Add(bytes.Repeat([]byte{2}, 150), []byte{2, 2, 2})
+	f.Add(bytes.Repeat([]byte{0, 3, 1}, 50), []byte{})
+	f.Fuzz(func(t *testing.T, rawText, rawPat []byte) {
+		if len(rawText) == 0 || len(rawText) > 400 || len(rawPat) > 16 {
+			return
+		}
+		fwd := make([]byte, len(rawText))
+		for i, b := range rawText {
+			fwd[i] = b & 3
+		}
+		text := doubledText(fwd)
+		pat := make([]byte, len(rawPat))
+		for i, b := range rawPat {
+			pat[i] = b & 3
+		}
+		var sub []byte
+		if m := len(pat); m > 0 && m <= len(text) {
+			off := int(rawPat[0]) % (len(text) - m + 1)
+			sub = text[off : off+m]
+		}
+		for _, flavor := range []Flavor{Baseline, Optimized, Eta32} {
+			x, _, err := Build(text, flavor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkExtend(t, x, text, pat)
+			checkExtend(t, x, text, sub)
+		}
+	})
 }
 
 func TestTracerCountsAndCache(t *testing.T) {
@@ -228,22 +373,40 @@ func TestTracerCountsAndCache(t *testing.T) {
 	_ = mems
 }
 
+// TestOcc4PairMatchesSeparate checks that the two rank bounds Extend reads
+// in one table call agree with separate Occ queries at each bound, for
+// every flavor, and that the bit-plane pair routine agrees with Count4.
 func TestOcc4PairMatchesSeparate(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	text := doubledText(randText(rng, 800))
 	for _, flavor := range []Flavor{Baseline, Optimized, Eta32} {
 		x, _, _ := Build(text, flavor)
 		n := len(text)
+		var ok [4]BiInterval
 		for trial := 0; trial < 2000; trial++ {
 			a := rng.Intn(n+2) - 1
 			b := rng.Intn(n+2) - 1
 			if trial&1 == 1 { // a nearby bound, usually in a's bucket
 				b = min(a+rng.Intn(64), n)
 			}
-			ck, cl := x.occ4Pair(a, b)
-			if ck != x.occ4(a) || cl != x.occ4(b) {
-				t.Fatalf("%v: occ4Pair(%d,%d) = %v,%v; separate %v,%v",
-					flavor, a, b, ck, cl, x.occ4(a), x.occ4(b))
+			a, b = min(a, b), max(a, b)
+			// Rank bounds a and b: the interval of rows a+1..b.
+			x.Extend(BiInterval{K: a + 1, S: b - a}, true, &ok)
+			for c := byte(0); c < 4; c++ {
+				ck, cl := x.Occ(c, a), x.Occ(c, b)
+				if ok[c].K != x.B.C[c]+ck || ok[c].S != cl-ck {
+					t.Fatalf("%v: Extend with bounds (%d,%d), base %d: K=%d S=%d; separate occ %d,%d",
+						flavor, a, b, c, ok[c].K, ok[c].S, ck, cl)
+				}
+			}
+			if flavor == Optimized {
+				k, l := x.B.RankShift(a), x.B.RankShift(b)
+				var ck, cl [4]int
+				x.occBP.countPair(k, l, &ck, &cl)
+				if ck != x.occBP.Count4(k) || cl != x.occBP.Count4(l) {
+					t.Fatalf("countPair(%d,%d) = %v,%v; separate %v,%v",
+						k, l, ck, cl, x.occBP.Count4(k), x.occBP.Count4(l))
+				}
 			}
 		}
 	}
@@ -256,15 +419,17 @@ func TestOcc4PairSharedBucketTracesOnce(t *testing.T) {
 		x, _, _ := Build(text, flavor)
 		tr := &trace.Tracer{}
 		x.SetTracer(tr)
-		// Rows whose shifted positions share one bucket (η=32 or 128): pick
-		// two rows in the same bucket well away from the primary row.
+		// Rank bounds whose shifted positions share one bucket (η=32 or
+		// 128): pick two rows in the same bucket well away from the primary
+		// row, and extend the interval between them.
 		base := ((x.B.Primary + 64) / 32) * 32
-		x.occ4Pair(base+1, base+20)
-		if tr.OccCalls != 1 {
+		var ok [4]BiInterval
+		x.Extend(BiInterval{K: base + 2, S: 19}, true, &ok) // bounds base+1, base+20
+		if tr.OccCalls != 1 || tr.Extends != 1 {
 			t.Fatalf("%v: shared-bucket pair should cost one visit, got %d", flavor, tr.OccCalls)
 		}
 		tr.ResetCounters()
-		x.occ4Pair(base+1, base+200)
+		x.Extend(BiInterval{K: base + 2, S: 199}, true, &ok) // bounds base+1, base+200
 		if tr.OccCalls != 2 {
 			t.Fatalf("%v: split pair should cost two visits, got %d", flavor, tr.OccCalls)
 		}

@@ -82,11 +82,11 @@ func NewOccBP(b0 []byte) *OccBP {
 	return o
 }
 
-// count4 returns occurrences of all four bases in B0[line start..k] plus
-// the line's counts. Both words are masked without a branch: r0 = min(r,
-// 64) and r1 = r - r0 turn into all-ones / zero masks because a uint64
-// shift by 64 is 0 in Go.
-func (ln *occBPLine) count4(k int) [4]int {
+// count4 writes occurrences of all four bases in B0[0..k] into cnt: the
+// line's counts plus those in B0[line start..k]. Both words are masked
+// without a branch: r0 = min(r, 64) and r1 = r - r0 turn into all-ones /
+// zero masks because a uint64 shift by 64 is 0 in Go.
+func (ln *occBPLine) count4(k int, cnt *[4]int) {
 	r := k&127 + 1
 	r0 := min(r, 64)
 	m0 := uint64(1)<<uint(r0) - 1
@@ -96,7 +96,10 @@ func (ln *occBPLine) count4(k int) [4]int {
 	c3 := bits.OnesCount64(h0&l0) + bits.OnesCount64(h1&l1)
 	c2 := bits.OnesCount64(h0&^l0) + bits.OnesCount64(h1&^l1)
 	c1 := bits.OnesCount64(l0&^h0) + bits.OnesCount64(l1&^h1)
-	return [4]int{int(ln.counts[0]) + r - c1 - c2 - c3, int(ln.counts[1]) + c1, int(ln.counts[2]) + c2, int(ln.counts[3]) + c3}
+	cnt[0] = int(ln.counts[0]) + r - c1 - c2 - c3
+	cnt[1] = int(ln.counts[1]) + c1
+	cnt[2] = int(ln.counts[2]) + c2
+	cnt[3] = int(ln.counts[3]) + c3
 }
 
 // Count returns occurrences of c in B0[0..k]; k must be in [-1, n-1]. Only
@@ -107,18 +110,30 @@ func (o *OccBP) Count(c byte, k int) int { return o.Count4(k)[c] }
 // Count4 returns occurrences of all four bases in B0[0..k].
 //
 //bwalint:hot
-func (o *OccBP) Count4(k int) [4]int {
-	if k < 0 {
-		return [4]int{}
+func (o *OccBP) Count4(k int) (cnt [4]int) {
+	if k >= 0 {
+		o.lines[k>>7].count4(k, &cnt)
 	}
-	return o.lines[k>>7].count4(k)
+	return
 }
 
-// count4Pair is Count4 at two positions in the same line (k>>7 == l>>7,
-// both >= 0), reading the line once.
-func (o *OccBP) count4Pair(k, l int) (ck, cl [4]int) {
-	ln := &o.lines[l>>7]
-	return ln.count4(k), ln.count4(l)
+// countPair writes Count4(k) into ck and Count4(l) into cl, for k <= l in
+// [-1, n-1] — the two rank bounds of one Index.Extend, its only caller.
+// When both bounds share a line (the common case once intervals shrink,
+// §4.2) the second read of the line hits L1.
+//
+//bwalint:hot
+func (o *OccBP) countPair(k, l int, ck, cl *[4]int) {
+	if k >= 0 {
+		o.lines[k>>7].count4(k, ck)
+	} else {
+		*ck = [4]int{}
+	}
+	if l >= 0 {
+		o.lines[l>>7].count4(l, cl)
+	} else {
+		*cl = [4]int{}
+	}
 }
 
 // wordsFor reports how many 64-base words hold B0[line start..k].
