@@ -1,8 +1,10 @@
-// Command experiments regenerates the paper's application-level
-// experiments: Table 1 (run-time breakdown), Figure 4 (thread scaling) and
-// Figure 5 (end-to-end baseline-vs-optimized comparison), or everything —
-// including the kernel tables — with -all. Its output is the raw material
-// recorded in EXPERIMENTS.md.
+// Command experiments regenerates the paper's experiments: Table 1
+// (run-time breakdown), Figure 4 (thread scaling), Figure 5 (end-to-end
+// baseline-vs-optimized comparison), the kernel-level Tables 4-8 (SMEM and
+// SAL counters, BSW engine times, instruction analysis and time breakdown)
+// and the design-choice ablations from DESIGN.md. Each selector runs one
+// experiment; with none (or -all) it runs everything. Its output is the raw
+// material recorded in EXPERIMENTS.md.
 package main
 
 import (
@@ -19,12 +21,18 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "read-count scale over the D1-D5 profiles")
 		threads = flag.Int("maxthreads", 0, "top of the Figure 4 sweep (0 = NumCPU)")
 		t1      = flag.Bool("table1", false, "run Table 1 (run-time profile)")
+		t4      = flag.Bool("table4", false, "run Table 4 (SMEM kernel counters)")
+		t5      = flag.Bool("table5", false, "run Table 5 (SAL kernel counters)")
+		t6      = flag.Bool("table6", false, "run Table 6 (BSW engine comparison)")
+		t7      = flag.Bool("table7", false, "run Table 7 (BSW instruction analysis)")
+		t8      = flag.Bool("table8", false, "run Table 8 (BSW time breakdown)")
 		f4      = flag.Bool("fig4", false, "run Figure 4 (thread scaling)")
 		f5      = flag.Bool("fig5", false, "run Figure 5 (end-to-end comparison)")
-		all     = flag.Bool("all", false, "run every table and figure")
+		abl     = flag.Bool("ablations", false, "run the design-choice ablations")
+		all     = flag.Bool("all", false, "run every table, figure and ablation")
 	)
 	flag.Parse()
-	if !(*t1 || *f4 || *f5 || *all) {
+	if !(*t1 || *t4 || *t5 || *t6 || *t7 || *t8 || *f4 || *f5 || *abl || *all) {
 		*all = true
 	}
 	cfg := experiments.Default()
@@ -50,15 +58,15 @@ func main() {
 		}
 	}
 	run(*t1, func() error { return experiments.Table1(w, env) })
-	run(*all, func() error { return experiments.Table4(w, env) })
-	run(*all, func() error { return experiments.Table5(w, env) })
-	run(*all, func() error { return experiments.Table6(w, env) })
-	run(*all, func() error { return experiments.Table7(w, env) })
-	run(*all, func() error { return experiments.Table8(w, env) })
+	run(*t4, func() error { return experiments.Table4(w, env) })
+	run(*t5, func() error { return experiments.Table5(w, env) })
+	run(*t6, func() error { return experiments.Table6(w, env) })
+	run(*t7, func() error { return experiments.Table7(w, env) })
+	run(*t8, func() error { return experiments.Table8(w, env) })
 	run(*f4, func() error { return experiments.Figure4(w, env) })
 	run(*f5, func() error { return experiments.Figure5(w, env) })
-	run(*all, func() error { return experiments.AblationSACompression(w, env) })
-	run(*all, func() error { return experiments.AblationBSWWidth(w, env) })
-	run(*all, func() error { return experiments.AblationBSWSort(w, env) })
-	run(*all, func() error { return experiments.AblationBatchSize(w, env) })
+	run(*abl, func() error { return experiments.AblationSACompression(w, env) })
+	run(*abl, func() error { return experiments.AblationBSWWidth(w, env) })
+	run(*abl, func() error { return experiments.AblationBSWSort(w, env) })
+	run(*abl, func() error { return experiments.AblationBatchSize(w, env) })
 }

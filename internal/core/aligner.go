@@ -149,9 +149,8 @@ func (a *Aligner) AlignRead(q []byte, ws *Workspace) []Region {
 	chains := a.chainRead(q, ws)
 	t0 := time.Now()
 	var regs []Region
-	ext := a.scalarExtend(&ws.scalar, nil)
 	for _, c := range chains {
-		regs = a.extendChain(q, c, regs, ext, ws)
+		regs = a.extendChain(q, c, regs, ws)
 	}
 	ws.Clock.Add(counters.StageBSW, time.Since(t0))
 	t1 := time.Now()
@@ -171,7 +170,6 @@ func (a *Aligner) CollectBSWJobs(reads [][]byte, ws *Workspace) []bsw.Job {
 	if ws == nil {
 		ws = &Workspace{}
 	}
-	ext := a.scalarExtend(&ws.scalar, nil)
 	var left, right []bsw.Job
 	for _, q := range reads {
 		for _, c := range a.chainRead(q, ws) {
@@ -187,7 +185,7 @@ func (a *Aligner) CollectBSWJobs(reads [][]byte, ws *Workspace) []bsw.Job {
 						Target: reverseBytes(nil, rseq[:s.RBeg-rmax0]),
 						W:      a.Opts.W, H0: s.Len * a.Opts.MatchScore}
 					left = append(left, job)
-					res, _ := ext(&a.par5, job.Query, job.Target, job.H0, -1)
+					res, _ := a.extend(&ws.scalar, &a.par5, job.Query, job.Target, job.H0, -1)
 					a.applyLeft(&reg, s, res)
 				} else {
 					a.applyNoLeft(&reg, s)

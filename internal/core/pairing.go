@@ -235,7 +235,7 @@ func (a *Aligner) AppendSAMPair(buf []byte, ps *PairStats,
 		aln1 = a.regToAln(q1, &r1)
 		aln2 = a.regToAln(q2, &r2)
 		// Pairing confidence caps how much an ambiguous end can borrow.
-		qPe := a.rawPairMapq(sel.Score, maxInt(sel.Sub, scoreUnOf(regs1, regs2)))
+		qPe := a.rawPairMapq(sel.Score, max(sel.Sub, scoreUnOf(regs1, regs2)))
 		for _, p := range []*Alignment{&aln1, &aln2} {
 			if p.Mapq < qPe {
 				boost := p.Mapq + 40

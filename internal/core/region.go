@@ -97,7 +97,7 @@ func (a *Aligner) seedContainedIn(regs []Region, s *chain.Seed, qlen int) int {
 			continue // the seed might still yield a better alignment
 		}
 		qd, rd := s.QBeg-p.QB, s.RBeg-p.RB
-		w := a.Opts.calMaxGap(minInt(qd, rd))
+		w := a.Opts.calMaxGap(min(qd, rd))
 		if p.W < w {
 			w = p.W
 		}
@@ -105,7 +105,7 @@ func (a *Aligner) seedContainedIn(regs []Region, s *chain.Seed, qlen int) int {
 			return i
 		}
 		qd, rd = p.QE-(s.QBeg+s.Len), p.RE-(s.RBeg+s.Len)
-		w = a.Opts.calMaxGap(minInt(qd, rd))
+		w = a.Opts.calMaxGap(min(qd, rd))
 		if p.W < w {
 			w = p.W
 		}
@@ -138,28 +138,23 @@ func hasOverlappingSeed(c *chain.Chain, srt []uint64, k int, s *chain.Seed) bool
 	return false
 }
 
-// extendFn runs one banded extension with band-doubling retry. prev0 seeds
-// the convergence test exactly as mem_chain2aln does (-1 for left
+// extend runs one banded scalar extension with band-doubling retry. prev0
+// seeds the convergence test exactly as mem_chain2aln does (-1 for left
 // extensions, the post-left score for right extensions). It returns the
 // result and the band width actually used.
-type extendFn func(par *bsw.Params, qseg, tseg []byte, h0, prev0 int) (bsw.ExtResult, int)
-
-// scalarExtend is the baseline engine: immediate scalar extension.
-func (a *Aligner) scalarExtend(buf *bsw.ScalarBuf, st *bsw.CellStats) extendFn {
-	return func(par *bsw.Params, qseg, tseg []byte, h0, prev0 int) (bsw.ExtResult, int) {
-		var res bsw.ExtResult
-		prev := prev0
-		aw := a.Opts.W
-		for i := 0; i < maxBandTry; i++ {
-			aw = a.Opts.W << i
-			res = bsw.ExtendScalar(par, qseg, tseg, aw, h0, buf, st)
-			if res.Score == prev || res.MaxOff < (aw>>1)+(aw>>2) {
-				break
-			}
-			prev = res.Score
+func (a *Aligner) extend(buf *bsw.ScalarBuf, par *bsw.Params, qseg, tseg []byte, h0, prev0 int) (bsw.ExtResult, int) {
+	var res bsw.ExtResult
+	prev := prev0
+	aw := a.Opts.W
+	for i := 0; i < maxBandTry; i++ {
+		aw = a.Opts.W << i
+		res = bsw.ExtendScalar(par, qseg, tseg, aw, h0, buf, nil)
+		if res.Score == prev || res.MaxOff < (aw>>1)+(aw>>2) {
+			break
 		}
-		return res, aw
+		prev = res.Score
 	}
+	return res, aw
 }
 
 // newRegion starts a region for seed s of chain c.
@@ -225,10 +220,9 @@ func finishRegion(reg *Region, s *chain.Seed, c *chain.Chain, aw0, aw1 int) {
 }
 
 // buildRegion assembles the alignment region of one seed from its left and
-// right extensions (the core of mem_chain2aln), running extensions through
-// ext immediately.
+// right extensions (the core of mem_chain2aln).
 func (a *Aligner) buildRegion(q []byte, s *chain.Seed, c *chain.Chain,
-	rmax0 int, rseq []byte, ext extendFn, ws *Workspace) Region {
+	rmax0 int, rseq []byte, ws *Workspace) Region {
 	qlen := len(q)
 	reg := a.newRegion(c)
 	aw0, aw1 := a.Opts.W, a.Opts.W
@@ -236,7 +230,7 @@ func (a *Aligner) buildRegion(q []byte, s *chain.Seed, c *chain.Chain,
 	if s.QBeg > 0 { // left extension, on reversed sequences
 		ws.qrev = reverseBytes(ws.qrev, q[:s.QBeg])
 		ws.trev = reverseBytes(ws.trev, rseq[:s.RBeg-rmax0])
-		res, aw := ext(&a.par5, ws.qrev, ws.trev, s.Len*a.Opts.MatchScore, -1)
+		res, aw := a.extend(&ws.scalar, &a.par5, ws.qrev, ws.trev, s.Len*a.Opts.MatchScore, -1)
 		aw0 = aw
 		a.applyLeft(&reg, s, res)
 	} else {
@@ -247,7 +241,7 @@ func (a *Aligner) buildRegion(q []byte, s *chain.Seed, c *chain.Chain,
 		sc0 := reg.Score
 		qe := s.QBeg + s.Len
 		re := s.RBeg + s.Len - rmax0
-		res, aw := ext(&a.par3, q[qe:], rseq[re:], sc0, sc0)
+		res, aw := a.extend(&ws.scalar, &a.par3, q[qe:], rseq[re:], sc0, sc0)
 		aw1 = aw
 		a.applyRight(&reg, s, qlen, rmax0, sc0, res)
 	} else {
@@ -258,9 +252,9 @@ func (a *Aligner) buildRegion(q []byte, s *chain.Seed, c *chain.Chain,
 }
 
 // extendChain walks one chain's seeds best-first, skipping seeds contained
-// in earlier regions (mem_chain2aln's online heuristic), extending the rest
-// through ext, and appending the resulting regions.
-func (a *Aligner) extendChain(q []byte, c *chain.Chain, regs []Region, ext extendFn, ws *Workspace) []Region {
+// in earlier regions (mem_chain2aln's online heuristic), extending the rest,
+// and appending the resulting regions.
+func (a *Aligner) extendChain(q []byte, c *chain.Chain, regs []Region, ws *Workspace) []Region {
 	if len(c.Seeds) == 0 {
 		return regs
 	}
@@ -274,7 +268,7 @@ func (a *Aligner) extendChain(q []byte, c *chain.Chain, regs []Region, ext exten
 				continue
 			}
 		}
-		regs = append(regs, a.buildRegion(q, s, c, rmax0, rseq, ext, ws))
+		regs = append(regs, a.buildRegion(q, s, c, rmax0, rseq, ws))
 	}
 	return regs
 }
@@ -312,8 +306,8 @@ func (a *Aligner) dedupRegions(regs []Region) []Region {
 				} else {
 					oq = p.QE - q.QB
 				}
-				mr := minInt(q.RE-q.RB, p.RE-p.RB)
-				mq := minInt(q.QE-q.QB, p.QE-p.QB)
+				mr := min(q.RE-q.RB, p.RE-p.RB)
+				mq := min(q.QE-q.QB, p.QE-p.QB)
 				if float64(or) > a.Opts.MaskLevelRedun*float64(mr) &&
 					float64(oq) > a.Opts.MaskLevelRedun*float64(mq) {
 					if p.Score < q.Score {
@@ -378,10 +372,10 @@ func (a *Aligner) markPrimary(regs []Region) {
 		k := 0
 		for ; k < len(z); k++ {
 			j := z[k]
-			bMax := maxInt(regs[j].QB, regs[i].QB)
-			eMin := minInt(regs[j].QE, regs[i].QE)
+			bMax := max(regs[j].QB, regs[i].QB)
+			eMin := min(regs[j].QE, regs[i].QE)
 			if eMin > bMax { // query overlap
-				minL := minInt(regs[i].QE-regs[i].QB, regs[j].QE-regs[j].QB)
+				minL := min(regs[i].QE-regs[i].QB, regs[j].QE-regs[j].QB)
 				if float64(eMin-bMax) >= float64(minL)*a.Opts.MaskLevel {
 					// Significant overlap: i describes the same placement
 					// question as j and becomes secondary to it. Record j's
@@ -416,7 +410,7 @@ func (a *Aligner) mapQ(r *Region) int {
 	if sub >= r.Score {
 		return 0
 	}
-	l := maxInt(r.QE-r.QB, r.RE-r.RB)
+	l := max(r.QE-r.QB, r.RE-r.RB)
 	identity := 1 - float64(l*a.Opts.MatchScore-r.Score)/
 		float64(a.Opts.MatchScore+a.Opts.MismatchPen)/float64(l)
 	var mapq int
@@ -443,18 +437,4 @@ func (a *Aligner) mapQ(r *Region) int {
 		mapq = 0
 	}
 	return int(float64(mapq)*(1-r.FracRep) + .499)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

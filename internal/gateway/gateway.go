@@ -14,6 +14,14 @@
 // request-scoped, so splitting a paired request would change its bytes).
 // Failed partitions are retried on the next healthy ring node, resuming
 // after the record groups already merged (proxy.go).
+//
+// The request plane in front of that routing is the replica's own code,
+// not a copy: server.Mount (route table, aliases, request IDs, the 405
+// gate, the 404 catch-all, the error envelope), the align intake and
+// request counters (server.RequestCounters), and the ordered response with
+// its Server-Timing hook (server.NewSAMStream). The gateway supplies only
+// its wrap hook (in-flight drain accounting) and its admission (the drain
+// check), and mounts every route but the replica-only /v1/debug/requests.
 package gateway
 
 import (
@@ -140,13 +148,12 @@ func Flags(fs *flag.FlagSet) *Config {
 // Gateway is the routing front tier. Construct with New, serve via
 // Handler/ServeHTTP, stop with Shutdown (graceful) or Close.
 type Gateway struct {
-	cfg       Config
-	replicas  []*replica
-	ring      *hashRing
-	mux       *http.ServeMux
-	met       *gwMetrics
-	bodyLimit int64
-	upstream  *http.Client
+	cfg      Config
+	replicas []*replica
+	ring     *hashRing
+	mux      *http.ServeMux
+	met      *gwMetrics
+	upstream *http.Client
 
 	draining    atomic.Bool
 	probeCancel context.CancelFunc
@@ -178,9 +185,7 @@ func New(cfg Config, opts ...Option) (*Gateway, error) {
 		seen[u] = true
 		urls = append(urls, u)
 	}
-	g := &Gateway{cfg: cfg, mux: http.NewServeMux(), met: newGwMetrics(),
-		bodyLimit: server.RequestBodyLimit(cfg.MaxReadsPerRequest, cfg.MaxReadLen),
-		probeDone: make(chan struct{})}
+	g := &Gateway{cfg: cfg, mux: http.NewServeMux(), met: newGwMetrics(), probeDone: make(chan struct{})}
 	for _, o := range opts {
 		if err := o(g); err != nil {
 			return nil, err
@@ -200,7 +205,15 @@ func New(cfg Config, opts ...Option) (*Gateway, error) {
 		g.replicas = append(g.replicas, &replica{url: u, client: cl, probe: probe})
 	}
 	g.ring = buildRing(urls, cfg.VNodes)
-	g.registerRoutes()
+	// The replica's wire surface minus its server-local debug endpoint, so
+	// a client cannot tell the tiers apart.
+	server.Mount(g.mux, map[string]http.HandlerFunc{
+		"/v1/align":        g.handleAlign,
+		"/v1/align/paired": g.handleAlignPaired,
+		"/v1/healthz":      g.handleHealthz,
+		"/v1/readyz":       g.handleReadyz,
+		"/v1/metrics":      g.handleMetrics,
+	}, &g.met.RequestCounters, g.track)
 
 	// The prober's lifetime is the gateway's, not any request's; Close
 	// cancels it.
@@ -263,97 +276,25 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
 }
 
-// registerRoutes installs the wire surface: the same /v1 routes (and
-// legacy aliases) a bwaserve exposes, minus the server-local debug
-// endpoint, so a client cannot tell the tiers apart.
-func (g *Gateway) registerRoutes() {
-	routes := []struct {
-		method, path, legacy string
-		h                    http.HandlerFunc
-	}{
-		{http.MethodPost, "/v1/align", "/align", g.handleAlign},
-		{http.MethodPost, "/v1/align/paired", "/align/paired", g.handleAlignPaired},
-		{http.MethodGet, "/v1/healthz", "/healthz", g.handleHealthz},
-		{http.MethodGet, "/v1/readyz", "", g.handleReadyz},
-		{http.MethodGet, "/v1/metrics", "/metrics", g.handleMetrics},
-	}
-	for _, rt := range routes {
-		h := g.instrument(rt.method, rt.h)
-		g.mux.HandleFunc(rt.path, h)
-		if rt.legacy != "" {
-			g.mux.HandleFunc(rt.legacy, h)
-		}
-	}
-	g.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		g.setRequestID(w, r, func(w http.ResponseWriter, r *http.Request) {
-			g.apiError(w, r, http.StatusNotFound, bwaclient.CodeNotFound,
-				fmt.Sprintf("no such route %s (see /v1/align, /v1/align/paired, /v1/healthz, /v1/metrics)", r.URL.Path))
-		})
-	})
-}
-
-// instrument wraps a handler with request-ID assignment, the in-flight
-// drain accounting, and the single-method check — the same wire
-// bookkeeping a replica applies, so envelopes stay byte-identical.
-func (g *Gateway) instrument(method string, next http.HandlerFunc) http.HandlerFunc {
+// track is the gateway's wrap hook for server.Mount: it counts the request
+// in flight for graceful drain, and the exit that takes the count to zero
+// wakes a waiting Shutdown.
+func (g *Gateway) track(_ string, next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		g.setRequestID(w, r, func(w http.ResponseWriter, r *http.Request) {
-			g.enter()
-			defer g.exit()
-			if r.Method != method {
-				w.Header().Set("Allow", method)
-				g.apiError(w, r, http.StatusMethodNotAllowed, bwaclient.CodeMethodNotAllowed,
-					fmt.Sprintf("method %s not allowed (use %s)", r.Method, method))
-				return
+		g.mu.Lock()
+		g.inflight++
+		g.mu.Unlock()
+		defer func() {
+			g.mu.Lock()
+			g.inflight--
+			if g.inflight == 0 && g.idle != nil {
+				close(g.idle)
+				g.idle = nil
 			}
-			next(w, r)
-		})
+			g.mu.Unlock()
+		}()
+		next(w, r)
 	}
-}
-
-// gwRequestIDKey keys the request ID in a request context.
-type gwCtxKey int
-
-const gwRequestIDKey gwCtxKey = iota
-
-// setRequestID resolves the request's ID exactly as a replica would —
-// client-supplied when valid, fresh otherwise — and exposes it as the
-// X-Request-Id header and in the context.
-func (g *Gateway) setRequestID(w http.ResponseWriter, r *http.Request, next http.HandlerFunc) {
-	id := r.Header.Get("X-Request-Id")
-	if !server.ValidRequestID(id) {
-		id = server.NewRequestID()
-	}
-	w.Header().Set("X-Request-Id", id)
-	next(w, r.WithContext(context.WithValue(r.Context(), gwRequestIDKey, id)))
-}
-
-// requestID returns the ID assigned by setRequestID ("" outside a request).
-func requestID(ctx context.Context) string {
-	id, _ := ctx.Value(gwRequestIDKey).(string)
-	return id
-}
-
-// apiError writes the typed JSON error envelope of the /v1 contract.
-func (g *Gateway) apiError(w http.ResponseWriter, r *http.Request, status int, code, message string) {
-	server.WriteErrorEnvelope(w, status, code, message, requestID(r.Context()))
-}
-
-// enter/exit track in-flight requests for graceful drain.
-func (g *Gateway) enter() {
-	g.mu.Lock()
-	g.inflight++
-	g.mu.Unlock()
-}
-
-func (g *Gateway) exit() {
-	g.mu.Lock()
-	g.inflight--
-	if g.inflight == 0 && g.idle != nil {
-		close(g.idle)
-		g.idle = nil
-	}
-	g.mu.Unlock()
 }
 
 // Shutdown drains the gateway: readyz flips to 503, new align requests

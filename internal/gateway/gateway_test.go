@@ -221,57 +221,84 @@ func TestGatewayErrorEnvelopesByteIdentical(t *testing.T) {
 	t.Cleanup(func() { single.Close(); s.Close() })
 	_, gw, _ := newFleet(t, 2, Config{MaxReadsPerRequest: 8})
 
+	// do sends one case's request; an empty reqID sends the fixed safe ID
+	// that pins the envelope's one nondeterministic field.
+	do := func(t *testing.T, base, method, path, ct, reqID string, body []byte) (int, http.Header, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct != "" {
+			req.Header.Set("Content-Type", ct)
+		}
+		if reqID == "" {
+			reqID = "gwtest-0001"
+		}
+		req.Header.Set("X-Request-Id", reqID)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header, b
+	}
+	const unsafeID = `evil"id`
 	cases := []struct {
-		name, path, ct string
-		body           []byte
-		wantStatus     int
+		name, method, path, ct, reqID string
+		body                          []byte
+		wantStatus                    int
 	}{
-		{"415-bad-content-type", "/v1/align", "application/xml", fastqBytes(fx.reads[:1]), http.StatusUnsupportedMediaType},
-		{"400-empty-body", "/v1/align", "application/x-fastq", nil, http.StatusBadRequest},
-		{"400-malformed-json", "/v1/align", "application/json", []byte(`{"reads":`), http.StatusBadRequest},
-		{"400-odd-interleave", "/v1/align/paired", "text/plain", fastqBytes(fx.reads[:3]), http.StatusBadRequest},
-		{"413-too-many-reads", "/v1/align", "application/x-fastq", fastqBytes(fx.reads[:9]), http.StatusRequestEntityTooLarge},
-		{"404-no-route", "/v1/nope", "application/x-fastq", fastqBytes(fx.reads[:1]), http.StatusNotFound},
+		{"415-bad-content-type", http.MethodPost, "/v1/align", "application/xml", "", fastqBytes(fx.reads[:1]), http.StatusUnsupportedMediaType},
+		{"400-empty-body", http.MethodPost, "/v1/align", "application/x-fastq", "", nil, http.StatusBadRequest},
+		{"400-malformed-json", http.MethodPost, "/v1/align", "application/json", "", []byte(`{"reads":`), http.StatusBadRequest},
+		{"400-odd-interleave", http.MethodPost, "/v1/align/paired", "text/plain", "", fastqBytes(fx.reads[:3]), http.StatusBadRequest},
+		{"413-too-many-reads", http.MethodPost, "/v1/align", "application/x-fastq", "", fastqBytes(fx.reads[:9]), http.StatusRequestEntityTooLarge},
+		{"404-no-route", http.MethodPost, "/v1/nope", "application/x-fastq", "", fastqBytes(fx.reads[:1]), http.StatusNotFound},
+		{"404-unversioned-unknown", http.MethodGet, "/nope", "", "", nil, http.StatusNotFound},
+		{"405-get-align", http.MethodGet, "/v1/align", "", "", nil, http.StatusMethodNotAllowed},
+		{"405-get-legacy-align", http.MethodGet, "/align", "", "", nil, http.StatusMethodNotAllowed},
+		{"415-unsafe-request-id-replaced", http.MethodPost, "/v1/align", "application/xml", unsafeID, fastqBytes(fx.reads[:1]), http.StatusUnsupportedMediaType},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wantCode, _, want := doPost(t, single.URL, tc.path, tc.ct, tc.body)
-			gotCode, _, got := doPost(t, gw.URL, tc.path, tc.ct, tc.body)
+			wantCode, wantHdr, want := do(t, single.URL, tc.method, tc.path, tc.ct, tc.reqID, tc.body)
+			gotCode, gotHdr, got := do(t, gw.URL, tc.method, tc.path, tc.ct, tc.reqID, tc.body)
 			if wantCode != tc.wantStatus {
 				t.Fatalf("single server status %d, expected %d: %s", wantCode, tc.wantStatus, want)
+			}
+			if tc.reqID == unsafeID {
+				// Both tiers must mint a fresh 16-hex-char ID in place of the
+				// unsafe one and carry it in the envelope; with each side's
+				// own ID masked the envelopes are byte-identical.
+				for _, side := range []struct {
+					hdr  http.Header
+					body *[]byte
+				}{{wantHdr, &want}, {gotHdr, &got}} {
+					id := side.hdr.Get("X-Request-Id")
+					if len(id) != 16 || strings.Trim(id, "0123456789abcdef") != "" {
+						t.Fatalf("unsafe X-Request-Id answered with %q, want a fresh 16-hex-char ID", id)
+					}
+					if !bytes.Contains(*side.body, []byte(`"request_id":"`+id+`"`)) {
+						t.Fatalf("envelope %q does not carry the replacement ID %q", *side.body, id)
+					}
+					*side.body = bytes.ReplaceAll(*side.body, []byte(id), []byte("<id>"))
+				}
 			}
 			if gotCode != wantCode || !bytes.Equal(got, want) {
 				t.Fatalf("gateway envelope (%d) %q differs from single server (%d) %q",
 					gotCode, got, wantCode, want)
 			}
+			if tc.wantStatus == http.StatusMethodNotAllowed {
+				if a, sa := gotHdr.Get("Allow"), wantHdr.Get("Allow"); a != "POST" || sa != "POST" {
+					t.Fatalf("Allow header gateway %q / single %q, want POST", a, sa)
+				}
+			}
 		})
-	}
-
-	// Method check, same idea with GET.
-	req, _ := http.NewRequest(http.MethodGet, gw.URL+"/v1/align", nil)
-	req.Header.Set("X-Request-Id", "gwtest-0001")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	sreq, _ := http.NewRequest(http.MethodGet, single.URL+"/v1/align", nil)
-	sreq.Header.Set("X-Request-Id", "gwtest-0001")
-	sresp, err := http.DefaultClient.Do(sreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := io.ReadAll(sresp.Body)
-	sresp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed || sresp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("405 expected, got gateway %d / single %d", resp.StatusCode, sresp.StatusCode)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("405 envelope %q differs from single server %q", got, want)
-	}
-	if a := resp.Header.Get("Allow"); a != "POST" {
-		t.Fatalf("Allow header %q, want POST", a)
 	}
 }
 
@@ -465,6 +492,9 @@ func TestGatewayPairedRetryReplays(t *testing.T) {
 			t.Fatalf("paired subset at %d: status %d/%d or bytes differ", off, gc, wc)
 		}
 		landed = aligns.Load() > 0 && g.met.retries.Load() > 0
+	}
+	if !landed {
+		t.Fatal("no paired subset landed on the flaky replica; the paired replay path was not exercised")
 	}
 	gotCode, _, got := doPost(t, gw.URL, "/v1/align/paired?header=0", "text/plain", body)
 	if wantCode != http.StatusOK || gotCode != http.StatusOK {

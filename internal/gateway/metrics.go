@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/server"
 )
 
 // gwMetrics aggregates the gateway-level counters exposed on /v1/metrics.
@@ -17,15 +18,9 @@ import (
 // and bwagate_go_* runtime gauges match the shapes the soak harness (and
 // any dashboard built for bwaserve) already parses.
 type gwMetrics struct {
-	start time.Time
+	server.RequestCounters // the request counters both tiers share
 
-	singleRequests atomic.Int64 // accepted /align requests
-	pairedRequests atomic.Int64 // accepted /align/paired requests
-	badRequests    atomic.Int64 // 400/405/415: malformed input
-	rejectedLarge  atomic.Int64 // 413: body/read policy
-	rejectedDrain  atomic.Int64 // 503: gateway shutting down
-	readsTotal     atomic.Int64 // reads accepted for routing (pairs count 2)
-	samBytes       atomic.Int64 // merged SAM bytes written to clients
+	start time.Time
 
 	spills     atomic.Int64 // assignments moved past the ring owner (bounded load)
 	retries    atomic.Int64 // partition re-dispatches after upstream failure
@@ -48,14 +43,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&buf, "bwagate_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
 	fmt.Fprintf(&buf, "bwagate_replicas %d\n", len(g.replicas))
 	fmt.Fprintf(&buf, "bwagate_replicas_up %d\n", g.healthyCount())
-	fmt.Fprintf(&buf, "bwagate_requests_total{kind=%q} %d\n", "single", m.singleRequests.Load())
-	fmt.Fprintf(&buf, "bwagate_requests_total{kind=%q} %d\n", "paired", m.pairedRequests.Load())
-	fmt.Fprintf(&buf, "bwagate_requests_rejected_total{reason=%q} %d\n", "too_large", m.rejectedLarge.Load())
-	fmt.Fprintf(&buf, "bwagate_requests_rejected_total{reason=%q} %d\n", "draining", m.rejectedDrain.Load())
-	fmt.Fprintf(&buf, "bwagate_requests_rejected_total{reason=%q} %d\n", "no_upstream", m.noUpstream.Load())
-	fmt.Fprintf(&buf, "bwagate_requests_bad_total %d\n", m.badRequests.Load())
-	fmt.Fprintf(&buf, "bwagate_reads_total %d\n", m.readsTotal.Load())
-	fmt.Fprintf(&buf, "bwagate_sam_bytes_total %d\n", m.samBytes.Load())
+	m.WriteMetrics(&buf, "bwagate", server.RejectReason{Reason: "no_upstream", Count: m.noUpstream.Load()})
 	fmt.Fprintf(&buf, "bwagate_spills_total %d\n", m.spills.Load())
 	fmt.Fprintf(&buf, "bwagate_retries_total %d\n", m.retries.Load())
 	occ := g.ring.occupancy()

@@ -19,13 +19,16 @@ import (
 // assignment; mapped to 502 upstream_unavailable.
 var errNoUpstream = errors.New("gateway: no healthy upstream replica")
 
-// partition is the slice of one request routed to one replica: the global
-// input indices it covers (in input order) and their reads.
+// partition is the slice of one request routed to one replica: the output
+// slots of its record groups (in input order) and their reads. A single-end
+// partition holds one read per group; a paired one is the whole request,
+// end 2 in reads2, one pair per group.
 type partition struct {
 	node    *replica
 	key     uint64 // ring key of the partition's first read (failover walk)
 	indices []int
 	reads   []bwaclient.Read
+	reads2  []bwaclient.Read // nil for single-end
 }
 
 // pickReplica chooses the replica for a partition keyed by key and
@@ -75,92 +78,41 @@ func (g *Gateway) pickReplica(key uint64, nReads int64, extra map[*replica]int64
 	return least, true, nil
 }
 
-// handleAlign serves POST /v1/align: parse and validate exactly as a
-// replica would (shared helpers, so rejection envelopes are
-// byte-identical), partition the reads by ring owner, scatter the
-// partitions concurrently, and merge the sub-streams back in input order.
+// handleAlign serves POST /v1/align: the shared intake parses and
+// validates exactly as a replica does (so rejection envelopes are
+// byte-identical), then the reads are partitioned by ring owner, scattered
+// concurrently, and the sub-streams merged back in input order.
 func (g *Gateway) handleAlign(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	defer func() { g.met.reqSingle.Observe(time.Since(t0)) }()
 	span := obs.NewSpan(t0)
-	asJSON, err := server.AlignBodyKind(r)
-	if err != nil {
-		g.met.badRequests.Add(1)
-		g.apiError(w, r, http.StatusUnsupportedMediaType, bwaclient.CodeUnsupportedMediaType, err.Error())
+	reads, _, ok := g.met.Intake(w, r, false, g.cfg.MaxReadsPerRequest, g.cfg.MaxReadLen, span, g.admit)
+	if !ok {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, g.bodyLimit)
-	tParse := time.Now()
-	reads, err := server.ParseSingleReads(r.Body, asJSON, g.cfg.MaxReadsPerRequest, g.cfg.MaxReadLen)
-	if err != nil {
-		g.rejectParse(w, r, err)
-		return
-	}
-	span.Observe("parse", tParse)
-	if !g.admit(w, r, len(reads)) {
-		return
-	}
-	g.met.singleRequests.Add(1)
-	g.met.readsTotal.Add(int64(len(reads)))
-
 	tRoute := time.Now()
 	parts, err := g.partitionSingle(reads)
 	if err != nil {
-		g.met.noUpstream.Add(1)
-		g.apiError(w, r, http.StatusBadGateway, codeUpstreamUnavailable, err.Error())
+		g.rejectNoUpstream(w, r, err.Error())
 		return
 	}
 	span.Observe("route", tRoute)
-
-	wantHdr := server.WantHeader(r)
-	w.Header().Set("Content-Type", "text/x-sam")
-	m := ordered.New(w, len(reads), wantHdr)
-	g.armServerTiming(w, m, span)
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for pi, p := range parts {
-		wg.Add(1)
-		go func(pi int, p *partition) {
-			defer wg.Done()
-			errs[pi] = g.runSinglePartition(r.Context(), p, m, wantHdr)
-		}(pi, p)
-	}
-	wg.Wait()
-	g.finishMerge(w, r, m, parts, errs)
+	g.scatter(w, r, span, len(reads), parts)
 }
 
 // handleAlignPaired serves POST /v1/align/paired. A paired request is
 // never split: insert-size statistics are computed per request ("each
 // request is one paired-run unit"), so partial requests would produce
 // different bytes. The whole request routes to the ring owner of its
-// combined sequence key; a mid-stream replica failure replays the full
-// request on another node and skips the pair groups already merged
-// (paired output is deterministic per request, so the replay is
-// byte-identical).
+// combined sequence key.
 func (g *Gateway) handleAlignPaired(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	defer func() { g.met.reqPaired.Observe(time.Since(t0)) }()
 	span := obs.NewSpan(t0)
-	asJSON, err := server.AlignBodyKind(r)
-	if err != nil {
-		g.met.badRequests.Add(1)
-		g.apiError(w, r, http.StatusUnsupportedMediaType, bwaclient.CodeUnsupportedMediaType, err.Error())
+	r1, r2, ok := g.met.Intake(w, r, true, g.cfg.MaxReadsPerRequest, g.cfg.MaxReadLen, span, g.admit)
+	if !ok {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, g.bodyLimit)
-	tParse := time.Now()
-	r1, r2, err := server.ParsePairedReads(r.Body, asJSON, g.cfg.MaxReadsPerRequest, g.cfg.MaxReadLen)
-	if err != nil {
-		g.rejectParse(w, r, err)
-		return
-	}
-	span.Observe("parse", tParse)
-	if !g.admit(w, r, len(r1)+len(r2)) {
-		return
-	}
-	g.met.pairedRequests.Add(1)
-	g.met.readsTotal.Add(int64(len(r1) + len(r2)))
-
 	tRoute := time.Now()
 	var scratch []byte
 	keyU := uint64(fnvOffset)
@@ -168,27 +120,21 @@ func (g *Gateway) handleAlignPaired(w http.ResponseWriter, r *http.Request) {
 		keyU = chainKey(&scratch, keyU, r1[i].Seq)
 		keyU = chainKey(&scratch, keyU, r2[i].Seq)
 	}
-	p := &partition{key: keyU, reads: toClientReads(r1)}
-	reads2 := toClientReads(r2)
-	var spilled bool
-	p.node, spilled, err = g.pickReplica(keyU, int64(len(r1)+len(r2)), nil, nil)
+	node, spilled, err := g.pickReplica(keyU, int64(len(r1)+len(r2)), nil, nil)
 	if err != nil {
-		g.met.noUpstream.Add(1)
-		g.apiError(w, r, http.StatusBadGateway, codeUpstreamUnavailable, err.Error())
+		g.rejectNoUpstream(w, r, err.Error())
 		return
 	}
 	if spilled {
 		g.met.spills.Add(1)
-		p.node.spilledTo.Add(1)
+		node.spilledTo.Add(1)
+	}
+	p := &partition{node: node, key: keyU, indices: make([]int, len(r1)), reads: toClientReads(r1), reads2: toClientReads(r2)}
+	for i := range p.indices {
+		p.indices[i] = i
 	}
 	span.Observe("route", tRoute)
-
-	wantHdr := server.WantHeader(r)
-	w.Header().Set("Content-Type", "text/x-sam")
-	m := ordered.New(w, len(r1), wantHdr)
-	g.armServerTiming(w, m, span)
-	perr := g.runPaired(r.Context(), p, reads2, m, wantHdr)
-	g.finishMerge(w, r, m, []*partition{p}, []error{perr})
+	g.scatter(w, r, span, len(r1), []*partition{p})
 }
 
 // chainKey folds one read's encoded sequence into a running FNV-64a state.
@@ -199,33 +145,21 @@ func chainKey(scratch *[]byte, h uint64, readSeq []byte) uint64 {
 	return fnv64a(h, seq.EncodeInto((*scratch)[:len(readSeq)], readSeq))
 }
 
-// admit runs the gateway-level request checks shared by both align
-// handlers, writing the rejection itself when the request cannot proceed.
-// The envelopes match a replica's byte for byte.
-func (g *Gateway) admit(w http.ResponseWriter, r *http.Request, n int) bool {
-	if n == 0 {
-		g.met.badRequests.Add(1)
-		g.apiError(w, r, http.StatusBadRequest, bwaclient.CodeBadRequest, "no reads in request")
-		return false
-	}
+// admit is the gateway's admission step of the shared intake: a draining
+// gateway refuses new work with the replica's draining envelope.
+func (g *Gateway) admit(w http.ResponseWriter, r *http.Request, _ int) bool {
 	if g.draining.Load() {
-		g.met.rejectedDrain.Add(1)
-		g.apiError(w, r, http.StatusServiceUnavailable, bwaclient.CodeDraining, "server is shutting down")
+		g.met.RejectDraining(w, r)
 		return false
 	}
 	return true
 }
 
-// rejectParse writes the rejection for an unparseable or over-limit body,
-// using the server's own classification so messages stay byte-identical.
-func (g *Gateway) rejectParse(w http.ResponseWriter, r *http.Request, err error) {
-	status, code, message := server.ClassifyParseError(err)
-	if status == http.StatusRequestEntityTooLarge {
-		g.met.rejectedLarge.Add(1)
-	} else {
-		g.met.badRequests.Add(1)
-	}
-	g.apiError(w, r, status, code, message)
+// rejectNoUpstream answers a request the gateway cannot route: 502
+// upstream_unavailable.
+func (g *Gateway) rejectNoUpstream(w http.ResponseWriter, r *http.Request, message string) {
+	g.met.noUpstream.Add(1)
+	server.WriteError(w, r, http.StatusBadGateway, codeUpstreamUnavailable, message)
 }
 
 // toClientReads converts parsed reads to the client's wire type.
@@ -268,18 +202,21 @@ func (g *Gateway) partitionSingle(reads []seq.Read) ([]*partition, error) {
 	return parts, nil
 }
 
-// runSinglePartition streams one partition, retrying the undelivered
-// remainder on the next healthy ring node when a replica fails mid-flight.
-// Re-sending only the undelivered reads is sound because single-end output
-// is a pure function of (option fingerprint, encoded sequence) per read —
-// the same invariant the replicas' result cache relies on.
-func (g *Gateway) runSinglePartition(ctx context.Context, p *partition, m *ordered.Writer, wantHdr bool) error {
+// run streams one partition, retrying on the next healthy ring node when a
+// replica fails mid-flight and resuming after the record groups already
+// merged. A single-end retry re-sends only the undelivered reads, which is
+// sound because single-end output is a pure function of (option
+// fingerprint, encoded sequence) per read — the same invariant the
+// replicas' result cache relies on. A paired retry replays the whole
+// request (insert-size statistics are request-scoped; paired output is
+// deterministic per request, so the replay is byte-identical) and skips
+// the pair groups already merged.
+func (g *Gateway) run(ctx context.Context, p *partition, m *ordered.Writer, wantHdr bool) error {
 	delivered := 0
 	exclude := make(map[*replica]bool)
 	node := p.node
-	harvest := wantHdr && p.indices[0] == 0 // this partition owns the response header
 	for attempt := 0; ; attempt++ {
-		err := g.streamSingle(ctx, node, p, m, &delivered, harvest)
+		err := g.stream(ctx, node, p, m, &delivered, wantHdr)
 		if err == nil {
 			return nil
 		}
@@ -290,15 +227,24 @@ func (g *Gateway) runSinglePartition(ctx context.Context, p *partition, m *order
 		if attempt >= g.cfg.Retries {
 			return err
 		}
-		next, _, perr := g.pickReplica(p.key, int64(len(p.reads)-delivered), nil, exclude)
+		next, _, perr := g.pickReplica(p.key, p.load(delivered), nil, exclude)
 		if perr != nil {
 			return err
 		}
 		g.met.retries.Add(1)
-		g.logf("gateway: retrying partition (%d/%d reads undelivered) on %s: %v",
-			len(p.reads)-delivered, len(p.reads), next.url, err)
+		g.logf("gateway: retrying partition (%d/%d record groups undelivered) on %s: %v",
+			len(p.indices)-delivered, len(p.indices), next.url, err)
 		node = next
 	}
+}
+
+// load is the read count an attempt sends once delivered groups are
+// merged: the undelivered reads single-end, the whole request paired.
+func (p *partition) load(delivered int) int64 {
+	if p.reads2 != nil {
+		return int64(len(p.reads) + len(p.reads2))
+	}
+	return int64(len(p.reads) - delivered)
 }
 
 // noteUpstreamError applies passive health detection to a failed upstream
@@ -324,31 +270,43 @@ func (g *Gateway) noteUpstreamError(ctx context.Context, node *replica, err erro
 	return true
 }
 
-// streamSingle runs one upstream attempt for a single-end partition,
-// merging record groups as they arrive and advancing *delivered past each
-// one, so a retry resumes exactly where the stream died.
-func (g *Gateway) streamSingle(ctx context.Context, node *replica, p *partition, m *ordered.Writer, delivered *int, harvest bool) error {
-	todo := p.reads[*delivered:]
-	node.inflight.Add(int64(len(todo)))
-	defer node.inflight.Add(-int64(len(todo)))
+// stream runs one upstream attempt for a partition, merging record groups
+// as they arrive and advancing *delivered past each one, so a retry
+// resumes exactly where the stream died. The partition that owns output
+// slot 0 asks for the SAM header until one has been merged.
+func (g *Gateway) stream(ctx context.Context, node *replica, p *partition, m *ordered.Writer, delivered *int, wantHdr bool) error {
+	load := p.load(*delivered)
+	node.inflight.Add(load)
+	defer node.inflight.Add(-load)
 	node.assigned.Add(1)
 	t0 := time.Now()
 	defer func() { node.upstream.Observe(time.Since(t0)) }()
 
-	includeHeader := harvest && !m.HeaderSet()
-	st, err := node.client.AlignWith(ctx, todo, bwaclient.AlignOptions{
-		IncludeHeader: includeHeader, RequestID: requestID(ctx)})
+	includeHeader := wantHdr && p.indices[0] == 0 && !m.HeaderSet()
+	opts := bwaclient.AlignOptions{IncludeHeader: includeHeader, RequestID: server.RequestID(ctx)}
+	var st *bwaclient.SAMStream
+	var err error
+	quota, next := 1, *delivered // next: the group the upstream stream starts at
+	if p.reads2 != nil {
+		quota, next = 2, 0
+		st, err = node.client.AlignPairedWith(ctx, p.reads, p.reads2, opts)
+	} else {
+		st, err = node.client.AlignWith(ctx, p.reads[*delivered:], opts)
+	}
 	if err != nil {
 		return err
 	}
 	defer st.Close()
-	_, serr := splitGroups(st, 1, func(hdr []byte) {
+	_, serr := splitGroups(st, quota, func(hdr []byte) {
 		if includeHeader && len(hdr) > 0 {
 			m.SetHeader(hdr)
 		}
 	}, func(group []byte) {
-		m.Complete(p.indices[*delivered], group)
-		*delivered++
+		if next == *delivered {
+			m.Complete(p.indices[next], group)
+			*delivered++
+		}
+		next++
 	})
 	if serr != nil {
 		return serr
@@ -359,98 +317,30 @@ func (g *Gateway) streamSingle(ctx context.Context, node *replica, p *partition,
 	return nil
 }
 
-// runPaired streams a whole paired request to one replica, replaying the
-// full request on another node after a failure and skipping the pair
-// groups already merged.
-func (g *Gateway) runPaired(ctx context.Context, p *partition, reads2 []bwaclient.Read, m *ordered.Writer, wantHdr bool) error {
-	delivered := 0
-	exclude := make(map[*replica]bool)
-	node := p.node
-	for attempt := 0; ; attempt++ {
-		err := g.streamPaired(ctx, node, p.reads, reads2, m, &delivered, wantHdr)
-		if err == nil {
-			return nil
-		}
-		if !g.noteUpstreamError(ctx, node, err) {
-			return err
-		}
-		exclude[node] = true
-		if attempt >= g.cfg.Retries {
-			return err
-		}
-		next, _, perr := g.pickReplica(p.key, int64(2*len(p.reads)), nil, exclude)
-		if perr != nil {
-			return err
-		}
-		g.met.retries.Add(1)
-		g.logf("gateway: replaying paired request (%d/%d pairs undelivered) on %s: %v",
-			len(p.reads)-delivered, len(p.reads), next.url, err)
-		node = next
+// scatter streams the partitions concurrently into one ordered response of
+// n record groups and maps any partition failure to the wire. When nothing
+// was written yet, the failure of the earliest input position becomes the
+// response envelope — an upstream *APIError passes through with the
+// gateway's request ID, and transport-level exhaustion becomes 502
+// upstream_unavailable. Once bytes are out the stream cannot be repaired,
+// so the connection is aborted (ErrAbortHandler) and the client observes a
+// reset instead of a clean EOF on an incomplete record set.
+func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, span *obs.Span, n int, parts []*partition) {
+	wantHdr := server.WantHeader(r)
+	m := server.NewSAMStream(w, r, n, span, &g.met.ttfb)
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	for pi, p := range parts {
+		wg.Add(1)
+		go func(pi int, p *partition) {
+			defer wg.Done()
+			errs[pi] = g.run(r.Context(), p, m, wantHdr)
+		}(pi, p)
 	}
-}
+	wg.Wait()
 
-// streamPaired runs one upstream attempt for a paired request: the full
-// pair set every time (insert-size statistics are request-scoped), with
-// the first *delivered groups skipped on replay.
-func (g *Gateway) streamPaired(ctx context.Context, node *replica, r1, r2 []bwaclient.Read, m *ordered.Writer, delivered *int, wantHdr bool) error {
-	node.inflight.Add(int64(2 * len(r1)))
-	defer node.inflight.Add(int64(-2 * len(r1)))
-	node.assigned.Add(1)
-	t0 := time.Now()
-	defer func() { node.upstream.Observe(time.Since(t0)) }()
-
-	includeHeader := wantHdr && !m.HeaderSet()
-	st, err := node.client.AlignPairedWith(ctx, r1, r2, bwaclient.AlignOptions{
-		IncludeHeader: includeHeader, RequestID: requestID(ctx)})
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	seen := 0
-	_, serr := splitGroups(st, 2, func(hdr []byte) {
-		if includeHeader && len(hdr) > 0 {
-			m.SetHeader(hdr)
-		}
-	}, func(group []byte) {
-		if seen == *delivered {
-			m.Complete(seen, group)
-			*delivered = seen + 1
-		}
-		seen++
-	})
-	if serr != nil {
-		return serr
-	}
-	if *delivered != len(r1) {
-		return fmt.Errorf("gateway: paired stream returned %d of %d pair groups", *delivered, len(r1))
-	}
-	return nil
-}
-
-// armServerTiming hooks the ordered writer's first body write to commit the
-// Server-Timing header — the gateway-side phases (parse, route) plus the
-// time-to-first-byte mark — at the last moment response headers are still
-// mutable, exactly as a replica does.
-func (g *Gateway) armServerTiming(w http.ResponseWriter, m *ordered.Writer, span *obs.Span) {
-	hdr := w.Header()
-	m.OnFirstWrite(func() {
-		span.Mark("ttfb")
-		g.met.ttfb.Observe(time.Since(span.Start()))
-		hdr.Set("Server-Timing", obs.ServerTimingValue(span.Phases()))
-	})
-}
-
-// finishMerge closes out a scattered request: retire the writer, then map
-// any partition failure to the wire. When nothing was written yet, the
-// failure of the earliest input position becomes the response envelope —
-// an upstream *APIError passes through with the gateway's request ID, and
-// transport-level exhaustion becomes 502 upstream_unavailable. Once bytes
-// are out the stream cannot be repaired, so the connection is aborted
-// (ErrAbortHandler) and the client observes a reset instead of a clean
-// EOF on an incomplete record set.
-func (g *Gateway) finishMerge(w http.ResponseWriter, r *http.Request, m *ordered.Writer, parts []*partition, errs []error) {
 	writeErr := m.CloseAndWait()
-	defer g.met.samBytes.Add(m.Written())
+	defer g.met.SAMBytes.Add(m.Written())
 	var ferr error
 	first := -1
 	for i, err := range errs {
@@ -466,18 +356,16 @@ func (g *Gateway) finishMerge(w http.ResponseWriter, r *http.Request, m *ordered
 		return
 	}
 	if ferr != nil && !m.Started() {
-		g.logf("gateway: request %s failed before first byte: %v", requestID(r.Context()), ferr)
+		g.logf("gateway: request %s failed before first byte: %v", server.RequestID(r.Context()), ferr)
 		var apiErr *bwaclient.APIError
 		if errors.As(ferr, &apiErr) {
 			if apiErr.Code == bwaclient.CodeOverloaded {
 				w.Header().Set("Retry-After", "1")
 			}
-			g.apiError(w, r, apiErr.StatusCode, apiErr.Code, apiErr.Message)
+			server.WriteError(w, r, apiErr.StatusCode, apiErr.Code, apiErr.Message)
 			return
 		}
-		g.met.noUpstream.Add(1)
-		g.apiError(w, r, http.StatusBadGateway, codeUpstreamUnavailable,
-			fmt.Sprintf("upstream replicas unavailable: %v", ferr))
+		g.rejectNoUpstream(w, r, fmt.Sprintf("upstream replicas unavailable: %v", ferr))
 		return
 	}
 	if m.Started() && (m.Missing() > 0 || writeErr != nil || ferr != nil) {

@@ -50,32 +50,25 @@ type Result struct {
 }
 
 // Run maps all reads and returns their SAM records in input order, using an
-// ephemeral worker pool of cfg.Threads.
+// ephemeral worker pool of cfg.Threads. Result.Clock is exact: the pool is
+// this call's alone.
 func Run(a *core.Aligner, reads []seq.Read, cfg Config) *Result {
 	s := NewScheduler(a, cfg.Threads)
 	defer s.Close()
-	return RunOn(s, reads, cfg)
-}
-
-// RunOn is Run over a caller-owned Scheduler (the alignment server shares
-// one warm pool across requests). cfg.Threads is ignored — the pool's size
-// governs. Result.Clock is the delta of the pool-wide clock across this
-// call: exact for an exclusive scheduler, but inflated by whatever else
-// runs on a shared one — use Scheduler.Clock for cumulative accounting
-// there and treat per-call clocks as approximate.
-func RunOn(s *Scheduler, reads []seq.Read, cfg Config) *Result {
 	perRead := make([][]byte, len(reads))
 	// context.Background never cancels, so the error is structurally nil.
-	//bwalint:ignore ctxflow context-free compatibility wrapper; callers wanting cancellation use RunStreamOn
+	//bwalint:ignore ctxflow context-free batch entry point; callers wanting cancellation use RunStreamOn
 	res, _ := RunStreamOn(context.Background(), s, reads, cfg,
 		func(i int, rec []byte) { perRead[i] = rec })
 	res.SAM = concatRecords(perRead)
 	return res
 }
 
-// RunStreamOn is RunOn with incremental output and per-request
-// cancellation — the single-end counterpart of RunPairedStreamOn. emit is
-// called exactly once per read index with that read's SAM records, from
+// RunStreamOn is Run over a caller-owned Scheduler (the alignment server
+// shares one warm pool across requests; cfg.Threads is ignored), with
+// incremental output and per-request cancellation. Result.Clock is the
+// delta of the pool-wide clock across the call, inflated by whatever else
+// runs on a shared pool. emit is called exactly once per read index with that read's SAM records, from
 // worker goroutines in completion (not index) order, as soon as the read
 // is formatted. emit must be safe for concurrent use. When ctx is
 // cancelled, batches not yet started are dropped from the scheduler
@@ -138,25 +131,19 @@ func concatRecords(perRead [][]byte) []byte {
 func RunPaired(a *core.Aligner, reads1, reads2 []seq.Read, cfg Config) *Result {
 	s := NewScheduler(a, cfg.Threads)
 	defer s.Close()
-	return RunPairedOn(s, reads1, reads2, cfg)
-}
-
-// RunPairedOn is RunPaired over a caller-owned Scheduler. cfg.Threads is
-// ignored — the pool's size governs. Pair statistics are inferred from this
-// call's pairs only, so output is independent of any concurrent work
-// sharing the scheduler. Result.Clock has RunOn's shared-scheduler caveat.
-func RunPairedOn(s *Scheduler, reads1, reads2 []seq.Read, cfg Config) *Result {
 	perPair := make([][]byte, len(reads1))
 	// context.Background never cancels, so the error is structurally nil.
-	//bwalint:ignore ctxflow context-free compatibility wrapper; callers wanting cancellation use RunPairedStreamOn
+	//bwalint:ignore ctxflow context-free batch entry point; callers wanting cancellation use RunPairedStreamOn
 	res, _ := RunPairedStreamOn(context.Background(), s, reads1, reads2, cfg,
 		func(i int, rec []byte) { perPair[i] = rec })
 	res.SAM = concatRecords(perPair)
 	return res
 }
 
-// RunPairedStreamOn is RunPairedOn with incremental output and per-request
-// cancellation. emit is called exactly once per pair index with that
+// RunPairedStreamOn is RunPaired over a caller-owned Scheduler, with
+// incremental output and per-request cancellation. cfg.Threads is ignored;
+// pair statistics are inferred from this call's pairs only, so output is
+// independent of any concurrent work sharing the scheduler. emit is called exactly once per pair index with that
 // pair's SAM records, from worker goroutines in completion (not index)
 // order, as soon as the pair is formatted — a server can start writing the
 // response while later pairs are still being paired. emit must be safe for

@@ -6,20 +6,17 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"mime"
 	"net/http"
 	"strings"
-	"time"
-
-	"repro/internal/obs"
 )
 
-// This file is the wire-contract layer of the versioned /v1 HTTP API:
-// route table, request-ID plumbing, method and Content-Type enforcement,
-// and the typed JSON error envelope every error response carries. The
-// handlers themselves (handler.go, metrics.go) are wired through it and
-// never call http.Error directly.
+// This file is the wire-contract layer of the versioned /v1 HTTP API, the
+// request-plane shell both tiers run: the replica (Server) and the gateway
+// (internal/gateway) mount their handlers through Mount, so route table,
+// request-ID plumbing, method enforcement, the 404 catch-all and the typed
+// JSON error envelope are written once. Handlers never call http.Error
+// directly; they answer errors with WriteError.
 //
 // Contract summary (kept in sync with README.md's API section and the
 // golden route/API-surface test in pkg/bwamem):
@@ -58,24 +55,23 @@ type errorEnvelope struct {
 	RequestID string `json:"request_id"`
 }
 
-// apiRoute is one row of the route table: the versioned path, its legacy
-// alias, the single allowed method, and the handler.
+// apiRoute is one row of the route table: the single allowed method, the
+// versioned path, and its legacy alias.
 type apiRoute struct {
-	Method  string
-	Path    string // canonical versioned path
-	Legacy  string // unversioned alias ("" = none)
-	handler func(*Server) http.HandlerFunc
+	Method string
+	Path   string // canonical versioned path
+	Legacy string // unversioned alias ("" = none)
 }
 
 // routeTable is the complete wire surface. Adding, removing, or changing a
 // row is an API change: update README.md and the golden route test.
 var routeTable = []apiRoute{
-	{http.MethodPost, "/v1/align", "/align", func(s *Server) http.HandlerFunc { return s.handleAlign }},
-	{http.MethodPost, "/v1/align/paired", "/align/paired", func(s *Server) http.HandlerFunc { return s.handleAlignPaired }},
-	{http.MethodGet, "/v1/healthz", "/healthz", func(s *Server) http.HandlerFunc { return s.handleHealthz }},
-	{http.MethodGet, "/v1/readyz", "", func(s *Server) http.HandlerFunc { return s.handleReadyz }},
-	{http.MethodGet, "/v1/metrics", "/metrics", func(s *Server) http.HandlerFunc { return s.handleMetrics }},
-	{http.MethodGet, "/v1/debug/requests", "", func(s *Server) http.HandlerFunc { return s.handleDebugRequests }},
+	{http.MethodPost, "/v1/align", "/align"},
+	{http.MethodPost, "/v1/align/paired", "/align/paired"},
+	{http.MethodGet, "/v1/healthz", "/healthz"},
+	{http.MethodGet, "/v1/readyz", ""},
+	{http.MethodGet, "/v1/metrics", "/metrics"},
+	{http.MethodGet, "/v1/debug/requests", ""},
 }
 
 // Routes lists the wire surface as "METHOD path (alias legacy)" strings,
@@ -92,76 +88,66 @@ func Routes() []string {
 	return out
 }
 
-// registerRoutes installs the route table on the server's mux, wrapping
-// every handler with request-ID assignment and method enforcement, and
-// adds the catch-all 404 envelope.
-func (s *Server) registerRoutes() {
+// Mount installs one tier's handlers, keyed by canonical path, on mux: each
+// at its path and legacy alias behind request-ID assignment, the tier's
+// wrap hook, and the single-method check (405 with Allow, counted in
+// c.Bad). wrap receives the canonical path whichever alias was hit. Routes
+// the tier does not serve and unknown paths get the 404 envelope.
+func Mount(mux *http.ServeMux, handlers map[string]http.HandlerFunc, c *RequestCounters,
+	wrap func(route string, next http.HandlerFunc) http.HandlerFunc) {
+	served := 0
 	for _, rt := range routeTable {
-		h := s.instrument(rt.Method, rt.Path, rt.handler(s))
-		s.mux.HandleFunc(rt.Path, h)
-		if rt.Legacy != "" {
-			s.mux.HandleFunc(rt.Legacy, h)
+		h, method := handlers[rt.Path], rt.Method
+		if h == nil {
+			continue
 		}
-	}
-	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		s.setRequestID(w, r, func(w http.ResponseWriter, r *http.Request) {
-			s.apiError(w, r, http.StatusNotFound, codeNotFound,
-				fmt.Sprintf("no such route %s (see /v1/align, /v1/align/paired, /v1/healthz, /v1/metrics)", r.URL.Path))
-		})
-	})
-}
-
-// instrument wraps a handler with the per-request wire bookkeeping: the
-// request ID (header + context), the observability record (span, status
-// capture, end-of-request histogram/ring/log), and the single-method
-// check. route is the canonical path, used for kind classification and
-// logs regardless of which alias was hit.
-func (s *Server) instrument(method, route string, next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.setRequestID(w, r, func(w http.ResponseWriter, r *http.Request) {
-			info := &reqInfo{
-				id:    requestID(r.Context()),
-				route: route,
-				kind:  routeKind(route),
-				span:  obs.NewSpan(time.Now()),
-			}
-			sw := newStatusWriter(w)
-			// Deferred so the request is recorded even when finishStream
-			// aborts the connection via panic(http.ErrAbortHandler).
-			defer s.observeRequest(sw, info)
-			r = r.WithContext(context.WithValue(r.Context(), reqInfoKey, info))
+		served++
+		gated := withRequestID(wrap(rt.Path, func(w http.ResponseWriter, r *http.Request) {
 			if r.Method != method {
-				s.met.badRequests.Add(1)
-				sw.Header().Set("Allow", method)
-				s.apiError(sw, r, http.StatusMethodNotAllowed, codeMethodNotAllowed,
+				c.Bad.Add(1)
+				w.Header().Set("Allow", method)
+				WriteError(w, r, http.StatusMethodNotAllowed, codeMethodNotAllowed,
 					fmt.Sprintf("method %s not allowed (use %s)", r.Method, method))
 				return
 			}
-			next(sw, r)
-		})
+			h(w, r)
+		}))
+		mux.HandleFunc(rt.Path, gated)
+		if rt.Legacy != "" {
+			mux.HandleFunc(rt.Legacy, gated)
+		}
 	}
+	if served != len(handlers) {
+		panic("server: Mount given a handler for a path outside the route table")
+	}
+	mux.HandleFunc("/", withRequestID(func(w http.ResponseWriter, r *http.Request) {
+		WriteError(w, r, http.StatusNotFound, codeNotFound,
+			fmt.Sprintf("no such route %s (see /v1/align, /v1/align/paired, /v1/healthz, /v1/metrics)", r.URL.Path))
+	}))
 }
 
-// ctxKey keys server values in a request context.
+// ctxKey keys request-plane values in a request context.
 type ctxKey int
 
 const requestIDKey ctxKey = iota
 
-// setRequestID resolves the request's ID — the client's X-Request-Id when
+// withRequestID resolves the request's ID — the client's X-Request-Id when
 // it is a sane header value, a fresh random one otherwise — exposes it as
 // the X-Request-Id response header, and stores it in the request context
-// for error envelopes and logs.
-func (s *Server) setRequestID(w http.ResponseWriter, r *http.Request, next http.HandlerFunc) {
-	id := r.Header.Get("X-Request-Id")
-	if !validRequestID(id) {
-		id = newRequestID()
+// for error envelopes, logs, and upstream calls.
+func withRequestID(next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.Header.Get("X-Request-Id")
+		if !validRequestID(id) {
+			id = newRequestID()
+		}
+		w.Header().Set("X-Request-Id", id)
+		next(w, r.WithContext(context.WithValue(r.Context(), requestIDKey, id)))
 	}
-	w.Header().Set("X-Request-Id", id)
-	next(w, r.WithContext(context.WithValue(r.Context(), requestIDKey, id)))
 }
 
-// requestID returns the ID assigned by setRequestID ("" outside a request).
-func requestID(ctx context.Context) string {
+// RequestID returns the ID Mount assigned to the request ("" outside one).
+func RequestID(ctx context.Context) string {
 	id, _ := ctx.Value(requestIDKey).(string)
 	return id
 }
@@ -191,22 +177,15 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// apiError writes the typed JSON error envelope. It must only be called
-// before any response byte has gone out (handlers that stream guard on
-// ordered.Writer.Started).
-func (s *Server) apiError(w http.ResponseWriter, r *http.Request, status int, code, message string) {
+// WriteError writes the typed JSON error envelope carrying the request's
+// ID. It must only be called before any response byte has gone out
+// (handlers that stream guard on ordered.Writer.Started).
+func WriteError(w http.ResponseWriter, r *http.Request, status int, code, message string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	writeEnvelopeBody(w, code, message, requestID(r.Context()))
-}
-
-// writeEnvelopeBody renders the JSON envelope body (shared with the
-// gateway via WriteErrorEnvelope).
-func writeEnvelopeBody(w io.Writer, code, message, requestID string) {
-	enc := json.NewEncoder(w)
 	// Encoding a flat struct of strings cannot fail; the write error (client
 	// gone) has nowhere useful to go.
-	_ = enc.Encode(errorEnvelope{Code: code, Message: message, RequestID: requestID})
+	_ = json.NewEncoder(w).Encode(errorEnvelope{Code: code, Message: message, RequestID: RequestID(r.Context())})
 }
 
 // alignBodyKind resolves the negotiated body family of an align request:

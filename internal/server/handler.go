@@ -8,20 +8,18 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/ordered"
 	"repro/internal/pipeline"
 	"repro/internal/seq"
 )
 
 // maxBodyBytes is the hard ceiling on request bodies. The effective limit
-// is derived per deployment from the resolved ServerConfig (see
-// requestBodyLimit) so a parse can never materialize far more reads than
-// admission would accept.
+// is derived from the tier's read caps (see requestBodyLimit) so a parse
+// can never materialize far more reads than admission would accept.
 const maxBodyBytes = 1 << 30
 
 // requestBodyLimit bounds a request body by what the read caps could
-// legitimately need: MaxReadsPerRequest reads of MaxReadLen bases each,
+// legitimately need: maxReads reads of maxReadLen bases each,
 // with headroom for names, qualities, and JSON quoting.
 func requestBodyLimit(maxReads, maxReadLen int) int64 {
 	per := 2*int64(maxReadLen) + 512
@@ -140,23 +138,6 @@ func basePairName(name string) string {
 	return name
 }
 
-// wantHeader reports whether the response should start with the SAM header
-// (default yes; ?header=0 yields records only, byte-identical to
-// pipeline.Run's Result.SAM).
-func wantHeader(r *http.Request) bool {
-	v := r.URL.Query().Get("header")
-	return v != "0" && v != "false"
-}
-
-// newStream starts the in-order response writer for n records (reads or
-// pairs), handing it the SAM header up front when the request wants one.
-// finishStream must retire it before the handler returns.
-func (s *Server) newStream(w http.ResponseWriter, r *http.Request, n int) *ordered.Writer {
-	st := ordered.New(w, n, wantHeader(r))
-	st.SetHeader(s.samHeader)
-	return st
-}
-
 // capErr is the rejection for the read that would exceed the request cap.
 func capErr(max int) error {
 	return fmt.Errorf("request holds more than %d reads: %w", max, errTooManyReads)
@@ -184,66 +165,29 @@ func scanFastq(body io.Reader, max, maxLen int) ([]seq.Read, error) {
 	return reads, nil
 }
 
-// parseSingle extracts and validates the read set of a single-end request,
-// streaming the decode so caps and validation apply mid-body. asJSON is
-// the negotiated body family (alignBodyKind). The decode itself lives in
-// wire.go (ParseSingleReads), shared with the gateway tier.
-func (s *Server) parseSingle(r *http.Request, asJSON bool) ([]seq.Read, error) {
-	return ParseSingleReads(r.Body, asJSON, s.cfg.MaxReadsPerRequest, s.cfg.MaxReadLen)
-}
-
-// parsePaired extracts both read sets of a paired-end request. The raw
-// form is interleaved FASTQ (end 1 of pair 1, end 2 of pair 1, ...). The
-// decode streams — the total read cap and per-read validation apply as the
-// body arrives — and pair names must agree (after /1,/2 suffix stripping):
-// misordered interleaved input would otherwise silently produce wrong
-// pairings. The decode itself lives in wire.go (ParsePairedReads), shared
-// with the gateway tier.
-func (s *Server) parsePaired(r *http.Request, asJSON bool) (r1, r2 []seq.Read, err error) {
-	return ParsePairedReads(r.Body, asJSON, s.cfg.MaxReadsPerRequest, s.cfg.MaxReadLen)
-}
-
-// rejectParse writes the response for a body that could not be accepted,
-// distinguishing size-policy rejections (413) from malformed input (400).
-func (s *Server) rejectParse(w http.ResponseWriter, r *http.Request, err error) {
-	status, code, message := ClassifyParseError(err)
-	if status == http.StatusRequestEntityTooLarge {
-		s.met.rejectedLarge.Add(1)
-	} else {
-		s.met.badRequests.Add(1)
-	}
-	s.apiError(w, r, status, code, message)
-}
-
-// admit runs the admission checks for n reads, writing the rejection
-// response itself when the request cannot proceed.
+// admit is the replica's admission step of the shared intake: it charges
+// n reads against the in-flight budget, answering the rejection itself
+// when the request cannot proceed, and times the gate.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) bool {
-	if n == 0 {
-		s.met.badRequests.Add(1)
-		s.apiError(w, r, http.StatusBadRequest, codeBadRequest, "no reads in request")
-		return false
-	}
-	if n > s.cfg.MaxReadsPerRequest {
-		s.met.rejectedLarge.Add(1)
-		s.apiError(w, r, http.StatusRequestEntityTooLarge, codeTooLarge,
-			fmt.Sprintf("request holds %d reads, limit %d", n, s.cfg.MaxReadsPerRequest))
-		return false
-	}
-	switch err := s.adm.TryAcquire(n); err {
+	tAdmit := time.Now()
+	err := s.adm.TryAcquire(n)
+	s.hists.admissionWait.Observe(time.Since(tAdmit))
+	switch err {
 	case nil:
+		info := reqInfoFrom(r)
+		info.Span().Observe("admit", tAdmit)
+		info.setReads(n)
 		return true
 	case errDraining:
-		s.met.rejectedDrain.Add(1)
-		s.apiError(w, r, http.StatusServiceUnavailable, codeDraining, "server is shutting down")
-		return false
+		s.met.RejectDraining(w, r)
 	default: // errQueueFull
 		s.met.rejectedFull.Add(1)
 		w.Header().Set("Retry-After", "1")
-		s.apiError(w, r, http.StatusTooManyRequests, codeOverloaded,
+		WriteError(w, r, http.StatusTooManyRequests, codeOverloaded,
 			fmt.Sprintf("admission queue full (%d reads in flight, limit %d)",
 				s.adm.InFlight(), s.cfg.MaxInFlightReads))
-		return false
 	}
+	return false
 }
 
 // finishStream closes out a streamed alignment: it retires the writer
@@ -251,10 +195,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) bool {
 // cancellation bookkeeping. readsPerRecord converts the streamer's record
 // count to reads (1 single-end, 2 paired) so dropped work is metered in
 // the same unit admission charges. The streamed bytes (header included)
-// are counted into samBytes either way.
+// are counted into SAMBytes either way.
 func (s *Server) finishStream(w http.ResponseWriter, r *http.Request, st *ordered.Writer, readsPerRecord int, err error) {
 	st.CloseAndWait()
-	defer s.met.samBytes.Add(st.Written())
+	defer s.met.SAMBytes.Add(st.Written())
 	if err == nil {
 		st.EnsureHeader()
 		return
@@ -269,15 +213,15 @@ func (s *Server) finishStream(w http.ResponseWriter, r *http.Request, st *ordere
 	s.met.requestsCancelled.Add(1)
 	s.met.readsDropped.Add(dropped)
 	s.logf("request %s cancelled (%v): %d reads dropped, %d bytes streamed",
-		requestID(r.Context()), err, dropped, st.Written())
+		RequestID(r.Context()), err, dropped, st.Written())
 	if l := s.logger.Load(); l != nil {
 		l.Warn("request cancelled",
-			"request_id", requestID(r.Context()), "error", err.Error(),
+			"request_id", RequestID(r.Context()), "error", err.Error(),
 			"reads_dropped", dropped, "bytes_streamed", st.Written())
 	}
 	if !st.Started() {
 		if errors.Is(err, context.DeadlineExceeded) {
-			s.apiError(w, r, http.StatusGatewayTimeout, codeDeadlineExceeded,
+			WriteError(w, r, http.StatusGatewayTimeout, codeDeadlineExceeded,
 				"request deadline exceeded before alignment completed")
 		}
 	} else if st.Missing() > 0 {
@@ -297,38 +241,18 @@ func (s *Server) finishStream(w http.ResponseWriter, r *http.Request, st *ordere
 // happens in the route wrapper (api.go).
 func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	span := reqInfoFrom(r).Span()
-	asJSON, err := alignBodyKind(r)
-	if err != nil {
-		s.met.badRequests.Add(1)
-		s.apiError(w, r, http.StatusUnsupportedMediaType, codeUnsupportedMedia, err.Error())
+	reads, _, ok := s.met.Intake(w, r, false, s.cfg.MaxReadsPerRequest, s.cfg.MaxReadLen, span, s.admit)
+	if !ok {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.bodyLimit)
-	tParse := time.Now()
-	reads, err := s.parseSingle(r, asJSON)
-	if err != nil {
-		s.rejectParse(w, r, err)
-		return
-	}
-	span.Observe("parse", tParse)
-	tAdmit := time.Now()
-	admitted := s.admit(w, r, len(reads))
-	s.hists.admissionWait.Observe(time.Since(tAdmit))
-	if !admitted {
-		return
-	}
-	span.Observe("admit", tAdmit)
-	reqInfoFrom(r).setReads(len(reads))
 	defer s.adm.Release(len(reads))
-	s.met.singleRequests.Add(1)
-	s.met.readsTotal.Add(int64(len(reads)))
 
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	w.Header().Set("Content-Type", "text/x-sam")
-	st := s.newStream(w, r, len(reads))
-	s.armServerTiming(w, st, span)
+	st := NewSAMStream(w, r, len(reads), span, &s.hists.ttfb)
+	st.SetHeader(s.samHeader)
 	tAlign := time.Now()
+	var err error
 	if s.cache != nil {
 		// Result cache between admission and the pool: duplicate sequences
 		// are served from cached regions (re-rendered with this read's
@@ -344,26 +268,6 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	s.finishStream(w, r, st, 1, err)
 }
 
-// armServerTiming hooks the streamer's first body write: the Server-Timing
-// header must be committed before any byte goes out, so it carries the
-// phases known at that instant (parse, admit, cache classify) plus the
-// time-to-first-byte mark — the full timeline, align included, lands in
-// the histograms and the debug trace ring instead. The hook runs on the
-// request-owned writer goroutine; the handler goroutine is blocked in the
-// align call and does not touch headers until the streamer is retired, so
-// the header map is never written concurrently.
-func (s *Server) armServerTiming(w http.ResponseWriter, st *ordered.Writer, span *obs.Span) {
-	if span == nil {
-		return
-	}
-	hdr := w.Header()
-	st.OnFirstWrite(func() {
-		span.Mark("ttfb")
-		s.hists.ttfb.Observe(time.Since(span.Start()))
-		hdr.Set("Server-Timing", obs.ServerTimingValue(span.Phases()))
-	})
-}
-
 // handleAlignPaired serves POST /v1/align/paired (alias /align/paired):
 // pairs in (interleaved FASTQ or JSON reads1/reads2), paired SAM out,
 // streamed per pair as the pairing
@@ -376,39 +280,18 @@ func (s *Server) armServerTiming(w http.ResponseWriter, st *ordered.Writer, span
 // read's sequence.
 func (s *Server) handleAlignPaired(w http.ResponseWriter, r *http.Request) {
 	span := reqInfoFrom(r).Span()
-	asJSON, err := alignBodyKind(r)
-	if err != nil {
-		s.met.badRequests.Add(1)
-		s.apiError(w, r, http.StatusUnsupportedMediaType, codeUnsupportedMedia, err.Error())
+	r1, r2, ok := s.met.Intake(w, r, true, s.cfg.MaxReadsPerRequest, s.cfg.MaxReadLen, span, s.admit)
+	if !ok {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.bodyLimit)
-	tParse := time.Now()
-	r1, r2, err := s.parsePaired(r, asJSON)
-	if err != nil {
-		s.rejectParse(w, r, err)
-		return
-	}
-	span.Observe("parse", tParse)
-	tAdmit := time.Now()
-	admitted := s.admit(w, r, len(r1)+len(r2))
-	s.hists.admissionWait.Observe(time.Since(tAdmit))
-	if !admitted {
-		return
-	}
-	span.Observe("admit", tAdmit)
-	reqInfoFrom(r).setReads(len(r1) + len(r2))
 	defer s.adm.Release(len(r1) + len(r2))
-	s.met.pairedRequests.Add(1)
-	s.met.readsTotal.Add(int64(len(r1) + len(r2)))
 
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	w.Header().Set("Content-Type", "text/x-sam")
-	st := s.newStream(w, r, len(r1))
-	s.armServerTiming(w, st, span)
+	st := NewSAMStream(w, r, len(r1), span, &s.hists.ttfb)
+	st.SetHeader(s.samHeader)
 	tAlign := time.Now()
-	_, err = pipeline.RunPairedStreamOn(ctx, s.sched, r1, r2,
+	_, err := pipeline.RunPairedStreamOn(ctx, s.sched, r1, r2,
 		pipeline.Config{BatchSize: s.cfg.BatchSize}, st.Complete)
 	span.Observe("align", tAlign)
 	s.finishStream(w, r, st, 2, err)

@@ -10,24 +10,18 @@ import (
 	"repro/internal/obs"
 )
 
-// metrics aggregates the server-level counters exposed on /metrics. Stage
-// timings come from the scheduler's AtomicClock and cache counters from
+// metrics aggregates the server-level counters exposed on /metrics: the
+// request counters both tiers share plus the replica's own. Stage timings
+// come from the scheduler's AtomicClock and cache counters from
 // rescache.Cache.Stats; everything here is the request-plane view (what
 // came in, what was shed, what went out). Every field is documented in
 // README.md's /metrics reference table — keep the two in sync.
 type metrics struct {
 	start time.Time
+	RequestCounters
 
-	singleRequests atomic.Int64 // accepted /align requests
-	pairedRequests atomic.Int64 // accepted /align/paired requests
-	rejectedFull   atomic.Int64 // 429: admission budget exceeded
-	rejectedLarge  atomic.Int64 // 413: request over MaxReadsPerRequest
-	rejectedDrain  atomic.Int64 // 503: shutting down
-	badRequests    atomic.Int64 // 400/405: malformed input
-	readsTotal     atomic.Int64 // reads accepted for alignment (pairs count 2)
-	samBytes       atomic.Int64 // SAM bytes actually written to clients (headers included)
-	batches        atomic.Int64 // scheduler tasks submitted for single-end reads
-
+	rejectedFull      atomic.Int64 // 429: admission budget exceeded
+	batches           atomic.Int64 // scheduler tasks submitted for single-end reads
 	requestsCancelled atomic.Int64 // admitted requests whose context ended first
 	readsDropped      atomic.Int64 // reads of cancelled requests that never produced SAM output
 }
@@ -52,17 +46,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.idxInfo.Source != "" {
 		fmt.Fprintf(&buf, "bwaserve_index_source{source=%q} 1\n", s.idxInfo.Source)
 	}
-	fmt.Fprintf(&buf, "bwaserve_requests_total{kind=%q} %d\n", "single", m.singleRequests.Load())
-	fmt.Fprintf(&buf, "bwaserve_requests_total{kind=%q} %d\n", "paired", m.pairedRequests.Load())
-	fmt.Fprintf(&buf, "bwaserve_requests_rejected_total{reason=%q} %d\n", "queue_full", m.rejectedFull.Load())
-	fmt.Fprintf(&buf, "bwaserve_requests_rejected_total{reason=%q} %d\n", "too_large", m.rejectedLarge.Load())
-	fmt.Fprintf(&buf, "bwaserve_requests_rejected_total{reason=%q} %d\n", "draining", m.rejectedDrain.Load())
-	fmt.Fprintf(&buf, "bwaserve_requests_bad_total %d\n", m.badRequests.Load())
+	m.WriteMetrics(&buf, "bwaserve", RejectReason{"queue_full", m.rejectedFull.Load()})
 	fmt.Fprintf(&buf, "bwaserve_requests_cancelled_total %d\n", m.requestsCancelled.Load())
 	fmt.Fprintf(&buf, "bwaserve_reads_dropped_total %d\n", m.readsDropped.Load())
-	fmt.Fprintf(&buf, "bwaserve_reads_total %d\n", m.readsTotal.Load())
 	fmt.Fprintf(&buf, "bwaserve_reads_inflight %d\n", s.adm.InFlight())
-	fmt.Fprintf(&buf, "bwaserve_sam_bytes_total %d\n", m.samBytes.Load())
 	fmt.Fprintf(&buf, "bwaserve_batches_total %d\n", m.batches.Load())
 	fmt.Fprintf(&buf, "bwaserve_cache_enabled %d\n", boolGauge(s.cache != nil))
 	if s.cache != nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -159,6 +160,22 @@ func (sw *statusWriter) Flush() {
 	}
 }
 
+// observe is the replica's wrap hook for Mount: it opens the request's
+// observability record (span, status capture) in the context and closes
+// it out with observeRequest once the handler — method check included —
+// returns. route is the canonical path, used for kind classification and
+// logs regardless of which alias was hit.
+func (s *Server) observe(route string, next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		info := &reqInfo{id: RequestID(r.Context()), route: route, kind: routeKind(route), span: obs.NewSpan(time.Now())}
+		sw := newStatusWriter(w)
+		// Deferred so the request is recorded even when finishStream
+		// aborts the connection via panic(http.ErrAbortHandler).
+		defer s.observeRequest(sw, info)
+		next(sw, r.WithContext(context.WithValue(r.Context(), reqInfoKey, info)))
+	}
+}
+
 // observeRequest closes out one instrumented request: the end-to-end
 // latency histogram, the trace ring (align routes only — metric scrapes
 // and health probes would drown the "recent" list), and the structured
@@ -228,7 +245,7 @@ type debugRequestsResponse struct {
 // (bwaserve -debug-requests).
 func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	if s.ring == nil {
-		s.apiError(w, r, http.StatusNotFound, codeNotFound,
+		WriteError(w, r, http.StatusNotFound, codeNotFound,
 			"request tracing is disabled (set DebugRequestTraces > 0 / bwaserve -debug-requests)")
 		return
 	}

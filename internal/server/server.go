@@ -34,6 +34,14 @@
 // records only. Every response carries X-Request-Id, and every error
 // response is a typed JSON envelope {"code","message","request_id"}.
 //
+// The request plane is written once for both serving tiers: the gateway
+// (internal/gateway) mounts its handlers through the same Mount shell
+// (api.go: routes, aliases, request IDs, 405/404, WriteError), runs the
+// same align intake and counters (wire.go: RequestCounters.Intake,
+// WriteMetrics) and starts its response with the same NewSAMStream. Only
+// admission, the wrap hook and what happens after intake differ per tier;
+// /v1/debug/requests is replica-only.
+//
 // # Concurrency contract
 //
 // A Server's exported surface (ServeHTTP, Handler, Config, Shutdown,
@@ -66,7 +74,6 @@ import (
 // with New, expose via Handler, stop with Shutdown (drains) or Close.
 type Server struct {
 	cfg         core.ServerConfig
-	bodyLimit   int64
 	samHeader   []byte // constant for the server's lifetime; built once
 	sched       *pipeline.Scheduler
 	adm         *admission
@@ -101,7 +108,6 @@ func New(aln *core.Aligner, cfg core.ServerConfig) (*Server, error) {
 	sched := pipeline.NewScheduler(aln, cfg.Threads)
 	s := &Server{
 		cfg:       cfg,
-		bodyLimit: requestBodyLimit(cfg.MaxReadsPerRequest, cfg.MaxReadLen),
 		samHeader: []byte(aln.SAMHeader()),
 		sched:     sched,
 		adm:       newAdmission(cfg.MaxInFlightReads),
@@ -124,7 +130,14 @@ func New(aln *core.Aligner, cfg core.ServerConfig) (*Server, error) {
 		s.optFP = aln.Opts.Fingerprint(aln.Mode)
 		s.renderSlots = make(chan struct{}, 4*cfg.Threads)
 	}
-	s.registerRoutes()
+	Mount(s.mux, map[string]http.HandlerFunc{
+		"/v1/align":          s.handleAlign,
+		"/v1/align/paired":   s.handleAlignPaired,
+		"/v1/healthz":        s.handleHealthz,
+		"/v1/readyz":         s.handleReadyz,
+		"/v1/metrics":        s.handleMetrics,
+		"/v1/debug/requests": s.handleDebugRequests,
+	}, &s.met.RequestCounters, s.observe)
 	return s, nil
 }
 

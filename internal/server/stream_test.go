@@ -340,8 +340,8 @@ func TestStreamingDecodeStopsAtCap(t *testing.T) {
 		seq.WriteFastq(&buf, reads[:50])
 	}
 	total := buf.Len()
-	if int64(total) >= s.bodyLimit {
-		t.Fatalf("test body %d exceeds the byte limit %d; the cap path would not be exercised", total, s.bodyLimit)
+	if limit := requestBodyLimit(s.cfg.MaxReadsPerRequest, s.cfg.MaxReadLen); int64(total) >= limit {
+		t.Fatalf("test body %d exceeds the byte limit %d; the cap path would not be exercised", total, limit)
 	}
 	body := &countingBody{r: bytes.NewReader(buf.Bytes())}
 	req := httptest.NewRequest(http.MethodPost, "/align", body)
@@ -429,12 +429,12 @@ func TestPairNameValidation(t *testing.T) {
 func TestStreamedResponseCarriesHeaderBytes(t *testing.T) {
 	s := newTestServer(t, testConfig())
 	_, reads, _, _ := setup(t)
-	before := s.met.samBytes.Load()
+	before := s.met.SAMBytes.Load()
 	w := post(s, "/align", "", fastqBody(reads[:3]))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d", w.Code)
 	}
-	wrote := s.met.samBytes.Load() - before
+	wrote := s.met.SAMBytes.Load() - before
 	if wrote != int64(w.Body.Len()) {
 		t.Fatalf("samBytes grew %d for a %d-byte response (header must be counted)", wrote, w.Body.Len())
 	}

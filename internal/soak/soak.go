@@ -284,6 +284,7 @@ func Run(ctx context.Context, o Options, logf func(string, ...any)) (*Report, er
 		local   *localServer
 		child   *childServer
 		gate    *gatewayTarget
+		victims []*childServer // the chaos controller's kill-restart targets
 	)
 	switch {
 	case o.Target != "":
@@ -295,6 +296,7 @@ func Run(ctx context.Context, o Options, logf func(string, ...any)) (*Report, er
 		}
 		defer gate.stop()
 		baseURL = gate.baseURL
+		victims = gate.children
 	case o.Chaos != "":
 		child, err = startChildServer(ctx, &o, logf)
 		if err != nil {
@@ -302,6 +304,7 @@ func Run(ctx context.Context, o Options, logf func(string, ...any)) (*Report, er
 		}
 		defer child.stop()
 		baseURL = child.baseURL
+		victims = []*childServer{child}
 	default:
 		local, err = startLocalServer(&o, w.idx, logf)
 		if err != nil {
@@ -363,18 +366,11 @@ func Run(ctx context.Context, o Options, logf func(string, ...any)) (*Report, er
 		r.sampler(loadCtx)
 	}()
 	// Chaos controller.
-	if child != nil {
+	if len(victims) > 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.chaos(loadCtx, child, deadline)
-		}()
-	}
-	if gate != nil && o.Chaos != "" {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.chaosGateway(loadCtx, gate, deadline)
+			r.chaos(loadCtx, victims, deadline)
 		}()
 	}
 	wg.Wait()

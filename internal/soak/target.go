@@ -414,48 +414,14 @@ func (gt *gatewayTarget) stop() {
 	}
 }
 
-// chaosGateway is the fleet kill-restart controller: every ChaosInterval
-// it SIGKILLs one replica (round-robin), restarts it, and waits for
-// health. Unlike single-server chaos, clients keep talking to the gateway
-// throughout — the invariant under test is that the gateway's passive
-// failure detection plus partition retry absorb the kill with zero
-// client-visible failures.
-func (r *runner) chaosGateway(ctx context.Context, gt *gatewayTarget, deadline time.Time) {
-	for i := 1; ; i++ {
-		t := time.NewTimer(r.o.ChaosInterval)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return
-		case <-t.C:
-		}
-		if time.Until(deadline) < r.o.ChaosInterval/2+2*time.Second {
-			return
-		}
-		victim := gt.children[(i-1)%len(gt.children)]
-		r.logf("soak: gateway chaos %d: SIGKILL replica %s (pid %d)", i, victim.baseURL, victim.pid())
-		r.beginPhase(fmt.Sprintf("chaos-%d", i))
-		if err := victim.kill(); err != nil {
-			r.violate("chaos-restart", "kill replica: %v", err)
-			return
-		}
-		if err := victim.restart(ctx); err != nil {
-			if ctx.Err() == nil {
-				r.violate("chaos-restart", "restart replica: %v", err)
-			}
-			return
-		}
-		r.logf("soak: gateway chaos %d: replica back as pid %d", i, victim.pid())
-		r.beginPhase(fmt.Sprintf("steady-%d", i))
-	}
-}
-
 // chaos is the kill-restart controller: every ChaosInterval it opens a
-// chaos phase, SIGKILLs the child mid-traffic, restarts it on the same
-// port, waits for health, and opens the next steady phase. Workers keep
-// running throughout — their transport retries are the client-resilience
-// path under test.
-func (r *runner) chaos(ctx context.Context, child *childServer, deadline time.Time) {
+// chaos phase, SIGKILLs one child process mid-traffic (round-robin over
+// children: the one bwaserve of a single-server target, or a gateway
+// fleet's replicas), restarts it on the same port, waits for health, and
+// opens the next steady phase. Workers keep running throughout — the
+// client's transport retries, or the gateway's passive failure detection
+// plus partition retry, are the resilience path under test.
+func (r *runner) chaos(ctx context.Context, children []*childServer, deadline time.Time) {
 	for i := 1; ; i++ {
 		t := time.NewTimer(r.o.ChaosInterval)
 		select {
@@ -469,19 +435,20 @@ func (r *runner) chaos(ctx context.Context, child *childServer, deadline time.Ti
 		if time.Until(deadline) < r.o.ChaosInterval/2+2*time.Second {
 			return
 		}
-		r.logf("soak: chaos %d: SIGKILL pid %d", i, child.pid())
+		victim := children[(i-1)%len(children)]
+		r.logf("soak: chaos %d: SIGKILL %s (pid %d)", i, victim.baseURL, victim.pid())
 		r.beginPhase(fmt.Sprintf("chaos-%d", i))
-		if err := child.kill(); err != nil {
-			r.violate("chaos-restart", "kill: %v", err)
+		if err := victim.kill(); err != nil {
+			r.violate("chaos-restart", "kill %s: %v", victim.baseURL, err)
 			return
 		}
-		if err := child.restart(ctx); err != nil {
+		if err := victim.restart(ctx); err != nil {
 			if ctx.Err() == nil {
-				r.violate("chaos-restart", "restart: %v", err)
+				r.violate("chaos-restart", "restart %s: %v", victim.baseURL, err)
 			}
 			return
 		}
-		r.logf("soak: chaos %d: restarted as pid %d", i, child.pid())
+		r.logf("soak: chaos %d: %s back as pid %d", i, victim.baseURL, victim.pid())
 		r.beginPhase(fmt.Sprintf("steady-%d", i))
 	}
 }
