@@ -20,14 +20,14 @@ bwalint: ## build the repo's own static analyzers (cmd/bwalint)
 bwalint-path: bwalint ## print the built bwalint path (for go vet -vettool=$$(make -s bwalint-path))
 	@echo $(CURDIR)/$(BWALINT)
 
-lint: bwalint ## run the bwalint contract analyzers over the whole module (ratcheted against lint.baseline.json)
-	$(GO) vet -vettool=$(CURDIR)/$(BWALINT) -baseline=$(CURDIR)/lint.baseline.json ./...
+lint: bwalint ## run the bwalint contract analyzers over the whole module; any finding fails
+	$(GO) vet -vettool=$(CURDIR)/$(BWALINT) ./...
 
 lint-fix: bwalint ## apply bwalint's mechanical SuggestedFixes in place
-	$(CURDIR)/$(BWALINT) -baseline=$(CURDIR)/lint.baseline.json -fix ./...
+	$(CURDIR)/$(BWALINT) -fix ./...
 
 lint-fix-dry: bwalint ## print bwalint's mechanical SuggestedFixes as a diff without applying
-	$(CURDIR)/$(BWALINT) -baseline=$(CURDIR)/lint.baseline.json -diff ./... || true
+	$(CURDIR)/$(BWALINT) -diff ./... || true
 
 race:
 	$(GO) test -race ./...

@@ -5,16 +5,15 @@
 // mutex acquisition order, and allocation discipline in
 // //bwalint:hot-annotated kernels.
 //
-// It runs two ways:
+// It is a vet tool; a direct run re-executes go vet with it, so these are
+// the same check:
 //
-//	bwalint ./...                                # standalone, from source
-//	go vet -vettool=$(command -v bwalint) ./...  # as a vet tool (make lint)
+//	go vet -vettool=$(command -v bwalint) ./...  # make lint
+//	bwalint ./...
 //
-// Findings ratchet against lint.baseline.json (-baseline): entries
-// listed there are tolerated, anything new fails, and entries that no
-// longer fire are themselves errors until pruned (-update-baseline).
-//
-// Suppress a finding with an annotated directive on (or right above) the
+// -fix applies the analyzers' suggested fixes in place (make lint-fix);
+// -diff prints them instead (make lint-fix-dry). Any finding fails the
+// run. Suppress one with an annotated directive on (or right above) the
 // line: //bwalint:ignore <analyzer> <reason>.
 package main
 

@@ -106,9 +106,6 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	srv.SetLogf(func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "[bwaserve] "+format+"\n", args...)
-	})
 	if err := srv.SetLogOutput(os.Stderr, *logFormat); err != nil {
 		die(err)
 	}

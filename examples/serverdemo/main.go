@@ -16,6 +16,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -51,9 +52,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	srv.SetLogf(func(format string, args ...any) {
-		fmt.Printf("  [server] "+format+"\n", args...)
-	})
+	if err := srv.SetLogOutput(os.Stdout, "text"); err != nil {
+		log.Fatal(err)
+	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -143,8 +144,8 @@ func main() {
 
 	// 6. Cancellation: a client that gives up mid-request has its queued
 	//    work dropped and its admission budget released; the server logs
-	//    the request ID (see [server] line). The deadline lands after
-	//    admission but well before alignment finishes.
+	//    the request ID (see the "request cancelled" line). The deadline
+	//    lands after admission but well before alignment finishes.
 	ctx, cancel := context.WithTimeout(context.Background(), ttfb/2)
 	if _, err := c.AlignSAM(ctx, big); err != nil {
 		fmt.Printf("cancelled client: %v\n", ctx.Err())

@@ -2,10 +2,9 @@
 // on golang.org/x/tools/go/analysis, built only on the standard library so
 // the repo's linters need no external module. It provides the Analyzer /
 // Pass / Diagnostic vocabulary, a per-package runner with
-// `//bwalint:ignore` suppression, and two drivers: a standalone loader
-// (Load) that type-checks packages via `go list`, and a unitchecker
-// (RunUnit) speaking the `go vet -vettool` protocol, both dispatched from
-// Main.
+// `//bwalint:ignore` suppression, and one driver: a unitchecker (RunUnit)
+// speaking the `go vet -vettool` protocol. Main dispatches the protocol
+// and turns a direct run into `go vet -vettool=<self>`.
 //
 // The escape hatch for every analyzer in the suite is an annotated
 // directive on (or on the line before) the offending line:
@@ -38,7 +37,7 @@ type Analyzer struct {
 	Flags *flag.FlagSet
 	// FactTypes lists prototype values of every Fact type the analyzer
 	// exports. Non-empty FactTypes opt the analyzer into interprocedural
-	// propagation: drivers run it over the dependency closure (facts
+	// propagation: the driver runs it over the dependency closure (facts
 	// only), not just the requested packages.
 	FactTypes []Fact
 	// Run performs the check on one package, reporting findings
@@ -93,20 +92,17 @@ func (p *Pass) IsTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Package).Filename, "_test.go")
 }
 
-// A Unit is one loaded, type-checked package ready to be analyzed. Both
-// drivers and the analysistest harness construct Units.
+// A Unit is one loaded, type-checked package ready to be analyzed. The
+// driver and the analysistest harness construct Units.
 type Unit struct {
 	Fset  *token.FileSet
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
 
-	// Facts is the cross-package fact store shared by every unit of a
-	// driver run. Nil means facts are unit-local (analyzer unit tests).
+	// Facts is the cross-package fact store: this unit's exports plus its
+	// dependencies'. Nil means facts are unit-local (analyzer unit tests).
 	Facts *FactSet
-	// Std marks a standard-library dependency unit: drivers skip fact
-	// computation there (the suite's contracts are module-internal).
-	Std bool
 
 	sup *suppressions
 }
@@ -116,14 +112,7 @@ type Unit struct {
 // well-formed `//bwalint:ignore` directive naming a (or "all") are
 // dropped.
 func (u *Unit) Run(a *Analyzer) ([]Diagnostic, error) {
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      u.Fset,
-		Files:     u.Files,
-		Pkg:       u.Pkg,
-		TypesInfo: u.Info,
-		facts:     u.Facts,
-	}
+	pass := u.pass(a)
 	if err := a.Run(pass); err != nil {
 		return nil, err
 	}
@@ -141,28 +130,24 @@ func (u *Unit) Run(a *Analyzer) ([]Diagnostic, error) {
 }
 
 // RunFacts applies a to the unit for its fact side effects only: exports
-// land in u.Facts, diagnostics are discarded. Drivers use this over
+// land in u.Facts, diagnostics are discarded. The driver uses this over
 // dependency units so interprocedural analyzers see summaries for code
 // outside the requested packages.
 func (u *Unit) RunFacts(a *Analyzer) error {
 	if len(a.FactTypes) == 0 {
 		return nil
 	}
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      u.Fset,
-		Files:     u.Files,
-		Pkg:       u.Pkg,
-		TypesInfo: u.Info,
-		facts:     u.Facts,
-	}
-	return a.Run(pass)
+	return a.Run(u.pass(a))
+}
+
+func (u *Unit) pass(a *Analyzer) *Pass {
+	return &Pass{Analyzer: a, Fset: u.Fset, Files: u.Files, Pkg: u.Pkg, TypesInfo: u.Info, facts: u.Facts}
 }
 
 // DirectiveDiagnostics reports malformed `//bwalint:ignore` directives
 // (ones missing an analyzer name or a reason). Such directives suppress
 // nothing, so an undocumented escape hatch surfaces as a finding instead
-// of silently widening. Drivers call this once per package.
+// of silently widening. The driver calls this once per package.
 func (u *Unit) DirectiveDiagnostics() []Diagnostic {
 	if u.sup == nil {
 		u.sup = newSuppressions(u.Fset, u.Files)
@@ -174,7 +159,7 @@ func (u *Unit) DirectiveDiagnostics() []Diagnostic {
 // ones naming an analyzer not in the suite (known, plus "all"), and ones
 // whose named analyzer produced no finding on the covered lines. A dead
 // directive is an audit gap — the contract it excused is either enforced
-// again or was never exercised — so the multichecker treats it like any
+// again or was never exercised — so the driver treats it like any
 // other finding. Valid only after every analyzer has run on the unit;
 // directives in _test.go files are exempt (analyzers skip test files).
 func (u *Unit) UnusedDirectiveDiagnostics(known map[string]bool) []Diagnostic {

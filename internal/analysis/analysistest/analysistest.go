@@ -19,6 +19,7 @@ package analysistest
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -52,7 +53,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 		analyzer: a,
 		facts:    analysis.NewFactSet(),
 	}
-	ld.std = analysis.StdImporter(ld.fset)
+	ld.std = importer.ForCompiler(ld.fset, "source", nil)
 
 	var results []Result
 	for _, path := range pkgPaths {
@@ -132,7 +133,7 @@ func (l *fixtureLoader) load(path string) (*loaded, error) {
 	// Export this package's facts immediately: importPkg's recursion
 	// reaches here dependencies-first, so by the time a target package
 	// runs, every fixture dependency's summaries are already in the
-	// shared fact set — same order the real drivers guarantee.
+	// shared fact set — same order the go command guarantees.
 	if err := lp.unit.RunFacts(l.analyzer); err != nil {
 		return nil, fmt.Errorf("facts for fixture %s: %v", path, err)
 	}

@@ -14,12 +14,10 @@ import (
 // computes in one package and consumes in another — the interprocedural
 // layer of the suite. Fact types must be pointers to JSON-marshalable
 // structs and must be listed in the producing Analyzer's FactTypes so the
-// drivers know the analyzer participates in cross-package propagation
+// driver knows the analyzer participates in cross-package propagation
 // (and therefore must run over dependencies, not just vet targets).
 //
-// Propagation follows the build graph in both drivers: the standalone
-// loader runs fact-producing analyzers over the dependency closure in
-// topological order, and the `go vet -vettool` unitchecker computes facts
+// Propagation follows the build graph: the unitchecker computes facts
 // during the go command's VetxOnly dependency runs, reading importers'
 // facts from the PackageVetx files and re-exporting the merged set via
 // VetxOutput so transitive facts flow.
@@ -36,9 +34,9 @@ type encodedFact struct {
 
 type factKey struct{ analyzer, pkg, object, typ string }
 
-// A FactSet is the fact store shared by every Unit of one driver run (or,
-// in vettool mode, by the one unit plus the decoded facts of its
-// dependencies).
+// A FactSet is the fact store of one run: the unit under analysis plus
+// the decoded facts of its dependencies (in analysistest, every fixture
+// package loaded so far).
 type FactSet struct {
 	mu sync.Mutex
 	m  map[factKey]json.RawMessage

@@ -10,7 +10,7 @@ import (
 )
 
 // A ResolvedDiag pairs a diagnostic with the analyzer that produced it —
-// the driver-level currency for printing, baselining, and fixing.
+// the driver-level currency for printing and fixing.
 type ResolvedDiag struct {
 	Analyzer string
 	Diag     Diagnostic
@@ -112,7 +112,7 @@ func printHunk(w io.Writer, name string, src []byte, start, end int, newText []b
 	line := 1 + strings.Count(string(src[:lineStart]), "\n")
 	old := string(src[lineStart:lineEnd])
 	new := string(src[lineStart:start]) + string(newText) + string(src[end:lineEnd])
-	fmt.Fprintf(w, "--- %s:%d\n", ModuleRelative(name), line)
+	fmt.Fprintf(w, "--- %s:%d\n", name, line)
 	for _, l := range strings.Split(old, "\n") {
 		fmt.Fprintf(w, "-%s\n", l)
 	}

@@ -3,30 +3,20 @@ package analysis
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"go/token"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 )
 
-// driverOptions are the suite-level (not per-analyzer) knobs shared by
-// both drivers. The baseline flag is forwarded by `go vet` (it appears in
-// the -flags handshake); the fix/diff/update flags are standalone-only.
-type driverOptions struct {
-	baselinePath   string
-	updateBaseline bool
-	driftOut       string
-	fix            bool
-	diff           bool
-}
-
-// Main is the entry point shared by cmd/bwalint's two modes:
+// Main is the entry point of cmd/bwalint. The go command drives it:
 //
-//	bwalint [packages]          standalone: load from source and report
-//	go vet -vettool=bwalint     build-system mode: -V=full, -flags, *.cfg
+//	go vet -vettool=bwalint     protocol mode: -V=full, -flags, *.cfg
+//	bwalint [flags] [packages]  re-executes the line above with its args
 //
 // It parses flags (exposing each analyzer's flags as -<name>.<flag>),
 // dispatches, and exits the process.
@@ -34,8 +24,8 @@ func Main(analyzers ...*Analyzer) {
 	progname := filepath.Base(os.Args[0])
 	fs := flag.NewFlagSet(progname, flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [flags] [package pattern ...]\n", progname)
-		fmt.Fprintf(os.Stderr, "       go vet -vettool=$(command -v %s) [packages]\n\nAnalyzers:\n", progname)
+		fmt.Fprintf(os.Stderr, "usage: %s [flags] [packages]\n", progname)
+		fmt.Fprintf(os.Stderr, "       go vet -vettool=$(command -v %s) [flags] [packages]\n\nAnalyzers:\n", progname)
 		for _, a := range analyzers {
 			doc, _, _ := strings.Cut(a.Doc, "\n")
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, doc)
@@ -44,12 +34,8 @@ func Main(analyzers ...*Analyzer) {
 	}
 	versionFlag := fs.String("V", "", "print version information (the go command passes -V=full)")
 	flagsFlag := fs.Bool("flags", false, "print the analyzer flags in JSON (for the go command)")
-	opts := new(driverOptions)
-	fs.StringVar(&opts.baselinePath, "baseline", "", "tolerate the findings recorded in this baseline file; new findings and stale entries fail (ratchet)")
-	fs.BoolVar(&opts.updateBaseline, "update-baseline", false, "rewrite the -baseline file from current findings (standalone mode only)")
-	fs.StringVar(&opts.driftOut, "drift-out", "", "when the -baseline ratchet fires, write the would-be baseline here (standalone mode only)")
-	fs.BoolVar(&opts.fix, "fix", false, "apply suggested fixes in place (standalone mode only)")
-	fs.BoolVar(&opts.diff, "diff", false, "print suggested fixes as a diff without applying them (standalone mode only)")
+	fix := fs.Bool("fix", false, "apply suggested fixes in place")
+	diff := fs.Bool("diff", false, "print suggested fixes as a diff without applying them")
 	for _, a := range analyzers {
 		if a.Flags == nil {
 			continue
@@ -69,15 +55,29 @@ func Main(analyzers ...*Analyzer) {
 		printFlagsJSON(fs)
 		os.Exit(0)
 	}
+	if args := fs.Args(); len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
+		RunUnit(args[0], analyzers, *fix, *diff) // exits
+	}
+	runVet(os.Args[1:]) // exits
+}
 
-	args := fs.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		RunUnit(args[0], analyzers, opts) // exits
+// runVet re-executes `go vet -vettool=<this binary>` with args unchanged
+// and exits with its status, so a direct bwalint run and `make lint` take
+// the same path.
+func runVet(args []string) {
+	exe, err := os.Executable()
+	if err != nil {
+		fatalf("%v", err)
 	}
-	if len(args) == 0 {
-		args = []string{"./..."}
+	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + exe}, args...)...)
+	cmd.Stdin, cmd.Stdout, cmd.Stderr = os.Stdin, os.Stdout, os.Stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); errors.As(err, &exit) {
+		os.Exit(exit.ExitCode())
+	} else if err != nil {
+		fatalf("%v", err)
 	}
-	runStandalone(args, analyzers, opts) // exits
+	os.Exit(0)
 }
 
 // printVersion implements -V=full in the form the go command's build-ID
@@ -95,11 +95,8 @@ func printVersion(progname string) {
 }
 
 // printFlagsJSON implements -flags: the go command asks the vettool to
-// enumerate its flags so it can forward user-supplied ones. The
-// standalone-only flags are withheld so `go vet` cannot trigger modes the
-// per-package protocol does not support.
+// enumerate its flags so it can forward user-supplied ones.
 func printFlagsJSON(fs *flag.FlagSet) {
-	standaloneOnly := map[string]bool{"update-baseline": true, "drift-out": true, "fix": true, "diff": true}
 	type jsonFlag struct {
 		Name  string
 		Bool  bool
@@ -107,7 +104,7 @@ func printFlagsJSON(fs *flag.FlagSet) {
 	}
 	flags := []jsonFlag{}
 	fs.VisitAll(func(f *flag.Flag) {
-		if f.Name == "V" || f.Name == "flags" || standaloneOnly[f.Name] {
+		if f.Name == "V" || f.Name == "flags" {
 			return
 		}
 		b, ok := f.Value.(interface{ IsBoolFlag() bool })
@@ -129,155 +126,4 @@ func knownNames(analyzers []*Analyzer) map[string]bool {
 		known[a.Name] = true
 	}
 	return known
-}
-
-func runStandalone(patterns []string, analyzers []*Analyzer, opts *driverOptions) {
-	targets, all, err := Load(".", patterns)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var baseline *Baseline
-	if opts.baselinePath != "" {
-		if baseline, err = LoadBaseline(opts.baselinePath); err != nil {
-			fatalf("%v", err)
-		}
-	}
-
-	facts := NewFactSet()
-	isTarget := make(map[*Unit]bool, len(targets))
-	for _, u := range targets {
-		isTarget[u] = true
-	}
-	for _, u := range all {
-		u.Facts = facts
-	}
-
-	if len(all) == 0 {
-		os.Exit(0)
-	}
-	known := knownNames(analyzers)
-	var diags []ResolvedDiag     // surviving findings, in unit order
-	var tolerated []ResolvedDiag // baseline-matched findings (still fixable)
-	fset := all[0].Fset          // every unit of a Load shares one fset
-
-	// One pass over the closure, dependencies first: fact-only runs on
-	// dependencies, full runs on targets (whose fact exports happen as a
-	// side effect of the normal run).
-	for _, u := range all {
-		if !isTarget[u] {
-			if u.Std {
-				continue
-			}
-			for _, a := range analyzers {
-				if err := u.RunFacts(a); err != nil {
-					fatalf("%s: %s (facts): %v", u.Pkg.Path(), a.Name, err)
-				}
-			}
-			continue
-		}
-		for _, d := range u.DirectiveDiagnostics() {
-			diags = append(diags, ResolvedDiag{Analyzer: "bwalint", Diag: d})
-		}
-		for _, a := range analyzers {
-			ds, err := u.Run(a)
-			if err != nil {
-				fatalf("%s: %s: %v", u.Pkg.Path(), a.Name, err)
-			}
-			for _, d := range ds {
-				rd := ResolvedDiag{Analyzer: a.Name, Diag: d}
-				file := ModuleRelative(u.Fset.Position(d.Pos).Filename)
-				if baseline.Match(file, a.Name, d.Message) {
-					tolerated = append(tolerated, rd)
-					continue
-				}
-				diags = append(diags, rd)
-			}
-		}
-		for _, d := range u.UnusedDirectiveDiagnostics(known) {
-			diags = append(diags, ResolvedDiag{Analyzer: "bwalint", Diag: d})
-		}
-	}
-
-	if opts.updateBaseline {
-		if opts.baselinePath == "" {
-			fatalf("-update-baseline requires -baseline")
-		}
-		entries := baselineEntries(fset, diags, tolerated, baseline)
-		if err := WriteBaseline(opts.baselinePath, entries); err != nil {
-			fatalf("writing baseline: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "bwalint: wrote %d baseline entries to %s\n", len(entries), opts.baselinePath)
-		os.Exit(0)
-	}
-
-	if opts.fix || opts.diff {
-		fixable := append(append([]ResolvedDiag{}, diags...), tolerated...)
-		n, files, err := ApplyFixes(fset, fixable, opts.diff, os.Stdout)
-		if err != nil {
-			fatalf("applying fixes: %v", err)
-		}
-		verb := "applied"
-		if opts.diff {
-			verb = "proposed"
-		}
-		fmt.Fprintf(os.Stderr, "bwalint: %s %d fixes in %d files\n", verb, n, files)
-		if opts.fix {
-			// Re-running after a fix pass reports what remains; this
-			// process's positions are stale once files changed.
-			os.Exit(0)
-		}
-	}
-
-	exit := 0
-	for _, rd := range diags {
-		printDiag(os.Stderr, fset, rd.Analyzer, rd.Diag)
-		exit = 1
-	}
-	stale := baseline.Stale(nil)
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "%s: stale baseline entry (%s: %q no longer reported): remove it from %s [bwalint/baseline]\n",
-			e.File, e.Analyzer, e.Message, opts.baselinePath)
-		exit = 1
-	}
-	if exit != 0 && opts.driftOut != "" && baseline != nil {
-		entries := baselineEntries(fset, diags, tolerated, baseline)
-		if err := WriteBaseline(opts.driftOut, entries); err != nil {
-			fatalf("writing drift baseline: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "bwalint: ratchet fired; would-be baseline written to %s\n", opts.driftOut)
-	}
-	os.Exit(exit)
-}
-
-// baselineEntries builds the baseline matching the current findings,
-// preserving reviewed reasons from the previous baseline where the entry
-// is unchanged.
-func baselineEntries(fset *token.FileSet, diags, tolerated []ResolvedDiag, prev *Baseline) []BaselineEntry {
-	reasons := make(map[BaselineEntry]string)
-	if prev != nil {
-		for _, e := range prev.Entries {
-			key := e
-			key.Reason = ""
-			reasons[key] = e.Reason
-		}
-	}
-	var entries []BaselineEntry
-	for _, rd := range append(append([]ResolvedDiag{}, diags...), tolerated...) {
-		if rd.Analyzer == "bwalint" {
-			continue // directive hygiene is never baselined
-		}
-		e := BaselineEntry{
-			File:     ModuleRelative(fset.Position(rd.Diag.Pos).Filename),
-			Analyzer: rd.Analyzer,
-			Hash:     HashMessage(rd.Diag.Message),
-			Message:  rd.Diag.Message,
-		}
-		if r, ok := reasons[e]; ok && r != "" {
-			e.Reason = r
-		} else {
-			e.Reason = "UNREVIEWED: fix the finding or replace this with a justification"
-		}
-		entries = append(entries, e)
-	}
-	return entries
 }

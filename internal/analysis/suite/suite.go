@@ -1,8 +1,7 @@
-// Package suite is the single registry of bwalint analyzers. Every
-// driver (cmd/bwalint standalone, go vet -vettool, tests) must take its
-// analyzer list from Analyzers so that the binary, the docs drift test,
-// and the unused-directive audit all agree on what "all analyzers"
-// means.
+// Package suite is the single registry of bwalint analyzers. The binary
+// (cmd/bwalint) and the tests must take their analyzer list from
+// Analyzers so that the binary, the docs drift test, and the
+// unused-directive audit all agree on what "all analyzers" means.
 package suite
 
 import (

@@ -11,8 +11,7 @@ import (
 )
 
 // TestAnalyzerNamesSortedUnique pins the registry's own invariants:
-// stable order, unique names (directive matching and baseline entries
-// key on them).
+// stable order, unique names (directive matching keys on them).
 func TestAnalyzerNamesSortedUnique(t *testing.T) {
 	as := suite.Analyzers()
 	if len(as) == 0 {

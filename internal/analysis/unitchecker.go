@@ -10,7 +10,9 @@ import (
 	"go/types"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 )
 
 // unitConfig describes one compilation unit, decoded from the JSON *.cfg
@@ -47,7 +49,13 @@ type unitConfig struct {
 // Standard-library units are skipped outright — the suite's contracts
 // are module-internal — which keeps `go vet ./...` from type-checking
 // the std closure.
-func RunUnit(configFile string, analyzers []*Analyzer, opts *driverOptions) {
+//
+// With fix (or diff) a reporting unit applies (or prints) the suggested
+// fixes for its own files. The go command runs dependencies VetxOnly, so
+// every file is fixed by exactly one unit. A fix run exits 0 without
+// reporting: its positions are stale once files change, so re-run to see
+// what remains.
+func RunUnit(configFile string, analyzers []*Analyzer, fix, diff bool) {
 	data, err := os.ReadFile(configFile)
 	if err != nil {
 		fatalf("%v", err)
@@ -110,48 +118,41 @@ func RunUnit(configFile string, analyzers []*Analyzer, opts *driverOptions) {
 		os.Exit(0)
 	}
 
-	var baseline *Baseline
-	if opts != nil && opts.baselinePath != "" {
-		if baseline, err = LoadBaseline(opts.baselinePath); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	unitFiles := make(map[string]bool, len(cfg.GoFiles))
-	for _, name := range cfg.GoFiles {
-		unitFiles[ModuleRelative(name)] = true
-	}
-
-	exit := 0
+	var diags []ResolvedDiag
 	for _, d := range unit.DirectiveDiagnostics() {
-		printDiag(os.Stderr, unit.Fset, "bwalint", d)
-		exit = 1
+		diags = append(diags, ResolvedDiag{"bwalint", d})
 	}
 	for _, a := range analyzers {
-		diags, err := unit.Run(a)
+		ds, err := unit.Run(a)
 		if err != nil {
 			fatalf("%s: %v", a.Name, err)
 		}
-		for _, d := range diags {
-			file := ModuleRelative(unit.Fset.Position(d.Pos).Filename)
-			if baseline.Match(file, a.Name, d.Message) {
-				continue
-			}
-			printDiag(os.Stderr, unit.Fset, a.Name, d)
-			exit = 1
+		for _, d := range ds {
+			diags = append(diags, ResolvedDiag{a.Name, d})
 		}
 	}
 	for _, d := range unit.UnusedDirectiveDiagnostics(knownNames(analyzers)) {
-		printDiag(os.Stderr, unit.Fset, "bwalint", d)
-		exit = 1
-	}
-	// Stale entries are checked per unit against the unit's own files;
-	// entries for deleted files surface in standalone runs.
-	for _, e := range baseline.Stale(unitFiles) {
-		fmt.Fprintf(os.Stderr, "%s: stale baseline entry (%s: %q no longer reported): remove it [bwalint/baseline]\n",
-			e.File, e.Analyzer, e.Message)
-		exit = 1
+		diags = append(diags, ResolvedDiag{"bwalint", d})
 	}
 	writeFacts(facts)
+
+	if fix || diff {
+		n, files, err := ApplyFixes(unit.Fset, diags, diff, os.Stdout)
+		if err != nil {
+			fatalf("applying fixes: %v", err)
+		}
+		if fix {
+			if n > 0 {
+				fmt.Fprintf(os.Stderr, "bwalint: applied %d fixes in %d files\n", n, files)
+			}
+			os.Exit(0)
+		}
+	}
+	exit := 0
+	for _, rd := range diags {
+		printDiag(os.Stderr, unit.Fset, rd.Analyzer, rd.Diag)
+		exit = 1
+	}
 	os.Exit(exit)
 }
 
@@ -204,6 +205,10 @@ func typecheckUnit(cfg *unitConfig) (*Unit, error) {
 	return &Unit{Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }
 
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 func printDiag(w io.Writer, fset *token.FileSet, analyzer string, d Diagnostic) {
 	fmt.Fprintf(w, "%s: %s [bwalint/%s]\n", fset.Position(d.Pos), d.Message, analyzer)
 }
@@ -211,4 +216,45 @@ func printDiag(w io.Writer, fset *token.FileSet, analyzer string, d Diagnostic) 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "bwalint: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// moduleRoot returns the nearest directory at or above dir holding a
+// go.mod, and that file's contents ("" and nil when there is none).
+func moduleRoot(dir string) (string, []byte) {
+	for d := dir; ; {
+		if data, err := os.ReadFile(filepath.Join(d, "go.mod")); err == nil {
+			return d, data
+		}
+		parent := filepath.Dir(d)
+		if parent == d {
+			return "", nil
+		}
+		d = parent
+	}
+}
+
+// moduleName returns the module path declared by the nearest go.mod above
+// dir ("" when there is none). RunUnit uses it to recognize
+// standard-library units ("std", "cmd") and skip fact computation there.
+func moduleName(dir string) string {
+	_, data := moduleRoot(dir)
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.TrimSpace(rest)
+		}
+	}
+	return ""
+}
+
+// ModuleRelative rewrites an absolute filename relative to its module
+// root, with forward slashes: the stable, machine-independent form in
+// which facts carry source positions across processes. Files outside any
+// module are returned unchanged.
+func ModuleRelative(filename string) string {
+	root, _ := moduleRoot(filepath.Dir(filename))
+	rel, err := filepath.Rel(root, filename)
+	if root == "" || err != nil || strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(filename)
+	}
+	return filepath.ToSlash(rel)
 }

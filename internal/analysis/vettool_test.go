@@ -134,10 +134,71 @@ func TestVettoolProtocol(t *testing.T) {
 	if !bytes.Contains(out, []byte(`"Name"`)) {
 		t.Fatalf("-flags did not emit the JSON flag schema: %q", out)
 	}
+	// go vet forwards only the flags listed here: -fix and -diff must be
+	// among them, and no baseline flag exists.
+	for _, want := range []string{`"Name":"fix"`, `"Name":"diff"`} {
+		if !bytes.Contains(out, []byte(want)) {
+			t.Errorf("-flags does not list %s: %s", want, out)
+		}
+	}
+	if bytes.Contains(out, []byte("baseline")) {
+		t.Errorf("-flags lists a baseline flag: %s", out)
+	}
 }
 
-// TestStandaloneMode runs bwalint directly (no go vet driver) against the
-// scratch module and expects findings plus a non-zero exit.
+// TestFixAndDiff drives ApplyFixes through go vet: -diff prints the
+// ctxflow rewrite without touching the file, -fix applies it, and a plain
+// vet run afterwards is clean.
+func TestFixAndDiff(t *testing.T) {
+	bin := buildBwalint(t)
+	dir := t.TempDir()
+	src := `package server
+
+import "context"
+
+func Handle(ctx context.Context) context.Context {
+	return context.WithoutCancel(context.TODO())
+}
+`
+	file := filepath.Join(dir, "internal", "server", "handler.go")
+	if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for p, content := range map[string]string{filepath.Join(dir, "go.mod"): "module repro\n\ngo 1.22\n", file: src} {
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(name string, args ...string) ([]byte, error) {
+		cmd := exec.Command(name, args...)
+		cmd.Dir = dir
+		return cmd.CombinedOutput()
+	}
+
+	out, _ := run(bin, "-diff", "./...")
+	if !bytes.Contains(out, []byte("-\treturn context.WithoutCancel(context.TODO())")) ||
+		!bytes.Contains(out, []byte("+\treturn context.WithoutCancel(ctx)")) {
+		t.Errorf("-diff did not print the ctxflow hunk:\n%s", out)
+	}
+	if got, _ := os.ReadFile(file); string(got) != src {
+		t.Fatalf("-diff modified the file:\n%s", got)
+	}
+
+	if out, err := run(bin, "-fix", "./..."); err != nil {
+		t.Fatalf("-fix: %v\n%s", err, out)
+	}
+	if got, _ := os.ReadFile(file); !bytes.Contains(got, []byte("return context.WithoutCancel(ctx)\n")) {
+		t.Fatalf("-fix did not rewrite the file:\n%s", got)
+	}
+
+	if out, err := run("go", "vet", "-vettool="+bin, "./..."); err != nil {
+		t.Errorf("findings survived -fix: %v\n%s", err, out)
+	}
+}
+
+// TestStandaloneMode runs bwalint directly (its front door re-executes
+// go vet -vettool) against the scratch module and expects findings plus a
+// non-zero exit.
 func TestStandaloneMode(t *testing.T) {
 	bin := buildBwalint(t)
 	dir := scratchModule(t)

@@ -178,10 +178,6 @@ func NewOcc128(b0 []byte) *Occ128 {
 		o.blocks[blk].data[w] |= uint64(c) << sh
 		run[c]++
 	}
-	if n&127 == 0 && n > 0 {
-		// counts of the (unused) trailing block boundary are never read.
-		_ = run
-	}
 	if n == 0 {
 		o.blocks[0].counts = run
 	}

@@ -170,7 +170,7 @@ type Gateway struct {
 
 // New builds a gateway over cfg.Replicas and starts its health prober.
 // The caller must Close (or Shutdown) it.
-func New(cfg Config, opts ...Option) (*Gateway, error) {
+func New(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("gateway: no replicas configured")
@@ -185,14 +185,17 @@ func New(cfg Config, opts ...Option) (*Gateway, error) {
 		seen[u] = true
 		urls = append(urls, u)
 	}
-	g := &Gateway{cfg: cfg, mux: http.NewServeMux(), met: newGwMetrics(), probeDone: make(chan struct{})}
-	for _, o := range opts {
-		if err := o(g); err != nil {
-			return nil, err
-		}
+	// Upstream connection pooling is tuned for many concurrent streams to
+	// few hosts. Align responses stream, so no overall client timeout is
+	// set — request contexts bound each call.
+	tr := http.DefaultTransport
+	if t, ok := tr.(*http.Transport); ok {
+		t = t.Clone()
+		t.MaxIdleConnsPerHost = 64
+		tr = t
 	}
-	hc := g.httpClient()
-	g.upstream = hc
+	hc := &http.Client{Transport: tr}
+	g := &Gateway{cfg: cfg, mux: http.NewServeMux(), met: newGwMetrics(), upstream: hc, probeDone: make(chan struct{})}
 	for _, u := range urls {
 		cl, err := bwaclient.New(u, bwaclient.WithRetries(cfg.UpstreamRetries429), bwaclient.WithHTTPClient(hc))
 		if err != nil {
@@ -222,27 +225,6 @@ func New(cfg Config, opts ...Option) (*Gateway, error) {
 	g.probeCancel = cancel
 	go g.probeLoop(ctx)
 	return g, nil
-}
-
-// Option configures a Gateway at construction.
-type Option func(*Gateway) error
-
-var testHTTPClient *http.Client // test hook; nil in production
-
-// httpClient resolves the upstream *http.Client: connection pooling tuned
-// for many concurrent streams to few hosts. Align responses stream, so no
-// overall client timeout is set — request contexts bound each call.
-func (g *Gateway) httpClient() *http.Client {
-	if testHTTPClient != nil {
-		return testHTTPClient
-	}
-	tr := http.DefaultTransport
-	if t, ok := tr.(*http.Transport); ok {
-		t = t.Clone()
-		t.MaxIdleConnsPerHost = 64
-		tr = t
-	}
-	return &http.Client{Transport: tr}
 }
 
 // CloseIdleConnections drops the pooled idle upstream connections (and

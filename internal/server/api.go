@@ -211,21 +211,3 @@ func alignBodyKind(r *http.Request) (isJSON bool, err error) {
 	}
 	return false, fmt.Errorf("unsupported Content-Type %q (FASTQ bodies: text/plain, text/x-fastq, application/x-fastq; JSON bodies: application/json)", ct)
 }
-
-// logf reports a request-plane event to the configured logger, if any.
-func (s *Server) logf(format string, args ...any) {
-	if f := s.logFn.Load(); f != nil {
-		(*f)(format, args...)
-	}
-}
-
-// SetLogf installs a request-plane logger (cancellations, deadline
-// expiries are reported through it with their request IDs). nil disables
-// logging, the default. Safe to call concurrently with serving.
-func (s *Server) SetLogf(logf func(format string, args ...any)) {
-	if logf == nil {
-		s.logFn.Store(nil)
-		return
-	}
-	s.logFn.Store(&logf)
-}

@@ -212,8 +212,6 @@ func (s *Server) finishStream(w http.ResponseWriter, r *http.Request, st *ordere
 	dropped := int64(readsPerRecord) * int64(st.Missing())
 	s.met.requestsCancelled.Add(1)
 	s.met.readsDropped.Add(dropped)
-	s.logf("request %s cancelled (%v): %d reads dropped, %d bytes streamed",
-		RequestID(r.Context()), err, dropped, st.Written())
 	if l := s.logger.Load(); l != nil {
 		l.Warn("request cancelled",
 			"request_id", RequestID(r.Context()), "error", err.Error(),

@@ -220,8 +220,7 @@ func (s *Server) observeRequest(sw *statusWriter, info *reqInfo) {
 }
 
 // SetLogger installs the structured access/event logger (obs.Logger). nil
-// disables structured logging, the default. Independent of the legacy
-// SetLogf printf hook; both may be active. Safe to call concurrently with
+// disables structured logging, the default. Safe to call concurrently with
 // serving.
 func (s *Server) SetLogger(l *obs.Logger) {
 	if l == nil {

@@ -87,7 +87,6 @@ type Server struct {
 	hists *serverHists   // latency histograms, shared by all requests (obs.go)
 	ring  *obs.TraceRing // request-trace ring for /v1/debug/requests; nil when disabled
 
-	logFn     atomic.Pointer[func(format string, args ...any)]
 	logger    atomic.Pointer[obs.Logger] // structured access/event logger; nil = off
 	drainFlag atomic.Bool
 	closed    atomic.Bool

@@ -10,10 +10,12 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/counters"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/seq"
 	"repro/internal/testutil"
@@ -82,15 +84,36 @@ func scrapeMetric(t *testing.T, base, name string) int64 {
 	return v
 }
 
+// syncBuffer is a log sink the server's goroutines write while the test
+// reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // TestCancelledRequestReleasesBudget covers the cancellation path end to
 // end: a request whose tasks are queued behind a busy worker is cancelled
 // by its client; its reads must be dropped without ever being aligned and
 // its admission budget must free — observed via /metrics, as a real
-// operator would.
+// operator would — and the cancellation is logged exactly once.
 func TestCancelledRequestReleasesBudget(t *testing.T) {
 	cfg := testConfig()
 	cfg.Threads = 1
 	s := newTestServer(t, cfg)
+	var logBuf syncBuffer
+	s.SetLogger(obs.NewLogger(&logBuf, obs.FormatJSON, obs.LevelInfo))
 	reqCtx := make(chan context.Context, 1)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {
@@ -148,6 +171,12 @@ func TestCancelledRequestReleasesBudget(t *testing.T) {
 	// The queued reads were dropped before any alignment ran.
 	if got := s.sched.Clock().T[counters.StageSMEM]; got != smem0 {
 		t.Fatalf("SMEM clock moved by %v for a request cancelled while queued", got-smem0)
+	}
+	const event = `"msg":"request cancelled"`
+	testutil.WaitUntil(t, 10*time.Second, func() bool { return strings.Contains(logBuf.String(), event) },
+		"cancellation never logged")
+	if n := strings.Count(logBuf.String(), event); n != 1 {
+		t.Fatalf("cancellation logged %d times, want 1:\n%s", n, logBuf.String())
 	}
 }
 

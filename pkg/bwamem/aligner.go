@@ -87,13 +87,18 @@ func (a *Aligner) scheduler() (*pipeline.Scheduler, error) {
 // Cancelling ctx drops batches that have not started and returns
 // ctx.Err(); records already emitted stay emitted.
 func (a *Aligner) Align(ctx context.Context, reads []Read, emit func(i int, rec []byte)) error {
+	_, err := a.align(ctx, reads, emit)
+	return err
+}
+
+// align is the body of Align and AlignWithStats.
+func (a *Aligner) align(ctx context.Context, reads []Read, emit func(i int, rec []byte)) (*pipeline.Result, error) {
 	s, err := a.scheduler()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	_, err = pipeline.RunStreamOn(ctx, s, toSeqReads(reads),
+	return pipeline.RunStreamOn(ctx, s, toSeqReads(reads),
 		pipeline.Config{BatchSize: a.cfg.batch}, emit)
-	return err
 }
 
 // Stats summarizes one alignment call: what it processed, how long it
@@ -111,47 +116,31 @@ type Stats struct {
 	StageSeconds map[string]float64
 }
 
-func statsFromResult(res *pipeline.Result) Stats {
+// statsOf summarizes one call's pipeline result; on error it is the zero
+// Stats.
+func statsOf(res *pipeline.Result, err error) (Stats, error) {
+	if err != nil {
+		return Stats{}, err
+	}
 	st := Stats{Reads: res.Reads, Wall: res.Wall,
 		StageSeconds: make(map[string]float64, counters.NumStages)}
 	for _, stage := range counters.Stages() {
 		st.StageSeconds[stage.String()] = res.Clock.T[stage].Seconds()
 	}
-	return st
+	return st, nil
 }
 
 // AlignWithStats is Align plus a per-call Stats summary (wall time and the
 // call's per-stage kernel time). On error the zero Stats is returned.
 func (a *Aligner) AlignWithStats(ctx context.Context, reads []Read, emit func(i int, rec []byte)) (Stats, error) {
-	s, err := a.scheduler()
-	if err != nil {
-		return Stats{}, err
-	}
-	res, err := pipeline.RunStreamOn(ctx, s, toSeqReads(reads),
-		pipeline.Config{BatchSize: a.cfg.batch}, emit)
-	if err != nil {
-		return Stats{}, err
-	}
-	return statsFromResult(res), nil
+	return statsOf(a.align(ctx, reads, emit))
 }
 
 // AlignPairedWithStats is AlignPaired plus a per-call Stats summary;
 // Stats.Reads counts both ends of every pair. On error the zero Stats is
 // returned.
 func (a *Aligner) AlignPairedWithStats(ctx context.Context, reads1, reads2 []Read, emit func(i int, rec []byte)) (Stats, error) {
-	if len(reads1) != len(reads2) {
-		return Stats{}, fmt.Errorf("bwamem: unequal pair lists: %d vs %d reads", len(reads1), len(reads2))
-	}
-	s, err := a.scheduler()
-	if err != nil {
-		return Stats{}, err
-	}
-	res, err := pipeline.RunPairedStreamOn(ctx, s, toSeqReads(reads1), toSeqReads(reads2),
-		pipeline.Config{BatchSize: a.cfg.batch}, emit)
-	if err != nil {
-		return Stats{}, err
-	}
-	return statsFromResult(res), nil
+	return statsOf(a.alignPaired(ctx, reads1, reads2, emit))
 }
 
 // AlignSAM maps single-end reads and returns a complete SAM document:
@@ -170,16 +159,21 @@ func (a *Aligner) AlignSAM(ctx context.Context, reads []Read) ([]byte, error) {
 // records (both ends) once pairing completes, under Align's callback
 // contract with pair indexes in place of read indexes.
 func (a *Aligner) AlignPaired(ctx context.Context, reads1, reads2 []Read, emit func(i int, rec []byte)) error {
+	_, err := a.alignPaired(ctx, reads1, reads2, emit)
+	return err
+}
+
+// alignPaired is the body of AlignPaired and AlignPairedWithStats.
+func (a *Aligner) alignPaired(ctx context.Context, reads1, reads2 []Read, emit func(i int, rec []byte)) (*pipeline.Result, error) {
 	if len(reads1) != len(reads2) {
-		return fmt.Errorf("bwamem: unequal pair lists: %d vs %d reads", len(reads1), len(reads2))
+		return nil, fmt.Errorf("bwamem: unequal pair lists: %d vs %d reads", len(reads1), len(reads2))
 	}
 	s, err := a.scheduler()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	_, err = pipeline.RunPairedStreamOn(ctx, s, toSeqReads(reads1), toSeqReads(reads2),
+	return pipeline.RunPairedStreamOn(ctx, s, toSeqReads(reads1), toSeqReads(reads2),
 		pipeline.Config{BatchSize: a.cfg.batch}, emit)
-	return err
 }
 
 // AlignPairedSAM maps read pairs and returns a complete SAM document in

@@ -159,6 +159,67 @@ func TestAlignStreamingEmitsEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// TestAlignWithStats checks that the stats entry points emit exactly what
+// Align/AlignPaired emit and summarize the call: reads counted (both ends
+// of a pair), wall time, and every stage present with SMEM time recorded.
+func TestAlignWithStats(t *testing.T) {
+	idx, reads, r1, r2 := setup(t)
+	aln, err := New(idx, WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer aln.Close()
+	ctx := context.Background()
+	collect := func(n int, run func(emit func(int, []byte)) error) [][]byte {
+		t.Helper()
+		recs := make([][]byte, n)
+		if err := run(func(i int, rec []byte) { recs[i] = rec }); err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	for _, tc := range []struct {
+		name      string
+		n, nReads int
+		plain     func(emit func(int, []byte)) error
+		withStats func(emit func(int, []byte)) (Stats, error)
+	}{
+		{"single", len(reads), len(reads),
+			func(emit func(int, []byte)) error { return aln.Align(ctx, reads, emit) },
+			func(emit func(int, []byte)) (Stats, error) { return aln.AlignWithStats(ctx, reads, emit) }},
+		{"paired", len(r1), 2 * len(r1),
+			func(emit func(int, []byte)) error { return aln.AlignPaired(ctx, r1, r2, emit) },
+			func(emit func(int, []byte)) (Stats, error) { return aln.AlignPairedWithStats(ctx, r1, r2, emit) }},
+	} {
+		want := collect(tc.n, tc.plain)
+		var st Stats
+		got := collect(tc.n, func(emit func(int, []byte)) (err error) {
+			st, err = tc.withStats(emit)
+			return err
+		})
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("%s: record %d differs from the plain entry point:\n%s\nvs\n%s", tc.name, i, got[i], want[i])
+				break
+			}
+		}
+		if st.Reads != tc.nReads {
+			t.Errorf("%s: Stats.Reads = %d, want %d", tc.name, st.Reads, tc.nReads)
+		}
+		if st.Wall <= 0 {
+			t.Errorf("%s: Stats.Wall = %v, want > 0", tc.name, st.Wall)
+		}
+		for _, stage := range []string{"SMEM", "SAL", "CHAIN", "BSW-pre", "BSW", "SAM-FORM", "Misc"} {
+			if _, ok := st.StageSeconds[stage]; !ok {
+				t.Errorf("%s: StageSeconds lacks %q: %v", tc.name, stage, st.StageSeconds)
+			}
+		}
+		if st.StageSeconds["SMEM"] <= 0 {
+			t.Errorf("%s: StageSeconds[SMEM] = %v, want > 0", tc.name, st.StageSeconds["SMEM"])
+		}
+	}
+}
+
 func TestAlignCancelledContext(t *testing.T) {
 	idx, reads, _, _ := setup(t)
 	aln, err := New(idx, WithThreads(1))

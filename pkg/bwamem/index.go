@@ -145,7 +145,7 @@ func OpenOrBuild(refPath string) (*Index, error) {
 	return BuildFile(refPath)
 }
 
-// Write serializes the index in the current (v2) .bwago format:
+// Write serializes the index in the current (version 3) .bwago format:
 // page-aligned, checksummed, with the occurrence tables persisted so Open
 // skips their rebuild and OpenMmap can alias them directly.
 func (x *Index) Write(w io.Writer) error { return x.pi.WriteIndexV2(w) }

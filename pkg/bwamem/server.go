@@ -139,17 +139,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.srv.ServeHTTP(w, r)
 }
 
-// SetLogf installs a request-plane logger (cancellations and deadline
-// expiries are reported through it with their request IDs). nil disables
-// logging, the default. Safe to call concurrently with serving.
-func (s *Server) SetLogf(logf func(format string, args ...any)) { s.srv.SetLogf(logf) }
-
 // SetLogOutput installs the structured request log: one event per request
 // (request_id, route, status, reads, duration, bytes) plus cancellation
 // warnings, written to w in the given format — "json" (one JSON object per
 // line) or "text" (timestamp, level, message, key=value fields). A nil w
 // disables structured logging, the default. Safe to call concurrently
-// with serving; independent of SetLogf.
+// with serving.
 func (s *Server) SetLogOutput(w io.Writer, format string) error {
 	if w == nil {
 		s.srv.SetLogger(nil)
