@@ -4,8 +4,9 @@
 //	bwamem index ref.fa                  build ref.fa.bwago
 //	bwamem mem [flags] ref.fa reads.fq   map reads, SAM on stdout
 //
-// The -mode flag switches between the paper's two implementations (the
-// output is identical either way; only the speed differs).
+// mem runs the paper's optimized design. The original BWA-MEM design it is
+// measured against is not selectable here: its output is identical, and
+// cmd/experiments runs it for the paper's comparisons.
 package main
 
 import (
@@ -36,7 +37,7 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   bwamem index [-o out.bwago] <ref.fa>
-  bwamem mem [-t N] [-mode baseline|optimized] [-a] [-T score] <ref.fa[.bwago]> <reads.fq> [mates.fq]
+  bwamem mem [-t N] [-a] [-T score] <ref.fa[.bwago]> <reads.fq> [mates.fq]
 `)
 	os.Exit(2)
 }
@@ -81,7 +82,6 @@ func cmdIndex(args []string) {
 func cmdMem(args []string) {
 	fs := flag.NewFlagSet("mem", flag.ExitOnError)
 	threads := fs.Int("t", 0, "worker threads (0 = NumCPU)")
-	modeStr := fs.String("mode", "optimized", "implementation: baseline or optimized")
 	all := fs.Bool("a", false, "output secondary alignments")
 	minScore := fs.Int("T", 30, "minimum score to output")
 	batch := fs.Int("batch", 0, "reads per batch (0 = default)")
@@ -89,11 +89,6 @@ func cmdMem(args []string) {
 	if fs.NArg() != 2 && fs.NArg() != 3 {
 		usage()
 	}
-	mode, err := bwamem.ParseMode(*modeStr)
-	if err != nil {
-		die(err)
-	}
-
 	idx, err := bwamem.OpenOrBuild(fs.Arg(0))
 	if err != nil {
 		die(err)
@@ -119,7 +114,6 @@ func cmdMem(args []string) {
 	reads := loadReads(fs.Arg(1))
 
 	aln, err := bwamem.New(idx,
-		bwamem.WithMode(mode),
 		bwamem.WithThreads(*threads),
 		bwamem.WithBatchSize(*batch),
 		bwamem.WithMinOutputScore(*minScore),
@@ -155,6 +149,6 @@ func cmdMem(args []string) {
 	if err := out.Flush(); err != nil {
 		die(err)
 	}
-	fmt.Fprintf(os.Stderr, "[mem] %d reads in %v (%s mode, %d threads)\n",
-		nReads, wall.Round(time.Millisecond), aln.Mode(), aln.Threads())
+	fmt.Fprintf(os.Stderr, "[mem] %d reads in %v (%d threads)\n",
+		nReads, wall.Round(time.Millisecond), aln.Threads())
 }

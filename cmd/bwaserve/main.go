@@ -53,7 +53,6 @@ func die(err error) {
 func main() {
 	fs := flag.NewFlagSet("bwaserve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	modeStr := fs.String("mode", "optimized", "implementation: baseline or optimized")
 	threads := fs.Int("t", 0, "worker threads (0 = NumCPU)")
 	batch := fs.Int("batch", 0, "reads per worker task, the unit of dispatch (0 = 512)")
 	maxInflight := fs.Int("max-inflight", 0, "max reads admitted at once, 429 beyond (0 = 65536)")
@@ -76,16 +75,11 @@ func main() {
 	}
 	fs.Parse(os.Args[1:])
 
-	mode, err := bwamem.ParseMode(*modeStr)
-	if err != nil {
-		die(err)
-	}
-
 	idx, err := loadIndex(fs.Args(), *synthetic, *seed, *indexMmap)
 	if err != nil {
 		die(err)
 	}
-	aln, err := bwamem.New(idx, bwamem.WithMode(mode))
+	aln, err := bwamem.New(idx)
 	if err != nil {
 		die(err)
 	}
@@ -120,9 +114,9 @@ func main() {
 		}()
 	}
 	info := idx.Info()
-	fmt.Fprintf(os.Stderr, "[bwaserve] index resident: %d contigs, %d bp (%s, loaded in %v); %d workers, batch %d, %s mode\n",
+	fmt.Fprintf(os.Stderr, "[bwaserve] index resident: %d contigs, %d bp (%s, loaded in %v); %d workers, batch %d\n",
 		len(idx.Contigs()), idx.ReferenceLength(), info.Source,
-		info.LoadTime.Round(time.Millisecond), srv.Config().Threads, srv.Config().BatchSize, aln.Mode())
+		info.LoadTime.Round(time.Millisecond), srv.Config().Threads, srv.Config().BatchSize)
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 	errCh := make(chan error, 1)

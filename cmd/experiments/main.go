@@ -2,9 +2,10 @@
 // (run-time breakdown), Figure 4 (thread scaling), Figure 5 (end-to-end
 // baseline-vs-optimized comparison), the kernel-level Tables 4-8 (SMEM and
 // SAL counters, BSW engine times, instruction analysis and time breakdown)
-// and the design-choice ablations from DESIGN.md. Each selector runs one
-// experiment; with none (or -all) it runs everything. Its output is the raw
-// material recorded in EXPERIMENTS.md.
+// and the design-choice ablations (suffix-array compression, BSW lane width
+// and job sorting, batch size). Each selector runs one experiment; with none
+// (or -all) it runs everything. Results are printed as text, beside the
+// values the paper reports; no file records them.
 package main
 
 import (

@@ -20,9 +20,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. An aligner over it. ModeOptimized (the default) is the paper's
-	//    design; ModeBaseline is original BWA-MEM. Both give identical
-	//    output. Options tune threads, batching, and scoring.
+	// 2. An aligner over it, running the paper's optimized design (its
+	//    output is identical to original BWA-MEM's). Options tune threads,
+	//    batching, and scoring.
 	aln, err := bwamem.New(idx, bwamem.WithThreads(2))
 	if err != nil {
 		log.Fatal(err)

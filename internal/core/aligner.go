@@ -20,7 +20,6 @@ type Aligner struct {
 	Idx  *fmindex.Index
 	SA   sal.Lookuper
 	Opts Options
-	Mode Mode
 
 	par5, par3 bsw.Params
 	chOpts     chain.Opts

@@ -1,10 +1,10 @@
 // On-disk index I/O: the Prebuilt bundle, its consistency pass, and the
 // stream reader's front door. The one format is the page-aligned layout
-// (version 3) in index_v2.go (64-bit lengths, per-section offsets and CRCs, persisted
-// occurrence tables, mmap-able via OpenIndexMmap in index_mmap.go). The
-// reader runs Prebuilt.validate before returning and bounds every
-// allocation by the claimed remaining input, so a truncated or adversarial
-// file yields a "corrupt index" error rather than an OOM.
+// (version 4) in index_v2.go (64-bit lengths, per-section offsets and CRCs,
+// a persisted occurrence table, mmap-able via OpenIndexMmap in
+// index_mmap.go). The reader runs Prebuilt.validate before returning and
+// bounds every allocation by the claimed remaining input, so a truncated or
+// adversarial file yields a "corrupt index" error rather than an OOM.
 package core
 
 import (
@@ -23,22 +23,19 @@ import (
 
 // Prebuilt bundles everything expensive about an index — the packed
 // reference, the BWT, the full suffix array, and (when loaded from an index
-// file) the prebuilt occurrence tables — so it can be written to disk once
-// ("bwamem index") and reused by any aligner mode. Without preloaded
-// tables, the occurrence table is rebuilt on load (a linear scan,
-// negligible next to suffix-array construction but not next to an mmap
-// open).
+// file) the prebuilt bit-plane occurrence table — so it can be written to
+// disk once ("bwamem index") and reused by any aligner. Without a preloaded
+// table, the occurrence table is rebuilt on load (a linear scan, negligible
+// next to suffix-array construction but not next to an mmap open).
 type Prebuilt struct {
 	Ref    *seq.Reference
 	BWT    *bwt.BWT
 	FullSA []int32
 
-	// Occ128/OccBP, when non-nil, are the baseline and bit-plane
-	// occurrence tables loaded from an index file (possibly aliasing a
-	// memory-mapped file); NewAlignerFrom uses them instead of rebuilding
-	// from the BWT column.
-	Occ128 *fmindex.Occ128
-	OccBP  *fmindex.OccBP
+	// OccBP, when non-nil, is the bit-plane occurrence table loaded from an
+	// index file (possibly aliasing a memory-mapped file); NewAlignerFrom
+	// uses it instead of rebuilding from the BWT column.
+	OccBP *fmindex.OccBP
 }
 
 // BuildPrebuilt constructs the index data from a reference.
@@ -51,15 +48,16 @@ func BuildPrebuilt(ref *seq.Reference) (*Prebuilt, error) {
 }
 
 // NewAlignerFrom assembles an aligner from prebuilt index data.
-// ModeBaseline uses the η=128 occurrence table and a compressed suffix
-// array (sal.DefaultCompression); ModeOptimized uses the bit-plane table
-// and a flat suffix array.
+// ModeOptimized, the shipped engine, uses the bit-plane table and a flat
+// suffix array. ModeBaseline, which only the experiments and tests build,
+// uses the η=128 occurrence table, built here from the BWT column, and a
+// compressed suffix array (sal.DefaultCompression).
 func NewAlignerFrom(pi *Prebuilt, mode Mode, opts Options) (*Aligner, error) {
 	flavor := fmindex.Baseline
 	if mode == ModeOptimized {
 		flavor = fmindex.Optimized
 	}
-	idx := fmindex.NewFromParts(pi.BWT, flavor, pi.Occ128, pi.OccBP)
+	idx := fmindex.NewFromParts(pi.BWT, flavor, pi.OccBP)
 	var lookup sal.Lookuper
 	if mode == ModeOptimized {
 		lookup = sal.NewFlat(pi.FullSA)
@@ -71,7 +69,7 @@ func NewAlignerFrom(pi *Prebuilt, mode Mode, opts Options) (*Aligner, error) {
 		}
 	}
 	return &Aligner{
-		Ref: pi.Ref, Idx: idx, SA: lookup, Opts: opts, Mode: mode,
+		Ref: pi.Ref, Idx: idx, SA: lookup, Opts: opts,
 		par5:   opts.bswParams(opts.PenClip5),
 		par3:   opts.bswParams(opts.PenClip3),
 		chOpts: opts.chainOpts(),
@@ -79,12 +77,9 @@ func NewAlignerFrom(pi *Prebuilt, mode Mode, opts Options) (*Aligner, error) {
 }
 
 // MemFootprint returns the resident bytes of the loaded index data: packed
-// reference, BWT column, suffix array, and any preloaded occurrence tables.
+// reference, BWT column, suffix array, and any preloaded occurrence table.
 func (pi *Prebuilt) MemFootprint() int64 {
 	n := int64(len(pi.Ref.Pac)) + int64(len(pi.BWT.B0)) + 4*int64(len(pi.FullSA))
-	if pi.Occ128 != nil {
-		n += int64(pi.Occ128.MemFootprint())
-	}
 	if pi.OccBP != nil {
 		n += int64(pi.OccBP.MemFootprint())
 	}
@@ -93,7 +88,7 @@ func (pi *Prebuilt) MemFootprint() int64 {
 
 const (
 	indexMagic   = "BWAGOIDX"
-	indexVersion = uint32(3)
+	indexVersion = uint32(4)
 )
 
 func corruptf(format string, args ...any) error {
@@ -226,9 +221,10 @@ func readFullAlloc(r io.Reader, n uint64, remaining int64) ([]byte, error) {
 
 // ReadIndex deserializes index data written by WriteIndexV2 onto the heap;
 // use OpenIndexMmap to map the file zero-copy instead. Files of a retired
-// version — 1 (the 32-bit stream format) and 2 (which persisted the η=32
-// table in place of the bit-plane one) — are recognised and refused with a
-// rebuild hint rather than reported as corrupt.
+// version — 1 (the 32-bit stream format), 2 (which persisted the η=32 table
+// in place of the bit-plane one) and 3 (which also persisted the η=128
+// table) — are recognised and refused with a rebuild hint rather than
+// reported as corrupt.
 func ReadIndex(r io.Reader) (*Prebuilt, error) {
 	remaining := sizeHint(r)
 	br := bufio.NewReaderSize(r, 1<<20)

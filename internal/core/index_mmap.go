@@ -13,7 +13,7 @@ import (
 )
 
 // MappedIndex is prebuilt index data whose large sections — packed
-// reference, BWT column, suffix array, both occurrence tables — alias a
+// reference, BWT column, suffix array, bit-plane occurrence table — alias a
 // read-only memory mapping of a .bwago file instead of living on the Go
 // heap. Opening one costs header parsing and metadata validation regardless
 // of index size; the kernel pages data in on first touch, and every process
@@ -88,7 +88,7 @@ func OpenIndexMmap(path string) (*MappedIndex, error) {
 // its checksum is verified here; the big sections are aliased unverified
 // (see OpenIndexMmap).
 func buildFromMapping(m []byte, size int64) (*Prebuilt, error) {
-	h, err := parseV2Header(m[:v2HeaderBytes], size)
+	h, err := parseV2Header(m, size)
 	if err != nil {
 		return nil, err
 	}

@@ -1,25 +1,27 @@
-// The .bwago index format (version 3; versions 1 and 2 are retired and
-// refused with a rebuild hint): a page-aligned, little-endian layout —
-// introduced by version 2, hence the v2 names below — designed so the file
-// can be memory-mapped read-only and the big arrays used in place
-// (OpenIndexMmap in index_mmap.go), while staying loadable from a plain
-// stream (ReadIndex). Version 3 changed one section: the bit-plane table
-// (occbp, 0.5 B/base) replaced the η=32 table (occ32, 2 B/base).
+// The .bwago index format (version 4; versions 1-3 are retired and refused
+// with a rebuild hint): a page-aligned, little-endian layout — introduced by
+// version 2, hence the v2 names below — designed so the file can be
+// memory-mapped read-only and the big arrays used in place (OpenIndexMmap in
+// index_mmap.go), while staying loadable from a plain stream (ReadIndex).
+// Version 3 replaced the η=32 table (occ32, 2 B/base) with the bit-plane one
+// (occbp, 0.5 B/base); version 4 dropped the η=128 table (occ128), which only
+// the experiments' baseline engine reads and which it builds from the BWT
+// column instead.
 //
 //	offset  size  field
 //	0       8     magic "BWAGOIDX"
-//	8       4     u32 version = 3
+//	8       4     u32 version = 4
 //	12      4     u32 page size = 4096 (section alignment)
 //	16      8     u64 file size (end of the last section)
 //	24      8     u64 BWT text length N (= 2 x packed reference length)
 //	32      8     u64 BWT primary row
 //	40      8     u64 ambiguous-base count
 //	48      32    u64 x4 base counts of the text
-//	80      4     u32 section count = 6
+//	80      4     u32 section count = 5
 //	84      4     reserved (0)
-//	88      144   section table: 6 x { u64 offset, u64 length, u64 crc64 }
-//	232     8     u64 crc64 (ECMA) of header bytes [0, 232)
-//	240     ...   zero padding to 4096
+//	88      120   section table: 5 x { u64 offset, u64 length, u64 crc64 }
+//	208     8     u64 crc64 (ECMA) of header bytes [0, 208)
+//	216     ...   zero padding to 4096
 //
 // Sections follow in table order, each starting on a 4096-byte boundary
 // (zero padding in between), lengths exact:
@@ -29,15 +31,13 @@
 //	pac     packed forward reference, one code byte per base
 //	bwt     stored BWT column B0, one code byte per symbol
 //	sa      full-matrix suffix array, little-endian int32 per row
-//	occ128  baseline occurrence table, 64-byte blocks (fmindex raw layout)
-//	occbp   optimized (bit-plane) occurrence table, 64-byte lines
+//	occbp   bit-plane occurrence table, 64-byte lines (fmindex raw layout)
 //
-// Persisting both served occurrence tables means loading skips the linear
-// rebuild over the BWT column in either aligner mode; page alignment means pac,
-// bwt, sa and the occ tables can alias an mmap'd file directly on
-// little-endian hosts. The per-section CRCs are verified by heap loads and
-// at write time; the mmap path verifies the header and meta CRCs only (see
-// OpenIndexMmap).
+// Persisting the served occurrence table means loading skips the linear
+// rebuild over the BWT column; page alignment means pac, bwt, sa and occbp
+// can alias an mmap'd file directly on little-endian hosts. The per-section
+// CRCs are verified by heap loads and at write time; the mmap path verifies
+// the header and meta CRCs only (see OpenIndexMmap).
 package core
 
 import (
@@ -57,7 +57,7 @@ import (
 const (
 	v2PageSize     = 4096
 	v2HeaderBytes  = v2PageSize
-	v2NumSections  = 6
+	v2NumSections  = 5
 	v2SectionTab   = 88
 	v2HeaderCRCOff = v2SectionTab + 24*v2NumSections
 )
@@ -68,11 +68,10 @@ const (
 	secPac
 	secBWT
 	secSA
-	secOcc128
 	secOccBP
 )
 
-var secNames = [v2NumSections]string{"meta", "pac", "bwt", "sa", "occ128", "occbp"}
+var secNames = [v2NumSections]string{"meta", "pac", "bwt", "sa", "occbp"}
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
@@ -122,10 +121,10 @@ func int32sFromRaw(raw []byte) []int32 {
 	return out
 }
 
-// WriteIndexV2 serializes the index in the current format (version 3; the
-// name dates from the page-aligned layout's introduction). Both served
-// occurrence tables are built if not already present, so any later load —
-// heap or mmap, either mode — skips the linear rebuild over the BWT column.
+// WriteIndexV2 serializes the index in the current format (version 4; the
+// name dates from the page-aligned layout's introduction). The bit-plane
+// table is built if not already present, so any later load — heap or mmap —
+// skips the linear rebuild over the BWT column.
 func (pi *Prebuilt) WriteIndexV2(w io.Writer) error {
 	if err := pi.validate(); err != nil {
 		return fmt.Errorf("core: refusing to write inconsistent index: %w", err)
@@ -136,21 +135,16 @@ func (pi *Prebuilt) WriteIndexV2(w io.Writer) error {
 // writeIndexV2 emits the v2 file without validation (split out so tests can
 // craft deliberately inconsistent files for the reader).
 func writeIndexV2(w io.Writer, pi *Prebuilt) error {
-	o128 := pi.Occ128
-	if o128 == nil {
-		o128 = fmindex.NewOcc128(pi.BWT.B0)
-	}
 	obp := pi.OccBP
 	if obp == nil {
 		obp = fmindex.NewOccBP(pi.BWT.B0)
 	}
 	data := [v2NumSections][]byte{
-		secMeta:   appendMetaV2(nil, pi.Ref.Contigs),
-		secPac:    pi.Ref.Pac,
-		secBWT:    pi.BWT.B0,
-		secSA:     int32sRaw(pi.FullSA),
-		secOcc128: o128.Raw(),
-		secOccBP:  obp.Raw(),
+		secMeta:  appendMetaV2(nil, pi.Ref.Contigs),
+		secPac:   pi.Ref.Pac,
+		secBWT:   pi.BWT.B0,
+		secSA:    int32sRaw(pi.FullSA),
+		secOccBP: obp.Raw(),
 	}
 	var h v2Header
 	h.bwtN = uint64(pi.BWT.N)
@@ -375,15 +369,11 @@ func buildFromV2(h *v2Header, sec [v2NumSections][]byte, trustCounts bool) (*Pre
 	if err != nil {
 		return nil, corruptf("%v", err)
 	}
-	o128, err := fmindex.Occ128FromRaw(sec[secOcc128], b.N)
-	if err != nil {
-		return nil, corruptf("%v", err)
-	}
 	obp, err := fmindex.OccBPFromRaw(sec[secOccBP], b.N)
 	if err != nil {
 		return nil, corruptf("%v", err)
 	}
-	pi := &Prebuilt{Ref: ref, BWT: b, FullSA: int32sFromRaw(sec[secSA]), Occ128: o128, OccBP: obp}
+	pi := &Prebuilt{Ref: ref, BWT: b, FullSA: int32sFromRaw(sec[secSA]), OccBP: obp}
 	if err := pi.validate(); err != nil {
 		return nil, err
 	}
@@ -398,12 +388,8 @@ func buildFromV2(h *v2Header, sec [v2NumSections][]byte, trustCounts bool) (*Pre
 // readIndexV2 parses a v2 stream after ReadIndex consumed the magic and
 // version: the rest of the header page is read, validated, and then each
 // section is read in file order with bounded allocation and its checksum
-// verified. This is the heap path — sections become ordinary Go memory,
-// and both occurrence tables are loaded and retained because a Prebuilt is
-// mode-agnostic (one load may serve baseline and optimized aligners).
-// Deployments where the unused table's read/CRC/resident cost matters
-// should prefer OpenIndexMmap, where untouched sections are never paged
-// in.
+// verified. This is the heap path — sections become ordinary Go memory;
+// OpenIndexMmap maps them instead.
 func readIndexV2(br *bufio.Reader, remaining int64) (*Prebuilt, error) {
 	hb := make([]byte, v2HeaderBytes)
 	copy(hb, indexMagic)

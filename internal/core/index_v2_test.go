@@ -61,8 +61,8 @@ func TestIndexV2RoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(pi.FullSA, pi2.FullSA) {
 		t.Fatal("suffix array mismatch after v2 round trip")
 	}
-	if pi2.Occ128 == nil || pi2.OccBP == nil {
-		t.Fatal("v2 load did not surface the persisted occurrence tables")
+	if pi2.OccBP == nil {
+		t.Fatal("v2 load did not surface the persisted occurrence table")
 	}
 	// An unseekable stream must load identically (no file-size hint).
 	pi3, err := ReadIndex(nonSeekReader{bytes.NewReader(data)})
@@ -150,16 +150,19 @@ func dropLastOccBPLine(b []byte) []byte {
 	return b
 }
 
-func TestIndexV2CorruptionMatrix(t *testing.T) {
-	_, data := buildV2Bytes(t, 8000, 405)
-	if _, err := ReadIndex(bytes.NewReader(data)); err != nil {
-		t.Fatalf("pristine v2 index did not load: %v", err)
-	}
-	cases := []struct {
-		name    string
-		mutate  func(b []byte) []byte
-		wantErr string
-	}{
+// indexCorruption is one deliberately damaged index file: mutate turns a
+// valid file into it, and wantErr (when non-empty) is part of the error
+// every reader must answer with.
+type indexCorruption struct {
+	name    string
+	mutate  func(b []byte) []byte
+	wantErr string
+}
+
+// indexCorruptions lists the damage TestIndexV2CorruptionMatrix checks;
+// FuzzReadIndex starts from the same inputs.
+func indexCorruptions() []indexCorruption {
+	return []indexCorruption{
 		{"bad magic", func(b []byte) []byte { b[0] ^= 0x40; return b }, "not a bwamem-go index"},
 		{"future version", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[8:], 9)
@@ -173,6 +176,10 @@ func TestIndexV2CorruptionMatrix(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[8:], 2)
 			return b
 		}, "unsupported index version 2, rebuild with `bwamem index`"},
+		{"retired version 3", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[8:], 3)
+			return b
+		}, "unsupported index version 3, rebuild with `bwamem index`"},
 		{"occbp section one line short", dropLastOccBPLine, "occbp section is"},
 		{"occbp bit flip", func(b []byte) []byte { b[len(b)-5] ^= 1; return b }, "occbp section checksum mismatch"},
 		{"header bit flip", func(b []byte) []byte { b[24] ^= 1; return b }, "header checksum"},
@@ -200,7 +207,14 @@ func TestIndexV2CorruptionMatrix(t *testing.T) {
 		{"truncated mid-section", func(b []byte) []byte { return b[:len(b)/2] }, ""},
 		{"truncated tail", func(b []byte) []byte { return b[:len(b)-1] }, ""},
 	}
-	for _, tc := range cases {
+}
+
+func TestIndexV2CorruptionMatrix(t *testing.T) {
+	_, data := buildV2Bytes(t, 8000, 405)
+	if _, err := ReadIndex(bytes.NewReader(data)); err != nil {
+		t.Fatalf("pristine v2 index did not load: %v", err)
+	}
+	for _, tc := range indexCorruptions() {
 		b := tc.mutate(append([]byte(nil), data...))
 		_, err := ReadIndex(bytes.NewReader(b))
 		if err == nil {
@@ -229,7 +243,7 @@ func TestOpenIndexMmapRejectsUnusable(t *testing.T) {
 	dir := t.TempDir()
 	_, data := buildV2Bytes(t, 4000, 406)
 
-	for _, ver := range []uint32{1, 2} { // retired formats
+	for _, ver := range []uint32{1, 2, 3} { // retired formats
 		old := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint32(old[8:], ver)
 		oldPath := filepath.Join(dir, fmt.Sprintf("v%d.bwago", ver))

@@ -108,8 +108,6 @@ type ServerConfig struct {
 	// BatchSize is the number of reads handed to one scheduler task (the
 	// unit of dispatch; it does not affect output). <= 0 means 512.
 	BatchSize int
-	// Mode selects the aligner implementation (baseline or optimized).
-	Mode Mode
 
 	// MaxInFlightReads caps the reads admitted (queued or executing) across
 	// all requests; a request that would exceed it is rejected with 429.
@@ -167,12 +165,11 @@ const (
 	DefaultCacheShards      = 64
 )
 
-// DefaultServerConfig returns the deployment defaults (optimized mode,
-// NumCPU workers resolved at server start).
+// DefaultServerConfig returns the deployment defaults (NumCPU workers
+// resolved at server start).
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
 		BatchSize:        DefaultBatchSize,
-		Mode:             ModeOptimized,
 		MaxInFlightReads: DefaultMaxInFlightReads,
 		DrainTimeout:     DefaultDrainTimeout,
 		CacheEnabled:     true,
@@ -216,9 +213,6 @@ func (c *ServerConfig) Normalize(numCPU int) error {
 	if c.DebugRequestTraces < 0 {
 		c.DebugRequestTraces = 0
 	}
-	if c.Mode != ModeBaseline && c.Mode != ModeOptimized {
-		return fmt.Errorf("core: unknown server mode %d", c.Mode)
-	}
 	if c.MaxReadsPerRequest > c.MaxInFlightReads {
 		return fmt.Errorf("core: MaxReadsPerRequest %d exceeds MaxInFlightReads %d",
 			c.MaxReadsPerRequest, c.MaxInFlightReads)
@@ -226,17 +220,17 @@ func (c *ServerConfig) Normalize(numCPU int) error {
 	return nil
 }
 
-// Fingerprint digests every field that can influence a read's alignment
-// output — the full option set plus the mode — into one value, for use as
-// the option component of result-cache keys (internal/rescache): two
-// aligners over the same index produce interchangeable regions for a
-// sequence exactly when their fingerprints match. It hashes the %#v
+// Fingerprint digests the full option set, every field that can influence
+// a read's alignment output, into one value, for use as the option
+// component of result-cache keys (internal/rescache): two aligners over
+// the same index produce interchangeable regions for a sequence exactly
+// when their fingerprints match. It hashes the %#v
 // rendering of the struct so newly added option fields are picked up
 // automatically instead of silently aliasing cache entries across
 // configurations.
-func (o *Options) Fingerprint(mode Mode) uint64 {
+func (o *Options) Fingerprint() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%#v", mode, *o)
+	fmt.Fprintf(h, "%#v", *o)
 	return h.Sum64()
 }
 

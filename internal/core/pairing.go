@@ -2,9 +2,9 @@ package core
 
 // Paired-end alignment: insert-size inference (BWA's mem_pestat) and mate
 // pairing (mem_pair), followed by paired SAM emission. Mate rescue
-// (mem_matesw) is intentionally out of scope — see DESIGN.md — so a pair
-// whose end has no seed stays half-mapped, as BWA behaves with rescue
-// disabled.
+// (mem_matesw) is not implemented, because it lies outside the kernels the
+// paper accelerates; so a pair whose end has no seed stays half-mapped, as
+// BWA behaves with rescue disabled.
 
 import (
 	"math"

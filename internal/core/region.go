@@ -274,8 +274,10 @@ func (a *Aligner) extendChain(q []byte, c *chain.Chain, regs []Region, ws *Works
 }
 
 // dedupRegions removes redundant overlapping regions and exact duplicates
-// (mem_sort_dedup_patch; the region-merging "patch" step is omitted — see
-// DESIGN.md). The result is sorted by decreasing score.
+// (mem_sort_dedup_patch). The region-merging "patch" step (mem_patch_reg),
+// which joins two colinear regions of one read, is omitted because it lies
+// outside the kernels the paper accelerates, so such a read keeps both
+// regions. The result is sorted by decreasing score.
 func (a *Aligner) dedupRegions(regs []Region) []Region {
 	if len(regs) > 1 {
 		// Sort by reference end (deterministic tie-breaks added).

@@ -2,8 +2,11 @@
 // evaluation (§2.4 Table 1, §6.2 Tables 4-8, §6.3 Figures 4-5) on the
 // synthetic workloads of internal/datasets, printing paper-reported values
 // next to the measured ones so the shape of each result can be compared
-// directly. See EXPERIMENTS.md for the recorded outcomes and the
-// substitutions DESIGN.md documents.
+// directly. Where the paper measures hardware that Go cannot drive, a model
+// stands in: internal/memsim simulates the cache hierarchy for the LLC-miss
+// rows and the software-prefetch hints, and the batched BSW kernels run
+// their AVX-512 lanes as plain Go loops, counting one modeled vector
+// instruction per step.
 package experiments
 
 import (

@@ -88,16 +88,16 @@ func Build(text []byte, flavor Flavor) (*Index, []int32, error) {
 
 // New wraps an existing BWT in an index of the given flavor.
 func New(b *bwt.BWT, flavor Flavor) *Index {
-	return NewFromParts(b, flavor, nil, nil)
+	return NewFromParts(b, flavor, nil)
 }
 
 // NewFromParts wraps an existing BWT and, when non-nil, a preloaded
-// occurrence table of the requested flavor — e.g. one aliased out of a
-// memory-mapped index, which skips the linear rebuild over B0. A nil (or
-// wrong-flavor) table is built from B0 exactly as New does. A provided
-// table must cover a text of length b.N. The Eta32 table is never
-// persisted, so it is always built.
-func NewFromParts(b *bwt.BWT, flavor Flavor, o128 *Occ128, obp *OccBP) *Index {
+// bit-plane table — e.g. one aliased out of a memory-mapped index, which
+// skips the linear rebuild over B0. The table is adopted only by the
+// Optimized flavor and only when it covers a text of length b.N; otherwise
+// the flavor's table is built from B0 exactly as New does. Only the
+// bit-plane table is persisted, so the other flavors always build theirs.
+func NewFromParts(b *bwt.BWT, flavor Flavor, obp *OccBP) *Index {
 	x := &Index{B: b, flavor: flavor}
 	switch flavor {
 	case Optimized:
@@ -109,11 +109,7 @@ func NewFromParts(b *bwt.BWT, flavor Flavor, o128 *Occ128, obp *OccBP) *Index {
 	case Eta32:
 		x.occ32 = NewOcc32(b.B0)
 	default:
-		if o128 != nil && o128.n == b.N {
-			x.occ128 = o128
-		} else {
-			x.occ128 = NewOcc128(b.B0)
-		}
+		x.occ128 = NewOcc128(b.B0)
 	}
 	return x
 }

@@ -2,8 +2,8 @@
 // implemented, each one 64-byte cache line per bucket:
 //
 //   - OccBP — the bit-plane layout, which ships behind the Optimized flavor
-//     (ModeOptimized) and is the table the .bwago index persists next to
-//     Occ128. Bucket size η = 128: four 4-byte counts, then two 64-base
+//     and is the one occurrence table the .bwago index persists. Bucket
+//     size η = 128: four 4-byte counts, then two 64-base
 //     words, each stored as a hi and a lo bit plane of the 2-bit codes.
 //     All four in-bucket counts come from three popcounts per word
 //     (hi&lo, hi&^lo, lo&^hi; the fourth by subtraction) with no per-base
@@ -11,7 +11,8 @@
 //     primitive, so this is the §4.4 redesign carried out for Go.
 //
 //   - Occ128 — the original BWA-MEM layout (§4.1), behind the Baseline
-//     flavor: bucket size η = 128 with the BWT substring packed 2 bits per
+//     flavor (built from the BWT column, never persisted): bucket size
+//     η = 128 with the BWT substring packed 2 bits per
 //     base. A bucket is four 8-byte cumulative counts plus 32 bytes (four
 //     words) of packed bases. Counting a base inside a bucket scans up to
 //     four 32-base words with 2-bit SWAR matching — "a large number of

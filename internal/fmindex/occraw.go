@@ -1,13 +1,12 @@
-// Raw (on-disk) form of the served occurrence tables. A .bwago index
-// persists the Occ128 and OccBP layouts (one per aligner mode) so loading an
-// index skips the linear rebuild over the BWT column: each table is stored
-// as its blocks in memory order, 64 bytes per block, every field
-// little-endian. Occ32 is built by the experiments that study it and has no
-// raw form. On little-endian hosts that is
-// exactly the in-memory layout, so Raw is a zero-copy view and the FromRaw
-// constructors alias the section (straight out of an mmap'd file) instead
-// of decoding it; big-endian hosts fall back to an explicit field-by-field
-// codec.
+// Raw (on-disk) form of the served occurrence table. A .bwago index
+// persists the OccBP layout so loading an index skips the linear rebuild
+// over the BWT column: the table is stored as its lines in memory order, 64
+// bytes per line, every field little-endian. Occ128 and Occ32 are built from
+// the BWT column by the experiments and tests that use them and have no raw
+// form. On little-endian hosts the raw layout is exactly the in-memory one,
+// so Raw is a zero-copy view and OccBPFromRaw aliases the section (straight
+// out of an mmap'd file) instead of decoding it; big-endian hosts fall back
+// to an explicit field-by-field codec.
 package fmindex
 
 import (
@@ -17,7 +16,7 @@ import (
 )
 
 // Compile-time guarantees that the structs are exactly one 64-byte cache
-// line with no padding — the raw codecs and alias paths rely on it, and so
+// line with no padding — OccBP's raw codec and alias path rely on it, and so
 // does the cache model's one-line-per-visit accounting (traceOcc).
 var (
 	_ = [1]struct{}{}[unsafe.Sizeof(occ128Block{})-occEntryBytes]
@@ -34,16 +33,6 @@ var HostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// Occ128Blocks returns how many 64-byte blocks an Occ128 over a text of
-// length n has (NewOcc128's sizing rule).
-func Occ128Blocks(n int) int {
-	nb := (n + 127) / 128
-	if nb == 0 {
-		nb = 1
-	}
-	return nb
-}
-
 // OccBPLines returns how many 64-byte lines an OccBP over a text of length
 // n has (NewOccBP's sizing rule).
 func OccBPLines(n int) int {
@@ -54,26 +43,6 @@ func OccBPLines(n int) int {
 // boundary, the alignment the struct alias paths require.
 func aligned8(b []byte) bool {
 	return len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))%8 == 0
-}
-
-// Raw returns the table in the section byte layout. On little-endian
-// hosts the returned slice aliases the table's memory — the caller must
-// treat it as read-only.
-func (o *Occ128) Raw() []byte {
-	if HostLittleEndian {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&o.blocks[0])), len(o.blocks)*occEntryBytes)
-	}
-	out := make([]byte, 0, len(o.blocks)*occEntryBytes)
-	for i := range o.blocks {
-		blk := &o.blocks[i]
-		for _, v := range blk.counts {
-			out = binary.LittleEndian.AppendUint64(out, v)
-		}
-		for _, v := range blk.data {
-			out = binary.LittleEndian.AppendUint64(out, v)
-		}
-	}
-	return out
 }
 
 // Raw returns the table in the section byte layout. On little-endian hosts
@@ -99,37 +68,11 @@ func (o *OccBP) Raw() []byte {
 	return out
 }
 
-// Occ128FromRaw wraps an occ128 section as a table over a text of length
-// n. On little-endian hosts with an 8-byte-aligned section the table
-// aliases raw zero-copy — raw must then stay immutable (and, for an mmap'd
-// section, mapped) for the table's lifetime; otherwise the section is
-// decoded into fresh memory.
-func Occ128FromRaw(raw []byte, n int) (*Occ128, error) {
-	nb := Occ128Blocks(n)
-	if len(raw) != nb*occEntryBytes {
-		return nil, fmt.Errorf("fmindex: occ128 section is %d bytes, want %d for text length %d", len(raw), nb*occEntryBytes, n)
-	}
-	o := &Occ128{n: n}
-	if HostLittleEndian && aligned8(raw) {
-		o.blocks = unsafe.Slice((*occ128Block)(unsafe.Pointer(&raw[0])), nb)
-		return o, nil
-	}
-	o.blocks = make([]occ128Block, nb)
-	for i := range o.blocks {
-		blk := &o.blocks[i]
-		p := raw[i*occEntryBytes:]
-		for j := range blk.counts {
-			blk.counts[j] = binary.LittleEndian.Uint64(p[j*8:])
-		}
-		for j := range blk.data {
-			blk.data[j] = binary.LittleEndian.Uint64(p[32+j*8:])
-		}
-	}
-	return o, nil
-}
-
-// OccBPFromRaw wraps an occbp section as a table over a text of length n,
-// with the same aliasing contract as Occ128FromRaw.
+// OccBPFromRaw wraps an occbp section as a table over a text of length n.
+// On little-endian hosts with an 8-byte-aligned section the table aliases
+// raw zero-copy — raw must then stay immutable (and, for an mmap'd section,
+// mapped) for the table's lifetime; otherwise the section is decoded into
+// fresh memory.
 func OccBPFromRaw(raw []byte, n int) (*OccBP, error) {
 	nl := OccBPLines(n)
 	if len(raw) != nl*occEntryBytes {

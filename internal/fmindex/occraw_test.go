@@ -36,41 +36,25 @@ func TestOccRawRoundTrip(t *testing.T) {
 		for i := range b0 {
 			b0[i] = byte(rng.Intn(4))
 		}
-		o128, obp := NewOcc128(b0), NewOccBP(b0)
+		obp := NewOccBP(b0)
 
-		raw128, rawBP := o128.Raw(), obp.Raw()
-		if len(raw128) != Occ128Blocks(n)*occEntryBytes {
-			t.Fatalf("n=%d: occ128 raw is %d bytes", n, len(raw128))
-		}
+		rawBP := obp.Raw()
 		if len(rawBP) != OccBPLines(n)*occEntryBytes {
 			t.Fatalf("n=%d: occbp raw is %d bytes", n, len(rawBP))
 		}
 
 		// Aligned path (aliases on little-endian hosts).
-		r128, err := Occ128FromRaw(raw128, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkOccEqual(t, o128, r128, n, "occ128 aligned")
 		rbp, err := OccBPFromRaw(rawBP, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkOccEqual(t, obp, rbp, n, "occbp aligned")
 
-		// Misaligned copies force the explicit decode path even on
+		// A misaligned copy forces the explicit decode path even on
 		// little-endian hosts.
-		mis := func(raw []byte) []byte {
-			buf := make([]byte, len(raw)+1)
-			copy(buf[1:], raw)
-			return buf[1:]
-		}
-		m128, err := Occ128FromRaw(mis(raw128), n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkOccEqual(t, o128, m128, n, "occ128 misaligned")
-		mbp, err := OccBPFromRaw(mis(rawBP), n)
+		buf := make([]byte, len(rawBP)+1)
+		copy(buf[1:], rawBP)
+		mbp, err := OccBPFromRaw(buf[1:], n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,13 +64,6 @@ func TestOccRawRoundTrip(t *testing.T) {
 
 func TestOccFromRawRejectsBadLength(t *testing.T) {
 	b0 := []byte{0, 1, 2, 3, 0, 1}
-	raw := NewOcc128(b0).Raw()
-	if _, err := Occ128FromRaw(raw[:len(raw)-1], len(b0)); err == nil {
-		t.Fatal("short occ128 section should not parse")
-	}
-	if _, err := Occ128FromRaw(raw, len(b0)+200); err == nil {
-		t.Fatal("occ128 section for the wrong text length should not parse")
-	}
 	rawBP := NewOccBP(b0).Raw()
 	if _, err := OccBPFromRaw(rawBP[:0], len(b0)); err == nil {
 		t.Fatal("empty occbp section should not parse")
@@ -112,19 +89,19 @@ func TestNewFromPartsUsesProvidedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre := NewOccBP(idx.B.B0)
-	x := NewFromParts(idx.B, Optimized, nil, pre)
+	x := NewFromParts(idx.B, Optimized, pre)
 	if x.occBP != pre {
 		t.Fatal("NewFromParts did not adopt the provided bit-plane table")
 	}
 	// Wrong-size table is ignored, not adopted.
 	wrong := NewOccBP(b0[:100])
-	x = NewFromParts(idx.B, Optimized, nil, wrong)
+	x = NewFromParts(idx.B, Optimized, wrong)
 	if x.occBP == wrong {
 		t.Fatal("NewFromParts adopted a table of the wrong length")
 	}
 	checkOccEqual(t, NewOccBP(idx.B.B0), x.occBP, idx.B.N, "rebuilt occbp")
 	// The baseline flavor ignores a bit-plane table and builds its own.
-	if x = NewFromParts(idx.B, Baseline, nil, pre); x.occBP != nil || x.occ128 == nil {
+	if x = NewFromParts(idx.B, Baseline, pre); x.occBP != nil || x.occ128 == nil {
 		t.Fatal("baseline index adopted the bit-plane table")
 	}
 }

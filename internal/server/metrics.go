@@ -99,9 +99,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	//bwalint:ignore streamerr probe body is best-effort once the status code is out
 	_, _ = fmt.Fprintf(w,
-		`{"status":%q,"uptime_seconds":%.3f,"reads_inflight":%d,"workers":%d,"mode":%q,"contigs":%d,"reference_bp":%d}`+"\n",
+		`{"status":%q,"uptime_seconds":%.3f,"reads_inflight":%d,"workers":%d,"contigs":%d,"reference_bp":%d}`+"\n",
 		status, time.Since(s.met.start).Seconds(), s.adm.InFlight(),
-		s.sched.Threads(), s.cfg.Mode.String(), len(ref.Contigs), ref.Lpac())
+		s.sched.Threads(), len(ref.Contigs), ref.Lpac())
 }
 
 // handleReadyz serves GET /v1/readyz, the readiness signal a load balancer

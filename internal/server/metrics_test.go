@@ -55,7 +55,7 @@ func TestHealthzEndpoint(t *testing.T) {
 		t.Fatalf("healthz: status %d", w.Code)
 	}
 	body := w.Body.String()
-	for _, want := range []string{`"status":"ok"`, `"reads_inflight":0`, `"workers":4`, `"mode":"optimized"`, `"reference_bp":60000`} {
+	for _, want := range []string{`"status":"ok"`, `"reads_inflight":0`, `"workers":4`, `"reference_bp":60000`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("healthz missing %q in %s", want, body)
 		}

@@ -94,13 +94,8 @@ type Server struct {
 
 // New builds a Server over an already-constructed aligner (the index stays
 // resident for the server's lifetime). cfg zero values resolve to
-// defaults. cfg.Mode is an aligner-construction knob for callers like
-// cmd/bwaserve; the server itself always follows the aligner it was given,
-// so New overwrites cfg.Mode with aln.Mode rather than trusting the
-// config (a zero ServerConfig would otherwise silently claim
-// ModeBaseline).
+// defaults.
 func New(aln *core.Aligner, cfg core.ServerConfig) (*Server, error) {
-	cfg.Mode = aln.Mode
 	if err := cfg.Normalize(runtime.NumCPU()); err != nil {
 		return nil, err
 	}
@@ -126,7 +121,7 @@ func New(aln *core.Aligner, cfg core.ServerConfig) (*Server, error) {
 	}
 	if cfg.CacheEnabled {
 		s.cache = rescache.New(rescache.Config{Capacity: cfg.CacheBytes, Shards: cfg.CacheShards})
-		s.optFP = aln.Opts.Fingerprint(aln.Mode)
+		s.optFP = aln.Opts.Fingerprint()
 		s.renderSlots = make(chan struct{}, 4*cfg.Threads)
 	}
 	Mount(s.mux, map[string]http.HandlerFunc{

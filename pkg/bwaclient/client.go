@@ -263,7 +263,6 @@ type Health struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	ReadsInflight int     `json:"reads_inflight"`
 	Workers       int     `json:"workers"`
-	Mode          string  `json:"mode"`
 	Contigs       int     `json:"contigs"`
 	ReferenceBP   int     `json:"reference_bp"`
 }

@@ -26,9 +26,8 @@ type Aligner struct {
 	closed bool
 }
 
-// New assembles an Aligner over idx. Options default to the paper's
-// optimized mode, runtime.NumCPU worker threads, 512-read batches, and
-// BWA-MEM's standard scoring.
+// New assembles an Aligner over idx. Options default to runtime.NumCPU
+// worker threads, 512-read batches, and BWA-MEM's standard scoring.
 func New(idx *Index, opts ...Option) (*Aligner, error) {
 	if idx == nil {
 		return nil, fmt.Errorf("bwamem: nil index")
@@ -37,19 +36,11 @@ func New(idx *Index, opts ...Option) (*Aligner, error) {
 	if err != nil {
 		return nil, err
 	}
-	ca, err := core.NewAlignerFrom(idx.pi, cfg.mode.core(), cfg.opts)
+	ca, err := core.NewAlignerFrom(idx.pi, core.ModeOptimized, cfg.opts)
 	if err != nil {
 		return nil, err
 	}
 	return &Aligner{idx: idx, core: ca, cfg: cfg}, nil
-}
-
-// Mode reports the implementation this aligner runs.
-func (a *Aligner) Mode() Mode {
-	if a.core.Mode == core.ModeBaseline {
-		return ModeBaseline
-	}
-	return ModeOptimized
 }
 
 // Threads reports the resolved worker count.

@@ -31,47 +31,8 @@ const (
 	FlagSupplementary = 0x800
 )
 
-// Mode selects which of the paper's two implementations drives the
-// kernels. Both produce byte-identical output; only the speed differs.
-type Mode int
-
-const (
-	// ModeOptimized is the paper's architecture-aware design (the
-	// default): bit-plane occurrence table, flat suffix array.
-	ModeOptimized Mode = iota
-	// ModeBaseline reproduces original BWA-MEM's design, for comparison.
-	ModeBaseline
-)
-
-func (m Mode) String() string {
-	if m == ModeBaseline {
-		return "baseline"
-	}
-	return "optimized"
-}
-
-// ParseMode parses a mode name ("baseline" or "optimized") — the inverse
-// of Mode.String, for flag and config plumbing.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "baseline":
-		return ModeBaseline, nil
-	case "optimized":
-		return ModeOptimized, nil
-	}
-	return ModeOptimized, fmt.Errorf("bwamem: unknown mode %q (want baseline or optimized)", s)
-}
-
-func (m Mode) core() core.Mode {
-	if m == ModeBaseline {
-		return core.ModeBaseline
-	}
-	return core.ModeOptimized
-}
-
 // config is the resolved option set of one Aligner.
 type config struct {
-	mode    Mode
 	threads int // 0 = NumCPU
 	batch   int // 0 = default
 	opts    core.Options
@@ -101,17 +62,6 @@ func WithBatchSize(n int) Option {
 			return fmt.Errorf("bwamem: negative batch size %d", n)
 		}
 		c.batch = n
-		return nil
-	}
-}
-
-// WithMode selects the implementation (default ModeOptimized).
-func WithMode(m Mode) Option {
-	return func(c *config) error {
-		if m != ModeBaseline && m != ModeOptimized {
-			return fmt.Errorf("bwamem: unknown mode %d", m)
-		}
-		c.mode = m
 		return nil
 	}
 }
@@ -200,7 +150,7 @@ func WithSecondaryOutput(all bool) Option {
 
 // resolveConfig applies opts over the defaults.
 func resolveConfig(opts []Option) (config, error) {
-	c := config{mode: ModeOptimized, opts: core.DefaultOptions()}
+	c := config{opts: core.DefaultOptions()}
 	for _, opt := range opts {
 		if err := opt(&c); err != nil {
 			return c, err

@@ -85,7 +85,6 @@ func ExampleNew() {
 		log.Fatal(err)
 	}
 	aln, err := bwamem.New(idx,
-		bwamem.WithMode(bwamem.ModeBaseline), // original BWA-MEM's design
 		bwamem.WithThreads(1),
 		bwamem.WithMinOutputScore(40), // bwa mem -T 40
 	)
@@ -93,6 +92,6 @@ func ExampleNew() {
 		log.Fatal(err)
 	}
 	defer aln.Close()
-	fmt.Println(aln.Mode(), aln.Threads())
-	// Output: baseline 1
+	fmt.Println(aln.Threads())
+	// Output: 1
 }

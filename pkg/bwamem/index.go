@@ -39,9 +39,9 @@ type IndexInfo struct {
 	LoadTime time.Duration
 	// ResidentBytes is the index data footprint. For mmap loads it is the
 	// mapped file size (file-backed, shared across processes). For heap
-	// loads it is 0 here — the heap footprint depends on the aligner mode
-	// — and is resolved from the aligner when NewServer exports it on
-	// /v1/metrics.
+	// loads it is 0 here and is resolved from the aligner (packed
+	// reference, BWT column, occurrence table, suffix array) when
+	// NewServer exports it on /v1/metrics.
 	ResidentBytes int64
 }
 
@@ -145,9 +145,9 @@ func OpenOrBuild(refPath string) (*Index, error) {
 	return BuildFile(refPath)
 }
 
-// Write serializes the index in the current (version 3) .bwago format:
-// page-aligned, checksummed, with the occurrence tables persisted so Open
-// skips their rebuild and OpenMmap can alias them directly.
+// Write serializes the index in the current (version 4) .bwago format:
+// page-aligned, checksummed, with the occurrence table persisted so Open
+// skips its rebuild and OpenMmap can alias it directly.
 func (x *Index) Write(w io.Writer) error { return x.pi.WriteIndexV2(w) }
 
 // Info reports how the index was loaded.

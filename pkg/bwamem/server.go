@@ -13,8 +13,8 @@ import (
 
 // ServerConfig tunes one deployment of the long-running alignment server.
 // Zero values resolve to the documented defaults; DefaultServerConfig is
-// the recommended starting point. The aligner implementation (mode,
-// scoring) comes from the Aligner handed to NewServer, not from here.
+// the recommended starting point. Scoring comes from the Aligner handed to
+// NewServer, not from here.
 type ServerConfig struct {
 	// Threads is the worker-pool size the server schedules batches over.
 	// 0 means runtime.NumCPU.
@@ -65,11 +65,10 @@ func DefaultServerConfig() ServerConfig {
 	return fromCoreServerConfig(core.DefaultServerConfig())
 }
 
-func (c ServerConfig) toCore(mode core.Mode) core.ServerConfig {
+func (c ServerConfig) toCore() core.ServerConfig {
 	return core.ServerConfig{
 		Threads:            c.Threads,
 		BatchSize:          c.BatchSize,
-		Mode:               mode,
 		MaxInFlightReads:   c.MaxInFlightReads,
 		MaxReadsPerRequest: c.MaxReadsPerRequest,
 		MaxReadLen:         c.MaxReadLen,
@@ -109,12 +108,12 @@ type Server struct {
 	srv *server.Server
 }
 
-// NewServer wraps a's index and implementation in the alignment service.
+// NewServer wraps a's index and options in the alignment service.
 // The server schedules its own worker pool (cfg.Threads); it shares a's
 // index and options but not the pool a's direct Align calls use, so
 // embedding both in one process is safe.
 func NewServer(a *Aligner, cfg ServerConfig) (*Server, error) {
-	srv, err := server.New(a.core, cfg.toCore(a.core.Mode))
+	srv, err := server.New(a.core, cfg.toCore())
 	if err != nil {
 		return nil, err
 	}
