@@ -3,7 +3,10 @@ package bsw
 // Banded global alignment with traceback (a port of BWA's ksw_global2).
 // BWA-MEM uses this after seed extension to produce the final CIGAR of each
 // alignment region; it is part of the SAM-FORM stage, not one of the three
-// hot kernels, but the pipeline needs it to emit output.
+// hot kernels, but the pipeline needs it to emit output. The caller already
+// knows roughly what the alignment scores, so Global takes that as a floor
+// and prunes, exactly, every cell no alignment reaching the floor can pass
+// through (see Global).
 
 // CIGAR operation codes, matching BAM conventions.
 const (
@@ -79,9 +82,21 @@ func appendUint(b []byte, v uint32) []byte {
 const minusInf = int32(-(1 << 29))
 
 // Global computes the banded global alignment score of query against target
-// and, when withCigar is set, the CIGAR of one optimal alignment. Cells more
-// than w off the main diagonal are unreachable.
-func Global(p *Params, query, target []byte, w int, withCigar bool) (int, Cigar) {
+// and the CIGAR of one optimal alignment. Cells more than w off the main
+// diagonal are unreachable.
+//
+// floor is a score the caller expects the alignment to reach; the lower it
+// is, the less is pruned, and minusInf prunes nothing. A cell whose
+// score plus the most it could still gain, ub(i,j) = a*min(qlen-1-j,
+// tlen-1-i) with a the match score, falls below floor is dead: no path
+// through it ends at floor or above, so it is never the maximum, nor a tie
+// for the maximum, of a live cell. Only live cells of one row seed the next,
+// which confines the work to a corridor around the optimal paths while
+// every cell on them, direction bits included, comes out as in the full
+// band. A pruned result is therefore exact whenever it reaches floor; when
+// it does not, or the end cell is never reached, Global reruns with nothing
+// pruned.
+func Global(p *Params, query, target []byte, w, floor int) (int, Cigar) {
 	qlen, tlen := len(query), len(target)
 	switch {
 	case qlen == 0 && tlen == 0:
@@ -91,10 +106,6 @@ func Global(p *Params, query, target []byte, w int, withCigar bool) (int, Cigar)
 	case tlen == 0:
 		return -(p.OIns + p.EIns*qlen), Cigar(nil).PushOp(CigarIns, qlen)
 	}
-	oeDel := int32(p.ODel + p.EDel)
-	oeIns := int32(p.OIns + p.EIns)
-	eDel, eIns := int32(p.EDel), int32(p.EIns)
-
 	if w < 1 {
 		w = 1
 	}
@@ -104,16 +115,11 @@ func Global(p *Params, query, target []byte, w int, withCigar bool) (int, Cigar)
 	} else if d < 0 && w < -d {
 		w = -d
 	}
-
 	nCol := qlen
 	if 2*w+1 < nCol {
 		nCol = 2*w + 1
 	}
-	var z []uint8 // direction matrix, tlen x nCol
-	if withCigar {
-		z = make([]uint8, tlen*nCol)
-	}
-
+	z := make([]uint8, tlen*nCol) // direction matrix, tlen x nCol
 	h := make([]int32, qlen+1)
 	e := make([]int32, qlen+1)
 	qp := make([]int8, 5*qlen)
@@ -124,78 +130,132 @@ func Global(p *Params, query, target []byte, w int, withCigar bool) (int, Cigar)
 			i++
 		}
 	}
+	score, ok := globalFill(p, qp, target, w, nCol, floor, h, e, z)
+	if !ok {
+		score, _ = globalFill(p, qp, target, w, nCol, int(minusInf), h, e, z)
+	}
+	return score, globalTraceback(z, qlen, tlen, w, nCol)
+}
 
-	// First row.
+// globalFill runs Global's DP over the band, pruned by floor, writing the
+// direction bits of every computed cell into z. It reports the score of the
+// end cell and whether that score is exact: the end cell was reached and
+// scored at least floor.
+func globalFill(p *Params, qp []int8, target []byte, w, nCol, floor int, h, e []int32, z []uint8) (int, bool) {
+	qlen, tlen := len(qp)/5, len(target)
+	a := p.MaxMatch()
+	oeDel, eDel := int32(p.ODel+p.EDel), int32(p.EDel)
+	oeIns, eIns := int32(p.OIns+p.EIns), int32(p.EIns)
+	// live reports whether a cell in row i (target bases left after it:
+	// tlen-1-i) and column j (query bases left: qlen-1-j) with score v can
+	// still end at floor or above.
+	live := func(v int32, i, j int) bool {
+		return int(v)+a*min(qlen-1-j, tlen-1-i) >= floor
+	}
+
+	// Row -1: h[j] = H(-1,j-1) for the j <= w that row 0 reads. Its live
+	// cells are a prefix of columns -1.. since both score and bound fall
+	// with j.
 	h[0], e[0] = 0, minusInf
 	for j := 1; j <= qlen && j <= w; j++ {
 		h[j] = int32(-(p.OIns + p.EIns*j))
 		e[j] = minusInf
 	}
-	for j := w + 1; j <= qlen; j++ {
-		h[j], e[j] = minusInf, minusInf
+	lo, hi := 0, -2 // live columns of the previous row; -1 is the boundary column
+	if live(0, -1, -1) {
+		lo, hi = -1, -1
+		for hi+1 < qlen && hi+1 < w && live(h[hi+2], -1, hi+1) {
+			hi++
+		}
 	}
-
-	for i := 0; i < tlen; i++ {
-		f := minusInf
-		beg, end := 0, qlen
+	i, end := 0, 0
+	for ; i < tlen && lo <= hi; i++ {
+		bandBeg, bandEnd := 0, qlen
 		if i > w {
-			beg = i - w
+			bandBeg = i - w
 		}
 		if i+w+1 < qlen {
-			end = i + w + 1
+			bandEnd = i + w + 1
 		}
-		h1 := minusInf
+		// Cells fed by a live cell of row i-1: columns lo..hi+1.
+		beg := max(bandBeg, lo)
+		end = min(bandEnd, hi+2)
+		if beg >= end {
+			return 0, false
+		}
+		h1, f := minusInf, minusInf
 		if beg == 0 {
 			h1 = int32(-(p.ODel + p.EDel*(i+1)))
 		}
 		q := qp[int(target[i])*qlen : int(target[i])*qlen+qlen]
-		var zi []uint8
-		if z != nil {
-			zi = z[i*nCol : (i+1)*nCol]
-		}
-		for j := beg; j < end; j++ {
-			// h[j] = H(i-1,j-1), e[j] = E(i,j), f = F(i,j), h1 = H(i,j-1).
-			m, ev := h[j], e[j]
-			h[j] = h1
-			m += int32(q[j])
-			var d uint8
-			hv := m
-			if m < ev {
-				hv, d = ev, 1
-			}
-			if hv < f {
-				hv = f
-			}
-			if hv == f { // ties resolve toward F, as in ksw_global
-				d = 2
-			}
-			h1 = hv
-			t := m - oeDel
-			ev -= eDel
-			if ev > t {
-				d |= 1 << 2
-			} else {
-				ev = t
-			}
-			e[j] = ev
-			t = m - oeIns
-			f -= eIns
-			if f > t {
-				d |= 2 << 4
-			} else {
-				f = t
-			}
-			if zi != nil {
-				zi[j-beg] = d
-			}
+		zi := z[i*nCol-bandBeg : i*nCol-bandBeg+bandEnd]
+		h1, f = globalRow(h[beg:end], e[beg:end], q[beg:end], zi[beg:end], h1, f, oeDel, eDel, oeIns, eIns)
+		// Past them only F can be live: extend along the row while it is.
+		// What the full band would read from h and e there comes from dead
+		// cells, so it cannot change a live cell.
+		for ; end < bandEnd && live(f, i, end); end++ {
+			h[end], e[end] = h1, minusInf
+			zi[end] = 2 | 1<<5 // H from F, F extends
+			h1, f = f, f-eIns
 		}
 		h[end], e[end] = h1, minusInf
+
+		// h[j+1] now holds H(i,j). Narrow to the live span for row i+1.
+		lo, hi = beg, end-1
+		if beg == 0 && live(h[0], i, -1) {
+			lo = -1
+		} else {
+			for lo <= hi && !live(h[lo+1], i, lo) {
+				lo++
+			}
+		}
+		for hi >= lo && hi >= 0 && !live(h[hi+1], i, hi) {
+			hi--
+		}
 	}
 	score := int(h[qlen])
-	if !withCigar {
-		return score, nil
-	}
+	return score, i == tlen && end == qlen && score >= floor
+}
 
+// globalRow is Global's inner loop over one row's cells: on entry h[j] holds
+// H(i-1,j-1) and e[j] holds E(i,j); on return h[j] holds H(i,j-1), e[j]
+// holds E(i+1,j) and z[j] the cell's direction bits: bits 0-1 say whether
+// H came from the diagonal (0), E (1) or F (2), bit 2 that E(i+1,j) extends
+// E(i,j), bit 5 that F(i,j+1) extends F(i,j). h1 and f enter as H(i,beg-1)
+// and F(i,beg) and return as H of the last cell and F one column past it.
+//
+//bwalint:hot
+func globalRow(h, e []int32, q []int8, z []uint8, h1, f, oeDel, eDel, oeIns, eIns int32) (int32, int32) {
+	e, q, z = e[:len(h)], q[:len(h)], z[:len(h)]
+	for j, m := range h {
+		ev := e[j]
+		h[j] = h1
+		m += int32(q[j])
+		hv := max(m, ev)
+		fromE, fromF := bit(m < ev), bit(hv <= f) // ties resolve toward F, as in ksw_global
+		h1 = max(hv, f)
+		eExt, eOpen := ev-eDel, m-oeDel
+		fExt, fOpen := f-eIns, m-oeIns
+		z[j] = fromE&^fromF | fromF<<1 | bit(eExt > eOpen)<<2 | bit(fExt > fOpen)<<5
+		e[j] = max(eExt, eOpen)
+		f = max(fExt, fOpen)
+	}
+	return h1, f
+}
+
+// bit is 1 for true and 0 for false; the compiler turns it into a SETcc, which
+// keeps the direction bits free of mispredicted branches.
+func bit(b bool) uint8 {
+	var x uint8
+	if b {
+		x = 1
+	}
+	return x
+}
+
+// globalTraceback walks Global's direction bits back from the end cell and
+// returns the CIGAR.
+func globalTraceback(z []uint8, qlen, tlen, w, nCol int) Cigar {
 	// Traceback: a small state machine over the two-bit direction fields
 	// (state 0 = in H, 1 = in E/deletion run, 2 = in F/insertion run).
 	var rev Cigar
@@ -231,5 +291,5 @@ func Global(p *Params, query, target []byte, w int, withCigar bool) (int, Cigar)
 	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
 		rev[a], rev[b] = rev[b], rev[a]
 	}
-	return score, rev
+	return rev
 }

@@ -92,18 +92,18 @@ func TestGlobalPerfectAndTrivial(t *testing.T) {
 	p := DefaultParams()
 	rng := rand.New(rand.NewSource(61))
 	s := randSeq(rng, 30)
-	score, cig := Global(&p, s, s, 10, true)
+	score, cig := Global(&p, s, s, 10, int(minusInf))
 	if score != 30 || cig.String() != "30M" {
 		t.Fatalf("perfect: score=%d cigar=%s", score, cig)
 	}
 	// Empty cases.
-	if sc, cg := Global(&p, nil, nil, 5, true); sc != 0 || cg != nil {
+	if sc, cg := Global(&p, nil, nil, 5, int(minusInf)); sc != 0 || cg != nil {
 		t.Fatal("empty/empty")
 	}
-	if sc, cg := Global(&p, nil, s[:4], 5, true); sc != -(p.ODel+4*p.EDel) || cg.String() != "4D" {
+	if sc, cg := Global(&p, nil, s[:4], 5, int(minusInf)); sc != -(p.ODel+4*p.EDel) || cg.String() != "4D" {
 		t.Fatalf("empty query: %d %s", sc, cg)
 	}
-	if sc, cg := Global(&p, s[:4], nil, 5, true); sc != -(p.OIns+4*p.EIns) || cg.String() != "4I" {
+	if sc, cg := Global(&p, s[:4], nil, 5, int(minusInf)); sc != -(p.OIns+4*p.EIns) || cg.String() != "4I" {
 		t.Fatalf("empty target: %d %s", sc, cg)
 	}
 }
@@ -127,7 +127,7 @@ func TestGlobalMatchesDenseReference(t *testing.T) {
 			}
 		}
 		want := refGlobalDense(&p, q, tg)
-		got, cig := Global(&p, q, tg, 100, true)
+		got, cig := Global(&p, q, tg, 100, int(minusInf))
 		if got != want {
 			t.Fatalf("trial %d: q=%v t=%v: score %d, want %d", trial, q, tg, got, want)
 		}
@@ -149,7 +149,7 @@ func TestGlobalNarrowBandStillConsistent(t *testing.T) {
 			tg = append(tg, randSeq(rng, rng.Intn(6))...)
 		}
 		w := 1 + rng.Intn(4)
-		got, cig := Global(&p, q, tg, w, true)
+		got, cig := Global(&p, q, tg, w, int(minusInf))
 		if rescore := cigarScore(t, &p, q, tg, cig); rescore != got {
 			t.Fatalf("trial %d w=%d: cigar %s rescores to %d, reported %d", trial, w, cig, rescore, got)
 		}
@@ -175,5 +175,70 @@ func TestCigarHelpers(t *testing.T) {
 	}
 	if got := c.PushOp(CigarMatch, 0); len(got) != len(c) {
 		t.Fatal("zero-length push should be a no-op")
+	}
+}
+
+// FuzzGlobal requires the floor-pruned Global to return the frozen oracle's
+// score and CIGAR for floors below, at, above and far above the oracle's
+// score, and for minusInf, with the CIGAR rescoring to the score.
+func FuzzGlobal(f *testing.F) {
+	rng := rand.New(rand.NewSource(64))
+	s := randSeq(rng, 30)
+	f.Add([]byte(nil), []byte(nil), uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(5), uint8(3))
+	f.Add([]byte(nil), s[:4], uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(5), uint8(3))
+	f.Add(s[:4], []byte(nil), uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(5), uint8(3))
+	f.Add(s, s, uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(10), uint8(1))
+	f.Add(s, mutate(rng, s, 5)[3:], uint8(2), uint8(5), uint8(0), uint8(3), uint8(11), uint8(1), uint8(2), uint8(7))
+	f.Fuzz(func(t *testing.T, rawQ, rawT []byte, match, mis, oDel, eDel, oIns, eIns, w, d uint8) {
+		if len(rawQ) > 300 || len(rawT) > 300 {
+			return
+		}
+		p := fuzzParams(match, mis, oDel, eDel, oIns, eIns, 0, 0)
+		query, target := fuzzSeq(rawQ), fuzzSeq(rawT)
+		bw := int(w) % 151
+		want, wantCig := refGlobal(&p, query, target, bw, true)
+		if rescore := cigarScore(t, &p, query, target, wantCig); rescore != want {
+			t.Fatalf("oracle cigar %s rescores to %d, reported %d", wantCig, rescore, want)
+		}
+		k := 1 + int(d)%20
+		for _, floor := range []int{want - k, want, want + k, want + 1000, int(minusInf)} {
+			got, cig := Global(&p, query, target, bw, floor)
+			if got != want || cig.String() != wantCig.String() {
+				t.Fatalf("w=%d floor=%d %+v: got %d %s, want %d %s", bw, floor, p, got, cig, want, wantCig)
+			}
+		}
+	})
+}
+
+// TestGlobalFloorMatchesOracle drives the floor pruning where it bites:
+// related sequences with substitutions, Ns and indels, random scoring and
+// band, floors around the optimum.
+func TestGlobalFloorMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	for trial := 0; trial < 3000; trial++ {
+		b := make([]byte, 8)
+		rng.Read(b)
+		p := fuzzParams(b[0], b[1], b[2], b[3], b[4], b[5], 0, 0)
+		q := randSeq(rng, 1+rng.Intn(150))
+		tg := mutate(rng, q, rng.Intn(1+len(q)/8))
+		for k := rng.Intn(4); k > 0; k-- {
+			at := rng.Intn(len(tg))
+			if n := 1 + rng.Intn(6); rng.Intn(2) == 0 {
+				tg = append(tg[:at:at], append(randSeq(rng, n), tg[at:]...)...)
+			} else if at+n < len(tg) {
+				tg = append(tg[:at:at], tg[at+n:]...)
+			}
+		}
+		if rng.Intn(4) == 0 {
+			tg[rng.Intn(len(tg))] = 4
+		}
+		w := rng.Intn(40)
+		want, wantCig := refGlobal(&p, q, tg, w, true)
+		for _, floor := range []int{want - 1 - rng.Intn(10), want, want + 1 + rng.Intn(10), int(minusInf)} {
+			got, cig := Global(&p, q, tg, w, floor)
+			if got != want || cig.String() != wantCig.String() {
+				t.Fatalf("trial %d w=%d floor=%d %+v: got %d %s, want %d %s", trial, w, floor, p, got, cig, want, wantCig)
+			}
+		}
 	}
 }

@@ -4,7 +4,8 @@
 // provided:
 //
 //   - ExtendScalar: the original scalar kernel (a faithful port of BWA's
-//     ksw_extend2), the paper's baseline.
+//     ksw_extend2), the paper's baseline and the shipped engine. Its row
+//     loop is the leaf extendRow.
 //   - Batch16 / Batch8: the paper's inter-task "vectorized" kernels. W
 //     sequence pairs advance in lock-step through the same (i,j) cell
 //     schedule with per-lane masking, after AoS-to-SoA conversion and
@@ -13,6 +14,11 @@
 //     every structural property the paper measures: lane occupancy, useful
 //     vs wasteful cell counts, the benefit of sorting, and 8-bit vs 16-bit
 //     lane width. All engines produce bit-identical results.
+//
+// Global (a port of ksw_global2) is the banded global alignment with
+// traceback that SAM-FORM runs to produce each CIGAR. It takes a score
+// floor and computes only the cells that an alignment reaching the floor
+// can pass through, with the same result as the full band.
 package bsw
 
 // Params holds the alignment scoring parameters (BWA-MEM defaults in

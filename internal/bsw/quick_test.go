@@ -98,7 +98,7 @@ func TestQuickGlobalCigarConsistent(t *testing.T) {
 			return true
 		}
 		w := 1 + int(wRaw)%40
-		score, cig := Global(&p, j.Query, j.Target, w, true)
+		score, cig := Global(&p, j.Query, j.Target, w, int(minusInf))
 		qi, ti, re := 0, 0, 0
 		for _, e := range cig {
 			n := int(e >> 4)

@@ -32,8 +32,8 @@ func ExtendScalar(p *Params, query, target []byte, w, h0 int, buf *ScalarBuf, st
 	}
 	buf.grow(qlen)
 	eh, ee, qp := buf.h, buf.e, buf.qp
-	oeDel := p.ODel + p.EDel
-	oeIns := p.OIns + p.EIns
+	oeDel, eDel := int32(p.ODel+p.EDel), int32(p.EDel)
+	oeIns, eIns := int32(p.OIns+p.EIns), int32(p.EIns)
 
 	// Query profile: qp[k*qlen+j] = Mat[k][query[j]].
 	for k, i := 0, 0; k < 5; k++ {
@@ -50,11 +50,11 @@ func ExtendScalar(p *Params, query, target []byte, w, h0 int, buf *ScalarBuf, st
 	}
 	eh[0] = int32(h0)
 	if qlen > 0 {
-		if h0 > oeIns {
-			eh[1] = int32(h0 - oeIns)
+		if int32(h0) > oeIns {
+			eh[1] = int32(h0) - oeIns
 		}
-		for j := 2; j <= qlen && eh[j-1] > int32(p.EIns); j++ {
-			eh[j] = eh[j-1] - int32(p.EIns)
+		for j := 2; j <= qlen && eh[j-1] > eIns; j++ {
+			eh[j] = eh[j-1] - eIns
 		}
 	}
 
@@ -80,7 +80,6 @@ func ExtendScalar(p *Params, query, target []byte, w, h0 int, buf *ScalarBuf, st
 	maxOff := 0
 	beg, end := 0, qlen
 	for i := 0; i < tlen; i++ {
-		f, m, mj := int32(0), int32(0), -1
 		q := qp[int(target[i])*qlen : int(target[i])*qlen+qlen]
 		if beg < i-w {
 			beg = i - w
@@ -98,42 +97,8 @@ func ExtendScalar(p *Params, query, target []byte, w, h0 int, buf *ScalarBuf, st
 				h1 = 0
 			}
 		}
-		for j := beg; j < end; j++ {
-			// eh[j] = H(i-1,j-1), ee[j] = E(i,j), f = F(i,j), h1 = H(i,j-1).
-			M, e := eh[j], ee[j]
-			eh[j] = h1 // H(i,j-1) for the next row
-			if M != 0 {
-				M += int32(q[j])
-			}
-			h := M
-			if h < e {
-				h = e
-			}
-			if h < f {
-				h = f
-			}
-			h1 = h
-			if m <= h { // ties prefer the later column, as in ksw_extend2
-				m, mj = h, j
-			}
-			t := M - int32(oeDel)
-			if t < 0 {
-				t = 0
-			}
-			e -= int32(p.EDel)
-			if e < t {
-				e = t
-			}
-			ee[j] = e // E(i+1,j)
-			t = M - int32(oeIns)
-			if t < 0 {
-				t = 0
-			}
-			f -= int32(p.EIns)
-			if f < t {
-				f = t
-			}
-		}
+		h1, m, mj := extendRow(eh[beg:end], ee[beg:end], q[beg:end], h1, oeDel, eDel, oeIns, eIns)
+		mj += beg
 		if st != nil {
 			st.ScalarCells += int64(end - beg)
 			st.ScalarRows++
@@ -185,6 +150,34 @@ func ExtendScalar(p *Params, query, target []byte, w, h0 int, buf *ScalarBuf, st
 		Score: max, QLE: maxJ + 1, TLE: maxI + 1,
 		GTLE: maxIE + 1, GScore: gscore, MaxOff: maxOff,
 	}
+}
+
+// extendRow is ExtendScalar's inner loop over one row's band: on entry h[j]
+// holds H(i-1,j-1) and e[j] holds E(i,j); on return h[j] holds H(i,j-1) and
+// e[j] holds E(i+1,j). h1 enters as H(i,beg-1) and F(i,beg) is 0. It returns
+// H of the row's last cell and the row maximum m with its column mj (relative
+// to the slice; -1 for an empty row). As a small leaf taking the gap costs
+// as arguments, it leaves the register allocator only the recurrence to
+// place, where the whole kernel around it spilled several values per cell.
+//
+//bwalint:hot
+func extendRow(h, e []int32, q []int8, h1, oeDel, eDel, oeIns, eIns int32) (int32, int32, int) {
+	e, q = e[:len(h)], q[:len(h)]
+	f, m, mj := int32(0), int32(0), -1
+	for j, M := range h {
+		ev := e[j]
+		h[j] = h1
+		if M != 0 {
+			M += int32(q[j])
+		}
+		h1 = max(M, ev, f)
+		if m <= h1 { // ties prefer the later column, as in ksw_extend2
+			m, mj = h1, j
+		}
+		e[j] = max(ev-eDel, M-oeDel, 0)
+		f = max(f-eIns, M-oeIns, 0)
+	}
+	return h1, m, mj
 }
 
 // CellStats accounts for DP work, the basis of the paper's Table 7/8

@@ -259,3 +259,48 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// fuzzParams decodes fuzzed bytes into scoring parameters: match 1-5,
+// mismatch 1-8, asymmetric gap open 0-12 and extend 1-4, z-drop 0-200 and
+// end bonus 0-10.
+func fuzzParams(match, mis, oDel, eDel, oIns, eIns, zdrop, bonus uint8) Params {
+	return Params{
+		Mat:  FillScoreMatrix(1+int(match)%5, 1+int(mis)%8),
+		ODel: int(oDel) % 13, EDel: 1 + int(eDel)%4,
+		OIns: int(oIns) % 13, EIns: 1 + int(eIns)%4,
+		Zdrop: int(zdrop) % 201, EndBonus: int(bonus) % 11,
+	}
+}
+
+// fuzzSeq maps fuzzed bytes to base codes 0-4, N included.
+func fuzzSeq(raw []byte) []byte {
+	s := make([]byte, len(raw))
+	for i, b := range raw {
+		s[i] = b % 5
+	}
+	return s
+}
+
+// FuzzExtendScalar requires ExtendScalar to match the frozen pre-row-kernel
+// oracle exactly: the same ExtResult and the same cell and row counts.
+func FuzzExtendScalar(f *testing.F) {
+	rng := rand.New(rand.NewSource(47))
+	q := randSeq(rng, 60)
+	f.Add(q, mutate(rng, q, 4), uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(100), uint8(30), uint8(100), uint8(5))
+	f.Add([]byte{0, 1, 4, 3, 2}, []byte{0, 4, 4, 3}, uint8(4), uint8(7), uint8(0), uint8(3), uint8(12), uint8(1), uint8(0), uint8(0), uint8(0), uint8(10))
+	f.Add(q, randSeq(rng, 80), uint8(1), uint8(0), uint8(2), uint8(1), uint8(9), uint8(2), uint8(5), uint8(200), uint8(7), uint8(0))
+	f.Fuzz(func(t *testing.T, rawQ, rawT []byte, match, mis, oDel, eDel, oIns, eIns, w, h0, zdrop, bonus uint8) {
+		if len(rawQ) > 300 || len(rawT) > 300 {
+			return
+		}
+		p := fuzzParams(match, mis, oDel, eDel, oIns, eIns, zdrop, bonus)
+		query, target := fuzzSeq(rawQ), fuzzSeq(rawT)
+		bw, bh0 := int(w)%151, int(h0)%201
+		var got, want CellStats
+		g := ExtendScalar(&p, query, target, bw, bh0, nil, &got)
+		r := refExtendScalar(&p, query, target, bw, bh0, nil, &want)
+		if g != r || got != want {
+			t.Fatalf("w=%d h0=%d %+v:\ngot  %+v %+v\nwant %+v %+v", bw, bh0, p, g, got, r, want)
+		}
+	})
+}

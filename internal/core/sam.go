@@ -57,8 +57,11 @@ func inferBW(l1, l2, score, a, q, r int) int {
 // genCigar is bwa_gen_cigar2: global alignment of the clipped query against
 // the reference window, with both sequences reversed on the reverse strand
 // so indels stay left-aligned in forward coordinates. It also computes the
-// NM count and the MD string.
-func (a *Aligner) genCigar(query []byte, rb, re, w int) (cig bsw.Cigar, score, nm int, md string, ok bool) {
+// NM count and the MD string. floor is the score the caller expects the
+// alignment to reach; bsw.Global prunes every cell that cannot end there and
+// falls back to the full band when the floor turns out too high, so the
+// result does not depend on it.
+func (a *Aligner) genCigar(query []byte, rb, re, w, floor int) (cig bsw.Cigar, score, nm int, md string, ok bool) {
 	l := a.Ref.Lpac()
 	if len(query) == 0 || rb >= re || (rb < l && re > l) {
 		return nil, 0, 0, "", false
@@ -71,7 +74,7 @@ func (a *Aligner) genCigar(query []byte, rb, re, w int) (cig bsw.Cigar, score, n
 			rseq[i], rseq[j] = rseq[j], rseq[i]
 		}
 	}
-	score, cig = bsw.Global(&a.par3, qq, rseq, w, true)
+	score, cig = bsw.Global(&a.par3, qq, rseq, w, floor)
 	var mdBuf []byte
 	matchRun := 0
 	flushRun := func() {
@@ -144,7 +147,7 @@ func (a *Aligner) regToAln(qcodes []byte, r *Region) Alignment {
 		if w2 > o.W<<2 {
 			w2 = o.W << 2
 		}
-		cig, score, nm, md, ok = a.genCigar(qcodes[qb:qe], rb, re, w2)
+		cig, score, nm, md, ok = a.genCigar(qcodes[qb:qe], rb, re, w2, r.TrueSc)
 		if !ok {
 			break
 		}
