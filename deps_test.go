@@ -8,11 +8,11 @@ import (
 
 // TestShippedBinariesSkipTheRig asserts that the shipped binaries and the
 // public SDK import none of the code that reproduces, measures or polices
-// them. internal/trace and internal/memsim are not on the list yet, because
-// fmindex still imports the tracer that Table 4 instruments SMEM with.
+// them.
 func TestShippedBinariesSkipTheRig(t *testing.T) {
 	denied := []string{
 		"repro/internal/experiments",
+		"repro/internal/memsim",
 		"repro/internal/bench",
 		"repro/internal/soak",
 		"repro/internal/analysis",

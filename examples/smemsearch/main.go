@@ -25,7 +25,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lookup := sal.NewFlat(fullSA)
+	lookup, err := sal.New(fullSA, 1, idx) // interval 1: the flat suffix array
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// A query: 60 bp of reference with one mismatch planted in the middle.
 	q := append([]byte(nil), ref.Pac[10000:10060]...)

@@ -6,7 +6,6 @@ package suite
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomicfield"
 	"repro/internal/analysis/boundary"
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/goroleak"
@@ -20,7 +19,6 @@ import (
 // order. Callers must not mutate the returned slice's Analyzer values.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		atomicfield.Analyzer,
 		boundary.Analyzer,
 		ctxflow.Analyzer,
 		goroleak.Analyzer,

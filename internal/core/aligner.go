@@ -18,7 +18,7 @@ import (
 type Aligner struct {
 	Ref  *seq.Reference
 	Idx  *fmindex.Index
-	SA   sal.Lookuper
+	SA   *sal.SA
 	Opts Options
 
 	par5, par3 bsw.Params

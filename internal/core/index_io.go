@@ -54,22 +54,17 @@ func BuildPrebuilt(ref *seq.Reference) (*Prebuilt, error) {
 // compressed suffix array (sal.DefaultCompression).
 func NewAlignerFrom(pi *Prebuilt, mode Mode, opts Options) (*Aligner, error) {
 	flavor := fmindex.Baseline
+	intv := sal.DefaultCompression
 	if mode == ModeOptimized {
-		flavor = fmindex.Optimized
+		flavor, intv = fmindex.Optimized, 1
 	}
 	idx := fmindex.NewFromParts(pi.BWT, flavor, pi.OccBP)
-	var lookup sal.Lookuper
-	if mode == ModeOptimized {
-		lookup = sal.NewFlat(pi.FullSA)
-	} else {
-		var err error
-		lookup, err = sal.NewCompressed(pi.FullSA, sal.DefaultCompression, idx)
-		if err != nil {
-			return nil, err
-		}
+	sa, err := sal.New(pi.FullSA, intv, idx)
+	if err != nil {
+		return nil, err
 	}
 	return &Aligner{
-		Ref: pi.Ref, Idx: idx, SA: lookup, Opts: opts,
+		Ref: pi.Ref, Idx: idx, SA: sa, Opts: opts,
 		par5:   opts.bswParams(opts.PenClip5),
 		par3:   opts.bswParams(opts.PenClip3),
 		chOpts: opts.chainOpts(),

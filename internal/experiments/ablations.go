@@ -9,7 +9,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/pipeline"
 	"repro/internal/sal"
-	"repro/internal/trace"
 )
 
 // AblationSACompression sweeps the suffix-array compression factor,
@@ -23,32 +22,19 @@ func AblationSACompression(w io.Writer, e *Env) error {
 		rows = append(rows, (r*2654435761)%len(full))
 	}
 	for _, intv := range []int{1, 8, 32, 128, 512} {
-		var lk sal.Lookuper
-		var setTr func(*trace.Tracer)
-		if intv == 1 {
-			f := sal.NewFlat(full)
-			lk, setTr = f, func(tr *trace.Tracer) { f.SetTracer(tr) }
-		} else {
-			c, err := sal.NewCompressed(full, intv, e.Base.Idx)
-			if err != nil {
-				return err
-			}
-			lk, setTr = c, func(tr *trace.Tracer) {
-				c.SetTracer(tr)
-				e.Base.Idx.SetTracer(tr)
-			}
+		sa, err := sal.New(full, intv, e.Base.Idx)
+		if err != nil {
+			return err
 		}
-		tr := &trace.Tracer{}
-		setTr(tr)
-		start := time.Now()
+		wall := timeLookups(sa, rows)
+		steps := 0
 		for _, r := range rows {
-			lk.Lookup(r)
+			_, n := sa.Walk(r)
+			steps += n
 		}
-		wall := time.Since(start)
-		setTr(nil)
 		row(w, fmt.Sprintf("factor %4d", intv),
 			"%8.2f ms   %6.1f LF steps/lookup   footprint %6d KB",
-			ms(wall), ratio(float64(tr.LFSteps), float64(len(rows))), lk.MemFootprint()/1024)
+			ms(wall), ratio(float64(steps), float64(len(rows))), sa.MemFootprint()/1024)
 	}
 	return nil
 }

@@ -3,10 +3,12 @@
 // synthetic workloads of internal/datasets, printing paper-reported values
 // next to the measured ones so the shape of each result can be compared
 // directly. Where the paper measures hardware that Go cannot drive, a model
-// stands in: internal/memsim simulates the cache hierarchy for the LLC-miss
-// rows and the software-prefetch hints, and the batched BSW kernels run
-// their AVX-512 lanes as plain Go loops, counting one modeled vector
-// instruction per step.
+// stands in: Tracer, installed as an index's fmindex.Probe, counts the SMEM
+// and SAL kernels' operations and drives internal/memsim's simulated cache
+// hierarchy for the LLC-miss rows and the software-prefetch hints; the
+// serving kernels carry none of it. The batched BSW kernels run their
+// AVX-512 lanes as plain Go loops, counting one modeled vector instruction
+// per step.
 package experiments
 
 import (
@@ -51,7 +53,7 @@ type Env struct {
 	Base *core.Aligner // ModeBaseline: η=128 index, compressed SA, per-read scalar BSW
 	Opt  *core.Aligner // ModeOptimized: bit-plane index, flat SA
 
-	fullSA []int32 // the shared full suffix array, for the SAL table and ablation
+	fullSA []int32 // the shared full suffix array, for the SA-compression ablation
 }
 
 // NewEnv builds the reference and both aligner variants from one prebuilt

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -28,8 +31,18 @@ func tinyEnv(t testing.TB) *Env {
 	return e
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/counters.golden")
+
+// timing matches the wall-clock parts of the counter experiments' output:
+// Tables 4 and 5's "wall time" rows and the SA ablation's ms column.
+var timing = regexp.MustCompile(`(?m)^.*wall time.*\n| +[\d.]+ ms`)
+
+// TestAllExperimentsRun runs every experiment once and pins the counter
+// rows of Tables 4 and 5 and the SA-compression ablation, which depend only
+// on the seeded data and the cost model, to testdata/counters.golden.
 func TestAllExperimentsRun(t *testing.T) {
 	e := tinyEnv(t)
+	var counters strings.Builder
 	for _, exp := range []struct {
 		name string
 		fn   func(*bytes.Buffer) error
@@ -55,6 +68,22 @@ func TestAllExperimentsRun(t *testing.T) {
 			t.Fatalf("%s: suspiciously short output:\n%s", exp.name, buf.String())
 		}
 		t.Logf("%s:\n%s", exp.name, buf.String())
+		if exp.name == "table4" || exp.name == "table5" || exp.name == "ablation-sa" {
+			counters.WriteString(timing.ReplaceAllString(buf.String(), ""))
+		}
+	}
+	golden := filepath.Join("testdata", "counters.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(counters.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := counters.String(); got != string(want) {
+		t.Fatalf("counter rows differ from %s (-update rewrites it):\ngot:\n%s\nwant:\n%s", golden, got, want)
 	}
 }
 

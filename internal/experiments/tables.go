@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"repro/internal/counters"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/memsim"
 	"repro/internal/pipeline"
 	"repro/internal/sal"
-	"repro/internal/trace"
 )
 
 // Table1 regenerates the paper's Table 1: single-thread run-time breakdown
@@ -51,7 +51,7 @@ type smemConfig struct {
 	name     string
 	idx      *fmindex.Index
 	prefetch bool
-	instr    func(tr *trace.Tracer) int64
+	instr    func(tr *Tracer) int64
 }
 
 // Table4 regenerates the SMEM kernel counter comparison: original (η=128)
@@ -77,11 +77,11 @@ func Table4(w io.Writer, e *Env) error {
 	// visit whatever the position (two masks; per word two plane loads,
 	// five ANDs, three popcounts; four count adds and a subtraction). Raw
 	// counters are printed alongside so the model is auditable.
-	swar := func(tr *trace.Tracer) int64 { return 24*tr.OccCalls + 36*tr.OccWords + 32*tr.Extends }
-	avx2 := func(tr *trace.Tracer) int64 {
+	swar := func(tr *Tracer) int64 { return 24*tr.OccCalls + 36*tr.OccWords + 32*tr.Extends }
+	avx2 := func(tr *Tracer) int64 {
 		return 20*tr.OccCalls + 4*tr.OccWords + 32*tr.Extends + tr.Prefetches
 	}
-	planes := func(tr *trace.Tracer) int64 { return 40*tr.OccCalls + 32*tr.Extends + tr.Prefetches }
+	planes := func(tr *Tracer) int64 { return 40*tr.OccCalls + 32*tr.Extends + tr.Prefetches }
 	cfgs := []smemConfig{
 		{"config A: original (eta=128, 2-bit)", e.Base.Idx, false, swar},
 		{"config B: eta=32 minus s/w prefetch", eta32, false, avx2},
@@ -90,14 +90,14 @@ func Table4(w io.Writer, e *Env) error {
 	}
 	seedOpts := e.Base.Opts.Seed
 	for _, c := range cfgs {
-		tr := &trace.Tracer{Mem: memsim.New(e.Cfg.MemConfig), EnablePrefetch: c.prefetch}
-		c.idx.SetTracer(tr)
+		tr := &Tracer{Mem: memsim.New(e.Cfg.MemConfig), EnablePrefetch: c.prefetch}
+		tr.Install(c.idx)
 		var buf fmindex.SMEMBuf
 		var scratch []fmindex.BiInterval
 		for _, q := range codes {
 			scratch = c.idx.CollectIntervals(q, seedOpts, &buf, scratch)
 		}
-		c.idx.SetTracer(nil)
+		c.idx.SetProbe(nil)
 		// Untraced wall time.
 		start := time.Now()
 		for _, q := range codes {
@@ -156,23 +156,19 @@ func Table5(w io.Writer, e *Env) error {
 	}
 	fmt.Fprintf(w, " %d SA offsets\n", len(rows))
 
-	run := func(name string, lk sal.Lookuper, setTracer func(*trace.Tracer)) {
-		tr := &trace.Tracer{Mem: memsim.New(e.Cfg.MemConfig)}
-		setTracer(tr)
+	run := func(name string, sa *sal.SA) {
+		tr := &Tracer{Mem: memsim.New(e.Cfg.MemConfig)}
+		tr.Install(e.Base.Idx)
 		for _, r := range rows {
-			lk.Lookup(r)
+			tr.Lookup(sa, r)
 		}
-		setTracer(nil)
-		start := time.Now()
-		for _, r := range rows {
-			lk.Lookup(r)
-		}
-		wall := time.Since(start)
+		e.Base.Idx.SetProbe(nil)
+		wall := timeLookups(sa, rows)
 		st := &tr.Mem.Stats
 		// Each LF step costs an occurrence computation (~40 ops); a lookup
 		// itself is ~25 ops of addressing and bookkeeping.
 		instr := 40*tr.LFSteps + 25*tr.SALookups
-		fmt.Fprintf(w, " %s (memory footprint %d KB)\n", name, lk.MemFootprint()/1024)
+		fmt.Fprintf(w, " %s (memory footprint %d KB)\n", name, sa.MemFootprint()/1024)
 		row(w, "LF-mapping steps", "%d", tr.LFSteps)
 		row(w, "modeled instructions", "%d", instr)
 		row(w, "modeled instr / SA offset", "%.1f", ratio(float64(instr), float64(len(rows))))
@@ -182,19 +178,22 @@ func Table5(w io.Writer, e *Env) error {
 		row(w, "wall time", "%.2f ms", ms(wall))
 	}
 
-	comp, err := sal.NewCompressed(e.fullSA, sal.DefaultCompression, e.Base.Idx)
-	if err != nil {
-		return err
-	}
-	run("original (compressed, factor 128)", comp, func(tr *trace.Tracer) {
-		comp.SetTracer(tr)
-		e.Base.Idx.SetTracer(tr)
-	})
-	flat := sal.NewFlat(e.fullSA)
-	run("optimized (flat suffix array)", flat, func(tr *trace.Tracer) {
-		flat.SetTracer(tr)
-	})
+	run("original (compressed, factor 128)", e.Base.SA)
+	run("optimized (flat suffix array)", e.Opt.SA)
 	fmt.Fprintln(w, " paper shape: ~200x fewer instructions per lookup, ~100x fewer LLC")
 	fmt.Fprintln(w, " misses, two orders of magnitude faster despite a 128x larger table.")
 	return nil
+}
+
+// timeLookups times sa.Lookup over rows. The results are summed so the
+// compiler cannot drop a flat lookup's read.
+func timeLookups(sa *sal.SA, rows []int) time.Duration {
+	sink := 0
+	start := time.Now()
+	for _, r := range rows {
+		sink += sa.Lookup(r)
+	}
+	wall := time.Since(start)
+	runtime.KeepAlive(sink)
+	return wall
 }

@@ -10,7 +10,11 @@
 // core.ModeOptimized — is the bit-plane layout built around Go's wide
 // primitive, bits.OnesCount64; the experiments-only Eta32 flavor is the
 // paper's η=32 byte-per-base layout, kept as the subject of Table 4.
-// Non-baseline flavors issue modeled software-prefetch hints when traced.
+//
+// The paper's cost model (Table 4's bucket visits, words and prefetches)
+// lives in internal/experiments. The kernels only report the stored-BWT
+// positions they touch to an optional Probe, and Geometry gives the bucket
+// layout needed to cost them.
 package fmindex
 
 import (
@@ -19,7 +23,6 @@ import (
 	"slices"
 
 	"repro/internal/bwt"
-	"repro/internal/trace"
 )
 
 // Flavor selects the occurrence-table design.
@@ -72,7 +75,20 @@ type Index struct {
 	occBP  *OccBP
 	occ128 *Occ128
 	occ32  *Occ32
-	tr     *trace.Tracer
+	probe  Probe
+}
+
+// Probe observes the stored-BWT positions the kernels rank at, for a cost
+// model outside the serving path. Every position is in [0, N) unless noted.
+type Probe interface {
+	// Extend reports the two rank bounds of one extension, k <= l; either
+	// may be -1 (an empty prefix, answered without a table access).
+	Extend(k, l int)
+	// Occ reports one single-base rank, from LF.
+	Occ(k int)
+	// Prefetch reports one modeled software-prefetch hint (paper
+	// Algorithm 4). The Baseline flavor, like original BWA-MEM, issues none.
+	Prefetch(k int)
 }
 
 // Build constructs the index of text (codes 0..3) in the given flavor. It
@@ -117,9 +133,9 @@ func NewFromParts(b *bwt.BWT, flavor Flavor, obp *OccBP) *Index {
 // Flavor reports which occurrence-table design the index uses.
 func (x *Index) Flavor() Flavor { return x.flavor }
 
-// SetTracer installs (or removes, with nil) an instrumentation tracer. The
-// index must not be shared between goroutines while traced.
-func (x *Index) SetTracer(tr *trace.Tracer) { x.tr = tr }
+// SetProbe installs (or removes, with nil) a probe. The index must not be
+// shared between goroutines while probed.
+func (x *Index) SetProbe(p Probe) { x.probe = p }
 
 // MemFootprint returns the occurrence-table size in bytes.
 func (x *Index) MemFootprint() int {
@@ -132,48 +148,17 @@ func (x *Index) MemFootprint() int {
 	return x.occ32.MemFootprint()
 }
 
-// entryIndex returns the occurrence-table bucket for a stored-BWT position.
-func (x *Index) entryIndex(k int) int {
-	if x.occ32 != nil {
-		return x.occ32.EntryIndex(k)
-	}
-	return k >> 7 // OccBP and Occ128 share the η=128 geometry
-}
-
-// traceOcc records one bucket visit covering stored position k.
-func (x *Index) traceOcc(k int) {
-	tr := x.tr
-	tr.OccCalls++
-	var words, bpw int
+// Geometry returns the occurrence table's bucket size eta (stored position
+// k lies in bucket k/eta) and the bases per in-bucket word (a rank at k
+// scans (k mod eta)/basesPerWord + 1 words).
+func (x *Index) Geometry() (eta, basesPerWord int) {
 	switch {
 	case x.occBP != nil:
-		words, bpw = x.occBP.wordsFor(k), x.occBP.basesPerWord()
+		return 128, 64
 	case x.occ128 != nil:
-		words, bpw = x.occ128.wordsFor(k), x.occ128.basesPerWord()
-	default:
-		words, bpw = x.occ32.wordsFor(k), x.occ32.basesPerWord()
+		return 128, 32
 	}
-	tr.OccWords += int64(words)
-	tr.OccBases += int64(words * bpw)
-	tr.Load(trace.OccBase+uint64(x.entryIndex(k))*occEntryBytes, occEntryBytes)
-}
-
-// traceExtend accounts for one extension whose stored rank bounds are k <=
-// l. When both fall into the same occurrence bucket — increasingly likely
-// as matches lengthen and intervals shrink (§4.2) — the bucket is visited
-// once (BWA's bwt_2occ4); otherwise each non-negative bound costs a visit.
-func (x *Index) traceExtend(k, l int) {
-	x.tr.Extends++
-	if k >= 0 && x.entryIndex(k) == x.entryIndex(l) {
-		x.traceOcc(l)
-		return
-	}
-	if k >= 0 {
-		x.traceOcc(k)
-	}
-	if l >= 0 {
-		x.traceOcc(l)
-	}
+	return 32, 8
 }
 
 // Occ returns occurrences of base c in B'[0..row]; row must be in [-1, N].
@@ -182,8 +167,8 @@ func (x *Index) Occ(c byte, row int) int {
 	if k < 0 {
 		return 0
 	}
-	if x.tr != nil {
-		x.traceOcc(k)
+	if x.probe != nil {
+		x.probe.Occ(k)
 	}
 	if x.occBP != nil {
 		return x.occBP.Count(c, k)
@@ -214,8 +199,8 @@ func (x *Index) Extend(ik BiInterval, isBack bool, ok *[4]BiInterval) {
 		a, b = b, a
 	}
 	k, l := x.B.RankShift(a-1), x.B.RankShift(a+ik.S-1)
-	if x.tr != nil {
-		x.traceExtend(k, l)
+	if x.probe != nil {
+		x.probe.Extend(k, l)
 	}
 	var tk, tl [4]int
 	switch {
@@ -248,28 +233,21 @@ func (x *Index) Extend(ik BiInterval, isBack bool, ok *[4]BiInterval) {
 	}
 }
 
-// prefetchOcc issues a modeled software-prefetch hint for the occurrence
+// prefetchOcc reports a modeled software-prefetch hint for the occurrence
 // bucket of a full-column row (paper Algorithm 4, lines 11-12 and 26-27).
-// The baseline flavor never prefetches, and the others only when tracing
-// with prefetch enabled — pure-Go execution has no prefetch instruction, so
-// the hint only affects the cache model. The untraced check is split out so
-// it inlines into the search loops.
+// Pure-Go execution has no prefetch instruction, so the hint exists only for
+// the probe. The unprobed check is split out so it inlines into the search
+// loops.
 func (x *Index) prefetchOcc(row int) {
-	if x.tr != nil {
-		x.tracePrefetch(row)
+	if x.probe != nil && x.flavor != Baseline {
+		x.probePrefetch(row)
 	}
 }
 
-func (x *Index) tracePrefetch(row int) {
-	tr := x.tr
-	if !tr.EnablePrefetch || x.flavor == Baseline {
-		return
+func (x *Index) probePrefetch(row int) {
+	if k := x.B.RankShift(row); k >= 0 && k < x.B.N {
+		x.probe.Prefetch(k)
 	}
-	k := x.B.RankShift(row)
-	if k < 0 || k >= x.B.N {
-		return
-	}
-	tr.Prefetch(trace.OccBase+uint64(x.entryIndex(k))*occEntryBytes, occEntryBytes)
 }
 
 // LF maps a full-matrix row to the row whose suffix starts one text position

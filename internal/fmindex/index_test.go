@@ -5,9 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/memsim"
 	"repro/internal/seq"
-	"repro/internal/trace"
 )
 
 func randText(rng *rand.Rand, n int) []byte {
@@ -267,6 +265,13 @@ func checkExtend(t *testing.T, x *Index, text, pat []byte) {
 	}
 }
 
+// countProbe counts the extensions it is shown.
+type countProbe struct{ extends int }
+
+func (p *countProbe) Extend(k, l int) { p.extends++ }
+func (p *countProbe) Occ(int)         {}
+func (p *countProbe) Prefetch(int)    {}
+
 // TestExtendMatchesBruteForce checks Extend against occurrence counts and
 // ranks taken straight from the doubled text, for every flavor, traced and
 // untraced. The pattern set covers the empty pattern (bounds at rows -1 and
@@ -299,16 +304,16 @@ func TestExtendMatchesBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, traced := range []bool{false, true} {
-				tr := &trace.Tracer{}
+				p := &countProbe{}
 				if traced {
-					x.SetTracer(tr)
+					x.SetProbe(p)
 				}
 				for _, pat := range pats {
 					checkExtend(t, x, text, pat)
 				}
-				x.SetTracer(nil)
-				if traced && tr.Extends != int64(2*len(pats)) {
-					t.Fatalf("%v: traced %d extensions, want %d", flavor, tr.Extends, 2*len(pats))
+				x.SetProbe(nil)
+				if traced && p.extends != 2*len(pats) {
+					t.Fatalf("%v: traced %d extensions, want %d", flavor, p.extends, 2*len(pats))
 				}
 			}
 		}
@@ -351,28 +356,6 @@ func FuzzExtend(f *testing.F) {
 	})
 }
 
-func TestTracerCountsAndCache(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	text := doubledText(randText(rng, 2000))
-	x, _, _ := Build(text, Optimized)
-	tr := &trace.Tracer{Mem: memsim.New(memsim.Scaled()), EnablePrefetch: true}
-	x.SetTracer(tr)
-	q := randText(rng, 50)
-	var buf SMEMBuf
-	mems, _ := x.SMEM1(q, 0, 1, &buf, nil)
-	x.SetTracer(nil)
-	if tr.OccCalls == 0 || tr.OccWords < tr.OccCalls || tr.Extends == 0 {
-		t.Fatalf("tracer counters not advancing: %+v", tr)
-	}
-	if tr.Mem.Stats.Loads == 0 {
-		t.Fatal("cache model saw no loads")
-	}
-	if tr.Prefetches == 0 {
-		t.Fatal("optimized flavor should issue prefetch hints")
-	}
-	_ = mems
-}
-
 // TestOcc4PairMatchesSeparate checks that the two rank bounds Extend reads
 // in one table call agree with separate Occ queries at each bound, for
 // every flavor, and that the bit-plane pair routine agrees with Count4.
@@ -409,43 +392,5 @@ func TestOcc4PairMatchesSeparate(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestOcc4PairSharedBucketTracesOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	text := doubledText(randText(rng, 800))
-	for _, flavor := range []Flavor{Optimized, Eta32} {
-		x, _, _ := Build(text, flavor)
-		tr := &trace.Tracer{}
-		x.SetTracer(tr)
-		// Rank bounds whose shifted positions share one bucket (η=32 or
-		// 128): pick two rows in the same bucket well away from the primary
-		// row, and extend the interval between them.
-		base := ((x.B.Primary + 64) / 32) * 32
-		var ok [4]BiInterval
-		x.Extend(BiInterval{K: base + 2, S: 19}, true, &ok) // bounds base+1, base+20
-		if tr.OccCalls != 1 || tr.Extends != 1 {
-			t.Fatalf("%v: shared-bucket pair should cost one visit, got %d", flavor, tr.OccCalls)
-		}
-		tr.ResetCounters()
-		x.Extend(BiInterval{K: base + 2, S: 199}, true, &ok) // bounds base+1, base+200
-		if tr.OccCalls != 2 {
-			t.Fatalf("%v: split pair should cost two visits, got %d", flavor, tr.OccCalls)
-		}
-	}
-}
-
-func TestBaselineNeverPrefetches(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	text := doubledText(randText(rng, 1000))
-	x, _, _ := Build(text, Baseline)
-	tr := &trace.Tracer{Mem: memsim.New(memsim.Scaled()), EnablePrefetch: true}
-	x.SetTracer(tr)
-	var buf SMEMBuf
-	q := randText(rng, 40)
-	x.SMEM1(q, 0, 1, &buf, nil)
-	if tr.Prefetches != 0 {
-		t.Fatalf("baseline issued %d prefetches", tr.Prefetches)
 	}
 }

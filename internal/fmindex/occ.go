@@ -137,12 +137,6 @@ func (o *OccBP) countPair(k, l int, ck, cl *[4]int) {
 	}
 }
 
-// wordsFor reports how many 64-base words hold B0[line start..k].
-func (o *OccBP) wordsFor(k int) int { return (k&127)>>6 + 1 }
-
-// basesPerWord is the number of symbol slots per scanned word.
-func (o *OccBP) basesPerWord() int { return 64 }
-
 // MemFootprint returns the table size in bytes.
 func (o *OccBP) MemFootprint() int { return len(o.lines) * occEntryBytes }
 
@@ -244,15 +238,6 @@ func (o *Occ128) Count4(k int) (cnt [4]int) {
 	}
 	return
 }
-
-// Eta returns the bucket size.
-func (o *Occ128) Eta() int { return 128 }
-
-// wordsFor reports how many packed words an in-bucket scan up to k touches.
-func (o *Occ128) wordsFor(k int) int { return (k&127)>>5 + 1 }
-
-// basesPerWord is the number of symbol slots per scanned word.
-func (o *Occ128) basesPerWord() int { return 32 }
 
 // MemFootprint returns the table size in bytes.
 func (o *Occ128) MemFootprint() int { return len(o.blocks) * occEntryBytes }
@@ -374,18 +359,6 @@ func (o *Occ32) Count4(k int) (cnt [4]int) {
 	}
 	return
 }
-
-// Eta returns the bucket size.
-func (o *Occ32) Eta() int { return 32 }
-
-// EntryIndex returns the bucket number holding position k (k >= 0).
-func (o *Occ32) EntryIndex(k int) int { return k >> 5 }
-
-// wordsFor reports how many base words an in-bucket scan up to k touches.
-func (o *Occ32) wordsFor(k int) int { return (k&31)>>3 + 1 }
-
-// basesPerWord is the number of symbol slots per scanned word.
-func (o *Occ32) basesPerWord() int { return 8 }
 
 // MemFootprint returns the table size in bytes.
 func (o *Occ32) MemFootprint() int { return len(o.entries) * occEntryBytes }

@@ -97,7 +97,11 @@ func FuzzOccCount4(f *testing.F) {
 func TestOccLayoutGeometry(t *testing.T) {
 	b0 := randB0(rand.New(rand.NewSource(1)), 1000)
 	o128, o32, obp := NewOcc128(b0), NewOcc32(b0), NewOccBP(b0)
-	if o128.Eta() != 128 || o32.Eta() != 32 {
+	x128, x32, xbp := &Index{occ128: o128}, &Index{occ32: o32}, &Index{occBP: obp}
+	eta128, bpw128 := x128.Geometry()
+	eta32, bpw32 := x32.Geometry()
+	etaBP, bpwBP := xbp.Geometry()
+	if eta128 != 128 || eta32 != 32 || etaBP != 128 {
 		t.Fatal("eta")
 	}
 	// 1000 bases: ceil(1000/128)=8 blocks or lines, ceil(1000/32)=32
@@ -116,19 +120,21 @@ func TestOccLayoutGeometry(t *testing.T) {
 	if obp.MemFootprint() != o128.MemFootprint() {
 		t.Errorf("OccBP footprint = %d, want Occ128's %d", obp.MemFootprint(), o128.MemFootprint())
 	}
-	if o32.EntryIndex(129) != 4 {
+	if 129/eta32 != 4 {
 		t.Error("entry index")
 	}
 	// Words scanned for a mid-bucket query: Occ128 touches 32-base words,
 	// Occ32 8-base words, OccBP at most two 64-base words.
-	if o128.wordsFor(64) != 3 || o128.basesPerWord() != 32 {
-		t.Errorf("Occ128 words for k=64: %d", o128.wordsFor(64))
+	words := func(k, eta, bpw int) int { return k%eta/bpw + 1 }
+	if words(64, eta128, bpw128) != 3 || bpw128 != 32 {
+		t.Errorf("Occ128 words for k=64: %d", words(64, eta128, bpw128))
 	}
-	if o32.wordsFor(64) != 1 || o32.basesPerWord() != 8 {
-		t.Errorf("Occ32 words for k=64: %d", o32.wordsFor(64))
+	if words(64, eta32, bpw32) != 1 || bpw32 != 8 {
+		t.Errorf("Occ32 words for k=64: %d", words(64, eta32, bpw32))
 	}
-	if obp.wordsFor(63) != 1 || obp.wordsFor(64) != 2 || obp.wordsFor(127) != 2 || obp.basesPerWord() != 64 {
-		t.Errorf("OccBP words for k=63/64/127: %d/%d/%d", obp.wordsFor(63), obp.wordsFor(64), obp.wordsFor(127))
+	if words(63, etaBP, bpwBP) != 1 || words(64, etaBP, bpwBP) != 2 || words(127, etaBP, bpwBP) != 2 || bpwBP != 64 {
+		t.Errorf("OccBP words for k=63/64/127: %d/%d/%d",
+			words(63, etaBP, bpwBP), words(64, etaBP, bpwBP), words(127, etaBP, bpwBP))
 	}
 }
 

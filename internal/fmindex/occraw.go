@@ -17,7 +17,7 @@ import (
 
 // Compile-time guarantees that the structs are exactly one 64-byte cache
 // line with no padding — OccBP's raw codec and alias path rely on it, and so
-// does the cache model's one-line-per-visit accounting (traceOcc).
+// does the cache model's one-line-per-visit accounting (see Geometry).
 var (
 	_ = [1]struct{}{}[unsafe.Sizeof(occ128Block{})-occEntryBytes]
 	_ = [1]struct{}{}[unsafe.Sizeof(occBPLine{})-occEntryBytes]

@@ -5,9 +5,9 @@
 // in Tables 4-8 is justified by a per-kernel breakdown) applied to the
 // long-lived server.
 //
-// Design rules, in the spirit of internal/trace's nil-Tracer convention:
-// every recording hook is cheap (atomics, no allocation on the hot path)
-// and nil receivers are safe no-ops, so callers instrument unconditionally.
-// Histograms are safe for fully concurrent Observe/Write; Span is
-// mutex-guarded; Logger serializes writes; TraceRing is mutex-guarded.
+// Design rules: every recording hook is cheap (atomics, no allocation on
+// the hot path) and nil receivers are safe no-ops, so callers instrument
+// unconditionally. Histograms are safe for fully concurrent Observe/Write;
+// Span is mutex-guarded; Logger serializes writes; TraceRing is
+// mutex-guarded.
 package obs

@@ -2,123 +2,94 @@
 // the paper's three hot kernels: converting SA-interval rows produced by
 // SMEM seeding into reference coordinates.
 //
-// Two designs are provided, matching §4.5 of the paper:
+// SA stores every intv-th entry of the suffix array and recovers the rest
+// by walking the LF mapping until a sampled row is hit (§4.5):
 //
-//   - CompressedSA is original BWA-MEM's design: only every intv-th entry of
-//     the suffix array is stored; the rest are recovered by walking the LF
-//     mapping until a sampled row is hit. Each walk step costs an
-//     occurrence-table access, which is why the paper measures ~5,190
-//     instructions per lookup at compression factor 128.
+//   - Interval 1 is the paper's optimization, the flat suffix array: every
+//     lookup is a single array read (Equation 1). It trades memory (about
+//     48 GB for a human genome in the paper; megabytes at this
+//     reproduction's scale) for a ~183x kernel speedup. The serving engine
+//     uses it.
 //
-//   - FlatSA is the paper's optimization: the uncompressed suffix array,
-//     answering every lookup with a single array read (Equation 1). It
-//     trades memory (about 48 GB for a human genome in the paper; megabytes
-//     at this reproduction's scale) for a ~183x kernel speedup.
+//   - Interval DefaultCompression is original BWA-MEM's design. Each walk
+//     step costs an occurrence-table access, which is why the paper measures
+//     ~5,190 instructions per lookup at compression factor 128.
 package sal
 
 import (
 	"fmt"
 
 	"repro/internal/fmindex"
-	"repro/internal/trace"
 )
 
 // DefaultCompression is the compression factor the paper attributes to
 // BWA-MEM (§4.5).
 const DefaultCompression = 128
 
-// Lookuper answers suffix-array queries: the reference coordinate of a
-// full-matrix row. Both kernel designs implement it.
-type Lookuper interface {
-	Lookup(row int) int
-	MemFootprint() int
-}
-
-// FlatSA is the optimized, uncompressed suffix array (Equation 1).
-type FlatSA struct {
-	sa []int32
-	tr *trace.Tracer
-}
-
-// NewFlat wraps a full-matrix suffix array (N+1 entries, row 0 = sentinel).
-// The slice is borrowed, never written: it may alias read-only memory such
-// as an mmap'd index section, and one slice may back any number of FlatSA
-// values across goroutines.
-func NewFlat(fullSA []int32) *FlatSA {
-	return &FlatSA{sa: fullSA}
-}
-
-// SetTracer installs (or removes) instrumentation.
-func (f *FlatSA) SetTracer(tr *trace.Tracer) { f.tr = tr }
-
-// Lookup returns the text position of the suffix at row: one array read.
-func (f *FlatSA) Lookup(row int) int {
-	if f.tr != nil {
-		f.tr.SALookups++
-		f.tr.Load(trace.SABase+uint64(row)*4, 4)
-	}
-	return int(f.sa[row])
-}
-
-// MemFootprint returns the table size in bytes.
-func (f *FlatSA) MemFootprint() int { return 4 * len(f.sa) }
-
-// CompressedSA is the baseline sampled suffix array.
-type CompressedSA struct {
+// SA is a suffix array sampled at a fixed interval.
+type SA struct {
 	intv    int
-	samples []int32
-	rows    int // N+1
+	samples []int32 // entries at rows 0, intv, 2*intv, ...
+	rows    int     // N+1
 	idx     *fmindex.Index
-	tr      *trace.Tracer
 }
 
-// NewCompressed samples every intv-th row of the full suffix array. The
-// index provides the LF mapping used to recover unsampled rows; it must be
-// the index of the same text.
-func NewCompressed(fullSA []int32, intv int, idx *fmindex.Index) (*CompressedSA, error) {
+// New samples every intv-th row of a full-matrix suffix array (N+1 entries,
+// row 0 = sentinel). With intv 1 the slice is borrowed, never copied or
+// written: it may alias read-only memory such as an mmap'd index section,
+// and one slice may back any number of SAs across goroutines. A larger
+// interval needs idx, the index of the same text, whose LF mapping recovers
+// the unsampled rows.
+func New(fullSA []int32, intv int, idx *fmindex.Index) (*SA, error) {
 	if intv < 1 {
 		return nil, fmt.Errorf("sal: compression interval %d < 1", intv)
 	}
-	c := &CompressedSA{intv: intv, rows: len(fullSA), idx: idx}
-	c.samples = make([]int32, (len(fullSA)+intv-1)/intv)
-	for i := range c.samples {
-		c.samples[i] = fullSA[i*intv]
+	s := &SA{intv: intv, samples: fullSA, rows: len(fullSA), idx: idx}
+	if intv == 1 {
+		return s, nil
 	}
-	return c, nil
+	if idx == nil {
+		return nil, fmt.Errorf("sal: compression interval %d needs an index", intv)
+	}
+	s.samples = make([]int32, (len(fullSA)+intv-1)/intv)
+	for i := range s.samples {
+		s.samples[i] = fullSA[i*intv]
+	}
+	return s, nil
 }
 
-// SetTracer installs (or removes) instrumentation. LF-mapping steps also hit
-// the occurrence table, so for complete memory traces install the same
-// tracer on the underlying fmindex.Index.
-func (c *CompressedSA) SetTracer(tr *trace.Tracer) { c.tr = tr }
+// Lookup returns the text position of the suffix at row.
+func (s *SA) Lookup(row int) int {
+	if s.intv == 1 {
+		return int(s.samples[row])
+	}
+	return s.walkLookup(row)
+}
 
-// Lookup recovers the text position of the suffix at row by LF-walking to
-// the nearest sampled row (BWA's bwt_sa). Walks that cross the primary row
-// wrap through the sentinel, handled by the modular correction.
-func (c *CompressedSA) Lookup(row int) int {
-	if c.tr != nil {
-		c.tr.SALookups++
-	}
-	steps := 0
-	for row%c.intv != 0 {
-		row = c.idx.LF(row)
-		steps++
-		if c.tr != nil {
-			c.tr.LFSteps++
-		}
-	}
-	if c.tr != nil {
-		c.tr.Load(trace.SABase+uint64(row/c.intv)*4, 4)
-	}
-	v := int(c.samples[row/c.intv]) + steps
-	if v >= c.rows {
-		v -= c.rows
+// walkLookup is Lookup over a sampled array (BWA's bwt_sa). Walks that
+// cross the primary row wrap through the sentinel, handled by the modular
+// correction.
+func (s *SA) walkLookup(row int) int {
+	sample, steps := s.Walk(row)
+	v := int(s.samples[sample]) + steps
+	if v >= s.rows {
+		v -= s.rows
 	}
 	return v
 }
 
+// Walk LF-walks from row to the nearest sampled row and returns that row's
+// index in the sample array and the number of LF steps taken.
+func (s *SA) Walk(row int) (sample, steps int) {
+	for row%s.intv != 0 {
+		row = s.idx.LF(row)
+		steps++
+	}
+	return row / s.intv, steps
+}
+
 // MemFootprint returns the table size in bytes.
-func (c *CompressedSA) MemFootprint() int { return 4 * len(c.samples) }
+func (s *SA) MemFootprint() int { return 4 * len(s.samples) }
 
 // Interval returns the compression factor.
-func (c *CompressedSA) Interval() int { return c.intv }
+func (s *SA) Interval() int { return s.intv }

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fmindex"
-	"repro/internal/memsim"
 	"repro/internal/seq"
-	"repro/internal/trace"
 )
 
 func buildIndex(t testing.TB, n int, seed int64, flavor fmindex.Flavor) (*fmindex.Index, []int32) {
@@ -30,7 +28,7 @@ func buildIndex(t testing.TB, n int, seed int64, flavor fmindex.Flavor) (*fminde
 
 func TestFlatLookupAllRows(t *testing.T) {
 	_, full := buildIndex(t, 300, 1, fmindex.Optimized)
-	f := NewFlat(full)
+	f, _ := New(full, 1, nil)
 	for row := range full {
 		if got := f.Lookup(row); got != int(full[row]) {
 			t.Fatalf("Lookup(%d) = %d, want %d", row, got, full[row])
@@ -45,7 +43,7 @@ func TestCompressedLookupAllRowsAllIntervals(t *testing.T) {
 	for _, flavor := range []fmindex.Flavor{fmindex.Baseline, fmindex.Optimized} {
 		idx, full := buildIndex(t, 257, 2, flavor)
 		for _, intv := range []int{1, 2, 3, 8, 32, 128, 1024} {
-			c, err := NewCompressed(full, intv, idx)
+			c, err := New(full, intv, idx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,19 +59,19 @@ func TestCompressedLookupAllRowsAllIntervals(t *testing.T) {
 
 func TestCompressedRejectsBadInterval(t *testing.T) {
 	idx, full := buildIndex(t, 64, 3, fmindex.Baseline)
-	if _, err := NewCompressed(full, 0, idx); err == nil {
+	if _, err := New(full, 0, idx); err == nil {
 		t.Fatal("interval 0 should error")
 	}
-	if _, err := NewCompressed(full, -5, idx); err == nil {
+	if _, err := New(full, -5, idx); err == nil {
 		t.Fatal("negative interval should error")
 	}
 }
 
 func TestCompressedFootprintShrinks(t *testing.T) {
 	idx, full := buildIndex(t, 1024, 4, fmindex.Baseline)
-	c32, _ := NewCompressed(full, 32, idx)
-	c128, _ := NewCompressed(full, 128, idx)
-	flat := NewFlat(full)
+	c32, _ := New(full, 32, idx)
+	c128, _ := New(full, 128, idx)
+	flat, _ := New(full, 1, nil)
 	if !(c128.MemFootprint() < c32.MemFootprint() && c32.MemFootprint() < flat.MemFootprint()) {
 		t.Fatalf("footprints: flat=%d c32=%d c128=%d",
 			flat.MemFootprint(), c32.MemFootprint(), c128.MemFootprint())
@@ -83,81 +81,9 @@ func TestCompressedFootprintShrinks(t *testing.T) {
 	}
 }
 
-func TestLookupTracing(t *testing.T) {
-	idx, full := buildIndex(t, 500, 5, fmindex.Baseline)
-	tr := &trace.Tracer{Mem: memsim.New(memsim.Scaled())}
-	c, _ := NewCompressed(full, 128, idx)
-	c.SetTracer(tr)
-	idx.SetTracer(tr)
-	rows := []int{1, 17, 333, 777}
-	for _, r := range rows {
-		c.Lookup(r % len(full))
-	}
-	if tr.SALookups != int64(len(rows)) {
-		t.Fatalf("SALookups = %d", tr.SALookups)
-	}
-	if tr.LFSteps == 0 {
-		t.Fatal("compressed lookups should take LF steps")
-	}
-	if tr.OccCalls == 0 {
-		t.Fatal("LF steps should hit the occurrence table")
-	}
-	lfLoads := tr.Mem.Stats.Loads
-	if lfLoads == 0 {
-		t.Fatal("cache model saw no loads")
-	}
-
-	// Flat lookups: exactly one load each, no LF steps.
-	tr2 := &trace.Tracer{Mem: memsim.New(memsim.Scaled())}
-	f := NewFlat(full)
-	f.SetTracer(tr2)
-	for _, r := range rows {
-		f.Lookup(r % len(full))
-	}
-	if tr2.LFSteps != 0 || tr2.Mem.Stats.Loads != int64(len(rows)) {
-		t.Fatalf("flat tracing: %+v", tr2)
-	}
-}
-
-// TestInstructionGapEmerges verifies the core claim of Table 5: the work per
-// lookup (LF steps, each costing an occurrence computation) of the
-// compressed design is orders of magnitude above the flat design's single
-// read, and grows with the compression factor.
-func TestInstructionGapEmerges(t *testing.T) {
-	idx, full := buildIndex(t, 4000, 6, fmindex.Baseline)
-	rng := rand.New(rand.NewSource(7))
-	rows := make([]int, 2000)
-	for i := range rows {
-		rows[i] = rng.Intn(len(full))
-	}
-	work := func(intv int) float64 {
-		tr := &trace.Tracer{}
-		c, _ := NewCompressed(full, intv, idx)
-		c.SetTracer(tr)
-		idx.SetTracer(tr)
-		defer idx.SetTracer(nil)
-		for _, r := range rows {
-			c.Lookup(r)
-		}
-		return float64(tr.LFSteps) / float64(len(rows))
-	}
-	w32, w128 := work(32), work(128)
-	// LF jumps to essentially random rows, so the walk length is geometric
-	// with mean ~intv.
-	if w32 < 10 || w32 > 64 {
-		t.Fatalf("avg LF steps at intv 32 = %f, want ~32", w32)
-	}
-	if w128 < 48 || w128 > 256 {
-		t.Fatalf("avg LF steps at intv 128 = %f, want ~128", w128)
-	}
-	if w128 < 2.5*w32 {
-		t.Fatalf("walk length should scale with compression: %f vs %f", w32, w128)
-	}
-}
-
 func BenchmarkSALCompressed128(b *testing.B) {
 	idx, full := buildIndex(b, 1<<16, 8, fmindex.Baseline)
-	c, _ := NewCompressed(full, 128, idx)
+	c, _ := New(full, 128, idx)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Lookup(i % len(full))
@@ -166,7 +92,7 @@ func BenchmarkSALCompressed128(b *testing.B) {
 
 func BenchmarkSALFlat(b *testing.B) {
 	_, full := buildIndex(b, 1<<16, 8, fmindex.Optimized)
-	f := NewFlat(full)
+	f, _ := New(full, 1, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Lookup(i % len(full))
