@@ -61,7 +61,6 @@ func main() {
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request alignment deadline (0 = none)")
 	cache := fs.Bool("cache", true, "cache single-end results by read sequence (duplicate-heavy traffic)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "result-cache capacity in bytes (0 = 256 MiB)")
-	cacheShards := fs.Int("cache-shards", 0, "result-cache shard count, rounded up to a power of two (0 = 64)")
 	drain := fs.Duration("drain", 0, "graceful-shutdown drain timeout (0 = 30s)")
 	logFormat := fs.String("log-format", "json", "structured request-log format: json or text")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (empty disables)")
@@ -94,7 +93,6 @@ func main() {
 	cfg.DrainTimeout = *drain
 	cfg.CacheEnabled = *cache
 	cfg.CacheBytes = *cacheBytes
-	cfg.CacheShards = *cacheShards
 	cfg.DebugRequestTraces = *debugRequests
 	srv, err := bwamem.NewServer(aln, cfg)
 	if err != nil {

@@ -129,18 +129,16 @@ type ServerConfig struct {
 	RequestTimeout time.Duration
 
 	// CacheEnabled turns on the sharded single-end result cache
-	// (internal/rescache): duplicate read sequences are served from cached
-	// alignment regions (re-rendered per read, so output stays
-	// byte-identical), and concurrent duplicates single-flight behind the
-	// first copy. Paired-end requests always bypass the cache. The zero
-	// ServerConfig leaves it off; DefaultServerConfig enables it.
+	// (internal/rescache): a read whose sequence is resident, or repeats an
+	// earlier read of the same request, is served from those alignment
+	// regions (re-rendered per read, so output stays byte-identical)
+	// instead of being aligned. Paired-end requests always bypass the
+	// cache. The zero ServerConfig leaves it off; DefaultServerConfig
+	// enables it.
 	CacheEnabled bool
 	// CacheBytes is the result cache's total capacity in bytes across all
 	// shards. <= 0 means DefaultCacheBytes.
 	CacheBytes int64
-	// CacheShards is the cache's lock-striping width, rounded up to a
-	// power of two. <= 0 means DefaultCacheShards.
-	CacheShards int
 
 	// DrainTimeout bounds graceful shutdown's wait for in-flight requests.
 	// <= 0 means 30s.
@@ -162,7 +160,6 @@ const (
 	DefaultMaxReadLen       = 1 << 16
 	DefaultDrainTimeout     = 30 * time.Second
 	DefaultCacheBytes       = 256 << 20
-	DefaultCacheShards      = 64
 )
 
 // DefaultServerConfig returns the deployment defaults (NumCPU workers
@@ -174,7 +171,6 @@ func DefaultServerConfig() ServerConfig {
 		DrainTimeout:     DefaultDrainTimeout,
 		CacheEnabled:     true,
 		CacheBytes:       DefaultCacheBytes,
-		CacheShards:      DefaultCacheShards,
 	}
 }
 
@@ -206,9 +202,6 @@ func (c *ServerConfig) Normalize(numCPU int) error {
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = DefaultCacheBytes
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = DefaultCacheShards
 	}
 	if c.DebugRequestTraces < 0 {
 		c.DebugRequestTraces = 0

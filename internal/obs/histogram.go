@@ -20,15 +20,15 @@ const (
 	histBuckets  = 28
 )
 
-// bucketBounds holds the precomputed upper bounds, rendered once for the
-// exposition format ("1e-06", "0.001024", ...).
-var bucketBounds = func() [histBuckets]string {
-	var b [histBuckets]string
+// bucketSeconds holds the precomputed upper bounds in seconds, and
+// bucketBounds the same bounds rendered once for the exposition format
+// ("1e-06", "0.001024", ...), which parses back to exactly bucketSeconds.
+var bucketSeconds, bucketBounds = func() (s [histBuckets]float64, b [histBuckets]string) {
 	for i := range b {
-		secs := time.Duration(histMinNanos << i).Seconds()
-		b[i] = strconv.FormatFloat(secs, 'g', -1, 64)
+		s[i] = time.Duration(histMinNanos << i).Seconds()
+		b[i] = strconv.FormatFloat(s[i], 'g', -1, 64)
 	}
-	return b
+	return s, b
 }()
 
 // Histogram is a concurrency-safe log-bucketed latency histogram. Observe
@@ -93,39 +93,47 @@ func (h *Histogram) Sum() time.Duration {
 	return time.Duration(h.sumNanos.Load())
 }
 
-// Quantile estimates the q-th quantile (0 < q <= 1) in seconds with the
-// same piecewise-linear interpolation Prometheus's histogram_quantile
-// applies, so a test computing p99 here and a dashboard computing it from
-// the exposition agree. Returns 0 for an empty histogram; observations in
-// the overflow bucket resolve to the last finite bound (as
-// histogram_quantile does for +Inf).
+// Quantile estimates the q-th quantile (0 < q <= 1) in seconds with
+// BucketQuantile, so a test computing p99 here and a dashboard computing
+// it from the exposition agree. Returns 0 for an empty histogram.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
-	if total == 0 {
+	var cum [histBuckets]int64
+	var n int64
+	for i := range cum {
+		n += h.buckets[i].Load()
+		cum[i] = n
+	}
+	return BucketQuantile(q, bucketSeconds[:], cum[:], h.count.Load())
+}
+
+// BucketQuantile estimates the q-th quantile of a histogram given as
+// ascending finite upper bounds, the cumulative count at each bound, and
+// the cumulative total at +Inf. It applies the same piecewise-linear
+// interpolation as Prometheus's histogram_quantile: a rank beyond the last
+// finite bound resolves to that bound. Returns 0 when total is 0.
+func BucketQuantile(q float64, bounds []float64, cum []int64, total int64) float64 {
+	if total == 0 || len(bounds) == 0 {
 		return 0
 	}
 	rank := q * float64(total)
-	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		n := h.buckets[i].Load()
-		if n == 0 {
+	prev := int64(0)
+	for i, c := range cum {
+		if c == prev {
 			continue
 		}
-		if float64(cum+n) >= rank {
-			upper := time.Duration(histMinNanos << i).Seconds()
+		if float64(c) >= rank {
 			lower := 0.0
 			if i > 0 {
-				lower = time.Duration(histMinNanos << (i - 1)).Seconds()
+				lower = bounds[i-1]
 			}
-			return lower + (upper-lower)*(rank-float64(cum))/float64(n)
+			return lower + (bounds[i]-lower)*(rank-float64(prev))/float64(c-prev)
 		}
-		cum += n
+		prev = c
 	}
-	// Rank falls in the overflow bucket: clamp to the last finite bound.
-	return time.Duration(histMinNanos << (histBuckets - 1)).Seconds()
+	return bounds[len(bounds)-1]
 }
 
 // Write emits the histogram in Prometheus text exposition format:

@@ -10,27 +10,17 @@
 // pipeline. Paired-end reads must not be cached (insert-size inference is
 // cross-read state); that policy lives in the caller.
 //
-// Two mechanisms serve two flavors of duplication:
-//
-//   - The LRU keeps regions of recently aligned sequences resident (bounded
-//     by a byte capacity), so a duplicate arriving later skips the whole
-//     SMEM→SAL→chain→BSW pipeline.
-//   - Single-flight coalesces duplicates that are in flight concurrently:
-//     the first copy of a sequence becomes the "leader" and enters the
-//     batch queue; every further copy parks on the leader's Flight and is
-//     fulfilled from the leader's result without ever occupying a batch
-//     slot.
+// The cache is a byte-bounded LRU with two operations, Get and Put. It
+// does not coordinate callers: two requests that miss on the same
+// sequence at the same time both align it and both Put the (identical)
+// regions, which costs one redundant alignment and nothing else.
 //
 // # Concurrency contract
 //
 // Every method is safe for concurrent use from any goroutine. The keyspace
 // is split across a power-of-two number of shards (each with its own lock
 // and its own LRU list and byte budget), so concurrent requests contend
-// only when their sequences hash to the same shard. Waiter callbacks
-// registered via Lookup and the notifications triggered by Flight.Fulfill /
-// Flight.Abort run on the goroutine that resolves the flight — a pipeline
-// worker in the server — with no cache locks held; callbacks may call back
-// into the cache but must not block indefinitely.
+// only when their sequences hash to the same shard.
 package rescache
 
 import (
@@ -69,40 +59,20 @@ type Config struct {
 	Shards int
 }
 
-// Status classifies a Lookup outcome.
-type Status int
-
-const (
-	// Hit: the regions were resident; Lookup returned them.
-	Hit Status = iota
-	// Joined: the sequence is being aligned by another caller right now;
-	// the wait callback was registered on that leader's Flight and will be
-	// invoked exactly once when it resolves.
-	Joined
-	// Leading: the caller is the first to ask for this sequence. It
-	// received a Flight and MUST resolve it with Fulfill (result ready) or
-	// Abort (alignment abandoned) — leaking a pending flight parks every
-	// future duplicate of the sequence forever.
-	Leading
-)
-
-// Cache is the sharded LRU + single-flight store. Create with New.
+// Cache is the sharded LRU. Create with New.
 type Cache struct {
 	shards []shard
 	mask   uint64
 
 	hits      atomic.Int64
 	misses    atomic.Int64
-	coalesced atomic.Int64
 	evictions atomic.Int64
-	bytes     atomic.Int64 // resident (ready) entry cost
-	entries   atomic.Int64 // ready entries
+	bytes     atomic.Int64 // resident entry cost
+	entries   atomic.Int64 // resident entries
 	capacity  int64
 }
 
-// shard is one lock stripe: a map over both ready and pending entries plus
-// an LRU list (ready entries only — pending entries are pinned, they cost
-// nothing yet and evicting them would orphan their waiters).
+// shard is one lock stripe: a map plus an LRU list over its entries.
 type shard struct {
 	mu         sync.Mutex
 	m          map[string]*entry
@@ -115,19 +85,7 @@ type entry struct {
 	key        string
 	regs       []core.Region
 	cost       int64
-	flight     *Flight // non-nil while pending (single-flight leader running)
-	prev, next *entry  // LRU links; nil/nil and not listed while pending
-}
-
-// Flight is the single-flight handle for one in-progress alignment. The
-// leader resolves it exactly once; waiters park on it via Lookup. All
-// Flight state is guarded by the owning shard's lock.
-type Flight struct {
-	c       *Cache
-	sh      *shard
-	key     string
-	done    bool
-	waiters []func(regs []core.Region, ok bool)
+	prev, next *entry
 }
 
 // New builds a cache, resolving zero Config fields to defaults.
@@ -175,100 +133,53 @@ func (c *Cache) shardOf(key []byte) *shard {
 	return &c.shards[h.Sum64()&c.mask]
 }
 
-// Lookup resolves key to one of three outcomes (see Status). key may be a
-// reused buffer: the cache copies it when it needs to retain it.
-//
-//   - Hit: the cached regions are returned. They are shared and MUST be
-//     treated as immutable by every caller.
-//   - Joined: wait was registered on the in-flight leader and will be
-//     called exactly once, with (regs, true) when the leader fulfills or
-//     (nil, false) when it aborts. wait runs on the resolving goroutine
-//     with no cache locks held. A nil wait is allowed only if the caller
-//     can never observe Joined (e.g. single-goroutine tests).
-//   - Leading: the returned Flight must be resolved with Fulfill or Abort.
-func (c *Cache) Lookup(key []byte, wait func(regs []core.Region, ok bool)) ([]core.Region, *Flight, Status) {
+// Get returns the resident regions for key and marks the entry most
+// recently used, counting a hit; otherwise it counts a miss. The returned
+// regions are shared and MUST be treated as immutable. key may be a reused
+// buffer.
+func (c *Cache) Get(key []byte) ([]core.Region, bool) {
 	sh := c.shardOf(key)
 	sh.mu.Lock()
-	if e, ok := sh.m[string(key)]; ok {
-		if e.flight != nil {
-			if wait != nil {
-				e.flight.waiters = append(e.flight.waiters, wait)
-			}
-			fl := e.flight
-			sh.mu.Unlock()
-			c.coalesced.Add(1)
-			return nil, fl, Joined
-		}
-		sh.moveToFront(e)
-		regs := e.regs
+	e, ok := sh.m[string(key)]
+	if !ok {
 		sh.mu.Unlock()
-		c.hits.Add(1)
-		return regs, nil, Hit
+		c.misses.Add(1)
+		return nil, false
 	}
-	k := string(key) // copy: the caller's buffer may be reused
-	fl := &Flight{c: c, sh: sh, key: k}
-	sh.m[k] = &entry{key: k, flight: fl}
+	sh.moveToFront(e)
+	regs := e.regs
 	sh.mu.Unlock()
-	c.misses.Add(1)
-	return nil, fl, Leading
+	c.hits.Add(1)
+	return regs, true
 }
 
-// Fulfill publishes the leader's regions: the pending entry becomes a
-// resident LRU entry (evicting least-recently-used entries if the shard
-// goes over budget) and every waiter is notified with (regs, true). regs is
-// retained and shared — the caller and all waiters must treat it as
-// immutable. Fulfill after Abort (or a second Fulfill) is a no-op, so a
-// leader racing its own cancellation stays safe.
-func (fl *Flight) Fulfill(regs []core.Region) {
-	sh := fl.sh
+// Put makes regs the resident result for key, evicting least-recently-used
+// entries if the shard goes over budget. regs is retained and shared: the
+// caller must not modify it afterwards. A Put for a key that is already
+// resident replaces its regions and keeps one entry. key may be a reused
+// buffer: the cache copies it.
+func (c *Cache) Put(key []byte, regs []core.Region) {
+	sh := c.shardOf(key)
+	cost := int64(len(key)) + regionBytes*int64(len(regs)) + entryOverhead
 	sh.mu.Lock()
-	if fl.done {
-		sh.mu.Unlock()
-		return
+	e, ok := sh.m[string(key)]
+	if ok {
+		sh.unlink(e)
+		sh.bytes -= e.cost
+		c.bytes.Add(-e.cost)
+	} else {
+		e = &entry{key: string(key)}
+		sh.m[e.key] = e
+		c.entries.Add(1)
 	}
-	fl.done = true
-	waiters := fl.waiters
-	fl.waiters = nil
-	var evicted int64
-	if e, ok := sh.m[fl.key]; ok && e.flight == fl {
-		e.flight = nil
-		e.regs = regs
-		e.cost = int64(len(e.key)) + regionBytes*int64(len(regs)) + entryOverhead
-		sh.bytes += e.cost
-		sh.pushFront(e)
-		fl.c.bytes.Add(e.cost)
-		fl.c.entries.Add(1)
-		evicted = sh.evictOverLocked(fl.c)
-	}
+	e.regs, e.cost = regs, cost
+	sh.bytes += cost
+	c.bytes.Add(cost)
+	sh.pushFront(e)
+	evicted := sh.evictOverLocked(c)
 	sh.mu.Unlock()
 	if evicted > 0 {
-		fl.c.evictions.Add(evicted)
-	}
-	for _, w := range waiters {
-		w(regs, true)
-	}
-}
-
-// Abort withdraws the flight without a result: the pending entry is removed
-// (the next Lookup of the sequence starts a fresh leader) and every waiter
-// is notified with (nil, false) so it can retry. Abort after Fulfill is a
-// no-op.
-func (fl *Flight) Abort() {
-	sh := fl.sh
-	sh.mu.Lock()
-	if fl.done {
-		sh.mu.Unlock()
-		return
-	}
-	fl.done = true
-	waiters := fl.waiters
-	fl.waiters = nil
-	if e, ok := sh.m[fl.key]; ok && e.flight == fl {
-		delete(sh.m, fl.key)
-	}
-	sh.mu.Unlock()
-	for _, w := range waiters {
-		w(nil, false)
+		c.evictions.Add(evicted)
 	}
 }
 
@@ -324,11 +235,10 @@ func (sh *shard) moveToFront(e *entry) {
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits      int64 // Lookups served from a resident entry
-	Misses    int64 // Lookups that started a new leader (Leading)
-	Coalesced int64 // Lookups parked on an in-flight leader (Joined)
+	Hits      int64 // Gets served from a resident entry
+	Misses    int64 // Gets that found nothing
 	Evictions int64 // resident entries dropped to stay within capacity
-	Entries   int64 // resident (ready) entries
+	Entries   int64 // resident entries
 	Bytes     int64 // resident entry cost in bytes
 	Capacity  int64 // configured byte budget
 }
@@ -339,7 +249,6 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
-		Coalesced: c.coalesced.Load(),
 		Evictions: c.evictions.Load(),
 		Entries:   c.entries.Load(),
 		Bytes:     c.bytes.Load(),

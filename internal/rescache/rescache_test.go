@@ -3,7 +3,6 @@ package rescache
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -15,20 +14,20 @@ func regsOf(score int) []core.Region {
 	return []core.Region{{Score: score, Secondary: -1}}
 }
 
+// TestMissFulfillHit is the cache's one cycle: a miss, a Put of the
+// aligned regions, then a hit that returns them.
 func TestMissFulfillHit(t *testing.T) {
 	c := New(Config{Capacity: 1 << 20, Shards: 4})
 	k := key(1, "ACGT")
 
-	regs, fl, st := c.Lookup(k, nil)
-	if st != Leading || fl == nil || regs != nil {
-		t.Fatalf("first lookup: status %v, flight %v", st, fl)
+	if regs, ok := c.Get(k); ok || regs != nil {
+		t.Fatalf("first Get: ok %v, regs %v", ok, regs)
 	}
-	want := regsOf(42)
-	fl.Fulfill(want)
+	c.Put(k, regsOf(42))
 
-	got, _, st := c.Lookup(k, nil)
-	if st != Hit {
-		t.Fatalf("second lookup: status %v, want Hit", st)
+	got, ok := c.Get(k)
+	if !ok {
+		t.Fatal("second Get missed")
 	}
 	if len(got) != 1 || got[0].Score != 42 {
 		t.Fatalf("hit returned %+v", got)
@@ -44,88 +43,33 @@ func TestEmptyRegionsAreCacheable(t *testing.T) {
 	// that as a valid result, not a miss.
 	c := New(Config{Capacity: 1 << 20})
 	k := key(1, "NNNN")
-	_, fl, _ := c.Lookup(k, nil)
-	fl.Fulfill(nil)
-	regs, _, st := c.Lookup(k, nil)
-	if st != Hit || regs != nil {
-		t.Fatalf("status %v regs %v, want Hit with nil regs", st, regs)
+	c.Put(k, nil)
+	regs, ok := c.Get(k)
+	if !ok || regs != nil {
+		t.Fatalf("ok %v regs %v, want a hit with nil regs", ok, regs)
 	}
 }
 
 func TestFingerprintSeparatesKeys(t *testing.T) {
 	c := New(Config{Capacity: 1 << 20})
-	_, fl, _ := c.Lookup(key(1, "ACGT"), nil)
-	fl.Fulfill(regsOf(1))
-	if _, _, st := c.Lookup(key(2, "ACGT"), nil); st != Leading {
-		t.Fatalf("different fingerprint resolved to %v, want Leading", st)
+	c.Put(key(1, "ACGT"), regsOf(1))
+	if _, ok := c.Get(key(2, "ACGT")); ok {
+		t.Fatal("different fingerprint hit the other fingerprint's entry")
 	}
 }
 
-func TestSingleFlightJoinAndFulfill(t *testing.T) {
-	c := New(Config{Capacity: 1 << 20})
+func TestPutResidentKeyKeepsOneEntry(t *testing.T) {
+	c := New(Config{Capacity: 1 << 20, Shards: 1})
 	k := key(1, "ACGT")
-	_, leader, st := c.Lookup(k, nil)
-	if st != Leading {
-		t.Fatal("expected Leading")
+	c.Put(k, regsOf(1))
+	once := c.Stats().Bytes
+	c.Put(k, regsOf(2))
+	s := c.Stats()
+	if s.Entries != 1 || s.Bytes != once {
+		t.Fatalf("after a second Put: entries %d bytes %d, want 1 and %d", s.Entries, s.Bytes, once)
 	}
-
-	var got atomic.Int64
-	for i := 0; i < 3; i++ {
-		_, _, st := c.Lookup(k, func(regs []core.Region, ok bool) {
-			if !ok || len(regs) != 1 || regs[0].Score != 7 {
-				t.Errorf("waiter got regs=%v ok=%v", regs, ok)
-			}
-			got.Add(1)
-		})
-		if st != Joined {
-			t.Fatalf("duplicate lookup %d: status %v, want Joined", i, st)
-		}
-	}
-	leader.Fulfill(regsOf(7))
-	if got.Load() != 3 {
-		t.Fatalf("%d waiters notified, want 3", got.Load())
-	}
-	if s := c.Stats(); s.Coalesced != 3 {
-		t.Fatalf("coalesced %d, want 3", s.Coalesced)
-	}
-}
-
-func TestAbortNotifiesWaitersAndClearsEntry(t *testing.T) {
-	c := New(Config{Capacity: 1 << 20})
-	k := key(1, "ACGT")
-	_, leader, _ := c.Lookup(k, nil)
-
-	aborted := false
-	c.Lookup(k, func(regs []core.Region, ok bool) {
-		if ok || regs != nil {
-			t.Errorf("abort delivered regs=%v ok=%v", regs, ok)
-		}
-		aborted = true
-	})
-	leader.Abort()
-	if !aborted {
-		t.Fatal("waiter not notified on abort")
-	}
-	// The key is free again: the next lookup leads a fresh flight.
-	if _, _, st := c.Lookup(k, nil); st != Leading {
-		t.Fatalf("post-abort lookup: status %v, want Leading", st)
-	}
-	// Fulfill after Abort must not resurrect the old flight's entry.
-	leader.Fulfill(regsOf(1))
-	if s := c.Stats(); s.Entries != 0 {
-		t.Fatalf("entries %d after fulfill-after-abort, want 0", s.Entries)
-	}
-}
-
-func TestDoubleResolveIsIdempotent(t *testing.T) {
-	c := New(Config{Capacity: 1 << 20})
-	_, fl, _ := c.Lookup(key(1, "A"), nil)
-	fl.Fulfill(regsOf(1))
-	fl.Fulfill(regsOf(2)) // ignored
-	fl.Abort()            // ignored
-	regs, _, st := c.Lookup(key(1, "A"), nil)
-	if st != Hit || regs[0].Score != 1 {
-		t.Fatalf("status %v regs %v, want original fulfill to stick", st, regs)
+	if regs, _ := c.Get(k); regs[0].Score != 2 {
+		t.Fatalf("Get returned %v, want the latest Put", regs)
 	}
 }
 
@@ -133,15 +77,8 @@ func TestLRUEvictionUnderPressure(t *testing.T) {
 	// One shard so eviction order is globally observable; capacity sized
 	// for only a handful of entries.
 	c := New(Config{Capacity: 1000, Shards: 1})
-	fill := func(i int) {
-		_, fl, st := c.Lookup(key(1, fmt.Sprintf("seq-%04d", i)), nil)
-		if st != Leading {
-			t.Fatalf("fill %d: status %v", i, st)
-		}
-		fl.Fulfill(regsOf(i))
-	}
 	for i := 0; i < 50; i++ {
-		fill(i)
+		c.Put(key(1, fmt.Sprintf("seq-%04d", i)), regsOf(i))
 	}
 	s := c.Stats()
 	if s.Evictions == 0 {
@@ -150,17 +87,15 @@ func TestLRUEvictionUnderPressure(t *testing.T) {
 	if s.Bytes > s.Capacity {
 		t.Fatalf("resident %d bytes exceeds capacity %d", s.Bytes, s.Capacity)
 	}
-	if s.Entries != s.Misses-s.Evictions {
-		t.Fatalf("entries %d != misses %d - evictions %d", s.Entries, s.Misses, s.Evictions)
+	if s.Entries != 50-s.Evictions {
+		t.Fatalf("entries %d != puts 50 - evictions %d", s.Entries, s.Evictions)
 	}
 	// The most recent insert survives; the oldest is gone.
-	if _, _, st := c.Lookup(key(1, "seq-0049"), nil); st != Hit {
-		t.Fatalf("newest entry evicted (status %v)", st)
+	if _, ok := c.Get(key(1, "seq-0049")); !ok {
+		t.Fatal("newest entry evicted")
 	}
-	if _, fl, st := c.Lookup(key(1, "seq-0000"), nil); st != Leading {
-		t.Fatalf("oldest entry survived (status %v)", st)
-	} else {
-		fl.Abort()
+	if _, ok := c.Get(key(1, "seq-0000")); ok {
+		t.Fatal("oldest entry survived")
 	}
 }
 
@@ -169,97 +104,56 @@ func TestLRUTouchOnHit(t *testing.T) {
 	// eviction victim.
 	c := New(Config{Capacity: 3 * (8 + 5 + regionBytes + entryOverhead), Shards: 1})
 	for i := 0; i < 3; i++ {
-		_, fl, _ := c.Lookup(key(1, fmt.Sprintf("key-%d", i)), nil)
-		fl.Fulfill(regsOf(i))
+		c.Put(key(1, fmt.Sprintf("key-%d", i)), regsOf(i))
 	}
-	if _, _, st := c.Lookup(key(1, "key-0"), nil); st != Hit {
+	if _, ok := c.Get(key(1, "key-0")); !ok {
 		t.Fatal("key-0 missing before pressure")
 	}
-	_, fl, _ := c.Lookup(key(1, "key-3"), nil)
-	fl.Fulfill(regsOf(3))
-	if _, _, st := c.Lookup(key(1, "key-0"), nil); st != Hit {
+	c.Put(key(1, "key-3"), regsOf(3))
+	if _, ok := c.Get(key(1, "key-0")); !ok {
 		t.Fatal("recently touched key-0 was evicted")
 	}
-	if _, fl, st := c.Lookup(key(1, "key-1"), nil); st != Leading {
-		t.Fatalf("LRU victim key-1 still resident (status %v)", st)
-	} else {
-		fl.Abort()
+	if _, ok := c.Get(key(1, "key-1")); ok {
+		t.Fatal("LRU victim key-1 still resident")
 	}
 }
 
-func TestPendingEntriesAreNotEvicted(t *testing.T) {
-	c := New(Config{Capacity: 500, Shards: 1})
-	_, pending, st := c.Lookup(key(1, "inflight"), nil)
-	if st != Leading {
-		t.Fatal("expected Leading")
-	}
-	// Blow well past capacity with ready entries.
-	for i := 0; i < 30; i++ {
-		_, fl, _ := c.Lookup(key(1, fmt.Sprintf("fill-%d", i)), nil)
-		fl.Fulfill(regsOf(i))
-	}
-	// The pending entry must still be joinable.
-	if _, _, st := c.Lookup(key(1, "inflight"), func([]core.Region, bool) {}); st != Joined {
-		t.Fatalf("pending entry lost under pressure (status %v)", st)
-	}
-	pending.Fulfill(regsOf(99))
-}
-
-// TestConcurrentSingleFlight hammers one hot key plus a spread of cold keys
-// from many goroutines under -race: every lookup must resolve exactly once,
-// and the sum of hits+misses+coalesced must equal the lookups issued.
-func TestConcurrentSingleFlight(t *testing.T) {
+// TestConcurrentGetPut hammers one hot key plus a spread of cold keys from
+// many goroutines under -race, each goroutine Putting what it missed:
+// every hit must return the regions Put for its key, and hits + misses
+// must equal the Gets issued.
+func TestConcurrentGetPut(t *testing.T) {
 	c := New(Config{Capacity: 1 << 18, Shards: 8})
 	const goroutines = 16
 	const perG = 200
-	var resolved atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var done sync.WaitGroup
 			for i := 0; i < perG; i++ {
-				// Every 4th lookup targets the shared hot key.
+				// Every 4th Get targets the shared hot key.
 				s := "hot"
 				if i%4 != 0 {
-					s = fmt.Sprintf("cold-%d-%d", g, i)
+					s = fmt.Sprintf("cold-%d-%d", g, i%16)
 				}
-				done.Add(1) // before Lookup: a Joined callback can fire immediately
-				regs, fl, st := c.Lookup(key(1, s), func(r []core.Region, ok bool) {
-					if ok && (len(r) != 1 || r[0].Score != len(s)) {
-						t.Errorf("waiter for %q got %v", s, r)
-					}
-					resolved.Add(1)
-					done.Done()
-				})
-				switch st {
-				case Hit:
-					if len(regs) != 1 || regs[0].Score != len(s) {
-						t.Errorf("hit for %q got %v", s, regs)
-					}
-					resolved.Add(1)
-					done.Done()
-				case Leading:
-					fl.Fulfill(regsOf(len(s)))
-					resolved.Add(1)
-					done.Done()
-				case Joined:
-					// the callback runs done.Done
+				k := key(1, s)
+				if regs, ok := c.Get(k); !ok {
+					c.Put(k, regsOf(len(s)))
+				} else if len(regs) != 1 || regs[0].Score != len(s) {
+					t.Errorf("hit for %q got %v", s, regs)
 				}
 			}
-			done.Wait()
 		}()
 	}
 	wg.Wait()
-	total := int64(goroutines * perG)
-	if resolved.Load() != total {
-		t.Fatalf("resolved %d of %d lookups", resolved.Load(), total)
-	}
 	s := c.Stats()
-	if s.Hits+s.Misses+s.Coalesced != total {
-		t.Fatalf("hits %d + misses %d + coalesced %d != %d", s.Hits, s.Misses, s.Coalesced, total)
+	if total := int64(goroutines * perG); s.Hits+s.Misses != total {
+		t.Fatalf("hits %d + misses %d != %d", s.Hits, s.Misses, total)
+	}
+	if s.Hits == 0 {
+		t.Fatal("repeated keys never hit")
 	}
 }
 
@@ -270,4 +164,65 @@ func TestShardCountRoundsToPowerOfTwo(t *testing.T) {
 			t.Errorf("Shards %d -> %d shards, want %d", tc.in, len(c.shards), tc.want)
 		}
 	}
+}
+
+// FuzzCache decodes the input into Get and Put operations over a few keys
+// on a tiny two-shard cache and checks the accounting after every one:
+// Stats' Bytes and Entries equal the resident entries' cost and count, no
+// shard is over its budget, a Get right after a Put returns those regions
+// whenever the entry fits a shard at all, and hits + misses equals the
+// Gets issued.
+func FuzzCache(f *testing.F) {
+	f.Add([]byte{0x00, 0x81, 0x01, 0x80})
+	f.Add([]byte{0x10, 0x23, 0x31, 0x47, 0x05, 0x92, 0xa3, 0x13})
+	f.Add([]byte("\x00\x11\x22\x33\x44\x55\x66\x77\x80\x91\xa2\xb3"))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		c := New(Config{Capacity: 900, Shards: 2})
+		var gets int64
+		for n, op := range ops {
+			k := key(1, fmt.Sprintf("k%d", op&7))
+			if op&0x80 == 0 {
+				gets++
+				c.Get(k)
+			} else {
+				regs := make([]core.Region, op>>3&0x7)
+				for i := range regs {
+					regs[i].Score = n
+				}
+				c.Put(k, regs)
+				cost := int64(len(k)) + regionBytes*int64(len(regs)) + entryOverhead
+				got, ok := c.Get(k)
+				gets++
+				if fits := cost <= c.shardOf(k).cap; ok != fits {
+					t.Fatalf("op %d: Get after Put of %d bytes: ok %v, want %v", n, cost, ok, fits)
+				}
+				if ok && (len(got) != len(regs) || len(got) > 0 && got[0].Score != n) {
+					t.Fatalf("op %d: Get after Put returned %v, want %v", n, got, regs)
+				}
+			}
+			var bytes, entries int64
+			for i := range c.shards {
+				sh := &c.shards[i]
+				var shBytes int64
+				listed := 0
+				for e := sh.head; e != nil; e = e.next {
+					shBytes += e.cost
+					listed++
+				}
+				if shBytes != sh.bytes || sh.bytes > sh.cap || listed != len(sh.m) {
+					t.Fatalf("op %d: shard %d lists %d entries of %d bytes, maps %d, counts %d bytes, budget %d",
+						n, i, listed, shBytes, len(sh.m), sh.bytes, sh.cap)
+				}
+				bytes += shBytes
+				entries += int64(listed)
+			}
+			s := c.Stats()
+			if s.Bytes != bytes || s.Entries != entries {
+				t.Fatalf("op %d: stats %d bytes %d entries, resident %d bytes %d entries", n, s.Bytes, s.Entries, bytes, entries)
+			}
+			if s.Hits+s.Misses != gets {
+				t.Fatalf("op %d: hits %d + misses %d != %d gets", n, s.Hits, s.Misses, gets)
+			}
+		}
+	})
 }

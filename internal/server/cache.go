@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -13,185 +14,134 @@ import (
 	"repro/internal/seq"
 )
 
-// This file is the glue between the result cache (internal/rescache) and
-// the request path. Every admitted single-end read of a cached request is
-// classified by one cache lookup into
+// This file is the single-end request path, with the result cache
+// (internal/rescache) on or off. One classify pass sorts every read of
+// the request into
 //
-//	hit    — regions are resident: the record is re-rendered with this
-//	         read's own name/qualities and completed immediately (the
-//	         streamer can flush it while the request's misses align);
-//	joined — an identical sequence is being aligned right now: the read
-//	         parks on that leader's flight instead of being aligned, and is
-//	         rendered when the leader's regions arrive;
-//	leader — first copy of the sequence: it is aligned in one of the
-//	         request's scheduler tasks, which fulfills the flight (and
-//	         fills the cache) the moment the read's regions exist.
+//	hit      — regions are resident: the record is re-rendered with this
+//	           read's own name/qualities on the request goroutine while
+//	           the pool aligns the misses, so hits stream out first;
+//	first    — the first non-resident copy of a sequence in this request:
+//	           it is aligned in one of the request's scheduler tasks,
+//	           which Puts its regions and renders it;
+//	follower — a later copy of a first copy's sequence in this request:
+//	           the same task renders it from the first copy's regions.
+//
+// With the cache off every read is a first copy without followers, so the
+// tasks are exactly pipeline.RunStreamOn's batches. Requests do not
+// coordinate: a sequence two requests miss on at the same time is aligned
+// by both, and both renderings are the same bytes.
 //
 // Paired-end requests never come here: pairing rescue and insert-size
 // inference are cross-read state, so a pair's records are not a function
 // of one read's sequence alone.
-//
-// Cancellation: once the request's context ends, its tasks complete the
-// leaders they have not reached yet unaligned, which aborts their flights;
-// duplicates parked there (from this or other requests) are notified and
-// retry on a fresh goroutine — re-hitting the cache, joining a newer
-// leader, or becoming the new leader themselves — so one caller's
-// disconnect never loses another caller's read.
 
-// cachedReq is one single-end request on the cache path. wg counts the
-// reads not yet completed (rendered, or dropped after cancellation). Tasks
-// and retries poll ctx per read, so a cancelled request needs no watcher
-// goroutine: its wait ends when its queued tasks have run.
-type cachedReq struct {
-	ctx context.Context
-	st  *ordered.Writer
-	wg  sync.WaitGroup
+// resultCache is the result cache as the server sees it: the shared LRU
+// plus the count of reads rendered from an earlier copy of their sequence
+// in the same request.
+type resultCache struct {
+	*rescache.Cache
+	coalesced atomic.Int64
 }
 
-// leader is a cache-leading read: aligning it fulfills fl.
-type leader struct {
-	rd   *seq.Read
-	code []byte
-	idx  int // index within the owning request
-	fl   *rescache.Flight
+// cacheStats is the LRU's snapshot plus the server's coalesced count.
+type cacheStats struct {
+	rescache.Stats
+	Coalesced int64
 }
 
-// alignCached routes one single-end request through the result cache. It
-// blocks until every read has completed (hit, fulfilled join, or aligned
-// leader), returning ctx.Err() when the context ended first.
-func (s *Server) alignCached(ctx context.Context, reads []seq.Read, st *ordered.Writer, span *obs.Span) error {
+// Stats returns the counters /metrics reports.
+func (c *resultCache) Stats() cacheStats {
+	return cacheStats{Stats: c.Cache.Stats(), Coalesced: c.coalesced.Load()}
+}
+
+// firstCopy is a read the pool aligns, with the indices of the reads that
+// share its sequence.
+type firstCopy struct {
+	idx       int
+	code      []byte
+	followers []int
+}
+
+// alignSingle serves one single-end request. It blocks until every task
+// it submitted has run, returning ctx.Err() when the context ended first;
+// reads skipped after cancellation stay missing from st.
+func (s *Server) alignSingle(ctx context.Context, reads []seq.Read, st *ordered.Writer, span *obs.Span) error {
 	a := s.sched.Aligner()
-	rq := &cachedReq{ctx: ctx, st: st}
-	rq.wg.Add(len(reads))
-	leaders := make([]leader, 0, len(reads))
+	firsts := make([]firstCopy, 0, len(reads))
 	type hit struct {
-		rd   *seq.Read
-		code []byte
 		idx  int
+		code []byte
 		regs []core.Region
 	}
 	var hits []hit
-	var keyBuf []byte
 	tLookup := time.Now()
-	for i := range reads {
-		rd := &reads[i]
-		code := seq.Encode(rd.Seq)
-		keyBuf = rescache.AppendKey(keyBuf[:0], s.optFP, code)
-		i := i
-		regs, fl, status := s.cache.Lookup(keyBuf, func(regs []core.Region, ok bool) {
-			s.waiterDone(rq, rd, i, code, regs, ok)
-		})
-		switch status {
-		case rescache.Hit:
-			hits = append(hits, hit{rd: rd, code: code, idx: i, regs: regs})
-		case rescache.Joined:
-			// The waiter callback owns this read's completion.
-		case rescache.Leading:
-			leaders = append(leaders, leader{rd: rd, code: code, idx: i, fl: fl})
+	if s.cache == nil {
+		for i := range reads {
+			firsts = append(firsts, firstCopy{idx: i, code: seq.Encode(reads[i].Seq)})
 		}
+	} else {
+		seen := make(map[string]int) // key -> index into firsts
+		var key []byte
+		coalesced := 0
+		for i := range reads {
+			code := seq.Encode(reads[i].Seq)
+			key = rescache.AppendKey(key[:0], s.optFP, code)
+			if f, ok := seen[string(key)]; ok {
+				firsts[f].followers = append(firsts[f].followers, i)
+				coalesced++
+			} else if regs, ok := s.cache.Get(key); ok {
+				hits = append(hits, hit{idx: i, code: code, regs: regs})
+			} else {
+				seen[string(key)] = len(firsts)
+				firsts = append(firsts, firstCopy{idx: i, code: code})
+			}
+		}
+		s.cache.coalesced.Add(int64(coalesced))
+		s.hists.cacheLookup.Observe(time.Since(tLookup))
+		span.Observe("cache", tLookup)
 	}
-	s.hists.cacheLookup.Observe(time.Since(tLookup))
-	span.Observe("cache", tLookup)
 	// Submit the misses before rendering the hits: on a warm request the
 	// workers align the misses while this goroutine formats the hits.
-	s.submitLeaders(rq, leaders)
-	for _, h := range hits {
-		st.Complete(h.idx, a.AppendSAM(nil, h.rd, h.code, h.regs))
-		rq.wg.Done()
+	// Scheduler.Go may block on the bounded task queue, which only a
+	// request goroutine may do.
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(firsts) && ctx.Err() == nil; lo += s.cfg.BatchSize {
+		batch := firsts[lo:min(lo+s.cfg.BatchSize, len(firsts))]
+		s.met.batches.Add(1)
+		wg.Add(1)
+		s.sched.Go(func(ws *core.Workspace) {
+			defer wg.Done()
+			s.alignFirsts(ctx, reads, batch, st, ws)
+		})
 	}
-	rq.wg.Wait()
+	for _, h := range hits {
+		st.Complete(h.idx, a.AppendSAM(nil, &reads[h.idx], h.code, h.regs))
+	}
+	wg.Wait()
 	return ctx.Err()
 }
 
-// submitLeaders hands leaders to the worker pool, BatchSize reads per
-// task. It runs on request goroutines only: Scheduler.Go may block on the
-// bounded task queue, which a worker must never do.
-func (s *Server) submitLeaders(rq *cachedReq, ls []leader) {
-	for lo := 0; lo < len(ls); lo += s.cfg.BatchSize {
-		batch := ls[lo:min(lo+s.cfg.BatchSize, len(ls))]
-		s.met.batches.Add(1)
-		s.sched.Go(func(ws *core.Workspace) { s.alignLeaders(rq, batch, ws) })
-	}
-}
-
-// alignLeaders is one scheduler task. Each leader is aligned, its flight
-// fulfilled — so parked duplicates unblock before this worker renders
-// SAM — and its record emitted. Once the request is cancelled the
-// remaining leaders are dropped unaligned, aborting their flights so
-// parked duplicates can retry.
-func (s *Server) alignLeaders(rq *cachedReq, ls []leader, ws *core.Workspace) {
+// alignFirsts is one scheduler task over the first copies fs of reads:
+// each is aligned, its regions Put, and it and its followers rendered.
+// Once ctx ends the remaining reads are skipped.
+func (s *Server) alignFirsts(ctx context.Context, reads []seq.Read, fs []firstCopy, st *ordered.Writer, ws *core.Workspace) {
 	a := s.sched.Aligner()
-	for _, l := range ls {
-		if rq.ctx.Err() != nil {
-			l.fl.Abort()
-			rq.wg.Done()
-			continue
+	var key []byte
+	for _, f := range fs {
+		if ctx.Err() != nil {
+			return
 		}
-		regs := a.AlignRead(l.code, ws)
-		l.fl.Fulfill(regs)
+		regs := a.AlignRead(f.code, ws)
+		if s.cache != nil {
+			key = rescache.AppendKey(key[:0], s.optFP, f.code)
+			s.cache.Put(key, regs)
+		}
 		t0 := time.Now()
-		rq.st.Complete(l.idx, a.AppendSAM(nil, l.rd, l.code, regs))
+		st.Complete(f.idx, a.AppendSAM(nil, &reads[f.idx], f.code, regs))
+		for _, j := range f.followers {
+			st.Complete(j, a.AppendSAM(nil, &reads[j], f.code, regs))
+		}
 		ws.Clock.Add(counters.StageSAMForm, time.Since(t0))
-		rq.wg.Done()
-	}
-}
-
-// waiterDone resolves a read that was parked on another read's flight. It
-// runs on whatever goroutine resolved the flight (a pipeline worker on
-// fulfill or on a cancelled leader's abort), so the retry after an abort
-// moves to a fresh goroutine — submitting from a worker could block the
-// pool on its own backpressure.
-func (s *Server) waiterDone(rq *cachedReq, rd *seq.Read, idx int, code []byte, regs []core.Region, ok bool) {
-	if ok {
-		// Render even if this request was cancelled meanwhile: the regions
-		// exist, emitting is cheap, and the streamer is valid until the
-		// handler returns (which waits on wg). Rendering moves off the
-		// resolving goroutine when a slot is free — Fulfill runs on the
-		// leader's worker, and a hot sequence with many parked duplicates
-		// must not turn one pipeline worker into a serial SAM-formatting
-		// loop — but the offload is bounded (renderSlots): past the cap we
-		// render inline rather than launch an unbounded burst of CPU-bound
-		// goroutines against the pool.
-		render := func() {
-			rq.st.Complete(idx, s.sched.Aligner().AppendSAM(nil, rd, code, regs))
-			rq.wg.Done()
-		}
-		select {
-		case s.renderSlots <- struct{}{}:
-			go func() {
-				defer func() { <-s.renderSlots }()
-				render()
-			}()
-		default:
-			render()
-		}
-		return
-	}
-	if rq.ctx.Err() != nil {
-		rq.wg.Done() // both leader and this waiter abandoned; nothing to retry
-		return
-	}
-	go s.retryRead(rq, rd, idx, code)
-}
-
-// retryRead re-dispatches a read whose leader aborted: by the time it runs
-// the aborted flight is gone, so the lookup either hits (another leader
-// fulfilled first), joins a newer flight, or makes this read the new
-// leader and submits it. The read counts in its request's wg, so the
-// request — and with it the admission budget Shutdown waits out — stays
-// open until the retry completes: the pool cannot close under it.
-func (s *Server) retryRead(rq *cachedReq, rd *seq.Read, idx int, code []byte) {
-	key := rescache.AppendKey(nil, s.optFP, code)
-	regs, fl, status := s.cache.Lookup(key, func(regs []core.Region, ok bool) {
-		s.waiterDone(rq, rd, idx, code, regs, ok)
-	})
-	switch status {
-	case rescache.Hit:
-		rq.st.Complete(idx, s.sched.Aligner().AppendSAM(nil, rd, code, regs))
-		rq.wg.Done()
-	case rescache.Joined:
-		// The waiter callback owns completion (and further retries).
-	case rescache.Leading:
-		s.submitLeaders(rq, []leader{{rd: rd, code: code, idx: idx, fl: fl}})
 	}
 }

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/ordered"
 	"repro/internal/pipeline"
 	"repro/internal/seq"
 	"repro/internal/testutil"
@@ -95,8 +96,7 @@ func TestCacheByteIdenticalConcurrentDuplicates(t *testing.T) {
 func TestCacheEvictionUnderPressure(t *testing.T) {
 	aln, reads, _, _ := setup(t)
 	cfg := testConfig()
-	cfg.CacheBytes = 2048 // a handful of entries across 2 shards
-	cfg.CacheShards = 2
+	cfg.CacheBytes = 64 << 10 // about three entries in each of the 64 shards
 	s := newTestServer(t, cfg)
 
 	for round := 0; round < 3; round++ {
@@ -119,85 +119,118 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-// TestCacheSingleFlightWithinRequest pins the single-flight path: a
-// request's reads are all classified before any leader is submitted, so
-// later copies of a sequence must join the first copy's flight (coalesced)
-// rather than lead or hit — whatever the timing.
+// TestCacheSingleFlightWithinRequest pins the within-request path: a
+// request's reads are all classified before any is aligned, so the first
+// copy of each sequence misses and every later copy is rendered from the
+// first copy's regions (coalesced) rather than aligned or looked up —
+// whatever the timing.
 func TestCacheSingleFlightWithinRequest(t *testing.T) {
 	aln, reads, _, _ := setup(t)
 	s := newTestServer(t, testConfig())
 
-	sub := dupReads(reads[300:310], 4, "sf")
+	const unique, copies = 10, 4
+	sub := dupReads(reads[300:300+unique], copies, "sf")
 	want := pipeline.Run(aln, sub, pipeline.Config{Threads: 1})
 	w := post(s, "/align?header=0", "application/x-fastq", fastqBody(sub))
 	if w.Code != 200 {
 		t.Fatalf("status %d", w.Code)
 	}
 	if !bytes.Equal(w.Body.Bytes(), want.SAM) {
-		t.Fatal("single-flighted SAM differs from pipeline.Run")
+		t.Fatal("coalesced SAM differs from pipeline.Run")
 	}
 	st := s.cache.Stats()
-	if st.Coalesced == 0 {
-		t.Errorf("no single-flight joins (hits=%d misses=%d coalesced=%d)",
-			st.Hits, st.Misses, st.Coalesced)
-	}
-	if st.Misses != 10 {
-		t.Errorf("misses = %d, want 10 (one leader per unique sequence)", st.Misses)
+	if st.Misses != unique || st.Hits != 0 || st.Coalesced != unique*(copies-1) {
+		t.Errorf("hits=%d misses=%d coalesced=%d, want 0, %d, %d",
+			st.Hits, st.Misses, st.Coalesced, unique, unique*(copies-1))
 	}
 }
 
-// TestCacheLeaderAbortRetries cancels a leader request while a second
-// request's duplicate is parked on its flight: the waiter must retry,
-// become the new leader, and complete correctly — one caller's disconnect
-// must never lose another caller's read. The leader's task is held behind
-// a busy worker until its request is cancelled.
-func TestCacheLeaderAbortRetries(t *testing.T) {
+// TestCacheCancelledDuplicateRealigned cancels request A while its misses
+// are queued and request B, carrying the same sequences twice over, is
+// queued behind it. Requests do not wait on each other: A's task skips its
+// reads, B's task aligns them itself, and B's response must be
+// byte-identical to pipeline.Run. Every admitted read must be released.
+func TestCacheCancelledDuplicateRealigned(t *testing.T) {
 	aln, reads, _, _ := setup(t)
 	cfg := testConfig()
 	cfg.Threads = 1
 	s := newTestServer(t, cfg)
+	reqCtx := make(chan context.Context, 2)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			reqCtx <- r.Context()
+		}
+		s.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
 	release := occupyWorkers(t, s)
-
-	one := []seq.Read{{Name: "victim", Seq: reads[0].Seq, Qual: reads[0].Qual}}
-	ctxA, cancelA := context.WithCancel(context.Background())
-	defer cancelA()
-	aErr := make(chan error, 1)
-	stA := ordered.New(httptest.NewRecorder(), 1, false)
-	go func() { aErr <- s.alignCached(ctxA, one, stA, nil) }()
-
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()
-		testutil.WaitUntil(t, 2*time.Second, cond, "timeout waiting for %s", what)
+		testutil.WaitUntil(t, 10*time.Second, cond, "timeout waiting for %s", what)
 	}
-	waitFor("A to lead", func() bool { return s.cache.Stats().Misses == 1 })
 
-	// B: same sequence, different name, its own (live) context.
-	two := []seq.Read{{Name: "survivor", Seq: reads[0].Seq, Qual: reads[0].Qual}}
-	recB := httptest.NewRecorder()
-	stB := ordered.New(recB, 1, false)
-	bErr := make(chan error, 1)
-	go func() { bErr <- s.alignCached(context.Background(), two, stB, nil) }()
-	waitFor("B to join A's flight", func() bool { return s.cache.Stats().Coalesced == 1 })
+	const n = 20
+	base := reads[340 : 340+n]
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	reqA, err := http.NewRequestWithContext(ctxA, http.MethodPost,
+		ts.URL+"/align?header=0", fastqBody(dupReads(base, 1, "a")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqA.Header.Set("Content-Type", "application/x-fastq")
+	aErr := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(reqA)
+		if err == nil {
+			resp.Body.Close()
+		}
+		aErr <- err
+	}()
+	waitFor("A's misses", func() bool { return s.cache.Stats().Misses == n })
+	serverCtxA := <-reqCtx
 
-	// Cancel A, then free the worker: A's task finds its request cancelled
-	// and drops the leader unaligned, aborting the flight; B must retry and
-	// become the new leader (a second miss), and its task then runs.
+	b := dupReads(base, 2, "b")
+	type result struct {
+		code int
+		body []byte
+		err  error
+	}
+	bRes := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/align?header=0", "application/x-fastq", fastqBody(b))
+		if err != nil {
+			bRes <- result{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		bRes <- result{resp.StatusCode, body, err}
+	}()
+	// B misses on every sequence A has queued but not aligned.
+	waitFor("B's misses", func() bool { return s.cache.Stats().Misses == 2*n })
+
 	cancelA()
+	if err := <-aErr; err == nil {
+		t.Fatal("A's client returned no error after cancellation")
+	}
+	waitFor("the server to see A's disconnect", func() bool { return serverCtxA.Err() != nil })
 	release()
-	if err := <-aErr; err != context.Canceled {
-		t.Fatalf("A returned %v, want context.Canceled", err)
-	}
-	stA.CloseAndWait()
-	waitFor("B to lead after abort", func() bool { return s.cache.Stats().Misses == 2 })
-	if err := <-bErr; err != nil {
-		t.Fatalf("B returned %v", err)
-	}
-	stB.CloseAndWait()
 
-	want := pipeline.Run(aln, two, pipeline.Config{Threads: 1})
-	if !bytes.Equal(recB.Body.Bytes(), want.SAM) {
-		t.Fatal("B's SAM differs after leader abort and retry")
+	got := <-bRes
+	if got.err != nil || got.code != 200 {
+		t.Fatalf("B: status %d, error %v", got.code, got.err)
 	}
+	want := pipeline.Run(aln, b, pipeline.Config{Threads: 1})
+	if !bytes.Equal(got.body, want.SAM) {
+		t.Fatal("B's SAM differs from pipeline.Run after A was cancelled")
+	}
+	if st := s.cache.Stats(); st.Coalesced != n {
+		t.Errorf("coalesced = %d, want %d (B's second copies)", st.Coalesced, n)
+	}
+	waitFor("reads_inflight to return to 0", func() bool {
+		return scrapeMetric(t, ts.URL, "bwaserve_reads_inflight") == 0
+	})
 }
 
 // TestCacheDisabled covers the cache-off path: responses stay correct and
@@ -257,7 +290,11 @@ func TestCacheMetricsExposed(t *testing.T) {
 	}
 	st := s.cache.Stats()
 	if st.Hits+st.Coalesced == 0 {
-		t.Error("80 duplicates of 20 sequences produced neither hits nor joins")
+		t.Error("80 duplicates of 20 sequences produced neither hits nor coalesced reads")
+	}
+	if got := st.Hits + st.Misses + st.Coalesced; got != int64(len(sub)) {
+		t.Errorf("hits %d + misses %d + coalesced %d = %d, want one per read (%d)",
+			st.Hits, st.Misses, st.Coalesced, got, len(sub))
 	}
 	if st.Misses == 0 {
 		t.Error("no misses recorded")

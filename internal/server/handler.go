@@ -234,8 +234,9 @@ func (s *Server) finishStream(w http.ResponseWriter, r *http.Request, st *ordere
 // handleAlign serves POST /v1/align (alias /align): single-end reads in
 // (FASTQ or JSON), SAM out, streamed — records leave in input order as
 // reads are formatted, while later reads are still being aligned. The
-// request's reads are cut into scheduler tasks of at most BatchSize reads
-// that share the worker pool with every other request. The method check
+// request's reads go through the result cache when it is on, and the rest
+// are cut into scheduler tasks of at most BatchSize reads that share the
+// worker pool with every other request (cache.go). The method check
 // happens in the route wrapper (api.go).
 func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	span := reqInfoFrom(r).Span()
@@ -250,18 +251,7 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	st := NewSAMStream(w, r, len(reads), span, &s.hists.ttfb)
 	st.SetHeader(s.samHeader)
 	tAlign := time.Now()
-	var err error
-	if s.cache != nil {
-		// Result cache between admission and the pool: duplicate sequences
-		// are served from cached regions (re-rendered with this read's
-		// name, so output is byte-identical) or single-flighted behind an
-		// identical in-flight read. See cache.go.
-		err = s.alignCached(ctx, reads, st, span)
-	} else {
-		s.met.batches.Add(int64((len(reads) + s.cfg.BatchSize - 1) / s.cfg.BatchSize))
-		_, err = pipeline.RunStreamOn(ctx, s.sched, reads,
-			pipeline.Config{BatchSize: s.cfg.BatchSize}, st.Complete)
-	}
+	err := s.alignSingle(ctx, reads, st, span)
 	span.Observe("align", tAlign)
 	s.finishStream(w, r, st, 1, err)
 }

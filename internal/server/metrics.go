@@ -13,7 +13,7 @@ import (
 // metrics aggregates the server-level counters exposed on /metrics: the
 // request counters both tiers share plus the replica's own. Stage timings
 // come from the scheduler's AtomicClock and cache counters from
-// rescache.Cache.Stats; everything here is the request-plane view (what
+// resultCache.Stats (cache.go); everything here is the request-plane view (what
 // came in, what was shed, what went out). Every field is documented in
 // README.md's /metrics reference table — keep the two in sync.
 type metrics struct {

@@ -7,8 +7,8 @@
 // validation and the request read cap apply while the body streams in) →
 // admission control (bounded in-flight reads, immediate 429 under
 // overload) → result cache (single-end duplicates served from cached
-// regions, concurrent duplicates single-flighted; internal/rescache) →
-// the request's reads cut into scheduler tasks of at most BatchSize reads
+// regions or from an earlier copy in the same request; internal/rescache)
+// → the request's reads cut into scheduler tasks of at most BatchSize reads
 // on the shared worker pool with per-worker reusable scratch → per-read
 // SAM records streamed back to each caller in input order, as each read is
 // formatted and immediately for cache hits. Responses are byte-identical
@@ -50,9 +50,9 @@
 // contract, stated on its type: admission is a mutex-guarded semaphore;
 // ordered.Writer.Complete may be called from many workers but all socket
 // writes happen on the request-owned writer goroutine; rescache is fully
-// concurrent with per-shard locking. Emit callbacks and flight callbacks
-// run on pipeline-worker goroutines and must not block on the client —
-// that is the streamer's job.
+// concurrent with per-shard locking. Emit callbacks run on
+// pipeline-worker goroutines and must not block on the client — that is
+// the streamer's job.
 package server
 
 import (
@@ -73,16 +73,15 @@ import (
 // Server is one alignment service instance over one resident index. Create
 // with New, expose via Handler, stop with Shutdown (drains) or Close.
 type Server struct {
-	cfg         core.ServerConfig
-	samHeader   []byte // constant for the server's lifetime; built once
-	sched       *pipeline.Scheduler
-	adm         *admission
-	met         *metrics
-	cache       *rescache.Cache // single-end result cache; nil when disabled
-	optFP       uint64          // option fingerprint for cache keys
-	renderSlots chan struct{}   // bounds concurrent off-worker hit renders (cache.go)
-	mux         *http.ServeMux
-	idxInfo     IndexInfo // how the index was loaded; set before serving
+	cfg       core.ServerConfig
+	samHeader []byte // constant for the server's lifetime; built once
+	sched     *pipeline.Scheduler
+	adm       *admission
+	met       *metrics
+	cache     *resultCache // single-end result cache; nil when disabled
+	optFP     uint64       // option fingerprint for cache keys
+	mux       *http.ServeMux
+	idxInfo   IndexInfo // how the index was loaded; set before serving
 
 	hists *serverHists   // latency histograms, shared by all requests (obs.go)
 	ring  *obs.TraceRing // request-trace ring for /v1/debug/requests; nil when disabled
@@ -120,9 +119,8 @@ func New(aln *core.Aligner, cfg core.ServerConfig) (*Server, error) {
 		s.ring = obs.NewTraceRing(cfg.DebugRequestTraces)
 	}
 	if cfg.CacheEnabled {
-		s.cache = rescache.New(rescache.Config{Capacity: cfg.CacheBytes, Shards: cfg.CacheShards})
+		s.cache = &resultCache{Cache: rescache.New(rescache.Config{Capacity: cfg.CacheBytes})}
 		s.optFP = aln.Opts.Fingerprint()
-		s.renderSlots = make(chan struct{}, 4*cfg.Threads)
 	}
 	Mount(s.mux, map[string]http.HandlerFunc{
 		"/v1/align":          s.handleAlign,

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"regexp"
 	"strconv"
+
+	"repro/internal/obs"
 )
 
 // Exposition parsing: the soak harness reads the target's /v1/metrics the
@@ -48,30 +50,13 @@ func parseBuckets(text, family, labels string) *bucketDist {
 	return &d
 }
 
-// quantile estimates the q-th quantile in seconds with the same
-// piecewise-linear interpolation Prometheus's histogram_quantile applies
-// (and obs.Histogram.Quantile mirrors): observations beyond the last
-// finite bound clamp to that bound. Returns 0 for an empty histogram.
+// quantile estimates the q-th quantile in seconds with
+// obs.BucketQuantile, the interpolation obs.Histogram.Quantile uses.
 func (d *bucketDist) quantile(q float64) float64 {
-	if d == nil || d.total == 0 {
+	if d == nil {
 		return 0
 	}
-	rank := q * float64(d.total)
-	prev := int64(0)
-	for i, cum := range d.counts {
-		if cum == prev {
-			continue
-		}
-		if float64(cum) >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = d.bounds[i-1]
-			}
-			return lower + (d.bounds[i]-lower)*(rank-float64(prev))/float64(cum-prev)
-		}
-		prev = cum
-	}
-	return d.bounds[len(d.bounds)-1]
+	return obs.BucketQuantile(q, d.bounds, d.counts, d.total)
 }
 
 // quantiles summarizes one parsed distribution.

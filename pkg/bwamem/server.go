@@ -42,15 +42,13 @@ type ServerConfig struct {
 	// 0 means 30s.
 	DrainTimeout time.Duration
 
-	// CacheEnabled turns on the sharded single-end result cache: duplicate
-	// read sequences are served from cached alignment regions, re-rendered
-	// per read so output stays byte-identical. Paired requests bypass it.
+	// CacheEnabled turns on the sharded single-end result cache: a read
+	// whose sequence is resident, or repeats an earlier read of the same
+	// request, is served from those alignment regions, re-rendered per
+	// read so output stays byte-identical. Paired requests bypass it.
 	CacheEnabled bool
 	// CacheBytes is the result cache's total capacity. 0 means 256 MiB.
 	CacheBytes int64
-	// CacheShards is the cache's lock-striping width, rounded up to a
-	// power of two. 0 means 64.
-	CacheShards int
 
 	// DebugRequestTraces sizes the per-request trace ring served by
 	// GET /v1/debug/requests (the N most recent and N slowest request
@@ -76,7 +74,6 @@ func (c ServerConfig) toCore() core.ServerConfig {
 		DrainTimeout:       c.DrainTimeout,
 		CacheEnabled:       c.CacheEnabled,
 		CacheBytes:         c.CacheBytes,
-		CacheShards:        c.CacheShards,
 		DebugRequestTraces: c.DebugRequestTraces,
 	}
 }
@@ -92,7 +89,6 @@ func fromCoreServerConfig(c core.ServerConfig) ServerConfig {
 		DrainTimeout:       c.DrainTimeout,
 		CacheEnabled:       c.CacheEnabled,
 		CacheBytes:         c.CacheBytes,
-		CacheShards:        c.CacheShards,
 		DebugRequestTraces: c.DebugRequestTraces,
 	}
 }
