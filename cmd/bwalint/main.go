@@ -1,9 +1,9 @@
 // Command bwalint machine-enforces the repo's prose contracts: the
-// MappedIndex read-only aliasing rule, request-context plumbing, the
-// pkg/ facade boundary, atomic-counter access discipline, checked
-// stream-write errors, request-scoped goroutine lifetimes, a global
-// mutex acquisition order, and allocation discipline in
-// //bwalint:hot-annotated kernels.
+// MappedIndex read-only aliasing rule, request-context plumbing, checked
+// stream-write errors, and allocation discipline in
+// //bwalint:hot-annotated kernels. Every analyzer looks at one package at
+// a time. Import-graph rules (the pkg/ facade, the rig kept off the
+// shipped binaries) live in the root package's deps_test.go instead.
 //
 // It is a vet tool; a direct run re-executes go vet with it, so these are
 // the same check:

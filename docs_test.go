@@ -37,6 +37,22 @@ func TestDocReferencesResolve(t *testing.T) {
 		check(doc, string(b))
 	}
 	fset := token.NewFileSet()
+	walkGoFiles(t, func(path string) error {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			check(path, cg.Text())
+		}
+		return nil
+	})
+}
+
+// walkGoFiles calls fn for every .go file in the module, failing t on the
+// first error.
+func walkGoFiles(t *testing.T, fn func(path string) error) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -51,17 +67,52 @@ func TestDocReferencesResolve(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		for _, cg := range f.Comments {
-			check(path, cg.Text())
-		}
-		return nil
+		return fn(path)
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMakeFuzzListsEveryTarget fails when the module's Fuzz functions and
+// the `make fuzz` list (dir:FuzzName entries) differ, either way: a fuzz
+// target CI never runs, or a Makefile entry naming one that is gone.
+func TestMakeFuzzListsEveryTarget(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, target := range regexp.MustCompile(`[a-z][\w/]*:Fuzz\w+`).FindAllString(string(mk), -1) {
+		listed[target] = true
+	}
+	fuzzFunc := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	defined := map[string]bool{}
+	walkGoFiles(t, func(path string) error {
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range fuzzFunc.FindAllStringSubmatch(string(src), -1) {
+			defined[filepath.ToSlash(filepath.Dir(path))+":"+m[1]] = true
+		}
+		return nil
+	})
+	if len(defined) == 0 {
+		t.Fatal("no Fuzz functions found")
+	}
+	for k := range defined {
+		if !listed[k] {
+			t.Errorf("%s is not in the Makefile's fuzz list", k)
+		}
+	}
+	for k := range listed {
+		if !defined[k] {
+			t.Errorf("the Makefile's fuzz list names %s, which is defined nowhere", k)
+		}
 	}
 }
 

@@ -35,11 +35,6 @@ type Analyzer struct {
 	// Flags holds analyzer-specific options; the driver exposes each
 	// flag as -<name>.<flag>. May be nil.
 	Flags *flag.FlagSet
-	// FactTypes lists prototype values of every Fact type the analyzer
-	// exports. Non-empty FactTypes opt the analyzer into interprocedural
-	// propagation: the driver runs it over the dependency closure (facts
-	// only), not just the requested packages.
-	FactTypes []Fact
 	// Run performs the check on one package, reporting findings
 	// through the pass.
 	Run func(*Pass) error
@@ -74,7 +69,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	facts *FactSet
 	diags []Diagnostic
 }
 
@@ -100,10 +94,6 @@ type Unit struct {
 	Pkg   *types.Package
 	Info  *types.Info
 
-	// Facts is the cross-package fact store: this unit's exports plus its
-	// dependencies'. Nil means facts are unit-local (analyzer unit tests).
-	Facts *FactSet
-
 	sup *suppressions
 }
 
@@ -112,7 +102,7 @@ type Unit struct {
 // well-formed `//bwalint:ignore` directive naming a (or "all") are
 // dropped.
 func (u *Unit) Run(a *Analyzer) ([]Diagnostic, error) {
-	pass := u.pass(a)
+	pass := &Pass{Analyzer: a, Fset: u.Fset, Files: u.Files, Pkg: u.Pkg, TypesInfo: u.Info}
 	if err := a.Run(pass); err != nil {
 		return nil, err
 	}
@@ -127,21 +117,6 @@ func (u *Unit) Run(a *Analyzer) ([]Diagnostic, error) {
 	}
 	sort.SliceStable(kept, func(i, j int) bool { return kept[i].Pos < kept[j].Pos })
 	return kept, nil
-}
-
-// RunFacts applies a to the unit for its fact side effects only: exports
-// land in u.Facts, diagnostics are discarded. The driver uses this over
-// dependency units so interprocedural analyzers see summaries for code
-// outside the requested packages.
-func (u *Unit) RunFacts(a *Analyzer) error {
-	if len(a.FactTypes) == 0 {
-		return nil
-	}
-	return a.Run(u.pass(a))
-}
-
-func (u *Unit) pass(a *Analyzer) *Pass {
-	return &Pass{Analyzer: a, Fset: u.Fset, Files: u.Files, Pkg: u.Pkg, TypesInfo: u.Info, facts: u.Facts}
 }
 
 // DirectiveDiagnostics reports malformed `//bwalint:ignore` directives
@@ -274,32 +249,23 @@ func WalkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// NamedOf unwraps pointers and aliases to the named type of t, if any.
-func NamedOf(t types.Type) (*types.Named, bool) {
+// TypeIs reports whether t (possibly behind a pointer or alias) is the
+// named type pkgSuffix.name. The package matches when its path equals
+// pkgSuffix or ends in "/"+pkgSuffix, so contracts written against
+// "internal/core" match both the real module path and analysistest
+// fixture paths.
+func TypeIs(t types.Type, pkgSuffix, name string) bool {
 	if t == nil {
-		return nil, false
+		return false
 	}
 	u := types.Unalias(t)
 	if p, ok := u.(*types.Pointer); ok {
 		u = types.Unalias(p.Elem())
 	}
 	n, ok := u.(*types.Named)
-	return n, ok
-}
-
-// PkgPathMatches reports whether a package path equals suffix or ends in
-// "/"+suffix, so contracts written against "internal/core" match both the
-// real module path and analysistest fixture paths.
-func PkgPathMatches(path, suffix string) bool {
-	return path == suffix || strings.HasSuffix(path, "/"+suffix)
-}
-
-// TypeIs reports whether t (possibly behind a pointer or alias) is the
-// named type pkgSuffix.name.
-func TypeIs(t types.Type, pkgSuffix, name string) bool {
-	n, ok := NamedOf(t)
 	if !ok || n.Obj().Pkg() == nil {
 		return false
 	}
-	return n.Obj().Name() == name && PkgPathMatches(n.Obj().Pkg().Path(), pkgSuffix)
+	path := n.Obj().Pkg().Path()
+	return n.Obj().Name() == name && (path == pkgSuffix || strings.HasSuffix(path, "/"+pkgSuffix))
 }

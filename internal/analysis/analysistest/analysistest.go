@@ -47,11 +47,9 @@ type Result struct {
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) []Result {
 	t.Helper()
 	ld := &fixtureLoader{
-		src:      filepath.Join(testdata, "src"),
-		fset:     token.NewFileSet(),
-		pkgs:     make(map[string]*loaded),
-		analyzer: a,
-		facts:    analysis.NewFactSet(),
+		src:  filepath.Join(testdata, "src"),
+		fset: token.NewFileSet(),
+		pkgs: make(map[string]*loaded),
 	}
 	ld.std = importer.ForCompiler(ld.fset, "source", nil)
 
@@ -79,12 +77,10 @@ type loaded struct {
 }
 
 type fixtureLoader struct {
-	src      string
-	fset     *token.FileSet
-	std      types.Importer
-	pkgs     map[string]*loaded
-	analyzer *analysis.Analyzer
-	facts    *analysis.FactSet
+	src  string
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*loaded
 }
 
 func (l *fixtureLoader) load(path string) (*loaded, error) {
@@ -127,16 +123,9 @@ func (l *fixtureLoader) load(path string) (*loaded, error) {
 	lp := &loaded{
 		files: files,
 		pkg:   pkg,
-		unit:  &analysis.Unit{Fset: l.fset, Files: files, Pkg: pkg, Info: info, Facts: l.facts},
+		unit:  &analysis.Unit{Fset: l.fset, Files: files, Pkg: pkg, Info: info},
 	}
 	l.pkgs[path] = lp
-	// Export this package's facts immediately: importPkg's recursion
-	// reaches here dependencies-first, so by the time a target package
-	// runs, every fixture dependency's summaries are already in the
-	// shared fact set — same order the go command guarantees.
-	if err := lp.unit.RunFacts(l.analyzer); err != nil {
-		return nil, fmt.Errorf("facts for fixture %s: %v", path, err)
-	}
 	return lp, nil
 }
 

@@ -9,9 +9,9 @@ import (
 // variable it records the value expressions assigned to it (from := and =
 // and var declarations with initializers). It deliberately ignores
 // aliasing through pointers and container stores — it answers "what
-// expressions flow into this variable" for the straight-line idioms the
-// suite's analyzers care about (a func literal bound to a local, a slice
-// made with or without capacity), not general dataflow.
+// expressions flow into this variable" for the straight-line idiom
+// hotalloc cares about (a slice made with or without capacity), not
+// general dataflow.
 type DefUse struct {
 	values map[types.Object][]ast.Expr
 }
@@ -88,33 +88,4 @@ func FuncDefUse(info *types.Info, body ast.Node) *DefUse {
 func (d *DefUse) ValuesOf(obj types.Object) ([]ast.Expr, bool) {
 	vals, ok := d.values[obj]
 	return vals, ok
-}
-
-// ResolveFunc resolves a callee expression to the function it denotes:
-// a *types.Func for named functions and methods, and/or the *ast.FuncLit
-// when the expression is a literal or a local variable bound (exactly
-// once) to one. Returns (nil, nil) for dynamic values it cannot trace.
-func (d *DefUse) ResolveFunc(info *types.Info, e ast.Expr) (*ast.FuncLit, *types.Func) {
-	e = ast.Unparen(e)
-	switch e := e.(type) {
-	case *ast.FuncLit:
-		return e, nil
-	case *ast.Ident:
-		if fn, ok := info.ObjectOf(e).(*types.Func); ok {
-			return nil, fn
-		}
-		if v, ok := info.ObjectOf(e).(*types.Var); ok {
-			vals, _ := d.ValuesOf(v)
-			if len(vals) == 1 {
-				if lit, ok := ast.Unparen(vals[0]).(*ast.FuncLit); ok {
-					return lit, nil
-				}
-			}
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := info.ObjectOf(e.Sel).(*types.Func); ok {
-			return nil, fn
-		}
-	}
-	return nil, nil
 }

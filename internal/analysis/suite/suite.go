@@ -6,11 +6,8 @@ package suite
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/boundary"
 	"repro/internal/analysis/ctxflow"
-	"repro/internal/analysis/goroleak"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/mmapalias"
 	"repro/internal/analysis/streamerr"
 )
@@ -19,11 +16,8 @@ import (
 // order. Callers must not mutate the returned slice's Analyzer values.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		boundary.Analyzer,
 		ctxflow.Analyzer,
-		goroleak.Analyzer,
 		hotalloc.Analyzer,
-		lockorder.Analyzer,
 		mmapalias.Analyzer,
 		streamerr.Analyzer,
 	}

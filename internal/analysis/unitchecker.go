@@ -17,10 +17,9 @@ import (
 
 // unitConfig describes one compilation unit, decoded from the JSON *.cfg
 // file `go vet -vettool` hands the tool for every package it vets. The
-// field set mirrors the go command's (cmd/go/internal/work's vetConfig);
-// unknown fields are ignored.
+// fields are the subset of the go command's vetConfig
+// (cmd/go/internal/work) that the driver reads; the rest are ignored.
 type unitConfig struct {
-	ID                        string
 	Compiler                  string
 	Dir                       string
 	ImportPath                string
@@ -28,10 +27,8 @@ type unitConfig struct {
 	GoFiles                   []string
 	ImportMap                 map[string]string // import path -> canonical package path
 	PackageFile               map[string]string // package path -> export-data file
-	PackageVetx               map[string]string // package path -> facts file of an already-vetted dependency
-	Standard                  map[string]bool
-	VetxOnly                  bool   // facts-only run on a dependency
-	VetxOutput                string // where the build system expects the facts file
+	VetxOnly                  bool              // a dependency visit: nothing to report
+	VetxOutput                string            // where the build system expects the facts file
 	SucceedOnTypecheckFailure bool
 }
 
@@ -41,14 +38,10 @@ type unitConfig struct {
 // the compiler's export data named in the config, so no source outside
 // the unit is re-checked.
 //
-// Interprocedural facts ride the go command's vetx machinery: the facts
-// of every dependency arrive via PackageVetx, fact-producing analyzers
-// run during VetxOnly dependency visits, and the merged set (imported
-// plus newly exported, so transitive facts survive even if the build
-// system lists only direct dependencies) is written to VetxOutput.
-// Standard-library units are skipped outright — the suite's contracts
-// are module-internal — which keeps `go vet ./...` from type-checking
-// the std closure.
+// Every analyzer in the suite is intraprocedural, so the go command's
+// dependency visits (VetxOnly) and standard-library units have nothing to
+// compute: the driver answers them with an empty facts file at
+// VetxOutput, which the go command requires, and exits.
 //
 // With fix (or diff) a reporting unit applies (or prints) the suggested
 // fixes for its own files. The go command runs dependencies VetxOnly, so
@@ -64,58 +57,23 @@ func RunUnit(configFile string, analyzers []*Analyzer, fix, diff bool) {
 	if err := json.Unmarshal(data, cfg); err != nil {
 		fatalf("cannot decode vet config %s: %v", configFile, err)
 	}
-
-	writeFacts := func(facts *FactSet) {
-		if cfg.VetxOutput == "" {
-			return
-		}
-		var out []byte
-		if facts != nil {
-			if out, err = facts.Encode(); err != nil {
-				fatalf("encoding facts: %v", err)
-			}
-		}
-		if err := os.WriteFile(cfg.VetxOutput, out, 0o666); err != nil {
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 			fatalf("writing facts output: %v", err)
 		}
 	}
-
-	if mod := moduleName(cfg.Dir); mod == "std" || mod == "cmd" {
-		writeFacts(nil)
+	if mod := moduleName(cfg.Dir); cfg.VetxOnly || mod == "std" || mod == "cmd" {
 		os.Exit(0)
-	}
-
-	facts := NewFactSet()
-	for _, vetxFile := range cfg.PackageVetx {
-		data, err := os.ReadFile(vetxFile)
-		if err != nil {
-			continue // a dependency outside the facts protocol; treat as empty
-		}
-		if err := facts.Merge(data); err != nil {
-			fatalf("facts of %s: %v", vetxFile, err)
-		}
 	}
 
 	unit, err := typecheckUnit(cfg)
 	if err != nil {
-		if cfg.VetxOnly || cfg.SucceedOnTypecheckFailure {
+		if cfg.SucceedOnTypecheckFailure {
 			// The compiler will report the same errors with better
-			// context; pass the dependency facts through and stay quiet.
-			writeFacts(facts)
+			// context; stay quiet.
 			os.Exit(0)
 		}
 		fatalf("%v", err)
-	}
-	unit.Facts = facts
-
-	if cfg.VetxOnly {
-		for _, a := range analyzers {
-			if err := unit.RunFacts(a); err != nil {
-				fatalf("%s (facts): %v", a.Name, err)
-			}
-		}
-		writeFacts(facts)
-		os.Exit(0)
 	}
 
 	var diags []ResolvedDiag
@@ -134,7 +92,6 @@ func RunUnit(configFile string, analyzers []*Analyzer, fix, diff bool) {
 	for _, d := range unit.UnusedDirectiveDiagnostics(knownNames(analyzers)) {
 		diags = append(diags, ResolvedDiag{"bwalint", d})
 	}
-	writeFacts(facts)
 
 	if fix || diff {
 		n, files, err := ApplyFixes(unit.Fset, diags, diff, os.Stdout)
@@ -218,43 +175,23 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// moduleRoot returns the nearest directory at or above dir holding a
-// go.mod, and that file's contents ("" and nil when there is none).
-func moduleRoot(dir string) (string, []byte) {
+// moduleName returns the module path declared by the nearest go.mod at
+// or above dir ("" when there is none). RunUnit uses it to recognize
+// standard-library units ("std", "cmd") and skip them.
+func moduleName(dir string) string {
 	for d := dir; ; {
 		if data, err := os.ReadFile(filepath.Join(d, "go.mod")); err == nil {
-			return d, data
+			for _, line := range strings.Split(string(data), "\n") {
+				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+					return strings.TrimSpace(rest)
+				}
+			}
+			return ""
 		}
 		parent := filepath.Dir(d)
 		if parent == d {
-			return "", nil
+			return ""
 		}
 		d = parent
 	}
-}
-
-// moduleName returns the module path declared by the nearest go.mod above
-// dir ("" when there is none). RunUnit uses it to recognize
-// standard-library units ("std", "cmd") and skip fact computation there.
-func moduleName(dir string) string {
-	_, data := moduleRoot(dir)
-	for _, line := range strings.Split(string(data), "\n") {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-			return strings.TrimSpace(rest)
-		}
-	}
-	return ""
-}
-
-// ModuleRelative rewrites an absolute filename relative to its module
-// root, with forward slashes: the stable, machine-independent form in
-// which facts carry source positions across processes. Files outside any
-// module are returned unchanged.
-func ModuleRelative(filename string) string {
-	root, _ := moduleRoot(filepath.Dir(filename))
-	rel, err := filepath.Rel(root, filename)
-	if root == "" || err != nil || strings.HasPrefix(rel, "..") {
-		return filepath.ToSlash(filename)
-	}
-	return filepath.ToSlash(rel)
 }

@@ -214,70 +214,6 @@ func TestStandaloneMode(t *testing.T) {
 	}
 }
 
-// TestVettoolFactsPropagation is the interprocedural acceptance check:
-// a goroleak summary fact computed while vetting internal/util must
-// change the diagnostic emitted for its importer, internal/server. The
-// spawn is invisible from server's syntax alone — only the fact carried
-// through the vetx files can produce the call-site finding.
-func TestVettoolFactsPropagation(t *testing.T) {
-	bin := buildBwalint(t)
-	dir := t.TempDir()
-	write := func(rel, content string) {
-		t.Helper()
-		p := filepath.Join(dir, rel)
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module repro\n\ngo 1.22\n")
-	write("internal/util/util.go", `package util
-
-// LeakyTick spawns an unbounded goroutine; the summary fact exported
-// here is what the importer's diagnostic depends on.
-func LeakyTick() {
-	go func() {
-		for {
-		}
-	}()
-}
-
-// Drain consumes a channel in a loop: a bounded body.
-func Drain(ch chan int) {
-	for range ch {
-	}
-}
-`)
-	write("internal/server/handler.go", `package server
-
-import "repro/internal/util"
-
-func Handle(ch chan int) {
-	util.Drain(ch)
-	util.LeakyTick()
-}
-`)
-
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool passed despite cross-package unbounded spawn\n%s", out)
-	}
-	if !bytes.Contains(out, []byte("[bwalint/goroleak]")) {
-		t.Fatalf("vet output missing goroleak call-site finding:\n%s", out)
-	}
-	if !bytes.Contains(out, []byte("handler.go")) || !bytes.Contains(out, []byte("unbounded spawn in")) {
-		t.Errorf("goroleak finding not anchored at the importer's call site:\n%s", out)
-	}
-	if bytes.Contains(out, []byte("Drain")) {
-		t.Errorf("bounded helper Drain wrongly reported:\n%s", out)
-	}
-}
-
 // TestUnusedIgnoreDirective: a well-formed directive naming an analyzer
 // that no longer reports on its lines must itself become a finding.
 func TestUnusedIgnoreDirective(t *testing.T) {

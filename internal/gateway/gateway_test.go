@@ -16,6 +16,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/seq"
 	"repro/internal/server"
+	"repro/internal/testutil"
 )
 
 // Shared fixture: one synthetic reference + aligner + simulated reads,
@@ -54,6 +55,15 @@ func fixture(t testing.TB) {
 	if fx.err != nil {
 		t.Fatal(fx.err)
 	}
+}
+
+// checkLeaks fails t if a goroutine started during the test outlives it.
+// Registered before anything else, its cleanup runs after every replica,
+// gateway and test server the test starts has been torn down.
+func checkLeaks(t *testing.T) {
+	t.Helper()
+	base := testutil.Goroutines()
+	t.Cleanup(func() { testutil.CheckGoroutines(t, base, 0) })
 }
 
 func replicaConfig() core.ServerConfig {
@@ -380,6 +390,7 @@ func TestGatewaySlowReplica(t *testing.T) {
 // response.
 func TestGatewayRetryMidStream(t *testing.T) {
 	fixture(t)
+	checkLeaks(t)
 	single := newReplica(t)
 	backend := newReplica(t)
 	var aligns, kills atomic.Int64
@@ -636,6 +647,7 @@ func TestGatewayNoUpstream(t *testing.T) {
 // replica contract.
 func TestGatewayDrain(t *testing.T) {
 	fixture(t)
+	checkLeaks(t)
 	g, gw, _ := newFleet(t, 1, Config{})
 
 	if err := g.Shutdown(t.Context()); err != nil {
@@ -670,6 +682,7 @@ func TestGatewayDrain(t *testing.T) {
 // contention.
 func TestGatewayConcurrentByteIdentical(t *testing.T) {
 	fixture(t)
+	checkLeaks(t)
 	single := newReplica(t)
 	_, gw, _ := newFleet(t, 3, Config{})
 

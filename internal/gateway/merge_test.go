@@ -1,12 +1,14 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/pkg/bwaclient"
@@ -151,5 +153,110 @@ func TestSplitGroupsErrors(t *testing.T) {
 	// Garbage where the flag field should be is an error, not a group.
 	if _, _, _, err := collectGroups(t, "notasamrecord\tnope\n", 1); err == nil {
 		t.Fatal("no error for unparseable flag field")
+	}
+}
+
+// FuzzSplitGroups feeds arbitrary upstream bodies through the client's
+// SAMStream into splitGroups, which must never panic. Every group it
+// delivers opens with a primary and holds exactly quota primaries, and a
+// clean split loses nothing: header plus groups are the body's lines as
+// SAMStream splits them, each ending in a newline.
+func FuzzSplitGroups(f *testing.F) {
+	var body atomic.Pointer[string]
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/x-sam")
+		_, _ = io.WriteString(w, *body.Load())
+	}))
+	f.Cleanup(ts.Close)
+	cl, err := bwaclient.New(ts.URL)
+	if err != nil {
+		f.Fatal(err)
+	}
+	header := "@SQ\tSN:chr1\tLN:60000\n@PG\tID:bwa\n"
+	f.Add(header+rec("a", 0)+rec("a", 256)+rec("a", 2048)+rec("b", 16)+rec("c", 4), false)
+	f.Add(rec("p1", 99)+rec("p1", 147)+rec("p1", 2147)+rec("p2", 77)+rec("p2", 141), true)
+	f.Add(header, false)
+	f.Add(rec("a", 256), false)
+	f.Add(rec("p1", 99), true)
+	f.Add(rec("a", 0)+"b\t16\tchr1\t200", false)
+	f.Add(strings.ReplaceAll(header+rec("a", 0)+"@CO\tlate\n", "\n", "\r\n"), false)
+	f.Fuzz(func(t *testing.T, in string, paired bool) {
+		quota := 1
+		if paired {
+			quota = 2
+		}
+		body.Store(&in)
+		st, err := cl.Align(context.Background(), []bwaclient.Read{{Name: "r", Seq: []byte("ACGT"), Qual: []byte("IIII")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		var out bytes.Buffer
+		headers, groups := 0, 0
+		n, err := splitGroups(st, quota, func(h []byte) {
+			headers++
+			out.Write(h)
+		}, func(g []byte) {
+			groups++
+			checkGroup(t, g, quota)
+			out.Write(g)
+		})
+		if n != groups {
+			t.Fatalf("splitGroups reported %d groups, delivered %d", n, groups)
+		}
+		if err != nil {
+			return
+		}
+		if headers != 1 {
+			t.Fatalf("onHeader called %d times on a clean stream", headers)
+		}
+		if in != "" && !strings.HasSuffix(in, "\n") {
+			t.Fatal("clean split of a body cut mid-line")
+		}
+		if want := samLines(in); out.String() != want {
+			t.Fatalf("header+groups = %q, want %q", out.String(), want)
+		}
+	})
+}
+
+// checkGroup fails t unless g is newline-terminated SAM lines that open
+// with a primary record and hold exactly quota primaries.
+func checkGroup(t *testing.T, g []byte, quota int) {
+	t.Helper()
+	if !bytes.HasSuffix(g, []byte("\n")) {
+		t.Fatalf("group %q does not end in a newline", g)
+	}
+	primaries := 0
+	for i, line := range bytes.Split(g[:len(g)-1], []byte("\n")) {
+		flag, err := recordFlag(line)
+		if err != nil {
+			t.Fatalf("group %q: %v", g, err)
+		}
+		primary := flag&samFlagPrimaryMask == 0
+		if i == 0 && !primary {
+			t.Fatalf("group %q opens with a non-primary record", g)
+		}
+		if primary {
+			primaries++
+		}
+	}
+	if primaries != quota {
+		t.Fatalf("group %q holds %d primaries, want %d", g, primaries, quota)
+	}
+}
+
+// samLines is body as SAMStream splits it: each newline-terminated line
+// without a trailing carriage return, newline restored. An unterminated
+// tail is not a line.
+func samLines(body string) string {
+	var b strings.Builder
+	for {
+		line, rest, ok := strings.Cut(body, "\n")
+		if !ok {
+			return b.String()
+		}
+		b.WriteString(strings.TrimSuffix(line, "\r"))
+		b.WriteByte('\n')
+		body = rest
 	}
 }
