@@ -32,8 +32,8 @@ lint-fix-dry: bwalint ## print bwalint's mechanical SuggestedFixes as a diff wit
 race:
 	$(GO) test -race ./...
 
-fuzz: ## bounded fuzzing, 15 s per target (each new input minimized for at most 3 s): occurrence tables vs a naive count, Extend vs a brute-force text scan, both DP kernels vs their frozen oracles, the FASTQ and JSON request decoders, the index reader, the client's Server-Timing and Retry-After parsers, the result cache's byte and hit accounting, the gateway's SAM group splitter
-	set -e; for t in internal/fmindex:FuzzOccCount4 internal/fmindex:FuzzExtend internal/bsw:FuzzExtendScalar internal/bsw:FuzzGlobal \
+fuzz: ## bounded fuzzing, 15 s per target (each new input minimized for at most 3 s): occurrence tables vs a naive count, Extend vs a brute-force text scan, both DP kernels vs their frozen oracles, the AVX-512BW extension row vs the int32 row, the FASTQ and JSON request decoders, the index reader, the client's Server-Timing and Retry-After parsers, the result cache's byte and hit accounting, the gateway's SAM group splitter
+	set -e; for t in internal/fmindex:FuzzOccCount4 internal/fmindex:FuzzExtend internal/bsw:FuzzExtendScalar internal/bsw:FuzzExtendRow internal/bsw:FuzzGlobal \
 		internal/seq:FuzzFastqScanner internal/seq:FuzzDecodeJSONReads \
 		internal/core:FuzzReadIndex pkg/bwaclient:FuzzParseServerTiming pkg/bwaclient:FuzzRetryWait \
 		internal/rescache:FuzzCache internal/gateway:FuzzSplitGroups; do \

@@ -172,7 +172,7 @@ func (c *checker) checkCall(call *ast.CallExpr, du *analysis.DefUse, r region) {
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		// Explicit conversion: flag T(x) when T is an interface and x is
 		// concrete.
-		if types.IsInterface(types.Unalias(tv.Type)) && len(call.Args) == 1 && concrete(info, call.Args[0]) {
+		if isInterface(tv.Type) && len(call.Args) == 1 && concrete(info, call.Args[0]) {
 			c.report(call.Pos(), "interface conversion in hot region: %s boxes its operand onto the heap", typeLabel(info, call.Fun))
 		}
 		return
@@ -202,7 +202,7 @@ func (c *checker) checkCall(call *ast.CallExpr, du *analysis.DefUse, r region) {
 		default:
 			continue
 		}
-		if types.IsInterface(types.Unalias(param)) && concrete(info, arg) {
+		if isInterface(param) && concrete(info, arg) {
 			c.report(arg.Pos(), "implicit interface conversion in hot region: %s is boxed into %s at this call", typeLabel(info, arg), types.TypeString(param, types.RelativeTo(c.pass.Pkg)))
 		}
 	}
@@ -342,6 +342,15 @@ func zeroCapOrigin(info *types.Info, e ast.Expr) bool {
 		return true
 	}
 	return false
+}
+
+// isInterface reports whether t is an interface type a value boxes into. A
+// type parameter is not one: its constraint is an interface, but a value
+// converted to it stays unboxed in every instantiation.
+func isInterface(t types.Type) bool {
+	t = types.Unalias(t)
+	_, param := t.(*types.TypeParam)
+	return !param && types.IsInterface(t)
 }
 
 // concrete reports whether arg has a concrete (non-interface, non-nil)

@@ -3,14 +3,18 @@
 // abort, and per-row band adjustment. Three interchangeable engines are
 // provided:
 //
-//   - ExtendScalar: the original scalar kernel (a faithful port of BWA's
-//     ksw_extend2), the paper's baseline and the shipped engine. Its row
-//     loop is the leaf extendRow.
+//   - ExtendScalar: the original kernel (a faithful port of BWA's
+//     ksw_extend2), the paper's baseline and the shipped engine. Each row
+//     runs on real vectors where it can: on amd64 with AVX-512BW, a job
+//     whose values fit int16 goes through extendRow16 (extend_amd64.s), 32
+//     cells per instruction within one row, F computed as a prefix-max
+//     scan. Other jobs, other CPUs and the purego build tag run the Go leaf
+//     extendRow. Both give the same result.
 //   - Batch16 / Batch8: the paper's inter-task "vectorized" kernels. W
 //     sequence pairs advance in lock-step through the same (i,j) cell
 //     schedule with per-lane masking, after AoS-to-SoA conversion and
-//     optional radix sorting by length (§5.3). Pure Go has no SIMD
-//     intrinsics, so the lanes execute serially, but the kernel preserves
+//     optional radix sorting by length (§5.3). These lanes are Go loops
+//     and execute serially, kept for Tables 6-8, but the kernel preserves
 //     every structural property the paper measures: lane occupancy, useful
 //     vs wasteful cell counts, the benefit of sorting, and 8-bit vs 16-bit
 //     lane width. All engines produce bit-identical results.

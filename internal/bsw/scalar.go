@@ -1,23 +1,32 @@
 package bsw
 
 // ScalarBuf holds reusable scratch for ExtendScalar; allocate once per worker
-// (§3.2: few large allocations, reused).
+// (§3.2: few large allocations, reused). h16/e16 back the int16 row kernel.
 type ScalarBuf struct {
-	h, e []int32
-	qp   []int8
+	h, e     []int32
+	h16, e16 []int16
+	qp       []int8
+}
+
+func resize[T int8 | int16 | int32](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (b *ScalarBuf) grow(qlen int) {
-	if cap(b.h) < qlen+1 {
-		b.h = make([]int32, qlen+1)
-		b.e = make([]int32, qlen+1)
-	}
-	b.h = b.h[:qlen+1]
-	b.e = b.e[:qlen+1]
-	if cap(b.qp) < 5*qlen {
-		b.qp = make([]int8, 5*qlen)
-	}
-	b.qp = b.qp[:5*qlen]
+	b.h, b.e, b.qp = resize(b.h, qlen+1), resize(b.e, qlen+1), resize(b.qp, 5*qlen)
+}
+
+// row16Fits reports whether every value of a job provably fits int16: with
+// h0 >= 0, H, E, F and M stay within [-128, h0+qlen*match], which Fits16
+// bounds; the columns fit; and the gap costs are small enough that neither
+// the open+extend sums nor the row kernel's 32*eIns wrap.
+func row16Fits(p *Params, query []byte, h0 int) bool {
+	const maxGap = 1<<10 - 1
+	return h0 >= 0 && len(query) < 1<<15 && p.Fits16(&Job{Query: query, H0: h0}) &&
+		uint(p.ODel) <= maxGap && uint(p.EDel) <= maxGap && uint(p.OIns) <= maxGap && uint(p.EIns) <= maxGap
 }
 
 // ExtendScalar is the original BWA-MEM banded extension kernel, a faithful
@@ -25,15 +34,29 @@ func (b *ScalarBuf) grow(qlen int) {
 // query against target with initial score h0, a diagonal band of half-width
 // w, zero-row abort, z-drop abort, and per-row band shrinking (§5.1).
 // ScalarStats, if non-nil, accumulates cell accounting for the experiments.
+// Each row runs on extendRow16 (AVX-512BW) when the CPU has it and the job
+// fits int16, and on the int32 extendRow otherwise; the result is the same.
 func ExtendScalar(p *Params, query, target []byte, w, h0 int, buf *ScalarBuf, st *CellStats) ExtResult {
-	qlen, tlen := len(query), len(target)
 	if buf == nil {
 		buf = &ScalarBuf{}
 	}
+	qlen := len(query)
+	if haveRow16 && row16Fits(p, query, h0) {
+		buf.h16, buf.e16 = resize(buf.h16, qlen+1), resize(buf.e16, qlen+1)
+		buf.qp = resize(buf.qp, 5*qlen)
+		return extend(p, query, target, w, h0, buf.h16, buf.e16, buf.qp, st, extendRow16)
+	}
 	buf.grow(qlen)
-	eh, ee, qp := buf.h, buf.e, buf.qp
-	oeDel, eDel := int32(p.ODel+p.EDel), int32(p.EDel)
-	oeIns, eIns := int32(p.OIns+p.EIns), int32(p.EIns)
+	return extend(p, query, target, w, h0, buf.h, buf.e, buf.qp, st, extendRow[int32])
+}
+
+// extend is ExtendScalar over cells of type T, with row computing each
+// row's band.
+func extend[T int16 | int32](p *Params, query, target []byte, w, h0 int, eh, ee []T, qp []int8, st *CellStats,
+	row func(h, e []T, q []int8, h1, oeDel, eDel, oeIns, eIns T) (T, T, int)) ExtResult {
+	qlen, tlen := len(query), len(target)
+	oeDel, eDel := T(p.ODel+p.EDel), T(p.EDel)
+	oeIns, eIns := T(p.OIns+p.EIns), T(p.EIns)
 
 	// Query profile: qp[k*qlen+j] = Mat[k][query[j]].
 	for k, i := 0, 0; k < 5; k++ {
@@ -48,10 +71,10 @@ func ExtendScalar(p *Params, query, target []byte, w, h0 int, buf *ScalarBuf, st
 	for j := range eh {
 		eh[j], ee[j] = 0, 0
 	}
-	eh[0] = int32(h0)
+	eh[0] = T(h0)
 	if qlen > 0 {
-		if int32(h0) > oeIns {
-			eh[1] = int32(h0) - oeIns
+		if T(h0) > oeIns {
+			eh[1] = T(h0) - oeIns
 		}
 		for j := 2; j <= qlen && eh[j-1] > eIns; j++ {
 			eh[j] = eh[j-1] - eIns
@@ -79,6 +102,7 @@ func ExtendScalar(p *Params, query, target []byte, w, h0 int, buf *ScalarBuf, st
 	maxIE, gscore := -1, -1
 	maxOff := 0
 	beg, end := 0, qlen
+	//bwalint:hot row driver: band clamp, aborts and band shrink around each row
 	for i := 0; i < tlen; i++ {
 		q := qp[int(target[i])*qlen : int(target[i])*qlen+qlen]
 		if beg < i-w {
@@ -90,14 +114,13 @@ func ExtendScalar(p *Params, query, target []byte, w, h0 int, buf *ScalarBuf, st
 		if end > qlen {
 			end = qlen
 		}
-		var h1 int32
+		var h1 T
 		if beg == 0 {
-			h1 = int32(h0 - (p.ODel + p.EDel*(i+1)))
-			if h1 < 0 {
-				h1 = 0
+			if v := h0 - (p.ODel + p.EDel*(i+1)); v > 0 {
+				h1 = T(v)
 			}
 		}
-		h1, m, mj := extendRow(eh[beg:end], ee[beg:end], q[beg:end], h1, oeDel, eDel, oeIns, eIns)
+		h1, m, mj := row(eh[beg:end], ee[beg:end], q[beg:end], h1, oeDel, eDel, oeIns, eIns)
 		mj += beg
 		if st != nil {
 			st.ScalarCells += int64(end - beg)
@@ -152,23 +175,26 @@ func ExtendScalar(p *Params, query, target []byte, w, h0 int, buf *ScalarBuf, st
 	}
 }
 
-// extendRow is ExtendScalar's inner loop over one row's band: on entry h[j]
-// holds H(i-1,j-1) and e[j] holds E(i,j); on return h[j] holds H(i,j-1) and
-// e[j] holds E(i+1,j). h1 enters as H(i,beg-1) and F(i,beg) is 0. It returns
-// H of the row's last cell and the row maximum m with its column mj (relative
-// to the slice; -1 for an empty row). As a small leaf taking the gap costs
-// as arguments, it leaves the register allocator only the recurrence to
-// place, where the whole kernel around it spilled several values per cell.
+// extendRow is ExtendScalar's inner loop over one row's band, over int32
+// cells (or int16 ones, as extendRow16 where no assembly kernel is built):
+// on entry h[j] holds H(i-1,j-1) and e[j] holds E(i,j); on return h[j]
+// holds H(i,j-1) and e[j] holds E(i+1,j). h1 enters as H(i,beg-1) and
+// F(i,beg) is 0. It returns H of the row's last cell and the row maximum m
+// with its column mj (relative to the slice; -1 for an empty row). As a
+// small leaf taking the gap costs as arguments, it leaves the register
+// allocator only the recurrence to place, where the whole kernel around it
+// spilled several values per cell.
 //
 //bwalint:hot
-func extendRow(h, e []int32, q []int8, h1, oeDel, eDel, oeIns, eIns int32) (int32, int32, int) {
+func extendRow[T int16 | int32](h, e []T, q []int8, h1, oeDel, eDel, oeIns, eIns T) (T, T, int) {
 	e, q = e[:len(h)], q[:len(h)]
-	f, m, mj := int32(0), int32(0), -1
+	var f, m T
+	mj := -1
 	for j, M := range h {
 		ev := e[j]
 		h[j] = h1
 		if M != 0 {
-			M += int32(q[j])
+			M += T(q[j])
 		}
 		h1 = max(M, ev, f)
 		if m <= h1 { // ties prefer the later column, as in ksw_extend2

@@ -289,6 +289,12 @@ func FuzzExtendScalar(f *testing.F) {
 	f.Add(q, mutate(rng, q, 4), uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(100), uint8(30), uint8(100), uint8(5))
 	f.Add([]byte{0, 1, 4, 3, 2}, []byte{0, 4, 4, 3}, uint8(4), uint8(7), uint8(0), uint8(3), uint8(12), uint8(1), uint8(0), uint8(0), uint8(0), uint8(10))
 	f.Add(q, randSeq(rng, 80), uint8(1), uint8(0), uint8(2), uint8(1), uint8(9), uint8(2), uint8(5), uint8(200), uint8(7), uint8(0))
+	// qlen > 64 with tight bands: rows of several 32-column chunks whose
+	// band start moves every row, so the row kernel's carries run.
+	long := randSeq(rng, 250)
+	f.Add(long, mutate(rng, long, 12), uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(12), uint8(60), uint8(100), uint8(5))
+	f.Add(long[:150], append(mutate(rng, long[:70], 3), long[75:150]...), uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(40), uint8(30), uint8(0), uint8(5))
+	f.Add(long[:97], mutate(rng, long[:97], 2), uint8(2), uint8(5), uint8(1), uint8(2), uint8(3), uint8(0), uint8(3), uint8(150), uint8(60), uint8(10))
 	f.Fuzz(func(t *testing.T, rawQ, rawT []byte, match, mis, oDel, eDel, oIns, eIns, w, h0, zdrop, bonus uint8) {
 		if len(rawQ) > 300 || len(rawT) > 300 {
 			return

@@ -8,7 +8,11 @@
 // BWA 0.7.17, with the k-btree replaced by a sorted slice with binary search.
 package chain
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Seed is one exact match placed on the doubled reference: query span
 // [QBeg, QBeg+Len) matches reference span [RBeg, RBeg+Len).
@@ -167,15 +171,14 @@ func Filter(opt *Opts, chains []*Chain) []*Chain {
 		return chains
 	}
 	// Sort by decreasing weight (deterministic tie-break on position/query).
-	sort.SliceStable(chains, func(a, b int) bool {
-		ca, cb := chains[a], chains[b]
+	slices.SortStableFunc(chains, func(ca, cb *Chain) int {
 		if ca.Weight != cb.Weight {
-			return ca.Weight > cb.Weight
+			return cmp.Compare(cb.Weight, ca.Weight)
 		}
 		if ca.Pos != cb.Pos {
-			return ca.Pos < cb.Pos
+			return cmp.Compare(ca.Pos, cb.Pos)
 		}
-		return ca.QBeg() < cb.QBeg()
+		return cmp.Compare(ca.QBeg(), cb.QBeg())
 	})
 
 	var keptIdx []int

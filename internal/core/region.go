@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/bsw"
 	"repro/internal/chain"
@@ -281,15 +281,14 @@ func (a *Aligner) extendChain(q []byte, c *chain.Chain, regs []Region, ws *Works
 func (a *Aligner) dedupRegions(regs []Region) []Region {
 	if len(regs) > 1 {
 		// Sort by reference end (deterministic tie-breaks added).
-		sort.Slice(regs, func(x, y int) bool {
-			rx, ry := &regs[x], &regs[y]
+		slices.SortFunc(regs, func(rx, ry Region) int {
 			if rx.RE != ry.RE {
-				return rx.RE < ry.RE
+				return cmp.Compare(rx.RE, ry.RE)
 			}
 			if rx.RB != ry.RB {
-				return rx.RB < ry.RB
+				return cmp.Compare(rx.RB, ry.RB)
 			}
-			return rx.QB < ry.QB
+			return cmp.Compare(rx.QB, ry.QB)
 		})
 		for i := 1; i < len(regs); i++ {
 			p := &regs[i]
@@ -329,15 +328,14 @@ func (a *Aligner) dedupRegions(regs []Region) []Region {
 	}
 	regs = out
 	// Sort by score and drop identical hits.
-	sort.Slice(regs, func(x, y int) bool {
-		rx, ry := &regs[x], &regs[y]
+	slices.SortFunc(regs, func(rx, ry Region) int {
 		if rx.Score != ry.Score {
-			return rx.Score > ry.Score
+			return cmp.Compare(ry.Score, rx.Score)
 		}
 		if rx.RB != ry.RB {
-			return rx.RB < ry.RB
+			return cmp.Compare(rx.RB, ry.RB)
 		}
-		return rx.QB < ry.QB
+		return cmp.Compare(rx.QB, ry.QB)
 	})
 	for i := 1; i < len(regs); i++ {
 		if regs[i].Score == regs[i-1].Score && regs[i].RB == regs[i-1].RB && regs[i].QB == regs[i-1].QB {

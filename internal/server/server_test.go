@@ -407,7 +407,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	// Shutdown tore down the scheduler workers: nothing this server started
 	// may outlive it.
-	testutil.CheckGoroutines(t, goroutines, 2)
+	testutil.CheckGoroutines(t, goroutines, 0)
 }
 
 // TestShutdownCompletesQueuedRequest: Shutdown completes an admitted
@@ -455,7 +455,7 @@ func TestShutdownCompletesQueuedRequest(t *testing.T) {
 	if !bytes.Equal(w.Body.Bytes(), want.SAM) {
 		t.Fatal("queued request returned wrong SAM")
 	}
-	testutil.CheckGoroutines(t, goroutines, 2)
+	testutil.CheckGoroutines(t, goroutines, 0)
 }
 
 // occupyWorkers parks every worker of s on a task that blocks until the
