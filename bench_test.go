@@ -58,24 +58,20 @@ func benchExperiment(b *testing.B, fn func(io.Writer, *experiments.Env) error) {
 func BenchmarkTable1_Profile(b *testing.B) { benchExperiment(b, experiments.Table1) }
 
 // BenchmarkTable4_SMEM regenerates Table 4: SMEM kernel operation counts,
-// simulated LLC misses and latency for the three occurrence-table configs.
+// simulated LLC misses and latency for the four occurrence-table configs.
 func BenchmarkTable4_SMEM(b *testing.B) { benchExperiment(b, experiments.Table4) }
 
 // BenchmarkTable5_SAL regenerates Table 5: compressed vs flat suffix-array
 // lookup cost.
 func BenchmarkTable5_SAL(b *testing.B) { benchExperiment(b, experiments.Table5) }
 
-// BenchmarkTable6_BSW regenerates Table 6: scalar vs 16-bit vs 8-bit
-// batched extension, sorted and unsorted.
+// BenchmarkTable6_BSW regenerates Table 6: the shipped extension kernel
+// over every D3 job.
 func BenchmarkTable6_BSW(b *testing.B) { benchExperiment(b, experiments.Table6) }
 
-// BenchmarkTable7_BSWCounters regenerates Table 7: the instruction analysis
-// of the 8-bit kernel against the scalar original.
+// BenchmarkTable7_BSWCounters regenerates Table 7: the vector row's steps
+// and useful-slot share.
 func BenchmarkTable7_BSWCounters(b *testing.B) { benchExperiment(b, experiments.Table7) }
-
-// BenchmarkTable8_BSWBreakdown regenerates Table 8: where the 8-bit
-// kernel's time goes (pre-processing, band adjustment, cells).
-func BenchmarkTable8_BSWBreakdown(b *testing.B) { benchExperiment(b, experiments.Table8) }
 
 // BenchmarkFig4_Scaling regenerates Figure 4: thread scaling of both
 // implementations on D1 and D5.
@@ -90,12 +86,6 @@ func BenchmarkFig5_EndToEnd(b *testing.B) { benchExperiment(b, experiments.Figur
 func BenchmarkAblation_SACompression(b *testing.B) {
 	benchExperiment(b, experiments.AblationSACompression)
 }
-
-// BenchmarkAblation_BSWWidth sweeps the batched kernel's lane width.
-func BenchmarkAblation_BSWWidth(b *testing.B) { benchExperiment(b, experiments.AblationBSWWidth) }
-
-// BenchmarkAblation_BSWSort toggles job sorting on the full extension mix.
-func BenchmarkAblation_BSWSort(b *testing.B) { benchExperiment(b, experiments.AblationBSWSort) }
 
 // BenchmarkAblation_BatchSize sweeps the reorganized pipeline's batch size.
 func BenchmarkAblation_BatchSize(b *testing.B) { benchExperiment(b, experiments.AblationBatchSize) }

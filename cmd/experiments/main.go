@@ -1,11 +1,11 @@
 // Command experiments regenerates the paper's experiments: Table 1
 // (run-time breakdown), Figure 4 (thread scaling), Figure 5 (end-to-end
-// baseline-vs-optimized comparison), the kernel-level Tables 4-8 (SMEM and
-// SAL counters, BSW engine times, instruction analysis and time breakdown)
-// and the design-choice ablations (suffix-array compression, BSW lane width
-// and job sorting, batch size). Each selector runs one experiment; with none
-// (or -all) it runs everything. Results are printed as text, beside the
-// values the paper reports; no file records them.
+// baseline-vs-optimized comparison), the kernel-level Tables 4-7 (SMEM and
+// SAL counters; the shipped BSW kernel's time and vector-row occupancy)
+// and the design-choice ablations (suffix-array compression, batch size).
+// Each selector runs one experiment; with none (or -all) it runs
+// everything. Results are printed as text, beside the values the paper
+// reports; no file records them.
 package main
 
 import (
@@ -24,16 +24,15 @@ func main() {
 		t1      = flag.Bool("table1", false, "run Table 1 (run-time profile)")
 		t4      = flag.Bool("table4", false, "run Table 4 (SMEM kernel counters)")
 		t5      = flag.Bool("table5", false, "run Table 5 (SAL kernel counters)")
-		t6      = flag.Bool("table6", false, "run Table 6 (BSW engine comparison)")
-		t7      = flag.Bool("table7", false, "run Table 7 (BSW instruction analysis)")
-		t8      = flag.Bool("table8", false, "run Table 8 (BSW time breakdown)")
+		t6      = flag.Bool("table6", false, "run Table 6 (BSW kernel time)")
+		t7      = flag.Bool("table7", false, "run Table 7 (BSW vector-row occupancy)")
 		f4      = flag.Bool("fig4", false, "run Figure 4 (thread scaling)")
 		f5      = flag.Bool("fig5", false, "run Figure 5 (end-to-end comparison)")
 		abl     = flag.Bool("ablations", false, "run the design-choice ablations")
 		all     = flag.Bool("all", false, "run every table, figure and ablation")
 	)
 	flag.Parse()
-	if !(*t1 || *t4 || *t5 || *t6 || *t7 || *t8 || *f4 || *f5 || *abl || *all) {
+	if !(*t1 || *t4 || *t5 || *t6 || *t7 || *f4 || *f5 || *abl || *all) {
 		*all = true
 	}
 	cfg := experiments.Default()
@@ -63,11 +62,8 @@ func main() {
 	run(*t5, func() error { return experiments.Table5(w, env) })
 	run(*t6, func() error { return experiments.Table6(w, env) })
 	run(*t7, func() error { return experiments.Table7(w, env) })
-	run(*t8, func() error { return experiments.Table8(w, env) })
 	run(*f4, func() error { return experiments.Figure4(w, env) })
 	run(*f5, func() error { return experiments.Figure5(w, env) })
 	run(*abl, func() error { return experiments.AblationSACompression(w, env) })
-	run(*abl, func() error { return experiments.AblationBSWWidth(w, env) })
-	run(*abl, func() error { return experiments.AblationBSWSort(w, env) })
 	run(*abl, func() error { return experiments.AblationBatchSize(w, env) })
 }

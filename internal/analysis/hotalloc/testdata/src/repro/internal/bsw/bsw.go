@@ -1,5 +1,5 @@
 // Package bsw mirrors the real kernels' post-fix allocation discipline:
-// preallocated index slices (the batch classifier) and zero-length
+// preallocated index slices (a job classifier) and zero-length
 // reslices of persistent scratch buffers (the SMEM sweep). Nothing here
 // may be reported.
 package bsw
@@ -10,7 +10,7 @@ type smemBuf struct {
 	prev, curr []int
 }
 
-// classify8 is the RunBatch shape after preallocation.
+// classify8 splits jobs by length into slices preallocated to fit them all.
 //
 //bwalint:hot
 func classify8(jobs []job) ([]int, []int) {

@@ -1,23 +1,13 @@
 // Package bsw implements the banded Smith-Waterman (BSW) kernel of BWA-MEM
 // (paper §5): seed extension with a diagonal band, zero-row abort, z-drop
-// abort, and per-row band adjustment. Three interchangeable engines are
-// provided:
-//
-//   - ExtendScalar: the original kernel (a faithful port of BWA's
-//     ksw_extend2), the paper's baseline and the shipped engine. Each row
-//     runs on real vectors where it can: on amd64 with AVX-512BW, a job
-//     whose values fit int16 goes through extendRow16 (extend_amd64.s), 32
-//     cells per instruction within one row, F computed as a prefix-max
-//     scan. Other jobs, other CPUs and the purego build tag run the Go leaf
-//     extendRow. Both give the same result.
-//   - Batch16 / Batch8: the paper's inter-task "vectorized" kernels. W
-//     sequence pairs advance in lock-step through the same (i,j) cell
-//     schedule with per-lane masking, after AoS-to-SoA conversion and
-//     optional radix sorting by length (§5.3). These lanes are Go loops
-//     and execute serially, kept for Tables 6-8, but the kernel preserves
-//     every structural property the paper measures: lane occupancy, useful
-//     vs wasteful cell counts, the benefit of sorting, and 8-bit vs 16-bit
-//     lane width. All engines produce bit-identical results.
+// abort, and per-row band adjustment. There is one extension engine,
+// ExtendScalar, a faithful port of BWA's ksw_extend2 and the paper's
+// baseline. Each row runs on real vectors where it can: on amd64 with
+// AVX-512BW, a job whose values fit int16 goes through extendRow16
+// (extend_amd64.s), 32 cells per instruction within one row, F computed as
+// a prefix-max scan. Other jobs, other CPUs and the purego build tag run
+// the Go leaf extendRow. Both give the same result. The paper's inter-task
+// kernels (many jobs in the lanes of one vector, §5.3) are not implemented.
 //
 // Global (a port of ksw_global2) is the banded global alignment with
 // traceback that SAM-FORM runs to produce each CIGAR. It takes a score
@@ -96,13 +86,7 @@ type Job struct {
 	H0     int
 }
 
-// Fits8 reports whether a job's scores provably fit the 8-bit kernel's value
-// range (all H/E/F values are bounded by H0 + qlen*match).
-func (p *Params) Fits8(j *Job) bool {
-	return j.H0+len(j.Query)*p.MaxMatch() <= 127
-}
-
-// Fits16 reports whether a job fits the 16-bit kernel's value range.
+// Fits16 reports whether a job's scores fit int16 (see row16Fits).
 func (p *Params) Fits16(j *Job) bool {
 	return j.H0+len(j.Query)*p.MaxMatch() <= 32767
 }

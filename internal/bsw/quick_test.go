@@ -30,31 +30,6 @@ func quickJob(raw []byte) (Job, bool) {
 	return Job{Query: q, Target: tg, W: w, H0: h0}, true
 }
 
-// TestQuickBatchEqualsScalar drives the central identity property with
-// testing/quick: for any job, every batched engine agrees with the scalar
-// engine bit for bit.
-func TestQuickBatchEqualsScalar(t *testing.T) {
-	p := DefaultParams()
-	var buf ScalarBuf
-	f := func(raw []byte) bool {
-		j, ok := quickJob(raw)
-		if !ok {
-			return true
-		}
-		want := ExtendScalar(&p, j.Query, j.Target, j.W, j.H0, &buf, nil)
-		for _, prec := range []int{8, 16} {
-			got := RunBatch(&p, []Job{j}, BatchConfig{ForcePrecision: prec})
-			if got[0] != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickExtendScalarInvariants checks structural invariants of the
 // extension result on arbitrary inputs.
 func TestQuickExtendScalarInvariants(t *testing.T) {

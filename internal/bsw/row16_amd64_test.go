@@ -2,4 +2,10 @@
 
 package bsw
 
-func init() { row16Built = true }
+func init() {
+	setRow16 = func(on bool) func() {
+		old := haveRow16
+		haveRow16 = on
+		return func() { haveRow16 = old }
+	}
+}

@@ -2,14 +2,16 @@ package bsw
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"os"
 	"slices"
 	"strings"
 	"testing"
 )
 
-// row16Built is set by row16_amd64_test.go where extend_amd64.s is built.
-var row16Built bool
+// setRow16, where extend_amd64.s is built, switches haveRow16 and returns
+// a function that restores it (row16_amd64_test.go); elsewhere it is nil.
+var setRow16 func(on bool) (restore func())
 
 // TestRowPath reports which row kernel ExtendScalar runs on, and fails if
 // the assembly kernel is built and /proc/cpuinfo lists AVX-512BW but the
@@ -19,7 +21,7 @@ func TestRowPath(t *testing.T) {
 	if haveRow16 {
 		path = "AVX-512BW extendRow16"
 	}
-	t.Logf("ExtendScalar rows run on %s (assembly kernel built: %v)", path, row16Built)
+	t.Logf("ExtendScalar rows run on %s (assembly kernel built: %v)", path, setRow16 != nil)
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		t.Skipf("no /proc/cpuinfo: %v", err)
@@ -31,7 +33,7 @@ func TestRowPath(t *testing.T) {
 			break
 		}
 	}
-	if row16Built && slices.Contains(flags, "avx512f") && slices.Contains(flags, "avx512bw") && !haveRow16 {
+	if setRow16 != nil && slices.Contains(flags, "avx512f") && slices.Contains(flags, "avx512bw") && !haveRow16 {
 		t.Fatal("the CPU lists avx512f and avx512bw but ExtendScalar selected the int32 row")
 	}
 }
@@ -135,3 +137,38 @@ func FuzzExtendRow(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkExtendScalar times ExtendScalar over seeded extension jobs on
+// each row kernel: row=int32 switches the vector row off where it could
+// run, and row=avx512bw is skipped where it cannot.
+func BenchmarkExtendScalar(b *testing.B) {
+	p := DefaultParams()
+	rng := rand.New(rand.NewSource(52))
+	jobs := make([]Job, 512)
+	for i := range jobs {
+		q := randSeq(rng, 1+rng.Intn(150))
+		tg := append(mutate(rng, q, rng.Intn(6)), randSeq(rng, rng.Intn(20))...)
+		jobs[i] = Job{Query: q, Target: tg, W: 100, H0: 1 + rng.Intn(60)}
+	}
+	for _, c := range []struct {
+		name string
+		vec  bool
+	}{{"row=int32", false}, {"row=avx512bw", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			switch {
+			case c.vec && !haveRow16:
+				b.Skip("extendRow16 does not run on this CPU/build")
+			case !c.vec && haveRow16:
+				defer setRow16(false)()
+			}
+			var buf ScalarBuf
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := &jobs[i%len(jobs)]
+				benchSink = ExtendScalar(&p, j.Query, j.Target, j.W, j.H0, &buf, nil)
+			}
+		})
+	}
+}
+
+var benchSink ExtResult

@@ -33,7 +33,7 @@ func row16Fits(p *Params, query []byte, h0 int) bool {
 // port of ksw_extend2: global-at-the-seed, local-at-the-end alignment of
 // query against target with initial score h0, a diagonal band of half-width
 // w, zero-row abort, z-drop abort, and per-row band shrinking (§5.1).
-// ScalarStats, if non-nil, accumulates cell accounting for the experiments.
+// st, if non-nil, accumulates cell accounting for the experiments.
 // Each row runs on extendRow16 (AVX-512BW) when the CPU has it and the job
 // fits int16, and on the int32 extendRow otherwise; the result is the same.
 func ExtendScalar(p *Params, query, target []byte, w, h0 int, buf *ScalarBuf, st *CellStats) ExtResult {
@@ -44,16 +44,19 @@ func ExtendScalar(p *Params, query, target []byte, w, h0 int, buf *ScalarBuf, st
 	if haveRow16 && row16Fits(p, query, h0) {
 		buf.h16, buf.e16 = resize(buf.h16, qlen+1), resize(buf.e16, qlen+1)
 		buf.qp = resize(buf.qp, 5*qlen)
-		return extend(p, query, target, w, h0, buf.h16, buf.e16, buf.qp, st, extendRow16)
+		return extend(p, query, target, w, h0, buf.h16, buf.e16, buf.qp, st, row16Lanes, extendRow16)
 	}
 	buf.grow(qlen)
-	return extend(p, query, target, w, h0, buf.h, buf.e, buf.qp, st, extendRow[int32])
+	return extend(p, query, target, w, h0, buf.h, buf.e, buf.qp, st, 0, extendRow[int32])
 }
 
+// row16Lanes is the number of int16 cells extendRow16 computes per step.
+const row16Lanes = 32
+
 // extend is ExtendScalar over cells of type T, with row computing each
-// row's band.
+// row's band in steps of lanes cells (0 for a Go row).
 func extend[T int16 | int32](p *Params, query, target []byte, w, h0 int, eh, ee []T, qp []int8, st *CellStats,
-	row func(h, e []T, q []int8, h1, oeDel, eDel, oeIns, eIns T) (T, T, int)) ExtResult {
+	lanes int, row func(h, e []T, q []int8, h1, oeDel, eDel, oeIns, eIns T) (T, T, int)) ExtResult {
 	qlen, tlen := len(query), len(target)
 	oeDel, eDel := T(p.ODel+p.EDel), T(p.EDel)
 	oeIns, eIns := T(p.OIns+p.EIns), T(p.EIns)
@@ -125,6 +128,10 @@ func extend[T int16 | int32](p *Params, query, target []byte, w, h0 int, eh, ee 
 		if st != nil {
 			st.ScalarCells += int64(end - beg)
 			st.ScalarRows++
+			if lanes > 0 {
+				st.VectorCells += int64(end - beg)
+				st.VectorSteps += int64((end - beg + lanes - 1) / lanes)
+			}
 		}
 		eh[end], ee[end] = h1, 0
 		if end == qlen {
@@ -206,9 +213,11 @@ func extendRow[T int16 | int32](h, e []T, q []int8, h1, oeDel, eDel, oeIns, eIns
 	return h1, m, mj
 }
 
-// CellStats accounts for DP work, the basis of the paper's Table 7/8
-// instruction analysis.
+// CellStats accounts for ExtendScalar's DP work, the basis of the paper's
+// Tables 6 and 7.
 type CellStats struct {
-	ScalarCells int64 // cells computed by the scalar engine
+	ScalarCells int64 // cells computed, on either row kernel
 	ScalarRows  int64
+	VectorCells int64 // the share of ScalarCells computed by extendRow16
+	VectorSteps int64 // extendRow16's steps of row16Lanes cells, a row's tail step included
 }

@@ -238,6 +238,9 @@ func TestExtendScalarMatchesDenseReference(t *testing.T) {
 	}
 }
 
+// TestExtendScalarCellStats checks the cell accounting: every row's band
+// counts once in ScalarCells, and the vector-row counters hold exactly the
+// rows extendRow16 ran, in steps of row16Lanes cells.
 func TestExtendScalarCellStats(t *testing.T) {
 	p := DefaultParams()
 	rng := rand.New(rand.NewSource(46))
@@ -250,6 +253,35 @@ func TestExtendScalarCellStats(t *testing.T) {
 	}
 	if st.ScalarCells > int64(len(q))*int64(len(tg)) {
 		t.Fatalf("more cells than the full matrix: %+v", st)
+	}
+	if !row16Fits(&p, q, 30) {
+		t.Fatal("row16Fits rejects the job")
+	}
+	// The same job on a recording int32 row gives each row's band width.
+	var steps int64
+	var buf ScalarBuf
+	buf.grow(len(q))
+	extend(&p, q, tg, 100, 30, buf.h, buf.e, buf.qp, nil, 0, func(h, e []int32, qr []int8, h1, oeDel, eDel, oeIns, eIns int32) (int32, int32, int) {
+		steps += int64((len(h) + row16Lanes - 1) / row16Lanes)
+		return extendRow(h, e, qr, h1, oeDel, eDel, oeIns, eIns)
+	})
+	want := CellStats{ScalarCells: st.ScalarCells, ScalarRows: st.ScalarRows}
+	if haveRow16 {
+		want.VectorCells, want.VectorSteps = st.ScalarCells, steps
+	}
+	if st != want {
+		t.Fatalf("vector row ran: %v; got %+v, want %+v", haveRow16, st, want)
+	}
+
+	// A seed score past int16 keeps the job on the int32 row.
+	const bigH0 = 40000
+	if row16Fits(&p, q, bigH0) {
+		t.Fatal("row16Fits admits h0 40000")
+	}
+	st = CellStats{}
+	ExtendScalar(&p, q, tg, 100, bigH0, nil, &st)
+	if st.ScalarCells == 0 || st.VectorCells != 0 || st.VectorSteps != 0 {
+		t.Fatalf("int32 job: %+v", st)
 	}
 }
 
@@ -305,6 +337,7 @@ func FuzzExtendScalar(f *testing.F) {
 		var got, want CellStats
 		g := ExtendScalar(&p, query, target, bw, bh0, nil, &got)
 		r := refExtendScalar(&p, query, target, bw, bh0, nil, &want)
+		got.VectorCells, got.VectorSteps = 0, 0 // the oracle predates the vector row; TestExtendScalarCellStats checks them
 		if g != r || got != want {
 			t.Fatalf("w=%d h0=%d %+v:\ngot  %+v %+v\nwant %+v %+v", bw, bh0, p, g, got, r, want)
 		}

@@ -11,13 +11,12 @@
 //     SIMD-less Go target: the bit-plane occurrence table (fmindex.OccBP,
 //     η=128, four counts from popcounts over one 64-byte line) and the flat
 //     suffix array, extending with the same scalar engine and online skip
-//     heuristic. Where the paper's layouts lose without SIMD they are kept
-//     only as the subjects of their tables: the η=32 byte-per-base
-//     occurrence table (Table 4) in internal/fmindex, the inter-task lane
-//     kernels (Tables 6-8) in internal/bsw. Without a batched kernel the
-//     batch-staged workflow (Fig. 2) has nothing to feed, so both modes push
-//     each read through every stage in turn (AlignRead), as original
-//     BWA-MEM does.
+//     heuristic. The paper's η=32 byte-per-base occurrence table and its
+//     inter-task BSW lanes are not built: Table 4 costs the former from its
+//     bucket geometry alone, and Tables 6-7 measure the shipped extension
+//     kernel. Without a batched kernel the batch-staged workflow (Fig. 2)
+//     has nothing to feed, so both modes push each read through every stage
+//     in turn (AlignRead), as original BWA-MEM does.
 //
 // Both modes produce identical alignments; this is the paper's central
 // requirement and is enforced by tests.

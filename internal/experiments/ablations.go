@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"repro/internal/bsw"
 	"repro/internal/datasets"
 	"repro/internal/pipeline"
 	"repro/internal/sal"
@@ -39,35 +37,6 @@ func AblationSACompression(w io.Writer, e *Env) error {
 	return nil
 }
 
-// AblationBSWWidth sweeps the lane width of the batched 8-bit kernel,
-// isolating the cost of lane divergence as width grows (the trade the
-// paper's sorting mitigates).
-func AblationBSWWidth(w io.Writer, e *Env) error {
-	header(w, "Ablation: batched BSW lane width (8-bit, sorted)")
-	jobs, err := collectJobs8(e)
-	if err != nil {
-		return err
-	}
-	par := e.Opt.Opts.DefaultBSWParams()
-	for _, width := range []int{4, 8, 16, 32, 64, 128} {
-		var st bsw.BatchStats
-		cfg := bsw.BatchConfig{Width8: width, Width16: 32, Sort: true,
-			ForcePrecision: 8, Stats: &st}
-		start := time.Now()
-		bsw.RunBatch(&par, jobs, cfg)
-		wall := time.Since(start)
-		row(w, fmt.Sprintf("width %3d", width),
-			"%8.1f ms   waste %5.1f%%   vector steps %10d   modeled x%.1f",
-			ms(wall),
-			100*(1-ratio(float64(st.UsefulCells), float64(st.TotalCells))),
-			st.VectorSteps,
-			ratio(float64(st.UsefulCells), float64(st.VectorSteps)))
-	}
-	fmt.Fprintln(w, " wider lanes amortize more in real SIMD but waste more slots;")
-	fmt.Fprintln(w, " modeled speedup = useful cells per vector step.")
-	return nil
-}
-
 // AblationBatchSize sweeps the pipeline's batch size. A batch is one
 // scheduler task and a read's cost does not depend on its batch, so this
 // measures dispatch amortisation only: one task hand-off per batch.
@@ -80,33 +49,6 @@ func AblationBatchSize(w io.Writer, e *Env) error {
 	for _, bs := range []int{16, 64, 256, 1024, 4096} {
 		res := pipeline.Run(e.Opt, reads, pipeline.Config{Threads: 1, BatchSize: bs})
 		row(w, fmt.Sprintf("batch %4d", bs), "%8.1f ms", ms(res.Wall))
-	}
-	return nil
-}
-
-// AblationBSWSort isolates the radix-sorting benefit on the real job mix
-// (Table 6 shows it on the 8-bit subset; this runs the full mix).
-func AblationBSWSort(w io.Writer, e *Env) error {
-	header(w, "Ablation: BSW job sorting on the full job mix")
-	reads, err := e.reads(datasets.D3)
-	if err != nil {
-		return err
-	}
-	jobs := e.Opt.CollectBSWJobs(encodeAll(reads), nil)
-	par := e.Opt.Opts.DefaultBSWParams()
-	for _, srt := range []bool{false, true} {
-		var st bsw.BatchStats
-		cfg := bsw.BatchConfig{Width8: 64, Width16: 32, Sort: srt, Stats: &st}
-		start := time.Now()
-		bsw.RunBatch(&par, jobs, cfg)
-		wall := time.Since(start)
-		name := "unsorted"
-		if srt {
-			name = "sorted"
-		}
-		row(w, name, "%8.1f ms   total lane slots %12d   waste %5.1f%%",
-			ms(wall), st.TotalCells,
-			100*(1-ratio(float64(st.UsefulCells), float64(st.TotalCells))))
 	}
 	return nil
 }

@@ -9,147 +9,83 @@ import (
 	"repro/internal/datasets"
 )
 
-// collectJobs8 intercepts the BSW-stage input for the D3 profile and keeps
-// the pairs for which 8-bit precision suffices, as §6.2.3 does ("we only
-// used the sequence pairs for which 8-bit precision was sufficient").
-func collectJobs8(e *Env) ([]bsw.Job, error) {
+// rowLanes is the number of int16 cells the vector row computes per step.
+const rowLanes = 32
+
+// extendAll runs every D3 extension job through bsw.ExtendScalar, the
+// shipped engine, and returns the job count, the wall time and the cell
+// accounting.
+func extendAll(e *Env) (int, time.Duration, bsw.CellStats, error) {
+	var st bsw.CellStats
 	reads, err := e.reads(datasets.D3)
 	if err != nil {
-		return nil, err
+		return 0, 0, st, err
 	}
-	all := e.Opt.CollectBSWJobs(encodeAll(reads), nil)
+	jobs := e.Opt.CollectBSWJobs(encodeAll(reads), nil)
 	par := e.Opt.Opts.DefaultBSWParams()
-	jobs := all[:0]
-	for _, j := range all {
-		if par.Fits8(&j) {
-			jobs = append(jobs, j)
-		}
-	}
-	return jobs, nil
-}
-
-// timeScalar runs all jobs through the scalar engine.
-func timeScalar(p *bsw.Params, jobs []bsw.Job) (time.Duration, bsw.CellStats) {
 	var buf bsw.ScalarBuf
-	var st bsw.CellStats
 	start := time.Now()
 	for i := range jobs {
-		bsw.ExtendScalar(p, jobs[i].Query, jobs[i].Target, jobs[i].W, jobs[i].H0, &buf, &st)
+		j := &jobs[i]
+		bsw.ExtendScalar(&par, j.Query, j.Target, j.W, j.H0, &buf, &st)
 	}
-	return time.Since(start), st
+	return len(jobs), time.Since(start), st, nil
 }
 
-// timeBatch runs all jobs through a batched engine configuration.
-func timeBatch(p *bsw.Params, jobs []bsw.Job, precision int, sort bool) (time.Duration, bsw.BatchStats) {
-	var st bsw.BatchStats
-	cfg := bsw.BatchConfig{Width8: 64, Width16: 32, Sort: sort,
-		ForcePrecision: precision, Stats: &st}
-	start := time.Now()
-	bsw.RunBatch(p, jobs, cfg)
-	return time.Since(start), st
-}
+// noVectorRow stands in for the vector-row rows where extendRow16 computed
+// no cell; notReproduced closes both tables.
+const (
+	noVectorRow   = "vector row did not run on this CPU/build"
+	notReproduced = "not reproduced here (ROADMAP 14)"
+)
 
-// Table6 regenerates the BSW engine comparison: scalar vs 16-bit vs 8-bit,
-// each without and with length sorting.
-// Paper (48M pairs, AVX512): scalar 283 s; 16-bit 65.4/44.5 s; 8-bit
-// 42.1/24.5 s -> best speedup 11.6x. Pure Go has no SIMD, so wall-clock
-// parity is not expected here; the modeled vector time (lane steps / width
-// plus measured per-row overheads) reproduces the paper's shape, and the
-// sorting benefit is real and measured.
+// Table6 times the shipped extension kernel over every D3 job and reports
+// the share of cells its AVX-512BW row computed. Paper (48M pairs,
+// inter-task AVX512 lanes): scalar 283 s; 16-bit 65.4/44.5 s and 8-bit
+// 42.1/24.5 s without/with length sorting, best speedup 11.6x.
 func Table6(w io.Writer, e *Env) error {
-	header(w, "Table 6: BSW engines (8-bit-safe pairs, D3 profile)")
-	jobs, err := collectJobs8(e)
+	header(w, "Table 6: BSW extension (bsw.ExtendScalar, all D3 jobs)")
+	n, wall, st, err := extendAll(e)
 	if err != nil {
 		return err
 	}
-	par := e.Opt.Opts.DefaultBSWParams()
-	fmt.Fprintf(w, " %d sequence pairs\n", len(jobs))
-
-	scalarWall, scStats := timeScalar(&par, jobs)
-	row(w, "scalar (original)", "wall %8.1f ms   cells %d", ms(scalarWall), scStats.ScalarCells)
-
-	type variant struct {
-		name      string
-		precision int
-		sort      bool
-		width     int
-		paperSec  float64
+	row(w, "jobs", "%d", n)
+	row(w, "cells", "%d", st.ScalarCells)
+	row(w, "wall", "%.1f ms", ms(wall))
+	row(w, "time per job", "%.2f us", ratio(float64(wall)/1e3, float64(n)))
+	row(w, "time per cell", "%.2f ns", ratio(float64(wall), float64(st.ScalarCells)))
+	if st.VectorCells == 0 {
+		row(w, "cells on the vector row", noVectorRow)
+	} else {
+		row(w, "cells on the vector row", "%.1f%%", 100*ratio(float64(st.VectorCells), float64(st.ScalarCells)))
 	}
-	variants := []variant{
-		{"16-bit w/o sort", 16, false, 32, 65.36},
-		{"16-bit w/ sort", 16, true, 32, 44.46},
-		{"8-bit  w/o sort", 8, false, 64, 42.09},
-		{"8-bit  w/ sort", 8, true, 64, 24.46},
-	}
-	for _, v := range variants {
-		wall, st := timeBatch(&par, jobs, v.precision, v.sort)
-		// Modeled SIMD time: each (row, column) step is one vector
-		// instruction over `width` lanes; scale the measured per-cell
-		// scalar cost by the step count, add the measured non-cell
-		// overheads (sorting, preprocessing, band adjustment).
-		perCell := float64(scalarWall) / float64(scStats.ScalarCells)
-		modeled := time.Duration(perCell*float64(st.VectorSteps)) +
-			st.PreprocessNS + st.BandAdjINS + st.BandAdjIINS + st.SortNS
-		row(w, v.name, "wall %8.1f ms   modeled-SIMD %7.1f ms (x%.1f vs scalar)   waste %4.1f%%   paper %5.1fs (x%.1f)",
-			ms(wall), ms(modeled), ratio(float64(scalarWall), float64(modeled)),
-			100*(1-ratio(float64(st.UsefulCells), float64(st.TotalCells))),
-			v.paperSec, 283/v.paperSec)
-	}
-	fmt.Fprintln(w, " paper shape: sorting buys 1.5-1.7x at both precisions; 8-bit beats")
-	fmt.Fprintln(w, " 16-bit; wall-clock Go lanes are serial (no SIMD ISA), modeled-SIMD")
-	fmt.Fprintln(w, " time divides cell work by the lane width as AVX512 would.")
+	fmt.Fprintln(w, " paper (48M pairs, inter-task AVX512 lanes): scalar 283 s, 16-bit")
+	fmt.Fprintln(w, " 65.4/44.5 s and 8-bit 42.1/24.5 s without/with sorting, best x11.6:")
+	fmt.Fprintf(w, " %s.\n", notReproduced)
 	return nil
 }
 
-// Table7 regenerates the instruction-count analysis of the 8-bit kernel.
-// Paper: 1,385e9 -> 100e9 instructions (13.85x), IPC 3.14 -> 2.17.
+// Table7 counts the vector row's steps of 32 cells and the share of their
+// slots that held a band cell, cells / (32 x steps): the intra-task
+// counterpart of the paper's "useful cells are roughly half of the
+// computed cells". Paper (8-bit inter-task lanes, sorted): 1,385e9 ->
+// 100e9 instructions (13.85x), IPC 3.14 -> 2.17.
 func Table7(w io.Writer, e *Env) error {
-	header(w, "Table 7: BSW instruction analysis (scalar vs 8-bit w/ sort)")
-	jobs, err := collectJobs8(e)
+	header(w, "Table 7: BSW vector-row occupancy (bsw.ExtendScalar, all D3 jobs)")
+	_, _, st, err := extendAll(e)
 	if err != nil {
 		return err
 	}
-	par := e.Opt.Opts.DefaultBSWParams()
-	scalarWall, scStats := timeScalar(&par, jobs)
-	_, st := timeBatch(&par, jobs, 8, true)
-
-	// Model: a scalar DP cell costs ~20 instructions (ksw_extend2's inner
-	// loop); a vector step costs ~25 instructions regardless of lane count.
-	scalarInstr := 20 * scStats.ScalarCells
-	vecInstr := 25 * st.VectorSteps
-	row(w, "scalar cells", "%d", scStats.ScalarCells)
-	row(w, "vector steps (8-bit, sorted)", "%d", st.VectorSteps)
-	row(w, "lane slots computed", "%d (useful %d = %.1f%%)",
-		st.TotalCells, st.UsefulCells,
-		100*ratio(float64(st.UsefulCells), float64(st.TotalCells)))
-	row(w, "modeled instructions scalar", "%d", scalarInstr)
-	row(w, "modeled instructions vector", "%d", vecInstr)
-	row(w, "instruction reduction", "x%.1f   (paper: x13.85)",
-		ratio(float64(scalarInstr), float64(vecInstr)))
-	row(w, "scalar wall", "%.1f ms", ms(scalarWall))
-	fmt.Fprintln(w, " paper shape: >10x fewer instructions; useful cells roughly half of")
-	fmt.Fprintln(w, " computed cells (the wasteful-lane overhead of inter-task SIMD).")
-	return nil
-}
-
-// Table8 regenerates the time breakdown of the optimized 8-bit BSW kernel.
-// Paper: pre-processing 33%, band adjustment I 9%, cell computations 43%,
-// band adjustment II 15%.
-func Table8(w io.Writer, e *Env) error {
-	header(w, "Table 8: 8-bit BSW (w/ sort) time breakdown")
-	jobs, err := collectJobs8(e)
-	if err != nil {
-		return err
+	row(w, "cells", "%d", st.ScalarCells)
+	if st.VectorCells == 0 {
+		row(w, "cells on the vector row", noVectorRow)
+	} else {
+		row(w, "cells on the vector row", "%d", st.VectorCells)
+		row(w, "vector steps (32 cells)", "%d", st.VectorSteps)
+		row(w, "useful slots", "%.1f%%   paper ~50%% (inter-task lanes)",
+			100*ratio(float64(st.VectorCells), float64(rowLanes*st.VectorSteps)))
 	}
-	par := e.Opt.Opts.DefaultBSWParams()
-	_, st := timeBatch(&par, jobs, 8, true)
-	total := st.PreprocessNS + st.SortNS + st.BandAdjINS + st.CellsNS + st.BandAdjIINS
-	pct := func(d time.Duration) float64 { return 100 * ratio(float64(d), float64(total)) }
-	row(w, "pre-processing (sort + AoS->SoA)", "measured %5.1f%%   paper 33%%", pct(st.PreprocessNS+st.SortNS))
-	row(w, "band adjustment I", "measured %5.1f%%   paper  9%%", pct(st.BandAdjINS))
-	row(w, "cell computations", "measured %5.1f%%   paper 43%%", pct(st.CellsNS))
-	row(w, "band adjustment II", "measured %5.1f%%   paper 15%%", pct(st.BandAdjIINS))
-	row(w, "useful cells / computed cells", "%5.1f%%   paper ~50%%",
-		100*ratio(float64(st.UsefulCells), float64(st.TotalCells)))
+	fmt.Fprintln(w, " paper (8-bit inter-task lanes, sorted): 1,385e9 -> 100e9 instructions")
+	fmt.Fprintf(w, " (x13.85), IPC 3.14 -> 2.17: %s.\n", notReproduced)
 	return nil
 }

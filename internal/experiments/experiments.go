@@ -1,14 +1,14 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§2.4 Table 1, §6.2 Tables 4-8, §6.3 Figures 4-5) on the
+// Package experiments regenerates the tables and figures of the paper's
+// evaluation (§2.4 Table 1, §6.2 Tables 4-7, §6.3 Figures 4-5) on the
 // synthetic workloads of internal/datasets, printing paper-reported values
 // next to the measured ones so the shape of each result can be compared
 // directly. Where the paper measures hardware that Go cannot drive, a model
 // stands in: Tracer, installed as an index's fmindex.Probe, counts the SMEM
 // and SAL kernels' operations and drives internal/memsim's simulated cache
 // hierarchy for the LLC-miss rows and the software-prefetch hints; the
-// serving kernels carry none of it. The batched BSW kernels run their
-// AVX-512 lanes as plain Go loops, counting one modeled vector instruction
-// per step.
+// serving kernels carry none of it. Tables 6-7 measure the shipped
+// extension kernel, bsw.ExtendScalar; the paper's inter-task BSW lanes and
+// Table 8's breakdown of them are not reproduced.
 package experiments
 
 import (

@@ -52,13 +52,10 @@ func TestAllExperimentsRun(t *testing.T) {
 		{"table5", func(b *bytes.Buffer) error { return Table5(b, e) }},
 		{"table6", func(b *bytes.Buffer) error { return Table6(b, e) }},
 		{"table7", func(b *bytes.Buffer) error { return Table7(b, e) }},
-		{"table8", func(b *bytes.Buffer) error { return Table8(b, e) }},
 		{"figure4", func(b *bytes.Buffer) error { return Figure4(b, e) }},
 		{"figure5", func(b *bytes.Buffer) error { return Figure5(b, e) }},
 		{"ablation-sa", func(b *bytes.Buffer) error { return AblationSACompression(b, e) }},
-		{"ablation-width", func(b *bytes.Buffer) error { return AblationBSWWidth(b, e) }},
 		{"ablation-batch", func(b *bytes.Buffer) error { return AblationBatchSize(b, e) }},
-		{"ablation-sort", func(b *bytes.Buffer) error { return AblationBSWSort(b, e) }},
 	} {
 		var buf bytes.Buffer
 		if err := exp.fn(&buf); err != nil {
@@ -158,25 +155,5 @@ func TestTable4ShapeHolds(t *testing.T) {
 	instrOpt := extract(t, secs[2], "modeled instructions")
 	if instrOpt >= instrOrig/1.5 {
 		t.Fatalf("optimized kernel should model substantially fewer instructions: %v vs %v", instrOrig, instrOpt)
-	}
-}
-
-// TestTable6SortBenefit asserts the sorting gain is visible in lane-slot
-// accounting at tiny scale.
-func TestTable6SortBenefit(t *testing.T) {
-	e := tinyEnv(t)
-	var buf bytes.Buffer
-	if err := AblationBSWSort(&buf, e); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	secs := strings.SplitAfter(out, "unsorted")
-	if len(secs) != 2 {
-		t.Fatalf("output:\n%s", out)
-	}
-	wasteUnsorted := extract(t, out[strings.Index(out, "unsorted"):], "waste")
-	wasteSorted := extract(t, out[strings.Index(out, " sorted"):], "waste")
-	if wasteSorted >= wasteUnsorted {
-		t.Fatalf("sorting should reduce waste: %.1f%% -> %.1f%%", wasteUnsorted, wasteSorted)
 	}
 }

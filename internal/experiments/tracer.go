@@ -41,13 +41,15 @@ type Tracer struct {
 	SALookups int64 // suffix-array lookups requested
 	LFSteps   int64 // LF-mapping walk steps (compressed SA only)
 
-	eta, basesPerWord int // the probed index's Geometry
+	eta, basesPerWord int // the modeled bucket geometry (Install)
 }
 
-// Install makes t the probe of x, costing positions with x's bucket
-// geometry. x.SetProbe(nil) removes it.
-func (t *Tracer) Install(x *fmindex.Index) {
-	t.eta, t.basesPerWord = x.Geometry()
+// Install makes t the probe of x, costing the positions x reports as a
+// table of eta positions per bucket and basesPerWord per in-bucket word:
+// x.Geometry() for x's own table, or a layout modeled over x's rank
+// positions (Table 4's η=32 configs). x.SetProbe(nil) removes it.
+func (t *Tracer) Install(x *fmindex.Index, eta, basesPerWord int) {
+	t.eta, t.basesPerWord = eta, basesPerWord
 	x.SetProbe(t)
 }
 

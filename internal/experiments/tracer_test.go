@@ -39,6 +39,12 @@ func buildIndex(t testing.TB, n int, seed int64, flavor fmindex.Flavor) (*fminde
 	return idx, full
 }
 
+// install makes tr the probe of x with x's own table geometry.
+func install(tr *Tracer, x *fmindex.Index) {
+	eta, basesPerWord := x.Geometry()
+	tr.Install(x, eta, basesPerWord)
+}
+
 func TestTracerWithoutModel(t *testing.T) {
 	tr := &Tracer{}
 	tr.Load(100, 8)  // no cache model: must not panic
@@ -107,7 +113,7 @@ func TestTracerCountsAndCache(t *testing.T) {
 	text := doubledText(randText(rng, 2000))
 	x, _, _ := fmindex.Build(text, fmindex.Optimized)
 	tr := &Tracer{Mem: memsim.New(memsim.Scaled()), EnablePrefetch: true}
-	tr.Install(x)
+	install(tr, x)
 	q := randText(rng, 50)
 	var buf fmindex.SMEMBuf
 	mems, _ := x.SMEM1(q, 0, 1, &buf, nil)
@@ -127,10 +133,10 @@ func TestTracerCountsAndCache(t *testing.T) {
 func TestOcc4PairSharedBucketTracesOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	text := doubledText(randText(rng, 800))
-	for _, flavor := range []fmindex.Flavor{fmindex.Optimized, fmindex.Eta32} {
-		x, _, _ := fmindex.Build(text, flavor)
+	x, _, _ := fmindex.Build(text, fmindex.Optimized)
+	for _, g := range []struct{ eta, basesPerWord int }{{128, 64}, {32, 8}} {
 		tr := &Tracer{}
-		tr.Install(x)
+		tr.Install(x, g.eta, g.basesPerWord)
 		// Rank bounds whose shifted positions share one bucket (η=32 or
 		// 128): pick two rows in the same bucket well away from the primary
 		// row, and extend the interval between them.
@@ -138,14 +144,15 @@ func TestOcc4PairSharedBucketTracesOnce(t *testing.T) {
 		var ok [4]fmindex.BiInterval
 		x.Extend(fmindex.BiInterval{K: base + 2, S: 19}, true, &ok) // bounds base+1, base+20
 		if tr.OccCalls != 1 || tr.Extends != 1 {
-			t.Fatalf("%v: shared-bucket pair should cost one visit, got %d", flavor, tr.OccCalls)
+			t.Fatalf("eta %d: shared-bucket pair should cost one visit, got %d", g.eta, tr.OccCalls)
 		}
 		tr.ResetCounters()
 		x.Extend(fmindex.BiInterval{K: base + 2, S: 199}, true, &ok) // bounds base+1, base+200
 		if tr.OccCalls != 2 {
-			t.Fatalf("%v: split pair should cost two visits, got %d", flavor, tr.OccCalls)
+			t.Fatalf("eta %d: split pair should cost two visits, got %d", g.eta, tr.OccCalls)
 		}
 	}
+	x.SetProbe(nil)
 }
 
 func TestBaselineNeverPrefetches(t *testing.T) {
@@ -153,7 +160,7 @@ func TestBaselineNeverPrefetches(t *testing.T) {
 	text := doubledText(randText(rng, 1000))
 	x, _, _ := fmindex.Build(text, fmindex.Baseline)
 	tr := &Tracer{Mem: memsim.New(memsim.Scaled()), EnablePrefetch: true}
-	tr.Install(x)
+	install(tr, x)
 	var buf fmindex.SMEMBuf
 	q := randText(rng, 40)
 	x.SMEM1(q, 0, 1, &buf, nil)
@@ -166,7 +173,7 @@ func TestLookupTracing(t *testing.T) {
 	idx, full := buildIndex(t, 500, 5, fmindex.Baseline)
 	tr := &Tracer{Mem: memsim.New(memsim.Scaled())}
 	c, _ := sal.New(full, 128, idx)
-	tr.Install(idx)
+	install(tr, idx)
 	rows := []int{1, 17, 333, 777}
 	for _, r := range rows {
 		tr.Lookup(c, r%len(full))
@@ -210,7 +217,7 @@ func TestInstructionGapEmerges(t *testing.T) {
 	work := func(intv int) float64 {
 		tr := &Tracer{}
 		c, _ := sal.New(full, intv, idx)
-		tr.Install(idx)
+		install(tr, idx)
 		defer idx.SetProbe(nil)
 		for _, r := range rows {
 			tr.Lookup(c, r)

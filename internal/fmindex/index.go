@@ -3,18 +3,17 @@
 // forward extension and SMEM search algorithms of BWA-MEM (paper §2.2-§2.3,
 // §4, Algorithms 1-4).
 //
-// Three occurrence-table layouts (occ.go) sit behind one Index type, so
+// Two occurrence-table layouts (occ.go) sit behind one Index type, so
 // every algorithm above this layer is shared and output is identical by
 // construction: the Baseline flavor is original BWA-MEM's η=128 2-bit
 // layout; the Optimized flavor — the one that ships, behind
 // core.ModeOptimized — is the bit-plane layout built around Go's wide
-// primitive, bits.OnesCount64; the experiments-only Eta32 flavor is the
-// paper's η=32 byte-per-base layout, kept as the subject of Table 4.
+// primitive, bits.OnesCount64.
 //
 // The paper's cost model (Table 4's bucket visits, words and prefetches)
 // lives in internal/experiments. The kernels only report the stored-BWT
 // positions they touch to an optional Probe, and Geometry gives the bucket
-// layout needed to cost them.
+// layout of the index's own table.
 package fmindex
 
 import (
@@ -35,18 +34,11 @@ const (
 	// Optimized is the serving design: the η=128 bit-plane table (OccBP),
 	// one cache line per bucket, with modeled software prefetching.
 	Optimized
-	// Eta32 is the paper's §4.4 table: η=32, byte-per-base BWT in one cache
-	// line per bucket, with modeled software prefetching. Only
-	// internal/experiments (Table 4) and this package's tests select it.
-	Eta32
 )
 
 func (f Flavor) String() string {
-	switch f {
-	case Optimized:
+	if f == Optimized {
 		return "optimized"
-	case Eta32:
-		return "eta32"
 	}
 	return "baseline"
 }
@@ -68,13 +60,12 @@ func (b BiInterval) String() string {
 }
 
 // Index is the FM-index: the BWT plus one occurrence table (exactly one of
-// occBP, occ128, occ32 is set).
+// occBP, occ128 is set).
 type Index struct {
 	B      *bwt.BWT
 	flavor Flavor
 	occBP  *OccBP
 	occ128 *Occ128
-	occ32  *Occ32
 	probe  Probe
 }
 
@@ -112,20 +103,16 @@ func New(b *bwt.BWT, flavor Flavor) *Index {
 // skips the linear rebuild over B0. The table is adopted only by the
 // Optimized flavor and only when it covers a text of length b.N; otherwise
 // the flavor's table is built from B0 exactly as New does. Only the
-// bit-plane table is persisted, so the other flavors always build theirs.
+// bit-plane table is persisted, so Baseline always builds its own.
 func NewFromParts(b *bwt.BWT, flavor Flavor, obp *OccBP) *Index {
 	x := &Index{B: b, flavor: flavor}
-	switch flavor {
-	case Optimized:
-		if obp != nil && obp.n == b.N {
-			x.occBP = obp
-		} else {
-			x.occBP = NewOccBP(b.B0)
-		}
-	case Eta32:
-		x.occ32 = NewOcc32(b.B0)
-	default:
+	switch {
+	case flavor != Optimized:
 		x.occ128 = NewOcc128(b.B0)
+	case obp != nil && obp.n == b.N:
+		x.occBP = obp
+	default:
+		x.occBP = NewOccBP(b.B0)
 	}
 	return x
 }
@@ -142,23 +129,17 @@ func (x *Index) MemFootprint() int {
 	if x.occBP != nil {
 		return x.occBP.MemFootprint()
 	}
-	if x.occ128 != nil {
-		return x.occ128.MemFootprint()
-	}
-	return x.occ32.MemFootprint()
+	return x.occ128.MemFootprint()
 }
 
 // Geometry returns the occurrence table's bucket size eta (stored position
 // k lies in bucket k/eta) and the bases per in-bucket word (a rank at k
 // scans (k mod eta)/basesPerWord + 1 words).
 func (x *Index) Geometry() (eta, basesPerWord int) {
-	switch {
-	case x.occBP != nil:
+	if x.occBP != nil {
 		return 128, 64
-	case x.occ128 != nil:
-		return 128, 32
 	}
-	return 32, 8
+	return 128, 32
 }
 
 // Occ returns occurrences of base c in B'[0..row]; row must be in [-1, N].
@@ -173,10 +154,7 @@ func (x *Index) Occ(c byte, row int) int {
 	if x.occBP != nil {
 		return x.occBP.Count(c, k)
 	}
-	if x.occ128 != nil {
-		return x.occ128.Count(c, k)
-	}
-	return x.occ32.Count(c, k)
+	return x.occ128.Count(c, k)
 }
 
 // SetIntv returns the bi-interval of the single base c (BWA's bwt_set_intv).
@@ -203,13 +181,10 @@ func (x *Index) Extend(ik BiInterval, isBack bool, ok *[4]BiInterval) {
 		x.probe.Extend(k, l)
 	}
 	var tk, tl [4]int
-	switch {
-	case x.occBP != nil:
+	if x.occBP != nil {
 		x.occBP.countPair(k, l, &tk, &tl)
-	case x.occ128 != nil:
+	} else {
 		tk, tl = x.occ128.Count4(k), x.occ128.Count4(l)
-	default:
-		tk, tl = x.occ32.Count4(k), x.occ32.Count4(l)
 	}
 	// Rows whose suffix is exactly the current match followed by the
 	// sentinel partition ahead of all base extensions; there is at most one

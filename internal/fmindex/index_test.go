@@ -97,7 +97,7 @@ func forwardSearch(x *Index, pat []byte) (BiInterval, bool) {
 
 func TestBackwardSearchCountsOccurrences(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, flavor := range []Flavor{Baseline, Optimized, Eta32} {
+	for _, flavor := range []Flavor{Baseline, Optimized} {
 		for trial := 0; trial < 30; trial++ {
 			text := doubledText(randText(rng, 50+rng.Intn(200)))
 			x, fullSA, err := Build(text, flavor)
@@ -175,7 +175,7 @@ func TestForwardEqualsBackward(t *testing.T) {
 func TestLFWalksTextBackwards(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	text := doubledText(randText(rng, 200))
-	for _, flavor := range []Flavor{Baseline, Optimized, Eta32} {
+	for _, flavor := range []Flavor{Baseline, Optimized} {
 		x, fullSA, err := Build(text, flavor)
 		if err != nil {
 			t.Fatal(err)
@@ -196,12 +196,10 @@ func TestFlavorsAgreeOnOcc(t *testing.T) {
 	text := doubledText(randText(rng, 500))
 	xb, _, _ := Build(text, Baseline)
 	xo, _, _ := Build(text, Optimized)
-	x32, _, _ := Build(text, Eta32)
 	for k := -1; k <= len(text); k++ {
 		for c := byte(0); c < 4; c++ {
-			ob, oo, o32 := xb.Occ(c, k), xo.Occ(c, k), x32.Occ(c, k)
-			if ob != oo || ob != o32 {
-				t.Fatalf("Occ(%d,%d): baseline %d optimized %d eta32 %d", c, k, ob, oo, o32)
+			if ob, oo := xb.Occ(c, k), xo.Occ(c, k); ob != oo {
+				t.Fatalf("Occ(%d,%d): baseline %d optimized %d", c, k, ob, oo)
 			}
 		}
 	}
@@ -298,7 +296,7 @@ func TestExtendMatchesBruteForce(t *testing.T) {
 				pats = append(pats, text[off:off+m])
 			}
 		}
-		for _, flavor := range []Flavor{Baseline, Optimized, Eta32} {
+		for _, flavor := range []Flavor{Baseline, Optimized} {
 			x, _, err := Build(text, flavor)
 			if err != nil {
 				t.Fatal(err)
@@ -345,7 +343,7 @@ func FuzzExtend(f *testing.F) {
 			off := int(rawPat[0]) % (len(text) - m + 1)
 			sub = text[off : off+m]
 		}
-		for _, flavor := range []Flavor{Baseline, Optimized, Eta32} {
+		for _, flavor := range []Flavor{Baseline, Optimized} {
 			x, _, err := Build(text, flavor)
 			if err != nil {
 				t.Fatal(err)
@@ -362,7 +360,7 @@ func FuzzExtend(f *testing.F) {
 func TestOcc4PairMatchesSeparate(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	text := doubledText(randText(rng, 800))
-	for _, flavor := range []Flavor{Baseline, Optimized, Eta32} {
+	for _, flavor := range []Flavor{Baseline, Optimized} {
 		x, _, _ := Build(text, flavor)
 		n := len(text)
 		var ok [4]BiInterval

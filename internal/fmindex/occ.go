@@ -1,4 +1,4 @@
-// Occurrence (rank) tables over the stored BWT column B0. Three layouts are
+// Occurrence (rank) tables over the stored BWT column B0. Two layouts are
 // implemented, each one 64-byte cache line per bucket:
 //
 //   - OccBP — the bit-plane layout, which ships behind the Optimized flavor
@@ -18,13 +18,9 @@
 //     four 32-base words with 2-bit SWAR matching — "a large number of
 //     instructions" (§4.4).
 //
-//   - Occ32 — the paper's optimized layout (§4.4), the subject of Table 4
-//     only (the experiments-only Eta32 flavor; never persisted or served):
-//     bucket size η = 32 with one byte per base so the in-bucket count
-//     vectorizes to a byte-compare mask plus popcount (AVX2 in the paper;
-//     8-byte SWAR words here, which makes it the slower table in Go). A
-//     bucket is four 4-byte counts (16 B), 32 base bytes, and 16 B of
-//     padding for cache-line alignment.
+// The paper's own §4.4 table (η = 32, one byte per base, counted with AVX2)
+// is not built: Table 4 costs it from its bucket geometry alone
+// (internal/experiments).
 //
 // All tables answer rank queries over B0 (the sentinel-free stored BWT);
 // the Index layer shifts full-column row numbers around the primary row.
@@ -241,124 +237,3 @@ func (o *Occ128) Count4(k int) (cnt [4]int) {
 
 // MemFootprint returns the table size in bytes.
 func (o *Occ128) MemFootprint() int { return len(o.blocks) * occEntryBytes }
-
-// ---------------------------------------------------------------------------
-// Occ32: the paper's optimized layout (Table 4's subject, experiments only).
-
-type occ32Entry struct {
-	counts [4]uint32 // occurrences of each base strictly before this bucket
-	bases  [4]uint64 // 32 bases, one byte each, base i at byte i%8 of word i/8
-	pad    [2]uint64 // padding to a full 64-byte cache line (§4.4)
-}
-
-// Occ32 is the paper's optimized occurrence table (η = 32, byte-per-base).
-type Occ32 struct {
-	entries []occ32Entry
-	n       int
-}
-
-// NewOcc32 builds the optimized table over the stored BWT column. It errors
-// via panic if the text exceeds the 4-byte count range (the same limit the
-// paper's 16-byte count area implies).
-func NewOcc32(b0 []byte) *Occ32 {
-	n := len(b0)
-	if uint64(n) > 1<<32-1 {
-		panic("fmindex: text too long for 32-bit occurrence counts")
-	}
-	ne := (n + 31) / 32
-	if ne == 0 {
-		ne = 1
-	}
-	o := &Occ32{entries: make([]occ32Entry, ne), n: n}
-	var run [4]uint32
-	for i, c := range b0 {
-		ent := i >> 5
-		if i&31 == 0 {
-			o.entries[ent].counts = run
-		}
-		w := (i & 31) >> 3
-		sh := uint(i&7) << 3
-		o.entries[ent].bases[w] |= uint64(c) << sh
-		run[c]++
-	}
-	if n == 0 {
-		o.entries[0].counts = run
-	}
-	// The pad field exists only to give each entry cache-line size; keep the
-	// compiler from flagging it as dead.
-	_ = o.entries[0].pad
-	return o
-}
-
-const (
-	ones  = 0x0101010101010101
-	highs = 0x8080808080808080
-	lows  = 0x7f7f7f7f7f7f7f7f
-)
-
-// countByteEq counts bytes equal to c among the first m bytes of w (bytes
-// taken little-endian). The zero-byte detection is the carry-free SWAR form,
-// exact per byte — this is the scalar stand-in for the paper's AVX2
-// byte-compare + popcount.
-func countByteEq(w uint64, c byte, m int) int {
-	if m == 0 {
-		return 0
-	}
-	x := w ^ (ones * uint64(c))
-	t := (x & lows) + lows
-	mask := ^(t | x | lows) // 0x80 exactly at zero bytes
-	if m < 8 {
-		mask &= (1 << (uint(m) * 8)) - 1
-	}
-	return bits.OnesCount64(mask)
-}
-
-// Count returns occurrences of c in B0[0..k]; k must be in [-1, n-1].
-//
-//bwalint:hot
-func (o *Occ32) Count(c byte, k int) int {
-	if k < 0 {
-		return 0
-	}
-	ent := &o.entries[k>>5]
-	cnt := int(ent.counts[c])
-	m := k&31 + 1
-	for w := 0; m > 0; w++ {
-		step := m
-		if step > 8 {
-			step = 8
-		}
-		cnt += countByteEq(ent.bases[w], c, step)
-		m -= step
-	}
-	return cnt
-}
-
-// Count4 returns occurrences of all four bases in B0[0..k].
-//
-//bwalint:hot
-func (o *Occ32) Count4(k int) (cnt [4]int) {
-	if k < 0 {
-		return
-	}
-	ent := &o.entries[k>>5]
-	for c := 0; c < 4; c++ {
-		cnt[c] = int(ent.counts[c])
-	}
-	m := k&31 + 1
-	for w := 0; m > 0; w++ {
-		step := m
-		if step > 8 {
-			step = 8
-		}
-		d := ent.bases[w]
-		for c := byte(0); c < 4; c++ {
-			cnt[c] += countByteEq(d, c, step)
-		}
-		m -= step
-	}
-	return
-}
-
-// MemFootprint returns the table size in bytes.
-func (o *Occ32) MemFootprint() int { return len(o.entries) * occEntryBytes }

@@ -20,7 +20,6 @@ var occLayouts = []struct {
 	build func([]byte) occSource
 }{
 	{"Occ128", func(b0 []byte) occSource { return NewOcc128(b0) }},
-	{"Occ32", func(b0 []byte) occSource { return NewOcc32(b0) }},
 	{"OccBP", func(b0 []byte) occSource { return NewOccBP(b0) }},
 }
 
@@ -51,8 +50,8 @@ func checkMatchesNaive(t *testing.T, layout string, b0 []byte) {
 }
 
 // testMatchesNaive runs one layout ("" = all) over random columns whose
-// lengths straddle every bucket and word boundary of the three layouts
-// (8/32 bases for Occ32, 32/128 for Occ128, 64/128 for OccBP).
+// lengths straddle every bucket and word boundary of the layouts (32/128
+// bases for Occ128, 64/128 for OccBP).
 func testMatchesNaive(t *testing.T, layout string, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 4097} {
@@ -61,7 +60,6 @@ func testMatchesNaive(t *testing.T, layout string, seed int64) {
 }
 
 func TestOcc128MatchesNaive(t *testing.T) { testMatchesNaive(t, "Occ128", 11) }
-func TestOcc32MatchesNaive(t *testing.T)  { testMatchesNaive(t, "Occ32", 12) }
 func TestOccBPMatchesNaive(t *testing.T)  { testMatchesNaive(t, "OccBP", 13) }
 
 // TestOccMatchesNaiveSkewed repeats the differential check on columns of a
@@ -96,41 +94,26 @@ func FuzzOccCount4(f *testing.F) {
 
 func TestOccLayoutGeometry(t *testing.T) {
 	b0 := randB0(rand.New(rand.NewSource(1)), 1000)
-	o128, o32, obp := NewOcc128(b0), NewOcc32(b0), NewOccBP(b0)
-	x128, x32, xbp := &Index{occ128: o128}, &Index{occ32: o32}, &Index{occBP: obp}
+	o128, obp := NewOcc128(b0), NewOccBP(b0)
+	x128, xbp := &Index{occ128: o128}, &Index{occBP: obp}
 	eta128, bpw128 := x128.Geometry()
-	eta32, bpw32 := x32.Geometry()
 	etaBP, bpwBP := xbp.Geometry()
-	if eta128 != 128 || eta32 != 32 || etaBP != 128 {
+	if eta128 != 128 || etaBP != 128 {
 		t.Fatal("eta")
 	}
-	// 1000 bases: ceil(1000/128)=8 blocks or lines, ceil(1000/32)=32
-	// entries; 64 B each.
+	// 1000 bases: ceil(1000/128)=8 blocks or lines, 64 B each; the
+	// bit-plane table keeps Occ128's 0.5 B/base.
 	if o128.MemFootprint() != 8*64 {
 		t.Errorf("Occ128 footprint = %d", o128.MemFootprint())
-	}
-	if o32.MemFootprint() != 32*64 {
-		t.Errorf("Occ32 footprint = %d", o32.MemFootprint())
-	}
-	// The paper's table trades 4x memory for fewer scanned bases — the §4.4
-	// trade-off; the bit-plane table keeps Occ128's 0.5 B/base.
-	if o32.MemFootprint() != 4*o128.MemFootprint() {
-		t.Errorf("footprint ratio: %d vs %d", o32.MemFootprint(), o128.MemFootprint())
 	}
 	if obp.MemFootprint() != o128.MemFootprint() {
 		t.Errorf("OccBP footprint = %d, want Occ128's %d", obp.MemFootprint(), o128.MemFootprint())
 	}
-	if 129/eta32 != 4 {
-		t.Error("entry index")
-	}
 	// Words scanned for a mid-bucket query: Occ128 touches 32-base words,
-	// Occ32 8-base words, OccBP at most two 64-base words.
+	// OccBP at most two 64-base words.
 	words := func(k, eta, bpw int) int { return k%eta/bpw + 1 }
 	if words(64, eta128, bpw128) != 3 || bpw128 != 32 {
 		t.Errorf("Occ128 words for k=64: %d", words(64, eta128, bpw128))
-	}
-	if words(64, eta32, bpw32) != 1 || bpw32 != 8 {
-		t.Errorf("Occ32 words for k=64: %d", words(64, eta32, bpw32))
 	}
 	if words(63, etaBP, bpwBP) != 1 || words(64, etaBP, bpwBP) != 2 || words(127, etaBP, bpwBP) != 2 || bpwBP != 64 {
 		t.Errorf("OccBP words for k=63/64/127: %d/%d/%d",
@@ -157,33 +140,6 @@ func TestCount2bitEdge(t *testing.T) {
 	}
 }
 
-func TestCountByteEqEdge(t *testing.T) {
-	// Bytes 0..7 in one word.
-	var w uint64
-	for i := 0; i < 8; i++ {
-		w |= uint64(i&3) << (8 * i) // pattern 0,1,2,3,0,1,2,3
-	}
-	for c := byte(0); c < 4; c++ {
-		for m := 0; m <= 8; m++ {
-			want := 0
-			for i := 0; i < m; i++ {
-				if byte(i&3) == c {
-					want++
-				}
-			}
-			if got := countByteEq(w, c, m); got != want {
-				t.Fatalf("countByteEq(c=%d,m=%d) = %d, want %d", c, m, got, want)
-			}
-		}
-	}
-	// The carry-free form must not produce the classic haszero false
-	// positive: adjacent 0x00 then 0x01 bytes.
-	w = 0x0100 // byte0=0x00, byte1=0x01
-	if got := countByteEq(w, 0, 8); got != 7 {
-		t.Fatalf("countByteEq(0x0100, 0) = %d, want 7 (bytes 0,2..7 are zero)", got)
-	}
-}
-
 // benchColumn returns a 1 Mbp column and 4096 random positions in it. The
 // benchmarks below call Count4 directly (not through occSource) so each
 // table's inlining is what is measured.
@@ -200,15 +156,6 @@ func benchColumn() ([]byte, []int) {
 func BenchmarkOcc128Count4(b *testing.B) {
 	b0, ks := benchColumn()
 	o := NewOcc128(b0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.Count4(ks[i&4095])
-	}
-}
-
-func BenchmarkOcc32Count4(b *testing.B) {
-	b0, ks := benchColumn()
-	o := NewOcc32(b0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.Count4(ks[i&4095])

@@ -1,12 +1,12 @@
 // Raw (on-disk) form of the served occurrence table. A .bwago index
 // persists the OccBP layout so loading an index skips the linear rebuild
 // over the BWT column: the table is stored as its lines in memory order, 64
-// bytes per line, every field little-endian. Occ128 and Occ32 are built from
-// the BWT column by the experiments and tests that use them and have no raw
-// form. On little-endian hosts the raw layout is exactly the in-memory one,
-// so Raw is a zero-copy view and OccBPFromRaw aliases the section (straight
-// out of an mmap'd file) instead of decoding it; big-endian hosts fall back
-// to an explicit field-by-field codec.
+// bytes per line, every field little-endian. Occ128 is built from the BWT
+// column by the baseline engine and has no raw form. On little-endian hosts
+// the raw layout is exactly the in-memory one, so Raw is a zero-copy view
+// and OccBPFromRaw aliases the section (straight out of an mmap'd file)
+// instead of decoding it; big-endian hosts fall back to an explicit
+// field-by-field codec.
 package fmindex
 
 import (
@@ -21,7 +21,6 @@ import (
 var (
 	_ = [1]struct{}{}[unsafe.Sizeof(occ128Block{})-occEntryBytes]
 	_ = [1]struct{}{}[unsafe.Sizeof(occBPLine{})-occEntryBytes]
-	_ = [1]struct{}{}[unsafe.Sizeof(occ32Entry{})-occEntryBytes]
 )
 
 // HostLittleEndian reports whether the host stores integers little-endian,

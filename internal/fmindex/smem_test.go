@@ -45,7 +45,7 @@ func TestSMEM1MatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
 		text := doubledText(randText(rng, 30+rng.Intn(150)))
-		for _, flavor := range []Flavor{Baseline, Optimized, Eta32} {
+		for _, flavor := range []Flavor{Baseline, Optimized} {
 			x, _, err := Build(text, flavor)
 			if err != nil {
 				t.Fatal(err)
@@ -137,7 +137,7 @@ func TestCollectIntervalsInvariants(t *testing.T) {
 	fwd := randText(rng, 2000)
 	text := doubledText(fwd)
 	opt := DefaultSeedOpts()
-	for _, flavor := range []Flavor{Baseline, Optimized, Eta32} {
+	for _, flavor := range []Flavor{Baseline, Optimized} {
 		x, _, _ := Build(text, flavor)
 		var buf SMEMBuf
 		for rep := 0; rep < 20; rep++ {
@@ -181,9 +181,8 @@ func TestCollectIntervalsFlavorsIdentical(t *testing.T) {
 	text := doubledText(fwd)
 	xb, _, _ := Build(text, Baseline)
 	xo, _, _ := Build(text, Optimized)
-	x32, _, _ := Build(text, Eta32)
 	opt := DefaultSeedOpts()
-	var bb, bo, b32 SMEMBuf
+	var bb, bo SMEMBuf
 	for rep := 0; rep < 50; rep++ {
 		pos := rng.Intn(len(fwd) - 160)
 		q := append([]byte(nil), fwd[pos:pos+151]...)
@@ -192,9 +191,8 @@ func TestCollectIntervalsFlavorsIdentical(t *testing.T) {
 		}
 		sb := xb.CollectIntervals(q, opt, &bb, nil)
 		so := xo.CollectIntervals(q, opt, &bo, nil)
-		s32 := x32.CollectIntervals(q, opt, &b32, nil)
-		if !reflect.DeepEqual(sb, so) || !reflect.DeepEqual(sb, s32) {
-			t.Fatalf("rep %d: flavors disagree:\nbaseline  %v\noptimized %v\neta32     %v", rep, sb, so, s32)
+		if !reflect.DeepEqual(sb, so) {
+			t.Fatalf("rep %d: flavors disagree:\nbaseline  %v\noptimized %v", rep, sb, so)
 		}
 	}
 }
