@@ -26,6 +26,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -58,9 +59,7 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	gw.SetLogf(func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "[bwagate] "+format+"\n", args...)
-	})
+	gw.SetLogger(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 
 	httpSrv := &http.Server{Addr: *addr, Handler: gw}
 	errCh := make(chan error, 1)

@@ -8,6 +8,8 @@ package bsw
 // and prunes, exactly, every cell no alignment reaching the floor can pass
 // through (see Global).
 
+import "strconv"
+
 // CIGAR operation codes, matching BAM conventions.
 const (
 	CigarMatch = 0 // M
@@ -59,24 +61,10 @@ func (c Cigar) AppendTo(buf []byte) []byte {
 	}
 	const ops = "MIDNSHP=X"
 	for _, e := range c {
-		buf = appendUint(buf, e>>4)
+		buf = strconv.AppendUint(buf, uint64(e>>4), 10)
 		buf = append(buf, ops[e&0xf])
 	}
 	return buf
-}
-
-func appendUint(b []byte, v uint32) []byte {
-	if v == 0 {
-		return append(b, '0')
-	}
-	var tmp [10]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, tmp[i:]...)
 }
 
 const minusInf = int32(-(1 << 29))

@@ -9,6 +9,7 @@ package core
 import (
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/seq"
 )
@@ -206,17 +207,8 @@ func (a *Aligner) AppendSAMPair(buf []byte, ps *PairStats,
 	rd1, rd2 *seq.Read, q1, q2 []byte, regs1, regs2 []Region) []byte {
 
 	sel, paired := a.PairRegions(ps, regs1, regs2)
-	if paired {
-		scoreUn := -PenUnpaired
-		if len(regs1) > 0 {
-			scoreUn += regs1[0].Score
-		}
-		if len(regs2) > 0 {
-			scoreUn += regs2[0].Score
-		}
-		if sel.Score <= scoreUn {
-			paired = false
-		}
+	if paired && sel.Score <= scoreUnOf(regs1, regs2) {
+		paired = false
 	}
 
 	var aln1, aln2 Alignment
@@ -302,7 +294,7 @@ func appendMateFields(buf []byte, a *Aligner, aln, mate *Alignment) []byte {
 		buf = append(buf, a.Ref.Contigs[mate.Rid].Name...)
 	}
 	buf = append(buf, '\t')
-	buf = appendInt(buf, mate.Pos+1)
+	buf = strconv.AppendInt(buf, int64(mate.Pos+1), 10)
 	buf = append(buf, '\t')
 	tlen := 0
 	if aln.Rid == mate.Rid && aln.Rid >= 0 {
@@ -319,23 +311,5 @@ func appendMateFields(buf []byte, a *Aligner, aln, mate *Alignment) []byte {
 			tlen = -tlen
 		}
 	}
-	return appendInt(buf, tlen)
-}
-
-func appendInt(buf []byte, v int) []byte {
-	if v < 0 {
-		buf = append(buf, '-')
-		v = -v
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(buf, tmp[i:]...)
+	return strconv.AppendInt(buf, int64(tlen), 10)
 }

@@ -28,6 +28,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -158,7 +159,7 @@ type Gateway struct {
 	draining    atomic.Bool
 	probeCancel context.CancelFunc
 	probeDone   chan struct{}
-	logFn       atomic.Pointer[func(string, ...any)]
+	logger      atomic.Pointer[slog.Logger] // control-plane events; nil = off
 
 	// in-flight request accounting for graceful drain, the admission
 	// idle-channel pattern: idle is lazily created by a waiting Shutdown
@@ -234,20 +235,23 @@ func New(cfg Config) (*Gateway, error) {
 // call this first so they measure the gateway's resting footprint.
 func (g *Gateway) CloseIdleConnections() { g.upstream.CloseIdleConnections() }
 
-// SetLogf installs a control-plane logger (replica state transitions,
-// retries). nil disables logging, the default. Safe to call concurrently.
-func (g *Gateway) SetLogf(logf func(format string, args ...any)) {
-	if logf == nil {
-		g.logFn.Store(nil)
+// SetLogger installs the control-plane logger (replica state transitions,
+// retries, failed requests). nil disables logging, the default. Safe to
+// call concurrently.
+func (g *Gateway) SetLogger(l *slog.Logger) { g.logger.Store(l) }
+
+// logEvent emits one control-plane event when a logger is installed. An
+// event raised on a request's behalf carries its request_id, the key the
+// replica's access log uses for the same request.
+func (g *Gateway) logEvent(ctx context.Context, level slog.Level, msg string, attrs ...slog.Attr) {
+	l := g.logger.Load()
+	if l == nil {
 		return
 	}
-	g.logFn.Store(&logf)
-}
-
-func (g *Gateway) logf(format string, args ...any) {
-	if f := g.logFn.Load(); f != nil {
-		(*f)(format, args...)
+	if id := server.RequestID(ctx); id != "" {
+		attrs = append(attrs, slog.String("request_id", id))
 	}
+	l.LogAttrs(ctx, level, msg, attrs...)
 }
 
 // Handler returns the gateway's HTTP handler.

@@ -2,8 +2,10 @@ package gateway
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -639,6 +641,48 @@ func TestGatewayNoUpstream(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(rb), "unavailable") {
 		t.Fatalf("readyz %d %s, want 503 unavailable", resp.StatusCode, rb)
+	}
+}
+
+// TestGatewayLogsReplicaDown: a replica that drops the connection before
+// its first byte yields exactly one JSON "replica down" event, naming the
+// replica and the passive detector and carrying the request's ID.
+func TestGatewayLogsReplicaDown(t *testing.T) {
+	fixture(t)
+	checkLeaks(t)
+	cut := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err == nil {
+			conn.Close()
+		}
+	}))
+	defer cut.Close()
+	// A long probe interval keeps the prober silent: only the passive
+	// detector may log.
+	g, gw, _ := newFleet(t, 0, Config{ProbeInterval: time.Hour}, cut.URL)
+	var buf testutil.SyncBuffer
+	g.SetLogger(slog.New(slog.NewJSONHandler(&buf, nil)))
+
+	if code, _, body := doPost(t, gw.URL, "/v1/align?header=0", "application/x-fastq", fastqBytes(fx.reads[:4])); code != http.StatusBadGateway {
+		t.Fatalf("status %d, want 502: %s", code, body)
+	}
+	var down []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("log line is not JSON: %v: %s", err, line)
+		}
+		if ev["msg"] == "replica down" {
+			down = append(down, ev)
+		}
+	}
+	if len(down) != 1 {
+		t.Fatalf("got %d replica down events, want 1:\n%s", len(down), buf.String())
+	}
+	ev := down[0]
+	if msg, _ := ev["err"].(string); msg == "" || ev["replica"] != cut.URL || ev["cause"] != "passive" ||
+		ev["level"] != "WARN" || ev["request_id"] != "gwtest-0001" {
+		t.Fatalf("bad replica down event %v", ev)
 	}
 }
 

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"log/slog"
 	"sync/atomic"
 	"time"
 
@@ -61,18 +62,20 @@ func (r *replica) State() int32 { return r.state.Load() }
 // truncated body). The replica is taken out of rotation immediately —
 // waiting for the next probe tick would route more requests into a dead
 // node — and only a successful probe re-adds it.
-func (g *Gateway) reportFailure(r *replica, err error) {
+func (g *Gateway) reportFailure(ctx context.Context, r *replica, err error) {
 	r.passiveFails.Add(1)
 	if r.state.Swap(stateDown) != stateDown {
-		g.logf("gateway: replica %s down (passive: %v)", r.url, err)
+		g.logEvent(ctx, slog.LevelWarn, "replica down", slog.String("replica", r.url),
+			slog.String("cause", "passive"), slog.String("err", err.Error()))
 	}
 }
 
 // reportDraining marks a replica that answered an align call with the
 // draining envelope: it is alive but refusing new work.
-func (g *Gateway) reportDraining(r *replica) {
+func (g *Gateway) reportDraining(ctx context.Context, r *replica) {
 	if r.state.CompareAndSwap(stateUp, stateDraining) {
-		g.logf("gateway: replica %s draining (passive)", r.url)
+		g.logEvent(ctx, slog.LevelInfo, "replica draining", slog.String("replica", r.url),
+			slog.String("cause", "passive"))
 	}
 }
 
@@ -110,18 +113,21 @@ func (g *Gateway) probeOne(ctx context.Context, r *replica) {
 		r.probeFails.Add(1)
 		if int(r.failStreak.Add(1)) >= g.cfg.FailAfter {
 			if r.state.Swap(stateDown) != stateDown {
-				g.logf("gateway: replica %s down (probe: %v)", r.url, err)
+				g.logEvent(ctx, slog.LevelWarn, "replica down", slog.String("replica", r.url),
+					slog.String("cause", "probe"), slog.String("err", err.Error()))
 			}
 		}
 	case rd.Status == "ready":
 		r.failStreak.Store(0)
 		if r.state.Swap(stateUp) != stateUp {
-			g.logf("gateway: replica %s up", r.url)
+			g.logEvent(ctx, slog.LevelInfo, "replica up", slog.String("replica", r.url),
+				slog.String("cause", "probe"))
 		}
 	default: // "draining"
 		r.failStreak.Store(0)
 		if r.state.Swap(stateDraining) != stateDraining {
-			g.logf("gateway: replica %s draining", r.url)
+			g.logEvent(ctx, slog.LevelInfo, "replica draining", slog.String("replica", r.url),
+				slog.String("cause", "probe"))
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sync"
 	"time"
@@ -232,8 +233,9 @@ func (g *Gateway) run(ctx context.Context, p *partition, m *ordered.Writer, want
 			return err
 		}
 		g.met.retries.Add(1)
-		g.logf("gateway: retrying partition (%d/%d record groups undelivered) on %s: %v",
-			len(p.indices)-delivered, len(p.indices), next.url, err)
+		g.logEvent(ctx, slog.LevelWarn, "partition retry", slog.String("replica", next.url),
+			slog.Int("undelivered", len(p.indices)-delivered), slog.Int("groups", len(p.indices)),
+			slog.String("err", err.Error()))
 		node = next
 	}
 }
@@ -261,12 +263,12 @@ func (g *Gateway) noteUpstreamError(ctx context.Context, node *replica, err erro
 	var apiErr *bwaclient.APIError
 	if errors.As(err, &apiErr) {
 		if apiErr.Code == bwaclient.CodeDraining {
-			g.reportDraining(node)
+			g.reportDraining(ctx, node)
 			return true
 		}
 		return false
 	}
-	g.reportFailure(node, err)
+	g.reportFailure(ctx, node, err)
 	return true
 }
 
@@ -356,7 +358,7 @@ func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, span *obs.Span
 		return
 	}
 	if ferr != nil && !m.Started() {
-		g.logf("gateway: request %s failed before first byte: %v", server.RequestID(r.Context()), ferr)
+		g.logEvent(r.Context(), slog.LevelWarn, "request failed before first byte", slog.String("err", ferr.Error()))
 		var apiErr *bwaclient.APIError
 		if errors.As(ferr, &apiErr) {
 			if apiErr.Code == bwaclient.CodeOverloaded {

@@ -1,100 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-func TestLoggerJSON(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, FormatJSON, LevelInfo)
-	l.now = func() time.Time { return time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC) }
-
-	l.Debug("dropped", "k", "v") // below min level
-	l.Info("request", "request_id", "abc123", "route", "/v1/align", "status", 200,
-		"duration_seconds", 0.25, "reads", 40)
-
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("got %d lines, want 1: %q", len(lines), b.String())
-	}
-	var ev map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatalf("line is not JSON: %v\n%s", err, lines[0])
-	}
-	for k, want := range map[string]any{
-		"ts": "2026-08-08T12:00:00Z", "level": "info", "msg": "request",
-		"request_id": "abc123", "route": "/v1/align",
-		"status": float64(200), "duration_seconds": 0.25, "reads": float64(40),
-	} {
-		if ev[k] != want {
-			t.Errorf("field %q = %v, want %v", k, ev[k], want)
-		}
-	}
-	// Fixed prefix order so log shippers can key on it without full parse.
-	if !strings.HasPrefix(lines[0], `{"ts":"2026-08-08T12:00:00Z","level":"info","msg":"request",`) {
-		t.Errorf("JSON line prefix out of order: %s", lines[0])
-	}
-}
-
-func TestLoggerText(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, FormatText, LevelDebug)
-	l.now = func() time.Time { return time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC) }
-	l.Warn("slow request", "route", "/v1/align", "note", "has spaces")
-	got := strings.TrimSpace(b.String())
-	want := `2026-08-08T12:00:00Z WARN slow request route=/v1/align note="has spaces"`
-	if got != want {
-		t.Errorf("text line\n got: %s\nwant: %s", got, want)
-	}
-}
-
-func TestLoggerUnmarshalableValue(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, FormatJSON, LevelInfo)
-	l.Info("event", "ch", make(chan int)) // json.Marshal fails on channels
-	var ev map[string]any
-	if err := json.Unmarshal([]byte(strings.TrimSpace(b.String())), &ev); err != nil {
-		t.Fatalf("fallback line not JSON: %v\n%s", err, b.String())
-	}
-	if _, ok := ev["ch"].(string); !ok {
-		t.Errorf("unmarshalable value should degrade to a string, got %T", ev["ch"])
-	}
-}
-
-func TestLoggerNilAndConcurrency(t *testing.T) {
-	var nilL *Logger
-	nilL.Info("ignored", "k", "v") // must not panic
-	if nilL.Enabled(LevelError) {
-		t.Error("nil logger reports enabled")
-	}
-
-	var b strings.Builder
-	l := NewLogger(&b, FormatJSON, LevelInfo)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				l.Info("e", "g", g, "i", i)
-			}
-		}(g)
-	}
-	wg.Wait()
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 8*200 {
-		t.Fatalf("got %d lines, want %d", len(lines), 8*200)
-	}
-	for _, line := range lines {
-		if !json.Valid([]byte(line)) {
-			t.Fatalf("interleaved line: %s", line)
-		}
-	}
-}
 
 func TestSpanRecording(t *testing.T) {
 	start := time.Now().Add(-50 * time.Millisecond)

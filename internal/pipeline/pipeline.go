@@ -13,12 +13,12 @@
 //
 // Run, RunPaired, and their streaming variants are safe to call
 // concurrently with distinct ephemeral configurations; each call owns its
-// inputs until it returns. A shared Scheduler is the long-lived form: Each,
+// inputs until it returns. A shared Scheduler is the long-lived form:
 // EachCtx, Go and Clock may be called from any goroutine, and tasks from
 // concurrent submitters interleave at task granularity on the fixed worker
 // pool. Two rules bind task functions: they run on worker goroutines with
 // that worker's private core.Workspace (never share a workspace across
-// tasks), and they must not call Each or Go themselves — a worker blocking
+// tasks), and they must not call EachCtx or Go themselves — a worker blocking
 // on the bounded task queue it is supposed to drain can deadlock the pool.
 // Close must not race with new submissions; the RunStreamOn and
 // RunPairedStreamOn emit callbacks run on worker goroutines and must not

@@ -82,7 +82,7 @@ func (s *Scheduler) worker() {
 			t.run(ws)
 		}
 		// Publish stage time before signalling completion so a caller that
-		// returns from Each observes its own work in Clock(). The
+		// returns from EachCtx observes its own work in Clock(). The
 		// observer sees the same per-task deltas, and must run before
 		// AddDelta copies clock over flushed.
 		if ob := s.stageOb.Load(); ob != nil {
@@ -131,31 +131,15 @@ func (s *Scheduler) SetQueueWaitObserver(ob QueueWaitObserver) {
 	s.waitOb.Store(&ob)
 }
 
-// Each runs fn(ws, i) for every i in [0,n), distributed dynamically across
-// the worker pool, and blocks until all n calls complete. Multiple Each
-// calls may be in flight concurrently; their tasks interleave. fn must not
-// itself call Each or Go (workers executing tasks would deadlock on a full
-// queue).
-func (s *Scheduler) Each(n int, fn func(ws *core.Workspace, i int)) {
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		s.tasks <- task{run: func(ws *core.Workspace) { fn(ws, i) }, done: &wg, enq: time.Now()}
-	}
-	wg.Wait()
-}
-
-// EachCtx is Each with cancellation: once ctx is done, queued tasks not
-// yet picked up by a worker are skipped (fn never runs for them) and no
-// further tasks are submitted. It blocks until every submitted task has
-// either run or been skipped, then returns ctx.Err() — nil when all n
-// calls completed.
+// EachCtx runs fn(ws, i) for every i in [0,n), distributed dynamically
+// across the worker pool. Multiple EachCtx calls may be in flight
+// concurrently; their tasks interleave. fn must not itself call EachCtx or
+// Go (workers executing tasks would deadlock on a full queue). Once ctx is
+// done, queued tasks not yet picked up by a worker are skipped (fn never
+// runs for them) and no further tasks are submitted. It blocks until every
+// submitted task has either run or been skipped, then returns ctx.Err() —
+// nil when all n calls completed.
 func (s *Scheduler) EachCtx(ctx context.Context, n int, fn func(ws *core.Workspace, i int)) error {
-	if ctx.Done() == nil {
-		s.Each(n, fn) // uncancellable context: no per-send select needed
-		return nil
-	}
 	var wg sync.WaitGroup
 	wg.Add(n)
 	queued := 0
@@ -184,8 +168,8 @@ func (s *Scheduler) Go(fn func(ws *core.Workspace)) {
 	s.tasks <- task{run: fn, enq: time.Now()}
 }
 
-// Close waits for queued tasks to finish and stops the workers. No Each or
-// Go may be started after (or concurrently with) Close.
+// Close waits for queued tasks to finish and stops the workers. No EachCtx
+// or Go may be started after (or concurrently with) Close.
 func (s *Scheduler) Close() {
 	close(s.tasks)
 	s.workers.Wait()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"time"
 
@@ -213,9 +214,9 @@ func (s *Server) finishStream(w http.ResponseWriter, r *http.Request, st *ordere
 	s.met.requestsCancelled.Add(1)
 	s.met.readsDropped.Add(dropped)
 	if l := s.logger.Load(); l != nil {
-		l.Warn("request cancelled",
-			"request_id", RequestID(r.Context()), "error", err.Error(),
-			"reads_dropped", dropped, "bytes_streamed", st.Written())
+		l.LogAttrs(r.Context(), slog.LevelWarn, "request cancelled",
+			slog.String("request_id", RequestID(r.Context())), slog.String("error", err.Error()),
+			slog.Int64("reads_dropped", dropped), slog.Int64("bytes_streamed", st.Written()))
 	}
 	if !st.Started() {
 		if errors.Is(err, context.DeadlineExceeded) {

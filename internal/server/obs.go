@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"time"
 
@@ -171,7 +172,7 @@ func (s *Server) observe(route string, next http.HandlerFunc) http.HandlerFunc {
 		sw := newStatusWriter(w)
 		// Deferred so the request is recorded even when finishStream
 		// aborts the connection via panic(http.ErrAbortHandler).
-		defer s.observeRequest(sw, info)
+		defer s.observeRequest(sw, r, info)
 		next(sw, r.WithContext(context.WithValue(r.Context(), reqInfoKey, info)))
 	}
 }
@@ -181,7 +182,7 @@ func (s *Server) observe(route string, next http.HandlerFunc) http.HandlerFunc {
 // and health probes would drown the "recent" list), and the structured
 // access log. Runs deferred from the route wrapper, so it records even
 // when the handler aborts the connection mid-stream.
-func (s *Server) observeRequest(sw *statusWriter, info *reqInfo) {
+func (s *Server) observeRequest(sw *statusWriter, r *http.Request, info *reqInfo) {
 	d := time.Since(info.span.Start())
 	switch info.kind {
 	case "single":
@@ -208,27 +209,20 @@ func (s *Server) observeRequest(sw *statusWriter, info *reqInfo) {
 		})
 	}
 	if l := s.logger.Load(); l != nil {
-		l.Info("request",
-			"request_id", info.id,
-			"route", info.route,
-			"status", status,
-			"reads", info.reads,
-			"duration_seconds", d.Seconds(),
-			"bytes_out", sw.bytes,
+		l.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			slog.String("request_id", info.id),
+			slog.String("route", info.route),
+			slog.Int("status", status),
+			slog.Int("reads", info.reads),
+			slog.Float64("duration_seconds", d.Seconds()),
+			slog.Int64("bytes_out", sw.bytes),
 		)
 	}
 }
 
-// SetLogger installs the structured access/event logger (obs.Logger). nil
-// disables structured logging, the default. Safe to call concurrently with
-// serving.
-func (s *Server) SetLogger(l *obs.Logger) {
-	if l == nil {
-		s.logger.Store(nil)
-		return
-	}
-	s.logger.Store(l)
-}
+// SetLogger installs the structured access/event logger. nil disables
+// structured logging, the default. Safe to call concurrently with serving.
+func (s *Server) SetLogger(l *slog.Logger) { s.logger.Store(l) }
 
 // debugRequestsResponse is the wire form of GET /v1/debug/requests.
 type debugRequestsResponse struct {

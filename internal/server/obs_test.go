@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,8 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // get performs one GET against the server.
@@ -257,7 +256,7 @@ func TestStructuredAccessLog(t *testing.T) {
 	_, reads, _, _ := setup(t)
 	s := newTestServer(t, testConfig())
 	var buf bytes.Buffer
-	s.SetLogger(obs.NewLogger(&buf, obs.FormatJSON, obs.LevelInfo))
+	s.SetLogger(slog.New(slog.NewJSONHandler(&buf, nil)))
 
 	if w := post(s, "/v1/align?header=0", "application/x-fastq", fastqBody(reads[:3])); w.Code != http.StatusOK {
 		t.Fatalf("status %d", w.Code)
@@ -273,7 +272,7 @@ func TestStructuredAccessLog(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
 		t.Fatalf("log line is not JSON: %v: %s", err, lines[0])
 	}
-	if ev["msg"] != "request" || ev["level"] != "info" {
+	if ev["msg"] != "request" || ev["level"] != "INFO" {
 		t.Fatalf("unexpected event %v", ev)
 	}
 	if ev["route"] != "/v1/align" || ev["reads"] != float64(3) || ev["status"] != float64(200) {
@@ -284,6 +283,9 @@ func TestStructuredAccessLog(t *testing.T) {
 	}
 	if d, _ := ev["duration_seconds"].(float64); d <= 0 {
 		t.Fatalf("missing duration_seconds in %v", ev)
+	}
+	if b, _ := ev["bytes_out"].(float64); b <= 0 {
+		t.Fatalf("missing bytes_out in %v", ev)
 	}
 }
 

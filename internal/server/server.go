@@ -58,6 +58,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -86,7 +87,7 @@ type Server struct {
 	hists *serverHists   // latency histograms, shared by all requests (obs.go)
 	ring  *obs.TraceRing // request-trace ring for /v1/debug/requests; nil when disabled
 
-	logger    atomic.Pointer[obs.Logger] // structured access/event logger; nil = off
+	logger    atomic.Pointer[slog.Logger] // structured access/event logger; nil = off
 	drainFlag atomic.Bool
 	closed    atomic.Bool
 }

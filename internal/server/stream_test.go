@@ -6,16 +6,15 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/counters"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/seq"
 	"repro/internal/testutil"
@@ -84,25 +83,6 @@ func scrapeMetric(t *testing.T, base, name string) int64 {
 	return v
 }
 
-// syncBuffer is a log sink the server's goroutines write while the test
-// reads it.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
 // TestCancelledRequestReleasesBudget covers the cancellation path end to
 // end: a request whose tasks are queued behind a busy worker is cancelled
 // by its client; its reads must be dropped without ever being aligned and
@@ -112,8 +92,8 @@ func TestCancelledRequestReleasesBudget(t *testing.T) {
 	cfg := testConfig()
 	cfg.Threads = 1
 	s := newTestServer(t, cfg)
-	var logBuf syncBuffer
-	s.SetLogger(obs.NewLogger(&logBuf, obs.FormatJSON, obs.LevelInfo))
+	var logBuf testutil.SyncBuffer
+	s.SetLogger(slog.New(slog.NewJSONHandler(&logBuf, nil)))
 	reqCtx := make(chan context.Context, 1)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -310,6 +311,15 @@ type gatewayTarget struct {
 	stopOnce sync.Once
 }
 
+// logfWriter routes a slog handler's output through the harness's logf.
+// A handler writes each record in one Write, so one record is one line.
+type logfWriter func(string, ...any)
+
+func (f logfWriter) Write(p []byte) (int, error) {
+	f("gateway: %s", bytes.TrimSuffix(p, []byte("\n")))
+	return len(p), nil
+}
+
 func startGatewayTarget(ctx context.Context, o *Options, n int, idx *bwamem.Index, logf func(string, ...any)) (*gatewayTarget, error) {
 	gt := &gatewayTarget{}
 	urls := make([]string, 0, n)
@@ -351,7 +361,7 @@ func startGatewayTarget(ctx context.Context, o *Options, n int, idx *bwamem.Inde
 		return nil, err
 	}
 	gt.gw = gw
-	gw.SetLogf(logf)
+	gw.SetLogger(slog.New(slog.NewTextHandler(logfWriter(logf), nil)))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		gt.stop()

@@ -2,11 +2,14 @@
 // share: bounded condition polling (replacing ad-hoc sleep loops) and a
 // goroutine-leak checker with grace retries (background goroutines — HTTP
 // keep-alive reapers, timer callbacks, scheduler workers mid-teardown —
-// need a few milliseconds to unwind before a count comparison is fair).
+// need a few milliseconds to unwind before a count comparison is fair),
+// plus SyncBuffer, a log sink servers write while a test reads it.
 package testutil
 
 import (
+	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -74,4 +77,23 @@ func CheckGoroutines(t testing.TB, baseline, slack int) {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	t.Fatalf("goroutine leak: %d running, baseline %d (slack %d)\n%s", n, baseline, slack, buf)
+}
+
+// SyncBuffer is a bytes.Buffer that a server's goroutines may write while
+// the test reads it.
+type SyncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *SyncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *SyncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }

@@ -3,6 +3,9 @@ package bwamem
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -312,6 +315,42 @@ func TestAlignAfterCloseFails(t *testing.T) {
 	}
 	// Close stops the scheduler's workers: none of them may survive it.
 	testutil.CheckGoroutines(t, goroutines, 2)
+}
+
+// TestSetLogOutput checks both request-log formats through slog's
+// handlers, and that an unknown format is refused.
+func TestSetLogOutput(t *testing.T) {
+	idx, _, _, _ := setup(t)
+	aln, err := New(idx, WithThreads(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer aln.Close()
+	srv, err := NewServer(aln, DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for format, want := range map[string]string{
+		"json": `"level":"INFO","msg":"request","request_id":`,
+		"text": ` level=INFO msg=request request_id=`,
+	} {
+		var buf bytes.Buffer
+		if err := srv.SetLogOutput(&buf, format); err != nil {
+			t.Fatal(err)
+		}
+		srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
+		line := buf.String()
+		if !strings.Contains(line, want) || !strings.Contains(line, "/v1/healthz") || strings.Count(line, "\n") != 1 {
+			t.Errorf("%s log line %q, want one line containing %q", format, line, want)
+		}
+		if format == "json" && !json.Valid(buf.Bytes()) {
+			t.Errorf("json log line is not JSON: %q", line)
+		}
+	}
+	if err := srv.SetLogOutput(os.Stderr, "xml"); err == nil {
+		t.Error("SetLogOutput accepted format xml")
+	}
 }
 
 func TestFastqRoundTrip(t *testing.T) {

@@ -2,12 +2,13 @@ package bwamem
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -134,22 +135,28 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.srv.ServeHTTP(w, r)
 }
 
-// SetLogOutput installs the structured request log: one event per request
-// (request_id, route, status, reads, duration, bytes) plus cancellation
-// warnings, written to w in the given format — "json" (one JSON object per
-// line) or "text" (timestamp, level, message, key=value fields). A nil w
-// disables structured logging, the default. Safe to call concurrently
-// with serving.
+// SetLogOutput installs the structured request log: one "request" event
+// per request (request_id, route, status, reads, duration_seconds,
+// bytes_out) plus "request cancelled" warnings, written to w through
+// log/slog in the given format — "json" (slog.NewJSONHandler: one JSON
+// object per line, keyed time, level, msg, then the attributes) or "text"
+// (slog.NewTextHandler: the same keys as key=value pairs). A nil w disables
+// structured logging, the default. Safe to call concurrently with serving.
 func (s *Server) SetLogOutput(w io.Writer, format string) error {
 	if w == nil {
 		s.srv.SetLogger(nil)
 		return nil
 	}
-	f, err := obs.ParseFormat(format)
-	if err != nil {
-		return err
+	var h slog.Handler
+	switch format {
+	case "json":
+		h = slog.NewJSONHandler(w, nil)
+	case "text":
+		h = slog.NewTextHandler(w, nil)
+	default:
+		return fmt.Errorf("bwamem: unknown log format %q (json or text)", format)
 	}
-	s.srv.SetLogger(obs.NewLogger(w, f, obs.LevelInfo))
+	s.srv.SetLogger(slog.New(h))
 	return nil
 }
 
