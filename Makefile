@@ -1,7 +1,7 @@
 GO ?= go
 BWALINT := bin/bwalint
 
-.PHONY: build test vet lint lint-fix lint-fix-dry bwalint bwalint-path race fuzz serve demo bench soak soak-gateway soak-record clean
+.PHONY: build test vet lint bwalint bwalint-path race fuzz serve demo bench soak soak-gateway soak-record clean
 
 SOAK_DURATION ?= 30s
 
@@ -20,14 +20,8 @@ bwalint: ## build the repo's own static analyzers (cmd/bwalint)
 bwalint-path: bwalint ## print the built bwalint path (for go vet -vettool=$$(make -s bwalint-path))
 	@echo $(CURDIR)/$(BWALINT)
 
-lint: bwalint ## run the bwalint contract analyzers over the whole module; any finding fails
+lint: bwalint ## run bwalint's hot-kernel allocation check over the whole module; any finding fails
 	$(GO) vet -vettool=$(CURDIR)/$(BWALINT) ./...
-
-lint-fix: bwalint ## apply bwalint's mechanical SuggestedFixes in place
-	$(CURDIR)/$(BWALINT) -fix ./...
-
-lint-fix-dry: bwalint ## print bwalint's mechanical SuggestedFixes as a diff without applying
-	$(CURDIR)/$(BWALINT) -diff ./... || true
 
 race:
 	$(GO) test -race ./...

@@ -74,7 +74,6 @@ func main() {
 	select {
 	case sig := <-sigCh:
 		fmt.Fprintf(os.Stderr, "[bwagate] %v: draining (timeout %v)\n", sig, *drain)
-		//bwalint:ignore ctxflow shutdown drain deliberately outlives any request context
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		if err := gw.Shutdown(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "[bwagate]", err)
@@ -82,7 +81,6 @@ func main() {
 		cancel()
 		// The HTTP connection drain gets its own budget: clients may still
 		// be reading merged SAM responses the replicas already produced.
-		//bwalint:ignore ctxflow shutdown drain deliberately outlives any request context
 		hctx, hcancel := context.WithTimeout(context.Background(), *drain)
 		if err := httpSrv.Shutdown(hctx); err != nil {
 			fmt.Fprintln(os.Stderr, "[bwagate]", err)

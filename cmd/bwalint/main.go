@@ -1,9 +1,8 @@
-// Command bwalint machine-enforces the repo's prose contracts: the
-// MappedIndex read-only aliasing rule, request-context plumbing, checked
-// stream-write errors, and allocation discipline in
-// //bwalint:hot-annotated kernels. Every analyzer looks at one package at
-// a time. Import-graph rules (the pkg/ facade, the rig kept off the
-// shipped binaries) live in the root package's deps_test.go instead.
+// Command bwalint machine-enforces allocation discipline in
+// //bwalint:hot-annotated kernels (the hotalloc analyzer). It looks at
+// one package at a time. Import-graph rules (the pkg/ facade, the rig kept
+// off the shipped binaries) live in the root package's deps_test.go
+// instead.
 //
 // It is a vet tool; a direct run re-executes go vet with it, so these are
 // the same check:
@@ -11,10 +10,8 @@
 //	go vet -vettool=$(command -v bwalint) ./...  # make lint
 //	bwalint ./...
 //
-// -fix applies the analyzers' suggested fixes in place (make lint-fix);
-// -diff prints them instead (make lint-fix-dry). Any finding fails the
-// run. Suppress one with an annotated directive on (or right above) the
-// line: //bwalint:ignore <analyzer> <reason>.
+// Any finding fails the run. Suppress one with an annotated directive on
+// (or right above) the line: //bwalint:ignore <analyzer> <reason>.
 package main
 
 import (

@@ -16,7 +16,6 @@
 package analysis
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -27,38 +26,20 @@ import (
 
 // An Analyzer describes one static check.
 type Analyzer struct {
-	// Name is the analyzer's short identifier, used in diagnostics,
-	// flag prefixes, and ignore directives.
+	// Name is the analyzer's short identifier, used in diagnostics and
+	// ignore directives.
 	Name string
 	// Doc is the one-paragraph contract the analyzer enforces.
 	Doc string
-	// Flags holds analyzer-specific options; the driver exposes each
-	// flag as -<name>.<flag>. May be nil.
-	Flags *flag.FlagSet
 	// Run performs the check on one package, reporting findings
 	// through the pass.
 	Run func(*Pass) error
 }
 
-// A TextEdit is a replacement of the source range [Pos, End).
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
-}
-
-// A SuggestedFix is a mechanical rewrite that would resolve a diagnostic.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
 // A Diagnostic is one finding.
 type Diagnostic struct {
-	Pos            token.Pos
-	End            token.Pos
-	Message        string
-	SuggestedFixes []SuggestedFix
+	Pos     token.Pos
+	Message string
 }
 
 // A Pass presents one package to an Analyzer's Run function.
@@ -72,16 +53,13 @@ type Pass struct {
 	diags []Diagnostic
 }
 
-// Report records a finding.
-func (p *Pass) Report(d Diagnostic) { p.diags = append(p.diags, d) }
-
 // Reportf records a finding at pos with a formatted message.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// IsTestFile reports whether f is a _test.go file. Most analyzers in the
-// suite enforce production-path contracts and skip test files.
+// IsTestFile reports whether f is a _test.go file. Analyzers police
+// production code and skip test files.
 func (p *Pass) IsTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Package).Filename, "_test.go")
 }
@@ -230,42 +208,3 @@ func (s *suppressions) covers(analyzer string, pos token.Position) bool {
 }
 
 func lineKey(file string, line int) string { return fmt.Sprintf("%s:%d", file, line) }
-
-// WalkStack walks the tree rooted at root, calling fn for each node with
-// the stack of enclosing nodes (outermost first, not including n). If fn
-// returns false the node's children are skipped.
-func WalkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if !fn(n, stack) {
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
-}
-
-// TypeIs reports whether t (possibly behind a pointer or alias) is the
-// named type pkgSuffix.name. The package matches when its path equals
-// pkgSuffix or ends in "/"+pkgSuffix, so contracts written against
-// "internal/core" match both the real module path and analysistest
-// fixture paths.
-func TypeIs(t types.Type, pkgSuffix, name string) bool {
-	if t == nil {
-		return false
-	}
-	u := types.Unalias(t)
-	if p, ok := u.(*types.Pointer); ok {
-		u = types.Unalias(p.Elem())
-	}
-	n, ok := u.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	path := n.Obj().Pkg().Path()
-	return n.Obj().Name() == name && (path == pkgSuffix || strings.HasSuffix(path, "/"+pkgSuffix))
-}

@@ -34,17 +34,9 @@ import (
 	"repro/internal/analysis"
 )
 
-// Result holds the diagnostics produced for one fixture package.
-type Result struct {
-	Path  string
-	Unit  *analysis.Unit
-	Diags []analysis.Diagnostic
-}
-
 // Run loads each fixture package, applies a, and reports mismatches
-// against the fixtures' want comments through t. It returns the per-
-// package results so tests can make extra assertions (suggested fixes).
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) []Result {
+// against the fixtures' want comments through t.
+func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	ld := &fixtureLoader{
 		src:  filepath.Join(testdata, "src"),
@@ -53,7 +45,6 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 	}
 	ld.std = importer.ForCompiler(ld.fset, "source", nil)
 
-	var results []Result
 	for _, path := range pkgPaths {
 		lp, err := ld.load(path)
 		if err != nil {
@@ -65,9 +56,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 		}
 		diags = append(diags, lp.unit.DirectiveDiagnostics()...)
 		checkWants(t, ld.fset, path, lp.files, diags)
-		results = append(results, Result{Path: path, Unit: lp.unit, Diags: diags})
 	}
-	return results
 }
 
 type loaded struct {

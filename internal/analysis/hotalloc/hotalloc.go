@@ -19,8 +19,7 @@
 //   - append to a slice that demonstrably starts at zero capacity
 //     (declared var, nil, or empty literal — origins are traced through
 //     the def-use index, so scratch-buffer reslices and parameters are
-//     exempt), with a mechanical make(..., 0, len(src)) SuggestedFix
-//     when the growth is driven by a range loop, and
+//     exempt), and
 //   - map iteration (randomized order defeats prefetching; the paper's
 //     kernels iterate dense arrays for a reason).
 //
@@ -30,10 +29,7 @@
 package hotalloc
 
 import (
-	"bytes"
-	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 	"strings"
@@ -132,14 +128,6 @@ func (c *checker) report(pos token.Pos, format string, args ...any) {
 	c.pass.Reportf(pos, format, args...)
 }
 
-func (c *checker) reportDiag(d analysis.Diagnostic) {
-	if c.reported[d.Pos] {
-		return
-	}
-	c.reported[d.Pos] = true
-	c.pass.Report(d)
-}
-
 func (c *checker) checkRegion(r region) {
 	info := c.pass.TypesInfo
 	du := analysis.FuncDefUse(info, r.fn.Body)
@@ -234,91 +222,8 @@ func (c *checker) checkAppend(call *ast.CallExpr, du *analysis.DefUse, r region)
 			return // some origin provides capacity (make, reslice, call, ...)
 		}
 	}
-	d := analysis.Diagnostic{
-		Pos: call.Pos(),
-		Message: fmt.Sprintf("append grows %s from zero capacity in hot region: every growth reallocates and copies; preallocate with make(%s, 0, n)",
-			id.Name, types.TypeString(obj.Type(), types.RelativeTo(c.pass.Pkg))),
-	}
-	if fix := c.preallocFix(call, obj, r); fix != nil {
-		d.SuggestedFixes = []analysis.SuggestedFix{*fix}
-	}
-	c.reportDiag(d)
-}
-
-// preallocFix builds the mechanical rewrite for the simple case: the
-// append is driven by a range over a side-effect-free expression, and the
-// slice was declared by a bare single-name `var x []T` in the same
-// function — the declaration becomes `x := make([]T, 0, len(src))`.
-func (c *checker) preallocFix(call *ast.CallExpr, obj *types.Var, r region) *analysis.SuggestedFix {
-	var src ast.Expr
-	for _, n := range walkPath(r.fn.Body, call.Pos()) {
-		// Innermost enclosing range wins: the path is outermost-first.
-		if rng, ok := n.(*ast.RangeStmt); ok {
-			switch ast.Unparen(rng.X).(type) {
-			case *ast.Ident, *ast.SelectorExpr:
-				if t := c.pass.TypesInfo.TypeOf(rng.X); t != nil {
-					switch types.Unalias(t).Underlying().(type) {
-					case *types.Slice, *types.Array, *types.Pointer:
-						src = rng.X
-					}
-				}
-			}
-		}
-	}
-	if src == nil {
-		return nil
-	}
-	var spec *ast.ValueSpec
-	var declStmt *ast.DeclStmt
-	ast.Inspect(r.fn.Body, func(n ast.Node) bool {
-		ds, ok := n.(*ast.DeclStmt)
-		if !ok {
-			return true
-		}
-		gd, ok := ds.Decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.VAR || len(gd.Specs) != 1 {
-			return true
-		}
-		vs, ok := gd.Specs[0].(*ast.ValueSpec)
-		if !ok || len(vs.Names) != 1 || len(vs.Values) != 0 || vs.Type == nil {
-			return true
-		}
-		if c.pass.TypesInfo.ObjectOf(vs.Names[0]) == obj {
-			spec, declStmt = vs, ds
-			return false
-		}
-		return true
-	})
-	if spec == nil || declStmt.Pos() > call.Pos() {
-		return nil
-	}
-	typTxt, err1 := render(c.pass.Fset, spec.Type)
-	srcTxt, err2 := render(c.pass.Fset, src)
-	if err1 != nil || err2 != nil {
-		return nil
-	}
-	return &analysis.SuggestedFix{
-		Message: fmt.Sprintf("preallocate %s for len(%s) elements", obj.Name(), srcTxt),
-		TextEdits: []analysis.TextEdit{{
-			Pos:     declStmt.Pos(),
-			End:     declStmt.End(),
-			NewText: []byte(fmt.Sprintf("%s := make(%s, 0, len(%s))", obj.Name(), typTxt, srcTxt)),
-		}},
-	}
-}
-
-// walkPath returns the nodes on the path from root down to the node
-// starting at pos, outermost first.
-func walkPath(root ast.Node, pos token.Pos) []ast.Node {
-	var path []ast.Node
-	analysis.WalkStack(root, func(n ast.Node, stack []ast.Node) bool {
-		if n.Pos() == pos && path == nil {
-			path = append([]ast.Node{}, stack...)
-			path = append(path, n)
-		}
-		return true
-	})
-	return path
+	c.report(call.Pos(), "append grows %s from zero capacity in hot region: every growth reallocates and copies; preallocate with make(%s, 0, n)",
+		id.Name, types.TypeString(obj.Type(), types.RelativeTo(c.pass.Pkg)))
 }
 
 func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
@@ -376,10 +281,4 @@ func typeLabel(info *types.Info, e ast.Expr) string {
 		return s
 	}
 	return "value"
-}
-
-func render(fset *token.FileSet, n ast.Node) (string, error) {
-	var buf bytes.Buffer
-	err := printer.Fprint(&buf, fset, n)
-	return buf.String(), err
 }

@@ -1,5 +1,4 @@
-// Package kern exercises every hotalloc check, plus the mechanical
-// preallocation fix.
+// Package kern exercises every hotalloc check.
 package kern
 
 import "fmt"

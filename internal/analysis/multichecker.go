@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -18,8 +17,7 @@ import (
 //	go vet -vettool=bwalint     protocol mode: -V=full, -flags, *.cfg
 //	bwalint [flags] [packages]  re-executes the line above with its args
 //
-// It parses flags (exposing each analyzer's flags as -<name>.<flag>),
-// dispatches, and exits the process.
+// It parses flags, dispatches, and exits the process.
 func Main(analyzers ...*Analyzer) {
 	progname := filepath.Base(os.Args[0])
 	fs := flag.NewFlagSet(progname, flag.ExitOnError)
@@ -34,17 +32,6 @@ func Main(analyzers ...*Analyzer) {
 	}
 	versionFlag := fs.String("V", "", "print version information (the go command passes -V=full)")
 	flagsFlag := fs.Bool("flags", false, "print the analyzer flags in JSON (for the go command)")
-	fix := fs.Bool("fix", false, "apply suggested fixes in place")
-	diff := fs.Bool("diff", false, "print suggested fixes as a diff without applying them")
-	for _, a := range analyzers {
-		if a.Flags == nil {
-			continue
-		}
-		name := a.Name
-		a.Flags.VisitAll(func(f *flag.Flag) {
-			fs.Var(f.Value, name+"."+f.Name, f.Usage)
-		})
-	}
 	fs.Parse(os.Args[1:])
 
 	if *versionFlag != "" {
@@ -52,11 +39,12 @@ func Main(analyzers ...*Analyzer) {
 		os.Exit(0)
 	}
 	if *flagsFlag {
-		printFlagsJSON(fs)
+		// go vet forwards only the flags listed here; the analyzers take none.
+		fmt.Println("[]")
 		os.Exit(0)
 	}
 	if args := fs.Args(); len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		RunUnit(args[0], analyzers, *fix, *diff) // exits
+		RunUnit(args[0], analyzers) // exits
 	}
 	runVet(os.Args[1:]) // exits
 }
@@ -92,30 +80,6 @@ func printVersion(progname string) {
 		}
 	}
 	fmt.Printf("%s version devel buildID=%x\n", progname, h.Sum(nil))
-}
-
-// printFlagsJSON implements -flags: the go command asks the vettool to
-// enumerate its flags so it can forward user-supplied ones.
-func printFlagsJSON(fs *flag.FlagSet) {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	flags := []jsonFlag{}
-	fs.VisitAll(func(f *flag.Flag) {
-		if f.Name == "V" || f.Name == "flags" {
-			return
-		}
-		b, ok := f.Value.(interface{ IsBoolFlag() bool })
-		flags = append(flags, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-	})
-	data, err := json.Marshal(flags)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	os.Stdout.Write(data)
-	fmt.Println()
 }
 
 // knownNames returns the analyzer-name set used to validate ignore

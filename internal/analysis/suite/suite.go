@@ -6,19 +6,13 @@ package suite
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/mmapalias"
-	"repro/internal/analysis/streamerr"
 )
 
 // Analyzers returns the full bwalint suite in stable (alphabetical)
 // order. Callers must not mutate the returned slice's Analyzer values.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		ctxflow.Analyzer,
 		hotalloc.Analyzer,
-		mmapalias.Analyzer,
-		streamerr.Analyzer,
 	}
 }

@@ -42,13 +42,7 @@ type unitConfig struct {
 // dependency visits (VetxOnly) and standard-library units have nothing to
 // compute: the driver answers them with an empty facts file at
 // VetxOutput, which the go command requires, and exits.
-//
-// With fix (or diff) a reporting unit applies (or prints) the suggested
-// fixes for its own files. The go command runs dependencies VetxOnly, so
-// every file is fixed by exactly one unit. A fix run exits 0 without
-// reporting: its positions are stale once files change, so re-run to see
-// what remains.
-func RunUnit(configFile string, analyzers []*Analyzer, fix, diff bool) {
+func RunUnit(configFile string, analyzers []*Analyzer) {
 	data, err := os.ReadFile(configFile)
 	if err != nil {
 		fatalf("%v", err)
@@ -76,40 +70,22 @@ func RunUnit(configFile string, analyzers []*Analyzer, fix, diff bool) {
 		fatalf("%v", err)
 	}
 
-	var diags []ResolvedDiag
-	for _, d := range unit.DirectiveDiagnostics() {
-		diags = append(diags, ResolvedDiag{"bwalint", d})
+	exit := 0
+	report := func(analyzer string, diags []Diagnostic) {
+		for _, d := range diags {
+			fmt.Fprintf(os.Stderr, "%s: %s [bwalint/%s]\n", unit.Fset.Position(d.Pos), d.Message, analyzer)
+			exit = 1
+		}
 	}
+	report("bwalint", unit.DirectiveDiagnostics())
 	for _, a := range analyzers {
-		ds, err := unit.Run(a)
+		diags, err := unit.Run(a)
 		if err != nil {
 			fatalf("%s: %v", a.Name, err)
 		}
-		for _, d := range ds {
-			diags = append(diags, ResolvedDiag{a.Name, d})
-		}
+		report(a.Name, diags)
 	}
-	for _, d := range unit.UnusedDirectiveDiagnostics(knownNames(analyzers)) {
-		diags = append(diags, ResolvedDiag{"bwalint", d})
-	}
-
-	if fix || diff {
-		n, files, err := ApplyFixes(unit.Fset, diags, diff, os.Stdout)
-		if err != nil {
-			fatalf("applying fixes: %v", err)
-		}
-		if fix {
-			if n > 0 {
-				fmt.Fprintf(os.Stderr, "bwalint: applied %d fixes in %d files\n", n, files)
-			}
-			os.Exit(0)
-		}
-	}
-	exit := 0
-	for _, rd := range diags {
-		printDiag(os.Stderr, unit.Fset, rd.Analyzer, rd.Diag)
-		exit = 1
-	}
+	report("bwalint", unit.UnusedDirectiveDiagnostics(knownNames(analyzers)))
 	os.Exit(exit)
 }
 
@@ -165,10 +141,6 @@ func typecheckUnit(cfg *unitConfig) (*Unit, error) {
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-func printDiag(w io.Writer, fset *token.FileSet, analyzer string, d Diagnostic) {
-	fmt.Fprintf(w, "%s: %s [bwalint/%s]\n", fset.Position(d.Pos), d.Message, analyzer)
-}
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "bwalint: "+format+"\n", args...)

@@ -221,7 +221,6 @@ func New(cfg Config) (*Gateway, error) {
 
 	// The prober's lifetime is the gateway's, not any request's; Close
 	// cancels it.
-	//bwalint:ignore ctxflow prober lifetime is the gateway's, ended by Close
 	ctx, cancel := context.WithCancel(context.Background())
 	g.probeCancel = cancel
 	go g.probeLoop(ctx)

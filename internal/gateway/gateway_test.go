@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -683,6 +684,107 @@ func TestGatewayLogsReplicaDown(t *testing.T) {
 	if msg, _ := ev["err"].(string); msg == "" || ev["replica"] != cut.URL || ev["cause"] != "passive" ||
 		ev["level"] != "WARN" || ev["request_id"] != "gwtest-0001" {
 		t.Fatalf("bad replica down event %v", ev)
+	}
+}
+
+// TestGatewayCancelBeforeFirstByte: a client that goes away before its
+// first byte is the client's doing, not a routing failure. Each such
+// request yields one INFO "request cancelled" event and nothing at WARN,
+// no_upstream stays 0, and the upstream call is cancelled with the client.
+func TestGatewayCancelBeforeFirstByte(t *testing.T) {
+	fixture(t)
+	checkLeaks(t)
+	const clients = 4
+	arrived := make(chan struct{}, clients)
+	release := make(chan struct{})
+	// The replica holds every align call until the gateway cancels it.
+	hold := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		select {
+		case <-r.Context().Done():
+		case <-release: // teardown of a gateway that never cancelled
+		}
+	}))
+	t.Cleanup(hold.Close)
+	g, gw, _ := newFleet(t, 0, Config{ProbeInterval: time.Hour}, hold.URL)
+	t.Cleanup(func() { close(release) })
+	var buf testutil.SyncBuffer
+	g.SetLogger(slog.New(slog.NewJSONHandler(&buf, nil)))
+
+	body := fastqBytes(fx.reads[:1])
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		ctx, cancel := context.WithCancel(t.Context())
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, gw.URL+"/v1/align?header=0", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/x-fastq")
+		req.Header.Set("X-Request-Id", fmt.Sprintf("cancel-%d", i))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+				t.Errorf("cancelled request answered %d", resp.StatusCode)
+			}
+		}()
+		select {
+		case <-arrived:
+		case <-time.After(5 * time.Second):
+			t.Fatal("request never reached the replica")
+		}
+		cancel()
+	}
+	wg.Wait()
+
+	events := func() []map[string]any {
+		var evs []map[string]any
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var ev map[string]any
+			if json.Unmarshal([]byte(line), &ev) == nil {
+				evs = append(evs, ev)
+			}
+		}
+		return evs
+	}
+	// Every request's handler logs once when it gives up on the client.
+	waitFor(t, 5*time.Second, func() bool {
+		seen := map[any]bool{}
+		for _, ev := range events() {
+			seen[ev["request_id"]] = true
+		}
+		for i := 0; i < clients; i++ {
+			if !seen[fmt.Sprintf("cancel-%d", i)] {
+				return false
+			}
+		}
+		return true
+	}, "the gateway never finished the cancelled requests")
+	cancelled := 0
+	for _, ev := range events() {
+		if ev["level"] == "WARN" {
+			t.Errorf("WARN event for a client cancellation: %v", ev)
+		}
+		if ev["msg"] == "request cancelled" {
+			cancelled++
+			if ev["level"] != "INFO" || ev["err"] != "context canceled" {
+				t.Errorf("bad request cancelled event %v", ev)
+			}
+		}
+	}
+	if cancelled != clients {
+		t.Errorf("got %d request cancelled events, want %d:\n%s", cancelled, clients, buf.String())
+	}
+
+	resp, err := http.Get(gw.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	met, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `bwagate_requests_rejected_total{reason="no_upstream"} 0`; !strings.Contains(string(met), want) {
+		t.Errorf("client cancellations counted as routing failures: want %s", want)
 	}
 }
 

@@ -57,7 +57,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&buf, "bwagate_ring_points{replica=%q} %d\n", rep.url, occ[i])
 	}
 	writeHist := func(h *obs.Histogram, name, labels string) {
-		//bwalint:ignore streamerr exposition writes into a local buffer; the single checked write is below
+		// Writes into the local buffer; the single checked write is below.
 		_ = h.Write(&buf, name, labels)
 	}
 	writeHist(&m.reqSingle, "bwagate_request_seconds", `kind="single"`)
@@ -84,7 +84,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	//bwalint:ignore streamerr probe body is best-effort once the status code is out
+	// The probe body is best-effort once the status code is out.
 	_, _ = fmt.Fprintf(w, `{"status":%q,"uptime_seconds":%.3f,"replicas":%d,"replicas_up":%d}`+"\n",
 		status, time.Since(g.met.start).Seconds(), len(g.replicas), g.healthyCount())
 }
@@ -103,6 +103,6 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	//bwalint:ignore streamerr probe body is best-effort once the status code is out
+	// The probe body is best-effort once the status code is out.
 	_, _ = fmt.Fprintf(w, `{"status":%q,"replicas_up":%d}`+"\n", status, g.healthyCount())
 }

@@ -321,8 +321,9 @@ func (g *Gateway) stream(ctx context.Context, node *replica, p *partition, m *or
 
 // scatter streams the partitions concurrently into one ordered response of
 // n record groups and maps any partition failure to the wire. When nothing
-// was written yet, the failure of the earliest input position becomes the
-// response envelope — an upstream *APIError passes through with the
+// was written yet, a client that went away gets no response (an INFO
+// "request cancelled" event, the replica's name for it); otherwise the
+// failure of the earliest input position becomes the response envelope — an upstream *APIError passes through with the
 // gateway's request ID, and transport-level exhaustion becomes 502
 // upstream_unavailable. Once bytes are out the stream cannot be repaired,
 // so the connection is aborted (ErrAbortHandler) and the client observes a
@@ -358,6 +359,10 @@ func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, span *obs.Span
 		return
 	}
 	if ferr != nil && !m.Started() {
+		if cerr := r.Context().Err(); cerr != nil {
+			g.logEvent(r.Context(), slog.LevelInfo, "request cancelled", slog.String("err", cerr.Error()))
+			return
+		}
 		g.logEvent(r.Context(), slog.LevelWarn, "request failed before first byte", slog.String("err", ferr.Error()))
 		var apiErr *bwaclient.APIError
 		if errors.As(ferr, &apiErr) {

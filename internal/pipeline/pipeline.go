@@ -57,7 +57,6 @@ func Run(a *core.Aligner, reads []seq.Read, cfg Config) *Result {
 	defer s.Close()
 	perRead := make([][]byte, len(reads))
 	// context.Background never cancels, so the error is structurally nil.
-	//bwalint:ignore ctxflow context-free batch entry point; callers wanting cancellation use RunStreamOn
 	res, _ := RunStreamOn(context.Background(), s, reads, cfg,
 		func(i int, rec []byte) { perRead[i] = rec })
 	res.SAM = concatRecords(perRead)
@@ -133,7 +132,6 @@ func RunPaired(a *core.Aligner, reads1, reads2 []seq.Read, cfg Config) *Result {
 	defer s.Close()
 	perPair := make([][]byte, len(reads1))
 	// context.Background never cancels, so the error is structurally nil.
-	//bwalint:ignore ctxflow context-free batch entry point; callers wanting cancellation use RunPairedStreamOn
 	res, _ := RunPairedStreamOn(context.Background(), s, reads1, reads2, cfg,
 		func(i int, rec []byte) { perPair[i] = rec })
 	res.SAM = concatRecords(perPair)

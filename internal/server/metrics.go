@@ -97,7 +97,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	ref := s.sched.Aligner().Ref
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	//bwalint:ignore streamerr probe body is best-effort once the status code is out
+	// The probe body is best-effort once the status code is out.
 	_, _ = fmt.Fprintf(w,
 		`{"status":%q,"uptime_seconds":%.3f,"reads_inflight":%d,"workers":%d,"contigs":%d,"reference_bp":%d}`+"\n",
 		status, time.Since(s.met.start).Seconds(), s.adm.InFlight(),
@@ -117,6 +117,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	//bwalint:ignore streamerr probe body is best-effort once the status code is out
+	// The probe body is best-effort once the status code is out.
 	_, _ = fmt.Fprintf(w, `{"status":%q,"reads_inflight":%d}`+"\n", status, s.adm.InFlight())
 }

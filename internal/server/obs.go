@@ -178,9 +178,9 @@ func (s *Server) observe(route string, next http.HandlerFunc) http.HandlerFunc {
 }
 
 // observeRequest closes out one instrumented request: the end-to-end
-// latency histogram, the trace ring (align routes only — metric scrapes
-// and health probes would drown the "recent" list), and the structured
-// access log. Runs deferred from the route wrapper, so it records even
+// latency histogram, then for align routes only the trace ring and the
+// structured access log (metric scrapes and health probes, one readyz a
+// second behind a gateway, would drown both). Runs deferred from the route wrapper, so it records even
 // when the handler aborts the connection mid-stream.
 func (s *Server) observeRequest(sw *statusWriter, r *http.Request, info *reqInfo) {
 	d := time.Since(info.span.Start())
@@ -192,22 +192,23 @@ func (s *Server) observeRequest(sw *statusWriter, r *http.Request, info *reqInfo
 	default:
 		s.hists.reqOther.Observe(d)
 	}
+	if info.kind == "" {
+		return
+	}
 	status := sw.status
 	if status == 0 {
 		status = http.StatusOK // handler wrote nothing; net/http will commit 200
 	}
-	if info.kind != "" {
-		s.ring.Add(obs.Trace{
-			RequestID: info.id,
-			Route:     info.route,
-			Status:    status,
-			Reads:     info.reads,
-			BytesOut:  sw.bytes,
-			Start:     info.span.Start(),
-			Seconds:   d.Seconds(),
-			Phases:    info.span.Phases(),
-		})
-	}
+	s.ring.Add(obs.Trace{
+		RequestID: info.id,
+		Route:     info.route,
+		Status:    status,
+		Reads:     info.reads,
+		BytesOut:  sw.bytes,
+		Start:     info.span.Start(),
+		Seconds:   d.Seconds(),
+		Phases:    info.span.Phases(),
+	})
 	if l := s.logger.Load(); l != nil {
 		l.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("request_id", info.id),

@@ -251,18 +251,26 @@ func TestDebugRequests(t *testing.T) {
 }
 
 // TestStructuredAccessLog checks SetLogger produces one JSON event per
-// request with the fields log pipelines key on.
+// align request with the fields log pipelines key on, and none for probes
+// and scrapes.
 func TestStructuredAccessLog(t *testing.T) {
 	_, reads, _, _ := setup(t)
 	s := newTestServer(t, testConfig())
 	var buf bytes.Buffer
 	s.SetLogger(slog.New(slog.NewJSONHandler(&buf, nil)))
 
+	// Health probes and metric scrapes write no access line.
+	for range 5 {
+		get(s, "/v1/readyz")
+	}
+	get(s, "/v1/healthz")
 	if w := post(s, "/v1/align?header=0", "application/x-fastq", fastqBody(reads[:3])); w.Code != http.StatusOK {
 		t.Fatalf("status %d", w.Code)
 	}
+	get(s, "/v1/healthz")
+	get(s, "/v1/metrics")
 	s.SetLogger(nil)
-	get(s, "/v1/healthz") // after SetLogger(nil): must not log
+	post(s, "/v1/align?header=0", "application/x-fastq", fastqBody(reads[:1])) // after SetLogger(nil): must not log
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 1 {

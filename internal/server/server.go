@@ -205,7 +205,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Close is Shutdown with the configured drain timeout.
 func (s *Server) Close() error {
-	//bwalint:ignore ctxflow shutdown drain deliberately outlives any request context
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 	defer cancel()
 	return s.Shutdown(ctx)

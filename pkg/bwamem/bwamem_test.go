@@ -314,13 +314,13 @@ func TestAlignAfterCloseFails(t *testing.T) {
 		t.Fatal("Align succeeded on a closed aligner")
 	}
 	// Close stops the scheduler's workers: none of them may survive it.
-	testutil.CheckGoroutines(t, goroutines, 2)
+	testutil.CheckGoroutines(t, goroutines, 0)
 }
 
 // TestSetLogOutput checks both request-log formats through slog's
 // handlers, and that an unknown format is refused.
 func TestSetLogOutput(t *testing.T) {
-	idx, _, _, _ := setup(t)
+	idx, reads, _, _ := setup(t)
 	aln, err := New(idx, WithThreads(1))
 	if err != nil {
 		t.Fatal(err)
@@ -339,9 +339,15 @@ func TestSetLogOutput(t *testing.T) {
 		if err := srv.SetLogOutput(&buf, format); err != nil {
 			t.Fatal(err)
 		}
-		srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
+		var body bytes.Buffer
+		if err := WriteFastq(&body, reads[:1]); err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/align", &body)
+		req.Header.Set("Content-Type", "application/x-fastq")
+		srv.ServeHTTP(httptest.NewRecorder(), req)
 		line := buf.String()
-		if !strings.Contains(line, want) || !strings.Contains(line, "/v1/healthz") || strings.Count(line, "\n") != 1 {
+		if !strings.Contains(line, want) || !strings.Contains(line, "/v1/align") || strings.Count(line, "\n") != 1 {
 			t.Errorf("%s log line %q, want one line containing %q", format, line, want)
 		}
 		if format == "json" && !json.Valid(buf.Bytes()) {

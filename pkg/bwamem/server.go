@@ -136,7 +136,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // SetLogOutput installs the structured request log: one "request" event
-// per request (request_id, route, status, reads, duration_seconds,
+// per align request (request_id, route, status, reads, duration_seconds,
 // bytes_out) plus "request cancelled" warnings, written to w through
 // log/slog in the given format — "json" (slog.NewJSONHandler: one JSON
 // object per line, keyed time, level, msg, then the attributes) or "text"
