@@ -3,10 +3,11 @@ package bsw
 // Banded global alignment with traceback (a port of BWA's ksw_global2).
 // BWA-MEM uses this after seed extension to produce the final CIGAR of each
 // alignment region; it is part of the SAM-FORM stage, not one of the three
-// hot kernels, but the pipeline needs it to emit output. The caller already
-// knows roughly what the alignment scores, so Global takes that as a floor
-// and prunes, exactly, every cell no alignment reaching the floor can pass
-// through (see Global).
+// hot kernels, but the pipeline needs it to emit output. Most regions align
+// without a gap, and Global proves that from the ungapped score alone,
+// before any DP. For the rest, the caller already knows roughly what the
+// alignment scores, so Global takes that as a floor and prunes, exactly,
+// every cell no alignment reaching the floor can pass through (see Global).
 
 import "strconv"
 
@@ -69,12 +70,42 @@ func (c Cigar) AppendTo(buf []byte) []byte {
 
 const minusInf = int32(-(1 << 29))
 
+// GlobalBuf holds reusable scratch for Global: the direction matrix, the
+// score rows, the query profile and the CIGAR. Allocate one per worker, as
+// ScalarBuf for ExtendScalar; the Cigar a call returns lives in it until the
+// next call.
+type GlobalBuf struct {
+	z   []uint8
+	h   []int32
+	e   []int32
+	qp  []int8
+	cig Cigar
+}
+
+// Global is GlobalBuf.Global over a fresh buffer, so the Cigar it returns is
+// the caller's own.
+func Global(p *Params, query, target []byte, w, floor int) (int, Cigar) {
+	var b GlobalBuf
+	return b.Global(p, query, target, w, floor)
+}
+
 // Global computes the banded global alignment score of query against target
 // and the CIGAR of one optimal alignment. Cells more than w off the main
 // diagonal are unreachable.
 //
-// floor is a score the caller expects the alignment to reach; the lower it
-// is, the less is pruned, and minusInf prunes nothing. A cell whose
+// When query and target have one length L, the ungapped alignment is tried
+// first. Every other global path has at least one insertion and one
+// deletion, so it aligns at most L-1 pairs and scores at most
+// (L-1)*a - (oIns+eIns) - (oDel+eDel), with a the matrix's largest entry
+// (MaxMatch, never below 0). An ungapped score above that bound is the
+// unique optimum: no other path ties it, so the DP's direction bits on the
+// diagonal all say "diagonal" and its traceback returns the same single M.
+// Global then returns it without filling a cell, whatever w and floor are.
+// With BWA's defaults the bound is L-15 and a mismatch costs 5 against a
+// match, so any read with at most two mismatches takes this path.
+//
+// Otherwise floor is a score the caller expects the alignment to reach; the
+// lower it is, the less is pruned, and minusInf prunes nothing. A cell whose
 // score plus the most it could still gain, ub(i,j) = a*min(qlen-1-j,
 // tlen-1-i) with a the match score, falls below floor is dead: no path
 // through it ends at floor or above, so it is never the maximum, nor a tie
@@ -84,15 +115,21 @@ const minusInf = int32(-(1 << 29))
 // band. A pruned result is therefore exact whenever it reaches floor; when
 // it does not, or the end cell is never reached, Global reruns with nothing
 // pruned.
-func Global(p *Params, query, target []byte, w, floor int) (int, Cigar) {
+func (b *GlobalBuf) Global(p *Params, query, target []byte, w, floor int) (int, Cigar) {
 	qlen, tlen := len(query), len(target)
 	switch {
 	case qlen == 0 && tlen == 0:
-		return 0, nil
+		return 0, b.cig[:0]
 	case qlen == 0:
-		return -(p.ODel + p.EDel*tlen), Cigar(nil).PushOp(CigarDel, tlen)
+		b.cig = b.cig[:0].PushOp(CigarDel, tlen)
+		return -(p.ODel + p.EDel*tlen), b.cig
 	case tlen == 0:
-		return -(p.OIns + p.EIns*qlen), Cigar(nil).PushOp(CigarIns, qlen)
+		b.cig = b.cig[:0].PushOp(CigarIns, qlen)
+		return -(p.OIns + p.EIns*qlen), b.cig
+	}
+	if score, ok := ungapped(p, query, target); ok {
+		b.cig = b.cig[:0].PushOp(CigarMatch, qlen)
+		return score, b.cig
 	}
 	if w < 1 {
 		w = 1
@@ -107,10 +144,9 @@ func Global(p *Params, query, target []byte, w, floor int) (int, Cigar) {
 	if 2*w+1 < nCol {
 		nCol = 2*w + 1
 	}
-	z := make([]uint8, tlen*nCol) // direction matrix, tlen x nCol
-	h := make([]int32, qlen+1)
-	e := make([]int32, qlen+1)
-	qp := make([]int8, 5*qlen)
+	z := resize(b.z, tlen*nCol) // direction matrix, tlen x nCol
+	h, e, qp := resize(b.h, qlen+1), resize(b.e, qlen+1), resize(b.qp, 5*qlen)
+	b.z, b.h, b.e, b.qp = z, h, e, qp
 	for k, i := 0, 0; k < 5; k++ {
 		row := p.Mat[k*5 : k*5+5]
 		for j := 0; j < qlen; j++ {
@@ -122,7 +158,29 @@ func Global(p *Params, query, target []byte, w, floor int) (int, Cigar) {
 	if !ok {
 		score, _ = globalFill(p, qp, target, w, nCol, int(minusInf), h, e, z)
 	}
-	return score, globalTraceback(z, qlen, tlen, w, nCol)
+	b.cig = globalTraceback(b.cig[:0], z, qlen, tlen, w, nCol)
+	return score, b.cig
+}
+
+// ungapped returns the score of aligning query and target base for base
+// and whether that is Global's unique optimum: the lengths agree, and the
+// score beats every path with a gap (see Global). It stops as soon as the
+// bases left cannot lift the score past that bound.
+func ungapped(p *Params, query, target []byte) (int, bool) {
+	n := len(query)
+	if n != len(target) || p.ODel < 0 || p.EDel < 0 || p.OIns < 0 || p.EIns < 0 {
+		return 0, false
+	}
+	a := p.MaxMatch()
+	bound := (n-1)*a - (p.OIns + p.EIns) - (p.ODel + p.EDel)
+	score := 0
+	for j, q := range query {
+		score += int(p.Mat[int(target[j])*5+int(q)])
+		if score+a*(n-1-j) <= bound {
+			return 0, false
+		}
+	}
+	return score, true
 }
 
 // globalFill runs Global's DP over the band, pruned by floor, writing the
@@ -242,11 +300,10 @@ func bit(b bool) uint8 {
 }
 
 // globalTraceback walks Global's direction bits back from the end cell and
-// returns the CIGAR.
-func globalTraceback(z []uint8, qlen, tlen, w, nCol int) Cigar {
+// appends the CIGAR to rev, which must be empty.
+func globalTraceback(rev Cigar, z []uint8, qlen, tlen, w, nCol int) Cigar {
 	// Traceback: a small state machine over the two-bit direction fields
 	// (state 0 = in H, 1 = in E/deletion run, 2 = in F/insertion run).
-	var rev Cigar
 	which := uint8(0)
 	i, k := tlen-1, qlen-1
 	for i >= 0 && k >= 0 {

@@ -189,6 +189,23 @@ func FuzzGlobal(f *testing.F) {
 	f.Add(s[:4], []byte(nil), uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(5), uint8(3))
 	f.Add(s, s, uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(10), uint8(1))
 	f.Add(s, mutate(rng, s, 5)[3:], uint8(2), uint8(5), uint8(0), uint8(3), uint8(11), uint8(1), uint8(2), uint8(7))
+	// On the ungapped shortcut's bound (see Global): 101-mers under BWA's
+	// scores with 2 and 3 mismatches (bound 86: 91 takes the shortcut, 86
+	// does not), an N on either side, asymmetric gap costs, lengths one
+	// apart, where the shortcut must not fire, and a 3-mer whose ungapped
+	// score equals the bound and ties a gapped path.
+	r := randSeq(rng, 101)
+	m2, m3 := withMismatches(r, 10, 60), withMismatches(r, 10, 60, 95)
+	nq := append([]byte(nil), r...)
+	nq[50] = 4
+	f.Add(r, m2, uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(0), uint8(1))
+	f.Add(r, m3, uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(0), uint8(1))
+	f.Add(nq, m2, uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(3), uint8(1))
+	f.Add(m3, nq, uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(3), uint8(1))
+	f.Add(r, m3, uint8(0), uint8(3), uint8(1), uint8(3), uint8(12), uint8(0), uint8(5), uint8(2))
+	f.Add(r, m2[1:], uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(0), uint8(1))
+	f.Add(r[1:], m2, uint8(0), uint8(3), uint8(6), uint8(0), uint8(6), uint8(0), uint8(0), uint8(1))
+	f.Add([]byte{3, 0, 3}, []byte{3, 3, 3}, uint8(1), uint8(3), uint8(0), uint8(0), uint8(2), uint8(0), uint8(5), uint8(3))
 	f.Fuzz(func(t *testing.T, rawQ, rawT []byte, match, mis, oDel, eDel, oIns, eIns, w, d uint8) {
 		if len(rawQ) > 300 || len(rawT) > 300 {
 			return
@@ -239,6 +256,110 @@ func TestGlobalFloorMatchesOracle(t *testing.T) {
 			if got != want || cig.String() != wantCig.String() {
 				t.Fatalf("trial %d w=%d floor=%d %+v: got %d %s, want %d %s", trial, w, floor, p, got, cig, want, wantCig)
 			}
+		}
+	}
+}
+
+// withMismatches copies s with the base at each of the given positions
+// replaced by a different one.
+func withMismatches(s []byte, at ...int) []byte {
+	out := append([]byte(nil), s...)
+	for _, i := range at {
+		out[i] = (out[i] + 1) & 3
+	}
+	return out
+}
+
+// TestGlobalUngappedBound checks Global against the frozen oracle on and
+// around the ungapped shortcut's bound, (L-1)*a - (oIns+eIns) - (oDel+eDel),
+// and that the shortcut fires exactly where the bound says. All cases share
+// one GlobalBuf, so each also runs over the previous case's scratch.
+func TestGlobalUngappedBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	r := randSeq(rng, 101)
+	def := DefaultParams()
+	withN := func(s []byte, i int) []byte {
+		out := append([]byte(nil), s...)
+		out[i] = 4
+		return out
+	}
+	// A matrix whose largest entry is 0: matches score 0, mismatches -3.
+	zero := def
+	zero.Mat = FillScoreMatrix(0, 3)
+	// Asymmetric gaps: insertions cheap to open, deletions cheap to extend.
+	asym := def
+	asym.OIns, asym.EIns, asym.ODel, asym.EDel = 2, 3, 9, 1
+	free := def
+	free.OIns, free.EIns, free.ODel, free.EDel = 0, 0, 0, 0
+	// Ungapped TAT against TTT scores 2-4+2 = 0, exactly the bound
+	// 2*2 - (2+1) - (0+1), and 1D1M1I1M ties it: on the bound the shortcut
+	// must not fire, since the DP returns the gapped tie.
+	tie := Params{Mat: FillScoreMatrix(2, 4), ODel: 0, EDel: 1, OIns: 2, EIns: 1}
+	var b GlobalBuf
+	for _, c := range []struct {
+		name     string
+		p        Params
+		q, tg    []byte
+		shortcut bool
+	}{
+		{"0 mismatches", def, r, r, true},
+		{"1 mismatch", def, r, withMismatches(r, 50), true},
+		{"2 mismatches", def, r, withMismatches(r, 0, 100), true},
+		{"3 mismatches (score = bound)", def, r, withMismatches(r, 20, 40, 60), false},
+		{"3 adjacent mismatches", def, r, withMismatches(r, 50, 51, 52), false},
+		{"N in query", def, withN(r, 7), r, true},
+		{"N in target", def, r, withN(r, 93), true},
+		{"N on both sides and 2 mismatches", def, withN(r, 3), withN(withMismatches(r, 40, 41), 3), true},
+		{"largest entry 0", zero, r, r, true},
+		{"largest entry 0, 1 mismatch", zero, r, withMismatches(r, 30), true},
+		{"largest entry 0, 5 mismatches", zero, r, withMismatches(r, 1, 2, 3, 4, 5), false},
+		{"asymmetric gaps, 3 mismatches (bound 85)", asym, r, withMismatches(r, 10, 50, 90), true},
+		{"asymmetric gaps, 4 mismatches", asym, r, withMismatches(r, 10, 50, 90, 91), false},
+		{"zero gap costs, exact", free, r, r, true},
+		{"zero gap costs, 1 mismatch", free, r, withMismatches(r, 50), false},
+		{"score = bound, gapped tie", tie, []byte{3, 0, 3}, []byte{3, 3, 3}, false},
+		{"qlen = tlen + 1", def, r, r[1:], false},
+		{"qlen = tlen - 1", def, r[:100], r, false},
+	} {
+		_, fired := ungapped(&c.p, c.q, c.tg)
+		if fired != c.shortcut {
+			t.Errorf("%s: shortcut fired = %v, want %v", c.name, fired, c.shortcut)
+		}
+		for _, w := range []int{0, 1, 5, 30} {
+			want, wantCig := refGlobal(&c.p, c.q, c.tg, w, true)
+			for _, floor := range []int{want - 3, want, want + 3, int(minusInf)} {
+				got, cig := b.Global(&c.p, c.q, c.tg, w, floor)
+				if got != want || cig.String() != wantCig.String() {
+					t.Fatalf("%s w=%d floor=%d: got %d %s, want %d %s", c.name, w, floor, got, cig, want, wantCig)
+				}
+			}
+		}
+	}
+}
+
+// TestGlobalBufReuse runs random gapped and ungapped alignments of varied
+// shapes through one GlobalBuf: what an earlier call left in the direction
+// matrix, the rows or the CIGAR must not leak into a later result.
+func TestGlobalBufReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	var b GlobalBuf
+	for trial := 0; trial < 2000; trial++ {
+		k := make([]byte, 6)
+		rng.Read(k)
+		p := fuzzParams(k[0], k[1], k[2], k[3], k[4], k[5], 0, 0)
+		q := randSeq(rng, 1+rng.Intn(120))
+		tg := mutate(rng, q, rng.Intn(1+len(q)/10))
+		if at := rng.Intn(len(tg)); rng.Intn(2) == 0 {
+			tg = append(tg[:at:at], tg[at+rng.Intn(len(tg)-at):]...)
+		}
+		if len(tg) == 0 {
+			continue
+		}
+		w := rng.Intn(20)
+		want, wantCig := refGlobal(&p, q, tg, w, true)
+		got, cig := b.Global(&p, q, tg, w, want-rng.Intn(5))
+		if got != want || cig.String() != wantCig.String() {
+			t.Fatalf("trial %d w=%d %+v: got %d %s, want %d %s", trial, w, p, got, cig, want, wantCig)
 		}
 	}
 }

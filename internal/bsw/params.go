@@ -10,9 +10,15 @@
 // kernels (many jobs in the lanes of one vector, §5.3) are not implemented.
 //
 // Global (a port of ksw_global2) is the banded global alignment with
-// traceback that SAM-FORM runs to produce each CIGAR. It takes a score
-// floor and computes only the cells that an alignment reaching the floor
-// can pass through, with the same result as the full band.
+// traceback that SAM-FORM runs to produce each CIGAR. When query and target
+// have one length L, it first scores the ungapped alignment: any other path
+// has an insertion and a deletion, so it scores at most
+// (L-1)*a - (oIns+eIns) - (oDel+eDel), with a the largest matrix entry, and
+// an ungapped score above that bound is the unique optimum, returned as
+// one M without running the DP. Otherwise Global takes a score floor and
+// computes only the cells that an alignment reaching the floor can pass
+// through, with the same result as the full band. GlobalBuf carries its
+// scratch from call to call, as ScalarBuf does for ExtendScalar.
 package bsw
 
 // Params holds the alignment scoring parameters (BWA-MEM defaults in

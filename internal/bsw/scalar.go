@@ -8,7 +8,7 @@ type ScalarBuf struct {
 	qp       []int8
 }
 
-func resize[T int8 | int16 | int32](s []T, n int) []T {
+func resize[T uint8 | int8 | int16 | int32](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/bsw"
@@ -23,6 +24,7 @@ type Aligner struct {
 
 	par5, par3 bsw.Params
 	chOpts     chain.Opts
+	renders    sync.Pool // *render: SAM-FORM scratch, one per call in flight
 }
 
 // Workspace holds all per-worker scratch, allocated once and reused across
@@ -34,6 +36,7 @@ type Workspace struct {
 	seeds      []chain.Seed
 	scalar     bsw.ScalarBuf
 	qrev, trev []byte
+	rwin       []byte // extendChain's reference window
 	Clock      *counters.StageClock
 }
 
@@ -175,7 +178,7 @@ func (a *Aligner) CollectBSWJobs(reads [][]byte, ws *Workspace) []bsw.Job {
 			if len(c.Seeds) == 0 {
 				continue
 			}
-			rmax0, _, rseq := a.chainWindow(len(q), c)
+			rmax0, rseq := a.chainWindow(nil, len(q), c) // the jobs keep rseq
 			for si := range c.Seeds {
 				s := &c.Seeds[si]
 				reg := a.newRegion(c)

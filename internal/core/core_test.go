@@ -65,7 +65,7 @@ func TestAlignReadFindsTruePosition(t *testing.T) {
 				t.Fatalf("%v trial %d: no regions", mode, trial)
 			}
 			best := regs[0]
-			aln := a.regToAln(seq.Encode(rd.Seq), &best)
+			aln := a.regToAln(new(render), seq.Encode(rd.Seq), &best)
 			if aln.Rid != 0 {
 				t.Fatalf("%v trial %d: rid %d", mode, trial, aln.Rid)
 			}
@@ -236,7 +236,7 @@ func TestPerfectReadHasZeroNM(t *testing.T) {
 	if len(regs) == 0 {
 		t.Fatal("no regions")
 	}
-	aln := a.regToAln(codes, &regs[0])
+	aln := a.regToAln(new(render), codes, &regs[0])
 	if aln.NM != 0 {
 		t.Fatalf("NM = %d for a perfect read", aln.NM)
 	}
@@ -261,7 +261,7 @@ func TestIndelReadCigar(t *testing.T) {
 	if len(regs) == 0 {
 		t.Fatal("no regions")
 	}
-	aln := a.regToAln(q, &regs[0])
+	aln := a.regToAln(new(render), q, &regs[0])
 	if !strings.Contains(aln.Cigar.String(), "D") {
 		t.Fatalf("expected a deletion in cigar, got %s", aln.Cigar)
 	}
@@ -315,7 +315,7 @@ func TestRepeatReadLowMapq(t *testing.T) {
 	if len(regs) < 2 {
 		t.Fatalf("expected two hits in a repeat, got %d", len(regs))
 	}
-	aln := a.regToAln(codes, &regs[0])
+	aln := a.regToAln(new(render), codes, &regs[0])
 	if aln.Mapq > 3 {
 		t.Fatalf("repeat read mapq = %d, want ~0", aln.Mapq)
 	}
@@ -354,7 +354,7 @@ func TestMultiContigRid(t *testing.T) {
 	if len(regs) == 0 {
 		t.Fatal("no regions")
 	}
-	aln := a.regToAln(codes, &regs[0])
+	aln := a.regToAln(new(render), codes, &regs[0])
 	if aln.Rid != 1 {
 		t.Fatalf("rid = %d, want 1", aln.Rid)
 	}

@@ -8,6 +8,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -206,6 +207,8 @@ func (a *Aligner) rawPairMapq(score, sub int) int {
 func (a *Aligner) AppendSAMPair(buf []byte, ps *PairStats,
 	rd1, rd2 *seq.Read, q1, q2 []byte, regs1, regs2 []Region) []byte {
 
+	rs := a.getRender()
+	defer a.renders.Put(rs)
 	sel, paired := a.PairRegions(ps, regs1, regs2)
 	if paired && sel.Score <= scoreUnOf(regs1, regs2) {
 		paired = false
@@ -224,8 +227,8 @@ func (a *Aligner) AppendSAMPair(buf []byte, ps *PairStats,
 		if r2.Secondary >= 0 {
 			r2.Sub, r2.Secondary = regs2[r2.Secondary].Score, -1
 		}
-		aln1 = a.regToAln(q1, &r1)
-		aln2 = a.regToAln(q2, &r2)
+		aln1 = a.regToAln(rs, q1, &r1)
+		aln2 = a.regToAln(rs, q2, &r2)
 		// Pairing confidence caps how much an ambiguous end can borrow.
 		qPe := a.rawPairMapq(sel.Score, max(sel.Sub, scoreUnOf(regs1, regs2)))
 		for _, p := range []*Alignment{&aln1, &aln2} {
@@ -238,8 +241,8 @@ func (a *Aligner) AppendSAMPair(buf []byte, ps *PairStats,
 			}
 		}
 	} else {
-		aln1 = a.bestAln(q1, regs1)
-		aln2 = a.bestAln(q2, regs2)
+		aln1 = a.bestAln(rs, q1, regs1)
+		aln2 = a.bestAln(rs, q2, regs2)
 	}
 
 	decorate := func(this, mate *Alignment, firstFlag int) {
@@ -256,9 +259,9 @@ func (a *Aligner) AppendSAMPair(buf []byte, ps *PairStats,
 	decorate(&aln1, &aln2, FlagFirst)
 	decorate(&aln2, &aln1, FlagLast)
 
-	buf = a.appendRecord(buf, rd1, aln1, &aln2)
-	buf = a.appendRecord(buf, rd2, aln2, &aln1)
-	return buf
+	buf = slices.Grow(buf, a.recordSize(rd1, &aln1, &aln2)+a.recordSize(rd2, &aln2, &aln1))
+	buf = a.appendRecord(buf, rd1, &aln1, &aln2)
+	return a.appendRecord(buf, rd2, &aln2, &aln1)
 }
 
 func scoreUnOf(regs1, regs2 []Region) int {
@@ -273,10 +276,10 @@ func scoreUnOf(regs1, regs2 []Region) int {
 }
 
 // bestAln converts the best region (if any passes the threshold) of one end.
-func (a *Aligner) bestAln(q []byte, regs []Region) Alignment {
+func (a *Aligner) bestAln(rs *render, q []byte, regs []Region) Alignment {
 	for k := range regs {
 		if regs[k].Secondary < 0 && regs[k].Score >= a.Opts.ScoreThreshold {
-			return a.regToAln(q, &regs[k])
+			return a.regToAln(rs, q, &regs[k])
 		}
 	}
 	return Alignment{Rid: -1, Sub: -1, Flag: FlagUnmapped}

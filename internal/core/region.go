@@ -40,10 +40,10 @@ func reverseBytes(dst, src []byte) []byte {
 
 // chainWindow computes the widest reference window any seed of the chain
 // could plausibly extend into (mem_chain2aln's rmax computation) and fetches
-// that reference slice.
-func (a *Aligner) chainWindow(qlen int, c *chain.Chain) (rmax0, rmax1 int, rseq []byte) {
+// that reference slice into dst[:0].
+func (a *Aligner) chainWindow(dst []byte, qlen int, c *chain.Chain) (rmax0 int, rseq []byte) {
 	l2 := 2 * a.Ref.Lpac()
-	rmax0, rmax1 = l2, 0
+	rmax0, rmax1 := l2, 0
 	for i := range c.Seeds {
 		t := &c.Seeds[i]
 		b := t.RBeg - (t.QBeg + a.Opts.calMaxGap(t.QBeg))
@@ -69,7 +69,7 @@ func (a *Aligner) chainWindow(qlen int, c *chain.Chain) (rmax0, rmax1 int, rseq 
 			rmax0 = l
 		}
 	}
-	return rmax0, rmax1, a.Ref.Fetch(rmax0, rmax1)
+	return rmax0, a.Ref.AppendFetch(dst[:0], rmax0, rmax1)
 }
 
 // seedOrder returns BWA's srt array: seed indices keyed by score, to be
@@ -258,7 +258,8 @@ func (a *Aligner) extendChain(q []byte, c *chain.Chain, regs []Region, ws *Works
 	if len(c.Seeds) == 0 {
 		return regs
 	}
-	rmax0, _, rseq := a.chainWindow(len(q), c)
+	rmax0, rseq := a.chainWindow(ws.rwin, len(q), c)
+	ws.rwin = rseq
 	srt := seedOrder(c)
 	for k := len(srt) - 1; k >= 0; k-- {
 		s := &c.Seeds[uint32(srt[k])]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/bsw"
@@ -15,7 +16,9 @@ const (
 	FlagSupplementary = 0x800
 )
 
-// Alignment is one final alignment record (BWA's mem_aln_t).
+// Alignment is one final alignment record (BWA's mem_aln_t). Cigar, MD and
+// XA point into the render scratch of the AppendSAM or AppendSAMPair call
+// that built the record, and are valid only until that call returns.
 type Alignment struct {
 	Rid   int // contig index; -1 = unmapped
 	Pos   int // 0-based leftmost position on the contig
@@ -26,8 +29,44 @@ type Alignment struct {
 	Score int    // AS tag
 	Sub   int    // XS tag (-1 = absent)
 	NM    int    // NM tag
-	MD    string // MD tag ("" = absent)
-	XA    string // XA tag: alternate hits ("" = absent)
+	MD    []byte // MD tag (empty = absent)
+	XA    []byte // XA tag: alternate hits (empty = absent)
+}
+
+// render is SAM-FORM's scratch. AppendSAM and AppendSAMPair take one from
+// the Aligner's pool per call and return it once the records are written,
+// so across reads SAM-FORM reuses these buffers instead of allocating.
+// text, xa and cigs are arenas: each record's MD, XA and CIGAR is appended
+// and sliced off, and stays put until the call ends.
+type render struct {
+	global      bsw.GlobalBuf
+	rseq, qrev  []byte // genCigar's reference window and reversed query
+	text        []byte // MD tags
+	xa          []byte // XA tags
+	cigs        bsw.Cigar
+	alns        []Alignment
+	regIdx, ids []int
+}
+
+// getRender takes a render scratch from the pool, emptied.
+func (a *Aligner) getRender() *render {
+	rs, ok := a.renders.Get().(*render)
+	if !ok {
+		rs = new(render)
+	}
+	rs.text, rs.xa, rs.cigs, rs.alns = rs.text[:0], rs.xa[:0], rs.cigs[:0], rs.alns[:0]
+	return rs
+}
+
+// keepCigar copies cig, between clip5 and clip3 soft clips, to the end of
+// the CIGAR arena and returns the copy, which outlives the next Global call.
+func (rs *render) keepCigar(clip5 int, cig bsw.Cigar, clip3 int) bsw.Cigar {
+	n := len(rs.cigs)
+	c := rs.cigs[n:].PushOp(bsw.CigarSoft, clip5)
+	c = append(c, cig...)
+	c = c.PushOp(bsw.CigarSoft, clip3)
+	rs.cigs = append(rs.cigs[:n], c...)
+	return rs.cigs[n:len(rs.cigs):len(rs.cigs)]
 }
 
 // MaxXAHits caps how many alternate hits the XA tag lists (bwa -h).
@@ -57,30 +96,28 @@ func inferBW(l1, l2, score, a, q, r int) int {
 // genCigar is bwa_gen_cigar2: global alignment of the clipped query against
 // the reference window, with both sequences reversed on the reverse strand
 // so indels stay left-aligned in forward coordinates. It also computes the
-// NM count and the MD string. floor is the score the caller expects the
+// NM count and the MD string, which it appends to rs.text; cig lives in
+// rs.global until the next call. floor is the score the caller expects the
 // alignment to reach; bsw.Global prunes every cell that cannot end there and
 // falls back to the full band when the floor turns out too high, so the
 // result does not depend on it.
-func (a *Aligner) genCigar(query []byte, rb, re, w, floor int) (cig bsw.Cigar, score, nm int, md string, ok bool) {
+//
+//bwalint:hot
+func (a *Aligner) genCigar(rs *render, query []byte, rb, re, w, floor int) (cig bsw.Cigar, score, nm int, md []byte, ok bool) {
 	l := a.Ref.Lpac()
 	if len(query) == 0 || rb >= re || (rb < l && re > l) {
-		return nil, 0, 0, "", false
+		return nil, 0, 0, nil, false
 	}
-	rseq := a.Ref.Fetch(rb, re)
-	qq := query
+	rs.rseq = a.Ref.AppendFetch(rs.rseq[:0], rb, re)
+	rseq, qq := rs.rseq, query
 	if rb >= l {
-		qq = reverseBytes(nil, query)
-		for i, j := 0, len(rseq)-1; i < j; i, j = i+1, j-1 {
-			rseq[i], rseq[j] = rseq[j], rseq[i]
-		}
+		rs.qrev = reverseBytes(rs.qrev, query)
+		qq = rs.qrev
+		slices.Reverse(rseq)
 	}
-	score, cig = bsw.Global(&a.par3, qq, rseq, w, floor)
-	var mdBuf []byte
-	matchRun := 0
-	flushRun := func() {
-		mdBuf = strconv.AppendInt(mdBuf, int64(matchRun), 10)
-		matchRun = 0
-	}
+	score, cig = rs.global.Global(&a.par3, qq, rseq, w, floor)
+	mdBeg := len(rs.text)
+	run := 0 // matched bases since the last mismatch or deletion
 	qi, ti := 0, 0
 	for _, e := range cig {
 		n := int(e >> 4)
@@ -89,10 +126,11 @@ func (a *Aligner) genCigar(query []byte, rb, re, w, floor int) (cig bsw.Cigar, s
 			for k := 0; k < n; k++ {
 				if qq[qi+k] != rseq[ti+k] || qq[qi+k] > 3 {
 					nm++
-					flushRun()
-					mdBuf = append(mdBuf, seq.Base(rseq[ti+k]))
+					rs.text = strconv.AppendInt(rs.text, int64(run), 10)
+					rs.text = append(rs.text, seq.Base(rseq[ti+k]))
+					run = 0
 				} else {
-					matchRun++
+					run++
 				}
 			}
 			qi += n
@@ -101,21 +139,25 @@ func (a *Aligner) genCigar(query []byte, rb, re, w, floor int) (cig bsw.Cigar, s
 			qi += n
 			nm += n
 		case bsw.CigarDel:
-			flushRun()
-			mdBuf = append(mdBuf, '^')
+			rs.text = strconv.AppendInt(rs.text, int64(run), 10)
+			rs.text = append(rs.text, '^')
+			run = 0
 			for k := 0; k < n; k++ {
-				mdBuf = append(mdBuf, seq.Base(rseq[ti+k]))
+				rs.text = append(rs.text, seq.Base(rseq[ti+k]))
 			}
 			ti += n
 			nm += n
 		}
 	}
-	flushRun()
-	return cig, score, nm, string(mdBuf), true
+	rs.text = strconv.AppendInt(rs.text, int64(run), 10)
+	return cig, score, nm, rs.text[mdBeg:], true
 }
 
-// regToAln converts a region to a final alignment record (mem_reg2aln).
-func (a *Aligner) regToAln(qcodes []byte, r *Region) Alignment {
+// regToAln converts a region to a final alignment record (mem_reg2aln),
+// whose CIGAR and MD it keeps in rs.
+//
+//bwalint:hot
+func (a *Aligner) regToAln(rs *render, qcodes []byte, r *Region) Alignment {
 	aln := Alignment{Rid: -1, Sub: -1}
 	if r == nil || r.RB < 0 || r.RE < 0 {
 		aln.Flag = FlagUnmapped
@@ -141,13 +183,15 @@ func (a *Aligner) regToAln(qcodes []byte, r *Region) Alignment {
 	lastSc := -(1 << 30)
 	var cig bsw.Cigar
 	var score, nm int
-	var md string
+	var md []byte
 	ok := true
+	mdBeg := len(rs.text)
 	for i := 0; ; {
 		if w2 > o.W<<2 {
 			w2 = o.W << 2
 		}
-		cig, score, nm, md, ok = a.genCigar(qcodes[qb:qe], rb, re, w2, r.TrueSc)
+		rs.text = rs.text[:mdBeg] // drop a narrower try's MD
+		cig, score, nm, md, ok = a.genCigar(rs, qcodes[qb:qe], rb, re, w2, r.TrueSc)
 		if !ok {
 			break
 		}
@@ -189,18 +233,11 @@ func (a *Aligner) regToAln(qcodes []byte, r *Region) Alignment {
 		}
 	}
 	// Add soft clips.
-	if qb != 0 || qe != len(qcodes) {
-		clip5, clip3 := qb, len(qcodes)-qe
-		if aln.IsRev {
-			clip5, clip3 = clip3, clip5
-		}
-		var full bsw.Cigar
-		full = full.PushOp(bsw.CigarSoft, clip5)
-		full = append(full, cig...)
-		full = full.PushOp(bsw.CigarSoft, clip3)
-		cig = full
+	clip5, clip3 := qb, len(qcodes)-qe
+	if aln.IsRev {
+		clip5, clip3 = clip3, clip5
 	}
-	aln.Cigar = cig
+	aln.Cigar = rs.keepCigar(clip5, cig, clip3)
 	rid, off := a.Ref.PosToContig(posPac)
 	aln.Rid, aln.Pos = rid, off
 	aln.Score = r.Score
@@ -225,9 +262,10 @@ func (a *Aligner) SAMHeader() string {
 // selectAlignments applies mem_reg2sam's single-end record selection: skip
 // sub-threshold regions, skip secondaries unless OutputAll, mark extra
 // primaries as supplementary, and cap their mapq at the first record's.
-func (a *Aligner) selectAlignments(qcodes []byte, regs []Region) []Alignment {
-	var alns []Alignment
-	regIdx := []int{}
+//
+//bwalint:hot
+func (a *Aligner) selectAlignments(rs *render, qcodes []byte, regs []Region) []Alignment {
+	alns, regIdx := rs.alns[:0], rs.regIdx[:0]
 	for k := range regs {
 		p := &regs[k]
 		if p.Score < a.Opts.ScoreThreshold {
@@ -236,7 +274,7 @@ func (a *Aligner) selectAlignments(qcodes []byte, regs []Region) []Alignment {
 		if p.Secondary >= 0 && !a.Opts.OutputAll {
 			continue
 		}
-		aln := a.regToAln(qcodes, p)
+		aln := a.regToAln(rs, qcodes, p)
 		if aln.Flag&FlagUnmapped != 0 {
 			continue
 		}
@@ -249,72 +287,104 @@ func (a *Aligner) selectAlignments(qcodes []byte, regs []Region) []Alignment {
 		alns = append(alns, aln)
 		regIdx = append(regIdx, k)
 	}
+	rs.alns, rs.regIdx = alns, regIdx
 	// XA: list alternate (secondary) hits on their primary record, as bwa
 	// does when their count is small enough to be informative.
 	for ai := range alns {
 		if alns[ai].Flag&(FlagSecondary|FlagSupplementary) != 0 {
 			continue
 		}
-		alns[ai].XA = a.buildXA(qcodes, regs, regIdx[ai])
+		alns[ai].XA = a.buildXA(rs, qcodes, regs, regIdx[ai])
 	}
 	return alns
 }
 
 // buildXA renders the XA tag payload (chr,±pos,CIGAR,NM;...) for the
-// secondaries of the primary region at index pri.
-func (a *Aligner) buildXA(qcodes []byte, regs []Region, pri int) string {
-	var ids []int
+// secondaries of the primary region at index pri into rs.xa.
+//
+//bwalint:hot
+func (a *Aligner) buildXA(rs *render, qcodes []byte, regs []Region, pri int) []byte {
+	rs.ids = rs.ids[:0]
 	for k := range regs {
 		if regs[k].Secondary == pri && regs[k].Score >= a.Opts.ScoreThreshold {
-			ids = append(ids, k)
-			if len(ids) > MaxXAHits {
-				return "" // too repetitive to enumerate
+			rs.ids = append(rs.ids, k)
+			if len(rs.ids) > MaxXAHits {
+				return nil // too repetitive to enumerate
 			}
 		}
 	}
-	if len(ids) == 0 {
-		return ""
-	}
-	var b []byte
-	for _, k := range ids {
-		alt := a.regToAln(qcodes, &regs[k])
-		if alt.Flag&FlagUnmapped != 0 {
-			continue
+	xaBeg := len(rs.xa)
+	for _, k := range rs.ids {
+		textLen, cigLen := len(rs.text), len(rs.cigs)
+		alt := a.regToAln(rs, qcodes, &regs[k])
+		if alt.Flag&FlagUnmapped == 0 {
+			b := append(rs.xa, a.Ref.Contigs[alt.Rid].Name...)
+			b = append(b, ',')
+			if alt.IsRev {
+				b = append(b, '-')
+			} else {
+				b = append(b, '+')
+			}
+			b = strconv.AppendInt(b, int64(alt.Pos+1), 10)
+			b = append(b, ',')
+			b = alt.Cigar.AppendTo(b)
+			b = append(b, ',')
+			b = strconv.AppendInt(b, int64(alt.NM), 10)
+			rs.xa = append(b, ';')
 		}
-		b = append(b, a.Ref.Contigs[alt.Rid].Name...)
-		b = append(b, ',')
-		if alt.IsRev {
-			b = append(b, '-')
-		} else {
-			b = append(b, '+')
-		}
-		b = strconv.AppendInt(b, int64(alt.Pos+1), 10)
-		b = append(b, ',')
-		b = alt.Cigar.AppendTo(b)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(alt.NM), 10)
-		b = append(b, ';')
+		// The alternate's own MD and CIGAR are not written anywhere else.
+		rs.text, rs.cigs = rs.text[:textLen], rs.cigs[:cigLen]
 	}
-	return string(b)
+	return rs.xa[xaBeg:]
 }
 
 // AppendSAM renders the SAM record(s) of one read into buf. read holds the
 // original ASCII sequence and (optional) qualities; qcodes its numeric
 // encoding; regs the aligned regions from AlignRead/AlignBatch.
 func (a *Aligner) AppendSAM(buf []byte, read *seq.Read, qcodes []byte, regs []Region) []byte {
-	alns := a.selectAlignments(qcodes, regs)
+	rs := a.getRender()
+	defer a.renders.Put(rs)
+	alns := a.selectAlignments(rs, qcodes, regs)
 	if len(alns) == 0 {
-		return a.appendRecord(buf, read, Alignment{Rid: -1, Sub: -1, Flag: FlagUnmapped}, nil)
+		rs.alns = append(alns, Alignment{Rid: -1, Sub: -1, Flag: FlagUnmapped})
+		alns = rs.alns
 	}
+	n := 0
 	for i := range alns {
-		buf = a.appendRecord(buf, read, alns[i], nil)
+		n += a.recordSize(read, &alns[i], nil)
+	}
+	buf = slices.Grow(buf, n)
+	for i := range alns {
+		buf = a.appendRecord(buf, read, &alns[i], nil)
 	}
 	return buf
 }
 
+// recordFixed bounds what appendRecord writes besides its variable-length
+// fields: eleven separators, five tag labels, a "*" CIGAR and eight integers
+// of at most 11 bytes each (values below 10^10).
+const recordFixed = 11 + 5*len("\tNM:i:") + 1 + 8*11
+
+// recordSize bounds the bytes appendRecord writes for aln, so AppendSAM
+// can grow its buffer once per call. A CIGAR operation takes at most 10
+// bytes, since its length fits in 28 bits.
+func (a *Aligner) recordSize(read *seq.Read, aln, mate *Alignment) int {
+	n := recordFixed + len(read.Name) + len(read.Seq) + max(len(read.Qual), 1) +
+		10*len(aln.Cigar) + len(aln.MD) + len(aln.XA)
+	if aln.Rid >= 0 {
+		n += len(a.Ref.Contigs[aln.Rid].Name)
+	}
+	if mate != nil && mate.Rid >= 0 {
+		n += len(a.Ref.Contigs[mate.Rid].Name)
+	}
+	return n
+}
+
 // appendRecord renders one SAM record straight into buf, with RNEXT, PNEXT
 // and TLEN describing mate (nil for a single-end read).
-func (a *Aligner) appendRecord(buf []byte, read *seq.Read, aln Alignment, mate *Alignment) []byte {
+//
+//bwalint:hot
+func (a *Aligner) appendRecord(buf []byte, read *seq.Read, aln, mate *Alignment) []byte {
 	buf = append(buf, read.Name...)
 	buf = append(buf, '\t')
 	buf = strconv.AppendInt(buf, int64(aln.Flag), 10)
@@ -330,7 +400,7 @@ func (a *Aligner) appendRecord(buf []byte, read *seq.Read, aln Alignment, mate *
 		buf = append(buf, '\t')
 		buf = aln.Cigar.AppendTo(buf)
 	}
-	buf = appendMateFields(append(buf, '\t'), a, &aln, mate)
+	buf = appendMateFields(append(buf, '\t'), a, aln, mate)
 	buf = append(buf, '\t')
 	if aln.IsRev {
 		for i := len(read.Seq) - 1; i >= 0; i-- {
@@ -356,7 +426,7 @@ func (a *Aligner) appendRecord(buf []byte, read *seq.Read, aln Alignment, mate *
 	if aln.Rid >= 0 {
 		buf = append(buf, "\tNM:i:"...)
 		buf = strconv.AppendInt(buf, int64(aln.NM), 10)
-		if aln.MD != "" {
+		if len(aln.MD) > 0 {
 			buf = append(buf, "\tMD:Z:"...)
 			buf = append(buf, aln.MD...)
 		}
@@ -366,7 +436,7 @@ func (a *Aligner) appendRecord(buf []byte, read *seq.Read, aln Alignment, mate *
 			buf = append(buf, "\tXS:i:"...)
 			buf = strconv.AppendInt(buf, int64(aln.Sub), 10)
 		}
-		if aln.XA != "" {
+		if len(aln.XA) > 0 {
 			buf = append(buf, "\tXA:Z:"...)
 			buf = append(buf, aln.XA...)
 		}

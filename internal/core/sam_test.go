@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/seq"
@@ -15,8 +16,8 @@ func TestMDTagPerfectRead(t *testing.T) {
 	rd, _ := sampleRead(rng, ref, 80, 0, false)
 	codes := seq.Encode(rd.Seq)
 	regs := a.AlignRead(codes, nil)
-	aln := a.regToAln(codes, &regs[0])
-	if aln.MD != "80" {
+	aln := a.regToAln(new(render), codes, &regs[0])
+	if string(aln.MD) != "80" {
 		t.Fatalf("MD = %q, want \"80\"", aln.MD)
 	}
 }
@@ -29,8 +30,8 @@ func TestMDTagMismatch(t *testing.T) {
 	want := seq.Base(codes[40])
 	codes[40] = (codes[40] + 1) & 3 // plant one mismatch
 	regs := a.AlignRead(codes, nil)
-	aln := a.regToAln(codes, &regs[0])
-	if aln.MD != "40"+string(want)+"39" {
+	aln := a.regToAln(new(render), codes, &regs[0])
+	if string(aln.MD) != "40"+string(want)+"39" {
 		t.Fatalf("MD = %q, want 40%c39", aln.MD, want)
 	}
 	if aln.NM != 1 {
@@ -46,12 +47,12 @@ func TestMDTagDeletion(t *testing.T) {
 	// Read missing 3 reference bases in the middle.
 	read := append(append([]byte(nil), window[:40]...), window[43:]...)
 	regs := a.AlignRead(read, nil)
-	aln := a.regToAln(read, &regs[0])
-	if !strings.Contains(aln.MD, "^") {
+	aln := a.regToAln(new(render), read, &regs[0])
+	if !strings.Contains(string(aln.MD), "^") {
 		t.Fatalf("MD %q should contain a deletion block", aln.MD)
 	}
 	delBases := seq.Decode(window[40:43])
-	if !strings.Contains(aln.MD, "^"+string(delBases)) {
+	if !strings.Contains(string(aln.MD), "^"+string(delBases)) {
 		t.Fatalf("MD %q should name the deleted bases %s", aln.MD, delBases)
 	}
 }
@@ -131,7 +132,7 @@ func TestMDRoundTripAgainstReference(t *testing.T) {
 		if len(regs) == 0 || regs[0].Secondary >= 0 {
 			continue
 		}
-		aln := a.regToAln(codes, &regs[0])
+		aln := a.regToAln(new(render), codes, &regs[0])
 		if aln.Rid < 0 || aln.IsRev {
 			continue
 		}
@@ -166,4 +167,76 @@ func TestMDRoundTripAgainstReference(t *testing.T) {
 				trial, aln.MD, mdRef, aln.Cigar, tlen)
 		}
 	}
+}
+
+// TestAppendSAMAllocs pins SAM-FORM's allocation diet: with a nil buf, as
+// every caller passes it, rendering a 101 bp read or pair allocates only
+// the record buffer. Reads carry 0-4 substitutions, so both Global's
+// ungapped shortcut and its DP run, and the scratch behind each call comes
+// from the Aligner's pool. Records must not depend on which read the
+// pooled scratch served before.
+func TestAppendSAMAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ref := testRef(t, 60000, 408)
+	a := newTestAligner(t, ref, ModeOptimized)
+	rng := rand.New(rand.NewSource(409))
+	rds, codes := sampleBatch(rng, ref, 100)
+	regs := a.AlignBatch(codes, nil)
+	recs := make([]string, len(rds))
+	for i := len(rds) - 1; i >= 0; i-- {
+		recs[i] = string(a.AppendSAM(nil, &rds[i], codes[i], regs[i]))
+	}
+	for i := range rds {
+		var rec []byte
+		allocs := testing.AllocsPerRun(20, func() { rec = a.AppendSAM(nil, &rds[i], codes[i], regs[i]) })
+		if allocs > 2 {
+			t.Errorf("read %d: AppendSAM made %.1f allocations, want <= 2", i, allocs)
+		}
+		if string(rec) != recs[i] {
+			t.Fatalf("read %d renders differently after other reads:\n%s\n%s", i, rec, recs[i])
+		}
+	}
+
+	regsA, regsB := alignPairs(t, a, ref, 40, 410)
+	ps := a.InferPairStats(regsA, regsB)
+	for i := 0; i < 50; i++ {
+		r1, r2, _ := samplePair(rng, ref, 101, 280+rng.Intn(60), rng.Intn(3))
+		q1, q2 := seq.Encode(r1.Seq), seq.Encode(r2.Seq)
+		g1, g2 := a.AlignRead(q1, nil), a.AlignRead(q2, nil)
+		allocs := testing.AllocsPerRun(20, func() { a.AppendSAMPair(nil, &ps, &r1, &r2, q1, q2, g1, g2) })
+		if allocs > 2 {
+			t.Errorf("pair %d: AppendSAMPair made %.1f allocations, want <= 2", i, allocs)
+		}
+	}
+}
+
+// TestAppendSAMConcurrent renders the same reads from several goroutines
+// at once: each call's pooled scratch must be its own, so every record
+// matches the one rendered alone.
+func TestAppendSAMConcurrent(t *testing.T) {
+	ref := testRef(t, 30000, 411)
+	a := newTestAligner(t, ref, ModeOptimized)
+	rds, codes := sampleBatch(rand.New(rand.NewSource(412)), ref, 60)
+	regs := a.AlignBatch(codes, nil)
+	want := make([]string, len(rds))
+	for i := range rds {
+		want[i] = string(a.AppendSAM(nil, &rds[i], codes[i], regs[i]))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range rds {
+				i := (k + 15*g) % len(rds)
+				if got := string(a.AppendSAM(nil, &rds[i], codes[i], regs[i])); got != want[i] {
+					t.Errorf("goroutine %d, read %d:\n%s\nwant\n%s", g, i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -16,7 +16,10 @@
 // input stream, never shared.
 package seq
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Nucleotide codes. The FM-index and all kernels work on these numeric codes,
 // not on ASCII bases. CodeN marks any ambiguous IUPAC base.
@@ -184,24 +187,26 @@ func (r *Reference) Get(pos int) byte {
 	return Comp(r.Pac[2*l-1-pos])
 }
 
-// Fetch copies the code subsequence [beg, end) of the doubled sequence into a
-// new slice. beg and end are clamped to [0, 2*Lpac].
-func (r *Reference) Fetch(beg, end int) []byte {
-	l2 := 2 * len(r.Pac)
-	if beg < 0 {
-		beg = 0
-	}
-	if end > l2 {
-		end = l2
-	}
+// AppendFetch appends the code subsequence [beg, end) of the doubled
+// sequence to dst and returns the extended slice; beg and end are clamped to
+// [0, 2*Lpac]. The forward-strand part is one copy, the reverse-strand part
+// one complementing loop down the forward strand.
+func (r *Reference) AppendFetch(dst []byte, beg, end int) []byte {
+	l := len(r.Pac)
+	beg, end = max(beg, 0), min(end, 2*l)
 	if beg >= end {
-		return nil
+		return dst
 	}
-	out := make([]byte, end-beg)
-	for i := beg; i < end; i++ {
-		out[i-beg] = r.Get(i)
+	dst = slices.Grow(dst, end-beg)
+	if beg < l {
+		dst = append(dst, r.Pac[beg:min(end, l)]...)
+		beg = l
 	}
-	return out
+	// Doubled position i >= l is the complement of forward base 2l-1-i.
+	for i := 2*l - 1 - beg; i >= 2*l-end; i-- {
+		dst = append(dst, Comp(r.Pac[i]))
+	}
+	return dst
 }
 
 // DoubledLen returns 2*Lpac, the length of the sequence the FM-index covers.

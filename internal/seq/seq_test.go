@@ -117,14 +117,39 @@ func TestReferenceDoubled(t *testing.T) {
 			t.Errorf("Get(%d) = %d, want %d", i, r.Get(i), d[i])
 		}
 	}
-	if !bytes.Equal(r.Fetch(2, 9), d[2:9]) {
-		t.Errorf("Fetch(2,9) mismatch")
+	if !bytes.Equal(r.AppendFetch(nil, 2, 9), d[2:9]) {
+		t.Errorf("AppendFetch(2,9) mismatch")
 	}
-	if r.Fetch(9, 2) != nil {
-		t.Errorf("Fetch with beg>=end should be nil")
+	if r.AppendFetch(nil, 9, 2) != nil {
+		t.Errorf("AppendFetch with beg>=end should append nothing")
 	}
-	if got := r.Fetch(-5, 100); !bytes.Equal(got, d) {
-		t.Errorf("Fetch clamping failed")
+	if got := r.AppendFetch(nil, -5, 100); !bytes.Equal(got, d) {
+		t.Errorf("AppendFetch clamping failed")
+	}
+}
+
+// TestAppendFetchMatchesGet compares AppendFetch with per-base Get over
+// every window of a two-contig reference: forward-only, reverse-only,
+// straddling the forward/reverse boundary, and clamped at either end. The
+// bytes already in dst must stay as they were.
+func TestAppendFetchMatchesGet(t *testing.T) {
+	r, err := NewReference([]string{"a", "b"}, [][]byte{[]byte("ACGTTNAGC"), []byte("GGATC")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2 := r.DoubledLen()
+	prefix := []byte{9, 9, 9}
+	for beg := -3; beg <= l2+3; beg++ {
+		for end := beg - 1; end <= l2+3; end++ {
+			want := append([]byte(nil), prefix...)
+			for i := max(beg, 0); i < min(end, l2); i++ {
+				want = append(want, r.Get(i))
+			}
+			got := r.AppendFetch(append([]byte(nil), prefix...), beg, end)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("AppendFetch(%d, %d) = %v, want %v", beg, end, got, want)
+			}
+		}
 	}
 }
 
