@@ -13,24 +13,6 @@ DATA lanes<>+48(SB)/8, $0x001c001b001a0019
 DATA lanes<>+56(SB)/8, $0x0020001f001e001d
 GLOBL lanes<>(SB), RODATA|NOPTR, $64
 
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() uint32
-TEXT ·xgetbv(SB), NOSPLIT, $0-4
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
-	RET
-
 // func extendRow16(h, e []int16, q []int8, h1, oeDel, eDel, oeIns, eIns int16) (int16, int16, int)
 //
 // extendRow on AVX-512BW, 32 columns c0..c0+31 per chunk. Every term but F

@@ -2,27 +2,11 @@
 
 package bsw
 
+import "repro/internal/cpufeat"
+
 // haveRow16 reports whether extendRow16 runs here: the CPU has AVX-512F
 // and AVX-512BW and the OS saves the opmask and ZMM registers.
-var haveRow16 = detectAVX512BW()
-
-func detectAVX512BW() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(1<<27) == 0 { // OSXSAVE
-		return false
-	}
-	if xgetbv()&0xe6 != 0xe6 { // SSE, AVX, opmask, ZMM_Hi256, Hi16_ZMM state
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<16) != 0 && ebx&(1<<30) != 0 // AVX512F, AVX512BW
-}
-
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() uint32
+var haveRow16 = cpufeat.AVX512BW
 
 // extendRow16 is extendRow over int16 cells, 32 columns per AVX-512BW
 // instruction (extend_amd64.s). e and q hold at least len(h) elements.

@@ -33,6 +33,8 @@ type Aligner struct {
 type Workspace struct {
 	smem       fmindex.SMEMBuf
 	intervals  []fmindex.BiInterval
+	lanes      fmindex.SeedBatchBuf
+	batch      [][]fmindex.BiInterval // SeedBatch's intervals, read i's at batch[i], views into lanes
 	seeds      []chain.Seed
 	scalar     bsw.ScalarBuf
 	qrev, trev []byte
@@ -128,10 +130,16 @@ func (a *Aligner) placeSeeds(intervals []fmindex.BiInterval, out []chain.Seed) [
 func (a *Aligner) chainRead(q []byte, ws *Workspace) []*chain.Chain {
 	t0 := time.Now()
 	ws.intervals = a.Idx.CollectIntervals(q, a.Opts.Seed, &ws.smem, ws.intervals)
+	ws.Clock.Add(counters.StageSMEM, time.Since(t0))
+	return a.chainSeeded(q, ws.intervals, ws)
+}
+
+// chainSeeded runs SAL and chaining over one read's seed intervals
+// (pipeline stages 2-3).
+func (a *Aligner) chainSeeded(q []byte, intervals []fmindex.BiInterval, ws *Workspace) []*chain.Chain {
 	t1 := time.Now()
-	ws.Clock.Add(counters.StageSMEM, t1.Sub(t0))
-	fr := fracRep(ws.intervals, a.Opts.MaxOcc, len(q))
-	ws.seeds = a.placeSeeds(ws.intervals, ws.seeds)
+	fr := fracRep(intervals, a.Opts.MaxOcc, len(q))
+	ws.seeds = a.placeSeeds(intervals, ws.seeds)
 	t2 := time.Now()
 	ws.Clock.Add(counters.StageSAL, t2.Sub(t1))
 	chains := chain.Build(&a.chOpts, a.Ref.Lpac(), ws.seeds, a.ridOf, fr)
@@ -140,15 +148,31 @@ func (a *Aligner) chainRead(q []byte, ws *Workspace) []*chain.Chain {
 	return chains
 }
 
-// AlignRead maps one read (numeric codes) to candidate regions using the
-// sequential (per-read) path with scalar extension — original BWA-MEM's
-// processing order. Regions come back sorted by decreasing score with
-// secondary marking applied.
-func (a *Aligner) AlignRead(q []byte, ws *Workspace) []Region {
-	if ws == nil {
-		ws = &Workspace{}
+// SeedBatch is the batch path's first stage: SMEM seeding of every read
+// of reads (numeric codes) into ws, fmindex.SeedLanes reads at a time
+// (Index.CollectIntervalsBatch), for AlignSeeded to take up read by read.
+// A Baseline aligner seeds nothing here: its AlignSeeded seeds each read
+// itself, keeping original BWA-MEM's per-read order.
+func (a *Aligner) SeedBatch(reads [][]byte, ws *Workspace) {
+	if a.Idx.Flavor() == fmindex.Baseline {
+		return
 	}
-	chains := a.chainRead(q, ws)
+	t0 := time.Now()
+	ws.batch = a.Idx.CollectIntervalsBatch(reads, a.Opts.Seed, &ws.lanes, ws.batch)
+	ws.Clock.Add(counters.StageSMEM, time.Since(t0))
+}
+
+// AlignSeeded maps read i of the last SeedBatch on ws, whose codes are q,
+// to candidate regions: SAL, chaining and scalar extension with the
+// online contained-seed skip. Regions come back sorted by decreasing
+// score with secondary marking applied.
+func (a *Aligner) AlignSeeded(i int, q []byte, ws *Workspace) []Region {
+	var chains []*chain.Chain
+	if a.Idx.Flavor() == fmindex.Baseline {
+		chains = a.chainRead(q, ws)
+	} else {
+		chains = a.chainSeeded(q, ws.batch[i], ws)
+	}
 	t0 := time.Now()
 	var regs []Region
 	for _, c := range chains {
@@ -160,6 +184,17 @@ func (a *Aligner) AlignRead(q []byte, ws *Workspace) []Region {
 	a.markPrimary(regs)
 	ws.Clock.Add(counters.StageMisc, time.Since(t1))
 	return regs
+}
+
+// AlignRead maps one read (numeric codes) to candidate regions: a batch of
+// one.
+func (a *Aligner) AlignRead(q []byte, ws *Workspace) []Region {
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	qs := [1][]byte{q}
+	a.SeedBatch(qs[:], ws)
+	return a.AlignSeeded(0, q, ws)
 }
 
 // CollectBSWJobs reproduces the paper's kernel-benchmark methodology for
@@ -203,16 +238,17 @@ func (a *Aligner) CollectBSWJobs(reads [][]byte, ws *Workspace) []bsw.Job {
 	return append(left, right...)
 }
 
-// AlignBatch maps each read with AlignRead. A read's regions never depend
-// on the other reads of the batch; this is a convenience for callers that
-// hold reads in slices.
+// AlignBatch is the batch path: SeedBatch over all of reads, then
+// AlignSeeded read by read. A read's regions never depend on the other
+// reads of the batch.
 func (a *Aligner) AlignBatch(reads [][]byte, ws *Workspace) [][]Region {
 	if ws == nil {
 		ws = &Workspace{}
 	}
+	a.SeedBatch(reads, ws)
 	out := make([][]Region, len(reads))
 	for i, q := range reads {
-		out[i] = a.AlignRead(q, ws)
+		out[i] = a.AlignSeeded(i, q, ws)
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fmindex"
 	"repro/internal/seq"
 )
 
@@ -132,6 +133,49 @@ func TestBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("%v read %d (%s): batch/sequential regions differ:\nbatch %+v\nseq   %+v",
 					mode, i, rds[i].Name, batch[i], seqr)
 			}
+		}
+	}
+}
+
+// extendLog is a probe that records the rank bounds of every extension
+// and counts prefetch hints.
+type extendLog struct {
+	extends    [][2]int
+	prefetches int
+}
+
+func (p *extendLog) Extend(k, l int) { p.extends = append(p.extends, [2]int{k, l}) }
+func (p *extendLog) Occ(int)         {}
+func (p *extendLog) Prefetch(int)    { p.prefetches++ }
+
+// TestBaselineBatchKeepsOriginalOrder: a Baseline aligner's AlignBatch
+// seeds read by read, as original BWA-MEM does — exactly the extensions of
+// per-read CollectIntervals, in read order, with no prefetch hint — while
+// an Optimized aligner makes the same extensions interleaved across reads.
+func TestBaselineBatchKeepsOriginalOrder(t *testing.T) {
+	ref := testRef(t, 30000, 87)
+	_, reads := sampleBatch(rand.New(rand.NewSource(88)), ref, 3)
+	for _, mode := range []Mode{ModeBaseline, ModeOptimized} {
+		a := newTestAligner(t, ref, mode)
+		want, got := &extendLog{}, &extendLog{}
+		a.Idx.SetProbe(want)
+		var buf fmindex.SMEMBuf
+		for _, q := range reads {
+			a.Idx.CollectIntervals(q, a.Opts.Seed, &buf, nil)
+		}
+		a.Idx.SetProbe(got)
+		a.AlignBatch(reads, &Workspace{})
+		a.Idx.SetProbe(nil)
+		same := reflect.DeepEqual(got.extends, want.extends)
+		switch {
+		case mode == ModeBaseline && !same:
+			t.Fatalf("baseline AlignBatch made %d extensions out of per-read order (per-read CollectIntervals made %d)",
+				len(got.extends), len(want.extends))
+		case mode == ModeBaseline && got.prefetches != 0:
+			t.Fatalf("baseline AlignBatch issued %d prefetch hints", got.prefetches)
+		case mode == ModeOptimized && (same || len(got.extends) != len(want.extends)):
+			t.Fatalf("optimized AlignBatch: %d extensions, per read %d, identical order %v; want the same count interleaved",
+				len(got.extends), len(want.extends), same)
 		}
 	}
 }

@@ -5,18 +5,21 @@
 // The same algorithm runs in two modes that mirror the paper's comparison:
 //
 //   - ModeBaseline reproduces original BWA-MEM's design: η=128 occurrence
-//     table, compressed suffix array (factor 128), and sequential scalar
+//     table, compressed suffix array (factor 128), each read pushed through
+//     every stage in turn with no software prefetch, and sequential scalar
 //     seed extension with the contained-seed skip heuristic applied online.
-//   - ModeOptimized is the paper's design (bwa-mem2) carried out for a
-//     SIMD-less Go target: the bit-plane occurrence table (fmindex.OccBP,
-//     η=128, four counts from popcounts over one 64-byte line) and the flat
-//     suffix array, extending with the same scalar engine and online skip
-//     heuristic. The paper's η=32 byte-per-base occurrence table and its
-//     inter-task BSW lanes are not built: Table 4 costs the former from its
-//     bucket geometry alone, and Tables 6-7 measure the shipped extension
-//     kernel. Without a batched kernel the batch-staged workflow (Fig. 2)
-//     has nothing to feed, so both modes push each read through every stage
-//     in turn (AlignRead), as original BWA-MEM does.
+//   - ModeOptimized is the paper's design (bwa-mem2) carried out in Go:
+//     the bit-plane occurrence table (fmindex.OccBP, η=128, four counts
+//     from popcounts over one 64-byte line, an amd64 kernel where the CPU
+//     has POPCNT and BMI2), batch-staged seeding with software prefetch
+//     (SeedBatch: fmindex.SeedLanes reads interleaved, paper §4.2), and the
+//     flat suffix array, extending with the same scalar engine and online
+//     skip heuristic. The paper's η=32 byte-per-base occurrence table and
+//     its inter-task BSW lanes are not built: Table 4 costs the former
+//     from its bucket geometry alone, and Tables 6-7 measure the shipped
+//     extension kernel. Without a batched extension kernel the rest of the
+//     batch-staged workflow (Fig. 2) has nothing to feed, so past seeding
+//     each read goes through SAL, CHAIN and BSW in turn (AlignSeeded).
 //
 // Both modes produce identical alignments; this is the paper's central
 // requirement and is enforced by tests.

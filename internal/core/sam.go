@@ -340,7 +340,7 @@ func (a *Aligner) buildXA(rs *render, qcodes []byte, regs []Region, pri int) []b
 
 // AppendSAM renders the SAM record(s) of one read into buf. read holds the
 // original ASCII sequence and (optional) qualities; qcodes its numeric
-// encoding; regs the aligned regions from AlignRead/AlignBatch.
+// encoding; regs the aligned regions from AlignSeeded, AlignRead or AlignBatch.
 func (a *Aligner) AppendSAM(buf []byte, read *seq.Read, qcodes []byte, regs []Region) []byte {
 	rs := a.getRender()
 	defer a.renders.Put(rs)
@@ -364,6 +364,14 @@ func (a *Aligner) AppendSAM(buf []byte, read *seq.Read, qcodes []byte, regs []Re
 // fields: eleven separators, five tag labels, a "*" CIGAR and eight integers
 // of at most 11 bytes each (values below 10^10).
 const recordFixed = 11 + 5*len("\tNM:i:") + 1 + 8*11
+
+// RecordCap is a capacity to reserve for read's records in a buffer that
+// collects many reads' records: AppendSAM's bound for one record with a
+// short CIGAR, MD and contig name. A read whose records need more only
+// makes AppendSAM grow the buffer.
+func RecordCap(read *seq.Read) int {
+	return recordFixed + 32 + len(read.Name) + len(read.Seq) + max(len(read.Qual), 1)
+}
 
 // recordSize bounds the bytes appendRecord writes for aln, so AppendSAM
 // can grow its buffer once per call. A CIGAR operation takes at most 10

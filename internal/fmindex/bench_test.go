@@ -64,3 +64,17 @@ func BenchmarkIndexBuild(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSMEMBatch measures CollectIntervalsBatch over the same reads,
+// SeedLanes at a time; ns/op is per read, comparable with
+// BenchmarkSMEMOptimized.
+func BenchmarkSMEMBatch(b *testing.B) {
+	x, reads := benchIndex(b, Optimized)
+	var buf SeedBatchBuf
+	var outs [][]BiInterval
+	opts := DefaultSeedOpts()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(reads) {
+		outs = x.CollectIntervalsBatch(reads[:min(len(reads), b.N-i)], opts, &buf, outs)
+	}
+}

@@ -7,8 +7,14 @@
 // every algorithm above this layer is shared and output is identical by
 // construction: the Baseline flavor is original BWA-MEM's η=128 2-bit
 // layout; the Optimized flavor — the one that ships, behind
-// core.ModeOptimized — is the bit-plane layout built around Go's wide
-// primitive, bits.OnesCount64.
+// core.ModeOptimized — is the bit-plane layout built around a scalar
+// popcount, ranked on amd64 by an assembly kernel (rank_amd64.s).
+//
+// Seeding (smem.go) is one resumable engine: CollectIntervalsBatch steps
+// SeedLanes reads round-robin with a real software prefetch one step
+// ahead (the paper's Algorithm 4), and CollectIntervals, SMEM1 and
+// SeedStrategy1 run the same steps over one read. The Baseline flavor
+// issues no prefetch.
 //
 // The paper's cost model (Table 4's bucket visits, words and prefetches)
 // lives in internal/experiments. The kernels only report the stored-BWT
@@ -32,7 +38,7 @@ const (
 	// prefetching.
 	Baseline Flavor = iota
 	// Optimized is the serving design: the η=128 bit-plane table (OccBP),
-	// one cache line per bucket, with modeled software prefetching.
+	// one cache line per bucket, with software prefetching.
 	Optimized
 )
 
@@ -66,8 +72,19 @@ type Index struct {
 	flavor Flavor
 	occBP  *OccBP
 	occ128 *Occ128
+	rank   rankEngine
 	probe  Probe
 }
+
+// rankEngine is how Extend computes its two rank bounds, chosen once per
+// Index by NewFromParts.
+type rankEngine uint8
+
+const (
+	rankOcc128 rankEngine = iota // Baseline: Occ128.Count4, twice
+	rankPlanes                   // OccBP.countPair, the Go count4
+	rankKernel                   // OccBP.countPairKernel, the amd64 kernel
+)
 
 // Probe observes the stored-BWT positions the kernels rank at, for a cost
 // model outside the serving path. Every position is in [0, N) unless noted.
@@ -77,8 +94,9 @@ type Probe interface {
 	Extend(k, l int)
 	// Occ reports one single-base rank, from LF.
 	Occ(k int)
-	// Prefetch reports one modeled software-prefetch hint (paper
-	// Algorithm 4). The Baseline flavor, like original BWA-MEM, issues none.
+	// Prefetch reports one software-prefetch hint (paper Algorithm 4),
+	// issued as PREFETCHT0 on amd64. The Baseline flavor, like original
+	// BWA-MEM, issues none.
 	Prefetch(k int)
 }
 
@@ -113,6 +131,14 @@ func NewFromParts(b *bwt.BWT, flavor Flavor, obp *OccBP) *Index {
 		x.occBP = obp
 	default:
 		x.occBP = NewOccBP(b.B0)
+	}
+	switch {
+	case x.occBP == nil:
+		x.rank = rankOcc128
+	case haveRankKernel:
+		x.rank = rankKernel
+	default:
+		x.rank = rankPlanes
 	}
 	return x
 }
@@ -181,9 +207,12 @@ func (x *Index) Extend(ik BiInterval, isBack bool, ok *[4]BiInterval) {
 		x.probe.Extend(k, l)
 	}
 	var tk, tl [4]int
-	if x.occBP != nil {
+	switch {
+	case x.rank == rankKernel && k >= 0:
+		x.occBP.countPairKernel(k, l, &tk, &tl)
+	case x.rank != rankOcc128:
 		x.occBP.countPair(k, l, &tk, &tl)
-	} else {
+	default:
 		tk, tl = x.occ128.Count4(k), x.occ128.Count4(l)
 	}
 	// Rows whose suffix is exactly the current match followed by the
@@ -208,15 +237,20 @@ func (x *Index) Extend(ik BiInterval, isBack bool, ok *[4]BiInterval) {
 	}
 }
 
-// prefetchOcc reports a modeled software-prefetch hint for the occurrence
-// bucket of a full-column row (paper Algorithm 4, lines 11-12 and 26-27).
-// Pure-Go execution has no prefetch instruction, so the hint exists only for
-// the probe. The unprobed check is split out so it inlines into the search
-// loops.
-func (x *Index) prefetchOcc(row int) {
-	if x.probe != nil && x.flavor != Baseline {
-		x.probePrefetch(row)
+// prefetchOcc is Algorithm 4's software prefetch (lines 11-12 and 26-27):
+// r1 and r2 are the full-column rows the next extension of an interval
+// will rank at, and it issues PREFETCHT0 for their bit-plane lines (a
+// no-op under purego) and reports both to the probe. The Baseline flavor,
+// like original BWA-MEM, issues none.
+func (x *Index) prefetchOcc(r1, r2 int) {
+	if x.flavor == Baseline {
+		return
 	}
+	if x.probe != nil {
+		x.probePrefetch(r1)
+		x.probePrefetch(r2)
+	}
+	x.occBP.prefetch(x.B.RankShift(r1), x.B.RankShift(r2))
 }
 
 func (x *Index) probePrefetch(row int) {

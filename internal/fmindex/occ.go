@@ -7,8 +7,10 @@
 //     words, each stored as a hi and a lo bit plane of the 2-bit codes.
 //     All four in-bucket counts come from three popcounts per word
 //     (hi&lo, hi&^lo, lo&^hi; the fourth by subtraction) with no per-base
-//     matching: on a SIMD-less target bits.OnesCount64 is the wide
-//     primitive, so this is the §4.4 redesign carried out for Go.
+//     matching: the §4.4 redesign built around a scalar popcount rather
+//     than a vector compare. Extend reads both of its bounds in one call,
+//     on amd64 the rankPair kernel (rank_amd64.s: BZHI masks, POPCNT
+//     counts), elsewhere and under purego the Go count4.
 //
 //   - Occ128 — the original BWA-MEM layout (§4.1), behind the Baseline
 //     flavor (built from the BWT column, never persisted): bucket size
@@ -26,7 +28,10 @@
 // the Index layer shifts full-column row numbers around the primary row.
 package fmindex
 
-import "math/bits"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // occEntryBytes is the size of one bucket of any layout: one cache line.
 const occEntryBytes = 64
@@ -131,6 +136,20 @@ func (o *OccBP) countPair(k, l int, ck, cl *[4]int) {
 	} else {
 		*cl = [4]int{}
 	}
+}
+
+// countPairKernel is countPair for 0 <= k <= l, with both in-line counts
+// from rankPair: the amd64 kernel where the CPU has it. Extend sends k = -1
+// to countPair.
+func (o *OccBP) countPairKernel(k, l int, ck, cl *[4]int) {
+	rankPair(&o.lines[k>>7], &o.lines[l>>7], k, l, ck, cl)
+}
+
+// prefetch issues a cache-line prefetch for the lines holding stored
+// positions k and l, each in [-1, n]. There is no bounds check: a prefetch
+// of the line before or after the table never faults.
+func (o *OccBP) prefetch(k, l int) {
+	prefetch2(unsafe.SliceData(o.lines), k>>7, l>>7)
 }
 
 // MemFootprint returns the table size in bytes.

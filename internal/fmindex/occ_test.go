@@ -2,6 +2,7 @@ package fmindex
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -24,19 +25,25 @@ var occLayouts = []struct {
 }
 
 // checkMatchesNaive compares Count and Count4 of every layout built over b0
-// with a naive running tally, at every k in [-1, n-1].
+// with a naive running tally, at every k in [-1, n-1], and the bit-plane
+// table's rank-pair engines with it too (checkPairs).
 func checkMatchesNaive(t *testing.T, layout string, b0 []byte) {
 	t.Helper()
+	naive := make([][4]int, len(b0)+1) // naive[k+1]: the counts over B0[0..k]
+	for k, c := range b0 {
+		naive[k+1] = naive[k]
+		naive[k+1][c]++
+	}
 	for _, l := range occLayouts {
 		if layout != "" && l.name != layout {
 			continue
 		}
 		o := l.build(b0)
-		var want [4]int
+		if bp, ok := o.(*OccBP); ok {
+			checkPairs(t, bp, naive)
+		}
 		for k := -1; k < len(b0); k++ {
-			if k >= 0 {
-				want[b0[k]]++
-			}
+			want := naive[k+1]
 			if got := o.Count4(k); got != want {
 				t.Fatalf("n=%d %s.Count4(%d) = %v, want %v", len(b0), l.name, k, got, want)
 			}
@@ -45,6 +52,52 @@ func checkMatchesNaive(t *testing.T, layout string, b0 []byte) {
 					t.Fatalf("n=%d %s.Count(%d,%d) = %d, want %d", len(b0), l.name, c, k, got, want[c])
 				}
 			}
+		}
+	}
+}
+
+// checkPairs compares both rank-pair engines of o — countPair over the Go
+// count4, and countPairKernel, the amd64 kernel where the CPU has it, whose
+// contract starts at k = 0 — with the naive counts. Every k in [-1, n-1]
+// is paired with l = k, k+1,
+// the last position of k's word and of k's line, the first position of
+// the next line, a position in the next line's second word and one two
+// lines on; and every pair of -1 and the word and line boundaries 63, 64,
+// 127 and 128.
+func checkPairs(t *testing.T, o *OccBP, naive [][4]int) {
+	t.Helper()
+	n := len(naive) - 1
+	engines := []struct {
+		name string
+		f    func(k, l int, ck, cl *[4]int)
+	}{
+		{"countPair", o.countPair},
+		{fmt.Sprintf("countPairKernel(amd64 kernel %v)", haveRankKernel), o.countPairKernel},
+	}
+	check := func(k, l int) {
+		if l < k || l >= n {
+			return
+		}
+		for i, e := range engines {
+			if i == 1 && k < 0 {
+				continue // the kernel's contract starts at k = 0
+			}
+			ck, cl := [4]int{-1, -1, -1, -1}, [4]int{-1, -1, -1, -1}
+			e.f(k, l, &ck, &cl)
+			if ck != naive[k+1] || cl != naive[l+1] {
+				t.Fatalf("n=%d %s(%d, %d) = %v, %v; want %v, %v", n, e.name, k, l, ck, cl, naive[k+1], naive[l+1])
+			}
+		}
+	}
+	for k := -1; k < n; k++ {
+		for _, l := range []int{k, k + 1, k | 63, k | 127, k | 127 + 1, k | 127 + 70, k + 256} {
+			check(k, l)
+		}
+	}
+	edges := []int{-1, 63, 64, 127, 128}
+	for _, k := range edges {
+		for _, l := range edges {
+			check(k, l)
 		}
 	}
 }
@@ -168,5 +221,18 @@ func BenchmarkOccBPCount4(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.Count4(ks[i&4095])
+	}
+}
+
+// TestRankPath reports which rank engine an Optimized index runs, and
+// fails if the amd64 kernel is available but was not chosen.
+func TestRankPath(t *testing.T) {
+	x, _, err := Build(doubledText(randText(rand.New(rand.NewSource(3)), 500)), Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("rank engine %d (%d = amd64 kernel), kernel available %v", x.rank, rankKernel, haveRankKernel)
+	if haveRankKernel != (x.rank == rankKernel) {
+		t.Fatalf("kernel available %v but the index chose engine %d", haveRankKernel, x.rank)
 	}
 }

@@ -1,6 +1,7 @@
 package fmindex
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -240,5 +241,123 @@ func TestSeedStrategy1(t *testing.T) {
 	q[0] = 4
 	if _, next, found := x.SeedStrategy1(q, 0, 19, 20); found || next != 1 {
 		t.Fatal("N start should not seed")
+	}
+}
+
+// seedingReads returns reads that exercise every branch of the seeding
+// engine: reference-derived reads with mismatches, reads from a repeated
+// segment (pass 2 re-seeds inside their SMEMs), runs of N at the start, in
+// the middle and at the end, an all-N read, an empty read, and reads
+// shorter than MinSeedLen.
+func seedingReads(rng *rand.Rand, fwd []byte, repeat int) [][]byte {
+	var reads [][]byte
+	for r := 0; r < 24; r++ {
+		pos := rng.Intn(len(fwd) - 160)
+		if r%4 == 0 {
+			pos = repeat + rng.Intn(40)
+		}
+		q := append([]byte(nil), fwd[pos:pos+60+rng.Intn(100)]...)
+		for m := 0; m < rng.Intn(5); m++ {
+			q[rng.Intn(len(q))] = byte(rng.Intn(4))
+		}
+		reads = append(reads, q)
+	}
+	withN := func(q []byte, from, to int) []byte {
+		q = append([]byte(nil), q...)
+		for i := from; i < to; i++ {
+			q[i] = 4
+		}
+		return q
+	}
+	base := fwd[100:201]
+	reads = append(reads,
+		withN(base, 0, 7), withN(base, 40, 52), withN(base, 90, 101), withN(base, 50, 51),
+		withN(base, 0, 101), // all N
+		nil,                 // empty
+		append([]byte(nil), fwd[300:301]...),
+		append([]byte(nil), fwd[400:410]...),
+		append([]byte(nil), fwd[500:518]...), // MinSeedLen-1
+		withN(fwd[600:630], 15, 16))
+	return reads
+}
+
+// TestCollectIntervalsBatchMatchesPerRead checks the round-robin engine
+// against per-read CollectIntervals for K in {1, 2, 3, 8}, both flavors,
+// the whole read set and batches smaller than K, and outs reused across
+// calls with the reads in another order.
+func TestCollectIntervalsBatchMatchesPerRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	fwd := randText(rng, 4000)
+	copy(fwd[2000:2300], fwd[1000:1300]) // a repeat, so pass 2 has work
+	copy(fwd[3000:3300], fwd[1000:1300])
+	reads := seedingReads(rng, fwd, 1000)
+	rev := make([][]byte, len(reads))
+	for i, q := range reads {
+		rev[len(reads)-1-i] = q
+	}
+	opt := DefaultSeedOpts()
+	for _, flavor := range []Flavor{Baseline, Optimized} {
+		x, _, err := Build(doubledText(fwd), flavor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := func(qs [][]byte) [][]BiInterval {
+			var buf SMEMBuf
+			out := make([][]BiInterval, len(qs))
+			for i, q := range qs {
+				out[i] = x.CollectIntervals(q, opt, &buf, nil)
+			}
+			return out
+		}
+		pass2 := 0
+		for _, q := range reads {
+			var buf SMEMBuf
+			x.beginRead(&buf, q, opt, nil)
+			for more := true; more; more = x.seedStep(&buf) {
+				if buf.pass == 2 && buf.walk.kind != walkIdle {
+					pass2++
+				}
+			}
+		}
+		if pass2 == 0 {
+			t.Fatalf("%v: no read re-seeds in pass 2", flavor)
+		}
+		check := func(label string, got, want [][]BiInterval) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%v %s: %d outputs, want %d", flavor, label, len(got), len(want))
+			}
+			for i := range want {
+				if len(got[i]) != len(want[i]) || (len(want[i]) > 0 && !reflect.DeepEqual(got[i], want[i])) {
+					t.Fatalf("%v %s: read %d:\ngot  %v\nwant %v", flavor, label, i, got[i], want[i])
+				}
+			}
+		}
+		for _, k := range []int{1, 2, 3, 8} {
+			var buf SeedBatchBuf
+			var outs [][]BiInterval
+			for _, qs := range [][][]byte{reads, rev, reads[:k-1], rev[:1], reads} {
+				outs = x.collectBatch(qs, opt, &buf, k, outs)
+				check(fmt.Sprintf("K=%d, %d reads", k, len(qs)), outs, want(qs))
+			}
+		}
+		var buf SeedBatchBuf
+		check("CollectIntervalsBatch", x.CollectIntervalsBatch(reads, opt, &buf, nil), want(reads))
+	}
+}
+
+// TestCollectIntervalsBatchDoesNotAllocate pins the batch path at zero
+// allocations once its lanes and outputs have grown.
+func TestCollectIntervalsBatchDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	fwd := randText(rng, 3000)
+	x, _, _ := Build(doubledText(fwd), Optimized)
+	reads := seedingReads(rng, fwd, 1000)
+	var buf SeedBatchBuf
+	outs := x.CollectIntervalsBatch(reads, DefaultSeedOpts(), &buf, nil)
+	if allocs := testing.AllocsPerRun(20, func() {
+		outs = x.CollectIntervalsBatch(reads, DefaultSeedOpts(), &buf, outs)
+	}); allocs != 0 {
+		t.Fatalf("CollectIntervalsBatch allocated %.1f times per batch", allocs)
 	}
 }

@@ -1,13 +1,18 @@
 // Package pipeline schedules alignment over a worker pool. Reads are cut
-// into batches of Config.BatchSize; a batch is one scheduler task — the
-// unit of dispatch, nothing more — and a worker pushes each read of its
-// batch through every stage (seed, lookup, chain, extend, format) before
-// taking the next, as original BWA-MEM does. The paper's batch-staged
-// workflow (Figure 2) reorders stages across a batch to feed inter-task
-// SIMD kernels; with the scalar extension engine a read's output and its
-// cost do not depend on its batch, so only the dispatch granularity
-// remains, and output is byte-identical for every batch size and thread
-// count.
+// into batches of Config.BatchSize; a batch is one scheduler task, and the
+// paper's batch-staged workflow (Figure 2) runs its first stage across it:
+// the worker seeds every read of the task (core.Aligner.SeedBatch, eight
+// reads interleaved with software prefetch), then takes each read through
+// lookup, chaining, extension and formatting before the next. The later
+// stages stay per read: with the scalar extension engine a read's
+// extension does not depend on its batch. A read's output never does, so
+// output is byte-identical for every batch size and thread count. A
+// ModeBaseline aligner seeds inside the per-read loop instead, as original
+// BWA-MEM does.
+//
+// A task renders its records into one buffer it allocates itself and
+// emits capped sub-slices of it; the buffer is never written again after
+// a record is emitted, so emit may keep what it is given.
 //
 // # Concurrency contract
 //
@@ -71,9 +76,10 @@ func Run(a *core.Aligner, reads []seq.Read, cfg Config) *Result {
 // worker goroutines in completion (not index) order, as soon as the read
 // is formatted. emit must be safe for concurrent use. When ctx is
 // cancelled, batches not yet started are dropped from the scheduler
-// queue, running batches stop at their next read, emit stops being
-// called, and the return is (nil, ctx.Err()); the Result's SAM field is
-// always nil (the records went through emit).
+// queue, running batches stop before their next read's extension (a
+// batch's seeding step runs to its end), emit stops being called, and the
+// return is (nil, ctx.Err()); the Result's SAM field is always nil (the
+// records went through emit).
 func RunStreamOn(ctx context.Context, s *Scheduler, reads []seq.Read, cfg Config, emit func(i int, rec []byte)) (*Result, error) {
 	a := s.Aligner()
 	if cfg.BatchSize <= 0 {
@@ -92,12 +98,24 @@ func RunStreamOn(ctx context.Context, s *Scheduler, reads []seq.Read, cfg Config
 	err := s.EachCtx(ctx, nBatches, func(ws *core.Workspace, b int) {
 		lo := b * cfg.BatchSize
 		hi := min(lo+cfg.BatchSize, len(reads))
+		if ctx.Err() != nil {
+			return
+		}
+		a.SeedBatch(codes[lo:hi], ws)
+		// The task's records go into one buffer, emitted as capped
+		// sub-slices and never written again.
+		n := 0
+		for i := lo; i < hi; i++ {
+			n += core.RecordCap(&reads[i])
+		}
+		buf := make([]byte, 0, n)
 		for i := lo; i < hi && ctx.Err() == nil; i++ {
-			regs := a.AlignRead(codes[i], ws)
+			regs := a.AlignSeeded(i-lo, codes[i], ws)
 			t0 := time.Now()
-			rec := a.AppendSAM(nil, &reads[i], codes[i], regs)
+			start := len(buf)
+			buf = a.AppendSAM(buf, &reads[i], codes[i], regs)
 			ws.Clock.Add(counters.StageSAMForm, time.Since(t0))
-			emit(i, rec)
+			emit(i, buf[start:len(buf):len(buf)])
 		}
 	})
 	if err != nil {
@@ -122,6 +140,10 @@ func concatRecords(perRead [][]byte) []byte {
 	}
 	return sam
 }
+
+// pairChunk is how many pairs' records one output buffer of the pairing
+// phase has room for.
+const pairChunk = 64
 
 // RunPaired maps read pairs (reads1[i] pairs with reads2[i]): both ends are
 // aligned, the FR insert-size distribution is inferred from confident
@@ -177,8 +199,10 @@ func RunPairedStreamOn(ctx context.Context, s *Scheduler, reads1, reads2 []seq.R
 			codes, regs = codes2, regs2
 		}
 		lo := bi * cfg.BatchSize
-		for i := lo; i < min(lo+cfg.BatchSize, len(codes)); i++ {
-			regs[i] = a.AlignRead(codes[i], ws)
+		hi := min(lo+cfg.BatchSize, len(codes))
+		a.SeedBatch(codes[lo:hi], ws)
+		for i := lo; i < hi; i++ {
+			regs[i] = a.AlignSeeded(i-lo, codes[i], ws)
 		}
 	})
 	if err != nil {
@@ -192,16 +216,23 @@ func RunPairedStreamOn(ctx context.Context, s *Scheduler, reads1, reads2 []seq.R
 	// counter: pairing is cheap, so one task per worker).
 	var next int64 = -1
 	err = s.EachCtx(ctx, s.Threads(), func(ws *core.Workspace, _ int) {
+		// The task's records go into buffers of pairChunk pairs' room,
+		// emitted as capped sub-slices and never written again.
+		var buf []byte
 		for ctx.Err() == nil {
 			i := int(atomic.AddInt64(&next, 1))
 			if i >= len(reads1) {
 				return
 			}
+			if n := core.RecordCap(&reads1[i]) + core.RecordCap(&reads2[i]); cap(buf)-len(buf) < n {
+				buf = make([]byte, 0, pairChunk*n)
+			}
 			t0 := time.Now()
-			rec := a.AppendSAMPair(nil, &ps, &reads1[i], &reads2[i],
+			start := len(buf)
+			buf = a.AppendSAMPair(buf, &ps, &reads1[i], &reads2[i],
 				codes1[i], codes2[i], regs1[i], regs2[i])
 			ws.Clock.Add(counters.StageSAMForm, time.Since(t0))
-			emit(i, rec)
+			emit(i, buf[start:len(buf):len(buf)])
 		}
 	})
 	if err != nil {

@@ -67,7 +67,6 @@ type firstCopy struct {
 // it submitted has run, returning ctx.Err() when the context ended first;
 // reads skipped after cancellation stay missing from st.
 func (s *Server) alignSingle(ctx context.Context, reads []seq.Read, st *ordered.Writer, span *obs.Span) error {
-	a := s.sched.Aligner()
 	firsts := make([]firstCopy, 0, len(reads))
 	type hit struct {
 		idx  int
@@ -115,33 +114,61 @@ func (s *Server) alignSingle(ctx context.Context, reads []seq.Read, st *ordered.
 			s.alignFirsts(ctx, reads, batch, st, ws)
 		})
 	}
+	n := 0
 	for _, h := range hits {
-		st.Complete(h.idx, a.AppendSAM(nil, &reads[h.idx], h.code, h.regs))
+		n += core.RecordCap(&reads[h.idx])
+	}
+	buf := make([]byte, 0, n)
+	for _, h := range hits {
+		buf = s.complete(st, buf, &reads[h.idx], h.idx, h.code, h.regs)
 	}
 	wg.Wait()
 	return ctx.Err()
 }
 
 // alignFirsts is one scheduler task over the first copies fs of reads:
-// each is aligned, its regions Put, and it and its followers rendered.
-// Once ctx ends the remaining reads are skipped.
+// all are seeded as one batch, then each is extended, its regions Put,
+// and it and its followers rendered. Once ctx ends the remaining reads are
+// skipped; the seeding step runs to its end.
 func (s *Server) alignFirsts(ctx context.Context, reads []seq.Read, fs []firstCopy, st *ordered.Writer, ws *core.Workspace) {
+	if ctx.Err() != nil {
+		return
+	}
 	a := s.sched.Aligner()
+	codes := make([][]byte, len(fs))
+	n := 0
+	for i, f := range fs {
+		codes[i] = f.code
+		n += core.RecordCap(&reads[f.idx]) * (1 + len(f.followers))
+	}
+	a.SeedBatch(codes, ws)
+	// The task's records go into one buffer, handed to st as capped
+	// sub-slices and never written again.
+	buf := make([]byte, 0, n)
 	var key []byte
-	for _, f := range fs {
+	for i, f := range fs {
 		if ctx.Err() != nil {
 			return
 		}
-		regs := a.AlignRead(f.code, ws)
+		regs := a.AlignSeeded(i, f.code, ws)
 		if s.cache != nil {
 			key = rescache.AppendKey(key[:0], s.optFP, f.code)
 			s.cache.Put(key, regs)
 		}
 		t0 := time.Now()
-		st.Complete(f.idx, a.AppendSAM(nil, &reads[f.idx], f.code, regs))
+		buf = s.complete(st, buf, &reads[f.idx], f.idx, f.code, regs)
 		for _, j := range f.followers {
-			st.Complete(j, a.AppendSAM(nil, &reads[j], f.code, regs))
+			buf = s.complete(st, buf, &reads[j], j, f.code, regs)
 		}
 		ws.Clock.Add(counters.StageSAMForm, time.Since(t0))
 	}
+}
+
+// complete renders read idx's records onto buf and hands them to st as a
+// capped sub-slice.
+func (s *Server) complete(st *ordered.Writer, buf []byte, read *seq.Read, idx int, code []byte, regs []core.Region) []byte {
+	start := len(buf)
+	buf = s.sched.Aligner().AppendSAM(buf, read, code, regs)
+	st.Complete(idx, buf[start:len(buf):len(buf)])
+	return buf
 }
