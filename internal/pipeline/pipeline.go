@@ -1,7 +1,8 @@
 // Package pipeline schedules alignment over a worker pool. Reads are cut
-// into batches of Config.BatchSize; a batch is one scheduler task, and the
-// paper's batch-staged workflow (Figure 2) runs its first stage across it:
-// the worker seeds every read of the task (core.Aligner.SeedBatch, eight
+// into batches of Config.BatchSize (derived from the run when left at 0,
+// see taskSize); a batch is one scheduler task, and the paper's
+// batch-staged workflow (Figure 2) runs its first stage across it: the
+// worker seeds every read of the task (core.Aligner.SeedBatch, eight
 // reads interleaved with software prefetch), then takes each read through
 // lookup, chaining, extension and formatting before the next. The later
 // stages stay per read: with the scalar extension engine a read's
@@ -43,7 +44,21 @@ import (
 // Config controls one pipeline run.
 type Config struct {
 	Threads   int // worker goroutines; <=0 means 1
-	BatchSize int // reads per scheduler task; <=0 means 512
+	BatchSize int // reads per scheduler task; <=0 means taskSize's choice
+}
+
+// taskSize is how many reads one scheduler task takes when a phase of n
+// reads runs on threads workers and the caller left BatchSize at 0: about
+// four tasks per worker, so the last task to finish does not leave the
+// others idle for long, but never fewer than 64 reads (a seeding batch
+// stays full) nor more than core.DefaultBatchSize. With 2500 reads on two
+// workers that is 8 tasks of 313 reads instead of 5 of 512, three of which
+// one worker would run alone. An explicit BatchSize is used as given: the
+// server always passes its configured one, so served tasks do not depend
+// on the size of the pool its requests share.
+func taskSize(n, threads int) int {
+	perWorker := 4 * max(threads, 1)
+	return min(core.DefaultBatchSize, max(64, (n+perWorker-1)/perWorker))
 }
 
 // Result is the outcome of a pipeline run.
@@ -83,7 +98,7 @@ func Run(a *core.Aligner, reads []seq.Read, cfg Config) *Result {
 func RunStreamOn(ctx context.Context, s *Scheduler, reads []seq.Read, cfg Config, emit func(i int, rec []byte)) (*Result, error) {
 	a := s.Aligner()
 	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = core.DefaultBatchSize
+		cfg.BatchSize = taskSize(len(reads), s.Threads())
 	}
 	start := time.Now()
 	clock0 := s.Clock()
@@ -177,7 +192,7 @@ func RunPairedStreamOn(ctx context.Context, s *Scheduler, reads1, reads2 []seq.R
 		panic("pipeline: unequal pair lists")
 	}
 	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = core.DefaultBatchSize
+		cfg.BatchSize = taskSize(2*len(reads1), s.Threads()) // phase 1 aligns both ends
 	}
 	start := time.Now()
 	clock0 := s.Clock()

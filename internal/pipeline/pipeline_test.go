@@ -2,8 +2,11 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/counters"
@@ -195,5 +198,51 @@ func BenchmarkPipelineOptimized1T(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(a, reads, Config{Threads: 1})
+	}
+}
+
+// TestTaskSize pins the task-size rule for runs that leave BatchSize at
+// 0: about four tasks per worker, never under 64 reads, never over 512.
+func TestTaskSize(t *testing.T) {
+	for _, tc := range []struct{ n, threads, want int }{
+		{2500, 2, 313},  // se250div: 8 tasks instead of 5
+		{10000, 2, 512}, // enough reads: the default caps
+		{20000, 2, 512}, // paired phase 1 counts both ends
+		{100, 2, 64},    // small run: the floor holds
+		{0, 2, 64},      // no reads, no tasks
+		{1000, 4, 64},   // 1000/16 = 63 rounds up, then the floor
+		{1100, 4, 69},   // ceil(1100/16)
+		{5000, 0, 512},  // threads <= 0 counts as one worker
+		{300, 1, 75},    // one worker still gets four tasks
+	} {
+		if got := taskSize(tc.n, tc.threads); got != tc.want {
+			t.Errorf("taskSize(%d, %d) = %d, want %d", tc.n, tc.threads, got, tc.want)
+		}
+	}
+}
+
+// TestExplicitBatchSizeIsExact checks that a BatchSize the caller sets is
+// the task size as given, not shrunk by the derived rule: the server and
+// the batch-size ablation rely on it.
+func TestExplicitBatchSizeIsExact(t *testing.T) {
+	a, reads := testSetup(t, core.ModeOptimized)
+	s := NewScheduler(a, 2)
+	defer s.Close()
+	var tasks atomic.Int64
+	s.SetQueueWaitObserver(func(time.Duration) { tasks.Add(1) })
+	derived := taskSize(len(reads), 2) // 400 reads on 2 workers: 64
+	for _, tc := range []struct{ batch, tasks int }{
+		{0, (len(reads) + derived - 1) / derived},
+		{len(reads), 1},
+		{512, 1},
+		{7, (len(reads) + 6) / 7},
+	} {
+		tasks.Store(0)
+		if _, err := RunStreamOn(context.Background(), s, reads, Config{BatchSize: tc.batch}, func(int, []byte) {}); err != nil {
+			t.Fatal(err)
+		}
+		if got := tasks.Load(); got != int64(tc.tasks) {
+			t.Errorf("BatchSize %d over %d reads: %d tasks, want %d", tc.batch, len(reads), got, tc.tasks)
+		}
 	}
 }

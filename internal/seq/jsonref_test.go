@@ -6,23 +6,11 @@ import (
 	"io"
 )
 
-// JSONReadVisitor receives one read of a JSON read-array field as soon as
-// it is decoded. Returning a non-nil error aborts the whole decode
-// immediately — the remainder of the body is never read — and
-// DecodeJSONReads returns that error verbatim.
-type JSONReadVisitor func(rd Read) error
-
-// DecodeJSONReads incrementally decodes a JSON object whose recognized
-// top-level fields each hold an array of read objects of the form
-//
-//	{"name": "...", "seq": "ACGT...", "qual": "IIII..."}
-//
-// calling the field's visitor for every read as it is decoded. The arrays
-// are never materialized here, which is what lets a server enforce
-// per-request read caps and per-read validation mid-body instead of after
-// buffering the whole request. Fields without a visitor are skipped; a
-// recognized field holding null is treated as an empty array.
-func DecodeJSONReads(r io.Reader, fields map[string]JSONReadVisitor) error {
+// stdDecodeJSONReads is DecodeJSONReads as it was built on encoding/json's
+// token stream and reflection, kept as the reference the hand-written
+// decoder is checked against: on every body both must accept or reject
+// alike and decode the same reads.
+func stdDecodeJSONReads(r io.Reader, fields map[string]JSONReadVisitor) error {
 	dec := json.NewDecoder(r)
 	tok, err := dec.Token()
 	if err != nil {
@@ -45,7 +33,7 @@ func DecodeJSONReads(r io.Reader, fields map[string]JSONReadVisitor) error {
 			}
 			continue
 		}
-		if err := decodeReadArray(dec, key, visit); err != nil {
+		if err := stdDecodeReadArray(dec, key, visit); err != nil {
 			return err
 		}
 	}
@@ -55,8 +43,9 @@ func DecodeJSONReads(r io.Reader, fields map[string]JSONReadVisitor) error {
 	return nil
 }
 
-// decodeReadArray streams one read-array value, invoking visit per element.
-func decodeReadArray(dec *json.Decoder, field string, visit JSONReadVisitor) error {
+// stdDecodeReadArray streams one read-array value, invoking visit per
+// element.
+func stdDecodeReadArray(dec *json.Decoder, field string, visit JSONReadVisitor) error {
 	tok, err := dec.Token()
 	if err != nil {
 		return fmt.Errorf("json: field %q: %w", field, err)

@@ -31,23 +31,12 @@ func requestBodyLimit(maxReads, maxReadLen int) int64 {
 	return limit
 }
 
-// jsonRead is the wire form of one read in JSON request bodies. Decoding is
-// incremental (seq.DecodeJSONReads); these types document the schema and
-// serve as client-side marshaling helpers.
-type jsonRead struct {
-	Name string `json:"name"`
-	Seq  string `json:"seq"`
-	Qual string `json:"qual,omitempty"`
-}
-
-type singleRequest struct {
-	Reads []jsonRead `json:"reads"`
-}
-
-type pairedRequest struct {
-	Reads1 []jsonRead `json:"reads1"`
-	Reads2 []jsonRead `json:"reads2"`
-}
+// A JSON align body is one object holding read arrays — "reads" for
+// /v1/align, "reads1" and "reads2" (pair i is reads1[i], reads2[i]) for
+// /v1/align/paired — of objects {"name": "...", "seq": "ACGT...",
+// "qual": "IIII..."} with qual optional. seq.DecodeJSONReads streams it
+// (the accepted JSON is encoding/json's) and seq.AppendJSONRead is the
+// client's encoder.
 
 // errReadTooLong marks a policy rejection (mapped to 413) rather than a
 // malformed input (400).

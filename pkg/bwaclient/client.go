@@ -20,6 +20,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/seq"
 )
 
 // Read is one sequencing read: name, ASCII bases, and optional per-base
@@ -92,19 +94,29 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// jsonRead is the wire form of one read in JSON request bodies.
-type jsonRead struct {
-	Name string `json:"name"`
-	Seq  string `json:"seq"`
-	Qual string `json:"qual,omitempty"`
+// appendReadsField appends "key":[...] holding reads in the /v1 wire
+// schema, the bytes json.Marshal writes for them.
+func appendReadsField(dst []byte, key string, reads []Read) []byte {
+	dst = append(dst, '"')
+	dst = append(dst, key...)
+	dst = append(dst, `":[`...)
+	for i := range reads {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = seq.AppendJSONRead(dst, reads[i].Name, reads[i].Seq, reads[i].Qual)
+	}
+	return append(dst, ']')
 }
 
-func toJSONReads(reads []Read) []jsonRead {
-	out := make([]jsonRead, len(reads))
-	for i, r := range reads {
-		out[i] = jsonRead{Name: r.Name, Seq: string(r.Seq), Qual: string(r.Qual)}
+// bodySize is room for a request body holding reads: their bytes plus the
+// schema's keys and quotes, so an unescaped body never grows.
+func bodySize(reads []Read) int {
+	n := 32
+	for i := range reads {
+		n += len(`{"name":"","seq":"","qual":""},`) + len(reads[i].Name) + len(reads[i].Seq) + len(reads[i].Qual)
 	}
-	return out
+	return n
 }
 
 // AlignOptions adjusts a single align call, overriding the Client's
@@ -130,13 +142,8 @@ func (c *Client) Align(ctx context.Context, reads []Read) (*SAMStream, error) {
 
 // AlignWith is Align with per-call options.
 func (c *Client) AlignWith(ctx context.Context, reads []Read, opts AlignOptions) (*SAMStream, error) {
-	body, err := json.Marshal(struct {
-		Reads []jsonRead `json:"reads"`
-	}{toJSONReads(reads)})
-	if err != nil {
-		return nil, err
-	}
-	return c.postAlign(ctx, "/v1/align", body, opts)
+	body := appendReadsField(append(make([]byte, 0, bodySize(reads)), '{'), "reads", reads)
+	return c.postAlign(ctx, "/v1/align", append(body, '}'), opts)
 }
 
 // AlignPaired maps read pairs (reads1[i] pairs with reads2[i]), returning
@@ -150,14 +157,10 @@ func (c *Client) AlignPairedWith(ctx context.Context, reads1, reads2 []Read, opt
 	if len(reads1) != len(reads2) {
 		return nil, fmt.Errorf("bwaclient: unequal pair lists: %d vs %d reads", len(reads1), len(reads2))
 	}
-	body, err := json.Marshal(struct {
-		Reads1 []jsonRead `json:"reads1"`
-		Reads2 []jsonRead `json:"reads2"`
-	}{toJSONReads(reads1), toJSONReads(reads2)})
-	if err != nil {
-		return nil, err
-	}
-	return c.postAlign(ctx, "/v1/align/paired", body, opts)
+	body := append(make([]byte, 0, bodySize(reads1)+bodySize(reads2)), '{')
+	body = append(appendReadsField(body, "reads1", reads1), ',')
+	body = appendReadsField(body, "reads2", reads2)
+	return c.postAlign(ctx, "/v1/align/paired", append(body, '}'), opts)
 }
 
 // AlignSAM is Align buffered: the whole SAM response as one byte slice,

@@ -3,8 +3,10 @@ package bwaclient
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -323,5 +325,69 @@ func TestRetryHonorsContext(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatalf("retry wait ignored context (took %v)", time.Since(start))
+	}
+}
+
+// TestRequestBodiesMatchMarshal pins the request bodies to the bytes
+// json.Marshal writes for the wire schema, so a server (or a gateway's
+// replica) receives exactly what a reflection-encoded client sent.
+func TestRequestBodiesMatchMarshal(t *testing.T) {
+	type wireRead struct {
+		Name string `json:"name"`
+		Seq  string `json:"seq"`
+		Qual string `json:"qual,omitempty"`
+	}
+	wire := func(reads []Read) []wireRead {
+		out := make([]wireRead, len(reads))
+		for i, r := range reads {
+			out[i] = wireRead{Name: r.Name, Seq: string(r.Seq), Qual: string(r.Qual)}
+		}
+		return out
+	}
+	var got []byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got, _ = io.ReadAll(r.Body)
+		w.Header().Set("Content-Type", "text/x-sam")
+	}))
+	defer ts.Close()
+	c, err := New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1 := []Read{
+		{Name: "r<1>&", Seq: []byte("ACGT"), Qual: []byte("II<>")},
+		{Name: "é\t\u2028\xff", Seq: []byte("a\"c\\"), Qual: nil},
+		{Name: "", Seq: nil, Qual: []byte{}},
+	}
+	r2 := []Read{{Name: "x", Seq: []byte("G")}, {Name: "y", Seq: []byte("T"), Qual: []byte("#")}, {}}
+	for _, tc := range []struct {
+		name string
+		send func() error
+		want any
+	}{
+		{"single", func() error { _, err := c.AlignSAM(context.Background(), r1); return err },
+			struct {
+				Reads []wireRead `json:"reads"`
+			}{wire(r1)}},
+		{"empty", func() error { _, err := c.AlignSAM(context.Background(), nil); return err },
+			struct {
+				Reads []wireRead `json:"reads"`
+			}{wire(nil)}},
+		{"paired", func() error { _, err := c.AlignPairedSAM(context.Background(), r1, r2); return err },
+			struct {
+				Reads1 []wireRead `json:"reads1"`
+				Reads2 []wireRead `json:"reads2"`
+			}{wire(r1), wire(r2)}},
+	} {
+		if err := tc.send(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, err := json.Marshal(tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s body\n%s\njson.Marshal writes\n%s", tc.name, got, want)
+		}
 	}
 }

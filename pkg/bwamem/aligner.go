@@ -27,7 +27,7 @@ type Aligner struct {
 }
 
 // New assembles an Aligner over idx. Options default to runtime.NumCPU
-// worker threads, 512-read batches, and BWA-MEM's standard scoring.
+// worker threads, batches of up to 512 reads, and BWA-MEM's standard scoring.
 func New(idx *Index, opts ...Option) (*Aligner, error) {
 	if idx == nil {
 		return nil, fmt.Errorf("bwamem: nil index")

@@ -55,7 +55,9 @@ func WithThreads(n int) Option {
 }
 
 // WithBatchSize sets how many reads one worker task aligns (the unit of
-// dispatch; output does not depend on it). 0 (the default) means 512.
+// dispatch; output does not depend on it). 0 (the default) means 512, or
+// less for a call with too few reads to give every worker about four
+// tasks of 512, down to 64.
 func WithBatchSize(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
