@@ -69,7 +69,7 @@ func BenchmarkTable5_SAL(b *testing.B) { benchExperiment(b, experiments.Table5) 
 // over every D3 job.
 func BenchmarkTable6_BSW(b *testing.B) { benchExperiment(b, experiments.Table6) }
 
-// BenchmarkTable7_BSWCounters regenerates Table 7: the vector row's steps
+// BenchmarkTable7_BSWCounters regenerates Table 7: the vector kernel's steps
 // and useful-slot share.
 func BenchmarkTable7_BSWCounters(b *testing.B) { benchExperiment(b, experiments.Table7) }
 

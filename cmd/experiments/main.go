@@ -1,7 +1,7 @@
 // Command experiments regenerates the paper's experiments: Table 1
 // (run-time breakdown), Figure 4 (thread scaling), Figure 5 (end-to-end
 // baseline-vs-optimized comparison), the kernel-level Tables 4-7 (SMEM and
-// SAL counters; the shipped BSW kernel's time and vector-row occupancy)
+// SAL counters; the shipped BSW kernel's time and vector occupancy)
 // and the design-choice ablations (suffix-array compression, batch size).
 // Each selector runs one experiment; with none (or -all) it runs
 // everything. Results are printed as text, beside the values the paper
@@ -25,7 +25,7 @@ func main() {
 		t4      = flag.Bool("table4", false, "run Table 4 (SMEM kernel counters)")
 		t5      = flag.Bool("table5", false, "run Table 5 (SAL kernel counters)")
 		t6      = flag.Bool("table6", false, "run Table 6 (BSW kernel time)")
-		t7      = flag.Bool("table7", false, "run Table 7 (BSW vector-row occupancy)")
+		t7      = flag.Bool("table7", false, "run Table 7 (BSW vector occupancy)")
 		f4      = flag.Bool("fig4", false, "run Figure 4 (thread scaling)")
 		f5      = flag.Bool("fig5", false, "run Figure 5 (end-to-end comparison)")
 		abl     = flag.Bool("ablations", false, "run the design-choice ablations")

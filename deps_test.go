@@ -47,6 +47,7 @@ func TestShippedBinariesSkipTheRig(t *testing.T) {
 		"repro/internal/bench",
 		"repro/internal/soak",
 		"repro/internal/analysis",
+		"repro/internal/samcheck",
 	}
 	for _, pkg := range goListImports(t, "{{.ImportPath}}{{range .Imports}} {{.}}{{end}}",
 		"-deps", "./cmd/bwamem", "./cmd/bwaserve", "./cmd/bwagate", "./pkg/...") {
@@ -54,6 +55,21 @@ func TestShippedBinariesSkipTheRig(t *testing.T) {
 			if under(imp, rig...) {
 				t.Errorf("%s imports %s", pkg[0], imp)
 			}
+		}
+	}
+}
+
+// TestSAMCheckSharesNoCode asserts that the SAM validity oracle, tests
+// included, depends on nothing in this module: it checks the aligner's
+// output against the reference without any of the aligner's code.
+func TestSAMCheckSharesNoCode(t *testing.T) {
+	lines := goListImports(t, "{{.ImportPath}}", "-deps", "-test", "./internal/samcheck")
+	if len(lines) == 0 {
+		t.Fatal("go list printed nothing")
+	}
+	for _, pkg := range lines {
+		if under(pkg[0], "repro") && !under(strings.TrimSuffix(pkg[0], ".test"), "repro/internal/samcheck") {
+			t.Errorf("internal/samcheck depends on %s", pkg[0])
 		}
 	}
 }

@@ -2,12 +2,15 @@
 // (paper §5): seed extension with a diagonal band, zero-row abort, z-drop
 // abort, and per-row band adjustment. There is one extension engine,
 // ExtendScalar, a faithful port of BWA's ksw_extend2 and the paper's
-// baseline. Each row runs on real vectors where it can: on amd64 with
-// AVX-512BW, a job whose values fit int16 goes through extendRow16
-// (extend_amd64.s), 32 cells per instruction within one row, F computed as
-// a prefix-max scan. Other jobs, other CPUs and the purego build tag run
-// the Go leaf extendRow. Both give the same result. The paper's inter-task
-// kernels (many jobs in the lanes of one vector, §5.3) are not implemented.
+// baseline. A job runs on real vectors where it can: on amd64 with
+// AVX-512BW, a job whose values fit int16 is one call of extendJob16
+// (extend_amd64.s), which runs the whole row loop, band clamp, aborts and
+// band shrink included, 32 cells per instruction within one row, F
+// computed as a prefix-max scan and the scores shuffled from the matrix
+// row by the query codes. Other jobs, other CPUs and the purego build tag
+// run extendGo, the same loop in Go over int32 cells. Both give the same
+// result and the same CellStats. The paper's inter-task kernels (many jobs
+// in the lanes of one vector, §5.3) are not implemented.
 //
 // Global (a port of ksw_global2) is the banded global alignment with
 // traceback that SAM-FORM runs to produce each CIGAR. When query and target

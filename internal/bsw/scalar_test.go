@@ -239,8 +239,8 @@ func TestExtendScalarMatchesDenseReference(t *testing.T) {
 }
 
 // TestExtendScalarCellStats checks the cell accounting: every row's band
-// counts once in ScalarCells, and the vector-row counters hold exactly the
-// rows extendRow16 ran, in steps of row16Lanes cells.
+// counts once in ScalarCells, and the vector counters hold exactly the rows
+// extendJob16 ran, in steps of row16Lanes cells.
 func TestExtendScalarCellStats(t *testing.T) {
 	p := DefaultParams()
 	rng := rand.New(rand.NewSource(46))
@@ -257,20 +257,15 @@ func TestExtendScalarCellStats(t *testing.T) {
 	if !row16Fits(&p, q, 30) {
 		t.Fatal("row16Fits rejects the job")
 	}
-	// The same job on a recording int32 row gives each row's band width.
-	var steps int64
-	var buf ScalarBuf
-	buf.grow(len(q))
-	extend(&p, q, tg, 100, 30, buf.h, buf.e, buf.qp, nil, 0, func(h, e []int32, qr []int8, h1, oeDel, eDel, oeIns, eIns int32) (int32, int32, int) {
-		steps += int64((len(h) + row16Lanes - 1) / row16Lanes)
-		return extendRow(h, e, qr, h1, oeDel, eDel, oeIns, eIns)
-	})
-	want := CellStats{ScalarCells: st.ScalarCells, ScalarRows: st.ScalarRows}
-	if haveRow16 {
-		want.VectorCells, want.VectorSteps = st.ScalarCells, steps
+	// The same job on the Go row, counting each row's band in steps.
+	lanes := 0
+	if haveJob16 {
+		lanes = row16Lanes
 	}
+	var want CellStats
+	extendGo(&p, q, tg, clampBand(&p, len(q), 100), 30, &ScalarBuf{}, &want, lanes)
 	if st != want {
-		t.Fatalf("vector row ran: %v; got %+v, want %+v", haveRow16, st, want)
+		t.Fatalf("job kernel ran: %v; got %+v, want %+v", haveJob16, st, want)
 	}
 
 	// A seed score past int16 keeps the job on the int32 row.

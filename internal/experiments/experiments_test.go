@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bsw"
 	"repro/internal/memsim"
 )
 
@@ -37,9 +38,14 @@ var update = flag.Bool("update", false, "rewrite testdata/counters.golden")
 // Tables 4 and 5's "wall time" rows and the SA ablation's ms column.
 var timing = regexp.MustCompile(`(?m)^.*wall time.*\n| +[\d.]+ ms`)
 
+// bswCounts matches Table 6's title and its job, cell and row counts: the
+// extension kernel's work on D3, the same on every build and CPU.
+var bswCounts = regexp.MustCompile(`(?m)^== Table 6.*\n|^  (jobs|cells|rows) +\d+\n`)
+
 // TestAllExperimentsRun runs every experiment once and pins the counter
 // rows of Tables 4 and 5 and the SA-compression ablation, which depend only
-// on the seeded data and the cost model, to testdata/counters.golden.
+// on the seeded data and the cost model, and Table 6's extension counts to
+// testdata/counters.golden.
 func TestAllExperimentsRun(t *testing.T) {
 	e := tinyEnv(t)
 	var counters strings.Builder
@@ -68,6 +74,9 @@ func TestAllExperimentsRun(t *testing.T) {
 		if exp.name == "table4" || exp.name == "table5" || exp.name == "ablation-sa" {
 			counters.WriteString(timing.ReplaceAllString(buf.String(), ""))
 		}
+		if exp.name == "table6" {
+			counters.WriteString("\n" + strings.Join(bswCounts.FindAllString(buf.String(), -1), ""))
+		}
 	}
 	golden := filepath.Join("testdata", "counters.golden")
 	if *update {
@@ -81,6 +90,26 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 	if got := counters.String(); got != string(want) {
 		t.Fatalf("counter rows differ from %s (-update rewrites it):\ngot:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// TestBSWVectorCounts pins the vector share of Tables 6 and 7 where the
+// AVX-512BW kernel runs: every D3 job fits int16, so every cell is a vector
+// cell, and the steps of 32 cells are those of the per-row kernel the job
+// kernel replaced, over the same bands (TestExtendScalarCellStats and
+// FuzzExtendJob in internal/bsw check the steps against the Go row job by
+// job).
+func TestBSWVectorCounts(t *testing.T) {
+	e := tinyEnv(t)
+	n, _, st, err := extendAll(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.VectorCells == 0 {
+		t.Skipf("the vector kernel did not run on this CPU/build (%d jobs, %d cells)", n, st.ScalarCells)
+	}
+	if want := (bsw.CellStats{ScalarCells: 623480, ScalarRows: 21896, VectorCells: 623480, VectorSteps: 30693}); st != want {
+		t.Fatalf("D3 extension counts: got %+v, want %+v", st, want)
 	}
 }
 

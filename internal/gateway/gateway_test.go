@@ -20,6 +20,7 @@ import (
 	"repro/internal/seq"
 	"repro/internal/server"
 	"repro/internal/testutil"
+	"repro/pkg/bwaclient"
 )
 
 // Shared fixture: one synthetic reference + aligner + simulated reads,
@@ -857,5 +858,66 @@ func TestGatewayConcurrentByteIdentical(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestWorstCaseBodyFitsTheCaps posts requests at both read caps, in reads
+// and in bases, whose names and qualities are all '<': the bytes the JSON
+// encoder escapes to six. The body limit both tiers derive from the caps
+// must admit them, on a replica and through the gateway, single-end and
+// paired.
+func TestWorstCaseBodyFitsTheCaps(t *testing.T) {
+	checkLeaks(t)
+	fixture(t)
+	const maxReads, maxLen = 10, 101
+	rcfg := replicaConfig()
+	rcfg.MaxReadsPerRequest, rcfg.MaxReadLen = maxReads, maxLen
+	s, err := server.New(fx.aln, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := httptest.NewServer(s)
+	t.Cleanup(func() { rep.Close(); s.Close() })
+	g, err := New(Config{Replicas: []string{rep.URL}, MaxReadsPerRequest: maxReads, MaxReadLen: maxLen, ProbeInterval: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(g)
+	t.Cleanup(func() { gw.Close(); g.Close() })
+
+	reads := make([]bwaclient.Read, maxReads)
+	for i := range reads {
+		src := fx.reads[i%len(fx.reads)].Seq
+		if len(src) < maxLen {
+			t.Fatalf("fixture read %d has %d bases, want >= %d", i, len(src), maxLen)
+		}
+		name := fmt.Sprintf("%0254d", i/2) // a pair shares its name
+		reads[i] = bwaclient.Read{
+			Name: strings.Repeat("<", 250) + name[250:],
+			Seq:  src[:maxLen],
+			Qual: bytes.Repeat([]byte{'<'}, maxLen),
+		}
+	}
+	var r1, r2 []bwaclient.Read
+	for i := 0; i < maxReads; i += 2 {
+		r1, r2 = append(r1, reads[i]), append(r2, reads[i+1])
+	}
+	ctx := context.Background()
+	for _, tier := range []struct{ name, url string }{{"replica", rep.URL}, {"gateway", gw.URL}} {
+		cl, err := bwaclient.New(tier.url, bwaclient.WithRetries(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := func(sam []byte) int { return bytes.Count(append([]byte{'\n'}, sam...), []byte("\n<<<<")) }
+		if sam, err := cl.AlignSAM(ctx, reads); err != nil {
+			t.Errorf("%s single-end: %v", tier.name, err)
+		} else if n := records(sam); n < maxReads {
+			t.Errorf("%s single-end: %d records, want >= %d", tier.name, n, maxReads)
+		}
+		if sam, err := cl.AlignPairedSAM(ctx, r1, r2); err != nil {
+			t.Errorf("%s paired: %v", tier.name, err)
+		} else if n := records(sam); n < maxReads {
+			t.Errorf("%s paired: %d records, want >= %d", tier.name, n, maxReads)
+		}
 	}
 }

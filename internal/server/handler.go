@@ -19,11 +19,17 @@ import (
 // can never materialize far more reads than admission would accept.
 const maxBodyBytes = 1 << 30
 
+// maxNameLen is the longest read name validName accepts (SAM's QNAME).
+const maxNameLen = 254
+
 // requestBodyLimit bounds a request body by what the read caps could
-// legitimately need: maxReads reads of maxReadLen bases each,
-// with headroom for names, qualities, and JSON quoting.
+// legitimately need: maxReads reads of maxReadLen bases each, as a JSON
+// encoder that escapes like json.Marshal (bwaclient's) writes them at
+// worst. A base is one byte, but a quality or name byte '<', '>' or '&' is
+// the six bytes \u003c, so a read takes 7 bytes per base, 6 per name byte
+// and its keys. FASTQ needs less.
 func requestBodyLimit(maxReads, maxReadLen int) int64 {
-	per := 2*int64(maxReadLen) + 512
+	per := 7*int64(maxReadLen) + 6*maxNameLen + int64(len(`{"name":"","seq":"","qual":""},`))
 	limit := int64(maxReads) * per
 	if limit <= 0 || limit > maxBodyBytes {
 		limit = maxBodyBytes
@@ -108,7 +114,7 @@ func validSeq(s []byte) bool {
 // ASCII excluding '@', which would let a record's first field masquerade
 // as a header line.
 func validName(s string) bool {
-	if len(s) == 0 || len(s) > 254 {
+	if len(s) == 0 || len(s) > maxNameLen {
 		return false
 	}
 	for i := 0; i < len(s); i++ {
