@@ -1,7 +1,6 @@
 GO ?= go
-BWALINT := bin/bwalint
 
-.PHONY: build test vet lint bwalint bwalint-path race fuzz serve demo bench soak soak-gateway soak-record clean
+.PHONY: build test vet race fuzz serve demo bench soak soak-gateway soak-record clean
 
 SOAK_DURATION ?= 30s
 
@@ -13,15 +12,6 @@ test:
 
 vet:
 	$(GO) vet ./...
-
-bwalint: ## build the repo's own static analyzers (cmd/bwalint)
-	$(GO) build -o $(BWALINT) ./cmd/bwalint
-
-bwalint-path: bwalint ## print the built bwalint path (for go vet -vettool=$$(make -s bwalint-path))
-	@echo $(CURDIR)/$(BWALINT)
-
-lint: bwalint ## run bwalint's hot-kernel allocation check over the whole module; any finding fails
-	$(GO) vet -vettool=$(CURDIR)/$(BWALINT) ./...
 
 race:
 	$(GO) test -race ./...
@@ -54,4 +44,3 @@ soak-record: ## regenerate the committed soak record (gateway topology riding ki
 
 clean:
 	$(GO) clean ./...
-	rm -f $(BWALINT)

@@ -46,7 +46,6 @@ func TestShippedBinariesSkipTheRig(t *testing.T) {
 		"repro/internal/memsim",
 		"repro/internal/bench",
 		"repro/internal/soak",
-		"repro/internal/analysis",
 		"repro/internal/samcheck",
 	}
 	for _, pkg := range goListImports(t, "{{.ImportPath}}{{range .Imports}} {{.}}{{end}}",

@@ -37,7 +37,7 @@ func TestDocReferencesResolve(t *testing.T) {
 		check(doc, string(b))
 	}
 	fset := token.NewFileSet()
-	walkGoFiles(t, func(path string) error {
+	walkGoFiles(t, ".", func(path string) error {
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return err
@@ -49,17 +49,17 @@ func TestDocReferencesResolve(t *testing.T) {
 	})
 }
 
-// walkGoFiles calls fn for every .go file in the module, failing t on the
-// first error.
-func walkGoFiles(t *testing.T, fn func(path string) error) {
+// walkGoFiles calls fn for every .go file in the module rooted at root,
+// failing t on the first error.
+func walkGoFiles(t *testing.T, root string, fn func(path string) error) {
 	t.Helper()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
 			// The go tool ignores these directories too; they hold no tracked Go.
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -88,7 +88,7 @@ func TestMakeFuzzListsEveryTarget(t *testing.T) {
 	}
 	fuzzFunc := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
 	defined := map[string]bool{}
-	walkGoFiles(t, func(path string) error {
+	walkGoFiles(t, ".", func(path string) error {
 		if !strings.HasSuffix(path, "_test.go") {
 			return nil
 		}

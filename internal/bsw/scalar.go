@@ -146,6 +146,7 @@ func extend16(p *Params, query, target []byte, w, h0 int, buf *ScalarBuf, st *Ce
 //bwalint:hot row driver: band clamp, aborts and band shrink around each row
 func extendGo(p *Params, query, target []byte, w, h0 int, buf *ScalarBuf, st *CellStats, lanes int) ExtResult {
 	qlen, tlen := len(query), len(target)
+	//bwalint:ignore hotalloc the caller's scratch grows only when qlen exceeds its capacity, then is reused
 	buf.grow(qlen)
 	eh, ee, qp := buf.h, buf.e, buf.qp
 	oeDel, eDel := int32(p.ODel+p.EDel), int32(p.EDel)

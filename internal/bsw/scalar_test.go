@@ -2,6 +2,7 @@ package bsw
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -277,6 +278,37 @@ func TestExtendScalarCellStats(t *testing.T) {
 	ExtendScalar(&p, q, tg, 100, bigH0, nil, &st)
 	if st.ScalarCells == 0 || st.VectorCells != 0 || st.VectorSteps != 0 {
 		t.Fatalf("int32 job: %+v", st)
+	}
+}
+
+// TestHotKernelsDoNotAllocate requires bsw's hot regions to allocate
+// nothing on warm buffers: ExtendScalar (extendJob16 where it runs), the Go
+// row driver extendGo, and GlobalBuf.Global on a gapped pair. The root
+// TestHotRegions sees the compiler's heap escapes; this also sees what -m
+// does not, such as append growing a slice from zero capacity.
+func TestHotKernelsDoNotAllocate(t *testing.T) {
+	p := DefaultParams()
+	rng := rand.New(rand.NewSource(71))
+	q := randSeq(rng, 150)
+	tg := mutate(rng, q, 5)
+	gapped := append(tg[:70:70], tg[73:]...) // three target bases deleted
+	var sb ScalarBuf
+	var gb GlobalBuf
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"ExtendScalar", func() { benchSink = ExtendScalar(&p, q, tg, 100, 30, &sb, nil) }},
+		{"extendGo", func() { benchSink = extendGo(&p, q, tg, clampBand(&p, len(q), 100), 30, &sb, nil, 0) }},
+		{"GlobalBuf.Global", func() { gb.Global(&p, q, gapped, 10, int(minusInf)) }},
+	} {
+		c.run() // warm the buffers
+		if n := testing.AllocsPerRun(20, c.run); n != 0 {
+			t.Errorf("%s: %v allocations per call on warm buffers, want 0", c.name, n)
+		}
+	}
+	if _, cig := gb.Global(&p, q, gapped, 10, int(minusInf)); !strings.Contains(cig.String(), "I") {
+		t.Fatalf("the pair aligns without a gap: %s", cig)
 	}
 }
 

@@ -303,6 +303,7 @@ func (x *Index) collectBatch(qs [][]byte, opt SeedOpts, buf *SeedBatchBuf, k int
 	lanes := buf.lanes[:k]
 	buf.ivs = buf.ivs[:0]
 	if cap(buf.spans) < len(qs) {
+		//bwalint:ignore hotalloc the caller's scratch grows only past its capacity, then is reused
 		buf.spans = make([][2]int, len(qs))
 	}
 	buf.spans = buf.spans[:len(qs)]
@@ -325,6 +326,7 @@ func (x *Index) collectBatch(qs [][]byte, opt SeedOpts, buf *SeedBatchBuf, k int
 		}
 	}
 	if cap(outs) < len(qs) {
+		//bwalint:ignore hotalloc the caller's result slice grows only past its capacity, then is reused
 		outs = make([][]BiInterval, len(qs))
 	}
 	outs = outs[:len(qs)]

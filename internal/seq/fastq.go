@@ -103,7 +103,6 @@ func ReadFastq(r io.Reader) ([]Read, error) {
 	var reads []Read
 	//bwalint:hot per-record decode loop; dominates whole-file ingest
 	for sc.Scan() {
-		//bwalint:ignore hotalloc record count is unknown until EOF; growth amortizes over the file
 		reads = append(reads, sc.Record())
 	}
 	if err := sc.Err(); err != nil {
