@@ -824,6 +824,72 @@ func TestGatewayDrain(t *testing.T) {
 	}
 }
 
+// TestGatewayDrainWaitsForInFlight: with an admitted align request held
+// open on its replica, Shutdown under an already-expired ctx reports the
+// interrupted drain, and Shutdown under a live ctx blocks until that
+// request has streamed its full response, then returns nil.
+func TestGatewayDrainWaitsForInFlight(t *testing.T) {
+	fixture(t)
+	checkLeaks(t)
+	backend := newReplica(t)
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	hold := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.Contains(r.URL.Path, "align") {
+			arrived <- struct{}{}
+			<-release
+		}
+		proxyOnce(t, w, r, backend.URL, -1)
+	}))
+	t.Cleanup(hold.Close)
+	g, gw, _ := newFleet(t, 0, Config{ProbeInterval: time.Hour}, hold.URL)
+
+	body := fastqBytes(fx.reads[:20])
+	wantCode, _, want := doPost(t, backend.URL, "/v1/align?header=0", "application/x-fastq", body)
+	type answer struct {
+		code int
+		body []byte
+	}
+	got := make(chan answer, 1)
+	go func() {
+		code, _, b := doPost(t, gw.URL, "/v1/align?header=0", "application/x-fastq", body)
+		got <- answer{code, b}
+	}()
+	select {
+	case <-arrived:
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("request never reached the replica")
+	}
+
+	expired, cancel := context.WithCancel(t.Context())
+	cancel()
+	if err := g.Shutdown(expired); err == nil {
+		t.Error("Shutdown with an expired ctx and a request in flight returned nil")
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- g.Shutdown(t.Context()) }()
+	select {
+	case err := <-drained:
+		close(release)
+		t.Fatalf("Shutdown returned %v while a request was in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	a := <-got
+	if a.code != wantCode || !bytes.Equal(a.body, want) {
+		t.Fatalf("held request answered %d, want %d with the replica's bytes", a.code, wantCode)
+	}
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("Shutdown after the request finished: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown did not return after the in-flight request finished")
+	}
+}
+
 // TestGatewayConcurrentByteIdentical: many concurrent clients, each with
 // its own read subset, all byte-identical — the merge path under real
 // contention.
