@@ -3,52 +3,7 @@ package counters
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
-	"time"
 )
-
-// AtomicClock is a stage clock safe for concurrent Add and Snapshot. It is
-// the aggregation sink for long-lived worker pools (the alignment server),
-// where per-worker StageClocks are flushed in as work completes and readers
-// (the /metrics endpoint) snapshot at any time.
-type AtomicClock struct {
-	ns [NumStages]atomic.Int64
-}
-
-// Add charges d to stage s. Nil clocks are permitted and ignored.
-func (c *AtomicClock) Add(s Stage, d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.ns[s].Add(int64(d))
-}
-
-// AddDelta charges cur-prev stage-wise, then copies cur into prev. Workers
-// call it after each unit of work to publish the time accumulated in their
-// private clock since the last flush.
-func (c *AtomicClock) AddDelta(cur, prev *StageClock) {
-	if c == nil {
-		return
-	}
-	for i := range cur.T {
-		if d := cur.T[i] - prev.T[i]; d != 0 {
-			c.ns[Stage(i)].Add(int64(d))
-		}
-	}
-	*prev = *cur
-}
-
-// Snapshot returns a point-in-time copy as a plain StageClock.
-func (c *AtomicClock) Snapshot() StageClock {
-	var s StageClock
-	if c == nil {
-		return s
-	}
-	for i := range s.T {
-		s.T[i] = time.Duration(c.ns[i].Load())
-	}
-	return s
-}
 
 // WriteMetrics emits the clock in Prometheus text exposition format, one
 // counter per stage plus a total:

@@ -19,9 +19,10 @@
 // not a copy: server.Mount (route table, aliases, request IDs, the 405
 // gate, the 404 catch-all, the error envelope), the align intake and
 // request counters (server.RequestCounters), and the ordered response with
-// its Server-Timing hook (server.NewSAMStream). The gateway supplies only
-// its wrap hook (in-flight drain accounting) and its admission (the drain
-// check), and mounts every route but the replica-only /v1/debug/requests.
+// its Server-Timing hook (server.NewSAMStream), and the admission gate
+// (server.Admission, here with an unbounded read budget, so it only refuses
+// during drain and counts what Shutdown waits for). The gateway mounts
+// every route but the replica-only /v1/debug/requests.
 package gateway
 
 import (
@@ -29,9 +30,9 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,6 +45,25 @@ import (
 // (bad_request, overloaded, ...) pass through from replicas unchanged.
 const codeUpstreamUnavailable = "upstream_unavailable"
 
+// Routing constants.
+const (
+	// probeTimeout bounds one readyz probe.
+	probeTimeout = 2 * time.Second
+	// spillFactor is the bounded-load factor c: a partition spills past its
+	// ring owner when the owner's in-flight reads exceed c times the
+	// healthy-fleet average.
+	spillFactor = 1.25
+	// ringVNodes is the virtual nodes per replica on the hash ring.
+	ringVNodes = 64
+	// partitionRetries is how many times a failed partition is re-dispatched
+	// to another healthy replica before the request fails.
+	partitionRetries = 2
+	// upstreamRetries429 is bwaclient's retry count for upstream 429s
+	// (admission backoff happens against the replica that owns the key,
+	// preserving cache affinity).
+	upstreamRetries429 = 2
+)
+
 // Config configures a Gateway. The zero value of each field means its
 // documented default.
 type Config struct {
@@ -52,31 +72,15 @@ type Config struct {
 	Replicas []string
 	// ProbeInterval is the readyz probe period. 0 means 1s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one readyz probe. 0 means 2s.
-	ProbeTimeout time.Duration
 	// FailAfter is how many consecutive probe failures mark a replica
 	// down (passive traffic failures mark it down immediately). 0 means 2.
 	FailAfter int
-	// SpillFactor is the bounded-load factor c: a partition spills past
-	// its ring owner when the owner's in-flight reads exceed c times the
-	// healthy-fleet average. 0 means 1.25; negative disables spilling.
-	SpillFactor float64
-	// VNodes is the virtual nodes per replica on the hash ring. 0 means 64.
-	VNodes int
-	// Retries is how many times a failed partition is re-dispatched to
-	// another healthy replica before the request fails. 0 means 2;
-	// negative disables retries.
-	Retries int
 	// MaxReadsPerRequest and MaxReadLen mirror the replicas' caps so the
 	// gateway rejects oversized requests with the replicas' exact
 	// envelopes instead of scattering work that would be rejected
 	// upstream. 0 means 65536 (the server default) for both.
 	MaxReadsPerRequest int
 	MaxReadLen         int
-	// UpstreamRetries429 is bwaclient's retry count for upstream 429s
-	// (admission backoff happens against the replica that owns the key,
-	// preserving cache affinity). 0 means 2; negative disables.
-	UpstreamRetries429 int
 }
 
 // withDefaults resolves zero fields to their documented defaults.
@@ -84,35 +88,14 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 2
-	}
-	if c.SpillFactor == 0 {
-		c.SpillFactor = 1.25
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
 	}
 	if c.MaxReadsPerRequest <= 0 {
 		c.MaxReadsPerRequest = 65536
 	}
 	if c.MaxReadLen <= 0 {
 		c.MaxReadLen = 65536
-	}
-	if c.UpstreamRetries429 == 0 {
-		c.UpstreamRetries429 = 2
-	}
-	if c.UpstreamRetries429 < 0 {
-		c.UpstreamRetries429 = 0
 	}
 	return c
 }
@@ -136,11 +119,7 @@ func Flags(fs *flag.FlagSet) *Config {
 		return nil
 	})
 	fs.DurationVar(&c.ProbeInterval, "probe-interval", 0, "readyz probe period (0 = 1s)")
-	fs.DurationVar(&c.ProbeTimeout, "probe-timeout", 0, "timeout of one readyz probe (0 = 2s)")
 	fs.IntVar(&c.FailAfter, "fail-after", 0, "consecutive probe failures before a replica is down (0 = 2)")
-	fs.Float64Var(&c.SpillFactor, "spill-factor", 0, "bounded-load factor before spilling past the ring owner (0 = 1.25, negative disables)")
-	fs.IntVar(&c.VNodes, "vnodes", 0, "virtual nodes per replica on the hash ring (0 = 64)")
-	fs.IntVar(&c.Retries, "retries", 0, "re-dispatches of a failed partition to another replica (0 = 2, negative disables)")
 	fs.IntVar(&c.MaxReadsPerRequest, "max-request-reads", 0, "max reads per request, 413 beyond; match the replicas (0 = 65536)")
 	fs.IntVar(&c.MaxReadLen, "max-read-len", 0, "max bases per read, 413 beyond; match the replicas (0 = 65536)")
 	return c
@@ -156,17 +135,10 @@ type Gateway struct {
 	met      *gwMetrics
 	upstream *http.Client
 
-	draining    atomic.Bool
+	adm         *server.Admission // drain gate: unbounded budget, counts admitted reads
 	probeCancel context.CancelFunc
 	probeDone   chan struct{}
 	logger      atomic.Pointer[slog.Logger] // control-plane events; nil = off
-
-	// in-flight request accounting for graceful drain, the admission
-	// idle-channel pattern: idle is lazily created by a waiting Shutdown
-	// and closed by the exit that takes inflight to zero.
-	mu       sync.Mutex
-	inflight int
-	idle     chan struct{}
 }
 
 // New builds a gateway over cfg.Replicas and starts its health prober.
@@ -196,9 +168,10 @@ func New(cfg Config) (*Gateway, error) {
 		tr = t
 	}
 	hc := &http.Client{Transport: tr}
-	g := &Gateway{cfg: cfg, mux: http.NewServeMux(), met: newGwMetrics(), upstream: hc, probeDone: make(chan struct{})}
+	g := &Gateway{cfg: cfg, mux: http.NewServeMux(), met: newGwMetrics(), upstream: hc,
+		adm: server.NewAdmission(math.MaxInt), probeDone: make(chan struct{})}
 	for _, u := range urls {
-		cl, err := bwaclient.New(u, bwaclient.WithRetries(cfg.UpstreamRetries429), bwaclient.WithHTTPClient(hc))
+		cl, err := bwaclient.New(u, bwaclient.WithRetries(upstreamRetries429), bwaclient.WithHTTPClient(hc))
 		if err != nil {
 			return nil, fmt.Errorf("gateway: replica %s: %w", u, err)
 		}
@@ -208,7 +181,7 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		g.replicas = append(g.replicas, &replica{url: u, client: cl, probe: probe})
 	}
-	g.ring = buildRing(urls, cfg.VNodes)
+	g.ring = buildRing(urls, ringVNodes)
 	// The replica's wire surface minus its server-local debug endpoint, so
 	// a client cannot tell the tiers apart.
 	server.Mount(g.mux, map[string]http.HandlerFunc{
@@ -217,7 +190,7 @@ func New(cfg Config) (*Gateway, error) {
 		"/v1/healthz":      g.handleHealthz,
 		"/v1/readyz":       g.handleReadyz,
 		"/v1/metrics":      g.handleMetrics,
-	}, &g.met.RequestCounters, g.track)
+	}, &g.met.RequestCounters, nil)
 
 	// The prober's lifetime is the gateway's, not any request's; Close
 	// cancels it.
@@ -261,55 +234,21 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
 }
 
-// track is the gateway's wrap hook for server.Mount: it counts the request
-// in flight for graceful drain, and the exit that takes the count to zero
-// wakes a waiting Shutdown.
-func (g *Gateway) track(_ string, next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		g.mu.Lock()
-		g.inflight++
-		g.mu.Unlock()
-		defer func() {
-			g.mu.Lock()
-			g.inflight--
-			if g.inflight == 0 && g.idle != nil {
-				close(g.idle)
-				g.idle = nil
-			}
-			g.mu.Unlock()
-		}()
-		next(w, r)
-	}
-}
-
 // Shutdown drains the gateway: readyz flips to 503, new align requests
-// are refused with the draining envelope, and the call waits until
-// in-flight requests finish or ctx ends. Idempotent.
+// are refused with the draining envelope, and the call waits until the
+// admitted ones finish or ctx ends. Idempotent.
 func (g *Gateway) Shutdown(ctx context.Context) error {
-	g.draining.Store(true)
-	g.stopProber()
-	g.mu.Lock()
-	if g.inflight == 0 {
-		g.mu.Unlock()
-		return nil
+	g.Close()
+	if !g.adm.WaitIdle(ctx) {
+		return fmt.Errorf("gateway: drain interrupted with %d reads in flight: %w", g.adm.InFlight(), ctx.Err())
 	}
-	if g.idle == nil {
-		g.idle = make(chan struct{})
-	}
-	idle := g.idle
-	g.mu.Unlock()
-	select {
-	case <-idle:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("gateway: drain interrupted: %w", ctx.Err())
-	}
+	return nil
 }
 
 // Close stops the prober and marks the gateway draining without waiting
 // for in-flight requests. Idempotent.
 func (g *Gateway) Close() {
-	g.draining.Store(true)
+	g.adm.SetDraining()
 	g.stopProber()
 }
 

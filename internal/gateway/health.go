@@ -105,7 +105,7 @@ func (g *Gateway) probeLoop(ctx context.Context) {
 // box should not evict a healthy replica — passive detection already
 // handles hard failures instantly).
 func (g *Gateway) probeOne(ctx context.Context, r *replica) {
-	pctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	rd, err := r.probe.Ready(pctx)
 	cancel()
 	switch {

@@ -79,7 +79,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // probe wants at a glance. Always 200 — readiness is /v1/readyz.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
-	if g.draining.Load() {
+	if g.adm.Draining() {
 		status = "draining"
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -96,7 +96,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	status, code := "ready", http.StatusOK
 	switch {
-	case g.draining.Load():
+	case g.adm.Draining():
 		status, code = "draining", http.StatusServiceUnavailable
 	case g.healthyCount() == 0:
 		status, code = "unavailable", http.StatusServiceUnavailable

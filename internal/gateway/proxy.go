@@ -53,7 +53,7 @@ func (g *Gateway) pickReplica(key uint64, nReads int64, extra map[*replica]int64
 	if healthy == 0 {
 		return nil, false, errNoUpstream
 	}
-	bound := int64(g.cfg.SpillFactor * float64(total+nReads) / float64(healthy))
+	bound := int64(spillFactor * float64(total+nReads) / float64(healthy))
 	if bound < nReads {
 		bound = nReads // an idle fleet must accept the first assignment
 	}
@@ -65,11 +65,8 @@ func (g *Gateway) pickReplica(key uint64, nReads int64, extra map[*replica]int64
 			continue
 		}
 		load := r.inflight.Load() + extra[r]
-		if g.cfg.SpillFactor > 0 && load+nReads <= bound {
+		if load+nReads <= bound {
 			return r, !first, nil
-		}
-		if g.cfg.SpillFactor <= 0 && first {
-			return r, false, nil // spilling disabled: always the first healthy node
 		}
 		if least == nil || load < least.inflight.Load()+extra[least] {
 			least = r
@@ -91,6 +88,7 @@ func (g *Gateway) handleAlign(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer g.adm.Release(len(reads))
 	tRoute := time.Now()
 	parts, err := g.partitionSingle(reads)
 	if err != nil {
@@ -114,6 +112,7 @@ func (g *Gateway) handleAlignPaired(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer g.adm.Release(len(r1) + len(r2))
 	tRoute := time.Now()
 	var scratch []byte
 	keyU := uint64(fnvOffset)
@@ -146,10 +145,11 @@ func chainKey(scratch *[]byte, h uint64, readSeq []byte) uint64 {
 	return fnv64a(h, seq.EncodeInto((*scratch)[:len(readSeq)], readSeq))
 }
 
-// admit is the gateway's admission step of the shared intake: a draining
-// gateway refuses new work with the replica's draining envelope.
-func (g *Gateway) admit(w http.ResponseWriter, r *http.Request, _ int) bool {
-	if g.draining.Load() {
+// admit is the gateway's admission step of the shared intake: it charges
+// n reads to the drain gate, whose budget is unbounded, so only a draining
+// gateway refuses, with the replica's draining envelope.
+func (g *Gateway) admit(w http.ResponseWriter, r *http.Request, n int) bool {
+	if g.adm.TryAcquire(n) != nil {
 		g.met.RejectDraining(w, r)
 		return false
 	}
@@ -225,7 +225,7 @@ func (g *Gateway) run(ctx context.Context, p *partition, m *ordered.Writer, want
 			return err
 		}
 		exclude[node] = true
-		if attempt >= g.cfg.Retries {
+		if attempt >= partitionRetries {
 			return err
 		}
 		next, _, perr := g.pickReplica(p.key, p.load(delivered), nil, exclude)

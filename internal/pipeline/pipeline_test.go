@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/counters"
@@ -228,8 +226,6 @@ func TestExplicitBatchSizeIsExact(t *testing.T) {
 	a, reads := testSetup(t, core.ModeOptimized)
 	s := NewScheduler(a, 2)
 	defer s.Close()
-	var tasks atomic.Int64
-	s.SetQueueWaitObserver(func(time.Duration) { tasks.Add(1) })
 	derived := taskSize(len(reads), 2) // 400 reads on 2 workers: 64
 	for _, tc := range []struct{ batch, tasks int }{
 		{0, (len(reads) + derived - 1) / derived},
@@ -237,11 +233,11 @@ func TestExplicitBatchSizeIsExact(t *testing.T) {
 		{512, 1},
 		{7, (len(reads) + 6) / 7},
 	} {
-		tasks.Store(0)
+		before := s.QueueWait().Count()
 		if _, err := RunStreamOn(context.Background(), s, reads, Config{BatchSize: tc.batch}, func(int, []byte) {}); err != nil {
 			t.Fatal(err)
 		}
-		if got := tasks.Load(); got != int64(tc.tasks) {
+		if got := s.QueueWait().Count() - before; got != int64(tc.tasks) {
 			t.Errorf("BatchSize %d over %d reads: %d tasks, want %d", tc.batch, len(reads), got, tc.tasks)
 		}
 	}

@@ -3,23 +3,12 @@ package pipeline
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/counters"
+	"repro/internal/obs"
 )
-
-// StageObserver receives the per-stage time one unit of work (a batch task)
-// spent in each kernel stage, called once per non-zero stage per task from
-// the worker that ran it. Observers must be cheap and concurrency-safe:
-// they run on the hot worker loop.
-type StageObserver func(s counters.Stage, d time.Duration)
-
-// QueueWaitObserver receives, for each task a worker starts, how long the
-// task waited between submission and that start. Same rules as
-// StageObserver.
-type QueueWaitObserver func(d time.Duration)
 
 // Scheduler is the work engine shared by the one-shot CLI
 // (Run/RunPaired build an ephemeral one per call) and the long-lived
@@ -30,14 +19,17 @@ type QueueWaitObserver func(d time.Duration)
 // work dynamically from a bounded queue. Concurrent submitters interleave
 // at task granularity, which is what lets the server multiplex many
 // requests over one warm index without oversubscribing the machine.
+//
+// The pool records its time once, in histograms: per task, the time spent
+// in each kernel stage and the wait between submission and start. Clock is
+// their per-stage sums, and the server exports the histograms themselves.
 type Scheduler struct {
-	aligner *core.Aligner
-	threads int
-	tasks   chan task
-	workers sync.WaitGroup
-	clock   counters.AtomicClock
-	stageOb atomic.Pointer[StageObserver]
-	waitOb  atomic.Pointer[QueueWaitObserver]
+	aligner   *core.Aligner
+	threads   int
+	tasks     chan task
+	workers   sync.WaitGroup
+	stage     [counters.NumStages]obs.Histogram // per task, each non-zero stage time
+	queueWait obs.Histogram                     // per started task: submission -> start
 }
 
 type task struct {
@@ -49,7 +41,7 @@ type task struct {
 	ctx  context.Context
 	run  func(ws *core.Workspace)
 	done *sync.WaitGroup // nil for Go tasks
-	enq  time.Time       // submission time, for the queue-wait observer
+	enq  time.Time       // submission time, for the queue-wait histogram
 }
 
 // NewScheduler starts a pool of threads workers over the aligner.
@@ -76,23 +68,17 @@ func (s *Scheduler) worker() {
 	ws := &core.Workspace{Clock: &clock}
 	for t := range s.tasks {
 		if t.ctx == nil || t.ctx.Err() == nil {
-			if ob := s.waitOb.Load(); ob != nil {
-				(*ob)(time.Since(t.enq))
-			}
+			s.queueWait.Observe(time.Since(t.enq))
 			t.run(ws)
 		}
-		// Publish stage time before signalling completion so a caller that
-		// returns from EachCtx observes its own work in Clock(). The
-		// observer sees the same per-task deltas, and must run before
-		// AddDelta copies clock over flushed.
-		if ob := s.stageOb.Load(); ob != nil {
-			for i := range clock.T {
-				if d := clock.T[i] - flushed.T[i]; d != 0 {
-					(*ob)(counters.Stage(i), d)
-				}
+		// Record stage time before signalling completion so a caller that
+		// returns from EachCtx observes its own work in Clock().
+		for i := range clock.T {
+			if d := clock.T[i] - flushed.T[i]; d != 0 {
+				s.stage[i].Observe(d)
 			}
 		}
-		s.clock.AddDelta(&clock, &flushed)
+		flushed = clock
 		if t.done != nil {
 			t.done.Done()
 		}
@@ -105,31 +91,25 @@ func (s *Scheduler) Aligner() *core.Aligner { return s.aligner }
 // Threads returns the worker count.
 func (s *Scheduler) Threads() int { return s.threads }
 
-// Clock returns a snapshot of the per-stage time accumulated by all workers
-// since the scheduler started. Safe to call concurrently with running work.
-func (s *Scheduler) Clock() counters.StageClock { return s.clock.Snapshot() }
-
-// SetStageObserver installs (or, with nil, removes) a per-task stage-time
-// observer. Safe to call concurrently with running work; tasks in flight
-// may report to either the old or the new observer.
-func (s *Scheduler) SetStageObserver(ob StageObserver) {
-	if ob == nil {
-		s.stageOb.Store(nil)
-		return
+// Clock returns the per-stage time accumulated by all workers since the
+// scheduler started: the sums of the stage histograms, exact to the
+// nanosecond. Safe to call concurrently with running work.
+func (s *Scheduler) Clock() counters.StageClock {
+	var c counters.StageClock
+	for i := range c.T {
+		c.T[i] = s.stage[i].Sum()
 	}
-	s.stageOb.Store(&ob)
+	return c
 }
 
-// SetQueueWaitObserver installs (or, with nil, removes) the observer of
-// each started task's queue wait. Safe to call concurrently with running
-// work.
-func (s *Scheduler) SetQueueWaitObserver(ob QueueWaitObserver) {
-	if ob == nil {
-		s.waitOb.Store(nil)
-		return
-	}
-	s.waitOb.Store(&ob)
-}
+// StageTime returns the histogram of per-task time in stage st (tasks that
+// spent none in it are not counted).
+func (s *Scheduler) StageTime(st counters.Stage) *obs.Histogram { return &s.stage[st] }
+
+// QueueWait returns the histogram of each started task's wait between
+// submission and start (tasks skipped because their context ended are not
+// counted).
+func (s *Scheduler) QueueWait() *obs.Histogram { return &s.queueWait }
 
 // EachCtx runs fn(ws, i) for every i in [0,n), distributed dynamically
 // across the worker pool. Multiple EachCtx calls may be in flight

@@ -2,6 +2,7 @@ package seq
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -297,6 +298,42 @@ func TestFastqErrors(t *testing.T) {
 		if _, err := ReadFastq(bytes.NewReader([]byte(c))); err == nil {
 			t.Errorf("ReadFastq(%q) should error", c)
 		}
+	}
+}
+
+// TestReadFastqAllocs bounds the allocations ReadFastq makes per record:
+// four line buffers from bufio and the name string, plus the amortized
+// growth of the result slice and the reader's fixed setup. A new
+// per-record allocation in the decode loop (say, a zero-capacity append)
+// pushes it past the bound.
+func TestReadFastqAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n = 4096
+	rng := rand.New(rand.NewSource(1))
+	reads := make([]Read, n)
+	for i := range reads {
+		sq := make([]byte, 101)
+		for j := range sq {
+			sq[j] = "ACGT"[rng.Intn(4)]
+		}
+		reads[i] = Read{Name: fmt.Sprintf("r%d", i), Seq: sq}
+	}
+	var buf bytes.Buffer
+	if err := WriteFastq(&buf, reads); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ReadFastq(bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perRecord := allocs / n
+	t.Logf("%.0f allocations for %d records, %.3f per record", allocs, n, perRecord)
+	if perRecord > 5.5 {
+		t.Fatalf("%.3f allocations per record, want at most 5.5", perRecord)
 	}
 }
 

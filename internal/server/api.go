@@ -90,9 +90,10 @@ func Routes() []string {
 
 // Mount installs one tier's handlers, keyed by canonical path, on mux: each
 // at its path and legacy alias behind request-ID assignment, the tier's
-// wrap hook, and the single-method check (405 with Allow, counted in
-// c.Bad). wrap receives the canonical path whichever alias was hit. Routes
-// the tier does not serve and unknown paths get the 404 envelope.
+// wrap hook (nil for none), and the single-method check (405 with Allow,
+// counted in c.Bad). wrap receives the canonical path whichever alias was
+// hit. Routes the tier does not serve and unknown paths get the 404
+// envelope.
 func Mount(mux *http.ServeMux, handlers map[string]http.HandlerFunc, c *RequestCounters,
 	wrap func(route string, next http.HandlerFunc) http.HandlerFunc) {
 	served := 0
@@ -102,7 +103,7 @@ func Mount(mux *http.ServeMux, handlers map[string]http.HandlerFunc, c *RequestC
 			continue
 		}
 		served++
-		gated := withRequestID(wrap(rt.Path, func(w http.ResponseWriter, r *http.Request) {
+		gated := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.Method != method {
 				c.Bad.Add(1)
 				w.Header().Set("Allow", method)
@@ -111,7 +112,11 @@ func Mount(mux *http.ServeMux, handlers map[string]http.HandlerFunc, c *RequestC
 				return
 			}
 			h(w, r)
-		}))
+		})
+		if wrap != nil {
+			gated = wrap(rt.Path, gated)
+		}
+		gated = withRequestID(gated)
 		mux.HandleFunc(rt.Path, gated)
 		if rt.Legacy != "" {
 			mux.HandleFunc(rt.Legacy, gated)

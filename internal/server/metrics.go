@@ -12,7 +12,7 @@ import (
 
 // metrics aggregates the server-level counters exposed on /metrics: the
 // request counters both tiers share plus the replica's own. Stage timings
-// come from the scheduler's AtomicClock and cache counters from
+// come from the scheduler's stage histograms and cache counters from
 // resultCache.Stats (cache.go); everything here is the request-plane view (what
 // came in, what was shed, what went out). Every field is documented in
 // README.md's /metrics reference table — keep the two in sync.
@@ -66,7 +66,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	clock.WriteMetrics(&buf, "bwaserve")
 	// Latency histograms (request path, queue waits, per-stage kernel time)
 	// and Go runtime health gauges — see internal/obs and obs.go.
-	s.hists.write(&buf)
+	s.hists.write(&buf, s.sched)
 	obs.WriteRuntimeMetrics(&buf, "bwaserve")
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")

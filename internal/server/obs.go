@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/counters"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 )
 
 // This file is the server's observability plane: the latency histograms
@@ -22,7 +23,8 @@ import (
 
 // serverHists is the fixed set of latency histograms, one per stop along
 // the request path. All recording is atomic (obs.Histogram); the struct is
-// allocated once per Server and shared by every request.
+// allocated once per Server and shared by every request. The worker pool's
+// histograms (per-task queue wait and stage time) belong to the scheduler.
 type serverHists struct {
 	reqSingle obs.Histogram // end-to-end handler time, POST /v1/align
 	reqPaired obs.Histogram // end-to-end handler time, POST /v1/align/paired
@@ -30,16 +32,13 @@ type serverHists struct {
 
 	admissionWait obs.Histogram // time inside the admission gate (lock contention)
 	cacheLookup   obs.Histogram // per-request result-cache classify pass
-	queueWait     obs.Histogram // per-task scheduler wait: submission -> task start
 	ttfb          obs.Histogram // request start -> first response byte
-
-	stage [counters.NumStages]obs.Histogram // per-task kernel stage time
 }
 
-// write emits every histogram in Prometheus text exposition format. Names
-// here are wire contract: README.md's metrics table and the doc-drift test
-// list the same families.
-func (h *serverHists) write(w io.Writer) error {
+// write emits every histogram, the scheduler's included, in Prometheus text
+// exposition format. Names here are wire contract: README.md's metrics
+// table and the doc-drift test list the same families.
+func (h *serverHists) write(w io.Writer, sched *pipeline.Scheduler) error {
 	if err := h.reqSingle.Write(w, "bwaserve_request_seconds", `kind="single"`); err != nil {
 		return err
 	}
@@ -55,14 +54,14 @@ func (h *serverHists) write(w io.Writer) error {
 	if err := h.cacheLookup.Write(w, "bwaserve_cache_lookup_seconds", ""); err != nil {
 		return err
 	}
-	if err := h.queueWait.Write(w, "bwaserve_queue_wait_seconds", ""); err != nil {
+	if err := sched.QueueWait().Write(w, "bwaserve_queue_wait_seconds", ""); err != nil {
 		return err
 	}
 	if err := h.ttfb.Write(w, "bwaserve_ttfb_seconds", ""); err != nil {
 		return err
 	}
 	for _, st := range counters.Stages() {
-		if err := h.stage[st].Write(w, "bwaserve_stage_task_seconds",
+		if err := sched.StageTime(st).Write(w, "bwaserve_stage_task_seconds",
 			fmt.Sprintf("stage=%q", st.String())); err != nil {
 			return err
 		}

@@ -4,25 +4,26 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 )
 
-// Admission-control errors returned by admission.TryAcquire.
+// Admission-control errors returned by Admission.TryAcquire.
 var (
 	// errQueueFull means admitting the request would exceed the in-flight
-	// read budget; the caller maps it to HTTP 429.
+	// read budget; the replica maps it to HTTP 429.
 	errQueueFull = errors.New("server: admission queue full")
-	// errDraining means the server is shutting down; mapped to HTTP 503.
+	// errDraining means the tier is shutting down; mapped to HTTP 503.
 	errDraining = errors.New("server: draining")
 )
 
-// admission is the server's load-shedding gate: a counting semaphore over
-// reads (not requests, so one huge request can't starve the budget
-// accounting) with a drain mode for graceful shutdown. Work admitted here
-// is guaranteed a slot in the bounded scheduler queue eventually; work
-// rejected here never touches the alignment pool, keeping tail latency of
-// admitted requests bounded under overload.
-type admission struct {
+// Admission is the load-shedding and drain gate both tiers run their align
+// requests through: a counting semaphore over reads (not requests, so one
+// huge request can't starve the budget accounting) with a drain mode for
+// graceful shutdown. On a replica, work admitted here is guaranteed a slot
+// in the bounded scheduler queue eventually, and work rejected here never
+// touches the alignment pool, keeping tail latency of admitted requests
+// bounded under overload. The gateway runs it with an unbounded budget, so
+// there it only counts what a drain must wait for.
+type Admission struct {
 	mu       sync.Mutex
 	max      int
 	inflight int
@@ -33,14 +34,15 @@ type admission struct {
 	idle chan struct{}
 }
 
-func newAdmission(maxReads int) *admission {
-	return &admission{max: maxReads}
+// NewAdmission returns a gate admitting at most maxReads reads at once.
+func NewAdmission(maxReads int) *Admission {
+	return &Admission{max: maxReads}
 }
 
 // TryAcquire admits n reads or reports why it can't. It never blocks:
 // under overload the right answer is an immediate 429, not a growing
 // backlog.
-func (q *admission) TryAcquire(n int) error {
+func (q *Admission) TryAcquire(n int) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.draining {
@@ -55,7 +57,7 @@ func (q *admission) TryAcquire(n int) error {
 
 // Release returns n admitted reads to the budget, waking WaitIdle callers
 // when the queue empties.
-func (q *admission) Release(n int) {
+func (q *Admission) Release(n int) {
 	q.mu.Lock()
 	q.inflight -= n
 	if q.inflight < 0 {
@@ -69,7 +71,7 @@ func (q *admission) Release(n int) {
 }
 
 // InFlight returns the reads currently admitted.
-func (q *admission) InFlight() int {
+func (q *Admission) InFlight() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.inflight
@@ -77,19 +79,23 @@ func (q *admission) InFlight() int {
 
 // SetDraining flips the gate: all future TryAcquire calls fail with
 // errDraining while already-admitted work runs to completion.
-func (q *admission) SetDraining() {
+func (q *Admission) SetDraining() {
 	q.mu.Lock()
 	q.draining = true
 	q.mu.Unlock()
 }
 
-// WaitIdle blocks until no reads are in flight, the deadline passes, or
-// ctx is cancelled, reporting whether the queue drained. It parks on a
-// notification channel closed by the emptying Release rather than polling,
-// so a long drain costs no CPU.
-func (q *admission) WaitIdle(ctx context.Context, deadline time.Time) bool {
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
+// Draining reports whether SetDraining has been called.
+func (q *Admission) Draining() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.draining
+}
+
+// WaitIdle blocks until no reads are in flight or ctx ends, reporting
+// whether the queue drained. It parks on a notification channel closed by
+// the emptying Release rather than polling, so a long drain costs no CPU.
+func (q *Admission) WaitIdle(ctx context.Context) bool {
 	for {
 		q.mu.Lock()
 		if q.inflight == 0 {
@@ -106,8 +112,6 @@ func (q *admission) WaitIdle(ctx context.Context, deadline time.Time) bool {
 			// Re-check: the budget may already be occupied again by work
 			// admitted between the close and this wakeup.
 		case <-ctx.Done():
-			return false
-		case <-timer.C:
 			return false
 		}
 	}

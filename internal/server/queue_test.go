@@ -8,7 +8,7 @@ import (
 )
 
 func TestAdmissionBudget(t *testing.T) {
-	q := newAdmission(10)
+	q := NewAdmission(10)
 	if err := q.TryAcquire(6); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestAdmissionBudget(t *testing.T) {
 }
 
 func TestAdmissionDraining(t *testing.T) {
-	q := newAdmission(10)
+	q := NewAdmission(10)
 	if err := q.TryAcquire(3); err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +38,16 @@ func TestAdmissionDraining(t *testing.T) {
 	}
 	ctx := context.Background()
 	// WaitIdle times out while work is in flight...
-	if q.WaitIdle(ctx, time.Now().Add(10*time.Millisecond)) {
+	short, cancelShort := context.WithTimeout(ctx, 10*time.Millisecond)
+	defer cancelShort()
+	if q.WaitIdle(short) {
 		t.Fatal("WaitIdle succeeded with reads in flight")
 	}
 	// ...aborts promptly on context cancellation...
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	start := time.Now()
-	if q.WaitIdle(cancelled, time.Now().Add(5*time.Second)) {
+	if q.WaitIdle(cancelled) {
 		t.Fatal("WaitIdle succeeded with cancelled context and reads in flight")
 	}
 	if time.Since(start) > time.Second {
@@ -53,7 +55,7 @@ func TestAdmissionDraining(t *testing.T) {
 	}
 	// ...and returns once it drains.
 	done := make(chan bool, 1)
-	go func() { done <- q.WaitIdle(ctx, time.Now().Add(5*time.Second)) }()
+	go func() { done <- q.WaitIdle(ctx) }()
 	q.Release(3)
 	if !<-done {
 		t.Fatal("WaitIdle failed after drain")
@@ -65,14 +67,14 @@ func TestAdmissionDraining(t *testing.T) {
 // channel replaced a 2ms busy-poll; the wakeup is the part that can
 // regress).
 func TestWaitIdleWakesAllWaiters(t *testing.T) {
-	q := newAdmission(10)
+	q := NewAdmission(10)
 	if err := q.TryAcquire(5); err != nil {
 		t.Fatal(err)
 	}
 	const waiters = 8
 	done := make(chan bool, waiters)
 	for i := 0; i < waiters; i++ {
-		go func() { done <- q.WaitIdle(context.Background(), time.Now().Add(5*time.Second)) }()
+		go func() { done <- q.WaitIdle(context.Background()) }()
 	}
 	q.Release(5)
 	for i := 0; i < waiters; i++ {
@@ -89,7 +91,7 @@ func TestWaitIdleWakesAllWaiters(t *testing.T) {
 	if err := q.TryAcquire(2); err != nil {
 		t.Fatal(err)
 	}
-	go func() { done <- q.WaitIdle(context.Background(), time.Now().Add(5*time.Second)) }()
+	go func() { done <- q.WaitIdle(context.Background()) }()
 	q.Release(2)
 	if !<-done {
 		t.Fatal("second-cycle waiter failed")
@@ -97,7 +99,7 @@ func TestWaitIdleWakesAllWaiters(t *testing.T) {
 }
 
 func TestAdmissionConcurrentAccounting(t *testing.T) {
-	q := newAdmission(1 << 30)
+	q := NewAdmission(1 << 30)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)

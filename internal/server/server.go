@@ -38,9 +38,11 @@
 // (internal/gateway) mounts its handlers through the same Mount shell
 // (api.go: routes, aliases, request IDs, 405/404, WriteError), runs the
 // same align intake and counters (wire.go: RequestCounters.Intake,
-// WriteMetrics) and starts its response with the same NewSAMStream. Only
-// admission, the wrap hook and what happens after intake differ per tier;
-// /v1/debug/requests is replica-only.
+// WriteMetrics), admits and drains through the same Admission gate
+// (queue.go, with an unbounded read budget) and starts its response with
+// the same NewSAMStream. Only the read budget, the wrap hook and what
+// happens after intake differ per tier; /v1/debug/requests is
+// replica-only.
 //
 // # Concurrency contract
 //
@@ -65,7 +67,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/counters"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/rescache"
@@ -77,7 +78,7 @@ type Server struct {
 	cfg       core.ServerConfig
 	samHeader []byte // constant for the server's lifetime; built once
 	sched     *pipeline.Scheduler
-	adm       *admission
+	adm       *Admission
 	met       *metrics
 	cache     *resultCache // single-end result cache; nil when disabled
 	optFP     uint64       // option fingerprint for cache keys
@@ -87,9 +88,8 @@ type Server struct {
 	hists *serverHists   // latency histograms, shared by all requests (obs.go)
 	ring  *obs.TraceRing // request-trace ring for /v1/debug/requests; nil when disabled
 
-	logger    atomic.Pointer[slog.Logger] // structured access/event logger; nil = off
-	drainFlag atomic.Bool
-	closed    atomic.Bool
+	logger atomic.Pointer[slog.Logger] // structured access/event logger; nil = off
+	closed atomic.Bool
 }
 
 // New builds a Server over an already-constructed aligner (the index stays
@@ -104,18 +104,11 @@ func New(aln *core.Aligner, cfg core.ServerConfig) (*Server, error) {
 		cfg:       cfg,
 		samHeader: []byte(aln.SAMHeader()),
 		sched:     sched,
-		adm:       newAdmission(cfg.MaxInFlightReads),
+		adm:       NewAdmission(cfg.MaxInFlightReads),
 		met:       newMetrics(),
 		mux:       http.NewServeMux(),
 		hists:     &serverHists{},
 	}
-	// Per-task kernel stage time and queue wait flow from the worker loop
-	// into the histograms; the scheduler's cumulative AtomicClock keeps
-	// feeding the bwaserve_stage_seconds counters independently.
-	sched.SetStageObserver(func(st counters.Stage, d time.Duration) {
-		s.hists.stage[st].Observe(d)
-	})
-	sched.SetQueueWaitObserver(s.hists.queueWait.Observe)
 	if cfg.DebugRequestTraces > 0 {
 		s.ring = obs.NewTraceRing(cfg.DebugRequestTraces)
 	}
@@ -178,7 +171,7 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	return r.Context(), func() {}
 }
 
-func (s *Server) draining() bool { return s.drainFlag.Load() }
+func (s *Server) draining() bool { return s.adm.Draining() }
 
 // Shutdown drains gracefully: new work is rejected with 503 while admitted
 // requests run to completion, then the worker pool stops. It returns an
@@ -186,14 +179,14 @@ func (s *Server) draining() bool { return s.drainFlag.Load() }
 // cfg.DrainTimeout when the context has none); the pool is left running in
 // that case so stragglers stay safe, and Shutdown may be called again.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.drainFlag.Store(true)
 	s.adm.SetDraining()
 	start := time.Now()
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		deadline = time.Now().Add(s.cfg.DrainTimeout)
+	if _, ok := ctx.Deadline(); !ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.DrainTimeout)
+		defer cancel()
 	}
-	if !s.adm.WaitIdle(ctx, deadline) {
+	if !s.adm.WaitIdle(ctx) {
 		return fmt.Errorf("server: %d reads still in flight after waiting %v to drain",
 			s.adm.InFlight(), time.Since(start).Round(time.Millisecond))
 	}

@@ -22,8 +22,9 @@ import (
 // gateway (internal/gateway) must answer byte-identically to a single
 // bwaserve — 400/413/415 envelopes included — so both tiers run this code
 // rather than keeping two copies of the contract in sync by hand. What
-// differs per tier is passed in: admission (the replica's read budget, the
-// gateway's drain check) and the span and histogram the timing lands in.
+// differs per tier is passed in: the admission step (both tiers charge an
+// Admission gate, queue.go, the gateway's with an unbounded budget) and the
+// span and histogram the timing lands in.
 
 // RequestCounters is the request-plane counter set both tiers embed in
 // their metrics and render with WriteMetrics under their own prefix.

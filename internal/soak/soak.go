@@ -218,8 +218,7 @@ type runner struct {
 	vioCount map[string]int
 	vios     []string
 
-	sampleMu    sync.Mutex
-	samples     int
+	samples     int // runtime checkpoints taken: baseline and final
 	baseline    RuntimeSample
 	finalClient RuntimeSample
 	srvBase     *RuntimeSample
@@ -359,12 +358,6 @@ func Run(ctx context.Context, o Options, logf func(string, ...any)) (*Report, er
 			r.worker(loadCtx, id)
 		}(i)
 	}
-	// Checkpoint sampler: runtime growth observed while load runs.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r.sampler(loadCtx)
-	}()
 	// Chaos controller.
 	if len(victims) > 0 {
 		wg.Add(1)
@@ -426,6 +419,7 @@ func Run(ctx context.Context, o Options, logf func(string, ...any)) (*Report, er
 // takeBaseline records the pre-load runtime footprint, client and server.
 func (r *runner) takeBaseline(ctx context.Context) {
 	r.baseline = clientRuntimeSample()
+	r.samples++
 	mctx, cancel := context.WithTimeout(ctx, opTimeout)
 	defer cancel()
 	if text, err := r.client.Metrics(mctx); err == nil {
@@ -467,9 +461,7 @@ func (r *runner) checkClientLeaks() {
 		r.violate("heap-growth", "client process: %.0f heap bytes after load, baseline %.0f",
 			last.HeapAllocBytes, r.baseline.HeapAllocBytes)
 	}
-	r.sampleMu.Lock()
 	r.samples++
-	r.sampleMu.Unlock()
 	r.finalClient = last
 }
 
@@ -540,30 +532,6 @@ func (r *runner) finishServerChecks(ctx context.Context, rep *Report) {
 	}
 }
 
-// sampler periodically records runtime samples while load runs; the
-// count lands in the report (the leak verdict uses baseline vs final).
-func (r *runner) sampler(ctx context.Context) {
-	interval := r.o.Duration / 6
-	if interval < time.Second {
-		interval = time.Second
-	}
-	if interval > 5*time.Second {
-		interval = 5 * time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			r.sampleMu.Lock()
-			r.samples++
-			r.sampleMu.Unlock()
-		}
-	}
-}
-
 // fill converts the accumulators into the report shape.
 func (r *runner) fill(rep *Report) {
 	for _, p := range r.phases {
@@ -606,7 +574,6 @@ func (r *runner) fill(rep *Report) {
 		a.mu.Unlock()
 		rep.Ops[name] = os
 	}
-	r.sampleMu.Lock()
 	rep.Runtime = RuntimeStats{
 		Samples: r.samples,
 		First:   r.baseline,
@@ -614,7 +581,6 @@ func (r *runner) fill(rep *Report) {
 		Server:  r.srvBase,
 		ServerE: r.srvFinal,
 	}
-	r.sampleMu.Unlock()
 	rep.Violations = append(rep.Violations, r.vios...)
 	if rep.Violations == nil {
 		rep.Violations = []string{}

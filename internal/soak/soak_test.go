@@ -66,6 +66,9 @@ func TestShortRunClean(t *testing.T) {
 	if lat, ok := rep.ServerLatency["single"]; !ok || lat.Count == 0 {
 		t.Error("no server-side single-request latency parsed from /v1/metrics")
 	}
+	if rep.Runtime.Samples != 2 {
+		t.Errorf("report counts %d runtime samples, want 2 (baseline and final)", rep.Runtime.Samples)
+	}
 
 	// The report round-trips with the schema stamped.
 	var buf bytes.Buffer
