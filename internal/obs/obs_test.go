@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -113,5 +114,23 @@ func TestWriteRuntimeMetrics(t *testing.T) {
 		if !strings.Contains(b.String(), name) {
 			t.Errorf("runtime metrics missing %q in:\n%s", name, b.String())
 		}
+	}
+}
+
+// TestReadRuntime checks the runtime/metrics reading is coherent: every
+// name resolves (a missing one would panic in Value.Uint64), the heap sys
+// sum covers the heap's objects, and a forced GC is counted.
+func TestReadRuntime(t *testing.T) {
+	before := ReadRuntime()
+	runtime.GC()
+	rs := ReadRuntime()
+	if rs.Goroutines == 0 || rs.HeapObjects == 0 || rs.HeapAllocBytes == 0 {
+		t.Fatalf("empty reading %+v", rs)
+	}
+	if rs.HeapSysBytes < rs.HeapAllocBytes {
+		t.Errorf("heap sys %d below heap-object bytes %d", rs.HeapSysBytes, rs.HeapAllocBytes)
+	}
+	if rs.GCs <= before.GCs {
+		t.Errorf("GC cycles %d -> %d across runtime.GC()", before.GCs, rs.GCs)
 	}
 }
