@@ -75,18 +75,25 @@ func main() {
 	case sig := <-sigCh:
 		fmt.Fprintf(os.Stderr, "[bwagate] %v: draining (timeout %v)\n", sig, *drain)
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		if err := gw.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "[bwagate]", err)
+		drainErr := gw.Shutdown(ctx)
+		if drainErr != nil {
+			fmt.Fprintln(os.Stderr, "[bwagate]", drainErr)
 		}
 		cancel()
 		// The HTTP connection drain gets its own budget: clients may still
 		// be reading merged SAM responses the replicas already produced.
 		hctx, hcancel := context.WithTimeout(context.Background(), *drain)
-		if err := httpSrv.Shutdown(hctx); err != nil {
-			fmt.Fprintln(os.Stderr, "[bwagate]", err)
+		httpErr := httpSrv.Shutdown(hctx)
+		if httpErr != nil {
+			fmt.Fprintln(os.Stderr, "[bwagate]", httpErr)
 		}
 		hcancel()
 		fmt.Fprintln(os.Stderr, "[bwagate] bye")
+		// An interrupted drain may have cut a response short: say so in
+		// the exit status, not only in the log.
+		if drainErr != nil || httpErr != nil {
+			os.Exit(1)
+		}
 	case err := <-errCh:
 		if !errors.Is(err, http.ErrServerClosed) {
 			die(err)

@@ -24,7 +24,8 @@
 // sequences (PCR/optical duplicates) are served from a sharded result
 // cache (-cache, -cache-bytes) instead of re-running the alignment
 // pipeline. SIGINT/SIGTERM drain gracefully: in-flight requests complete,
-// new ones are rejected with 503, then the process exits.
+// new ones are rejected with 503, then the process exits: status 0 after a
+// clean drain, 1 when the drain timed out.
 //
 // See ARCHITECTURE.md for the full request path and the API contract.
 package main
@@ -137,8 +138,9 @@ func main() {
 		// The HTTP connection drain gets its own budget: clients may still
 		// be reading large SAM responses the pipeline already produced.
 		hctx, hcancel := context.WithTimeout(context.Background(), srv.Config().DrainTimeout)
-		if err := httpSrv.Shutdown(hctx); err != nil {
-			fmt.Fprintln(os.Stderr, "[bwaserve]", err)
+		httpErr := httpSrv.Shutdown(hctx)
+		if httpErr != nil {
+			fmt.Fprintln(os.Stderr, "[bwaserve]", httpErr)
 		}
 		hcancel()
 		// Unmap only now: the scheduler has drained and no worker can still
@@ -151,6 +153,11 @@ func main() {
 			}
 		}
 		fmt.Fprintln(os.Stderr, "[bwaserve] bye")
+		// An interrupted drain may have cut a response short: say so in
+		// the exit status, not only in the log.
+		if drainErr != nil || httpErr != nil {
+			os.Exit(1)
+		}
 	case err := <-errCh:
 		if !errors.Is(err, http.ErrServerClosed) {
 			die(err)
