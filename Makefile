@@ -36,11 +36,11 @@ bench: ## the repository's benchmark on tiny inputs (see internal/bench/README.m
 soak: ## sustained mixed-load run against an in-process server; fails on any violated invariant
 	$(GO) run ./cmd/bwasoak -duration $(SOAK_DURATION) -seed 1 > /dev/null
 
-soak-gateway: ## gateway-tier soak: 2 replicas behind bwagate, kill-restart chaos, zero retry budget
-	$(GO) run ./cmd/bwasoak -duration $(SOAK_DURATION) -seed 1 -topology gateway:2 -chaos kill-restart -retries 0 > /dev/null
+soak-gateway: ## gateway-tier soak: 2 replicas behind bwagate, kill-restart chaos, any transport error fails
+	$(GO) run ./cmd/bwasoak -duration $(SOAK_DURATION) -seed 1 -topology gateway:2 -chaos kill-restart > /dev/null
 
 soak-record: ## regenerate the committed soak record (gateway topology riding kill-restart chaos)
-	$(GO) run ./cmd/bwasoak -duration $(SOAK_DURATION) -seed 1 -topology gateway:2 -chaos kill-restart -retries 0 -report BENCH_soak.json > /dev/null
+	$(GO) run ./cmd/bwasoak -duration $(SOAK_DURATION) -seed 1 -topology gateway:2 -chaos kill-restart -report BENCH_soak.json > /dev/null
 
 clean:
 	$(GO) clean ./...

@@ -1,16 +1,18 @@
 // Command bwasoak sustains a seeded mixed workload against a live
-// alignment server — in-process by default, a spawned bwaserve subprocess
-// in chaos mode, or any external /v1 target — and checks the invariants a
-// single request can't: byte-identity against the offline pipeline,
-// typed error envelopes on every rejection, no goroutine or heap growth,
-// the p99 latency SLO, and clean drain.
+// alignment server — in-process by default, N replicas behind an
+// in-process gateway (-topology gateway:N; under -chaos kill-restart the
+// replicas are bwaserve subprocesses it kills and restarts), or any
+// external /v1 target — and checks the invariants a single request
+// can't: byte-identity against the offline pipeline, typed error
+// envelopes on every rejection, no transport errors, no goroutine or heap
+// growth, the p99 latency SLO, and clean drain.
 //
-// The JSON report (schema bwago-soak/v1) goes to stdout. Exit status: 0
+// The JSON report (schema bwago-soak/v2) goes to stdout. Exit status: 0
 // when every invariant held, 1 with the violations named on stderr when
 // any failed, 2 on setup errors.
 //
 //	bwasoak -duration 30s -seed 1
-//	bwasoak -duration 2m -chaos kill-restart
+//	bwasoak -duration 2m -topology gateway:2 -chaos kill-restart
 //	bwasoak -duration 1m -target http://localhost:8080
 package main
 

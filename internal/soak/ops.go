@@ -48,22 +48,6 @@ func (r *runner) step(ctx context.Context, rng *rand.Rand) {
 	}
 }
 
-// transportRetrySleep is the harness's own backoff between transport
-// retries (connection refused during a chaos restart, mostly). Distinct
-// from bwaclient's 429 backoff, which stays internal to the client.
-func transportRetrySleep(ctx context.Context, attempt int) {
-	d := 500 * time.Millisecond << uint(attempt)
-	if d > 2*time.Second {
-		d = 2 * time.Second
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
-}
-
 // doAlign runs one success-path align operation (single, paired, or
 // slow-reader) and checks the byte-identity and error-envelope
 // invariants on the outcome.
@@ -71,52 +55,35 @@ func (r *runner) doAlign(ctx context.Context, rng *rand.Rand, op string, t templ
 	acc := r.ops[op]
 	acc.attempts.Add(1)
 	nreads := int64(len(t.reads) + len(t.r1) + len(t.r2))
-	for attempt := 0; ; attempt++ {
-		reqCtx, cancel := context.WithTimeout(ctx, opTimeout)
-		start := time.Now()
-		var got []byte
-		var err error
-		switch op {
-		case opPaired:
-			got, err = r.client.AlignPairedSAM(reqCtx, t.r1, t.r2)
-		case opSlow:
-			got, err = r.drainSlow(reqCtx, t.reads)
-		default:
-			got, err = r.client.AlignSAM(reqCtx, t.reads)
-		}
-		lat := time.Since(start)
-		cancel()
-		ph := r.cur.Load()
+	reqCtx, cancel := context.WithTimeout(ctx, opTimeout)
+	start := time.Now()
+	var got []byte
+	var err error
+	switch op {
+	case opPaired:
+		got, err = r.client.AlignPairedSAM(reqCtx, t.r1, t.r2)
+	case opSlow:
+		got, err = r.drainSlow(reqCtx, t.reads)
+	default:
+		got, err = r.client.AlignSAM(reqCtx, t.reads)
+	}
+	lat := time.Since(start)
+	cancel()
+	ph := r.cur.Load()
 
-		if err == nil {
-			acc.ok.Add(1)
-			ph.requests.Add(1)
-			ph.reads.Add(nreads)
-			ph.samBytes.Add(int64(len(got)))
-			ph.lat.Observe(lat)
-			if !bytes.Equal(got, t.want) {
-				r.violate("byte-identity", "op %s: response (%d bytes) differs from offline pipeline oracle (%d bytes)",
-					op, len(got), len(t.want))
-			}
-			return
+	if err == nil {
+		acc.ok.Add(1)
+		ph.requests.Add(1)
+		ph.reads.Add(nreads)
+		ph.samBytes.Add(int64(len(got)))
+		ph.lat.Observe(lat)
+		if !bytes.Equal(got, t.want) {
+			r.violate("byte-identity", "op %s: response (%d bytes) differs from offline pipeline oracle (%d bytes)",
+				op, len(got), len(t.want))
 		}
-		if r.classifyRejection(op, acc, ph, err, "") {
-			return
-		}
-		if ctx.Err() != nil {
-			return // run deadline hit mid-flight: not a fault
-		}
-		if attempt < r.o.Retries {
-			acc.retried.Add(1)
-			ph.retried.Add(1)
-			transportRetrySleep(ctx, attempt)
-			continue
-		}
-		acc.transport.Add(1)
-		ph.transport.Add(1)
-		r.violate("transport-error", "op %s: %v", op, err)
 		return
 	}
+	r.failed(ctx, op, acc, ph, err, "")
 }
 
 // drainSlow is the slow-reader client: it consumes the SAM stream a few
@@ -184,39 +151,35 @@ func (r *runner) doCancel(ctx context.Context, rng *rand.Rand, t template) {
 func (r *runner) doReject(ctx context.Context, op string, t template) {
 	acc := r.ops[op]
 	acc.attempts.Add(1)
-	for attempt := 0; ; attempt++ {
-		reqCtx, cancel := context.WithTimeout(ctx, opTimeout)
-		_, err := r.client.AlignSAM(reqCtx, t.reads)
-		cancel()
-		ph := r.cur.Load()
-		if err == nil {
-			acc.ok.Add(1)
-			r.violate("error-envelope", "op %s: request the server must reject (%s) was accepted", op, t.wantCode)
-			return
-		}
-		if r.classifyRejection(op, acc, ph, err, t.wantCode) {
-			return
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		if attempt < r.o.Retries {
-			acc.retried.Add(1)
-			ph.retried.Add(1)
-			transportRetrySleep(ctx, attempt)
-			continue
-		}
-		acc.transport.Add(1)
-		ph.transport.Add(1)
-		r.violate("transport-error", "op %s: %v", op, err)
+	reqCtx, cancel := context.WithTimeout(ctx, opTimeout)
+	_, err := r.client.AlignSAM(reqCtx, t.reads)
+	cancel()
+	ph := r.cur.Load()
+	if err == nil {
+		acc.ok.Add(1)
+		r.violate("error-envelope", "op %s: request the server must reject (%s) was accepted", op, t.wantCode)
 		return
 	}
+	r.failed(ctx, op, acc, ph, err, t.wantCode)
+}
+
+// failed settles an operation's error: a typed rejection is classified,
+// an error after the run's deadline is not a fault, and anything else is
+// a transport error — a violation, since neither the in-process server
+// nor the gateway front door is ever killed.
+func (r *runner) failed(ctx context.Context, op string, acc *opAcc, ph *phaseAcc, err error, wantCode string) {
+	if r.classifyRejection(op, acc, ph, err, wantCode) || ctx.Err() != nil {
+		return
+	}
+	acc.transport.Add(1)
+	ph.transport.Add(1)
+	r.violate("transport-error", "op %s: %v", op, err)
 }
 
 // classifyRejection inspects an align error. A typed *APIError is
 // recorded under its code and, when the op expects a specific code,
 // checked against it; an untyped status rejection is an error-envelope
-// violation. Returns false for transport-level errors (caller retries).
+// violation. Returns false for transport-level errors.
 func (r *runner) classifyRejection(op string, acc *opAcc, ph *phaseAcc, err error, wantCode string) bool {
 	var apiErr *bwaclient.APIError
 	if !errors.As(err, &apiErr) {
@@ -236,39 +199,20 @@ func (r *runner) classifyRejection(op string, acc *opAcc, ph *phaseAcc, err erro
 }
 
 // doHealth polls /v1/healthz. Under load the server must report a
-// well-formed status; transport failures follow the retry policy (they
-// are expected only around chaos restarts).
+// well-formed status.
 func (r *runner) doHealth(ctx context.Context) {
 	acc := r.ops[opHealth]
 	acc.attempts.Add(1)
-	for attempt := 0; ; attempt++ {
-		reqCtx, cancel := context.WithTimeout(ctx, opTimeout)
-		h, err := r.client.Health(reqCtx)
-		cancel()
-		ph := r.cur.Load()
-		if err == nil {
-			acc.ok.Add(1)
-			if h.Status != "ok" && h.Status != "draining" {
-				r.violate("health", "healthz status %q", h.Status)
-			}
-			return
-		}
-		if r.classifyRejection(opHealth, acc, ph, err, "") {
-			return
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		if attempt < r.o.Retries {
-			acc.retried.Add(1)
-			ph.retried.Add(1)
-			transportRetrySleep(ctx, attempt)
-			continue
-		}
-		acc.transport.Add(1)
-		ph.transport.Add(1)
-		r.violate("transport-error", "op %s: %v", opHealth, err)
+	reqCtx, cancel := context.WithTimeout(ctx, opTimeout)
+	h, err := r.client.Health(reqCtx)
+	cancel()
+	if err != nil {
+		r.failed(ctx, opHealth, acc, r.cur.Load(), err, "")
 		return
+	}
+	acc.ok.Add(1)
+	if h.Status != "ok" && h.Status != "draining" {
+		r.violate("health", "healthz status %q", h.Status)
 	}
 }
 
@@ -277,33 +221,15 @@ func (r *runner) doHealth(ctx context.Context) {
 func (r *runner) doMetrics(ctx context.Context) {
 	acc := r.ops[opMetrics]
 	acc.attempts.Add(1)
-	for attempt := 0; ; attempt++ {
-		reqCtx, cancel := context.WithTimeout(ctx, opTimeout)
-		text, err := r.client.Metrics(reqCtx)
-		cancel()
-		ph := r.cur.Load()
-		if err == nil {
-			acc.ok.Add(1)
-			if len(text) == 0 {
-				r.violate("metrics", "empty /v1/metrics body under load")
-			}
-			return
-		}
-		if r.classifyRejection(opMetrics, acc, ph, err, "") {
-			return
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		if attempt < r.o.Retries {
-			acc.retried.Add(1)
-			ph.retried.Add(1)
-			transportRetrySleep(ctx, attempt)
-			continue
-		}
-		acc.transport.Add(1)
-		ph.transport.Add(1)
-		r.violate("transport-error", "op %s: %v", opMetrics, err)
+	reqCtx, cancel := context.WithTimeout(ctx, opTimeout)
+	text, err := r.client.Metrics(reqCtx)
+	cancel()
+	if err != nil {
+		r.failed(ctx, opMetrics, acc, r.cur.Load(), err, "")
 		return
+	}
+	acc.ok.Add(1)
+	if len(text) == 0 {
+		r.violate("metrics", "empty /v1/metrics body under load")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // changes meaning so recorded soak trajectories stay comparable. The repo
 // keeps the latest record at BENCH_soak.json (regenerated by `make
 // soak-record`).
-const Schema = "bwago-soak/v1"
+const Schema = "bwago-soak/v2"
 
 // Report is the machine-readable outcome of one soak run: throughput and
 // error taxonomy per phase, end-to-end latency quantiles, runtime growth
@@ -27,8 +27,8 @@ type Report struct {
 	Config ConfigInfo `json:"config"`
 
 	// Phases is the load timeline in order: one "steady" phase for a
-	// plain run; chaos runs interleave "chaos-N" (kill → restart →
-	// healthy) windows with the steady phases around them.
+	// plain run; chaos runs interleave "gateway-chaos-N" (replica kill →
+	// restart → healthy) windows with the steady phases around them.
 	Phases []*PhaseStats `json:"phases"`
 
 	// Ops aggregates the whole run per workload operation.
@@ -63,7 +63,6 @@ type ConfigInfo struct {
 	Target          string  `json:"target,omitempty"`
 	Topology        string  `json:"topology,omitempty"`
 	Chaos           string  `json:"chaos,omitempty"`
-	Retries         int     `json:"retries"`
 	SLOp99Seconds   float64 `json:"slo_p99_seconds"`
 }
 
@@ -78,7 +77,6 @@ type PhaseStats struct {
 	Rejections      map[string]int64 `json:"rejections,omitempty"` // APIError code -> count
 	TransportErrors int64            `json:"transport_errors"`
 	Cancelled       int64            `json:"cancelled"`
-	Retried         int64            `json:"retried"`
 	// Latency is the client-observed end-to-end quantiles for align
 	// operations completed inside this phase.
 	Latency Quantiles `json:"latency_seconds"`
@@ -91,7 +89,6 @@ type OpStats struct {
 	Rejections      map[string]int64 `json:"rejections,omitempty"`
 	TransportErrors int64            `json:"transport_errors"`
 	Cancelled       int64            `json:"cancelled"`
-	Retried         int64            `json:"retried"`
 }
 
 // Quantiles is a latency summary in seconds.

@@ -1,14 +1,15 @@
 // Package soak is the sustained-load harness behind cmd/bwasoak: a
 // seeded, mixed workload driven entirely through pkg/bwaclient against a
-// live alignment server — in-process (pkg/bwamem.NewServer) for CI, a
-// spawned bwaserve subprocess for chaos mode, or any external /v1 target.
+// live alignment server — in-process (pkg/bwamem.NewServer) for CI, N
+// replicas behind an in-process gateway (bwaserve subprocesses under
+// chaos), or any external /v1 target.
 //
 // While load runs it checks the invariants one request can't: every
 // successful response byte-identical to the offline pipeline oracle,
 // a typed error envelope on every rejection, no goroutine or heap growth
 // across checkpoints, p99 end-to-end latency (from the server's own
 // histogram buckets) under a configurable SLO, and clean drain at the
-// end. The outcome is a bwago-soak/v1 Report; an empty Violations list is
+// end. The outcome is a bwago-soak/v2 Report; an empty Violations list is
 // the pass signal.
 package soak
 
@@ -45,10 +46,8 @@ type Options struct {
 	MaxReadLen      int           // -max-read-len: server per-read length cap
 	Target          string        // -target: external /v1 base URL (empty = own server)
 	Topology        string        // -topology: "single" (default) or "gateway:N"
-	Chaos           string        // -chaos: "" or "kill-restart" (subprocess target)
-	ChaosInterval   time.Duration // -chaos-interval: time between kills
-	ServerBin       string        // -server-bin: bwaserve binary for chaos (empty = go build)
-	Retries         int           // -retries: transport-failure retries per op (0 = any transport error is a violation)
+	Chaos           string        // -chaos: "" or "kill-restart" (needs gateway:N, N >= 2)
+	ServerBin       string        // -server-bin: bwaserve binary for chaos replicas (empty = go build)
 	SLOp99          time.Duration // -slo-p99: p99 latency SLO from server buckets (0 disables)
 	Report          string        // -report: also write the JSON report to this file
 }
@@ -68,8 +67,6 @@ func DefaultOptions() Options {
 		MaxInflight:     512,
 		MaxRequestReads: 256,
 		MaxReadLen:      65536,
-		ChaosInterval:   8 * time.Second,
-		Retries:         5,
 		SLOp99:          5 * time.Second,
 	}
 }
@@ -92,10 +89,8 @@ func Flags(fs *flag.FlagSet) *Options {
 	fs.IntVar(&o.MaxReadLen, "max-read-len", o.MaxReadLen, "server per-read length cap (the malformed op sends one longer)")
 	fs.StringVar(&o.Target, "target", o.Target, "external server base URL instead of an in-process server")
 	fs.StringVar(&o.Topology, "topology", o.Topology, "target topology: single (default) or gateway:N — N replicas behind an in-process bwagate")
-	fs.StringVar(&o.Chaos, "chaos", o.Chaos, "chaos mode: kill-restart (spawns bwaserve as a subprocess)")
-	fs.DurationVar(&o.ChaosInterval, "chaos-interval", o.ChaosInterval, "time between chaos kills")
-	fs.StringVar(&o.ServerBin, "server-bin", o.ServerBin, "bwaserve binary for chaos mode (empty: go build ./cmd/bwaserve)")
-	fs.IntVar(&o.Retries, "retries", o.Retries, "transport-failure retries per operation; 0 makes any transport error a violation")
+	fs.StringVar(&o.Chaos, "chaos", o.Chaos, "chaos mode: kill-restart (needs -topology gateway:N, N >= 2; replicas run as bwaserve subprocesses)")
+	fs.StringVar(&o.ServerBin, "server-bin", o.ServerBin, "bwaserve binary for chaos replicas (empty: go build ./cmd/bwaserve)")
 	fs.DurationVar(&o.SLOp99, "slo-p99", o.SLOp99, "p99 request-latency SLO checked against the server's histogram buckets (0 disables)")
 	fs.StringVar(&o.Report, "report", o.Report, "also write the JSON report to this file")
 	return &o
@@ -128,9 +123,6 @@ func (o *Options) validate() error {
 	if o.Chaos != "" && o.Chaos != "kill-restart" {
 		return fmt.Errorf("soak: unknown -chaos mode %q (want kill-restart)", o.Chaos)
 	}
-	if o.Chaos != "" && o.Target != "" {
-		return fmt.Errorf("soak: -chaos spawns its own server; it cannot be combined with -target")
-	}
 	gwN, err := o.gatewayReplicas()
 	if err != nil {
 		return err
@@ -138,8 +130,8 @@ func (o *Options) validate() error {
 	if gwN > 0 && o.Target != "" {
 		return fmt.Errorf("soak: -topology gateway stands up its own replicas; it cannot be combined with -target")
 	}
-	if gwN == 1 && o.Chaos != "" {
-		return fmt.Errorf("soak: gateway chaos needs at least 2 replicas to ride through a kill (-topology gateway:2)")
+	if o.Chaos != "" && gwN < 2 {
+		return fmt.Errorf("soak: -chaos kills replicas behind the gateway; it needs -topology gateway:N with N >= 2")
 	}
 	if o.MaxRequestReads > o.MaxInflight {
 		return fmt.Errorf("soak: -max-request-reads %d exceeds -max-inflight %d (every request would shed)",
@@ -163,7 +155,6 @@ type phaseAcc struct {
 	samBytes  atomic.Int64
 	transport atomic.Int64
 	cancelled atomic.Int64
-	retried   atomic.Int64
 
 	mu         sync.Mutex
 	rejections map[string]int64
@@ -183,7 +174,6 @@ type opAcc struct {
 	ok        atomic.Int64
 	transport atomic.Int64
 	cancelled atomic.Int64
-	retried   atomic.Int64
 
 	mu         sync.Mutex
 	rejections map[string]int64
@@ -281,9 +271,7 @@ func Run(ctx context.Context, o Options, logf func(string, ...any)) (*Report, er
 	var (
 		baseURL string
 		local   *localServer
-		child   *childServer
 		gate    *gatewayTarget
-		victims []*childServer // the chaos controller's kill-restart targets
 	)
 	switch {
 	case o.Target != "":
@@ -295,15 +283,6 @@ func Run(ctx context.Context, o Options, logf func(string, ...any)) (*Report, er
 		}
 		defer gate.stop()
 		baseURL = gate.baseURL
-		victims = gate.children
-	case o.Chaos != "":
-		child, err = startChildServer(ctx, &o, logf)
-		if err != nil {
-			return nil, err
-		}
-		defer child.stop()
-		baseURL = child.baseURL
-		victims = []*childServer{child}
 	default:
 		local, err = startLocalServer(&o, w.idx, logf)
 		if err != nil {
@@ -358,12 +337,12 @@ func Run(ctx context.Context, o Options, logf func(string, ...any)) (*Report, er
 			r.worker(loadCtx, id)
 		}(i)
 	}
-	// Chaos controller.
-	if len(victims) > 0 {
+	// Chaos controller; validate admits chaos only with a gateway tier.
+	if o.Chaos != "" {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.chaos(loadCtx, victims, deadline)
+			r.chaos(loadCtx, gate.children, deadline)
 		}()
 	}
 	wg.Wait()
@@ -376,7 +355,7 @@ func Run(ctx context.Context, o Options, logf func(string, ...any)) (*Report, er
 			GenomeBP: o.GenomeBP, GenomeSeed: o.GenomeSeed, ReadLen: o.ReadLen,
 			Threads: o.Threads, BatchSize: o.BatchSize, MaxInflight: o.MaxInflight,
 			MaxRequestReads: o.MaxRequestReads, Target: o.Target, Topology: o.Topology,
-			Chaos: o.Chaos, Retries: o.Retries, SLOp99Seconds: o.SLOp99.Seconds(),
+			Chaos: o.Chaos, SLOp99Seconds: o.SLOp99.Seconds(),
 		},
 	}
 
@@ -395,10 +374,6 @@ func Run(ctx context.Context, o Options, logf func(string, ...any)) (*Report, er
 	case local != nil:
 		if err := local.drain(); err != nil {
 			r.violate("drain", "in-process server: %v", err)
-		}
-	case child != nil:
-		if err := child.drain(); err != nil {
-			r.violate("drain", "bwaserve subprocess: %v", err)
 		}
 	case gate != nil:
 		if err := gate.drain(); err != nil {
@@ -429,10 +404,12 @@ func (r *runner) takeBaseline(ctx context.Context) {
 	}
 }
 
+// clientRuntimeSample reads the harness's own footprint through the
+// reader behind the server's bwaserve_go_* gauges, without stopping the
+// world.
 func clientRuntimeSample() RuntimeSample {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return RuntimeSample{Goroutines: runtime.NumGoroutine(), HeapAllocBytes: float64(ms.HeapAlloc)}
+	rs := obs.ReadRuntime()
+	return RuntimeSample{Goroutines: int(rs.Goroutines), HeapAllocBytes: float64(rs.HeapAllocBytes)}
 }
 
 // Leak slack: shutting-down goroutines and transport internals wobble by
@@ -467,20 +444,12 @@ func (r *runner) checkClientLeaks() {
 
 // finishServerChecks reads the target's metrics one last time: request
 // latency quantiles for the report and the SLO, runtime gauges for the
-// server-side leak check. Transient unavailability (a chaos restart just
-// happened) is retried briefly.
+// server-side leak check. The front door is never a chaos victim, so the
+// fetch is not retried.
 func (r *runner) finishServerChecks(ctx context.Context, rep *Report) {
-	var text string
-	var err error
-	for i := 0; i < 5; i++ {
-		mctx, cancel := context.WithTimeout(ctx, opTimeout)
-		text, err = r.client.Metrics(mctx)
-		cancel()
-		if err == nil {
-			break
-		}
-		time.Sleep(500 * time.Millisecond)
-	}
+	mctx, cancel := context.WithTimeout(ctx, opTimeout)
+	text, err := r.client.Metrics(mctx)
+	cancel()
 	if err != nil {
 		r.violate("metrics-unreachable", "final /v1/metrics fetch: %v", err)
 		return
@@ -539,7 +508,7 @@ func (r *runner) fill(rep *Report) {
 		ps := &PhaseStats{
 			Name: p.name, Seconds: secs,
 			Requests: p.requests.Load(), Reads: p.reads.Load(), SAMBytes: p.samBytes.Load(),
-			TransportErrors: p.transport.Load(), Cancelled: p.cancelled.Load(), Retried: p.retried.Load(),
+			TransportErrors: p.transport.Load(), Cancelled: p.cancelled.Load(),
 			Latency: Quantiles{
 				Count: p.lat.Count(),
 				P50:   p.lat.Quantile(0.50), P90: p.lat.Quantile(0.90), P99: p.lat.Quantile(0.99),
@@ -562,7 +531,7 @@ func (r *runner) fill(rep *Report) {
 	for name, a := range r.ops {
 		os := &OpStats{
 			Attempts: a.attempts.Load(), OK: a.ok.Load(),
-			TransportErrors: a.transport.Load(), Cancelled: a.cancelled.Load(), Retried: a.retried.Load(),
+			TransportErrors: a.transport.Load(), Cancelled: a.cancelled.Load(),
 		}
 		a.mu.Lock()
 		if len(a.rejections) > 0 {

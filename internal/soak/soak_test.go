@@ -12,6 +12,7 @@ import (
 	"os"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -145,7 +146,6 @@ func TestDetectsCorruptTarget(t *testing.T) {
 	o := shortOptions()
 	o.Duration = time.Second
 	o.Target = ts.URL
-	o.Retries = 0
 	rep, err := Run(context.Background(), o, t.Logf)
 	if err != nil {
 		t.Fatal(err)
@@ -164,6 +164,55 @@ func TestDetectsCorruptTarget(t *testing.T) {
 	// A stub without bwaserve's histograms must not fabricate latency.
 	if len(rep.ServerLatency) != 0 {
 		t.Errorf("ServerLatency = %v from a stub without request histograms", rep.ServerLatency)
+	}
+}
+
+// TestTransportErrorIsViolation points the harness at a stub that answers
+// the warm-up request and then hijacks and closes every connection: with
+// no retry budget, each failed operation must count under
+// transport_errors and the run must name a transport-error violation.
+func TestTransportErrorIsViolation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak run in -short mode")
+	}
+	var warmedUp atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if warmedUp.CompareAndSwap(false, true) {
+			fmt.Fprint(w, "warm\t4\t*\t0\t0\t*\t*\t0\t0\tA\t!\n")
+			return
+		}
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn.Close()
+	}))
+	defer ts.Close()
+
+	o := shortOptions()
+	o.Duration = time.Second
+	o.Target = ts.URL
+	rep, err := Run(context.Background(), o, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var transport bool
+	for _, v := range rep.Violations {
+		transport = transport || strings.HasPrefix(v, "transport-error:")
+	}
+	if !transport {
+		t.Errorf("closed connections not flagged as a transport-error violation: %v", rep.Violations)
+	}
+	var opErrs, phaseErrs int64
+	for _, op := range rep.Ops {
+		opErrs += op.TransportErrors
+	}
+	for _, ph := range rep.Phases {
+		phaseErrs += ph.TransportErrors
+	}
+	if opErrs == 0 || phaseErrs != opErrs {
+		t.Errorf("transport_errors: ops %d, phases %d; want equal and nonzero", opErrs, phaseErrs)
 	}
 }
 
@@ -278,6 +327,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"zero-replica gateway", func(o *Options) { o.Topology = "gateway:0" }},
 		{"gateway with target", func(o *Options) { o.Topology = "gateway:2"; o.Target = "http://x" }},
 		{"gateway chaos with one replica", func(o *Options) { o.Topology = "gateway:1"; o.Chaos = "kill-restart" }},
+		{"single-topology chaos", func(o *Options) { o.Topology = "single"; o.Chaos = "kill-restart" }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

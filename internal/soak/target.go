@@ -86,14 +86,11 @@ func (ls *localServer) stop() {
 	})
 }
 
-// childServer is the chaos target: a real bwaserve process this harness
+// childServer is a chaos replica: a real bwaserve process this harness
 // can SIGKILL mid-traffic and restart on the same port.
 type childServer struct {
-	o    *Options
-	logf func(string, ...any)
-
+	o       *Options
 	bin     string
-	binDir  string // temp dir when we built the binary ourselves
 	addr    string
 	baseURL string
 
@@ -102,7 +99,7 @@ type childServer struct {
 	stderr *bytes.Buffer
 }
 
-// resolveServerBin returns the bwaserve binary a chaos target spawns:
+// resolveServerBin returns the bwaserve binary chaos replicas run:
 // o.ServerBin when set, otherwise a fresh build of ./cmd/bwaserve into a
 // temp dir (run from the module root). binDir is non-empty only when the
 // build happened here; the caller owns its removal.
@@ -124,31 +121,18 @@ func resolveServerBin(ctx context.Context, o *Options, logf func(string, ...any)
 	return bin, dir, nil
 }
 
-// startChildServer resolves the bwaserve binary, reserves a port, spawns
-// the process, and waits for /v1/healthz.
-func startChildServer(ctx context.Context, o *Options, logf func(string, ...any)) (*childServer, error) {
-	bin, binDir, err := resolveServerBin(ctx, o, logf)
-	if err != nil {
-		return nil, err
-	}
-	return launchChild(ctx, o, bin, binDir, logf)
-}
-
 // launchChild spawns one bwaserve process from bin on a fresh port and
-// waits for it to become healthy. The child owns binDir (removed on stop);
-// pass "" when the binary is shared.
-func launchChild(ctx context.Context, o *Options, bin, binDir string, logf func(string, ...any)) (*childServer, error) {
-	c := &childServer{o: o, logf: logf, bin: bin, binDir: binDir}
+// waits for it to become healthy.
+func launchChild(ctx context.Context, o *Options, bin string, logf func(string, ...any)) (*childServer, error) {
+	c := &childServer{o: o, bin: bin}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		c.cleanup()
 		return nil, err
 	}
 	c.addr = ln.Addr().String()
 	c.baseURL = "http://" + c.addr
 	ln.Close() // free it for the child; the window for a steal is tiny and a steal fails loudly
 	if err := c.spawn(); err != nil {
-		c.cleanup()
 		return nil, err
 	}
 	if err := c.waitHealthy(ctx, 60*time.Second); err != nil {
@@ -284,14 +268,6 @@ func (c *childServer) stop() {
 		cmd.Process.Kill()
 		cmd.Wait()
 	}
-	c.cleanup()
-}
-
-func (c *childServer) cleanup() {
-	if c.binDir != "" {
-		os.RemoveAll(c.binDir)
-		c.binDir = ""
-	}
 }
 
 // gatewayTarget is the fleet topology: N replicas behind an in-process
@@ -330,7 +306,7 @@ func startGatewayTarget(ctx context.Context, o *Options, n int, idx *bwamem.Inde
 		}
 		gt.binDir = binDir
 		for i := 0; i < n; i++ {
-			c, err := launchChild(ctx, o, bin, "", logf)
+			c, err := launchChild(ctx, o, bin, logf)
 			if err != nil {
 				gt.stop()
 				return nil, err
@@ -424,16 +400,18 @@ func (gt *gatewayTarget) stop() {
 	}
 }
 
-// chaos is the kill-restart controller: every ChaosInterval it opens a
-// chaos phase, SIGKILLs one child process mid-traffic (round-robin over
-// children: the one bwaserve of a single-server target, or a gateway
-// fleet's replicas), restarts it on the same port, waits for health, and
-// opens the next steady phase. Workers keep running throughout — the
-// client's transport retries, or the gateway's passive failure detection
-// plus partition retry, are the resilience path under test.
+// chaosInterval is the time between chaos kills.
+const chaosInterval = 8 * time.Second
+
+// chaos is the kill-restart controller: every chaosInterval it opens a
+// chaos phase, SIGKILLs one of the gateway's replica processes
+// mid-traffic (round-robin), restarts it on the same port, waits for
+// health, and opens the next steady phase. Workers keep running
+// throughout — the gateway's passive failure detection plus partition
+// retry are the resilience path under test.
 func (r *runner) chaos(ctx context.Context, children []*childServer, deadline time.Time) {
 	for i := 1; ; i++ {
-		t := time.NewTimer(r.o.ChaosInterval)
+		t := time.NewTimer(chaosInterval)
 		select {
 		case <-ctx.Done():
 			t.Stop()
@@ -442,7 +420,7 @@ func (r *runner) chaos(ctx context.Context, children []*childServer, deadline ti
 		}
 		// Leave room for recovery and a post-chaos steady window before
 		// the run's deadline.
-		if time.Until(deadline) < r.o.ChaosInterval/2+2*time.Second {
+		if time.Until(deadline) < chaosInterval/2+2*time.Second {
 			return
 		}
 		victim := children[(i-1)%len(children)]
