@@ -16,8 +16,8 @@ vet:
 race:
 	$(GO) test -race ./...
 
-fuzz: ## bounded fuzzing, 15 s per target (each new input minimized for at most 3 s): occurrence tables vs a naive count, Extend vs a brute-force text scan, both DP kernels vs their frozen oracles, the AVX-512BW extension job kernel vs the int32 Go row, the FASTQ and JSON request decoders, the JSON read codec against encoding/json (decoder and encoder), the index reader, the client's Server-Timing and Retry-After parsers, the result cache's byte and hit accounting, the gateway's SAM group splitter, the ordered stream writer's call sequences
-	set -e; for t in internal/fmindex:FuzzOccCount4 internal/fmindex:FuzzExtend internal/bsw:FuzzExtendScalar internal/bsw:FuzzExtendJob internal/bsw:FuzzGlobal \
+fuzz: ## bounded fuzzing, 15 s per target (each new input minimized for at most 3 s): occurrence tables vs a naive count, Extend vs a brute-force text scan, both DP kernels vs their frozen oracles, the AVX-512BW extension job kernel vs the int32 Go row, the AVX-512 global fill vs the Go fill cell for cell, the FASTQ and JSON request decoders, the JSON read codec against encoding/json (decoder and encoder), the index reader, the client's Server-Timing and Retry-After parsers, the result cache's byte and hit accounting, the gateway's SAM group splitter, the ordered stream writer's call sequences
+	set -e; for t in internal/fmindex:FuzzOccCount4 internal/fmindex:FuzzExtend internal/bsw:FuzzExtendScalar internal/bsw:FuzzExtendJob internal/bsw:FuzzGlobal internal/bsw:FuzzGlobalFill \
 		internal/seq:FuzzFastqScanner internal/seq:FuzzDecodeJSONReads internal/seq:FuzzDecodeJSONReadsMatchesStd internal/seq:FuzzAppendJSONReads \
 		internal/core:FuzzReadIndex pkg/bwaclient:FuzzParseServerTiming pkg/bwaclient:FuzzRetryWait \
 		internal/rescache:FuzzCache internal/gateway:FuzzSplitGroups internal/ordered:FuzzOrderedWriter; do \

@@ -8,6 +8,16 @@ package bsw
 // before any DP. For the rest, the caller already knows roughly what the
 // alignment scores, so Global takes that as a floor and prunes, exactly,
 // every cell no alignment reaching the floor can pass through (see Global).
+//
+// The fill runs on AVX-512 as globalJob32 (global_amd64.s) wherever the CPU
+// has AVX-512BW: the whole pruned row loop in one call, 16 int32 cells per
+// instruction. As in ksw_global, a gap opens from a cell's diagonal score
+// M, not from its H. So along a row, F(i,j+1) = max(F(i,j)-eIns,
+// M(i,j)-oIns-eIns) is a linear recurrence over values the previous row
+// already fixed, and a prefix-max scan computes 16 columns of it at once,
+// as extendJob16 does for the extension. The Go fill, globalFill, runs in
+// the purego build, on other CPUs and for the jobs globalVecFits refuses;
+// both write the same cells and direction bits.
 
 import "strconv"
 
@@ -82,13 +92,6 @@ type GlobalBuf struct {
 	cig Cigar
 }
 
-// Global is GlobalBuf.Global over a fresh buffer, so the Cigar it returns is
-// the caller's own.
-func Global(p *Params, query, target []byte, w, floor int) (int, Cigar) {
-	var b GlobalBuf
-	return b.Global(p, query, target, w, floor)
-}
-
 // Global computes the banded global alignment score of query against target
 // and the CIGAR of one optimal alignment. Cells more than w off the main
 // diagonal are unreachable.
@@ -131,35 +134,39 @@ func (b *GlobalBuf) Global(p *Params, query, target []byte, w, floor int) (int, 
 		b.cig = b.cig[:0].PushOp(CigarMatch, qlen)
 		return score, b.cig
 	}
-	if w < 1 {
-		w = 1
+	w, nCol := b.grow(qlen, tlen, w)
+	vec := haveGlobalVec && globalVecFits(p, qlen, tlen)
+	if !vec {
+		b.qp = resize(b.qp, 5*qlen)
+		fillProfile(b.qp, p, query)
 	}
-	// The band must admit the length difference, or no global path exists.
-	if d := qlen - tlen; d > 0 && w < d {
-		w = d
-	} else if d < 0 && w < -d {
-		w = -d
-	}
-	nCol := qlen
-	if 2*w+1 < nCol {
-		nCol = 2*w + 1
-	}
-	z := resize(b.z, tlen*nCol) // direction matrix, tlen x nCol
-	h, e, qp := resize(b.h, qlen+1), resize(b.e, qlen+1), resize(b.qp, 5*qlen)
-	b.z, b.h, b.e, b.qp = z, h, e, qp
-	for k, i := 0, 0; k < 5; k++ {
-		row := p.Mat[k*5 : k*5+5]
-		for j := 0; j < qlen; j++ {
-			qp[i] = row[query[j]]
-			i++
-		}
-	}
-	score, ok := globalFill(p, qp, target, w, nCol, floor, h, e, z)
+	score, ok := b.fill(p, query, target, w, nCol, floor, vec)
 	if !ok {
-		score, _ = globalFill(p, qp, target, w, nCol, int(minusInf), h, e, z)
+		score, _ = b.fill(p, query, target, w, nCol, int(minusInf), vec)
 	}
-	b.cig = globalTraceback(b.cig[:0], z, qlen, tlen, w, nCol)
+	b.cig = globalTraceback(b.cig[:0], b.z, qlen, tlen, w, nCol)
 	return score, b.cig
+}
+
+// grow sizes the rows and the direction matrix for a fill of qlen query
+// against tlen target bases with band w. It returns the band, widened to
+// at least 1 and to the length difference, without which no global path
+// exists, and the direction matrix's row length nCol.
+func (b *GlobalBuf) grow(qlen, tlen, w int) (int, int) {
+	w = max(w, 1, qlen-tlen, tlen-qlen)
+	nCol := min(qlen, 2*w+1)
+	b.z = resize(b.z, tlen*nCol) // direction matrix, tlen x nCol
+	b.h, b.e = resize(b.h, qlen+1), resize(b.e, qlen+1)
+	return w, nCol
+}
+
+// fill runs Global's DP once: on globalFillVec when vec, else on the Go
+// fill over the query profile in b.qp.
+func (b *GlobalBuf) fill(p *Params, query, target []byte, w, nCol, floor int, vec bool) (int, bool) {
+	if vec {
+		return globalFillVec(p, query, target, w, nCol, floor, b.h, b.e, b.z)
+	}
+	return globalFill(p, b.qp, target, w, nCol, floor, b.h, b.e, b.z)
 }
 
 // ungapped returns the score of aligning query and target base for base
@@ -186,34 +193,17 @@ func ungapped(p *Params, query, target []byte) (int, bool) {
 // globalFill runs Global's DP over the band, pruned by floor, writing the
 // direction bits of every computed cell into z. It reports the score of the
 // end cell and whether that score is exact: the end cell was reached and
-// scored at least floor.
+// scored at least floor. This is the Go fill, for the purego build, CPUs
+// without AVX-512BW and the jobs globalVecFits refuses. globalRow opens
+// E and F from the diagonal score M, as ksw_global does; that makes F a
+// prefix-max scan over the row, which globalJob32 computes 16 columns at a
+// time, and globalFillVec writes the same h, e, z and result in one call.
 func globalFill(p *Params, qp []int8, target []byte, w, nCol, floor int, h, e []int32, z []uint8) (int, bool) {
 	qlen, tlen := len(qp)/5, len(target)
-	a := p.MaxMatch()
+	lv := liveBound{qlen: qlen, tlen: tlen, a: p.MaxMatch(), floor: floor}
 	oeDel, eDel := int32(p.ODel+p.EDel), int32(p.EDel)
 	oeIns, eIns := int32(p.OIns+p.EIns), int32(p.EIns)
-	// live reports whether a cell in row i (target bases left after it:
-	// tlen-1-i) and column j (query bases left: qlen-1-j) with score v can
-	// still end at floor or above.
-	live := func(v int32, i, j int) bool {
-		return int(v)+a*min(qlen-1-j, tlen-1-i) >= floor
-	}
-
-	// Row -1: h[j] = H(-1,j-1) for the j <= w that row 0 reads. Its live
-	// cells are a prefix of columns -1.. since both score and bound fall
-	// with j.
-	h[0], e[0] = 0, minusInf
-	for j := 1; j <= qlen && j <= w; j++ {
-		h[j] = int32(-(p.OIns + p.EIns*j))
-		e[j] = minusInf
-	}
-	lo, hi := 0, -2 // live columns of the previous row; -1 is the boundary column
-	if live(0, -1, -1) {
-		lo, hi = -1, -1
-		for hi+1 < qlen && hi+1 < w && live(h[hi+2], -1, hi+1) {
-			hi++
-		}
-	}
+	lo, hi := globalTop(p, lv, w, h, e)
 	i, end := 0, 0
 	for ; i < tlen && lo <= hi; i++ {
 		bandBeg, bandEnd := 0, qlen
@@ -239,7 +229,7 @@ func globalFill(p *Params, qp []int8, target []byte, w, nCol, floor int, h, e []
 		// Past them only F can be live: extend along the row while it is.
 		// What the full band would read from h and e there comes from dead
 		// cells, so it cannot change a live cell.
-		for ; end < bandEnd && live(f, i, end); end++ {
+		for ; end < bandEnd && lv.live(f, i, end); end++ {
 			h[end], e[end] = h1, minusInf
 			zi[end] = 2 | 1<<5 // H from F, F extends
 			h1, f = f, f-eIns
@@ -248,19 +238,107 @@ func globalFill(p *Params, qp []int8, target []byte, w, nCol, floor int, h, e []
 
 		// h[j+1] now holds H(i,j). Narrow to the live span for row i+1.
 		lo, hi = beg, end-1
-		if beg == 0 && live(h[0], i, -1) {
+		if beg == 0 && lv.live(h[0], i, -1) {
 			lo = -1
 		} else {
-			for lo <= hi && !live(h[lo+1], i, lo) {
+			for lo <= hi && !lv.live(h[lo+1], i, lo) {
 				lo++
 			}
 		}
-		for hi >= lo && hi >= 0 && !live(h[hi+1], i, hi) {
+		for hi >= lo && hi >= 0 && !lv.live(h[hi+1], i, hi) {
 			hi--
 		}
 	}
 	score := int(h[qlen])
 	return score, i == tlen && end == qlen && score >= floor
+}
+
+// liveBound is Global's pruning rule for one call: a match scores at most
+// a, so a cell can still end at floor or above only if its score plus a
+// times the bases left on the shorter side reaches floor.
+type liveBound struct{ qlen, tlen, a, floor int }
+
+// live reports whether a cell in row i (target bases left after it:
+// tlen-1-i) and column j (query bases left: qlen-1-j) with score v can
+// still end at floor or above.
+func (b liveBound) live(v int32, i, j int) bool {
+	return int(v)+b.a*min(b.qlen-1-j, b.tlen-1-i) >= b.floor
+}
+
+// globalTop sets row -1 of the DP, h[j] = H(-1,j-1) and e[j] = minusInf for
+// the j <= w that row 0 reads, and returns its live columns lo..hi (lo > hi
+// when none is). They are a prefix of columns -1.., since both score and
+// bound fall with j.
+func globalTop(p *Params, lv liveBound, w int, h, e []int32) (lo, hi int) {
+	h[0], e[0] = 0, minusInf
+	for j := 1; j <= lv.qlen && j <= w; j++ {
+		h[j] = int32(-(p.OIns + p.EIns*j))
+		e[j] = minusInf
+	}
+	if !lv.live(0, -1, -1) {
+		return 0, -2
+	}
+	lo, hi = -1, -1
+	for hi+1 < lv.qlen && hi+1 < w && lv.live(h[hi+2], -1, hi+1) {
+		hi++
+	}
+	return lo, hi
+}
+
+// globalVecFits reports whether globalFillVec's int32 lanes hold every
+// value of the fill exactly. Every value derives from row -1, h1 or
+// minusInf (-2^29) along a path of at most qlen+tlen cells, each step
+// falling by at most g = max(128, oDel+eDel, oIns+eIns): an int8 score or a
+// gap. With (qlen+tlen+16)*g <= 2^28, and the 16 lanes of eIns the F scan
+// subtracts included, the values stay within [-2^30, 2^28], so neither the
+// scan nor a threshold (floor clamped to +-2^30, less at most 2^28) wraps.
+func globalVecFits(p *Params, qlen, tlen int) bool {
+	g := max(128, p.ODel+p.EDel, p.OIns+p.EIns)
+	return p.ODel >= 0 && p.EDel >= 0 && p.OIns >= 0 && p.EIns >= 0 && (qlen+tlen+16)*g <= 1<<28
+}
+
+// globalJob is globalJob32's argument block: row -1's live span lo..hi in,
+// the rows run (-1 when a row had no cell to compute) and the last row's
+// end out. A cell (i,j) scoring v is live when v >= max(thrRow + a*i,
+// thrCol + a*(j+1)).
+type globalJob struct {
+	h, e                     *int32 // qlen+1 cells each, row -1 set
+	query, target            *byte
+	z                        *uint8 // tlen rows of nCol direction bytes
+	qlen, tlen, w, nCol      int
+	lo, hi                   int
+	oeDel, eDel, oeIns, eIns int
+	a, thrRow, thrCol        int
+	rows, end                int
+	mat                      [8][16]int8 // row k: the scores of target base k, as in job16
+}
+
+// globalFillVec is globalFill with the row loop in one globalJob32 call
+// (global_amd64.s), 16 int32 cells per AVX-512 instruction. For every job
+// globalVecFits admits it writes the same h, e and z and returns the same
+// result. Clamping floor to +-2^30 keeps every threshold in int32 and
+// changes no cell's liveness: no value plus its bound reaches 2^30, and
+// none falls below -2^30.
+func globalFillVec(p *Params, query, target []byte, w, nCol, floor int, h, e []int32, z []uint8) (int, bool) {
+	qlen, tlen := len(query), len(target)
+	lv := liveBound{qlen: qlen, tlen: tlen, a: p.MaxMatch(), floor: floor}
+	lo, hi := globalTop(p, lv, w, h, e)
+	fk := min(max(floor, -1<<30), 1<<30)
+	j := globalJob{
+		h: &h[0], e: &e[0], query: &query[0], target: &target[0], z: &z[0],
+		qlen: qlen, tlen: tlen, w: w, nCol: nCol, lo: lo, hi: hi,
+		oeDel: p.ODel + p.EDel, eDel: p.EDel, oeIns: p.OIns + p.EIns, eIns: p.EIns,
+		a: lv.a, thrRow: fk - lv.a*(tlen-1), thrCol: fk - lv.a*qlen,
+	}
+	for k := range 5 {
+		copy(j.mat[k][:5], p.Mat[5*k:])
+	}
+	globalJob32(&j)
+	if j.rows < 0 {
+		return 0, false
+	}
+	score := int(h[qlen])
+	return score, j.rows == tlen && j.end == qlen && score >= floor
 }
 
 // globalRow is Global's inner loop over one row's cells: on entry h[j] holds

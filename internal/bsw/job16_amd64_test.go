@@ -8,4 +8,9 @@ func init() {
 		haveJob16 = on
 		return func() { haveJob16 = old }
 	}
+	setGlobalFill = func(on bool) func() {
+		old := haveGlobalVec
+		haveGlobalVec = on
+		return func() { haveGlobalVec = old }
+	}
 }

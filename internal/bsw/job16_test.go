@@ -13,15 +13,18 @@ import (
 // a function that restores it (job16_amd64_test.go); elsewhere it is nil.
 var setJob16 func(on bool) (restore func())
 
-// TestJobPath reports which kernel ExtendScalar runs its jobs on, and fails
-// if the assembly kernel is built and /proc/cpuinfo lists AVX-512BW but the
-// Go row was selected.
+// TestJobPath reports which kernels ExtendScalar and Global run on, and
+// fails if the assembly kernels are built and /proc/cpuinfo lists
+// AVX-512BW but a Go path was selected.
 func TestJobPath(t *testing.T) {
-	path := "the int32 Go row"
+	path, fill := "the int32 Go row", "the Go fill"
 	if haveJob16 {
 		path = "AVX-512BW extendJob16"
 	}
-	t.Logf("ExtendScalar jobs run on %s (assembly kernel built: %v)", path, setJob16 != nil)
+	if haveGlobalVec {
+		fill = "AVX-512 globalJob32"
+	}
+	t.Logf("ExtendScalar jobs run on %s, Global fills on %s (assembly kernels built: %v)", path, fill, setJob16 != nil)
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		t.Skipf("no /proc/cpuinfo: %v", err)
@@ -33,8 +36,8 @@ func TestJobPath(t *testing.T) {
 			break
 		}
 	}
-	if setJob16 != nil && slices.Contains(flags, "avx512f") && slices.Contains(flags, "avx512bw") && !haveJob16 {
-		t.Fatal("the CPU lists avx512f and avx512bw but ExtendScalar selected the Go row")
+	if setJob16 != nil && slices.Contains(flags, "avx512f") && slices.Contains(flags, "avx512bw") && (!haveJob16 || !haveGlobalVec) {
+		t.Fatalf("the CPU lists avx512f and avx512bw but ExtendScalar runs on %s and Global on %s", path, fill)
 	}
 }
 

@@ -74,6 +74,18 @@ func clampBand(p *Params, qlen, w int) int {
 	return w
 }
 
+// fillProfile writes the query profile of the Go rows into qp, which holds
+// 5*len(query) cells: qp[k*qlen+j] = Mat[k][query[j]].
+func fillProfile(qp []int8, p *Params, query []byte) {
+	for k, i := 0, 0; k < 5; k++ {
+		row := p.Mat[k*5 : k*5+5]
+		for _, c := range query {
+			qp[i] = row[c]
+			i++
+		}
+	}
+}
+
 // firstRow sets row -1 of the DP: H falls from h0 by the insertion costs
 // until it reaches 0, and E is 0.
 func firstRow[T int16 | int32](eh, ee []T, h0, oeIns, eIns int) {
@@ -152,14 +164,7 @@ func extendGo(p *Params, query, target []byte, w, h0 int, buf *ScalarBuf, st *Ce
 	oeDel, eDel := int32(p.ODel+p.EDel), int32(p.EDel)
 	oeIns, eIns := int32(p.OIns+p.EIns), int32(p.EIns)
 
-	// Query profile: qp[k*qlen+j] = Mat[k][query[j]].
-	for k, i := 0, 0; k < 5; k++ {
-		row := p.Mat[k*5 : k*5+5]
-		for j := 0; j < qlen; j++ {
-			qp[i] = row[query[j]]
-			i++
-		}
-	}
+	fillProfile(qp, p, query)
 	firstRow(eh, ee, h0, p.OIns+p.EIns, p.EIns)
 
 	max, maxI, maxJ := h0, -1, -1

@@ -283,9 +283,9 @@ func TestExtendScalarCellStats(t *testing.T) {
 
 // TestHotKernelsDoNotAllocate requires bsw's hot regions to allocate
 // nothing on warm buffers: ExtendScalar (extendJob16 where it runs), the Go
-// row driver extendGo, and GlobalBuf.Global on a gapped pair. The root
-// TestHotRegions sees the compiler's heap escapes; this also sees what -m
-// does not, such as append growing a slice from zero capacity.
+// row driver extendGo, and GlobalBuf.Global on a gapped pair with each
+// fill. The root TestHotRegions sees the compiler's heap escapes; this also
+// sees what -m does not, such as append growing a slice from zero capacity.
 func TestHotKernelsDoNotAllocate(t *testing.T) {
 	p := DefaultParams()
 	rng := rand.New(rand.NewSource(71))
@@ -300,16 +300,22 @@ func TestHotKernelsDoNotAllocate(t *testing.T) {
 	}{
 		{"ExtendScalar", func() { benchSink = ExtendScalar(&p, q, tg, 100, 30, &sb, nil) }},
 		{"extendGo", func() { benchSink = extendGo(&p, q, tg, clampBand(&p, len(q), 100), 30, &sb, nil, 0) }},
-		{"GlobalBuf.Global", func() { gb.Global(&p, q, gapped, 10, int(minusInf)) }},
 	} {
 		c.run() // warm the buffers
 		if n := testing.AllocsPerRun(20, c.run); n != 0 {
 			t.Errorf("%s: %v allocations per call on warm buffers, want 0", c.name, n)
 		}
 	}
-	if _, cig := gb.Global(&p, q, gapped, 10, int(minusInf)); !strings.Contains(cig.String(), "I") {
-		t.Fatalf("the pair aligns without a gap: %s", cig)
-	}
+	eachGlobalFill(t, func(t *testing.T) {
+		run := func() { gb.Global(&p, q, gapped, 10, int(minusInf)) }
+		run()
+		if n := testing.AllocsPerRun(20, run); n != 0 {
+			t.Errorf("GlobalBuf.Global: %v allocations per call on warm buffers, want 0", n)
+		}
+		if _, cig := gb.Global(&p, q, gapped, 10, int(minusInf)); !strings.Contains(cig.String(), "I") {
+			t.Fatalf("the pair aligns without a gap: %s", cig)
+		}
+	})
 }
 
 func min(a, b int) int {
