@@ -96,7 +96,9 @@ func inferBW(l1, l2, score, a, q, r int) int {
 // genCigar is bwa_gen_cigar2: global alignment of the clipped query against
 // the reference window, with both sequences reversed on the reverse strand
 // so indels stay left-aligned in forward coordinates. It also computes the
-// NM count and the MD string, which it appends to rs.text; cig lives in
+// NM count and the MD string, which it appends to rs.text; MD names the
+// forward reference's bases, so on the reverse strand, where rseq holds the
+// reverse complement, it complements them ("TGCAN" in BWA). cig lives in
 // rs.global until the next call. floor is the score the caller expects the
 // alignment to reach; bsw.Global prunes every cell that cannot end there and
 // falls back to the full band when the floor turns out too high, so the
@@ -110,7 +112,8 @@ func (a *Aligner) genCigar(rs *render, query []byte, rb, re, w, floor int) (cig 
 	}
 	rs.rseq = a.Ref.AppendFetch(rs.rseq[:0], rb, re)
 	rseq, qq := rs.rseq, query
-	if rb >= l {
+	rev := rb >= l
+	if rev {
 		rs.qrev = reverseBytes(rs.qrev, query)
 		qq = rs.qrev
 		slices.Reverse(rseq)
@@ -127,7 +130,7 @@ func (a *Aligner) genCigar(rs *render, query []byte, rb, re, w, floor int) (cig 
 				if qq[qi+k] != rseq[ti+k] || qq[qi+k] > 3 {
 					nm++
 					rs.text = strconv.AppendInt(rs.text, int64(run), 10)
-					rs.text = append(rs.text, seq.Base(rseq[ti+k]))
+					rs.text = append(rs.text, mdBase(rseq[ti+k], rev))
 					run = 0
 				} else {
 					run++
@@ -143,7 +146,7 @@ func (a *Aligner) genCigar(rs *render, query []byte, rb, re, w, floor int) (cig 
 			rs.text = append(rs.text, '^')
 			run = 0
 			for k := 0; k < n; k++ {
-				rs.text = append(rs.text, seq.Base(rseq[ti+k]))
+				rs.text = append(rs.text, mdBase(rseq[ti+k], rev))
 			}
 			ti += n
 			nm += n
@@ -151,6 +154,15 @@ func (a *Aligner) genCigar(rs *render, query []byte, rb, re, w, floor int) (cig 
 	}
 	rs.text = strconv.AppendInt(rs.text, int64(run), 10)
 	return cig, score, nm, rs.text[mdBeg:], true
+}
+
+// mdBase is the MD letter of reference code c, complemented when c comes
+// from the reverse-complement strand.
+func mdBase(c byte, rev bool) byte {
+	if rev {
+		c = seq.Comp(c)
+	}
+	return seq.Base(c)
 }
 
 // regToAln converts a region to a final alignment record (mem_reg2aln),
