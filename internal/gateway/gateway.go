@@ -168,7 +168,7 @@ func New(cfg Config) (*Gateway, error) {
 		tr = t
 	}
 	hc := &http.Client{Transport: tr}
-	g := &Gateway{cfg: cfg, mux: http.NewServeMux(), met: newGwMetrics(), upstream: hc,
+	g := &Gateway{cfg: cfg, mux: http.NewServeMux(), met: &gwMetrics{start: time.Now()}, upstream: hc,
 		adm: server.NewAdmission(math.MaxInt), probeDone: make(chan struct{})}
 	for _, u := range urls {
 		cl, err := bwaclient.New(u, bwaclient.WithRetries(upstreamRetries429), bwaclient.WithHTTPClient(hc))

@@ -602,16 +602,11 @@ func TestGatewayRoutesAroundDeadReplica(t *testing.T) {
 		t.Fatal("gateway response with a dead fleet member differs from single server")
 	}
 
-	resp, err := http.Get(gw.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(met), "bwagate_replicas_up 2") {
+	met, m := scrape(t, gw.URL)
+	if up, _ := m.Value("bwagate_replicas_up"); up != 2 {
 		t.Fatalf("metrics do not report 2 healthy replicas:\n%.400s", met)
 	}
-	if !strings.Contains(string(met), fmt.Sprintf("bwagate_replica_state{replica=%q,state=%q} 1", deadURL, "down")) {
+	if v, _ := m.Value("bwagate_replica_state", "replica", deadURL, "state", "down"); v != 1 {
 		t.Fatal("metrics do not report the dead replica as down")
 	}
 }
@@ -778,14 +773,9 @@ func TestGatewayCancelBeforeFirstByte(t *testing.T) {
 		t.Errorf("got %d request cancelled events, want %d:\n%s", cancelled, clients, buf.String())
 	}
 
-	resp, err := http.Get(gw.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if want := `bwagate_requests_rejected_total{reason="no_upstream"} 0`; !strings.Contains(string(met), want) {
-		t.Errorf("client cancellations counted as routing failures: want %s", want)
+	_, m := scrape(t, gw.URL)
+	if v, ok := m.Value("bwagate_requests_rejected_total", "reason", "no_upstream"); !ok || v != 0 {
+		t.Errorf("client cancellations counted as routing failures: no_upstream %v, %v", v, ok)
 	}
 }
 

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -11,12 +10,9 @@ import (
 	"repro/internal/server"
 )
 
-// gwMetrics aggregates the gateway-level counters exposed on /v1/metrics.
-// Everything is the routing-plane view: what came in, where it went, what
-// spilled or retried, what went back out. Names carry the bwagate_ prefix
-// so a scrape distinguishes tiers; the bwagate_request_seconds histogram
-// and bwagate_go_* runtime gauges match the shapes the soak harness (and
-// any dashboard built for bwaserve) already parses.
+// gwMetrics aggregates the gateway-level counters exposed on /v1/metrics:
+// the routing-plane view of what came in, where it went, what spilled or
+// retried, and what went back out.
 type gwMetrics struct {
 	server.RequestCounters // the request counters both tiers share
 
@@ -31,47 +27,36 @@ type gwMetrics struct {
 	ttfb      obs.Histogram // request start -> first merged byte
 }
 
-func newGwMetrics() *gwMetrics {
-	return &gwMetrics{start: time.Now()}
-}
-
 // handleMetrics serves GET /v1/metrics (alias /metrics): the gateway's
-// Prometheus text exposition, including per-replica routing state.
+// Prometheus text exposition, including per-replica routing state. README's
+// gateway metrics table and TestGatewayMetricsREADMEDocDrift list the same
+// families.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := g.met
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "bwagate_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
-	fmt.Fprintf(&buf, "bwagate_replicas %d\n", len(g.replicas))
-	fmt.Fprintf(&buf, "bwagate_replicas_up %d\n", g.healthyCount())
-	m.WriteMetrics(&buf, "bwagate", server.RejectReason{Reason: "no_upstream", Count: m.noUpstream.Load()})
-	fmt.Fprintf(&buf, "bwagate_spills_total %d\n", m.spills.Load())
-	fmt.Fprintf(&buf, "bwagate_retries_total %d\n", m.retries.Load())
+	var mw obs.MetricsWriter
+	mw.Gauge("bwagate_uptime_seconds", time.Since(m.start).Seconds())
+	mw.Gauge("bwagate_replicas", float64(len(g.replicas)))
+	mw.Gauge("bwagate_replicas_up", float64(g.healthyCount()))
+	m.Expose(&mw, "bwagate", "no_upstream", m.noUpstream.Load())
+	mw.Counter("bwagate_spills_total", float64(m.spills.Load()))
+	mw.Counter("bwagate_retries_total", float64(m.retries.Load()))
 	occ := g.ring.occupancy()
 	for i, rep := range g.replicas {
-		fmt.Fprintf(&buf, "bwagate_replica_state{replica=%q,state=%q} 1\n", rep.url, stateName(rep.State()))
-		fmt.Fprintf(&buf, "bwagate_replica_inflight_reads{replica=%q} %d\n", rep.url, rep.inflight.Load())
-		fmt.Fprintf(&buf, "bwagate_replica_assigned_total{replica=%q} %d\n", rep.url, rep.assigned.Load())
-		fmt.Fprintf(&buf, "bwagate_replica_spilled_to_total{replica=%q} %d\n", rep.url, rep.spilledTo.Load())
-		fmt.Fprintf(&buf, "bwagate_replica_passive_failures_total{replica=%q} %d\n", rep.url, rep.passiveFails.Load())
-		fmt.Fprintf(&buf, "bwagate_replica_probe_failures_total{replica=%q} %d\n", rep.url, rep.probeFails.Load())
-		fmt.Fprintf(&buf, "bwagate_ring_points{replica=%q} %d\n", rep.url, occ[i])
+		mw.Gauge("bwagate_replica_state", 1, "replica", rep.url, "state", stateName(rep.State()))
+		mw.Gauge("bwagate_replica_inflight_reads", float64(rep.inflight.Load()), "replica", rep.url)
+		mw.Counter("bwagate_replica_assigned_total", float64(rep.assigned.Load()), "replica", rep.url)
+		mw.Counter("bwagate_replica_spilled_to_total", float64(rep.spilledTo.Load()), "replica", rep.url)
+		mw.Counter("bwagate_replica_passive_failures_total", float64(rep.passiveFails.Load()), "replica", rep.url)
+		mw.Counter("bwagate_replica_probe_failures_total", float64(rep.probeFails.Load()), "replica", rep.url)
+		mw.Gauge("bwagate_ring_points", float64(occ[i]), "replica", rep.url)
+		mw.Histogram("bwagate_upstream_seconds", &rep.upstream, "replica", rep.url)
 	}
-	writeHist := func(h *obs.Histogram, name, labels string) {
-		// Writes into the local buffer; the single checked write is below.
-		_ = h.Write(&buf, name, labels)
+	for i, req := range []*obs.Histogram{&m.reqSingle, &m.reqPaired} {
+		mw.Histogram("bwagate_request_seconds", req, "kind", [...]string{"single", "paired"}[i])
 	}
-	writeHist(&m.reqSingle, "bwagate_request_seconds", `kind="single"`)
-	writeHist(&m.reqPaired, "bwagate_request_seconds", `kind="paired"`)
-	writeHist(&m.ttfb, "bwagate_ttfb_seconds", "")
-	for _, rep := range g.replicas {
-		writeHist(&rep.upstream, "bwagate_upstream_seconds", fmt.Sprintf("replica=%q", rep.url))
-	}
-	obs.WriteRuntimeMetrics(&buf, "bwagate")
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return // scraper went away mid-response; nothing to salvage
-	}
+	mw.Histogram("bwagate_ttfb_seconds", &m.ttfb)
+	mw.Runtime("bwagate")
+	mw.Serve(w)
 }
 
 // handleHealthz serves GET /v1/healthz (alias /healthz): pure liveness for

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math/bits"
-	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -20,23 +17,21 @@ const (
 	histBuckets  = 28
 )
 
-// bucketSeconds holds the precomputed upper bounds in seconds, and
-// bucketBounds the same bounds rendered once for the exposition format
-// ("1e-06", "0.001024", ...), which parses back to exactly bucketSeconds.
-var bucketSeconds, bucketBounds = func() (s [histBuckets]float64, b [histBuckets]string) {
-	for i := range b {
+// bucketSeconds holds the precomputed upper bounds in seconds.
+var bucketSeconds = func() (s [histBuckets]float64) {
+	for i := range s {
 		s[i] = time.Duration(histMinNanos << i).Seconds()
-		b[i] = strconv.FormatFloat(s[i], 'g', -1, 64)
 	}
-	return s, b
+	return s
 }()
 
 // Histogram is a concurrency-safe log-bucketed latency histogram. Observe
-// and the read side (Write, Quantile, Count, Sum) may race freely; a
-// concurrent reader sees each observation's count and sum independently
-// (no torn buckets, but a snapshot is not a point-in-time cut — fine for
-// metrics). The zero value is ready to use; a nil *Histogram ignores
-// observations, so callers can instrument unconditionally.
+// and the read side (MetricsWriter.Histogram, Quantile, Count, Sum) may
+// race freely; a concurrent reader sees each observation's count and sum
+// independently (no torn buckets, but a snapshot is not a point-in-time
+// cut — fine for metrics). The zero value is ready to use; a nil
+// *Histogram ignores observations, so callers can instrument
+// unconditionally.
 type Histogram struct {
 	buckets  [histBuckets]atomic.Int64 // per-bucket counts (non-cumulative)
 	overflow atomic.Int64              // observations beyond the last bound
@@ -134,37 +129,4 @@ func BucketQuantile(q float64, bounds []float64, cum []int64, total int64) float
 		prev = c
 	}
 	return bounds[len(bounds)-1]
-}
-
-// Write emits the histogram in Prometheus text exposition format:
-// cumulative <name>_bucket series with le labels, then <name>_sum and
-// <name>_count. labels, when non-empty, is a rendered label pair list
-// (e.g. `kind="single"`) prepended to each bucket's le label and attached
-// to the sum and count series, so one family can carry several labeled
-// histograms.
-func (h *Histogram) Write(w io.Writer, name, labels string) error {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, bucketBounds[i], cum); err != nil {
-			return err
-		}
-	}
-	cum += h.overflow.Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum); err != nil {
-		return err
-	}
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels + "}"
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %.6f\n", name, suffix, h.Sum().Seconds()); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, h.count.Load())
-	return err
 }

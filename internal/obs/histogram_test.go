@@ -93,8 +93,8 @@ func TestHistogramQuantileOverflowClamps(t *testing.T) {
 }
 
 // TestHistogramExpositionGolden locks the Prometheus text exposition
-// format: cumulative le buckets, +Inf equal to _count, labeled and
-// unlabeled forms.
+// format: one TYPE line, cumulative le buckets, +Inf equal to _count,
+// labeled and unlabeled forms.
 func TestHistogramExpositionGolden(t *testing.T) {
 	var h Histogram
 	h.Observe(600 * time.Nanosecond) // bucket 0 (le 1e-06)
@@ -102,19 +102,18 @@ func TestHistogramExpositionGolden(t *testing.T) {
 	h.Observe(3 * time.Microsecond)
 	h.Observe(200 * time.Second) // overflow
 
-	var b strings.Builder
-	if err := h.Write(&b, "x_seconds", `kind="single"`); err != nil {
-		t.Fatal(err)
-	}
-	got := b.String()
+	var w MetricsWriter
+	w.Histogram("x_seconds", &h, "kind", "single")
+	got := string(w.Bytes())
 	wantLines := []string{
+		`# TYPE x_seconds histogram`,
 		`x_seconds_bucket{kind="single",le="1e-06"} 1`,
 		`x_seconds_bucket{kind="single",le="2e-06"} 1`,
 		`x_seconds_bucket{kind="single",le="4e-06"} 3`,
 		`x_seconds_bucket{kind="single",le="8e-06"} 3`,
 		`x_seconds_bucket{kind="single",le="134.217728"} 3`,
 		`x_seconds_bucket{kind="single",le="+Inf"} 4`,
-		`x_seconds_sum{kind="single"} 200.000007`,
+		`x_seconds_sum{kind="single"} 200.0000066`,
 		`x_seconds_count{kind="single"} 4`,
 	}
 	for _, line := range wantLines {
@@ -122,27 +121,25 @@ func TestHistogramExpositionGolden(t *testing.T) {
 			t.Errorf("exposition missing line %q in:\n%s", line, got)
 		}
 	}
-	// Exactly histBuckets+1 bucket lines, one sum, one count.
+	// One TYPE line, exactly histBuckets+1 bucket lines, one sum, one count.
 	lines := strings.Split(strings.TrimSpace(got), "\n")
-	if len(lines) != histBuckets+3 {
-		t.Errorf("exposition has %d lines, want %d", len(lines), histBuckets+3)
+	if len(lines) != histBuckets+4 {
+		t.Errorf("exposition has %d lines, want %d", len(lines), histBuckets+4)
 	}
 
 	// Unlabeled form has no stray comma or braces on sum/count.
-	b.Reset()
+	w = MetricsWriter{}
 	var h2 Histogram
 	h2.Observe(time.Millisecond)
-	if err := h2.Write(&b, "y_seconds", ""); err != nil {
-		t.Fatal(err)
-	}
+	w.Histogram("y_seconds", &h2)
 	for _, line := range []string{
 		`y_seconds_bucket{le="0.001024"} 1`,
 		`y_seconds_bucket{le="+Inf"} 1`,
-		`y_seconds_sum 0.001000`,
+		`y_seconds_sum 0.001`,
 		`y_seconds_count 1`,
 	} {
-		if !strings.Contains(b.String(), line+"\n") {
-			t.Errorf("unlabeled exposition missing %q in:\n%s", line, b.String())
+		if !strings.Contains(string(w.Bytes()), line+"\n") {
+			t.Errorf("unlabeled exposition missing %q in:\n%s", line, w.Bytes())
 		}
 	}
 }
@@ -169,8 +166,8 @@ func TestHistogramConcurrentRecording(t *testing.T) {
 					return
 				default:
 				}
-				var b strings.Builder
-				_ = h.Write(&b, "z", "")
+				var w MetricsWriter
+				w.Histogram("z", &h)
 				_ = h.Quantile(0.99)
 			}
 		}()

@@ -102,18 +102,25 @@ func TestTraceRingConcurrent(t *testing.T) {
 	}
 }
 
+// TestWriteRuntimeMetrics checks MetricsWriter.Runtime writes every
+// runtime series under the prefix, and that they read back.
 func TestWriteRuntimeMetrics(t *testing.T) {
-	var b strings.Builder
-	if err := WriteRuntimeMetrics(&b, "x"); err != nil {
+	var w MetricsWriter
+	w.Runtime("x")
+	m, err := ParseMetrics(string(w.Bytes()))
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"x_go_goroutines ", "x_go_heap_alloc_bytes ", "x_go_heap_sys_bytes ",
-		"x_go_heap_objects ", "x_go_gcs_total ", "x_go_gc_pause_seconds_total ",
+		"x_go_goroutines", "x_go_heap_alloc_bytes", "x_go_heap_sys_bytes",
+		"x_go_heap_objects", "x_go_gcs_total", "x_go_gc_pause_seconds_total",
 	} {
-		if !strings.Contains(b.String(), name) {
-			t.Errorf("runtime metrics missing %q in:\n%s", name, b.String())
+		if _, ok := m.Value(name); !ok {
+			t.Errorf("runtime metrics missing %q in:\n%s", name, w.Bytes())
 		}
+	}
+	if g, _ := m.Value("x_go_goroutines"); g < 1 {
+		t.Errorf("x_go_goroutines = %v", g)
 	}
 }
 

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"runtime/debug"
 	"runtime/metrics"
 )
@@ -46,33 +44,20 @@ func ReadRuntime() Runtime {
 	}
 }
 
-// WriteRuntimeMetrics emits the Go runtime's health gauges in Prometheus
-// text exposition format under the given prefix: goroutine count, heap
-// usage, and GC activity — the numbers that explain a latency histogram's
-// tail when the pipeline itself is innocent (a goroutine leak, a heap
-// growing into GC pressure, long pauses).
-//
-// The pause total comes from debug.ReadGCStats, which takes the heap lock
-// but does not stop the world either.
-func WriteRuntimeMetrics(w io.Writer, prefix string) error {
+// Runtime writes the Go runtime's health under prefix: goroutine count,
+// heap usage and GC activity, the numbers that explain a latency
+// histogram's tail when the pipeline itself is innocent (a goroutine leak,
+// a heap growing into GC pressure, long pauses). The pause total comes from
+// debug.ReadGCStats, which takes the heap lock but does not stop the world
+// either.
+func (w *MetricsWriter) Runtime(prefix string) {
 	rs := ReadRuntime()
 	var gc debug.GCStats
 	debug.ReadGCStats(&gc)
-	rows := []struct {
-		name  string
-		value string
-	}{
-		{"go_goroutines", fmt.Sprintf("%d", rs.Goroutines)},
-		{"go_heap_alloc_bytes", fmt.Sprintf("%d", rs.HeapAllocBytes)},
-		{"go_heap_sys_bytes", fmt.Sprintf("%d", rs.HeapSysBytes)},
-		{"go_heap_objects", fmt.Sprintf("%d", rs.HeapObjects)},
-		{"go_gcs_total", fmt.Sprintf("%d", rs.GCs)},
-		{"go_gc_pause_seconds_total", fmt.Sprintf("%.6f", gc.PauseTotal.Seconds())},
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%s_%s %s\n", prefix, r.name, r.value); err != nil {
-			return err
-		}
-	}
-	return nil
+	w.Gauge(prefix+"_go_goroutines", float64(rs.Goroutines))
+	w.Gauge(prefix+"_go_heap_alloc_bytes", float64(rs.HeapAllocBytes))
+	w.Gauge(prefix+"_go_heap_sys_bytes", float64(rs.HeapSysBytes))
+	w.Gauge(prefix+"_go_heap_objects", float64(rs.HeapObjects))
+	w.Counter(prefix+"_go_gcs_total", float64(rs.GCs))
+	w.Counter(prefix+"_go_gc_pause_seconds_total", gc.PauseTotal.Seconds())
 }

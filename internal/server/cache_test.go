@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -229,7 +228,7 @@ func TestCacheCancelledDuplicateRealigned(t *testing.T) {
 		t.Errorf("coalesced = %d, want %d (B's second copies)", st.Coalesced, n)
 	}
 	waitFor("reads_inflight to return to 0", func() bool {
-		return scrapeMetric(t, ts.URL, "bwaserve_reads_inflight") == 0
+		return metricValue(t, scrape(t, ts.URL), "bwaserve_reads_inflight") == 0
 	})
 }
 
@@ -248,13 +247,11 @@ func TestCacheDisabled(t *testing.T) {
 		t.Fatalf("cache-off response wrong (status %d)", w.Code)
 	}
 
-	req := httptest.NewRequest("GET", "/metrics", nil)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if !strings.Contains(rec.Body.String(), "bwaserve_cache_enabled 0") {
-		t.Error("/metrics missing bwaserve_cache_enabled 0")
+	m := parseMetrics(t, get(s, "/metrics").Body.String())
+	if v := metricValue(t, m, "bwaserve_cache_enabled"); v != 0 {
+		t.Errorf("/metrics bwaserve_cache_enabled %v, want 0", v)
 	}
-	if strings.Contains(rec.Body.String(), "bwaserve_cache_hits_total") {
+	if _, ok := m.Value("bwaserve_cache_hits_total"); ok {
 		t.Error("/metrics exposes cache counters while disabled")
 	}
 }
@@ -270,12 +267,11 @@ func TestCacheMetricsExposed(t *testing.T) {
 		t.Fatalf("status %d", w.Code)
 	}
 
-	req := httptest.NewRequest("GET", "/metrics", nil)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	body := rec.Body.String()
+	m := parseMetrics(t, get(s, "/metrics").Body.String())
+	if v := metricValue(t, m, "bwaserve_cache_enabled"); v != 1 {
+		t.Errorf("/metrics bwaserve_cache_enabled %v, want 1", v)
+	}
 	for _, field := range []string{
-		"bwaserve_cache_enabled 1",
 		"bwaserve_cache_hits_total",
 		"bwaserve_cache_misses_total",
 		"bwaserve_cache_coalesced_total",
@@ -284,7 +280,7 @@ func TestCacheMetricsExposed(t *testing.T) {
 		"bwaserve_cache_resident_bytes",
 		"bwaserve_cache_capacity_bytes",
 	} {
-		if !strings.Contains(body, field) {
+		if _, ok := m.Value(field); !ok {
 			t.Errorf("/metrics missing %s", field)
 		}
 	}

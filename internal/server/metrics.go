@@ -1,12 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/counters"
 	"repro/internal/obs"
 )
 
@@ -26,57 +26,59 @@ type metrics struct {
 	readsDropped      atomic.Int64 // reads of cancelled requests that never produced SAM output
 }
 
-func newMetrics() *metrics {
-	return &metrics{start: time.Now()}
-}
-
 // handleMetrics serves GET /v1/metrics (alias /metrics), the Prometheus
 // text exposition. The method check happens in the route wrapper (api.go).
+// Names here are wire contract: README.md's /metrics reference table and
+// TestMetricsREADMEDocDrift list the same families.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := s.met
-	// Render the whole exposition into a buffer so the response goes out in
-	// one checked write instead of ~40 unchecked ones.
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "bwaserve_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
-	fmt.Fprintf(&buf, "bwaserve_workers %d\n", s.sched.Threads())
-	fmt.Fprintf(&buf, "bwaserve_batch_size %d\n", s.cfg.BatchSize)
-	fmt.Fprintf(&buf, "bwaserve_index_mmap %d\n", boolGauge(s.idxInfo.Mmap))
-	fmt.Fprintf(&buf, "bwaserve_index_load_seconds %.6f\n", s.idxInfo.LoadTime.Seconds())
-	fmt.Fprintf(&buf, "bwaserve_index_resident_bytes %d\n", s.idxInfo.ResidentBytes)
+	m, h := s.met, s.hists
+	var mw obs.MetricsWriter
+	mw.Gauge("bwaserve_uptime_seconds", time.Since(m.start).Seconds())
+	mw.Gauge("bwaserve_workers", float64(s.sched.Threads()))
+	mw.Gauge("bwaserve_batch_size", float64(s.cfg.BatchSize))
+	mw.Gauge("bwaserve_index_mmap", boolGauge(s.idxInfo.Mmap))
+	mw.Gauge("bwaserve_index_load_seconds", s.idxInfo.LoadTime.Seconds())
+	mw.Gauge("bwaserve_index_resident_bytes", float64(s.idxInfo.ResidentBytes))
 	if s.idxInfo.Source != "" {
-		fmt.Fprintf(&buf, "bwaserve_index_source{source=%q} 1\n", s.idxInfo.Source)
+		mw.Gauge("bwaserve_index_source", 1, "source", s.idxInfo.Source)
 	}
-	m.WriteMetrics(&buf, "bwaserve", RejectReason{"queue_full", m.rejectedFull.Load()})
-	fmt.Fprintf(&buf, "bwaserve_requests_cancelled_total %d\n", m.requestsCancelled.Load())
-	fmt.Fprintf(&buf, "bwaserve_reads_dropped_total %d\n", m.readsDropped.Load())
-	fmt.Fprintf(&buf, "bwaserve_reads_inflight %d\n", s.adm.InFlight())
-	fmt.Fprintf(&buf, "bwaserve_batches_total %d\n", m.batches.Load())
-	fmt.Fprintf(&buf, "bwaserve_cache_enabled %d\n", boolGauge(s.cache != nil))
+	m.Expose(&mw, "bwaserve", "queue_full", m.rejectedFull.Load())
+	mw.Counter("bwaserve_requests_cancelled_total", float64(m.requestsCancelled.Load()))
+	mw.Counter("bwaserve_reads_dropped_total", float64(m.readsDropped.Load()))
+	mw.Gauge("bwaserve_reads_inflight", float64(s.adm.InFlight()))
+	mw.Counter("bwaserve_batches_total", float64(m.batches.Load()))
+	mw.Gauge("bwaserve_cache_enabled", boolGauge(s.cache != nil))
 	if s.cache != nil {
 		cs := s.cache.Stats()
-		fmt.Fprintf(&buf, "bwaserve_cache_hits_total %d\n", cs.Hits)
-		fmt.Fprintf(&buf, "bwaserve_cache_misses_total %d\n", cs.Misses)
-		fmt.Fprintf(&buf, "bwaserve_cache_coalesced_total %d\n", cs.Coalesced)
-		fmt.Fprintf(&buf, "bwaserve_cache_evictions_total %d\n", cs.Evictions)
-		fmt.Fprintf(&buf, "bwaserve_cache_entries %d\n", cs.Entries)
-		fmt.Fprintf(&buf, "bwaserve_cache_resident_bytes %d\n", cs.Bytes)
-		fmt.Fprintf(&buf, "bwaserve_cache_capacity_bytes %d\n", cs.Capacity)
+		mw.Counter("bwaserve_cache_hits_total", float64(cs.Hits))
+		mw.Counter("bwaserve_cache_misses_total", float64(cs.Misses))
+		mw.Counter("bwaserve_cache_coalesced_total", float64(cs.Coalesced))
+		mw.Counter("bwaserve_cache_evictions_total", float64(cs.Evictions))
+		mw.Gauge("bwaserve_cache_entries", float64(cs.Entries))
+		mw.Gauge("bwaserve_cache_resident_bytes", float64(cs.Bytes))
+		mw.Gauge("bwaserve_cache_capacity_bytes", float64(cs.Capacity))
 	}
-	clock := s.sched.Clock()
-	clock.WriteMetrics(&buf, "bwaserve")
-	// Latency histograms (request path, queue waits, per-stage kernel time)
-	// and Go runtime health gauges — see internal/obs and obs.go.
-	s.hists.write(&buf, s.sched)
-	obs.WriteRuntimeMetrics(&buf, "bwaserve")
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return // scraper went away mid-response; nothing to salvage
+	clock := s.sched.Clock() // the sums of the stage_task_seconds histograms below
+	for _, st := range counters.Stages() {
+		mw.Counter("bwaserve_stage_seconds", clock.T[st].Seconds(), "stage", st.String())
 	}
+	mw.Counter("bwaserve_stage_seconds_total", clock.Total().Seconds())
+	for i, req := range []*obs.Histogram{&h.reqSingle, &h.reqPaired, &h.reqOther} {
+		mw.Histogram("bwaserve_request_seconds", req, "kind", [...]string{"single", "paired", "other"}[i])
+	}
+	mw.Histogram("bwaserve_admission_wait_seconds", &h.admissionWait)
+	mw.Histogram("bwaserve_cache_lookup_seconds", &h.cacheLookup)
+	mw.Histogram("bwaserve_queue_wait_seconds", s.sched.QueueWait())
+	mw.Histogram("bwaserve_ttfb_seconds", &h.ttfb)
+	for _, st := range counters.Stages() {
+		mw.Histogram("bwaserve_stage_task_seconds", s.sched.StageTime(st), "stage", st.String())
+	}
+	mw.Runtime("bwaserve")
+	mw.Serve(w)
 }
 
 // boolGauge renders a flag as a 0/1 Prometheus gauge value.
-func boolGauge(b bool) int {
+func boolGauge(b bool) float64 {
 	if b {
 		return 1
 	}

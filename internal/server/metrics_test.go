@@ -1,11 +1,9 @@
 package server
 
 import (
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -27,19 +25,23 @@ func TestMetricsEndpoint(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("metrics: status %d", w.Code)
 	}
-	body := w.Body.String()
-	for _, line := range []string{
-		`bwaserve_requests_total{kind="single"} 1`,
-		`bwaserve_reads_total 20`,
-		`bwaserve_reads_inflight 0`,
-		`bwaserve_batches_total`,
-		`bwaserve_workers 4`,
-		`bwaserve_stage_seconds{stage="SMEM"}`,
-		`bwaserve_stage_seconds{stage="BSW"}`,
-		`bwaserve_stage_seconds_total`,
+	m := parseMetrics(t, w.Body.String())
+	for _, c := range []struct {
+		name   string
+		labels []string
+		want   float64 // -1: any value
+	}{
+		{"bwaserve_requests_total", []string{"kind", "single"}, 1},
+		{"bwaserve_reads_total", nil, 20},
+		{"bwaserve_reads_inflight", nil, 0},
+		{"bwaserve_batches_total", nil, -1},
+		{"bwaserve_workers", nil, 4},
+		{"bwaserve_stage_seconds", []string{"stage", "SMEM"}, -1},
+		{"bwaserve_stage_seconds", []string{"stage", "BSW"}, -1},
+		{"bwaserve_stage_seconds_total", nil, -1},
 	} {
-		if !strings.Contains(body, line) {
-			t.Errorf("metrics output missing %q", line)
+		if v := metricValue(t, m, c.name, c.labels...); c.want >= 0 && v != c.want {
+			t.Errorf("%s%q = %v, want %v", c.name, c.labels, v, c.want)
 		}
 	}
 	// Per-stage kernel time must actually accumulate from served traffic.
@@ -83,9 +85,9 @@ func TestHealthzEndpoint(t *testing.T) {
 }
 
 // TestStageSecondsMatchTaskHistograms: after single-end and paired traffic,
-// each bwaserve_stage_seconds{stage=S} prints the same value as
+// each bwaserve_stage_seconds{stage=S} reads back the same value as
 // bwaserve_stage_task_seconds_sum{stage=S}, and bwaserve_stage_seconds_total
-// is their sum (to the printed precision).
+// is their sum (to float rounding).
 func TestStageSecondsMatchTaskHistograms(t *testing.T) {
 	_, reads, r1, r2 := setup(t)
 	cfg := testConfig()
@@ -107,37 +109,22 @@ func TestStageSecondsMatchTaskHistograms(t *testing.T) {
 	body := get(s, "/v1/metrics").Body.String()
 	release()
 
-	value := func(series string) string {
-		for _, line := range strings.Split(body, "\n") {
-			if v, ok := strings.CutPrefix(line, series+" "); ok {
-				return v
-			}
-		}
-		t.Fatalf("metrics missing %s", series)
-		return ""
-	}
+	m := parseMetrics(t, body)
 	var sum float64
 	for _, st := range counters.Stages() {
-		label := fmt.Sprintf("{stage=%q}", st.String())
-		clock, hist := value("bwaserve_stage_seconds"+label), value("bwaserve_stage_task_seconds_sum"+label)
+		clock := metricValue(t, m, "bwaserve_stage_seconds", "stage", st.String())
+		hist := metricValue(t, m, "bwaserve_stage_task_seconds_sum", "stage", st.String())
 		if clock != hist {
-			t.Errorf("stage %s: bwaserve_stage_seconds %s, bwaserve_stage_task_seconds_sum %s", st, clock, hist)
+			t.Errorf("stage %s: bwaserve_stage_seconds %v, bwaserve_stage_task_seconds_sum %v", st, clock, hist)
 		}
-		v, err := strconv.ParseFloat(clock, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += v
+		sum += clock
 	}
 	if sum == 0 {
 		t.Fatal("no stage time recorded after serving reads")
 	}
-	total, err := strconv.ParseFloat(value("bwaserve_stage_seconds_total"), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each printed stage value is rounded to 1µs; so is the total.
-	if slack := float64(counters.NumStages+1) * 0.5e-6; math.Abs(total-sum) > slack {
-		t.Errorf("bwaserve_stage_seconds_total %.6f, stage values sum to %.6f", total, sum)
+	total := metricValue(t, m, "bwaserve_stage_seconds_total")
+	// Values are written exactly, so the sum differs only by float rounding.
+	if math.Abs(total-sum) > 1e-9 {
+		t.Errorf("bwaserve_stage_seconds_total %v, stage values sum to %v", total, sum)
 	}
 }

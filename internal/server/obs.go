@@ -3,15 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"time"
 
-	"repro/internal/counters"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 )
 
 // This file is the server's observability plane: the latency histograms
@@ -33,40 +29,6 @@ type serverHists struct {
 	admissionWait obs.Histogram // time inside the admission gate (lock contention)
 	cacheLookup   obs.Histogram // per-request result-cache classify pass
 	ttfb          obs.Histogram // request start -> first response byte
-}
-
-// write emits every histogram, the scheduler's included, in Prometheus text
-// exposition format. Names here are wire contract: README.md's metrics
-// table and the doc-drift test list the same families.
-func (h *serverHists) write(w io.Writer, sched *pipeline.Scheduler) error {
-	if err := h.reqSingle.Write(w, "bwaserve_request_seconds", `kind="single"`); err != nil {
-		return err
-	}
-	if err := h.reqPaired.Write(w, "bwaserve_request_seconds", `kind="paired"`); err != nil {
-		return err
-	}
-	if err := h.reqOther.Write(w, "bwaserve_request_seconds", `kind="other"`); err != nil {
-		return err
-	}
-	if err := h.admissionWait.Write(w, "bwaserve_admission_wait_seconds", ""); err != nil {
-		return err
-	}
-	if err := h.cacheLookup.Write(w, "bwaserve_cache_lookup_seconds", ""); err != nil {
-		return err
-	}
-	if err := sched.QueueWait().Write(w, "bwaserve_queue_wait_seconds", ""); err != nil {
-		return err
-	}
-	if err := h.ttfb.Write(w, "bwaserve_ttfb_seconds", ""); err != nil {
-		return err
-	}
-	for _, st := range counters.Stages() {
-		if err := sched.StageTime(st).Write(w, "bwaserve_stage_task_seconds",
-			fmt.Sprintf("stage=%q", st.String())); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // reqInfo is the per-request observability record threaded through the

@@ -9,10 +9,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
-	"sort"
-	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // get performs one GET against the server.
@@ -23,64 +23,24 @@ func get(s *Server, path string) *httptest.ResponseRecorder {
 	return w
 }
 
-// bucketSeries is one histogram's cumulative buckets parsed back out of the
-// Prometheus text exposition: upper bounds (seconds) paired with cumulative
-// counts, plus the _count total.
-type bucketSeries struct {
-	le    []float64
-	cum   []int64
-	count int64
-}
-
-// parseBuckets extracts the series for one histogram family+label set from
-// an exposition body, the way a Prometheus server would ingest it.
-func parseBuckets(t *testing.T, body, family, labels string) bucketSeries {
+// parseMetrics reads a /v1/metrics body with the obs exposition reader.
+func parseMetrics(t testing.TB, body string) obs.Metrics {
 	t.Helper()
-	var bs bucketSeries
-	bucketRe := regexp.MustCompile(`^` + regexp.QuoteMeta(family) + `_bucket\{` +
-		regexp.QuoteMeta(labels) + `le="([^"]+)"\} (\d+)$`)
-	for _, line := range strings.Split(body, "\n") {
-		if m := bucketRe.FindStringSubmatch(line); m != nil {
-			le, err := strconv.ParseFloat(m[1], 64)
-			if err != nil && m[1] != "+Inf" {
-				t.Fatalf("bad le %q: %v", m[1], err)
-			}
-			if m[1] == "+Inf" {
-				le = 1e308
-			}
-			n, _ := strconv.ParseInt(m[2], 10, 64)
-			bs.le = append(bs.le, le)
-			bs.cum = append(bs.cum, n)
-		}
-		if rest, ok := strings.CutPrefix(line, family+"_count"); ok {
-			f := strings.Fields(rest)
-			if labels == "" && rest != "" && rest[0] == ' ' ||
-				labels != "" && strings.Contains(rest, labels[:len(labels)-1]) {
-				bs.count, _ = strconv.ParseInt(f[len(f)-1], 10, 64)
-			}
-		}
+	m, err := obs.ParseMetrics(body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !sort.Float64sAreSorted(bs.le) {
-		t.Fatalf("%s buckets not sorted: %v", family, bs.le)
-	}
-	return bs
+	return m
 }
 
-// quantile computes histogram_quantile the way PromQL does over an instant
-// vector: find the first bucket whose cumulative count reaches q*count.
-// The interpolation detail doesn't matter here — the test asserts bracket
-// membership, not exact values.
-func (bs bucketSeries) quantile(q float64) float64 {
-	if bs.count == 0 {
-		return 0
+// metricValue returns one series' value, failing t when it is absent.
+func metricValue(t testing.TB, m obs.Metrics, name string, labels ...string) float64 {
+	t.Helper()
+	v, ok := m.Value(name, labels...)
+	if !ok {
+		t.Fatalf("metrics missing %s%q", name, labels)
 	}
-	rank := q * float64(bs.count)
-	for i, c := range bs.cum {
-		if float64(c) >= rank {
-			return bs.le[i]
-		}
-	}
-	return bs.le[len(bs.le)-1]
+	return v
 }
 
 // TestMetricsLatencyHistograms is the tentpole acceptance test: after real
@@ -109,7 +69,11 @@ func TestMetricsLatencyHistograms(t *testing.T) {
 		t.Fatalf("paired: status %d: %s", w.Code, w.Body.String())
 	}
 
-	body := get(s, "/v1/metrics").Body.String()
+	m := parseMetrics(t, get(s, "/v1/metrics").Body.String())
+	series := make(map[string]bool)
+	for _, sm := range m {
+		series[sm.Name] = true
+	}
 	for _, family := range []string{
 		"bwaserve_request_seconds",
 		"bwaserve_queue_wait_seconds",
@@ -118,20 +82,21 @@ func TestMetricsLatencyHistograms(t *testing.T) {
 		"bwaserve_stage_task_seconds",
 	} {
 		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			if !strings.Contains(body, family+suffix) {
+			if !series[family+suffix] {
 				t.Errorf("metrics missing %s%s series", family, suffix)
 			}
 		}
 	}
 
-	bs := parseBuckets(t, body, "bwaserve_request_seconds", `kind="single",`)
-	if bs.count != n {
-		t.Fatalf("request histogram count = %d, want %d", bs.count, n)
+	count := metricValue(t, m, "bwaserve_request_seconds_count", "kind", "single")
+	if count != n {
+		t.Fatalf("request histogram count = %v, want %d", count, n)
 	}
-	if last := bs.cum[len(bs.cum)-1]; last != bs.count {
-		t.Fatalf("+Inf bucket %d != count %d", last, bs.count)
+	bs := m.Buckets("bwaserve_request_seconds", "kind", "single")
+	if bs == nil || bs.Total != int64(count) {
+		t.Fatalf("+Inf bucket of %+v != count %v", bs, count)
 	}
-	p50, p99 := bs.quantile(0.50), bs.quantile(0.99)
+	p50, p99 := bs.Quantile(0.50), bs.Quantile(0.99)
 	if p99 <= 0 || p99 >= 1e308 {
 		t.Fatalf("p99 = %g, want a finite positive bucket bound", p99)
 	}
@@ -140,12 +105,10 @@ func TestMetricsLatencyHistograms(t *testing.T) {
 	}
 
 	// Stage histograms saw real kernel tasks: SMEM runs on every batch.
-	smem := parseBuckets(t, body, "bwaserve_stage_task_seconds", `stage="SMEM",`)
-	if smem.count == 0 {
+	if smem := m.Buckets("bwaserve_stage_task_seconds", "stage", "SMEM"); smem == nil || smem.Total == 0 {
 		t.Fatal("SMEM stage histogram recorded no tasks")
 	}
-	qw := parseBuckets(t, body, "bwaserve_queue_wait_seconds", "")
-	if qw.count == 0 {
+	if qw := m.Buckets("bwaserve_queue_wait_seconds"); qw == nil || qw.Total == 0 {
 		t.Fatal("queue-wait histogram recorded no reads")
 	}
 }
@@ -298,9 +261,8 @@ func TestStructuredAccessLog(t *testing.T) {
 }
 
 // TestMetricsREADMEDocDrift locks README.md's /metrics reference table to
-// the live exposition, both directions: every metric the server emits has
-// a documented row, and every documented row is still emitted. Histogram
-// series normalize to their family name (the row documents the family).
+// the live exposition, both directions: every metric family the server
+// emits has a documented row, and every documented row is still emitted.
 func TestMetricsREADMEDocDrift(t *testing.T) {
 	_, reads, r1, r2 := setup(t)
 	cfg := testConfig()
@@ -320,7 +282,10 @@ func TestMetricsREADMEDocDrift(t *testing.T) {
 		t.Fatalf("paired: %d", w.Code)
 	}
 
-	live := liveMetricFamilies(t, get(s, "/v1/metrics").Body.String())
+	live := make(map[string]bool)
+	for _, sm := range parseMetrics(t, get(s, "/v1/metrics").Body.String()) {
+		live[sm.Family] = true
+	}
 	documented := readmeMetricFamilies(t)
 
 	for name := range live {
@@ -333,45 +298,6 @@ func TestMetricsREADMEDocDrift(t *testing.T) {
 			t.Errorf("README.md documents %s but /v1/metrics does not serve it", name)
 		}
 	}
-}
-
-// liveMetricFamilies parses an exposition body into the set of metric
-// family names, folding histogram _bucket/_sum/_count series into their
-// family.
-func liveMetricFamilies(t *testing.T, body string) map[string]bool {
-	t.Helper()
-	raw := make(map[string]bool)
-	hist := make(map[string]bool)
-	for _, line := range strings.Split(body, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name := line
-		if i := strings.IndexAny(name, "{ "); i >= 0 {
-			name = name[:i]
-		}
-		if fam, ok := strings.CutSuffix(name, "_bucket"); ok && strings.Contains(line, `le="`) {
-			hist[fam] = true
-			continue
-		}
-		raw[name] = true
-	}
-	out := make(map[string]bool)
-	for name := range raw {
-		fam, isSum := strings.CutSuffix(name, "_sum")
-		if !isSum {
-			fam, _ = strings.CutSuffix(name, "_count")
-		}
-		if hist[fam] {
-			out[fam] = true // histogram helper series collapse to the family
-			continue
-		}
-		out[name] = true
-	}
-	for fam := range hist {
-		out[fam] = true
-	}
-	return out
 }
 
 // readmeMetricFamilies extracts the metric names documented in README.md's

@@ -38,7 +38,7 @@
 // (internal/gateway) mounts its handlers through the same Mount shell
 // (api.go: routes, aliases, request IDs, 405/404, WriteError), runs the
 // same align intake and counters (wire.go: RequestCounters.Intake,
-// WriteMetrics), admits and drains through the same Admission gate
+// Expose), admits and drains through the same Admission gate
 // (queue.go, with an unbounded read budget) and starts its response with
 // the same NewSAMStream. Only the read budget, the wrap hook and what
 // happens after intake differ per tier; /v1/debug/requests is
@@ -105,7 +105,7 @@ func New(aln *core.Aligner, cfg core.ServerConfig) (*Server, error) {
 		samHeader: []byte(aln.SAMHeader()),
 		sched:     sched,
 		adm:       NewAdmission(cfg.MaxInFlightReads),
-		met:       newMetrics(),
+		met:       &metrics{start: time.Now()},
 		mux:       http.NewServeMux(),
 		hists:     &serverHists{},
 	}

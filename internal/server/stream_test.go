@@ -9,12 +9,12 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/counters"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/seq"
 	"repro/internal/testutil"
@@ -65,22 +65,19 @@ func TestStreamedFirstByteBeforeCompletion(t *testing.T) {
 	}
 }
 
-// scrapeMetric pulls one un-labelled counter value from /metrics.
-func scrapeMetric(t *testing.T, base, name string) int64 {
+// scrape fetches base's /v1/metrics and parses it with the obs reader.
+func scrape(t testing.TB, base string) obs.Metrics {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics")
+	resp, err := http.Get(base + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\d+)$`).FindSubmatch(body)
-	if m == nil {
-		t.Fatalf("metric %s not found in:\n%s", name, body)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var v int64
-	fmt.Sscanf(string(m[1]), "%d", &v)
-	return v
+	return parseMetrics(t, string(body))
 }
 
 // TestCancelledRequestReleasesBudget covers the cancellation path end to
@@ -142,11 +139,12 @@ func TestCancelledRequestReleasesBudget(t *testing.T) {
 	// request in instead of leaking capacity to a dead client.
 	testutil.WaitUntil(t, 10*time.Second, func() bool { return s.adm.InFlight() == 0 },
 		"admission budget not released")
-	if got := scrapeMetric(t, ts.URL, "bwaserve_reads_dropped_total"); got != int64(n) {
-		t.Fatalf("reads_dropped_total = %d, want %d", got, n)
+	m := scrape(t, ts.URL)
+	if got := metricValue(t, m, "bwaserve_reads_dropped_total"); got != float64(n) {
+		t.Fatalf("reads_dropped_total = %v, want %d", got, n)
 	}
-	if got := scrapeMetric(t, ts.URL, "bwaserve_requests_cancelled_total"); got != 1 {
-		t.Fatalf("requests_cancelled_total = %d, want 1", got)
+	if got := metricValue(t, m, "bwaserve_requests_cancelled_total"); got != 1 {
+		t.Fatalf("requests_cancelled_total = %v, want 1", got)
 	}
 	// The queued reads were dropped before any alignment ran.
 	if got := s.sched.Clock().T[counters.StageSMEM]; got != smem0 {

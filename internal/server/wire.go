@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -27,7 +26,7 @@ import (
 // span and histogram the timing lands in.
 
 // RequestCounters is the request-plane counter set both tiers embed in
-// their metrics and render with WriteMetrics under their own prefix.
+// their metrics and expose under their own prefix.
 type RequestCounters struct {
 	Single   atomic.Int64 // accepted /align requests
 	Paired   atomic.Int64 // accepted /align/paired requests
@@ -38,25 +37,18 @@ type RequestCounters struct {
 	SAMBytes atomic.Int64 // SAM bytes actually written to clients, headers included
 }
 
-// RejectReason is one tier-only series of <prefix>_requests_rejected_total.
-type RejectReason struct {
-	Reason string
-	Count  int64
-}
-
-// WriteMetrics renders the counters as <prefix>_* series; rejected holds
-// the tier's own rejection reasons, written first so the rejected family
-// stays one block.
-func (c *RequestCounters) WriteMetrics(buf *bytes.Buffer, prefix string, rejected ...RejectReason) {
-	fmt.Fprintf(buf, "%s_requests_total{kind=%q} %d\n", prefix, "single", c.Single.Load())
-	fmt.Fprintf(buf, "%s_requests_total{kind=%q} %d\n", prefix, "paired", c.Paired.Load())
-	rejected = append(rejected, RejectReason{"too_large", c.TooLarge.Load()}, RejectReason{"draining", c.Draining.Load()})
-	for _, rj := range rejected {
-		fmt.Fprintf(buf, "%s_requests_rejected_total{reason=%q} %d\n", prefix, rj.Reason, rj.Count)
+// Expose writes the counters as <prefix>_* series, with rejected requests
+// of the tier's own reason counted beside the shared reasons.
+func (c *RequestCounters) Expose(w *obs.MetricsWriter, prefix, reason string, rejected int64) {
+	for i, n := range []int64{c.Single.Load(), c.Paired.Load()} {
+		w.Counter(prefix+"_requests_total", float64(n), "kind", [...]string{"single", "paired"}[i])
 	}
-	fmt.Fprintf(buf, "%s_requests_bad_total %d\n", prefix, c.Bad.Load())
-	fmt.Fprintf(buf, "%s_reads_total %d\n", prefix, c.Reads.Load())
-	fmt.Fprintf(buf, "%s_sam_bytes_total %d\n", prefix, c.SAMBytes.Load())
+	for i, n := range []int64{rejected, c.TooLarge.Load(), c.Draining.Load()} {
+		w.Counter(prefix+"_requests_rejected_total", float64(n), "reason", [...]string{reason, "too_large", "draining"}[i])
+	}
+	w.Counter(prefix+"_requests_bad_total", float64(c.Bad.Load()))
+	w.Counter(prefix+"_reads_total", float64(c.Reads.Load()))
+	w.Counter(prefix+"_sam_bytes_total", float64(c.SAMBytes.Load()))
 }
 
 // Intake runs the front half of an align request: body-family negotiation

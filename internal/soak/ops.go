@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/obs"
 	"repro/pkg/bwaclient"
 )
 
@@ -229,7 +230,7 @@ func (r *runner) doMetrics(ctx context.Context) {
 		return
 	}
 	acc.ok.Add(1)
-	if len(text) == 0 {
-		r.violate("metrics", "empty /v1/metrics body under load")
+	if _, err := obs.ParseMetrics(text); len(text) == 0 || err != nil {
+		r.violate("metrics", "unreadable /v1/metrics body under load (%d bytes): %v", len(text), err)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"net/http"
 	"runtime"
 	"sort"
@@ -144,45 +145,51 @@ func (o *Options) validate() error {
 // instead of hanging it.
 const opTimeout = 60 * time.Second
 
+// failures counts the ways operations did not succeed; phases and ops
+// both keep one.
+type failures struct {
+	transport atomic.Int64
+	cancelled atomic.Int64
+
+	mu         sync.Mutex
+	rejections map[string]int64 // APIError code -> count
+}
+
+func (f *failures) reject(code string) {
+	f.mu.Lock()
+	if f.rejections == nil {
+		f.rejections = make(map[string]int64)
+	}
+	f.rejections[code]++
+	f.mu.Unlock()
+}
+
+// rejected returns a copy of the rejection counts, nil when there are none.
+func (f *failures) rejected() map[string]int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return maps.Clone(f.rejections)
+}
+
 // phaseAcc accumulates one phase of the load timeline.
 type phaseAcc struct {
 	name     string
 	start    time.Time
 	duration time.Duration // set when the phase closes
 
-	requests  atomic.Int64
-	reads     atomic.Int64
-	samBytes  atomic.Int64
-	transport atomic.Int64
-	cancelled atomic.Int64
+	requests atomic.Int64
+	reads    atomic.Int64
+	samBytes atomic.Int64
+	failures
 
-	mu         sync.Mutex
-	rejections map[string]int64
-
-	lat *obs.Histogram
-}
-
-func (p *phaseAcc) reject(code string) {
-	p.mu.Lock()
-	p.rejections[code]++
-	p.mu.Unlock()
+	lat obs.Histogram
 }
 
 // opAcc accumulates one workload operation across the run.
 type opAcc struct {
-	attempts  atomic.Int64
-	ok        atomic.Int64
-	transport atomic.Int64
-	cancelled atomic.Int64
-
-	mu         sync.Mutex
-	rejections map[string]int64
-}
-
-func (a *opAcc) reject(code string) {
-	a.mu.Lock()
-	a.rejections[code]++
-	a.mu.Unlock()
+	attempts atomic.Int64
+	ok       atomic.Int64
+	failures
 }
 
 // maxViolationsPerKind bounds how many instances of one invariant kind
@@ -231,7 +238,7 @@ func (r *runner) beginPhase(name string) {
 	if cur := r.cur.Load(); cur != nil {
 		cur.duration = now.Sub(cur.start)
 	}
-	p := &phaseAcc{name: r.phasePrefix + name, start: now, rejections: make(map[string]int64), lat: &obs.Histogram{}}
+	p := &phaseAcc{name: r.phasePrefix + name, start: now}
 	r.phases = append(r.phases, p)
 	r.cur.Store(p)
 }
@@ -309,7 +316,7 @@ func Run(ctx context.Context, o Options, logf func(string, ...any)) (*Report, er
 		r.phasePrefix = "gateway-"
 	}
 	for _, op := range []string{opSingle, opPaired, opSlow, opCancel, opOversize, opMalformed, opHealth, opMetrics} {
-		r.ops[op] = &opAcc{rejections: make(map[string]int64)}
+		r.ops[op] = &opAcc{}
 	}
 
 	// Warm up (establish connections, fault early on a dead target) and
@@ -391,14 +398,66 @@ func Run(ctx context.Context, o Options, logf func(string, ...any)) (*Report, er
 	return rep, nil
 }
 
+// The soak harness reads the target's /v1/metrics the way a dashboard
+// would, through obs's exposition reader: histogram buckets for quantiles,
+// gauges for runtime growth, so the invariants it asserts are exactly the
+// numbers an operator sees.
+
+// metricPrefixes are the exposition prefixes a soak target can answer
+// with: bwaserve_* from a replica, bwagate_* when the target is the
+// gateway tier. Both expose the same histogram and runtime-gauge shapes.
+var metricPrefixes = []string{"bwaserve", "bwagate"}
+
+// scrape fetches and parses the target's /v1/metrics.
+func (r *runner) scrape(ctx context.Context) (obs.Metrics, error) {
+	mctx, cancel := context.WithTimeout(ctx, opTimeout)
+	defer cancel()
+	text, err := r.client.Metrics(mctx)
+	if err != nil {
+		return nil, err
+	}
+	return obs.ParseMetrics(text)
+}
+
+// serverRuntimeSample reads the target's runtime gauges; ok is false when
+// the target does not expose them (e.g. a stub).
+func serverRuntimeSample(m obs.Metrics) (RuntimeSample, bool) {
+	for _, prefix := range metricPrefixes {
+		g, okG := m.Value(prefix + "_go_goroutines")
+		h, okH := m.Value(prefix + "_go_heap_alloc_bytes")
+		if okG && okH {
+			return RuntimeSample{Goroutines: int(g), HeapAllocBytes: h}, true
+		}
+	}
+	return RuntimeSample{}, false
+}
+
+// requestLatency summarizes the target's request_seconds histograms for
+// the align request kinds.
+func requestLatency(m obs.Metrics) map[string]Quantiles {
+	out := make(map[string]Quantiles)
+	for _, kind := range []string{"single", "paired"} {
+		for _, prefix := range metricPrefixes {
+			if b := m.Buckets(prefix+"_request_seconds", "kind", kind); b != nil {
+				out[kind] = quantiles(b.Total, b.Quantile)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// quantiles summarizes a latency distribution of n observations.
+func quantiles(n int64, q func(float64) float64) Quantiles {
+	return Quantiles{Count: n, P50: q(0.50), P90: q(0.90), P99: q(0.99)}
+}
+
 // takeBaseline records the pre-load runtime footprint, client and server.
 func (r *runner) takeBaseline(ctx context.Context) {
 	r.baseline = clientRuntimeSample()
 	r.samples++
-	mctx, cancel := context.WithTimeout(ctx, opTimeout)
-	defer cancel()
-	if text, err := r.client.Metrics(mctx); err == nil {
-		if s, ok := serverRuntimeSample(text); ok {
+	if m, err := r.scrape(ctx); err == nil {
+		if s, ok := serverRuntimeSample(m); ok {
 			r.srvBase = &s
 		}
 	}
@@ -447,14 +506,12 @@ func (r *runner) checkClientLeaks() {
 // server-side leak check. The front door is never a chaos victim, so the
 // fetch is not retried.
 func (r *runner) finishServerChecks(ctx context.Context, rep *Report) {
-	mctx, cancel := context.WithTimeout(ctx, opTimeout)
-	text, err := r.client.Metrics(mctx)
-	cancel()
+	m, err := r.scrape(ctx)
 	if err != nil {
 		r.violate("metrics-unreachable", "final /v1/metrics fetch: %v", err)
 		return
 	}
-	rep.ServerLatency = requestLatency(text)
+	rep.ServerLatency = requestLatency(m)
 	if r.o.SLOp99 > 0 {
 		slo := r.o.SLOp99.Seconds()
 		kinds := make([]string, 0, len(rep.ServerLatency))
@@ -469,15 +526,13 @@ func (r *runner) finishServerChecks(ctx context.Context, rep *Report) {
 			}
 		}
 	}
-	s, okSample := serverRuntimeSample(text)
+	s, okSample := serverRuntimeSample(m)
 	if okSample && r.srvBase != nil {
 		// Connection and transport goroutines wind down asynchronously
 		// once load stops; re-sample briefly before calling growth a leak.
 		for i := 0; i < 10 && s.Goroutines > r.srvBase.Goroutines+2*goroutineSlack; i++ {
 			time.Sleep(200 * time.Millisecond)
-			mctx, cancel := context.WithTimeout(ctx, opTimeout)
-			again, merr := r.client.Metrics(mctx)
-			cancel()
+			again, merr := r.scrape(ctx)
 			if merr != nil {
 				break
 			}
@@ -509,39 +564,19 @@ func (r *runner) fill(rep *Report) {
 			Name: p.name, Seconds: secs,
 			Requests: p.requests.Load(), Reads: p.reads.Load(), SAMBytes: p.samBytes.Load(),
 			TransportErrors: p.transport.Load(), Cancelled: p.cancelled.Load(),
-			Latency: Quantiles{
-				Count: p.lat.Count(),
-				P50:   p.lat.Quantile(0.50), P90: p.lat.Quantile(0.90), P99: p.lat.Quantile(0.99),
-			},
+			Rejections: p.rejected(), Latency: quantiles(p.lat.Count(), p.lat.Quantile),
 		}
 		if secs > 0 {
 			ps.ReadsPerSec = float64(ps.Reads) / secs
 		}
-		p.mu.Lock()
-		if len(p.rejections) > 0 {
-			ps.Rejections = make(map[string]int64, len(p.rejections))
-			for k, v := range p.rejections {
-				ps.Rejections[k] = v
-			}
-		}
-		p.mu.Unlock()
 		rep.Phases = append(rep.Phases, ps)
 	}
 	rep.Ops = make(map[string]*OpStats, len(r.ops))
 	for name, a := range r.ops {
-		os := &OpStats{
+		rep.Ops[name] = &OpStats{
 			Attempts: a.attempts.Load(), OK: a.ok.Load(),
-			TransportErrors: a.transport.Load(), Cancelled: a.cancelled.Load(),
+			TransportErrors: a.transport.Load(), Cancelled: a.cancelled.Load(), Rejections: a.rejected(),
 		}
-		a.mu.Lock()
-		if len(a.rejections) > 0 {
-			os.Rejections = make(map[string]int64, len(a.rejections))
-			for k, v := range a.rejections {
-				os.Rejections[k] = v
-			}
-		}
-		a.mu.Unlock()
-		rep.Ops[name] = os
 	}
 	rep.Runtime = RuntimeStats{
 		Samples: r.samples,

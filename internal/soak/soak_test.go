@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/pkg/bwaclient"
 )
 
@@ -221,7 +219,7 @@ func TestTransportErrorIsViolation(t *testing.T) {
 func newTestRunner() *runner {
 	r := &runner{
 		o:        &Options{},
-		ops:      map[string]*opAcc{"x": {rejections: make(map[string]int64)}},
+		ops:      map[string]*opAcc{"x": {}},
 		vioCount: make(map[string]int),
 	}
 	r.beginPhase("test")
@@ -274,42 +272,6 @@ func TestViolationCap(t *testing.T) {
 	}
 	if len(r.vios) != maxViolationsPerKind {
 		t.Fatalf("recorded %d violations, want cap %d", len(r.vios), maxViolationsPerKind)
-	}
-}
-
-// TestQuantileParity locks the harness's exposition-side quantile math to
-// obs.Histogram's: parsing the buckets a histogram writes and re-deriving
-// quantiles must reproduce Quantile exactly — the SLO check judges the
-// server by the same numbers a dashboard would show.
-func TestQuantileParity(t *testing.T) {
-	h := &obs.Histogram{}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 5000; i++ {
-		h.Observe(time.Duration(rng.Intn(2_000_000)) * time.Microsecond)
-	}
-	var buf bytes.Buffer
-	if err := h.Write(&buf, "bwaserve_request_seconds", `kind="single"`); err != nil {
-		t.Fatal(err)
-	}
-	d := parseBuckets(buf.String(), "bwaserve_request_seconds", `kind="single"`)
-	if d == nil {
-		t.Fatal("parseBuckets found nothing in the histogram's own exposition")
-	}
-	if d.total != h.Count() {
-		t.Fatalf("parsed total %d, histogram count %d", d.total, h.Count())
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		want := h.Quantile(q)
-		got := d.quantile(q)
-		if diff := got - want; diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("q%.2f: exposition-side %v, histogram-side %v", q, got, want)
-		}
-	}
-}
-
-func TestParseBucketsAbsentFamily(t *testing.T) {
-	if d := parseBuckets("# nothing here\n", "bwaserve_request_seconds", `kind="single"`); d != nil {
-		t.Fatalf("parseBuckets fabricated %+v from empty exposition", d)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/seq"
 	"repro/pkg/bwamem"
@@ -225,7 +226,11 @@ func TestHealthAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(m, "bwaserve_requests_total") {
+	pm, err := obs.ParseMetrics(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := pm.Value("bwaserve_requests_total", "kind", "single"); !ok {
 		t.Fatalf("metrics exposition missing counters: %.80s", m)
 	}
 }
